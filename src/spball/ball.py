@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import ProblemSpec, _signed_power
+from .energy import ProblemSpec, _signed_power, equation_rhs
 from .errors import EstimationFailureError, OutsideBallError
 from .grid import DomainGrid, ScalarField, first_eigenpair, lp_norm, w2n_norm
 from .poisson import compute_phi
@@ -97,7 +97,7 @@ def estimate_constants(
         if w == 0.0:
             continue
         used += 1
-        phi = compute_phi(u, spec.coupling, spec.linear_opts)
+        phi = compute_phi(u, spec.coupling)
         num_c = lp_norm(ScalarField(spec.grid, spec.coupling.values * phi.values * u.values), 3)
         num_p = lp_norm(ScalarField(spec.grid, _signed_power(u.values, spec.p)), 3)
         best_coupling = max(best_coupling, num_c / w**3)
@@ -175,14 +175,7 @@ def check_residual_bound(
         raise OutsideBallError(
             f"w2n norm {w2n_norm(u):.6e} exceeds the ball radius {ball.radius:.6e}"
         )
-    phi = compute_phi(u, spec.coupling, spec.linear_opts)
-    resid = ScalarField(
-        spec.grid,
-        -spec.coupling.values * phi.values * u.values
-        + _signed_power(u.values, spec.p)
-        + spec.forcing.values,
-    )
-    lhs = lp_norm(resid, 3)
+    lhs = lp_norm(equation_rhs(u, spec), 3)
     rhs = (
         ball.coupling_constant * ball.radius**3
         + ball.power_constant * ball.radius**ball.p

@@ -13,7 +13,7 @@ Sobolev range; the ball constraint elsewhere is what restores control.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,17 +24,16 @@ from .grid import (
     apply_laplacian,
     h1_inner,
     l2_inner,
-    neg_laplacian_array,
     w2n_norm,
 )
-from .poisson import LinearSolveOptions, compute_phi, solve_dirichlet_poisson
+from .poisson import compute_phi, solve_dirichlet_poisson
 
 GRADIENT_METRICS = ("sobolev", "l2")
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Problem data: exponent, coupling field, forcing field, grid, solver opts.
+    """Problem data: exponent, coupling field, forcing field and grid.
 
     require_positive_forcing=False permits a nonnegative (possibly zero)
     forcing for diagnostics; the default enforces strict positivity.
@@ -44,7 +43,6 @@ class ProblemSpec:
     coupling: ScalarField
     forcing: ScalarField
     grid: DomainGrid
-    linear_opts: LinearSolveOptions = field(default_factory=LinearSolveOptions)
     require_positive_forcing: bool = True
 
     def __post_init__(self):
@@ -88,7 +86,7 @@ def _signed_power(values: np.ndarray, p: float) -> np.ndarray:
 def energy(u: ScalarField, spec: ProblemSpec) -> EnergyBreakdown:
     """Evaluate the functional; one linear solve for the potential."""
     spec.check_field(u)
-    phi = compute_phi(u, spec.coupling, spec.linear_opts)
+    phi = compute_phi(u, spec.coupling)
     h3 = spec.grid.h ** 3
     kinetic = 0.5 * h1_inner(u, u)
     coupling = 0.25 * float(np.sum(spec.coupling.values * phi.values * u.values**2)) * h3
@@ -123,7 +121,7 @@ def directional_derivative(u: ScalarField, v: ScalarField, spec: ProblemSpec) ->
     """First variation of the energy at u in direction v."""
     spec.check_field(u)
     spec.check_field(v)
-    phi = compute_phi(u, spec.coupling, spec.linear_opts)
+    phi = compute_phi(u, spec.coupling)
     h3 = spec.grid.h ** 3
     grad_term = h1_inner(u, v)
     coupling = float(np.sum(spec.coupling.values * phi.values * u.values * v.values)) * h3
@@ -132,17 +130,21 @@ def directional_derivative(u: ScalarField, v: ScalarField, spec: ProblemSpec) ->
     return grad_term + coupling - power - forcing
 
 
-def strong_residual(u: ScalarField, spec: ProblemSpec) -> ScalarField:
-    """Nodewise Euler-Lagrange residual -Delta u + c phi u - sign(u)|u|^p - f."""
+def equation_rhs(u: ScalarField, spec: ProblemSpec) -> ScalarField:
+    """Right-hand side of the equation, -c phi_u u + sign(u)|u|^p + f."""
     spec.check_field(u)
-    phi = compute_phi(u, spec.coupling, spec.linear_opts)
-    vals = (
-        neg_laplacian_array(u.values, spec.grid.h)
-        + spec.coupling.values * phi.values * u.values
-        - _signed_power(u.values, spec.p)
-        - spec.forcing.values
+    phi = compute_phi(u, spec.coupling)
+    return ScalarField(
+        spec.grid,
+        -spec.coupling.values * phi.values * u.values
+        + _signed_power(u.values, spec.p)
+        + spec.forcing.values,
     )
-    return ScalarField(spec.grid, vals)
+
+
+def strong_residual(u: ScalarField, spec: ProblemSpec) -> ScalarField:
+    """Nodewise Euler-Lagrange residual -Delta_h u - equation_rhs(u)."""
+    return apply_laplacian(u) - equation_rhs(u, spec)
 
 
 def gradient_field(u: ScalarField, spec: ProblemSpec, metric: str = "sobolev") -> ScalarField:
@@ -157,7 +159,7 @@ def gradient_field(u: ScalarField, spec: ProblemSpec, metric: str = "sobolev") -
     g = strong_residual(u, spec)
     if metric == "l2":
         return g
-    return solve_dirichlet_poisson(g, spec.linear_opts).field
+    return solve_dirichlet_poisson(g).field
 
 
 __all__ = [
@@ -167,6 +169,7 @@ __all__ = [
     "directional_derivative",
     "energy",
     "energy_split",
+    "equation_rhs",
     "gradient_field",
     "restricted_energy",
     "strong_residual",

@@ -46,16 +46,5 @@ class EstimationFailureError(RuntimeError):
     """Constant estimation had no usable samples."""
 
 
-class IterativeSolverError(RuntimeError):
-    """Linear solve failed to reach the residual target within the iteration budget.
-
-    The discrete-L2 residual history is attached as ``residual_history``.
-    """
-
-    def __init__(self, message: str, residual_history: list[float]):
-        self.residual_history = list(residual_history)
-        super().__init__(message)
-
-
 class ConfigError(ValueError):
     """Malformed experiment configuration."""

@@ -31,7 +31,6 @@ class MinimizeOptions:
     energy_tol: float = 1e-12  # relative energy-decrease threshold
     backtrack_factor: float = 0.5
     initial_step: float = 1.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -88,7 +87,7 @@ def initial_guess(spec: ProblemSpec, radius: float) -> ScalarField:
     e1, _ = first_eigenpair(spec.grid)
     e = (radius / w2n_norm(e1)) * e1
 
-    phi = compute_phi(e, spec.coupling, spec.linear_opts)
+    phi = compute_phi(e, spec.coupling)
     h3 = spec.grid.h ** 3
     quad = 0.5 * h1_inner(e, e)
     quart = 0.25 * float(np.sum(spec.coupling.values * phi.values * e.values**2)) * h3
@@ -107,7 +106,7 @@ def initial_guess(spec: ProblemSpec, radius: float) -> ScalarField:
             return candidate
     raise InitializationFailureError(
         "no scaling of the eigenfunction yields negative energy; "
-        "the forcing may be too small relative to the solver tolerance"
+        "the forcing may be too small to register above rounding error"
     )
 
 

@@ -28,7 +28,7 @@ from .grid import (
     w2n_norm,
 )
 from .minimize import MinimizeOptions, MinimizeResult, minimize
-from .poisson import LinearSolveOptions, solve_dirichlet_poisson
+from .poisson import solve_dirichlet_poisson
 from .verify import VerificationReport, verify
 from .version import __version__
 
@@ -72,13 +72,17 @@ class ExperimentConfig:
     safety: float = 2.0
     samples: int = 64
     seed: int = 0
-    linear: LinearSolveOptions = field(default_factory=LinearSolveOptions)
     descent: MinimizeOptions = field(default_factory=MinimizeOptions)
     output_path: str = "out"
-    schema_version: int = 1
+    schema_version: int = 2
 
     def __post_init__(self):
-        if self.schema_version != 1:
+        if self.schema_version == 1:
+            raise ConfigError(
+                "schema_version 1 is not supported: version 2 removed the tolerances.linear "
+                "section and tolerances.descent.seed; drop them and set schema_version to 2"
+            )
+        if self.schema_version != 2:
             raise ConfigError(f"unsupported schema_version {self.schema_version}")
         if not isinstance(self.grid_n, int) or self.grid_n < 3:
             raise ConfigError(f"grid_n must be an integer >= 3, got {self.grid_n}")
@@ -105,7 +109,7 @@ class ExperimentConfig:
             "safety": self.safety,
             "samples": self.samples,
             "seed": self.seed,
-            "tolerances": {"linear": asdict(self.linear), "descent": asdict(self.descent)},
+            "tolerances": {"descent": asdict(self.descent)},
             "output_path": self.output_path,
         }
 
@@ -135,11 +139,15 @@ class ExperimentConfig:
         tolerances = data.get("tolerances", {})
         if not isinstance(tolerances, dict):
             raise ConfigError("tolerances must be an object")
-        bad = set(tolerances) - {"linear", "descent"}
+        if "linear" in tolerances:
+            raise ConfigError(
+                "the tolerances.linear section was removed in schema_version 2: "
+                "the Poisson solve is direct and has no tolerance"
+            )
+        bad = set(tolerances) - {"descent"}
         if bad:
             raise ConfigError(f"unknown tolerances sections: {sorted(bad)}")
         try:
-            linear = LinearSolveOptions(**tolerances.get("linear", {}))
             descent = MinimizeOptions(**tolerances.get("descent", {}))
         except TypeError as exc:
             raise ConfigError(f"bad tolerances: {exc}") from None
@@ -147,7 +155,6 @@ class ExperimentConfig:
             raise ConfigError(f"bad tolerances: {exc}") from None
 
         kwargs = {k: data[k] for k in known - {"tolerances"} if k in data}
-        kwargs["linear"] = linear
         kwargs["descent"] = descent
         if "p" in kwargs:
             kwargs["p"] = float(kwargs["p"])
@@ -263,10 +270,7 @@ def run_experiment(
         if "scaled_to_bound" not in config.forcing
         else _sine_bump(grid)
     )
-    probe_spec = ProblemSpec(
-        p=config.p, coupling=coupling, forcing=probe_forcing, grid=grid,
-        linear_opts=config.linear,
-    )
+    probe_spec = ProblemSpec(p=config.p, coupling=coupling, forcing=probe_forcing, grid=grid)
     timings["setup"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -290,10 +294,7 @@ def run_experiment(
     forcing_norm = lp_norm(forcing, 3)
     if forcing_norm > ball.forcing_bound * (1.0 + 1e-12):
         raise ForcingTooLargeError(forcing_norm, ball.forcing_bound)
-    spec = ProblemSpec(
-        p=config.p, coupling=coupling, forcing=forcing, grid=grid,
-        linear_opts=config.linear,
-    )
+    spec = ProblemSpec(p=config.p, coupling=coupling, forcing=forcing, grid=grid)
     timings["radius"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -314,11 +315,7 @@ def run_experiment(
         verification=report_v,
         wall_time=timings,
         version=__version__,
-        seeds={
-            "estimation": config.seed,
-            "vi": vi_seed,
-            "descent": config.descent.seed,
-        },
+        seeds={"estimation": config.seed, "vi": vi_seed},
     )
     if write_outputs:
         write_run_outputs(report, result, out_dir)
@@ -361,7 +358,7 @@ class StudyRow:
     error: str = ""
 
 
-def manufactured_poisson_error(n: int, opts: LinearSolveOptions | None = None) -> float:
+def manufactured_poisson_error(n: int) -> float:
     """Relative L2 error of the solver against a known smooth solution.
 
     The forcing 3 pi^2 sin(pi x) sin(pi y) sin(pi z) has the continuum
@@ -371,7 +368,7 @@ def manufactured_poisson_error(n: int, opts: LinearSolveOptions | None = None) -
     grid = build_grid(n)
     star = _sine_bump(grid)
     f = ScalarField(grid, 3.0 * np.pi**2 * star.values)
-    w = solve_dirichlet_poisson(f, opts).field
+    w = solve_dirichlet_poisson(f).field
     return lp_norm(w - star, 2) / lp_norm(star, 2)
 
 
@@ -393,7 +390,7 @@ def convergence_study(config: ExperimentConfig, grids: list[int]) -> list[StudyR
     prev: tuple[int, float] | None = None
     for n in grids:
         try:
-            poisson_err = manufactured_poisson_error(n, config.linear)
+            poisson_err = manufactured_poisson_error(n)
             report = run_experiment(replace(config, grid_n=n), write_outputs=False)
             order = None
             if prev is not None:

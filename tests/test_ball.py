@@ -98,7 +98,7 @@ def test_estimation_ratios_scale_invariant():
     for t in (1.0, 3.0):
         v = t * u
         w = w2n_norm(v)
-        phi = compute_phi(v, spec.coupling, spec.linear_opts)
+        phi = compute_phi(v, spec.coupling)
         num_c = lp_norm(ScalarField(spec.grid, phi.values * v.values), 3)
         num_p = lp_norm(ScalarField(spec.grid, _signed_power(v.values, spec.p)), 3)
         ratios.append((num_c / w**3, num_p / w**spec.p))
@@ -112,7 +112,7 @@ def test_estimate_constants_dominate_family():
     c_coupling, c_power = estimate_constants(spec, samples, seed, safety=2.0)
     for u in estimation_fields(spec.grid, samples, seed):
         w = w2n_norm(u)
-        phi = compute_phi(u, spec.coupling, spec.linear_opts)
+        phi = compute_phi(u, spec.coupling)
         rc = lp_norm(ScalarField(spec.grid, spec.coupling.values * phi.values * u.values), 3) / w**3
         rp = lp_norm(ScalarField(spec.grid, _signed_power(u.values, spec.p)), 3) / w**spec.p
         assert rc <= 0.5 * c_coupling * (1.0 + 1e-12)

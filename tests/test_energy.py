@@ -29,7 +29,6 @@ from spball.energy import (
     restricted_energy,
     strong_residual,
 )
-from spball.poisson import LinearSolveOptions
 
 from conftest import dense_neg_laplacian, random_field
 
@@ -88,7 +87,7 @@ def test_energy_zero_field_is_zero():
 def test_energy_against_dense_oracle(rng):
     # independent evaluation: dense Poisson solve + fsum of each term
     n, p = 4, 7.0
-    spec = make_spec(n=n, p=p, linear_opts=LinearSolveOptions(rel_tol=1e-13))
+    spec = make_spec(n=n, p=p)
     g = spec.grid
     u = random_field(g, rng, scale=0.8)
     a = dense_neg_laplacian(n)
@@ -199,7 +198,7 @@ def test_gradient_field_l2_pairs_to_directional_derivative(rng):
 
 
 def test_gradient_field_sobolev_is_riesz_representative(rng):
-    spec = make_spec(n=5, p=3.0, linear_opts=LinearSolveOptions(rel_tol=1e-12))
+    spec = make_spec(n=5, p=3.0)
     u = random_field(spec.grid, rng, scale=0.5)
     w = gradient_field(u, spec, metric="sobolev")
     for _ in range(3):

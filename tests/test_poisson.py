@@ -1,6 +1,7 @@
 """Poisson solver tests: closed-form eigenfunction inversion, a dense
-direct-solve oracle, manufactured-solution convergence, and the potential's
-structural properties (sign, scaling, quadratic bound)."""
+direct-solve oracle, exactness of the transform solve, manufactured-solution
+convergence, and the potential's structural properties (sign, scaling,
+quadratic bound)."""
 
 import numpy as np
 import pytest
@@ -9,27 +10,15 @@ from numpy.testing import assert_allclose
 from spball import (
     AssumptionViolationError,
     GridMismatchError,
-    IterativeSolverError,
     ScalarField,
     build_grid,
     first_eigenpair,
     grad_l2_norm,
     lp_norm,
 )
-from spball.poisson import LinearSolveOptions, PoissonSolution, compute_phi, solve_dirichlet_poisson
+from spball.poisson import compute_phi, solve_dirichlet_poisson
 
 from conftest import dense_neg_laplacian, random_field
-
-
-def test_options_validation():
-    with pytest.raises(ValueError):
-        LinearSolveOptions(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        LinearSolveOptions(rel_tol=1.5)
-    with pytest.raises(ValueError):
-        LinearSolveOptions(max_iters=0)
-    assert LinearSolveOptions().resolved_max_iters(build_grid(8)) == 10 * 8**3
-    assert LinearSolveOptions(max_iters=7).resolved_max_iters(build_grid(8)) == 7
 
 
 def test_zero_rhs_returns_zero_without_iterating():
@@ -55,19 +44,29 @@ def test_matches_dense_oracle(rng):
     a = dense_neg_laplacian(4)
     f = random_field(g, rng)
     expected = np.linalg.solve(a, f.values.ravel()).reshape(g.shape)
-    sol = solve_dirichlet_poisson(f, LinearSolveOptions(rel_tol=1e-12))
+    sol = solve_dirichlet_poisson(f)
     assert_allclose(sol.field.values, expected, rtol=0, atol=1e-11 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("n", [4, 5, 7])
+def test_transform_solve_is_exact(rng, n):
+    # odd and non-power-of-two grids included: the sine transform is exact on any n
+    g = build_grid(n)
+    f = random_field(g, rng)
+    expected = np.linalg.solve(dense_neg_laplacian(n), f.values.ravel()).reshape(g.shape)
+    sol = solve_dirichlet_poisson(f)
+    assert np.abs(sol.field.values - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert sol.final_residual <= 1e-12 * lp_norm(f, 2)
 
 
 def test_solution_linearity(rng):
     g = build_grid(5)
-    opts = LinearSolveOptions(rel_tol=1e-12)
     f1, f2 = random_field(g, rng), random_field(g, rng)
     combo = ScalarField(g, 2.0 * f1.values - 3.0 * f2.values)
-    w_combo = solve_dirichlet_poisson(combo, opts).field
+    w_combo = solve_dirichlet_poisson(combo).field
     w_sep = (
-        2.0 * solve_dirichlet_poisson(f1, opts).field.values
-        - 3.0 * solve_dirichlet_poisson(f2, opts).field.values
+        2.0 * solve_dirichlet_poisson(f1).field.values
+        - 3.0 * solve_dirichlet_poisson(f2).field.values
     )
     assert_allclose(w_combo.values, w_sep, atol=1e-10 * np.abs(w_sep).max())
 
@@ -84,24 +83,6 @@ def test_manufactured_convergence_is_second_order():
         errs[n] = lp_norm(w - star, 2) / lp_norm(star, 2)
     ratio = errs[8] / errs[16]
     assert 3.5 <= ratio <= 4.5
-
-
-def test_residual_meets_target(rng):
-    g = build_grid(6)
-    f = random_field(g, rng)
-    opts = LinearSolveOptions(rel_tol=1e-10)
-    sol = solve_dirichlet_poisson(f, opts)
-    assert sol.final_residual <= opts.rel_tol * lp_norm(f, 2) * 1.0000001
-
-
-def test_nonconvergence_raises_with_history(rng):
-    g = build_grid(6)
-    f = random_field(g, rng)
-    with pytest.raises(IterativeSolverError) as excinfo:
-        solve_dirichlet_poisson(f, LinearSolveOptions(max_iters=2))
-    hist = excinfo.value.residual_history
-    assert len(hist) >= 2
-    assert all(r >= 0.0 for r in hist)
 
 
 # ---------------------------------------------------------------- potential
@@ -135,13 +116,13 @@ def test_compute_phi_dense_oracle(rng):
     u = random_field(g, rng)
     coupling = ScalarField(g, np.ones(g.shape))
     expected = np.linalg.solve(a, (u.values**2).ravel()).reshape(g.shape)
-    phi = compute_phi(u, coupling, LinearSolveOptions(rel_tol=1e-12))
+    phi = compute_phi(u, coupling)
     assert_allclose(phi.values, expected, atol=1e-12 * np.abs(expected).max())
 
 
 def test_compute_phi_nonnegative(rng):
     # rhs >= 0 and the stencil satisfies a discrete maximum principle, so the
-    # potential is nonnegative up to solver tolerance
+    # potential is nonnegative up to rounding
     g = build_grid(8)
     coupling = ScalarField(g, np.ones(g.shape))
     for _ in range(5):
@@ -152,7 +133,7 @@ def test_compute_phi_nonnegative(rng):
 
 
 def test_compute_phi_quadratic_scaling(rng):
-    # phi(t u) = t^2 phi(u); solves are deterministic so only solver noise enters
+    # phi(t u) = t^2 phi(u); solves are deterministic so only rounding enters
     g = build_grid(6)
     coupling = ScalarField(g, np.ones(g.shape))
     u = random_field(g, rng)

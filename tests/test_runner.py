@@ -81,6 +81,19 @@ def test_config_bad_tolerances():
     data["tolerances"]["mystery"] = {}
     with pytest.raises(ConfigError, match="unknown tolerances"):
         ExperimentConfig.from_dict(data)
+    data = small_config().to_dict()
+    data["tolerances"]["descent"]["seed"] = 0
+    with pytest.raises(ConfigError, match="bad tolerances"):
+        ExperimentConfig.from_dict(data)
+    # schema_version 2 removed the linear-solver section; both v1 shapes name it
+    data = small_config().to_dict()
+    data["tolerances"]["linear"] = {}
+    with pytest.raises(ConfigError, match="tolerances.linear"):
+        ExperimentConfig.from_dict(data)
+    data = small_config().to_dict()
+    data["schema_version"] = 1
+    with pytest.raises(ConfigError, match="tolerances.linear"):
+        ExperimentConfig.from_dict(data)
 
 
 def test_load_config_errors(tmp_path):
@@ -117,6 +130,7 @@ def test_run_experiment_passes_and_writes_outputs(small_run):
 def test_run_experiment_report_contents(small_run):
     cfg, report, _ = small_run
     assert report.config == cfg
+    assert set(report.seeds) == {"estimation", "vi"}
     assert report.seeds["estimation"] == cfg.seed
     assert report.seeds["vi"] != cfg.seed
     assert report.version
@@ -191,10 +205,10 @@ def test_convergence_study_records_failures_and_continues(monkeypatch):
 
     real = runner_mod.manufactured_poisson_error
 
-    def flaky(n, opts=None):
+    def flaky(n):
         if n == 8:
             raise RuntimeError("synthetic failure")
-        return real(n, opts)
+        return real(n)
 
     monkeypatch.setattr(runner_mod, "manufactured_poisson_error", flaky)
     rows = runner_mod.convergence_study(cfg, [6, 8, 12])
@@ -252,6 +266,13 @@ def test_cli_run_failure_exit_codes(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "admissible bound" in captured.err
+    # a schema_version 1 config is a configuration error
+    data = json.loads(write_config(tmp_path).read_text())
+    data["schema_version"] = 1
+    path.write_text(json.dumps(data))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "tolerances.linear" in capsys.readouterr().err
 
 
 def test_cli_run_missing_config(tmp_path, capsys):

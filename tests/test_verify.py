@@ -19,7 +19,7 @@ from spball.ball import BallSpec, make_ball
 from spball.energy import ProblemSpec, _signed_power
 from spball.grid import neg_laplacian_array
 from spball.minimize import minimize
-from spball.poisson import LinearSolveOptions, compute_phi, solve_dirichlet_poisson
+from spball.poisson import compute_phi, solve_dirichlet_poisson
 from spball.verify import (
     VerificationReport,
     auxiliary_solve,
@@ -51,7 +51,7 @@ def test_auxiliary_solve_zero_candidate_inverts_forcing():
     # at u = 0 the right-hand side is the forcing alone
     spec, ball = standard_problem(n=6, p=3.0)
     aux = auxiliary_solve(ScalarField.zeros(spec.grid), spec, ball)
-    direct = solve_dirichlet_poisson(spec.forcing, spec.linear_opts).field
+    direct = solve_dirichlet_poisson(spec.forcing).field
     assert np.array_equal(aux.values, direct.values)
 
 
@@ -114,22 +114,19 @@ def test_pde_residual_is_one_at_zero_candidate():
 
 def test_pde_residual_vanishes_on_manufactured_solution():
     # build the forcing so that a scaled eigenfunction solves the equation
-    # exactly (same solver options, so the potential cancels bitwise)
+    # exactly (the solve is deterministic, so the potential cancels bitwise)
     g = build_grid(6)
     coupling = ScalarField(g, np.ones(g.shape))
     e1, _ = first_eigenpair(g)
     star = 0.05 * e1
-    opts = LinearSolveOptions()
-    phi = compute_phi(star, coupling, opts)
+    phi = compute_phi(star, coupling)
     f_vals = (
         neg_laplacian_array(star.values, g.h)
         + coupling.values * phi.values * star.values
         - _signed_power(star.values, 3.0)
     )
     assert f_vals.min() > 0.0
-    spec = ProblemSpec(
-        p=3.0, coupling=coupling, forcing=ScalarField(g, f_vals), grid=g, linear_opts=opts
-    )
+    spec = ProblemSpec(p=3.0, coupling=coupling, forcing=ScalarField(g, f_vals), grid=g)
     assert pde_residual(star, spec) <= 1e-12
 
 
