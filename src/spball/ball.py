@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import ProblemSpec, _signed_power, equation_rhs
+from .energy import ProblemSpec, equation_rhs
 from .errors import EstimationFailureError, OutsideBallError
 from .grid import DomainGrid, ScalarField, first_eigenpair, lp_norm, w2n_norm
 from .poisson import compute_phi
@@ -99,9 +99,10 @@ def estimate_constants(
         used += 1
         phi = compute_phi(u, spec.coupling)
         num_c = lp_norm(ScalarField(spec.grid, spec.coupling.values * phi.values * u.values), 3)
-        num_p = lp_norm(ScalarField(spec.grid, _signed_power(u.values, spec.p)), 3)
+        # ||sign(u)|u|^p||_3 / w^p taken as ||(|u|/w)^p||_3, so w^p cannot overflow
+        ratio_p = lp_norm(ScalarField(spec.grid, np.abs(u.values / w) ** spec.p), 3)
         best_coupling = max(best_coupling, num_c / w**3)
-        best_power = max(best_power, num_p / w**spec.p)
+        best_power = max(best_power, ratio_p)
     if used == 0:
         raise EstimationFailureError("all estimation samples had zero w2n norm")
     return (
@@ -124,7 +125,11 @@ def admissible_radius(coupling_constant: float, power_constant: float, p: float)
         raise ValueError(f"p must exceed 1, got {p}")
 
     def g(r: float) -> float:
-        return coupling_constant * r * r + power_constant * r ** (p - 1.0) - 0.5
+        try:
+            power = power_constant * r ** (p - 1.0)
+        except OverflowError:  # r^(p-1) beyond float range, so g(r) > 0 for sure
+            return math.inf
+        return coupling_constant * r * r + power - 0.5
 
     hi = 1.0
     while g(hi) <= 0.0:

@@ -142,9 +142,14 @@ def equation_rhs(u: ScalarField, spec: ProblemSpec) -> ScalarField:
     )
 
 
-def strong_residual(u: ScalarField, spec: ProblemSpec) -> ScalarField:
-    """Nodewise Euler-Lagrange residual -Delta_h u - equation_rhs(u)."""
-    return apply_laplacian(u) - equation_rhs(u, spec)
+def strong_residual(
+    u: ScalarField, spec: ProblemSpec, rhs_field: ScalarField | None = None
+) -> ScalarField:
+    """Nodewise Euler-Lagrange residual -Delta_h u - equation_rhs(u).
+
+    rhs_field, when given, must be equation_rhs(u, spec); it saves a solve.
+    """
+    return apply_laplacian(u) - (equation_rhs(u, spec) if rhs_field is None else rhs_field)
 
 
 def gradient_field(u: ScalarField, spec: ProblemSpec, metric: str = "sobolev") -> ScalarField:

@@ -125,13 +125,6 @@ class ScalarField:
         return ScalarField(self.grid, self.values / float(scalar))
 
 
-def _check_pair(u: ScalarField, v: ScalarField) -> None:
-    if u.grid != v.grid:
-        raise GridMismatchError(
-            f"fields live on different grids (n={u.grid.n} vs n={v.grid.n})"
-        )
-
-
 def lp_norm(u: ScalarField, m: float) -> float:
     """Discrete Lp norm: (sum |u_i|^m h^3)^(1/m)."""
     m = float(m)
@@ -144,7 +137,7 @@ def lp_norm(u: ScalarField, m: float) -> float:
 
 def l2_inner(u: ScalarField, v: ScalarField) -> float:
     """Discrete L2 pairing sum(u v) h^3."""
-    _check_pair(u, v)
+    u._check_same_grid(v)
     return float(np.sum(u.values * v.values)) * u.grid.h ** 3
 
 
@@ -154,7 +147,7 @@ def h1_inner(u: ScalarField, v: ScalarField) -> float:
     Forward differences on the zero-padded cube; equals <apply_laplacian(u), v> h^3
     exactly (summation by parts).
     """
-    _check_pair(u, v)
+    u._check_same_grid(v)
     wu = np.pad(u.values, 1)
     wv = np.pad(v.values, 1)
     total = 0.0

@@ -3,7 +3,9 @@
 On the uniform cube the type-I discrete sine transform diagonalizes the
 stencil exactly (fast diagonalization: Lynch, Rice & Thomas 1964; Buzbee,
 Golub & Nielson 1970), so a solve is one forward transform, a division by
-the eigenvalues and one inverse transform, exact up to rounding.
+the eigenvalues and one inverse transform, exact up to rounding. A
+transform is one product per axis with the dense sine matrix: O(n^4) flops
+against an FFT's O(n^3 log n), yet faster for every n <= 128 (see README).
 """
 
 from __future__ import annotations
@@ -29,20 +31,20 @@ class PoissonSolution:
     final_residual: float
 
 
-def _dst1(values: np.ndarray) -> np.ndarray:
-    """Unnormalized DST-I, sum_j a_j sin(pi j k / n), along every axis.
+def _sine_matrix(n: int) -> np.ndarray:
+    """DST-I matrix S[j, k] = sin(pi j k / n), j, k = 1..n-1; S @ S = (n/2) I."""
+    k = np.arange(1, n)
+    return np.sin(np.pi * np.outer(k, k) / n)
 
-    Computed from the FFT of the odd extension [0, a, 0, -reversed(a)] of
-    length 2n; applying it twice multiplies by n/2 per axis.
+
+def _dst1(values: np.ndarray, sines: np.ndarray) -> np.ndarray:
+    """Unnormalized DST-I, sum_j a_j sin(pi j k / n), along every axis of a cube.
+
+    One product with the symmetric sine matrix per axis; applying it twice
+    multiplies by n/2 per axis.
     """
-    out = values
-    for axis in range(out.ndim):
-        a = np.moveaxis(out, axis, -1)
-        zero = np.zeros(a.shape[:-1] + (1,))
-        odd = np.concatenate((zero, a, zero, -a[..., ::-1]), axis=-1)
-        transformed = -0.5 * np.fft.rfft(odd, axis=-1).imag[..., 1 : a.shape[-1] + 1]
-        out = np.moveaxis(transformed, -1, axis)
-    return out
+    out = sines @ (values @ sines)
+    return (sines @ out.reshape(len(sines), -1)).reshape(out.shape)
 
 
 def solve_dirichlet_poisson(f: ScalarField) -> PoissonSolution:
@@ -57,9 +59,10 @@ def solve_dirichlet_poisson(f: ScalarField) -> PoissonSolution:
     if not np.any(b):
         return PoissonSolution(ScalarField.zeros(grid), 0, 0.0)
 
+    sines = _sine_matrix(n)
     s = np.sin(0.5 * np.pi * np.arange(1, n) / n) ** 2
     eig = (4.0 / (h * h)) * (s[:, None, None] + s[None, :, None] + s[None, None, :])
-    w = (2.0 / n) ** 3 * _dst1(_dst1(b) / eig)
+    w = (2.0 / n) ** 3 * _dst1(_dst1(b, sines) / eig, sines)
     residual = float(np.linalg.norm(b - neg_laplacian_array(w, h))) * h**1.5
     return PoissonSolution(ScalarField(grid, w), 1, residual)
 

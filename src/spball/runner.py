@@ -61,6 +61,11 @@ def _validate_field_spec(spec: dict, kinds: tuple[str, ...], label: str) -> None
         raise ConfigError(f"{label}.{kind} must be positive, got {value}")
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but true/false in a config is a mistake
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description; see README for the JSON schema."""
@@ -84,7 +89,7 @@ class ExperimentConfig:
             )
         if self.schema_version != 2:
             raise ConfigError(f"unsupported schema_version {self.schema_version}")
-        if not isinstance(self.grid_n, int) or self.grid_n < 3:
+        if not _is_int(self.grid_n) or self.grid_n < 3:
             raise ConfigError(f"grid_n must be an integer >= 3, got {self.grid_n}")
         if not (isinstance(self.p, (int, float)) and math.isfinite(self.p) and self.p > 1.0):
             raise ConfigError(f"p must be a finite number > 1, got {self.p}")
@@ -92,9 +97,9 @@ class ExperimentConfig:
         _validate_field_spec(self.forcing, _FORCING_KINDS, "forcing")
         if not self.safety >= 1.0:
             raise ConfigError(f"safety must be >= 1, got {self.safety}")
-        if not (isinstance(self.samples, int) and self.samples >= 1):
+        if not (_is_int(self.samples) and self.samples >= 1):
             raise ConfigError(f"samples must be a positive integer, got {self.samples}")
-        if not isinstance(self.seed, int):
+        if not _is_int(self.seed):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if not isinstance(self.output_path, str) or not self.output_path:
             raise ConfigError("output_path must be a nonempty string")
@@ -149,9 +154,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown tolerances sections: {sorted(bad)}")
         try:
             descent = MinimizeOptions(**tolerances.get("descent", {}))
-        except TypeError as exc:
-            raise ConfigError(f"bad tolerances: {exc}") from None
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad tolerances: {exc}") from None
 
         kwargs = {k: data[k] for k in known - {"tolerances"} if k in data}
@@ -420,13 +423,6 @@ def write_study_csv(rows: list[StudyRow], path: str | Path) -> None:
             ["n", "poisson_rel_error", "observed_order", "energy", "pde_rel_residual", "error"]
         )
         for row in rows:
-            writer.writerow(
-                [
-                    row.n,
-                    "" if row.poisson_rel_error is None else repr(row.poisson_rel_error),
-                    "" if row.observed_order is None else repr(row.observed_order),
-                    "" if row.energy is None else repr(row.energy),
-                    "" if row.pde_rel_residual is None else repr(row.pde_rel_residual),
-                    row.error,
-                ]
-            )
+            values = (row.poisson_rel_error, row.observed_order, row.energy, row.pde_rel_residual)
+            cells = ["" if v is None else repr(v) for v in values]
+            writer.writerow([row.n, *cells, row.error])

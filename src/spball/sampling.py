@@ -10,23 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import DomainGrid, ScalarField, w2n_norm
+from .grid import DomainGrid, ScalarField, neg_laplacian_array, w2n_norm
 
 _DEFAULT_AMPLITUDES = (0.1, 1.0, 10.0)
-
-
-def _neighbor_smooth(values: np.ndarray) -> np.ndarray:
-    w = np.pad(values, 1)
-    c = w[1:-1, 1:-1, 1:-1]
-    nb = (
-        w[:-2, 1:-1, 1:-1]
-        + w[2:, 1:-1, 1:-1]
-        + w[1:-1, :-2, 1:-1]
-        + w[1:-1, 2:, 1:-1]
-        + w[1:-1, 1:-1, :-2]
-        + w[1:-1, 1:-1, 2:]
-    )
-    return (2.0 * c + nb) / 8.0
 
 
 def smoothed_random_fields(
@@ -56,10 +42,14 @@ def smoothed_random_fields(
     fields = []
     for i in range(count):
         coeffs = rng.standard_normal((max_mode,) * 3) * weights
-        smooth = np.einsum("abc,ai,bj,ck->ijk", coeffs, sines, sines, sines)
+        # contract one mode axis per pass: (a,b,c) -> (b,c,i) -> (c,i,j) -> (i,j,k)
+        smooth = coeffs
+        for _ in range(3):
+            smooth = np.tensordot(smooth, sines, axes=(0, 0))
         noise = rng.standard_normal(grid.shape)
         for _ in range(smoothing_sweeps):
-            noise = _neighbor_smooth(noise)
+            # (2 c + sum of the 6 neighbours) / 8, one explicit diffusion step
+            noise = noise - neg_laplacian_array(noise, 1.0) / 8.0
         rms_s = float(np.sqrt(np.mean(smooth**2)))
         rms_n = float(np.sqrt(np.mean(noise**2)))
         if rms_n > 0.0:

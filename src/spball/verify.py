@@ -69,19 +69,23 @@ class VerificationReport:
         return cls(**data)
 
 
-def auxiliary_solve(u: ScalarField, spec: ProblemSpec, ball: BallSpec) -> ScalarField:
+def auxiliary_solve(
+    u: ScalarField, spec: ProblemSpec, ball: BallSpec, rhs_field: ScalarField | None = None
+) -> ScalarField:
     """Solve the auxiliary problem -Delta v = rhs(u); v should return to the ball.
 
     A candidate outside the ball is rejected; an auxiliary solution that
     escapes the ball only signals overly optimistic constants and is
-    reported via a warning, not an error.
+    reported via a warning, not an error. rhs_field, here and in the checks
+    below, is an already computed equation_rhs(u, spec).
     """
     spec.check_field(u)
     if not ball.contains(u):
         raise OutsideBallError(
             f"candidate w2n norm {w2n_norm(u):.6e} exceeds the radius {ball.radius:.6e}"
         )
-    aux = solve_dirichlet_poisson(equation_rhs(u, spec)).field
+    rhs_field = equation_rhs(u, spec) if rhs_field is None else rhs_field
+    aux = solve_dirichlet_poisson(rhs_field).field
     if w2n_norm(aux) > ball.radius + AUX_BALL_SLACK:
         warnings.warn(
             "auxiliary solution left the constraint ball "
@@ -97,9 +101,9 @@ def fixed_point_residual(u: ScalarField, aux: ScalarField) -> float:
     return grad_l2_norm(aux - u) / max(grad_l2_norm(u), 1e-30)
 
 
-def pde_residual(u: ScalarField, spec: ProblemSpec) -> float:
+def pde_residual(u: ScalarField, spec: ProblemSpec, rhs_field: ScalarField | None = None) -> float:
     """L3 norm of the strong equation residual, relative to the forcing."""
-    num = lp_norm(strong_residual(u, spec), 3)
+    num = lp_norm(strong_residual(u, spec, rhs_field), 3)
     return num / max(lp_norm(spec.forcing, 3), 1e-300)
 
 
@@ -110,6 +114,7 @@ def variational_inequality_check(
     samples: int,
     seed: int,
     aux: ScalarField | None = None,
+    rhs_field: ScalarField | None = None,
 ) -> int:
     """Count violations of the inequality
         1/2||grad v||^2 - 1/2||grad u||^2 >= sum(rhs(u) (v - u)) h^3
@@ -119,9 +124,9 @@ def variational_inequality_check(
     """
     if samples < 0:
         raise ValueError(f"samples must be nonnegative, got {samples}")
+    rhs_field = equation_rhs(u, spec) if rhs_field is None else rhs_field
     if aux is None:
-        aux = auxiliary_solve(u, spec, ball)
-    rhs_field = equation_rhs(u, spec)
+        aux = auxiliary_solve(u, spec, ball, rhs_field)
     half_u = 0.5 * h1_inner(u, u)
 
     probes = [
@@ -198,7 +203,7 @@ def phi_property_check(
 
 
 def coincidence_check(
-    u: ScalarField, aux: ScalarField, spec: ProblemSpec
+    u: ScalarField, aux: ScalarField, spec: ProblemSpec, rhs_field: ScalarField | None = None
 ) -> tuple[float, float, bool]:
     """Evaluate the two inequalities that force u and aux to coincide.
 
@@ -211,7 +216,7 @@ def coincidence_check(
     means the squared distance is forced below |solve_defect| plus any
     negative part of the gap. ok records that forced conclusion.
     """
-    rhs_field = equation_rhs(u, spec)
+    rhs_field = equation_rhs(u, spec) if rhs_field is None else rhs_field
     diff = aux - u
     vi_gap = 0.5 * h1_inner(aux, aux) - 0.5 * h1_inner(u, u) - l2_inner(rhs_field, diff)
     solve_defect = h1_inner(aux, diff) - l2_inner(rhs_field, diff)
@@ -241,16 +246,16 @@ def verify(
     pde_threshold: float = 1e-5,
 ) -> VerificationReport:
     """Full verification of a candidate minimizer. One report, no shortcuts."""
-    aux = auxiliary_solve(u, spec, ball)
+    rhs_field = equation_rhs(u, spec)  # phi_u once, shared by every check
+    aux = auxiliary_solve(u, spec, ball, rhs_field)
     aux_in_ball = w2n_norm(aux) <= ball.radius + AUX_BALL_SLACK
 
     fp_res = fixed_point_residual(u, aux)
-    pde_res = pde_residual(u, spec)
-    violations = variational_inequality_check(u, spec, ball, samples, seed, aux=aux)
+    pde_res = pde_residual(u, spec, rhs_field)
+    violations = variational_inequality_check(u, spec, ball, samples, seed, aux, rhs_field)
     nonneg_ok, scaling_ok, bound_ok = phi_property_check(u, spec)
 
     constant = closure_constant(u, spec)
-    rhs_field = equation_rhs(u, spec)
     # measured auxiliary-solve residual, carried to L3 by the inverse estimate
     solver_slack = (
         spec.grid.h**-0.5
@@ -258,7 +263,7 @@ def verify(
         / max(lp_norm(spec.forcing, 3), 1e-300)
     )
     closure_ok = pde_res <= constant * fp_res + 2.0 * solver_slack + 1e-30
-    _, _, coincidence_ok = coincidence_check(u, aux, spec)
+    _, _, coincidence_ok = coincidence_check(u, aux, spec, rhs_field)
 
     passed = (
         fp_res <= fp_threshold

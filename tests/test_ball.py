@@ -56,6 +56,28 @@ def test_smoothed_random_fields_deterministic():
     assert not np.array_equal(a[0].values, c[0].values)
 
 
+@pytest.mark.parametrize("n", [5, 9])
+def test_smoothed_random_fields_match_mode_sum(n):
+    # oracle: the 4-operand mode sum with the same draw order, coeffs then noise
+    g = build_grid(n)
+    fields = smoothed_random_fields(g, 6, seed=13)
+    rng = np.random.default_rng(13)
+    modes = np.arange(1, 5)
+    sines = np.sin(np.pi * np.outer(modes, g.interior_coordinates()))
+    k2 = modes[:, None, None] ** 2 + modes[None, :, None] ** 2 + modes[None, None, :] ** 2
+    for i, u in enumerate(fields):
+        coeffs = rng.standard_normal((4, 4, 4)) / k2
+        smooth = np.einsum("abc,ai,bj,ck->ijk", coeffs, sines, sines, sines)
+        noise = rng.standard_normal(g.shape)
+        for _ in range(2):  # (2 c + sum of the 6 neighbours) / 8 with zero padding
+            w = np.pad(noise, 1)
+            nb = sum(np.roll(w, s, axis)[1:-1, 1:-1, 1:-1] for axis in range(3) for s in (1, -1))
+            noise = (2.0 * noise + nb) / 8.0
+        noise *= 0.25 * np.sqrt(np.mean(smooth**2)) / np.sqrt(np.mean(noise**2))
+        expected = (0.1, 1.0, 10.0)[i % 3] * (smooth + noise)
+        assert np.abs(u.values - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
 def test_ball_samples_lie_in_ball():
     g = build_grid(5)
     radius = 2.5
@@ -159,6 +181,14 @@ def test_admissible_radius_inequality_on_log_grid():
         r1 = admissible_radius(c1, c2, p)
         for r in np.geomspace(r1 * 1e-6, r1, 100):
             assert c1 * r**3 + c2 * r**p <= 0.5 * r * (1.0 + 1e-14)
+
+
+def test_admissible_radius_huge_exponent():
+    # r^(p-1) overflows a float while bracketing the root; g is then taken as positive
+    c1, c2, p = 0.1, CONSTANT_FLOOR, 1e5
+    r1 = admissible_radius(c1, c2, p)
+    assert 1.0 < r1 < 2.0
+    assert c1 * r1**2 + c2 * r1 ** (p - 1.0) <= 0.5
 
 
 def test_admissible_radius_validation():

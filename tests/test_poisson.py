@@ -16,7 +16,7 @@ from spball import (
     grad_l2_norm,
     lp_norm,
 )
-from spball.poisson import compute_phi, solve_dirichlet_poisson
+from spball.poisson import _dst1, _sine_matrix, compute_phi, solve_dirichlet_poisson
 
 from conftest import dense_neg_laplacian, random_field
 
@@ -57,6 +57,25 @@ def test_transform_solve_is_exact(rng, n):
     sol = solve_dirichlet_poisson(f)
     assert np.abs(sol.field.values - expected).max() <= 1e-12 * np.abs(expected).max()
     assert sol.final_residual <= 1e-12 * lp_norm(f, 2)
+
+
+@pytest.mark.parametrize("n", [4, 5, 7, 32])
+def test_sine_matrix_squares_to_scaled_identity(n):
+    # S is symmetric and S @ S = (n/2) I, which is why the inverse scale is (2/n)^3
+    s = _sine_matrix(n)
+    assert np.array_equal(s, s.T)
+    assert np.abs(s @ s - 0.5 * n * np.eye(n - 1)).max() <= 1e-13 * 0.5 * n
+
+
+@pytest.mark.parametrize("n", [4, 7])
+def test_dst1_is_the_sine_sum_along_every_axis(rng, n):
+    # oracle: the triple sum sum_abc x_abc sin(pi a i/n) sin(pi b j/n) sin(pi c k/n)
+    x = rng.standard_normal((n - 1,) * 3)
+    idx = np.arange(1, n)
+    s = np.sin(np.pi * np.outer(idx, idx) / n)
+    expected = np.einsum("abc,ai,bj,ck->ijk", x, s, s, s)
+    got = _dst1(x, _sine_matrix(n))
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_solution_linearity(rng):

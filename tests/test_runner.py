@@ -96,6 +96,13 @@ def test_config_bad_tolerances():
         ExperimentConfig.from_dict(data)
 
 
+@pytest.mark.parametrize("key", ["grid_n", "samples", "seed"])
+@pytest.mark.parametrize("value", [True, False])
+def test_config_rejects_bool_for_integer_fields(key, value):
+    with pytest.raises(ConfigError, match=key):
+        small_config(**{key: value})
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(tmp_path / "missing.json")
@@ -273,6 +280,21 @@ def test_cli_run_failure_exit_codes(tmp_path, capsys):
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "tolerances.linear" in capsys.readouterr().err
+
+
+def test_cli_run_huge_exponent_verifies(tmp_path, capsys):
+    # p=400 once overflowed w**p in the constant estimate and escaped as a traceback
+    path = write_config(
+        tmp_path,
+        p=400,
+        coupling={"constant": 1},
+        forcing={"scaled_to_bound": 0.5},
+        samples=4,
+        seed=0,
+    )
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert "verification PASSED" in capsys.readouterr().out
 
 
 def test_cli_run_missing_config(tmp_path, capsys):
