@@ -38,6 +38,7 @@ print(f"  aux stays in ball          = {v.aux_in_ball}")
 print(f"  potential checks           = nonneg {v.phi_nonneg_ok}, "
       f"scaling {v.phi_scaling_ok}, bound {v.phi_bound_ok}")
 print(f"  passed                     = {v.passed}")
+print(f"  failed checks              = {', '.join(v.failed_checks) or 'none'}")
 
 for stage, seconds in report.wall_time.items():
     print(f"  {stage:<12} {seconds:.3f}s")

@@ -74,7 +74,10 @@ def _cmd_run(args) -> int:
         f"vi_violations={ver.vi_violations}/{ver.vi_samples}"
     )
     print(f"outputs: {out_dir / 'report.json'}  {out_dir / 'trace.csv'}")
-    print("verification PASSED" if ver.passed else "verification FAILED")
+    if ver.passed:
+        print("verification PASSED")
+    else:
+        print(f"verification FAILED: {', '.join(ver.failed_checks)}")
     return 0 if ver.passed else 1
 
 

@@ -83,15 +83,23 @@ def _signed_power(values: np.ndarray, p: float) -> np.ndarray:
     return np.sign(values) * np.abs(values) ** p
 
 
-def energy(u: ScalarField, spec: ProblemSpec) -> EnergyBreakdown:
-    """Evaluate the functional; one linear solve for the potential."""
-    spec.check_field(u)
-    phi = compute_phi(u, spec.coupling)
+def _energy_terms(
+    u: ScalarField, phi: ScalarField, spec: ProblemSpec
+) -> tuple[float, float, float, float]:
+    """The four energy terms (kinetic, coupling, power, forcing) at u, whose
+    potential is phi; each is homogeneous in u, of degree 2, 4, p+1 and 1."""
     h3 = spec.grid.h ** 3
     kinetic = 0.5 * h1_inner(u, u)
     coupling = 0.25 * float(np.sum(spec.coupling.values * phi.values * u.values**2)) * h3
     power = float(np.sum(np.abs(u.values) ** (spec.p + 1.0))) * h3 / (spec.p + 1.0)
     forcing = l2_inner(spec.forcing, u)
+    return kinetic, coupling, power, forcing
+
+
+def energy(u: ScalarField, spec: ProblemSpec) -> EnergyBreakdown:
+    """Evaluate the functional; one linear solve for the potential."""
+    spec.check_field(u)
+    kinetic, coupling, power, forcing = _energy_terms(u, compute_phi(u, spec.coupling), spec)
     total = kinetic + coupling - power - forcing
     return EnergyBreakdown(kinetic, coupling, power, forcing, total)
 
@@ -130,10 +138,16 @@ def directional_derivative(u: ScalarField, v: ScalarField, spec: ProblemSpec) ->
     return grad_term + coupling - power - forcing
 
 
-def equation_rhs(u: ScalarField, spec: ProblemSpec) -> ScalarField:
-    """Right-hand side of the equation, -c phi_u u + sign(u)|u|^p + f."""
+def equation_rhs(
+    u: ScalarField, spec: ProblemSpec, phi: ScalarField | None = None
+) -> ScalarField:
+    """Right-hand side of the equation, -c phi_u u + sign(u)|u|^p + f.
+
+    phi, when given, must be compute_phi(u, spec.coupling); it saves a solve.
+    """
     spec.check_field(u)
-    phi = compute_phi(u, spec.coupling)
+    if phi is None:
+        phi = compute_phi(u, spec.coupling)
     return ScalarField(
         spec.grid,
         -spec.coupling.values * phi.values * u.values

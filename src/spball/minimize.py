@@ -9,15 +9,14 @@ relative energy drop, or the iteration budget.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ball import BALL_NORM_SLACK, BallSpec
-from .energy import ProblemSpec, energy, gradient_field, restricted_energy
+from .energy import ProblemSpec, _energy_terms, energy, gradient_field, restricted_energy
 from .errors import ForcingTooLargeError, InitializationFailureError
-from .grid import ScalarField, first_eigenpair, grad_l2_norm, h1_inner, l2_inner, lp_norm, w2n_norm
+from .grid import ScalarField, first_eigenpair, grad_l2_norm, lp_norm, w2n_norm
 from .poisson import compute_phi
 
 _MIN_STEP_FACTOR = 1e-18
@@ -87,12 +86,7 @@ def initial_guess(spec: ProblemSpec, radius: float) -> ScalarField:
     e1, _ = first_eigenpair(spec.grid)
     e = (radius / w2n_norm(e1)) * e1
 
-    phi = compute_phi(e, spec.coupling)
-    h3 = spec.grid.h ** 3
-    quad = 0.5 * h1_inner(e, e)
-    quart = 0.25 * float(np.sum(spec.coupling.values * phi.values * e.values**2)) * h3
-    power = float(np.sum(np.abs(e.values) ** (spec.p + 1.0))) * h3 / (spec.p + 1.0)
-    lin = l2_inner(spec.forcing, e)
+    quad, quart, power, lin = _energy_terms(e, compute_phi(e, spec.coupling), spec)
 
     ts = np.concatenate(([0.0], np.geomspace(1e-8, 1.0, _INITIAL_T_GRID)))
     poly = quad * ts**2 + quart * ts**4 - power * ts ** (spec.p + 1.0) - lin * ts

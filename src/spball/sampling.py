@@ -8,6 +8,8 @@ evaluation schedule.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .grid import DomainGrid, ScalarField, neg_laplacian_array, w2n_norm
@@ -49,13 +51,17 @@ def smoothed_random_fields(
         noise = rng.standard_normal(grid.shape)
         for _ in range(smoothing_sweeps):
             # (2 c + sum of the 6 neighbours) / 8, one explicit diffusion step
-            noise = noise - neg_laplacian_array(noise, 1.0) / 8.0
-        rms_s = float(np.sqrt(np.mean(smooth**2)))
-        rms_n = float(np.sqrt(np.mean(noise**2)))
+            lap = neg_laplacian_array(noise, 1.0)
+            lap /= 8.0
+            noise -= lap
+        rms_s = math.sqrt(float(np.vdot(smooth, smooth)) / smooth.size)
+        rms_n = math.sqrt(float(np.vdot(noise, noise)) / noise.size)
         if rms_n > 0.0:
-            noise = noise * (noise_weight * rms_s / max(rms_n, 1e-300))
-        amp = amplitudes[i % len(amplitudes)]
-        fields.append(ScalarField(grid, amp * (smooth + noise)))
+            noise *= noise_weight * rms_s / max(rms_n, 1e-300)
+        # amp * (smooth + noise), formed in place
+        smooth += noise
+        smooth *= amplitudes[i % len(amplitudes)]
+        fields.append(ScalarField(grid, smooth))
     return fields
 
 

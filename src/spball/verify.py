@@ -44,7 +44,9 @@ _PHI_SAFETY = 2.0
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of the verification pipeline; passed is the conjunction of
-    the component checks at the recorded thresholds."""
+    the component checks at the recorded thresholds; failed_checks names
+    the ones that failed (fixed_point, pde, vi, aux_in_ball, phi_nonneg,
+    phi_scaling, phi_bound), in that order."""
 
     fixed_point_rel_residual: float
     pde_rel_residual: float
@@ -60,13 +62,15 @@ class VerificationReport:
     fp_threshold: float
     pde_threshold: float
     passed: bool
+    failed_checks: tuple[str, ...]
 
     def to_dict(self) -> dict:
         return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "VerificationReport":
-        return cls(**data)
+        # JSON carries failed_checks as a list
+        return cls(**{**data, "failed_checks": tuple(data["failed_checks"])})
 
 
 def auxiliary_solve(
@@ -175,7 +179,7 @@ def _phi_bound_constant(spec: ProblemSpec) -> float:
 
 
 def phi_property_check(
-    u: ScalarField, spec: ProblemSpec, t: float = 2.0
+    u: ScalarField, spec: ProblemSpec, t: float = 2.0, phi: ScalarField | None = None
 ) -> tuple[bool, bool, bool]:
     """Check the potential's structure: sign, quadratic scaling, gradient bound.
 
@@ -183,11 +187,14 @@ def phi_property_check(
       nonneg:  min phi_u >= -1e-8 * max(1, ||phi_u||_inf)
       scaling: ||phi_{t u} - t^2 phi_u||_2 <= 1e-9 ||phi_u||_2 (skipped if phi_u = 0)
       bound:   ||grad phi_u|| <= C_grid ||grad u||^2 with the calibrated constant
+
+    phi, when given, must be compute_phi(u, spec.coupling); it saves a solve.
     """
     if not t >= 0.0:
         raise ValueError(f"scaling factor must be nonnegative, got {t}")
     spec.check_field(u)
-    phi = compute_phi(u, spec.coupling)
+    if phi is None:
+        phi = compute_phi(u, spec.coupling)
     phi_t = compute_phi(t * u, spec.coupling)
 
     nonneg_ok = float(phi.values.min()) >= -1e-8 * max(1.0, float(np.abs(phi.values).max()))
@@ -246,14 +253,15 @@ def verify(
     pde_threshold: float = 1e-5,
 ) -> VerificationReport:
     """Full verification of a candidate minimizer. One report, no shortcuts."""
-    rhs_field = equation_rhs(u, spec)  # phi_u once, shared by every check
+    phi_u = compute_phi(u, spec.coupling)  # once, shared by every check
+    rhs_field = equation_rhs(u, spec, phi_u)
     aux = auxiliary_solve(u, spec, ball, rhs_field)
     aux_in_ball = w2n_norm(aux) <= ball.radius + AUX_BALL_SLACK
 
     fp_res = fixed_point_residual(u, aux)
     pde_res = pde_residual(u, spec, rhs_field)
     violations = variational_inequality_check(u, spec, ball, samples, seed, aux, rhs_field)
-    nonneg_ok, scaling_ok, bound_ok = phi_property_check(u, spec)
+    nonneg_ok, scaling_ok, bound_ok = phi_property_check(u, spec, phi=phi_u)
 
     constant = closure_constant(u, spec)
     # measured auxiliary-solve residual, carried to L3 by the inverse estimate
@@ -265,15 +273,16 @@ def verify(
     closure_ok = pde_res <= constant * fp_res + 2.0 * solver_slack + 1e-30
     _, _, coincidence_ok = coincidence_check(u, aux, spec, rhs_field)
 
-    passed = (
-        fp_res <= fp_threshold
-        and pde_res <= pde_threshold
-        and violations == 0
-        and aux_in_ball
-        and nonneg_ok
-        and scaling_ok
-        and bound_ok
-    )
+    gates = {
+        "fixed_point": fp_res <= fp_threshold,
+        "pde": pde_res <= pde_threshold,
+        "vi": violations == 0,
+        "aux_in_ball": aux_in_ball,
+        "phi_nonneg": nonneg_ok,
+        "phi_scaling": scaling_ok,
+        "phi_bound": bound_ok,
+    }
+    failed = tuple(name for name, ok in gates.items() if not ok)
     return VerificationReport(
         fixed_point_rel_residual=fp_res,
         pde_rel_residual=pde_res,
@@ -288,5 +297,6 @@ def verify(
         coincidence_ok=coincidence_ok,
         fp_threshold=fp_threshold,
         pde_threshold=pde_threshold,
-        passed=passed,
+        passed=not failed,
+        failed_checks=failed,
     )

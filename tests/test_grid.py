@@ -27,6 +27,7 @@ from spball import (
     lp_norm,
     w2n_norm,
 )
+from spball.grid import neg_laplacian_array
 
 from conftest import dense_neg_laplacian, random_field
 
@@ -135,11 +136,13 @@ def test_lp_norm_zero_field():
 
 
 def test_lp_norm_against_fsum_oracle(rng):
-    g = build_grid(5)
-    u = random_field(g, rng)
-    for m in (1.0, 2.0, 3.0, 7.5):
-        direct = math.fsum(abs(float(x)) ** m for x in u.values.ravel()) * g.h**3
-        assert_allclose(lp_norm(u, m), direct ** (1.0 / m), rtol=1e-13)
+    # m = 2 and m = 3 sum with dot products, the other exponents with a power
+    for n in (5, 7):
+        g = build_grid(n)
+        u = random_field(g, rng)
+        for m in (1.0, 2.0, 3.0, 7.5):
+            direct = math.fsum(abs(float(x)) ** m for x in u.values.ravel()) * g.h**3
+            assert_allclose(lp_norm(u, m), direct ** (1.0 / m), rtol=1e-13)
 
 
 @pytest.mark.parametrize("m", [0.99, 0.0, -1.0, math.nan])
@@ -199,6 +202,21 @@ def test_grad_l2_norm_eigenfunction_value():
     assert_allclose(grad_l2_norm(e1) ** 2, lam, rtol=1e-12)
 
 
+def _padded_h1_inner(u, v):
+    # forward differences over every face of the zero-padded cube
+    wu, wv = np.pad(u.values, 1), np.pad(v.values, 1)
+    faces = (np.diff(wu, axis=a).ravel() * np.diff(wv, axis=a).ravel() for a in range(3))
+    return math.fsum(float(x) for f in faces for x in f) * u.grid.h
+
+
+@pytest.mark.parametrize("n", [4, 5, 7])
+def test_h1_inner_matches_zero_padded_oracle(rng, n):
+    g = build_grid(n)
+    u, v = random_field(g, rng), random_field(g, rng)
+    assert_allclose(h1_inner(u, u), _padded_h1_inner(u, u), rtol=1e-13)
+    assert_allclose(h1_inner(u, v), _padded_h1_inner(u, v), rtol=1e-13)
+
+
 def test_h1_inner_symmetry_and_bilinearity(rng):
     g = build_grid(4)
     u, v, w = (random_field(g, rng) for _ in range(3))
@@ -224,12 +242,21 @@ def test_apply_laplacian_eigenfunction_identity():
 
 
 def test_apply_laplacian_matches_dense_oracle(rng):
-    g = build_grid(4)
-    a = dense_neg_laplacian(4)
-    for _ in range(3):
-        u = random_field(g, rng)
-        expected = (a @ u.values.ravel()).reshape(g.shape)
-        assert_allclose(apply_laplacian(u).values, expected, rtol=1e-12, atol=1e-12)
+    for n in (4, 5, 7):
+        g = build_grid(n)
+        a = dense_neg_laplacian(n)
+        for _ in range(3):
+            u = random_field(g, rng)
+            expected = (a @ u.values.ravel()).reshape(g.shape)
+            assert_allclose(apply_laplacian(u).values, expected, rtol=1e-12, atol=1e-12)
+
+
+def test_neg_laplacian_array_leaves_its_input_unchanged(rng):
+    values = rng.standard_normal((6, 6, 6))
+    before = values.copy()
+    out = neg_laplacian_array(values, 1.0 / 7)
+    assert np.array_equal(values, before)
+    assert not np.shares_memory(out, values)
 
 
 def test_apply_laplacian_self_adjoint(rng):

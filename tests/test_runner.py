@@ -282,6 +282,23 @@ def test_cli_run_failure_exit_codes(tmp_path, capsys):
     assert "tolerances.linear" in capsys.readouterr().err
 
 
+def test_cli_run_names_the_failed_checks(tmp_path, capsys, monkeypatch):
+    # an unreachable fixed-point threshold fails exactly that gate
+    import spball.runner as runner_mod
+    from spball.verify import verify
+
+    def strict_verify(*args, **kwargs):
+        return verify(*args, fp_threshold=1e-30, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "verify", strict_verify)
+    path = write_config(tmp_path)
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "verification FAILED: fixed_point\n" in capsys.readouterr().out
+    report = load_report(tmp_path / "out" / "report.json")
+    assert report.verification.failed_checks == ("fixed_point",)
+
+
 def test_cli_run_huge_exponent_verifies(tmp_path, capsys):
     # p=400 once overflowed w**p in the constant estimate and escaped as a traceback
     path = write_config(

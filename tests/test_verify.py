@@ -2,6 +2,8 @@
 definitions, the sampled variational inequality with a negative control,
 potential structure checks, and the forced-coincidence identity."""
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -19,7 +21,7 @@ from spball.ball import BallSpec, make_ball
 from spball.energy import ProblemSpec, _signed_power
 from spball.grid import neg_laplacian_array
 from spball.minimize import minimize
-from spball.poisson import compute_phi, solve_dirichlet_poisson
+from spball.poisson import PoissonSolution, compute_phi, solve_dirichlet_poisson
 from spball.verify import (
     VerificationReport,
     auxiliary_solve,
@@ -169,6 +171,14 @@ def test_phi_property_check_standard(solved_problem):
     assert phi_property_check(res.minimizer, spec) == (True, True, True)
 
 
+def test_phi_property_check_reuses_a_given_potential(solved_problem):
+    spec, _, res = solved_problem
+    phi = compute_phi(res.minimizer, spec.coupling)
+    assert phi_property_check(res.minimizer, spec, phi=phi) == (True, True, True)
+    # the checks read the potential they are given
+    assert not phi_property_check(res.minimizer, spec, phi=-phi)[0]
+
+
 def test_phi_property_check_zero_candidate_and_zero_scaling():
     spec, _ = standard_problem(n=5, p=3.0)
     assert phi_property_check(ScalarField.zeros(spec.grid), spec) == (True, True, True)
@@ -237,6 +247,7 @@ def test_verify_passes_on_solved_problem(solved_problem):
     assert report.aux_in_ball
     assert report.closure_ok
     assert report.coincidence_ok
+    assert report.failed_checks == ()
 
 
 def test_verify_fails_on_non_solution():
@@ -244,6 +255,7 @@ def test_verify_fails_on_non_solution():
     report = verify(ScalarField.zeros(spec.grid), spec, ball, samples=10, seed=2)
     assert not report.passed
     assert report.pde_rel_residual == 1.0
+    assert "pde" in report.failed_checks
 
 
 def test_verify_deterministic(solved_problem):
@@ -257,3 +269,31 @@ def test_report_round_trip(solved_problem):
     spec, ball, res = solved_problem
     report = verify(res.minimizer, spec, ball, samples=10, seed=4)
     assert VerificationReport.from_dict(report.to_dict()) == report
+
+
+def test_failed_checks_name_the_failing_gate_and_round_trip(solved_problem):
+    spec, ball, res = solved_problem
+    report = verify(res.minimizer, spec, ball, samples=10, seed=4, fp_threshold=1e-30)
+    assert not report.passed
+    assert report.failed_checks == ("fixed_point",)
+    restored = VerificationReport.from_dict(json.loads(json.dumps(report.to_dict())))
+    assert restored == report
+    assert restored.failed_checks == ("fixed_point",)
+
+
+def test_verify_solve_count(solved_problem, monkeypatch):
+    # guards against a re-added solve: 33 phi-bound calibration solves,
+    # phi_u, phi_{2u} and the auxiliary solve
+    spec, ball, res = solved_problem
+    count = 0
+    init = PoissonSolution.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal count
+        count += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PoissonSolution, "__init__", counting_init)
+    report = verify(res.minimizer, spec, ball, samples=10, seed=4)
+    assert report.passed
+    assert count == 36
