@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import ProblemSpec, equation_rhs
+from .energy import ProblemSpec, evaluate
 from .errors import EstimationFailureError, OutsideBallError
 from .grid import DomainGrid, ScalarField, first_eigenpair, lp_norm, w2n_norm
 from .poisson import compute_phi
@@ -180,7 +180,7 @@ def check_residual_bound(
         raise OutsideBallError(
             f"w2n norm {w2n_norm(u):.6e} exceeds the ball radius {ball.radius:.6e}"
         )
-    lhs = lp_norm(equation_rhs(u, spec), 3)
+    lhs = lp_norm(evaluate(u, spec).rhs, 3)
     rhs = (
         ball.coupling_constant * ball.radius**3
         + ball.power_constant * ball.radius**ball.p

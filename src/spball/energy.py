@@ -8,6 +8,10 @@ The functional on interior fields u is
 with c the nonnegative coupling field, f the forcing field, and phi_u the
 potential from compute_phi. The power exponent p may exceed the critical
 Sobolev range; the ball constraint elsewhere is what restores control.
+
+Everything else is read from one FieldState per field, built by evaluate:
+the field, its potential and the equation's right-hand side
+-c phi_u u + sign(u)|u|^p + f, which is written out only there.
 """
 
 from __future__ import annotations
@@ -27,8 +31,6 @@ from .grid import (
     w2n_norm,
 )
 from .poisson import compute_phi, solve_dirichlet_poisson
-
-GRADIENT_METRICS = ("sobolev", "l2")
 
 
 @dataclass(frozen=True)
@@ -83,112 +85,96 @@ def _signed_power(values: np.ndarray, p: float) -> np.ndarray:
     return np.sign(values) * np.abs(values) ** p
 
 
-def _energy_terms(
-    u: ScalarField, phi: ScalarField, spec: ProblemSpec
-) -> tuple[float, float, float, float]:
-    """The four energy terms (kinetic, coupling, power, forcing) at u, whose
-    potential is phi; each is homogeneous in u, of degree 2, 4, p+1 and 1."""
-    h3 = spec.grid.h ** 3
-    kinetic = 0.5 * h1_inner(u, u)
-    coupling = 0.25 * float(np.sum(spec.coupling.values * phi.values * u.values**2)) * h3
-    power = float(np.sum(np.abs(u.values) ** (spec.p + 1.0))) * h3 / (spec.p + 1.0)
-    forcing = l2_inner(spec.forcing, u)
-    return kinetic, coupling, power, forcing
+@dataclass(frozen=True, eq=False)
+class FieldState:
+    """A field u with its potential phi = phi_u and the equation's
+    right-hand side rhs = -c phi_u u + sign(u)|u|^p + f; built by evaluate."""
+
+    u: ScalarField
+    phi: ScalarField
+    rhs: ScalarField
 
 
-def energy(u: ScalarField, spec: ProblemSpec) -> EnergyBreakdown:
-    """Evaluate the functional; one linear solve for the potential."""
+def evaluate(u: ScalarField, spec: ProblemSpec) -> FieldState:
+    """The state of u: one linear solve for the potential, then the right-hand side."""
     spec.check_field(u)
-    kinetic, coupling, power, forcing = _energy_terms(u, compute_phi(u, spec.coupling), spec)
-    total = kinetic + coupling - power - forcing
-    return EnergyBreakdown(kinetic, coupling, power, forcing, total)
-
-
-def energy_split(u: ScalarField, spec: ProblemSpec) -> tuple[float, float]:
-    """Split into (convex_part, smooth_part) with total = convex - smooth.
-
-    The convex part is the kinetic term (quadratic, hence convex); the
-    smooth part collects the differentiable remainder with its sign flipped.
-    """
-    b = energy(u, spec)
-    convex_part = b.kinetic
-    smooth_part = -b.coupling + b.power + b.forcing
-    return convex_part, smooth_part
-
-
-def restricted_energy(u: ScalarField, radius: float, spec: ProblemSpec) -> float:
-    """Energy extended by +inf outside the closed constraint ball."""
-    if not radius > 0.0:
-        raise ValueError(f"ball radius must be positive, got {radius}")
-    if w2n_norm(u) > radius:
-        return math.inf
-    return energy(u, spec).total
-
-
-def directional_derivative(u: ScalarField, v: ScalarField, spec: ProblemSpec) -> float:
-    """First variation of the energy at u in direction v."""
-    spec.check_field(u)
-    spec.check_field(v)
     phi = compute_phi(u, spec.coupling)
-    h3 = spec.grid.h ** 3
-    grad_term = h1_inner(u, v)
-    coupling = float(np.sum(spec.coupling.values * phi.values * u.values * v.values)) * h3
-    power = float(np.sum(_signed_power(u.values, spec.p) * v.values)) * h3
-    forcing = l2_inner(spec.forcing, v)
-    return grad_term + coupling - power - forcing
-
-
-def equation_rhs(
-    u: ScalarField, spec: ProblemSpec, phi: ScalarField | None = None
-) -> ScalarField:
-    """Right-hand side of the equation, -c phi_u u + sign(u)|u|^p + f.
-
-    phi, when given, must be compute_phi(u, spec.coupling); it saves a solve.
-    """
-    spec.check_field(u)
-    if phi is None:
-        phi = compute_phi(u, spec.coupling)
-    return ScalarField(
+    rhs = ScalarField(
         spec.grid,
         -spec.coupling.values * phi.values * u.values
         + _signed_power(u.values, spec.p)
         + spec.forcing.values,
     )
+    return FieldState(u, phi, rhs)
 
 
-def strong_residual(
-    u: ScalarField, spec: ProblemSpec, rhs_field: ScalarField | None = None
-) -> ScalarField:
-    """Nodewise Euler-Lagrange residual -Delta_h u - equation_rhs(u).
+def _energy_terms(s: FieldState, spec: ProblemSpec) -> tuple[float, float, float, float]:
+    """The four energy terms (kinetic, coupling, power, forcing) at s.u; each
+    is homogeneous in u, of degree 2, 4, p+1 and 1."""
+    u = s.u
+    h3 = spec.grid.h ** 3
+    kinetic = 0.5 * h1_inner(u, u)
+    coupling = 0.25 * float(np.sum(spec.coupling.values * s.phi.values * u.values**2)) * h3
+    power = float(np.sum(np.abs(u.values) ** (spec.p + 1.0))) * h3 / (spec.p + 1.0)
+    forcing = l2_inner(spec.forcing, u)
+    return kinetic, coupling, power, forcing
 
-    rhs_field, when given, must be equation_rhs(u, spec); it saves a solve.
+
+def energy(s: FieldState, spec: ProblemSpec) -> EnergyBreakdown:
+    """The functional at an evaluated field; no further solve."""
+    kinetic, coupling, power, forcing = _energy_terms(s, spec)
+    total = kinetic + coupling - power - forcing
+    return EnergyBreakdown(kinetic, coupling, power, forcing, total)
+
+
+def energy_split(s: FieldState, spec: ProblemSpec) -> tuple[float, float]:
+    """Split into (convex_part, smooth_part) with total = convex - smooth.
+
+    The convex part is the kinetic term (quadratic, hence convex); the
+    smooth part collects the differentiable remainder with its sign flipped.
     """
-    return apply_laplacian(u) - (equation_rhs(u, spec) if rhs_field is None else rhs_field)
+    b = energy(s, spec)
+    convex_part = b.kinetic
+    smooth_part = -b.coupling + b.power + b.forcing
+    return convex_part, smooth_part
 
 
-def gradient_field(u: ScalarField, spec: ProblemSpec, metric: str = "sobolev") -> ScalarField:
-    """Gradient of the energy at u.
+def restricted_energy(s: FieldState, radius: float, spec: ProblemSpec) -> float:
+    """Energy extended by +inf outside the closed constraint ball."""
+    if not radius > 0.0:
+        raise ValueError(f"ball radius must be positive, got {radius}")
+    if w2n_norm(s.u) > radius:
+        return math.inf
+    return energy(s, spec).total
 
-    metric "l2" returns the nodewise Euler-Lagrange residual; "sobolev"
-    returns its Riesz representative in the discrete H1 inner product
-    (one extra Poisson solve), which is the useful descent direction.
+
+def directional_derivative(s: FieldState, v: ScalarField) -> float:
+    """First variation of the energy at s.u in direction v: (grad u, grad v) - (rhs, v)."""
+    return h1_inner(s.u, v) - l2_inner(s.rhs, v)
+
+
+def strong_residual(s: FieldState) -> ScalarField:
+    """Nodewise Euler-Lagrange residual -Delta_h u - rhs(u), the L2 gradient."""
+    return apply_laplacian(s.u) - s.rhs
+
+
+def gradient_field(s: FieldState) -> ScalarField:
+    """Sobolev gradient u - T(u), with T(u) = (-Delta_h)^-1 rhs(u) the auxiliary map.
+
+    It is the Riesz representative of the strong residual in the discrete H1
+    inner product, since (-Delta_h)^-1 (-Delta_h u - rhs) = u - T(u); one solve.
     """
-    if metric not in GRADIENT_METRICS:
-        raise ValueError(f"metric must be one of {GRADIENT_METRICS}, got {metric!r}")
-    g = strong_residual(u, spec)
-    if metric == "l2":
-        return g
-    return solve_dirichlet_poisson(g).field
+    return s.u - solve_dirichlet_poisson(s.rhs).field
 
 
 __all__ = [
     "EnergyBreakdown",
-    "GRADIENT_METRICS",
+    "FieldState",
     "ProblemSpec",
     "directional_derivative",
     "energy",
     "energy_split",
-    "equation_rhs",
+    "evaluate",
     "gradient_field",
     "restricted_energy",
     "strong_residual",

@@ -1,10 +1,9 @@
 """Retracted gradient descent for the energy on the constraint ball.
 
-Descent direction is the Sobolev gradient by default (the l2 gradient is
-available for cross-checks). Steps that leave the ball are pulled back by
-radial retraction; acceptance demands strict energy decrease with
-backtracking. The iteration stops on a small displacement, a negligible
-relative energy drop, or the iteration budget.
+Descent direction is the Sobolev gradient u - T(u). Steps that leave the
+ball are pulled back by radial retraction; acceptance demands strict energy
+decrease with backtracking. The iteration stops on a small displacement, a
+negligible relative energy drop, or the iteration budget.
 """
 
 from __future__ import annotations
@@ -14,10 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ball import BALL_NORM_SLACK, BallSpec
-from .energy import ProblemSpec, _energy_terms, energy, gradient_field, restricted_energy
+from .energy import (
+    FieldState,
+    ProblemSpec,
+    _energy_terms,
+    energy,
+    evaluate,
+    gradient_field,
+    restricted_energy,
+)
 from .errors import ForcingTooLargeError, InitializationFailureError
 from .grid import ScalarField, first_eigenpair, grad_l2_norm, lp_norm, w2n_norm
-from .poisson import compute_phi
 
 _MIN_STEP_FACTOR = 1e-18
 _INITIAL_T_GRID = 400
@@ -72,21 +78,22 @@ def retract_to_ball(u: ScalarField, radius: float) -> ScalarField:
     return (radius / w) * u
 
 
-def initial_guess(spec: ProblemSpec, radius: float) -> ScalarField:
-    """Starting point with certified negative energy inside the ball.
+def initial_guess(spec: ProblemSpec, radius: float) -> FieldState:
+    """Evaluated starting point with certified negative energy inside the ball.
 
     Scales the first eigenfunction to the ball boundary, then minimizes the
     exact quartic-plus-power polynomial t -> E(t e) over a log-spaced grid of
-    t in [0, 1] (one potential solve total). Ties prefer the smallest t. The
-    winning t is re-checked with a real energy evaluation; on roundoff
-    disagreement the remaining candidates are tried in polynomial order.
+    t in [0, 1] (one potential solve for all t). Ties prefer the smallest t.
+    The winning t is re-checked with a real energy evaluation, whose state is
+    returned; on roundoff disagreement the remaining candidates are tried in
+    polynomial order.
     """
     if not radius > 0.0:
         raise ValueError(f"ball radius must be positive, got {radius}")
     e1, _ = first_eigenpair(spec.grid)
     e = (radius / w2n_norm(e1)) * e1
 
-    quad, quart, power, lin = _energy_terms(e, compute_phi(e, spec.coupling), spec)
+    quad, quart, power, lin = _energy_terms(evaluate(e, spec), spec)
 
     ts = np.concatenate(([0.0], np.geomspace(1e-8, 1.0, _INITIAL_T_GRID)))
     poly = quad * ts**2 + quart * ts**4 - power * ts ** (spec.p + 1.0) - lin * ts
@@ -95,7 +102,7 @@ def initial_guess(spec: ProblemSpec, radius: float) -> ScalarField:
         t = float(ts[idx])
         if poly[idx] >= 0.0:
             break
-        candidate = t * e
+        candidate = evaluate(t * e, spec)
         if restricted_energy(candidate, radius, spec) < 0.0:
             return candidate
     raise InitializationFailureError(
@@ -108,14 +115,13 @@ def minimize(
     spec: ProblemSpec,
     ball: BallSpec,
     opts: MinimizeOptions | None = None,
-    metric: str = "sobolev",
 ) -> MinimizeResult:
     """Minimize the energy over the constraint ball by retracted descent.
 
     Requires the forcing to respect the admissible bound. A zero forcing
     (diagnostic mode) starts and ends at the zero field with zero energy.
     Every iterate stays in the ball; recorded energies are strictly
-    decreasing.
+    decreasing. The accepted trial's state carries into the next gradient.
     """
     if opts is None:
         opts = MinimizeOptions()
@@ -124,17 +130,17 @@ def minimize(
         raise ForcingTooLargeError(forcing_norm, ball.forcing_bound)
 
     if float(np.abs(spec.forcing.values).max()) == 0.0:
-        u = ScalarField.zeros(spec.grid)
+        s = evaluate(ScalarField.zeros(spec.grid), spec)
     else:
-        u = initial_guess(spec, ball.radius)
+        s = initial_guess(spec, ball.radius)
 
-    current = energy(u, spec).total
+    current = energy(s, spec).total
     trace = [(0, current, 0.0, 0.0)]
     iterations = 0
     converged = False
 
     while iterations < opts.max_iters:
-        g = gradient_field(u, spec, metric)
+        g = gradient_field(s)
         if grad_l2_norm(g) == 0.0:
             converged = True
             break
@@ -142,7 +148,7 @@ def minimize(
         step = opts.initial_step
         accepted = None
         while step >= _MIN_STEP_FACTOR * opts.initial_step:
-            candidate = retract_to_ball(u - step * g, ball.radius)
+            candidate = evaluate(retract_to_ball(s.u - step * g, ball.radius), spec)
             cand_energy = energy(candidate, spec).total
             if cand_energy < current:
                 accepted = (candidate, cand_energy, step)
@@ -154,9 +160,9 @@ def minimize(
             break
 
         candidate, cand_energy, step = accepted
-        displacement = grad_l2_norm(candidate - u)
+        displacement = grad_l2_norm(candidate.u - s.u)
         drop = current - cand_energy
-        u, current = candidate, cand_energy
+        s, current = candidate, cand_energy
         iterations += 1
         trace.append((iterations, current, step, displacement))
 
@@ -168,10 +174,10 @@ def minimize(
             break
 
     return MinimizeResult(
-        minimizer=u,
+        minimizer=s.u,
         energy=current,
         iterations=iterations,
         trace=tuple(trace),
         converged=converged,
-        on_boundary=abs(w2n_norm(u) - ball.radius) <= 1e-8,
+        on_boundary=abs(w2n_norm(s.u) - ball.radius) <= 1e-8,
     )

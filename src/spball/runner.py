@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .ball import BallSpec, admissible_radius, estimate_constants, max_forcing_norm
+from .ball import BallSpec, make_ball
 from .energy import ProblemSpec
-from .errors import ConfigError, ForcingTooLargeError
+from .errors import ConfigError
 from .grid import (
     DomainGrid,
     ScalarField,
@@ -259,8 +259,9 @@ def run_experiment(
 ) -> SolveReport:
     """Run the full pipeline and (by default) write report.json and trace.csv.
 
-    Raises ForcingTooLargeError, with the computed bound in the message,
-    when an absolute forcing spec lands above the admissible bound.
+    Raises ForcingTooLargeError (from minimize), with the computed bound in
+    the message, when an absolute forcing spec lands above the admissible
+    bound.
     """
     timings: dict[str, float] = {}
     t_total = time.perf_counter()
@@ -277,28 +278,10 @@ def run_experiment(
     timings["setup"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    coupling_constant, power_constant = estimate_constants(
-        probe_spec, config.samples, config.seed, config.safety
-    )
-    timings["constants"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    radius = admissible_radius(coupling_constant, power_constant, config.p)
-    ball = BallSpec(
-        coupling_constant=coupling_constant,
-        power_constant=power_constant,
-        radius=radius,
-        forcing_bound=max_forcing_norm(radius),
-        p=config.p,
-        sample_count=config.samples,
-        seed=config.seed,
-    )
+    ball = make_ball(probe_spec, config.samples, config.seed, config.safety)
     forcing = _build_forcing(grid, config.forcing, ball.forcing_bound)
-    forcing_norm = lp_norm(forcing, 3)
-    if forcing_norm > ball.forcing_bound * (1.0 + 1e-12):
-        raise ForcingTooLargeError(forcing_norm, ball.forcing_bound)
     spec = ProblemSpec(p=config.p, coupling=coupling, forcing=forcing, grid=grid)
-    timings["radius"] = time.perf_counter() - t0
+    timings["constants"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     result = minimize(spec, ball, config.descent)

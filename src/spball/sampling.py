@@ -14,26 +14,20 @@ import numpy as np
 
 from .grid import DomainGrid, ScalarField, neg_laplacian_array, w2n_norm
 
-_DEFAULT_AMPLITUDES = (0.1, 1.0, 10.0)
+_MAX_MODE = 4  # sine modes 1.._MAX_MODE per axis
+_AMPLITUDES = (0.1, 1.0, 10.0)  # cycled over the samples
+_NOISE_WEIGHT = 0.25  # noise RMS relative to the smooth part's RMS
+_SMOOTHING_SWEEPS = 2
 
 
-def smoothed_random_fields(
-    grid: DomainGrid,
-    count: int,
-    seed: int,
-    *,
-    max_mode: int = 4,
-    amplitudes: tuple[float, ...] = _DEFAULT_AMPLITUDES,
-    noise_weight: float = 0.25,
-    smoothing_sweeps: int = 2,
-) -> list[ScalarField]:
+def smoothed_random_fields(grid: DomainGrid, count: int, seed: int) -> list[ScalarField]:
     """Deterministic list of `count` random fields on `grid`."""
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     rng = np.random.default_rng(seed)
     coords = grid.interior_coordinates()
-    modes = np.arange(1, max_mode + 1)
-    sines = np.sin(np.pi * np.outer(modes, coords))  # (max_mode, n-1)
+    modes = np.arange(1, _MAX_MODE + 1)
+    sines = np.sin(np.pi * np.outer(modes, coords))  # (_MAX_MODE, n-1)
     k2 = (
         modes[:, None, None] ** 2
         + modes[None, :, None] ** 2
@@ -43,13 +37,13 @@ def smoothed_random_fields(
 
     fields = []
     for i in range(count):
-        coeffs = rng.standard_normal((max_mode,) * 3) * weights
+        coeffs = rng.standard_normal((_MAX_MODE,) * 3) * weights
         # contract one mode axis per pass: (a,b,c) -> (b,c,i) -> (c,i,j) -> (i,j,k)
         smooth = coeffs
         for _ in range(3):
             smooth = np.tensordot(smooth, sines, axes=(0, 0))
         noise = rng.standard_normal(grid.shape)
-        for _ in range(smoothing_sweeps):
+        for _ in range(_SMOOTHING_SWEEPS):
             # (2 c + sum of the 6 neighbours) / 8, one explicit diffusion step
             lap = neg_laplacian_array(noise, 1.0)
             lap /= 8.0
@@ -57,10 +51,10 @@ def smoothed_random_fields(
         rms_s = math.sqrt(float(np.vdot(smooth, smooth)) / smooth.size)
         rms_n = math.sqrt(float(np.vdot(noise, noise)) / noise.size)
         if rms_n > 0.0:
-            noise *= noise_weight * rms_s / max(rms_n, 1e-300)
+            noise *= _NOISE_WEIGHT * rms_s / max(rms_n, 1e-300)
         # amp * (smooth + noise), formed in place
         smooth += noise
-        smooth *= amplitudes[i % len(amplitudes)]
+        smooth *= _AMPLITUDES[i % len(_AMPLITUDES)]
         fields.append(ScalarField(grid, smooth))
     return fields
 

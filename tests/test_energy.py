@@ -12,6 +12,7 @@ from spball import (
     AssumptionViolationError,
     GridMismatchError,
     ScalarField,
+    apply_laplacian,
     build_grid,
     first_eigenpair,
     h1_inner,
@@ -25,6 +26,7 @@ from spball.energy import (
     directional_derivative,
     energy,
     energy_split,
+    evaluate,
     gradient_field,
     restricted_energy,
     strong_residual,
@@ -72,7 +74,7 @@ def test_spec_grid_mismatch():
         )
     spec = make_spec()
     with pytest.raises(GridMismatchError):
-        energy(ScalarField.zeros(g5), spec)
+        energy(evaluate(ScalarField.zeros(g5), spec), spec)
 
 
 # ---------------------------------------------------------------- energy values
@@ -80,7 +82,7 @@ def test_spec_grid_mismatch():
 
 def test_energy_zero_field_is_zero():
     spec = make_spec()
-    b = energy(ScalarField.zeros(spec.grid), spec)
+    b = energy(evaluate(ScalarField.zeros(spec.grid), spec), spec)
     assert b == EnergyBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
@@ -99,7 +101,7 @@ def test_energy_against_dense_oracle(rng):
     power = math.fsum(np.abs(uv) ** (p + 1.0)) * h3 / (p + 1.0)
     forcing = math.fsum(uv) * h3
     expected = kinetic + coupling - power - forcing
-    got = energy(u, spec)
+    got = energy(evaluate(u, spec), spec)
     assert_allclose(got.kinetic, kinetic, rtol=1e-12)
     assert_allclose(got.coupling, coupling, rtol=1e-10)
     assert_allclose(got.power, power, rtol=1e-12)
@@ -110,7 +112,7 @@ def test_energy_against_dense_oracle(rng):
 def test_energy_total_is_exact_term_sum(rng):
     spec = make_spec(n=5)
     u = random_field(spec.grid, rng)
-    b = energy(u, spec)
+    b = energy(evaluate(u, spec), spec)
     assert b.total == b.kinetic + b.coupling - b.power - b.forcing
 
 
@@ -118,14 +120,15 @@ def test_energy_negative_dip_for_small_positive_fields():
     # along t * e1 the forcing term -t*int(f e1) dominates as t -> 0+
     spec = make_spec(n=6, p=3.0)
     e1, _ = first_eigenpair(spec.grid)
-    assert energy(0.05 * e1, spec).total < 0.0
+    assert energy(evaluate(0.05 * e1, spec), spec).total < 0.0
 
 
 def test_energy_split_identity(rng):
     spec = make_spec(n=5, p=7.0)
     u = random_field(spec.grid, rng, scale=0.5)
-    convex, smooth = energy_split(u, spec)
-    b = energy(u, spec)
+    s = evaluate(u, spec)
+    convex, smooth = energy_split(s, spec)
+    b = energy(s, spec)
     assert_allclose(convex - smooth, b.total, rtol=1e-12, atol=1e-15)
     assert convex == b.kinetic
     assert convex >= 0.0
@@ -136,8 +139,11 @@ def test_energy_split_convex_part_is_convex(rng):
     u, v = random_field(spec.grid, rng), random_field(spec.grid, rng)
     for theta in (0.0, 0.25, 0.5, 0.9, 1.0):
         mix = theta * u + (1.0 - theta) * v
-        lhs = energy_split(mix, spec)[0]
-        rhs = theta * energy_split(u, spec)[0] + (1.0 - theta) * energy_split(v, spec)[0]
+        lhs = energy_split(evaluate(mix, spec), spec)[0]
+        rhs = (
+            theta * energy_split(evaluate(u, spec), spec)[0]
+            + (1.0 - theta) * energy_split(evaluate(v, spec), spec)[0]
+        )
         assert lhs <= rhs + 1e-12
 
 
@@ -147,12 +153,13 @@ def test_energy_split_convex_part_is_convex(rng):
 def test_restricted_energy_inside_and_outside(rng):
     spec = make_spec(n=5)
     u = random_field(spec.grid, rng)
+    s = evaluate(u, spec)
     r = w2n_norm(u)
-    assert restricted_energy(u, 2.0 * r, spec) == energy(u, spec).total
-    assert restricted_energy(u, r, spec) == energy(u, spec).total  # boundary included
-    assert restricted_energy(u, 0.5 * r, spec) == math.inf
+    assert restricted_energy(s, 2.0 * r, spec) == energy(s, spec).total
+    assert restricted_energy(s, r, spec) == energy(s, spec).total  # boundary included
+    assert restricted_energy(s, 0.5 * r, spec) == math.inf
     with pytest.raises(ValueError):
-        restricted_energy(u, 0.0, spec)
+        restricted_energy(s, 0.0, spec)
 
 
 # ---------------------------------------------------------------- first variation
@@ -162,7 +169,7 @@ def test_directional_derivative_at_zero(rng):
     # at u = 0 every nonlinear term vanishes: d/dt E(tv) = -int(f v)
     spec = make_spec(n=5)
     v = random_field(spec.grid, rng)
-    got = directional_derivative(ScalarField.zeros(spec.grid), v, spec)
+    got = directional_derivative(evaluate(ScalarField.zeros(spec.grid), spec), v)
     assert_allclose(got, -l2_inner(spec.forcing, v), rtol=1e-12)
 
 
@@ -172,10 +179,12 @@ def test_directional_derivative_matches_finite_differences(p, rng):
     for _ in range(4):
         u = random_field(spec.grid, rng, scale=0.7)
         v = random_field(spec.grid, rng, scale=0.7)
-        dd = directional_derivative(u, v, spec)
+        dd = directional_derivative(evaluate(u, spec), v)
         best = math.inf
         for eps in (1e-4, 1e-5, 1e-6):
-            fd = (energy(u + eps * v, spec).total - energy(u - eps * v, spec).total) / (2 * eps)
+            e_plus = energy(evaluate(u + eps * v, spec), spec).total
+            e_minus = energy(evaluate(u - eps * v, spec), spec).total
+            fd = (e_plus - e_minus) / (2 * eps)
             best = min(best, abs(fd - dd) / max(abs(dd), 1e-30))
         assert best <= 1e-6
 
@@ -185,42 +194,43 @@ def test_directional_derivative_matches_finite_differences(p, rng):
 
 def test_gradient_field_l2_at_zero_is_minus_forcing():
     spec = make_spec(n=4)
-    g = gradient_field(ScalarField.zeros(spec.grid), spec, metric="l2")
+    g = strong_residual(evaluate(ScalarField.zeros(spec.grid), spec))
     assert_allclose(g.values, -spec.forcing.values, rtol=0, atol=0)
 
 
 def test_gradient_field_l2_pairs_to_directional_derivative(rng):
     spec = make_spec(n=5, p=3.0)
-    u = random_field(spec.grid, rng, scale=0.5)
+    s = evaluate(random_field(spec.grid, rng, scale=0.5), spec)
     v = random_field(spec.grid, rng)
-    g = gradient_field(u, spec, metric="l2")
-    assert_allclose(l2_inner(g, v), directional_derivative(u, v, spec), rtol=1e-10)
+    g = strong_residual(s)
+    assert_allclose(l2_inner(g, v), directional_derivative(s, v), rtol=1e-10)
 
 
 def test_gradient_field_sobolev_is_riesz_representative(rng):
     spec = make_spec(n=5, p=3.0)
-    u = random_field(spec.grid, rng, scale=0.5)
-    w = gradient_field(u, spec, metric="sobolev")
+    s = evaluate(random_field(spec.grid, rng, scale=0.5), spec)
+    w = gradient_field(s)
     for _ in range(3):
         v = random_field(spec.grid, rng)
-        dd = directional_derivative(u, v, spec)
+        dd = directional_derivative(s, v)
         scale = max(abs(dd), h1_inner(w, w), 1.0)
         assert abs(h1_inner(w, v) - dd) <= 1e-9 * scale
 
 
-def test_gradient_field_rejects_unknown_metric(rng):
-    spec = make_spec(n=4)
-    with pytest.raises(ValueError):
-        gradient_field(ScalarField.zeros(spec.grid), spec, metric="h2")
-
-
 def test_strong_residual_composition(rng):
-    # the l2 gradient is exactly the strong residual field
+    # the strong residual is -Delta_h u minus the right-hand side
+    # -c phi_u u + sign(u)|u|^p + f, written out here
     spec = make_spec(n=4, p=7.0)
     u = random_field(spec.grid, rng, scale=0.3)
+    s = evaluate(u, spec)
+    rhs = (
+        -spec.coupling.values * s.phi.values * u.values
+        + np.sign(u.values) * np.abs(u.values) ** spec.p
+        + spec.forcing.values
+    )
     assert_allclose(
-        gradient_field(u, spec, metric="l2").values,
-        strong_residual(u, spec).values,
+        apply_laplacian(u).values - rhs,
+        strong_residual(s).values,
         rtol=0,
         atol=0,
     )

@@ -141,7 +141,7 @@ def test_run_experiment_report_contents(small_run):
     assert report.seeds["estimation"] == cfg.seed
     assert report.seeds["vi"] != cfg.seed
     assert report.version
-    assert set(report.wall_time) == {"setup", "constants", "radius", "minimize", "verify", "total"}
+    assert set(report.wall_time) == {"setup", "constants", "minimize", "verify", "total"}
     assert all(t >= 0.0 for t in report.wall_time.values())
     assert report.minimize_summary["minimizer_l2"] > 0.0
     assert report.minimize_summary["minimizer_w2n"] <= report.ball.radius * (1 + 1e-12)
