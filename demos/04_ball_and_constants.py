@@ -11,11 +11,12 @@ import numpy as np
 from spball import (
     ProblemSpec,
     ScalarField,
-    ball_samples,
     build_grid,
     check_residual_bound,
     estimate_constants,
     make_ball,
+    smoothed_random_fields,
+    w2n_norm,
 )
 
 grid = build_grid(8)
@@ -36,9 +37,12 @@ print(f"forcing bound (radius / 2):   {ball.forcing_bound:.6f}")
 check = ball.coupling_constant * ball.radius**3 + ball.power_constant * ball.radius**ball.p
 print(f"defining inequality: {check:.6f} <= {ball.radius / 2:.6f}")
 
-# every field in the ball should satisfy the residual bound with room
+# every field in the ball should satisfy the residual bound with room;
+# fresh random fields are rescaled to random fractions of the radius
+fractions = np.random.default_rng(99).uniform(0.05, 1.0, size=25)
 worst = 0.0
-for u in ball_samples(grid, 25, seed=99, radius=ball.radius):
+for frac, u in zip(fractions, smoothed_random_fields(grid, 25, seed=99)):
+    u = (frac * ball.radius / w2n_norm(u)) * u
     lhs, rhs, holds = check_residual_bound(u, ball, spec)
     assert holds
     worst = max(worst, lhs / rhs)

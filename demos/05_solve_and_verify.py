@@ -33,7 +33,7 @@ v = report.verification
 print("\nverification")
 print(f"  fixed point residual (rel) = {v.fixed_point_rel_residual:.3e}")
 print(f"  equation residual    (rel) = {v.pde_rel_residual:.3e}")
-print(f"  vi violations              = {v.vi_violations} / {v.vi_samples}")
+print(f"  vi gap over the ball (rel) = {v.vi_gap:.3e}")
 print(f"  aux stays in ball          = {v.aux_in_ball}")
 print(f"  potential checks           = nonneg {v.phi_nonneg_ok}, "
       f"scaling {v.phi_scaling_ok}, bound {v.phi_bound_ok}")

@@ -7,8 +7,10 @@ constraint-ball norm:
     ||sign(u)|u|^p||_L3 <= power_constant * ||u||^p
 
 with ||.|| the w2n norm. They are estimated on a sampled family (the first
-eigenfunction plus smoothed random fields) and inflated by a safety factor;
-the admissible radius r then satisfies
+eigenfunction plus smoothed random fields) and inflated by a safety factor.
+A sampled field's potential is solved only when a solve-free upper bound on
+its coupling ratio reaches the best ratio so far, so skipping never changes
+a constant. The admissible radius r then satisfies
 
     coupling_constant r^3 + power_constant r^p <= r/2   for all r in (0, radius],
 
@@ -25,7 +27,7 @@ import numpy as np
 from .energy import ProblemSpec, evaluate
 from .errors import EstimationFailureError, OutsideBallError
 from .grid import DomainGrid, ScalarField, first_eigenpair, lp_norm, w2n_norm
-from .poisson import compute_phi
+from .poisson import compute_phi, solve_dirichlet_poisson
 from .sampling import smoothed_random_fields
 
 CONSTANT_FLOOR = 1e-30
@@ -74,6 +76,22 @@ def estimation_fields(grid: DomainGrid, samples: int, seed: int) -> list[ScalarF
     return [e1, *smoothed_random_fields(grid, samples, seed)]
 
 
+def _green_row_sum_max(grid: DomainGrid) -> float:
+    """tau = max (-Delta_h)^-1 1, the largest row sum of the nonnegative inverse."""
+    return float(solve_dirichlet_poisson(ScalarField(grid, np.ones(grid.shape))).field.values.max())
+
+
+def _coupling_ratio_bound(u: ScalarField, w: float, coupling_max: float, tau: float) -> float:
+    """Upper bound on ||c phi_u u||_3 / w^3 that needs no solve.
+
+    (-Delta_h)^-1 is entrywise nonnegative, so |phi_u| <= ||c||_inf ||u||_inf^2 tau
+    pointwise, with tau = max (-Delta_h)^-1 1; multiplying by |c u| and taking
+    the L3 norm gives the bound.
+    """
+    u_max = float(np.abs(u.values).max())
+    return coupling_max**2 * tau * (u_max / w) ** 2 * (lp_norm(u, 3) / w)
+
+
 def estimate_constants(
     spec: ProblemSpec, samples: int, seed: int, safety: float = 2.0
 ) -> tuple[float, float]:
@@ -81,28 +99,37 @@ def estimate_constants(
 
     Both ratios are invariant under field rescaling, so the sampled
     amplitudes only probe rounding behavior. Samples with zero w2n norm are
-    skipped; if nothing remains, estimation fails. Constants are floored at
-    a tiny positive value so a zero coupling field still yields a valid
-    BallSpec.
+    skipped; if nothing remains, estimation fails. A sample's potential is
+    not solved when _coupling_ratio_bound puts its coupling ratio below the
+    best one so far, with a 1e-9 relative margin for rounding; the maximum,
+    and so the constant, is the same as with every potential solved.
+    Constants are floored at a tiny positive value so a zero coupling field
+    still yields a valid BallSpec.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
     if safety < 1.0:
         raise ValueError(f"safety factor must be >= 1, got {safety}")
+    grid = spec.grid
+    coupling_max = float(np.abs(spec.coupling.values).max())
+    tau = _green_row_sum_max(grid)
     best_coupling = 0.0
     best_power = 0.0
     used = 0
-    for u in estimation_fields(spec.grid, samples, seed):
+    # the eigenfunction comes first and usually sets the coupling ratio for good
+    for u in estimation_fields(grid, samples, seed):
         w = w2n_norm(u)
         if w == 0.0:
             continue
         used += 1
-        phi = compute_phi(u, spec.coupling)
-        num_c = lp_norm(ScalarField(spec.grid, spec.coupling.values * phi.values * u.values), 3)
         # ||sign(u)|u|^p||_3 / w^p taken as ||(|u|/w)^p||_3, so w^p cannot overflow
-        ratio_p = lp_norm(ScalarField(spec.grid, np.abs(u.values / w) ** spec.p), 3)
-        best_coupling = max(best_coupling, num_c / w**3)
+        ratio_p = lp_norm(ScalarField(grid, np.abs(u.values / w) ** spec.p), 3)
         best_power = max(best_power, ratio_p)
+        if _coupling_ratio_bound(u, w, coupling_max, tau) * (1.0 + 1e-9) < best_coupling:
+            continue
+        phi = compute_phi(u, spec.coupling)
+        num_c = lp_norm(ScalarField(grid, spec.coupling.values * phi.values * u.values), 3)
+        best_coupling = max(best_coupling, num_c / w**3)
     if used == 0:
         raise EstimationFailureError("all estimation samples had zero w2n norm")
     return (

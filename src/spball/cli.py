@@ -71,7 +71,7 @@ def _cmd_run(args) -> int:
     print(
         f"verify: fp_rel={ver.fixed_point_rel_residual:.3e}  "
         f"pde_rel={ver.pde_rel_residual:.3e}  "
-        f"vi_violations={ver.vi_violations}/{ver.vi_samples}"
+        f"vi_gap={ver.vi_gap:.3e}"
     )
     print(f"outputs: {out_dir / 'report.json'}  {out_dir / 'trace.csv'}")
     if ver.passed:

@@ -1,4 +1,4 @@
-"""Smoothed random interior fields for constant estimation and audits.
+"""Smoothed random interior fields for the constant estimation.
 
 Each sample is a weighted random combination of low sine modes plus a
 smoothed noise component, drawn at several amplitudes. Fields are generated
@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .grid import DomainGrid, ScalarField, neg_laplacian_array, w2n_norm
+from .grid import DomainGrid, ScalarField, neg_laplacian_array
 
 _MAX_MODE = 4  # sine modes 1.._MAX_MODE per axis
 _AMPLITUDES = (0.1, 1.0, 10.0)  # cycled over the samples
@@ -57,21 +57,3 @@ def smoothed_random_fields(grid: DomainGrid, count: int, seed: int) -> list[Scal
         smooth *= _AMPLITUDES[i % len(_AMPLITUDES)]
         fields.append(ScalarField(grid, smooth))
     return fields
-
-
-def ball_samples(grid: DomainGrid, count: int, seed: int, radius: float) -> list[ScalarField]:
-    """Random fields rescaled to random fractions of the constraint-ball radius."""
-    if not radius > 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    fields = smoothed_random_fields(grid, count, seed)
-    # independent stream for the radial fractions
-    frac_rng = np.random.default_rng([seed, 1])
-    out = []
-    for u in fields:
-        w = w2n_norm(u)
-        if w == 0.0:
-            out.append(u)
-            continue
-        frac = float(frac_rng.uniform(0.05, 1.0))
-        out.append((frac * radius / w) * u)
-    return out

@@ -5,7 +5,8 @@ import pytest
 
 from spball.ball import make_ball
 from spball.energy import ProblemSpec
-from spball.grid import DomainGrid, ScalarField, first_eigenpair, lp_norm
+from spball.grid import DomainGrid, ScalarField, first_eigenpair, lp_norm, w2n_norm
+from spball.sampling import smoothed_random_fields
 
 
 def dense_neg_laplacian(n: int) -> np.ndarray:
@@ -29,6 +30,24 @@ def dense_neg_laplacian(n: int) -> np.ndarray:
 
 def random_field(grid: DomainGrid, rng: np.random.Generator, scale: float = 1.0) -> ScalarField:
     return ScalarField(grid, scale * rng.standard_normal(grid.shape))
+
+
+def ball_samples(grid: DomainGrid, count: int, seed: int, radius: float) -> list[ScalarField]:
+    """Random fields rescaled to random fractions of the constraint-ball radius."""
+    if not radius > 0.0:
+        raise ValueError(f"radius must be positive, got {radius}")
+    fields = smoothed_random_fields(grid, count, seed)
+    # independent stream for the radial fractions
+    frac_rng = np.random.default_rng([seed, 1])
+    out = []
+    for u in fields:
+        w = w2n_norm(u)
+        if w == 0.0:
+            out.append(u)
+            continue
+        frac = float(frac_rng.uniform(0.05, 1.0))
+        out.append((frac * radius / w) * u)
+    return out
 
 
 def standard_problem(n=8, p=7.0, fraction=1.0, samples=12, seed=3):

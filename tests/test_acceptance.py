@@ -26,13 +26,12 @@ from spball import (
     manufactured_poisson_error,
     phi_property_check,
     admissible_radius,
-    ball_samples,
     smoothed_random_fields,
 )
 from spball.energy import ProblemSpec, evaluate
 from spball.runner import ExperimentConfig, run_experiment
 
-from conftest import random_field
+from conftest import ball_samples, random_field
 
 
 def _emit(line: str) -> None:
@@ -178,8 +177,8 @@ def test_criterion_7_end_to_end_verification(end_to_end):
             assert report.energy < 0.0, (p, report.energy)
             assert ver.fixed_point_rel_residual <= 1e-6, (p, ver.fixed_point_rel_residual)
             assert ver.pde_rel_residual <= 1e-5, (p, ver.pde_rel_residual)
-            assert ver.vi_violations == 0, (p, ver.vi_violations)
-            assert ver.vi_samples >= 200, (p, ver.vi_samples)
+            # the gap's infimum over the whole ball, so it covers every probe
+            assert ver.vi_gap >= -1e-8, (p, ver.vi_gap)
             assert ver.aux_in_ball, p
             assert ver.passed, p
             assert elapsed <= 600.0, (p, elapsed)

@@ -1,6 +1,8 @@
 """Ball-constants tests: closed-form radii, bisection certificates, ratio
-dominance over the estimation family, and the residual bound audit."""
+dominance over the estimation family, the solve-free coupling bound that
+skips estimation solves, and the residual bound audit."""
 
+import functools
 import math
 
 import numpy as np
@@ -20,6 +22,8 @@ import spball.ball as ball_mod
 from spball.ball import (
     BallSpec,
     CONSTANT_FLOOR,
+    _coupling_ratio_bound,
+    _green_row_sum_max,
     admissible_radius,
     check_residual_bound,
     estimate_constants,
@@ -28,8 +32,10 @@ from spball.ball import (
     max_forcing_norm,
 )
 from spball.energy import ProblemSpec, _signed_power
-from spball.poisson import compute_phi
-from spball.sampling import ball_samples, smoothed_random_fields
+from spball.poisson import PoissonSolution, compute_phi
+from spball.sampling import smoothed_random_fields
+
+from conftest import ball_samples, dense_neg_laplacian
 
 
 def make_spec(n=6, p=3.0, coupling=1.0, forcing=1.0):
@@ -139,6 +145,84 @@ def test_estimate_constants_dominate_family():
         rp = lp_norm(ScalarField(spec.grid, _signed_power(u.values, spec.p)), 3) / w**spec.p
         assert rc <= 0.5 * c_coupling * (1.0 + 1e-12)
         assert rp <= 0.5 * c_power * (1.0 + 1e-12)
+
+
+def coupling_spec(n, kind, p=7.0):
+    g = build_grid(n)
+    e1, _ = first_eigenpair(g)
+    coupling = {
+        "constant": ScalarField(g, np.ones(g.shape)),
+        "sine_bump": 1e8 * e1,
+        "zero": ScalarField.zeros(g),
+    }[kind]
+    return ProblemSpec(p=p, coupling=coupling, forcing=e1, grid=g)
+
+
+def coupling_ratio(u, spec):
+    phi = compute_phi(u, spec.coupling)
+    num = lp_norm(ScalarField(spec.grid, spec.coupling.values * phi.values * u.values), 3)
+    return num / w2n_norm(u) ** 3
+
+
+@functools.lru_cache(maxsize=None)
+def green_row_sum_max(n):
+    # tau = max (-Delta_h)^-1 1 from the dense matrix, independent of the transform solve
+    return float(np.linalg.solve(dense_neg_laplacian(n), np.ones((n - 1) ** 3)).max())
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_green_row_sum_max_matches_dense_oracle(n):
+    assert_allclose(_green_row_sum_max(build_grid(n)), green_row_sum_max(n), rtol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("kind", ["constant", "sine_bump"])
+@pytest.mark.parametrize("n", [6, 8, 12])
+def test_coupling_ratio_bound_dominates_family(n, kind, seed):
+    spec = coupling_spec(n, kind)
+    coupling_max = float(np.abs(spec.coupling.values).max())
+    tau = green_row_sum_max(n)
+    for u in estimation_fields(spec.grid, 64, seed):
+        w = w2n_norm(u)
+        assert _coupling_ratio_bound(u, w, coupling_max, tau) >= coupling_ratio(u, spec)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("kind", ["constant", "sine_bump", "zero"])
+@pytest.mark.parametrize("n", [6, 8, 12])
+def test_estimate_constants_match_no_skip_oracle(n, kind, seed, reverse, monkeypatch):
+    # every potential solved, written inline: the skip must not change a bit;
+    # reversed, the winning eigenfunction comes last and must not be skipped
+    spec = coupling_spec(n, kind)
+    family = estimation_fields(spec.grid, 64, seed)
+    if reverse:
+        monkeypatch.setattr(ball_mod, "estimation_fields", lambda g, s, sd: family[::-1])
+    best_c = best_p = 0.0
+    for u in family:
+        w = w2n_norm(u)
+        best_c = max(best_c, coupling_ratio(u, spec))
+        best_p = max(best_p, lp_norm(ScalarField(spec.grid, np.abs(u.values / w) ** spec.p), 3))
+    expected = (max(2.0 * best_c, CONSTANT_FLOOR), max(2.0 * best_p, CONSTANT_FLOOR))
+    assert estimate_constants(spec, 64, seed) == expected
+    if kind == "zero":
+        assert expected[0] == CONSTANT_FLOOR
+
+
+def test_make_ball_solve_count(monkeypatch):
+    # the eigenfunction's potential and tau; the bound rules out all 64 sampled fields
+    spec = make_spec(n=8, p=7.0)
+    count = 0
+    init = PoissonSolution.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal count
+        count += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PoissonSolution, "__init__", counting_init)
+    make_ball(spec, samples=64, seed=3)
+    assert count == 2
 
 
 def test_estimate_constants_deterministic():

@@ -137,9 +137,8 @@ def test_run_experiment_passes_and_writes_outputs(small_run):
 def test_run_experiment_report_contents(small_run):
     cfg, report, _ = small_run
     assert report.config == cfg
-    assert set(report.seeds) == {"estimation", "vi"}
+    assert set(report.seeds) == {"estimation"}
     assert report.seeds["estimation"] == cfg.seed
-    assert report.seeds["vi"] != cfg.seed
     assert report.version
     assert set(report.wall_time) == {"setup", "constants", "minimize", "verify", "total"}
     assert all(t >= 0.0 for t in report.wall_time.values())

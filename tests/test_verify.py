@@ -1,8 +1,9 @@
 """Verifier tests: auxiliary solve against a dense oracle, residual
-definitions, the sampled variational inequality with a negative control,
-and potential structure checks."""
+definitions, the closed-form variational inequality against the old probe
+family with a negative control, and potential structure checks."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from spball import (
 )
 from spball.ball import BallSpec, make_ball
 from spball.energy import FieldState, ProblemSpec, _signed_power, evaluate
-from spball.grid import neg_laplacian_array
-from spball.minimize import minimize
+from spball.grid import h1_inner, l2_inner, neg_laplacian_array
+from spball.minimize import minimize, retract_to_ball
 from spball.poisson import PoissonSolution, compute_phi, solve_dirichlet_poisson
 from spball.sampling import smoothed_random_fields
 from spball.verify import (
@@ -32,10 +33,9 @@ from spball.verify import (
     phi_property_check,
     variational_inequality_check,
     verify,
-    vi_probe_count,
 )
 
-from conftest import dense_neg_laplacian, random_field, standard_problem
+from conftest import ball_samples, dense_neg_laplacian, random_field, standard_problem
 
 
 @pytest.fixture(scope="module")
@@ -80,9 +80,10 @@ def test_auxiliary_solve_rejects_candidate_outside_ball():
         auxiliary_solve(evaluate(outside, spec), ball)
 
 
-def test_auxiliary_solve_warns_when_image_escapes():
+def test_escaping_auxiliary_image_fails_aux_in_ball():
     # a hand-built ball with a tiny radius: the image of 0 is the forcing
-    # inverse, far larger than the radius; that is a warning, not an error
+    # inverse, far larger than the radius; the aux_in_ball gate names it,
+    # and no warning is raised
     g = build_grid(6)
     spec = ProblemSpec(
         p=3.0,
@@ -91,9 +92,13 @@ def test_auxiliary_solve_warns_when_image_escapes():
         grid=g,
     )
     tiny = BallSpec(1.0, 1.0, 0.01, 0.005, 3.0, 1, 0)
-    with pytest.warns(UserWarning, match="left the constraint ball"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         aux = auxiliary_solve(evaluate(ScalarField.zeros(g), spec), tiny)
+        report = verify(ScalarField.zeros(g), spec, tiny)
     assert w2n_norm(aux) > tiny.radius
+    assert not report.aux_in_ball
+    assert "aux_in_ball" in report.failed_checks
 
 
 # ---------------------------------------------------------------- residuals
@@ -143,25 +148,43 @@ def test_pde_residual_small_after_minimize(solved_problem):
 def test_vi_no_violations_at_minimizer(solved_problem):
     spec, ball, res = solved_problem
     s = evaluate(res.minimizer, spec)
-    count = variational_inequality_check(s, auxiliary_solve(s, ball), ball, samples=50, seed=11)
-    assert count == 0
-    assert vi_probe_count(50) == 55
+    aux = auxiliary_solve(s, ball)
+    gap = variational_inequality_check(s, aux)
+    assert -1e-8 <= gap <= 0.0
+    # the closed form is minus the squared fixed-point residual
+    assert_allclose(gap, -fixed_point_residual(s.u, aux) ** 2, rtol=1e-12)
 
 
 def test_vi_detects_non_minimizer():
-    # the zero field with positive forcing is far from stationary: testing
-    # against its own auxiliary image must reveal a lower-energy direction
+    # the zero field with positive forcing is far from stationary: its own
+    # auxiliary image is a lower-energy direction, so the gap is negative
     spec, ball = standard_problem(n=6, p=3.0)
     s = evaluate(ScalarField.zeros(spec.grid), spec)
-    count = variational_inequality_check(s, auxiliary_solve(s, ball), ball, samples=20, seed=5)
-    assert count >= 1
+    assert variational_inequality_check(s, auxiliary_solve(s, ball)) < -1e-8
+    report = verify(s.u, spec, ball)
+    assert "vi" in report.failed_checks
 
 
-def test_vi_rejects_negative_samples(solved_problem):
-    spec, ball, res = solved_problem
-    with pytest.raises(ValueError):
-        s = evaluate(res.minimizer, spec)
-        variational_inequality_check(s, auxiliary_solve(s, ball), ball, samples=-1, seed=0)
+@pytest.mark.parametrize("n, p", [(16, 7.0), (32, 3.0)])
+@pytest.mark.parametrize("scale", [1.0, 0.9])
+def test_vi_gap_is_the_infimum_over_the_old_probe_family(n, p, scale):
+    # the probes the sampled audit used, with its per-probe gap written inline:
+    # the gap at aux equals the closed form and no probe falls below it
+    spec, ball = standard_problem(n=n, p=p, fraction=0.5, samples=64, seed=3)
+    s = evaluate(scale * minimize(spec, ball).minimizer, spec)
+    aux = auxiliary_solve(s, ball)
+    u = s.u
+    half_u = 0.5 * h1_inner(u, u)
+    probes = [u, aux, ScalarField.zeros(u.grid), 0.5 * u, retract_to_ball(2.0 * u, ball.radius)]
+    # seed 3 plus the old verifier seed offset 1_000_003
+    probes.extend(ball_samples(u.grid, 64, 1_000_006, ball.radius))
+    # relative to 1/2||grad u||^2, the scale of the terms the per-probe gap cancels
+    gaps = [(0.5 * h1_inner(v, v) - half_u - l2_inner(s.rhs, v - u)) / half_u for v in probes]
+
+    vi_gap = variational_inequality_check(s, aux)
+    assert vi_gap <= 0.0
+    assert abs(gaps[1] - vi_gap) <= 1e-12
+    assert min(gaps) >= vi_gap - 1e-12
 
 
 # ---------------------------------------------------------------- potential structure
@@ -225,19 +248,18 @@ def test_phi_bound_calibrates_on_the_extremal_eigenfunction(n, coupling_kind):
 
 def test_verify_passes_on_solved_problem(solved_problem):
     spec, ball, res = solved_problem
-    report = verify(res.minimizer, spec, ball, samples=60, seed=2)
+    report = verify(res.minimizer, spec, ball)
     assert report.passed
     assert report.fixed_point_rel_residual <= report.fp_threshold
     assert report.pde_rel_residual <= report.pde_threshold
-    assert report.vi_violations == 0
-    assert report.vi_samples == 65
+    assert -1e-8 <= report.vi_gap <= 0.0
     assert report.aux_in_ball
     assert report.failed_checks == ()
 
 
 def test_verify_fails_on_non_solution():
     spec, ball = standard_problem(n=6, p=3.0)
-    report = verify(ScalarField.zeros(spec.grid), spec, ball, samples=10, seed=2)
+    report = verify(ScalarField.zeros(spec.grid), spec, ball)
     assert not report.passed
     assert report.pde_rel_residual == 1.0
     assert "pde" in report.failed_checks
@@ -245,20 +267,20 @@ def test_verify_fails_on_non_solution():
 
 def test_verify_deterministic(solved_problem):
     spec, ball, res = solved_problem
-    a = verify(res.minimizer, spec, ball, samples=30, seed=9)
-    b = verify(res.minimizer, spec, ball, samples=30, seed=9)
+    a = verify(res.minimizer, spec, ball)
+    b = verify(res.minimizer, spec, ball)
     assert a == b
 
 
 def test_report_round_trip(solved_problem):
     spec, ball, res = solved_problem
-    report = verify(res.minimizer, spec, ball, samples=10, seed=4)
+    report = verify(res.minimizer, spec, ball)
     assert VerificationReport.from_dict(report.to_dict()) == report
 
 
 def test_failed_checks_name_the_failing_gate_and_round_trip(solved_problem):
     spec, ball, res = solved_problem
-    report = verify(res.minimizer, spec, ball, samples=10, seed=4, fp_threshold=1e-30)
+    report = verify(res.minimizer, spec, ball, fp_threshold=1e-30)
     assert not report.passed
     assert report.failed_checks == ("fixed_point",)
     restored = VerificationReport.from_dict(json.loads(json.dumps(report.to_dict())))
@@ -279,6 +301,6 @@ def test_verify_solve_count(solved_problem, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(PoissonSolution, "__init__", counting_init)
-    report = verify(res.minimizer, spec, ball, samples=10, seed=4)
+    report = verify(res.minimizer, spec, ball)
     assert report.passed
     assert count == 4
