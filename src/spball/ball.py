@@ -8,9 +8,12 @@ constraint-ball norm:
 
 with ||.|| the w2n norm. They are estimated on a sampled family (the first
 eigenfunction plus smoothed random fields) and inflated by a safety factor.
-A sampled field's potential is solved only when a solve-free upper bound on
-its coupling ratio reaches the best ratio so far, so skipping never changes
-a constant. The admissible radius r then satisfies
+The family is streamed: each field is drawn, scored and dropped before the
+next is drawn, so estimation holds one field at a time. Two upper bounds
+taken from the field's max and L3 norms skip work that cannot change a
+constant: the coupling bound skips the field's potential solve, and the
+power bound skips its p-th-power pass, whenever the bound is below the best
+ratio so far. The admissible radius r then satisfies
 
     coupling_constant r^3 + power_constant r^p <= r/2   for all r in (0, radius],
 
@@ -20,6 +23,7 @@ which caps the forcing at forcing_bound = radius / 2.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,11 +32,12 @@ from .energy import ProblemSpec, evaluate
 from .errors import EstimationFailureError, OutsideBallError
 from .grid import DomainGrid, ScalarField, first_eigenpair, lp_norm, w2n_norm
 from .poisson import compute_phi, solve_dirichlet_poisson
-from .sampling import smoothed_random_fields
+from .sampling import iter_smoothed_random_fields
 
 CONSTANT_FLOOR = 1e-30
 BALL_NORM_SLACK = 1e-12  # relative slack when checking membership of the closed ball
 RESIDUAL_BOUND_SLACK = 1e-10
+SKIP_MARGIN = 1e-9  # relative; a bound must beat the best ratio by this to skip a pass
 
 
 @dataclass(frozen=True)
@@ -70,10 +75,11 @@ class BallSpec:
         return w2n_norm(u) <= self.radius * (1.0 + BALL_NORM_SLACK)
 
 
-def estimation_fields(grid: DomainGrid, samples: int, seed: int) -> list[ScalarField]:
-    """Estimation family: the first eigenfunction plus smoothed random fields."""
-    e1, _ = first_eigenpair(grid)
-    return [e1, *smoothed_random_fields(grid, samples, seed)]
+def estimation_fields(grid: DomainGrid, samples: int, seed: int) -> Iterator[ScalarField]:
+    """Estimation family, one field at a time: the first eigenfunction, then
+    `samples` smoothed random fields."""
+    yield first_eigenpair(grid)[0]
+    yield from iter_smoothed_random_fields(grid, samples, seed)
 
 
 def _green_row_sum_max(grid: DomainGrid) -> float:
@@ -81,15 +87,20 @@ def _green_row_sum_max(grid: DomainGrid) -> float:
     return float(solve_dirichlet_poisson(ScalarField(grid, np.ones(grid.shape))).field.values.max())
 
 
-def _coupling_ratio_bound(u: ScalarField, w: float, coupling_max: float, tau: float) -> float:
-    """Upper bound on ||c phi_u u||_3 / w^3 that needs no solve.
+def _ratio_bounds(
+    u: ScalarField, w: float, coupling_max: float, tau: float, p: float
+) -> tuple[float, float]:
+    """Upper bounds on the coupling ratio ||c phi_u u||_3 / w^3 and the power
+    ratio ||(|u|/w)^p||_3, from ||u||_inf and ||u||_3 alone.
 
     (-Delta_h)^-1 is entrywise nonnegative, so |phi_u| <= ||c||_inf ||u||_inf^2 tau
     pointwise, with tau = max (-Delta_h)^-1 1; multiplying by |c u| and taking
-    the L3 norm gives the bound.
+    the L3 norm gives the coupling bound. sum |u|^(3p) <= ||u||_inf^(3(p-1))
+    sum |u|^3 gives the power bound.
     """
-    u_max = float(np.abs(u.values).max())
-    return coupling_max**2 * tau * (u_max / w) ** 2 * (lp_norm(u, 3) / w)
+    u_max = float(np.abs(u.values).max()) / w
+    l3 = lp_norm(u, 3) / w
+    return coupling_max**2 * tau * u_max**2 * l3, u_max ** (p - 1.0) * l3
 
 
 def estimate_constants(
@@ -98,13 +109,16 @@ def estimate_constants(
     """Estimate (coupling_constant, power_constant) on the sampled family.
 
     Both ratios are invariant under field rescaling, so the sampled
-    amplitudes only probe rounding behavior. Samples with zero w2n norm are
-    skipped; if nothing remains, estimation fails. A sample's potential is
-    not solved when _coupling_ratio_bound puts its coupling ratio below the
-    best one so far, with a 1e-9 relative margin for rounding; the maximum,
-    and so the constant, is the same as with every potential solved.
-    Constants are floored at a tiny positive value so a zero coupling field
-    still yields a valid BallSpec.
+    amplitudes only probe rounding behavior. The family is streamed from
+    estimation_fields, so one field is alive at a time. Samples with zero
+    w2n norm are skipped; if nothing remains, estimation fails. With the
+    bounds of _ratio_bounds, a sample's p-th-power pass is skipped when its
+    power bound is below the best power ratio so far, and its potential is
+    not solved when its coupling bound is below the best coupling ratio so
+    far, each with a SKIP_MARGIN relative margin for rounding; the maxima,
+    and so the constants, are the same as with every pass run. Constants
+    are floored at a tiny positive value so a zero coupling field still
+    yields a valid BallSpec.
     """
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
@@ -116,20 +130,21 @@ def estimate_constants(
     best_coupling = 0.0
     best_power = 0.0
     used = 0
-    # the eigenfunction comes first and usually sets the coupling ratio for good
+    # the eigenfunction comes first and usually sets both ratios for good
     for u in estimation_fields(grid, samples, seed):
         w = w2n_norm(u)
         if w == 0.0:
             continue
         used += 1
-        # ||sign(u)|u|^p||_3 / w^p taken as ||(|u|/w)^p||_3, so w^p cannot overflow
-        ratio_p = lp_norm(ScalarField(grid, np.abs(u.values / w) ** spec.p), 3)
-        best_power = max(best_power, ratio_p)
-        if _coupling_ratio_bound(u, w, coupling_max, tau) * (1.0 + 1e-9) < best_coupling:
-            continue
-        phi = compute_phi(u, spec.coupling)
-        num_c = lp_norm(ScalarField(grid, spec.coupling.values * phi.values * u.values), 3)
-        best_coupling = max(best_coupling, num_c / w**3)
+        coupling_bound, power_bound = _ratio_bounds(u, w, coupling_max, tau, spec.p)
+        if power_bound * (1.0 + SKIP_MARGIN) >= best_power:
+            # ||sign(u)|u|^p||_3 / w^p taken as ||(|u|/w)^p||_3, so w^p cannot overflow
+            ratio_p = lp_norm(ScalarField(grid, np.abs(u.values / w) ** spec.p), 3)
+            best_power = max(best_power, ratio_p)
+        if coupling_bound * (1.0 + SKIP_MARGIN) >= best_coupling:
+            phi = compute_phi(u, spec.coupling)
+            num_c = lp_norm(ScalarField(grid, spec.coupling.values * phi.values * u.values), 3)
+            best_coupling = max(best_coupling, num_c / w**3)
     if used == 0:
         raise EstimationFailureError("all estimation samples had zero w2n norm")
     return (

@@ -156,10 +156,12 @@ class ExperimentConfig:
 
         kwargs = {k: data[k] for k in known - {"tolerances"} if k in data}
         kwargs["descent"] = descent
-        if "p" in kwargs:
-            kwargs["p"] = float(kwargs["p"])
-        if "safety" in kwargs:
-            kwargs["safety"] = float(kwargs["safety"])
+        for key in ("p", "safety"):
+            if key in kwargs:
+                try:
+                    kwargs[key] = float(kwargs[key])
+                except (TypeError, ValueError):
+                    raise ConfigError(f"{key} must be a number, got {kwargs[key]!r}") from None
         return cls(**kwargs)
 
 

@@ -1,9 +1,11 @@
 """Ball-constants tests: closed-form radii, bisection certificates, ratio
-dominance over the estimation family, the solve-free coupling bound that
-skips estimation solves, and the residual bound audit."""
+dominance over the estimation family, the bounds that skip estimation solves
+and power passes, the one-field memory footprint of the streamed family, and
+the residual bound audit."""
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,8 +24,8 @@ import spball.ball as ball_mod
 from spball.ball import (
     BallSpec,
     CONSTANT_FLOOR,
-    _coupling_ratio_bound,
     _green_row_sum_max,
+    _ratio_bounds,
     admissible_radius,
     check_residual_bound,
     estimate_constants,
@@ -184,18 +186,49 @@ def test_coupling_ratio_bound_dominates_family(n, kind, seed):
     tau = green_row_sum_max(n)
     for u in estimation_fields(spec.grid, 64, seed):
         w = w2n_norm(u)
-        assert _coupling_ratio_bound(u, w, coupling_max, tau) >= coupling_ratio(u, spec)
+        coupling_bound, _ = _ratio_bounds(u, w, coupling_max, tau, spec.p)
+        assert coupling_bound >= coupling_ratio(u, spec)
 
 
-@pytest.mark.parametrize("reverse", [False, True])
-@pytest.mark.parametrize("seed", [3, 11])
-@pytest.mark.parametrize("kind", ["constant", "sine_bump", "zero"])
+@pytest.mark.parametrize("p", [1.5, 3.0, 7.0, 400.0])
 @pytest.mark.parametrize("n", [6, 8, 12])
-def test_estimate_constants_match_no_skip_oracle(n, kind, seed, reverse, monkeypatch):
-    # every potential solved, written inline: the skip must not change a bit;
-    # reversed, the winning eigenfunction comes last and must not be skipped
-    spec = coupling_spec(n, kind)
-    family = estimation_fields(spec.grid, 64, seed)
+def test_power_ratio_bound_dominates_family(n, p):
+    g = build_grid(n)
+    for seed in (3, 11):
+        for u in estimation_fields(g, 64, seed):
+            w = w2n_norm(u)
+            _, power_bound = _ratio_bounds(u, w, 1.0, 1.0, p)
+            # the pass the bound skips
+            assert power_bound >= lp_norm(ScalarField(g, np.abs(u.values / w) ** p), 3)
+            # the inequality itself, in log space, where p = 400 does not underflow
+            a = 3.0 * p * np.log(np.abs(u.values[u.values != 0.0]) / w)
+            log_ratio = (a.max() + math.log(np.exp(a - a.max()).sum()) + math.log(g.h**3)) / 3.0
+            log_bound = (p - 1.0) * math.log(np.abs(u.values).max() / w)
+            log_bound += math.log(lp_norm(u, 3) / w)
+            assert log_bound >= log_ratio - 1e-12 * abs(log_ratio)
+
+
+# p = 7 cases carry no p suffix, so their ids stay stable
+NO_SKIP_CASES = [
+    pytest.param(
+        n, kind, seed, reverse, p,
+        id=f"{n}-{kind}-{seed}-{reverse}" + ("" if p == 7.0 else f"-p{p:g}"),
+    )
+    for p in (7.0, 3.0, 400.0)
+    for n in (6, 8, 12)
+    for kind in ("constant", "sine_bump", "zero")
+    for seed in (3, 11)
+    for reverse in (False, True)
+]
+
+
+@pytest.mark.parametrize("n, kind, seed, reverse, p", NO_SKIP_CASES)
+def test_estimate_constants_match_no_skip_oracle(n, kind, seed, reverse, p, monkeypatch):
+    # every potential solved and every power pass run, written inline: the
+    # skips must not change a bit; reversed, the winning eigenfunction comes
+    # last and must not be skipped
+    spec = coupling_spec(n, kind, p)
+    family = list(estimation_fields(spec.grid, 64, seed))
     if reverse:
         monkeypatch.setattr(ball_mod, "estimation_fields", lambda g, s, sd: family[::-1])
     best_c = best_p = 0.0
@@ -223,6 +256,20 @@ def test_make_ball_solve_count(monkeypatch):
     monkeypatch.setattr(PoissonSolution, "__init__", counting_init)
     make_ball(spec, samples=64, seed=3)
     assert count == 2
+
+
+def test_estimate_constants_holds_one_field_at_a_time():
+    # the streamed family keeps a few field-sized arrays alive, not all 65 fields
+    spec = make_spec(n=16, p=7.0)
+    field_bytes = np.zeros(spec.grid.shape).nbytes
+    estimate_constants(spec, 1, seed=3)  # one-time allocations (lazy imports) stay out
+    tracemalloc.start()
+    try:
+        estimate_constants(spec, 64, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / field_bytes < 16
 
 
 def test_estimate_constants_deterministic():

@@ -4,7 +4,11 @@ command-line interface including exit codes."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -279,6 +283,14 @@ def test_cli_run_failure_exit_codes(tmp_path, capsys):
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "tolerances.linear" in capsys.readouterr().err
+    # a malformed number is a configuration error that names its key
+    for key, value in (("p", [7]), ("p", "abc"), ("safety", None)):
+        data = json.loads(write_config(tmp_path).read_text())
+        data[key] = value
+        path.write_text(json.dumps(data))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{key} must be a number" in capsys.readouterr().err
 
 
 def test_cli_run_names_the_failed_checks(tmp_path, capsys, monkeypatch):
@@ -335,3 +347,36 @@ def test_cli_study_bad_grids(tmp_path, capsys):
     code = main(["study", "--config", str(path), "--grids", "6,abc"])
     assert code == 2
     assert "comma-separated" in capsys.readouterr().err
+
+
+@pytest.mark.skipif(
+    os.environ.get("SPBALL_SLOW") != "1", reason="n=128 end-to-end run; set SPBALL_SLOW=1"
+)
+def test_cli_run_n128_verifies_within_memory(tmp_path):
+    # the baseline config at n=128, one BLAS thread, in its own process so its
+    # peak resident size is its own (os.wait4 returns that child's rusage)
+    path = write_config(
+        tmp_path,
+        grid_n=128,
+        p=7.0,
+        forcing={"scaled_to_bound": 0.5},
+        samples=64,
+        seed=3,
+    )
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    log = tmp_path / "run.log"
+    with log.open("w") as out:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "spball", "run", "--config", str(path)]
+            + ["--out", str(tmp_path / "out")],
+            env=env,
+            stdout=out,
+            stderr=subprocess.STDOUT,
+        )
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0, log.read_text()
+    assert "verification PASSED" in log.read_text()
+    assert usage.ru_maxrss < 400 * 1024  # kilobytes on Linux
