@@ -66,7 +66,8 @@ def _cmd_run(args) -> int:
     print(
         f"descent: energy={report.energy:.9e}  "
         f"iterations={report.minimize_summary['iterations']}  "
-        f"converged={report.minimize_summary['converged']}"
+        f"converged={report.minimize_summary['converged']}  "
+        f"stop_reason={report.minimize_summary['stop_reason']}"
     )
     print(
         f"verify: fp_rel={ver.fixed_point_rel_residual:.3e}  "

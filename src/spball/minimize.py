@@ -1,9 +1,18 @@
-"""Retracted gradient descent for the energy on the constraint ball.
+"""Anderson-mixed retracted descent for the energy on the constraint ball.
 
-Descent direction is the Sobolev gradient u - T(u). Steps that leave the
-ball are pulled back by radial retraction; acceptance demands strict energy
-decrease with backtracking. The iteration stops on a small displacement, a
-negligible relative energy drop, or the iteration budget.
+The gradient g = u - T(u) is the Sobolev gradient, so a step of length 1
+is the fixed-point iteration u <- T(u) of the auxiliary map. Each iteration
+first tries the depth-3 Anderson (type-II) mixture of that iteration
+(Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011): with the differences
+dT, dg of T and g between the last iterates and the coefficients gamma
+minimizing the H1 norm of g - dg gamma, the trial is T(u) - dT gamma. The
+differences come from gradients already computed, so the trial costs no
+extra solve. A trial that leaves the ball is pulled back by radial
+retraction. If the mixed trial does not strictly decrease the energy, the
+history is cleared and the plain step u - step g backtracks from
+initial_step until the energy strictly decreases. The iteration stops on a zero gradient, a small
+displacement, a negligible relative energy drop, no decrease at any step,
+or the iteration budget; MinimizeResult.stop_reason says which.
 """
 
 from __future__ import annotations
@@ -23,10 +32,18 @@ from .energy import (
     restricted_energy,
 )
 from .errors import ForcingTooLargeError, InitializationFailureError
-from .grid import ScalarField, first_eigenpair, grad_l2_norm, lp_norm, w2n_norm
+from .grid import (
+    ScalarField,
+    first_eigenpair,
+    grad_l2_norm,
+    lp_norm,
+    neg_laplacian_array,
+    w2n_norm,
+)
 
 _MIN_STEP_FACTOR = 1e-18
 _INITIAL_T_GRID = 400
+_MIXING_DEPTH = 3  # Anderson history length m
 
 
 @dataclass(frozen=True)
@@ -57,7 +74,10 @@ class MinimizeResult:
     """Minimizer, its energy, and the full iteration trace.
 
     trace rows are (iteration, energy, accepted step, H1 displacement);
-    row 0 records the starting point with step and displacement zero.
+    row 0 records the starting point with step and displacement zero, and an
+    accepted mixed trial records step 1. stop_reason is one of zero_gradient,
+    displacement, energy_drop, no_decrease and budget; only budget leaves
+    converged False. mixed_steps counts the accepted mixed trials.
     """
 
     minimizer: ScalarField
@@ -66,6 +86,8 @@ class MinimizeResult:
     trace: tuple[tuple[int, float, float, float], ...]
     converged: bool
     on_boundary: bool
+    stop_reason: str
+    mixed_steps: int
 
 
 def retract_to_ball(u: ScalarField, radius: float) -> ScalarField:
@@ -111,12 +133,75 @@ def initial_guess(spec: ProblemSpec, radius: float) -> FieldState:
     )
 
 
+class _MixingHistory:
+    """Depth-m Anderson (type-II) history of the auxiliary map T, as raw arrays.
+
+    For the last m steps it holds -Delta_h dg and dT, where dg and dT are the
+    changes of g = u - T(u) and of T(u) between consecutive iterates, and the
+    Gram matrix of the dg in the discrete H1 pairing, <-Delta_h a, b> h^3
+    (h1_inner by summation by parts; the common h^3 cancels in gamma).
+    """
+
+    def __init__(self, h: float):
+        self.h = h
+        self.steps: list[tuple[np.ndarray, np.ndarray]] = []  # (-Delta_h dg, dT)
+        self.gram = np.zeros((0, 0))
+        self.last: tuple[np.ndarray, np.ndarray] | None = None  # (g, u)
+
+    def push(self, g: np.ndarray, u: np.ndarray) -> None:
+        """Record the iterate u with gradient g = u - T(u)."""
+        if self.last is not None:
+            if len(self.steps) == _MIXING_DEPTH:
+                del self.steps[0]
+                self.gram = self.gram[1:, 1:]
+            dg = g - self.last[0]
+            ldg = neg_laplacian_array(dg, self.h)
+            k = len(self.steps)
+            gram = np.empty((k + 1, k + 1))
+            gram[:k, :k] = self.gram
+            gram[k, :k] = gram[:k, k] = [np.vdot(ldg_i, dg) for ldg_i, _ in self.steps]
+            gram[k, k] = np.vdot(ldg, dg)
+            dt = u - self.last[1]
+            dt -= dg
+            self.steps.append((ldg, dt))
+            self.gram = gram
+        self.last = (g, u)
+
+    def clear(self) -> None:
+        """Forget the steps; the last iterate stays as the base of the next one."""
+        self.steps.clear()
+        self.gram = np.zeros((0, 0))
+
+    def mixed(self, g: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """T(u) - dT gamma with gamma = argmin ||g - dg gamma||_H1; needs a step."""
+        rhs = np.array([np.vdot(ldg_i, g) for ldg_i, _ in self.steps])
+        gamma = np.linalg.lstsq(self.gram, rhs, rcond=None)[0]
+        out = u - g
+        for coeff, (_, dt) in zip(gamma, self.steps):
+            out -= coeff * dt
+        return out
+
+
+def _backtrack(s: FieldState, g: ScalarField, current: float, spec: ProblemSpec,
+               ball: BallSpec, opts: MinimizeOptions):
+    """The first plain step u - step g, from initial_step down by backtrack_factor,
+    whose retracted trial strictly lowers the energy; None when none does."""
+    step = opts.initial_step
+    while step >= _MIN_STEP_FACTOR * opts.initial_step:
+        candidate = evaluate(retract_to_ball(s.u - step * g, ball.radius), spec)
+        cand_energy = energy(candidate, spec).total
+        if cand_energy < current:
+            return candidate, cand_energy, step
+        step *= opts.backtrack_factor
+    return None
+
+
 def minimize(
     spec: ProblemSpec,
     ball: BallSpec,
     opts: MinimizeOptions | None = None,
 ) -> MinimizeResult:
-    """Minimize the energy over the constraint ball by retracted descent.
+    """Minimize the energy over the constraint ball by Anderson-mixed retracted descent.
 
     Requires the forcing to respect the admissible bound. A zero forcing
     (diagnostic mode) starts and ends at the zero field with zero energy.
@@ -137,26 +222,32 @@ def minimize(
     current = energy(s, spec).total
     trace = [(0, current, 0.0, 0.0)]
     iterations = 0
-    converged = False
+    mixed_steps = 0
+    stop_reason = "budget"
+    history = _MixingHistory(spec.grid.h)
 
     while iterations < opts.max_iters:
         g = gradient_field(s)
         if grad_l2_norm(g) == 0.0:
-            converged = True
+            stop_reason = "zero_gradient"
             break
+        history.push(g.values, s.u.values)
 
-        step = opts.initial_step
         accepted = None
-        while step >= _MIN_STEP_FACTOR * opts.initial_step:
-            candidate = evaluate(retract_to_ball(s.u - step * g, ball.radius), spec)
+        if history.steps:
+            trial = ScalarField(spec.grid, history.mixed(g.values, s.u.values))
+            candidate = evaluate(retract_to_ball(trial, ball.radius), spec)
             cand_energy = energy(candidate, spec).total
             if cand_energy < current:
-                accepted = (candidate, cand_energy, step)
-                break
-            step *= opts.backtrack_factor
+                accepted = (candidate, cand_energy, 1.0)
+                mixed_steps += 1
+            else:
+                history.clear()
+        if accepted is None:
+            accepted = _backtrack(s, g, current, spec, ball, opts)
         if accepted is None:
             # no strict decrease at any step: numerically stationary
-            converged = True
+            stop_reason = "no_decrease"
             break
 
         candidate, cand_energy, step = accepted
@@ -167,10 +258,10 @@ def minimize(
         trace.append((iterations, current, step, displacement))
 
         if displacement < opts.grad_tol:
-            converged = True
+            stop_reason = "displacement"
             break
         if drop < opts.energy_tol * max(abs(current), 1e-300):
-            converged = True
+            stop_reason = "energy_drop"
             break
 
     return MinimizeResult(
@@ -178,6 +269,8 @@ def minimize(
         energy=current,
         iterations=iterations,
         trace=tuple(trace),
-        converged=converged,
+        converged=stop_reason != "budget",
         on_boundary=abs(w2n_norm(s.u) - ball.radius) <= 1e-8,
+        stop_reason=stop_reason,
+        mixed_steps=mixed_steps,
     )

@@ -63,6 +63,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    # a JSON number; strings such as "7" are not numbers
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description; see README for the JSON schema."""
@@ -88,12 +93,12 @@ class ExperimentConfig:
             raise ConfigError(f"unsupported schema_version {self.schema_version}")
         if not _is_int(self.grid_n) or self.grid_n < 3:
             raise ConfigError(f"grid_n must be an integer >= 3, got {self.grid_n}")
-        if not (isinstance(self.p, (int, float)) and math.isfinite(self.p) and self.p > 1.0):
+        if not (_is_number(self.p) and math.isfinite(self.p) and self.p > 1.0):
             raise ConfigError(f"p must be a finite number > 1, got {self.p}")
         _validate_field_spec(self.coupling, _COUPLING_KINDS, "coupling")
         _validate_field_spec(self.forcing, _FORCING_KINDS, "forcing")
-        if not self.safety >= 1.0:
-            raise ConfigError(f"safety must be >= 1, got {self.safety}")
+        if not (_is_number(self.safety) and math.isfinite(self.safety) and self.safety >= 1.0):
+            raise ConfigError(f"safety must be a finite number >= 1, got {self.safety}")
         if not (_is_int(self.samples) and self.samples >= 1):
             raise ConfigError(f"samples must be a positive integer, got {self.samples}")
         if not _is_int(self.seed):
@@ -158,10 +163,9 @@ class ExperimentConfig:
         kwargs["descent"] = descent
         for key in ("p", "safety"):
             if key in kwargs:
-                try:
-                    kwargs[key] = float(kwargs[key])
-                except (TypeError, ValueError):
-                    raise ConfigError(f"{key} must be a number, got {kwargs[key]!r}") from None
+                if not _is_number(kwargs[key]):
+                    raise ConfigError(f"{key} must be a number, got {kwargs[key]!r}")
+                kwargs[key] = float(kwargs[key])
         return cls(**kwargs)
 
 
@@ -242,6 +246,8 @@ def _summarize(result: MinimizeResult) -> dict:
     return {
         "iterations": result.iterations,
         "converged": result.converged,
+        "stop_reason": result.stop_reason,
+        "mixed_steps": result.mixed_steps,
         "on_boundary": result.on_boundary,
         "final_step": last[2],
         "final_displacement": last[3],

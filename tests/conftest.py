@@ -6,6 +6,7 @@ import pytest
 from spball.ball import make_ball
 from spball.energy import ProblemSpec
 from spball.grid import DomainGrid, ScalarField, first_eigenpair, lp_norm, w2n_norm
+from spball.poisson import PoissonSolution
 from spball.sampling import smoothed_random_fields
 
 
@@ -67,3 +68,25 @@ def standard_problem(n=8, p=7.0, fraction=1.0, samples=12, seed=3):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260814)
+
+
+@pytest.fixture
+def solve_counter(monkeypatch):
+    """solve_counter(fn, *args, **kwargs) -> (fn's result, PoissonSolution objects
+    built during the call), one per linear solve; guards against re-added solves."""
+
+    def run(fn, *args, **kwargs):
+        count = 0
+        init = PoissonSolution.__init__
+
+        def counting_init(self, *a, **k):
+            nonlocal count
+            count += 1
+            init(self, *a, **k)
+
+        with monkeypatch.context() as m:
+            m.setattr(PoissonSolution, "__init__", counting_init)
+            result = fn(*args, **kwargs)
+        return result, count
+
+    return run

@@ -34,7 +34,7 @@ from spball.ball import (
     max_forcing_norm,
 )
 from spball.energy import ProblemSpec, _signed_power
-from spball.poisson import PoissonSolution, compute_phi
+from spball.poisson import compute_phi
 from spball.sampling import smoothed_random_fields
 
 from conftest import ball_samples, dense_neg_laplacian
@@ -242,19 +242,10 @@ def test_estimate_constants_match_no_skip_oracle(n, kind, seed, reverse, p, monk
         assert expected[0] == CONSTANT_FLOOR
 
 
-def test_make_ball_solve_count(monkeypatch):
+def test_make_ball_solve_count(solve_counter):
     # the eigenfunction's potential and tau; the bound rules out all 64 sampled fields
     spec = make_spec(n=8, p=7.0)
-    count = 0
-    init = PoissonSolution.__init__
-
-    def counting_init(self, *args, **kwargs):
-        nonlocal count
-        count += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(PoissonSolution, "__init__", counting_init)
-    make_ball(spec, samples=64, seed=3)
+    _, count = solve_counter(make_ball, spec, samples=64, seed=3)
     assert count == 2
 
 

@@ -1,5 +1,6 @@
 """Constrained-descent tests: retraction geometry, certified initialization,
-monotone traces, ball confinement, determinism, and local minimality."""
+monotone traces, ball confinement, determinism, local minimality, the
+Anderson-mixed step and its fallback, and the reported stop reason."""
 
 import numpy as np
 import pytest
@@ -13,10 +14,18 @@ from spball import (
     lp_norm,
     w2n_norm,
 )
+from spball.grid import h1_inner
 from spball.ball import make_ball
 from spball.energy import ProblemSpec, energy, evaluate
-from spball.minimize import MinimizeOptions, MinimizeResult, initial_guess, minimize, retract_to_ball
-from spball.poisson import PoissonSolution
+from spball.minimize import (
+    MinimizeOptions,
+    MinimizeResult,
+    _MixingHistory,
+    initial_guess,
+    minimize,
+    retract_to_ball,
+)
+from spball.runner import ExperimentConfig, run_experiment
 from spball.sampling import smoothed_random_fields
 
 from conftest import random_field, standard_problem
@@ -109,6 +118,8 @@ def test_minimize_zero_forcing_diagnostic():
     assert res.energy == 0.0
     assert np.all(res.minimizer.values == 0.0)
     assert res.trace == ((0, 0.0, 0.0, 0.0),)
+    assert res.stop_reason == "zero_gradient"
+    assert res.mixed_steps == 0
 
 
 def test_minimize_rejects_oversized_forcing():
@@ -144,6 +155,8 @@ def test_minimize_standard_run(p):
     energies = [row[1] for row in res.trace]
     assert all(b < a for a, b in zip(energies, energies[1:]))
     assert res.trace[0] == (0, energies[0], 0.0, 0.0)
+    assert res.stop_reason in ("energy_drop", "displacement")
+    assert 1 <= res.mixed_steps < res.iterations  # the first iteration has no history
 
 
 def test_minimize_trace_is_deterministic():
@@ -160,6 +173,7 @@ def test_minimize_iteration_budget_flags_nonconvergence():
     res = minimize(spec, ball, MinimizeOptions(max_iters=1, grad_tol=1e-14, energy_tol=1e-16))
     assert res.iterations == 1
     assert not res.converged
+    assert res.stop_reason == "budget"
     assert isinstance(res, MinimizeResult)
 
 
@@ -175,21 +189,99 @@ def test_minimize_local_minimality_spot_check():
 
 
 @pytest.mark.parametrize("p", [3.0, 7.0])
-def test_minimize_solve_count(p, monkeypatch):
+def test_minimize_solve_count(p, solve_counter):
     # guards against a re-added solve: the initial guess takes two (the
     # eigenfunction's potential and the certified candidate's state), and each
     # iteration one gradient solve plus one state per line-search trial
     spec, ball = standard_problem(n=8, p=p)
-    count = 0
-    init = PoissonSolution.__init__
-
-    def counting_init(self, *args, **kwargs):
-        nonlocal count
-        count += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(PoissonSolution, "__init__", counting_init)
-    res = minimize(spec, ball)
+    res, count = solve_counter(minimize, spec, ball)
     assert res.iterations >= 1
     assert all(row[2] == 1.0 for row in res.trace[1:])  # no backtracking
     assert count == 2 + 2 * res.iterations
+
+
+# ---------------------------------------------------------------- mixed step
+
+# the descent-n32 benchmark workload at n=8: p=3 at full forcing, safety 1
+DESCENT_N8 = {
+    "grid_n": 8,
+    "p": 3.0,
+    "coupling": {"constant": 1},
+    "forcing": {"scaled_to_bound": 1.0},
+    "safety": 1.0,
+    "samples": 1,
+    "seed": 3,
+}
+# the plain descent's minimum energy on DESCENT_N8, reached in 11 iterations
+PLAIN_DESCENT_N8_ENERGY = -11.206300255059189
+
+
+def test_mixed_descent_reaches_the_plain_minimizer_in_fewer_iterations():
+    report = run_experiment(ExperimentConfig.from_dict(DESCENT_N8), write_outputs=False)
+    assert report.verification.passed
+    assert report.minimize_summary["iterations"] <= 6
+    assert report.minimize_summary["mixed_steps"] == report.minimize_summary["iterations"] - 1
+    assert report.minimize_summary["stop_reason"] in ("energy_drop", "displacement")
+    assert report.energy == pytest.approx(PLAIN_DESCENT_N8_ENERGY, rel=1e-10, abs=0.0)
+
+
+def test_rejected_mixed_trial_falls_back_to_the_plain_step(monkeypatch, solve_counter):
+    # a mixed trial at the current iterate cannot strictly decrease the energy,
+    # so every iteration falls back, and the run is the plain descent
+    trials = 0
+
+    def stalled_mixed(self, g, u):
+        nonlocal trials
+        trials += 1
+        return u
+
+    monkeypatch.setattr(_MixingHistory, "mixed", stalled_mixed)
+    cleared = 0
+    clear = _MixingHistory.clear
+
+    def counting_clear(self):
+        nonlocal cleared
+        cleared += 1
+        clear(self)
+
+    monkeypatch.setattr(_MixingHistory, "clear", counting_clear)
+    cfg = ExperimentConfig.from_dict(DESCENT_N8)
+    report = run_experiment(cfg, write_outputs=False)
+    summary = report.minimize_summary
+    assert summary["mixed_steps"] == 0
+    assert trials == cleared == summary["iterations"] - 1
+    assert summary["iterations"] == 11
+    assert report.energy == PLAIN_DESCENT_N8_ENERGY
+    assert report.verification.passed
+
+    spec, ball = standard_problem(n=8, p=3.0)
+    res, count = solve_counter(minimize, spec, ball)
+    energies = [row[1] for row in res.trace]
+    assert all(b < a for a, b in zip(energies, energies[1:]))
+    assert res.mixed_steps == 0
+    assert all(row[2] == 1.0 for row in res.trace[1:])
+    # each rejected mixed trial costs one state solve on top of 2 + 2 * iterations
+    assert count == 2 + 2 * res.iterations + (res.iterations - 1)
+
+
+def test_mixing_history_keeps_the_last_three_steps():
+    g = build_grid(6)
+    rng = np.random.default_rng(5)
+    history = _MixingHistory(g.h)
+    arrays = [(rng.standard_normal(g.shape), rng.standard_normal(g.shape)) for _ in range(6)]
+    for grad, u in arrays:
+        history.push(grad, u)
+    assert len(history.steps) == 3
+    # the Gram matrix is the H1 pairing of the last three gradient changes
+    dgs = [ScalarField(g, b[0] - a[0]) for a, b in zip(arrays[2:], arrays[3:])]
+    expected = np.array([[h1_inner(a, b) for b in dgs] for a in dgs]) / g.h**3
+    assert_allclose(history.gram, expected, rtol=1e-10)
+    # its mixture matches type-II Anderson from the raw differences
+    grad, u = arrays[-1]
+    dts = [(b[1] - b[0]) - (a[1] - a[0]) for a, b in zip(arrays[2:], arrays[3:])]
+    rhs = np.array([h1_inner(d, ScalarField(g, grad)) for d in dgs]) / g.h**3
+    gamma = np.linalg.solve(expected, rhs)
+    assert_allclose(history.mixed(grad, u), u - grad - sum(c * d for c, d in zip(gamma, dts)),
+                    rtol=1e-8, atol=1e-10)
+    history.clear()
+    assert history.steps == [] and history.gram.shape == (0, 0)

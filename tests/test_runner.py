@@ -254,7 +254,11 @@ def test_cli_run_success(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "verification PASSED" in captured.out
-    assert (tmp_path / "out" / "report.json").exists()
+    report = load_report(tmp_path / "out" / "report.json")
+    stop_reason = report.minimize_summary["stop_reason"]
+    assert stop_reason in ("energy_drop", "displacement")
+    assert f"converged=True  stop_reason={stop_reason}\n" in captured.out
+    assert report.minimize_summary["mixed_steps"] >= 0
     assert (tmp_path / "out" / "trace.csv").exists()
 
 
@@ -283,14 +287,22 @@ def test_cli_run_failure_exit_codes(tmp_path, capsys):
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "tolerances.linear" in capsys.readouterr().err
-    # a malformed number is a configuration error that names its key
-    for key, value in (("p", [7]), ("p", "abc"), ("safety", None)):
+    # a malformed number, a numeric string included, is a configuration error that names its key
+    for key, value in (("p", [7]), ("p", "abc"), ("safety", None), ("p", "7"), ("safety", "2")):
         data = json.loads(write_config(tmp_path).read_text())
         data[key] = value
         path.write_text(json.dumps(data))
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert f"{key} must be a number" in capsys.readouterr().err
+    # an infinite safety (json reads Infinity) is rejected under its own name
+    data = json.loads(write_config(tmp_path).read_text())
+    data["safety"] = math.inf
+    path.write_text(json.dumps(data))
+    assert "Infinity" in path.read_text()
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "safety must be a finite number" in capsys.readouterr().err
 
 
 def test_cli_run_names_the_failed_checks(tmp_path, capsys, monkeypatch):

@@ -22,7 +22,7 @@ from spball.ball import BallSpec, make_ball
 from spball.energy import FieldState, ProblemSpec, _signed_power, evaluate
 from spball.grid import h1_inner, l2_inner, neg_laplacian_array
 from spball.minimize import minimize, retract_to_ball
-from spball.poisson import PoissonSolution, compute_phi, solve_dirichlet_poisson
+from spball.poisson import compute_phi, solve_dirichlet_poisson
 from spball.sampling import smoothed_random_fields
 from spball.verify import (
     VerificationReport,
@@ -288,19 +288,10 @@ def test_failed_checks_name_the_failing_gate_and_round_trip(solved_problem):
     assert restored.failed_checks == ("fixed_point",)
 
 
-def test_verify_solve_count(solved_problem, monkeypatch):
+def test_verify_solve_count(solved_problem, solve_counter):
     # guards against a re-added solve: phi_u, phi_{2u}, the auxiliary solve
     # and the phi-bound calibration on the eigenfunction
     spec, ball, res = solved_problem
-    count = 0
-    init = PoissonSolution.__init__
-
-    def counting_init(self, *args, **kwargs):
-        nonlocal count
-        count += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(PoissonSolution, "__init__", counting_init)
-    report = verify(res.minimizer, spec, ball)
+    report, count = solve_counter(verify, res.minimizer, spec, ball)
     assert report.passed
     assert count == 4
