@@ -1,9 +1,9 @@
 """Building the certified ball: constants, radius, and the forcing budget.
 
 The constrained minimization runs inside a ball whose radius is chosen so
-that a trapping inequality holds. This script estimates the two embedding
-constants from sampled fields, solves for the largest certified radius,
-and then spot-checks the resulting residual bound on fresh samples.
+that a trapping inequality holds. This script takes the two embedding
+constants from the first eigenfunction, solves for the largest certified
+radius, and then spot-checks the resulting residual bound on random fields.
 """
 
 import numpy as np
@@ -27,18 +27,18 @@ spec = ProblemSpec(
     grid=grid,
 )
 
-c1, c2 = estimate_constants(spec, samples=64, seed=5, safety=2.0)
+c1, c2 = estimate_constants(spec.p, spec.coupling, safety=2.0)
 print(f"coupling constant (safety 2): {c1:.6e}")
 print(f"power constant    (safety 2): {c2:.6e}")
 
-ball = make_ball(spec, samples=64, seed=5, safety=2.0)
+ball = make_ball(spec.p, spec.coupling, safety=2.0)
 print(f"certified radius:             {ball.radius:.6f}")
 print(f"forcing bound (radius / 2):   {ball.forcing_bound:.6f}")
 check = ball.coupling_constant * ball.radius**3 + ball.power_constant * ball.radius**ball.p
 print(f"defining inequality: {check:.6f} <= {ball.radius / 2:.6f}")
 
 # every field in the ball should satisfy the residual bound with room;
-# fresh random fields are rescaled to random fractions of the radius
+# random fields are rescaled to random fractions of the radius
 fractions = np.random.default_rng(99).uniform(0.05, 1.0, size=25)
 worst = 0.0
 for frac, u in zip(fractions, smoothed_random_fields(grid, 25, seed=99)):
@@ -46,4 +46,4 @@ for frac, u in zip(fractions, smoothed_random_fields(grid, 25, seed=99)):
     lhs, rhs, holds = check_residual_bound(u, ball, spec)
     assert holds
     worst = max(worst, lhs / rhs)
-print(f"residual bound over 25 fresh samples: worst lhs/rhs = {worst:.3f}")
+print(f"residual bound over 25 random fields: worst lhs/rhs = {worst:.3f}")

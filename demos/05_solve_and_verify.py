@@ -13,8 +13,6 @@ config = ExperimentConfig.from_dict(
         "p": 7.0,
         "coupling": {"constant": 1.0},
         "forcing": {"scaled_to_bound": 1.0},
-        "samples": 100,
-        "seed": 7,
     }
 )
 

@@ -1,9 +1,9 @@
 """Ball-constrained variational solver for a Schrodinger-Poisson system.
 
 Finite differences on the unit cube with zero Dirichlet data: a direct
-sine-transform Poisson solver, the coupled energy functional, empirical ball
-constants, Anderson-mixed Sobolev-gradient descent, and a fixed-point verifier
-that certifies the minimizer as a discrete weak solution.
+sine-transform Poisson solver, the coupled energy functional, ball constants
+from the first eigenfunction, Anderson-mixed Sobolev-gradient descent, and a
+fixed-point verifier that certifies the minimizer as a discrete weak solution.
 """
 
 from .ball import (
@@ -11,7 +11,6 @@ from .ball import (
     admissible_radius,
     check_residual_bound,
     estimate_constants,
-    estimation_fields,
     make_ball,
     max_forcing_norm,
 )
@@ -30,7 +29,6 @@ from .energy import (
 from .errors import (
     AssumptionViolationError,
     ConfigError,
-    EstimationFailureError,
     ForcingTooLargeError,
     GridMismatchError,
     InitializationFailureError,
@@ -81,7 +79,6 @@ __all__ = [
     "ConfigError",
     "DomainGrid",
     "EnergyBreakdown",
-    "EstimationFailureError",
     "ExperimentConfig",
     "FieldState",
     "ForcingTooLargeError",
@@ -109,7 +106,6 @@ __all__ = [
     "energy",
     "energy_split",
     "estimate_constants",
-    "estimation_fields",
     "evaluate",
     "first_eigenpair",
     "fixed_point_residual",

@@ -1,4 +1,4 @@
-"""Empirical constants, admissible radius, and the residual bound on the ball.
+"""Ball constants, admissible radius, and the residual bound on the ball.
 
 The two constants bound the coupling and power terms by powers of the
 constraint-ball norm:
@@ -6,14 +6,10 @@ constraint-ball norm:
     ||c phi_u u||_L3 <= coupling_constant * ||u||^3
     ||sign(u)|u|^p||_L3 <= power_constant * ||u||^p
 
-with ||.|| the w2n norm. They are estimated on a sampled family (the first
-eigenfunction plus smoothed random fields) and inflated by a safety factor.
-The family is streamed: each field is drawn, scored and dropped before the
-next is drawn, so estimation holds one field at a time. Two upper bounds
-taken from the field's max and L3 norms skip work that cannot change a
-constant: the coupling bound skips the field's potential solve, and the
-power bound skips its p-th-power pass, whenever the bound is below the best
-ratio so far. The admissible radius r then satisfies
+with ||.|| the w2n norm. They are estimated from the first Dirichlet
+eigenfunction, whose two ratios exceed those of every smoothed random field
+tried, and inflated by a safety factor; one potential solve is the whole
+cost. The admissible radius r then satisfies
 
     coupling_constant r^3 + power_constant r^p <= r/2   for all r in (0, radius],
 
@@ -23,21 +19,18 @@ which caps the forcing at forcing_bound = radius / 2.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .energy import ProblemSpec, evaluate
-from .errors import EstimationFailureError, OutsideBallError
-from .grid import DomainGrid, ScalarField, first_eigenpair, lp_norm, w2n_norm
-from .poisson import compute_phi, solve_dirichlet_poisson
-from .sampling import iter_smoothed_random_fields
+from .errors import OutsideBallError
+from .grid import ScalarField, first_eigenpair, lp_norm, w2n_norm
+from .poisson import compute_phi
 
 CONSTANT_FLOOR = 1e-30
 BALL_NORM_SLACK = 1e-12  # relative slack when checking membership of the closed ball
 RESIDUAL_BOUND_SLACK = 1e-10
-SKIP_MARGIN = 1e-9  # relative; a bound must beat the best ratio by this to skip a pass
 
 
 @dataclass(frozen=True)
@@ -49,8 +42,6 @@ class BallSpec:
     radius: float
     forcing_bound: float
     p: float
-    sample_count: int
-    seed: int
 
     def __post_init__(self):
         for name in ("coupling_constant", "power_constant", "radius", "forcing_bound"):
@@ -75,81 +66,30 @@ class BallSpec:
         return w2n_norm(u) <= self.radius * (1.0 + BALL_NORM_SLACK)
 
 
-def estimation_fields(grid: DomainGrid, samples: int, seed: int) -> Iterator[ScalarField]:
-    """Estimation family, one field at a time: the first eigenfunction, then
-    `samples` smoothed random fields."""
-    yield first_eigenpair(grid)[0]
-    yield from iter_smoothed_random_fields(grid, samples, seed)
+def estimate_constants(p: float, coupling: ScalarField, safety: float = 2.0) -> tuple[float, float]:
+    """(coupling_constant, power_constant) from the first eigenfunction e1.
 
-
-def _green_row_sum_max(grid: DomainGrid) -> float:
-    """tau = max (-Delta_h)^-1 1, the largest row sum of the nonnegative inverse."""
-    return float(solve_dirichlet_poisson(ScalarField(grid, np.ones(grid.shape))).field.values.max())
-
-
-def _ratio_bounds(
-    u: ScalarField, w: float, coupling_max: float, tau: float, p: float
-) -> tuple[float, float]:
-    """Upper bounds on the coupling ratio ||c phi_u u||_3 / w^3 and the power
-    ratio ||(|u|/w)^p||_3, from ||u||_inf and ||u||_3 alone.
-
-    (-Delta_h)^-1 is entrywise nonnegative, so |phi_u| <= ||c||_inf ||u||_inf^2 tau
-    pointwise, with tau = max (-Delta_h)^-1 1; multiplying by |c u| and taking
-    the L3 norm gives the coupling bound. sum |u|^(3p) <= ||u||_inf^(3(p-1))
-    sum |u|^3 gives the power bound.
+    Both ratios are invariant under field rescaling. The positive e1 sets
+    both: over the grids, exponents and couplings checked, no smoothed random
+    field came within 10x of its coupling ratio or 2x of its power ratio
+    (tests/test_ball.py keeps that comparison). The constants are e1's ratios
+    times `safety`, floored at a tiny positive value so a zero coupling field
+    still yields a valid BallSpec.
     """
-    u_max = float(np.abs(u.values).max()) / w
-    l3 = lp_norm(u, 3) / w
-    return coupling_max**2 * tau * u_max**2 * l3, u_max ** (p - 1.0) * l3
-
-
-def estimate_constants(
-    spec: ProblemSpec, samples: int, seed: int, safety: float = 2.0
-) -> tuple[float, float]:
-    """Estimate (coupling_constant, power_constant) on the sampled family.
-
-    Both ratios are invariant under field rescaling, so the sampled
-    amplitudes only probe rounding behavior. The family is streamed from
-    estimation_fields, so one field is alive at a time. Samples with zero
-    w2n norm are skipped; if nothing remains, estimation fails. With the
-    bounds of _ratio_bounds, a sample's p-th-power pass is skipped when its
-    power bound is below the best power ratio so far, and its potential is
-    not solved when its coupling bound is below the best coupling ratio so
-    far, each with a SKIP_MARGIN relative margin for rounding; the maxima,
-    and so the constants, are the same as with every pass run. Constants
-    are floored at a tiny positive value so a zero coupling field still
-    yields a valid BallSpec.
-    """
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
-    if safety < 1.0:
-        raise ValueError(f"safety factor must be >= 1, got {safety}")
-    grid = spec.grid
-    coupling_max = float(np.abs(spec.coupling.values).max())
-    tau = _green_row_sum_max(grid)
-    best_coupling = 0.0
-    best_power = 0.0
-    used = 0
-    # the eigenfunction comes first and usually sets both ratios for good
-    for u in estimation_fields(grid, samples, seed):
-        w = w2n_norm(u)
-        if w == 0.0:
-            continue
-        used += 1
-        coupling_bound, power_bound = _ratio_bounds(u, w, coupling_max, tau, spec.p)
-        if power_bound * (1.0 + SKIP_MARGIN) >= best_power:
-            # ||sign(u)|u|^p||_3 / w^p taken as ||(|u|/w)^p||_3, so w^p cannot overflow
-            ratio_p = lp_norm(ScalarField(grid, np.abs(u.values / w) ** spec.p), 3)
-            best_power = max(best_power, ratio_p)
-        if coupling_bound * (1.0 + SKIP_MARGIN) >= best_coupling:
-            phi = compute_phi(u, spec.coupling)
-            num_c = lp_norm(ScalarField(grid, spec.coupling.values * phi.values * u.values), 3)
-            best_coupling = max(best_coupling, num_c / w**3)
-    if used == 0:
-        raise EstimationFailureError("all estimation samples had zero w2n norm")
+    if not (math.isfinite(p) and p > 1.0):
+        raise ValueError(f"p must be a finite number > 1, got {p}")
+    if not (math.isfinite(safety) and safety >= 1.0):
+        raise ValueError(f"safety must be a finite number >= 1, got {safety}")
+    grid = coupling.grid
+    e1 = first_eigenpair(grid)[0]
+    w = w2n_norm(e1)
+    # ||sign(u)|u|^p||_3 / w^p taken as ||(|u|/w)^p||_3, so w^p cannot overflow
+    power_ratio = lp_norm(ScalarField(grid, np.abs(e1.values / w) ** p), 3)
+    phi = compute_phi(e1, coupling)
+    num_c = lp_norm(ScalarField(grid, coupling.values * phi.values * e1.values), 3)
     return (
-        max(safety * best_coupling, CONSTANT_FLOOR),
-        max(safety * best_power, CONSTANT_FLOOR),
+        max(safety * (num_c / w**3), CONSTANT_FLOOR),
+        max(safety * power_ratio, CONSTANT_FLOOR),
     )
 
 
@@ -195,18 +135,16 @@ def max_forcing_norm(radius: float) -> float:
     return 0.5 * radius
 
 
-def make_ball(spec: ProblemSpec, samples: int, seed: int, safety: float = 2.0) -> BallSpec:
+def make_ball(p: float, coupling: ScalarField, safety: float = 2.0) -> BallSpec:
     """Estimate constants and assemble the certified BallSpec."""
-    coupling_constant, power_constant = estimate_constants(spec, samples, seed, safety)
-    radius = admissible_radius(coupling_constant, power_constant, spec.p)
+    coupling_constant, power_constant = estimate_constants(p, coupling, safety)
+    radius = admissible_radius(coupling_constant, power_constant, p)
     return BallSpec(
         coupling_constant=coupling_constant,
         power_constant=power_constant,
         radius=radius,
         forcing_bound=max_forcing_norm(radius),
-        p=spec.p,
-        sample_count=samples,
-        seed=seed,
+        p=p,
     )
 
 

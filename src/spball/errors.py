@@ -42,9 +42,5 @@ class InitializationFailureError(RuntimeError):
     """No starting point with negative energy could be certified."""
 
 
-class EstimationFailureError(RuntimeError):
-    """Constant estimation had no usable samples."""
-
-
 class ConfigError(ValueError):
     """Malformed experiment configuration."""

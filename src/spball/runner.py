@@ -77,6 +77,8 @@ class ExperimentConfig:
     coupling: dict
     forcing: dict
     safety: float = 2.0
+    # accepted and validated but select nothing: the ball constants come from
+    # the first eigenfunction alone; both go in schema_version 3
     samples: int = 64
     seed: int = 0
     descent: MinimizeOptions = field(default_factory=MinimizeOptions)
@@ -190,14 +192,12 @@ def _build_coupling(grid: DomainGrid, spec: dict) -> ScalarField:
     return float(value) * _sine_bump(grid)
 
 
-def _build_forcing(grid: DomainGrid, spec: dict, forcing_bound: float | None) -> ScalarField:
+def _build_forcing(grid: DomainGrid, spec: dict, forcing_bound: float) -> ScalarField:
     (kind, value), = spec.items()
     if kind == "constant":
         return ScalarField(grid, np.full(grid.shape, float(value)))
     if kind == "sine_bump":
         return float(value) * _sine_bump(grid)
-    if forcing_bound is None:
-        raise ValueError("scaled_to_bound needs the computed forcing bound")
     base = _sine_bump(grid)
     return (float(value) * forcing_bound / lp_norm(base, 3)) * base
 
@@ -213,7 +213,6 @@ class SolveReport:
     verification: VerificationReport
     wall_time: dict
     version: str
-    seeds: dict
 
     def to_dict(self) -> dict:
         return {
@@ -224,7 +223,6 @@ class SolveReport:
             "verification": self.verification.to_dict(),
             "wall_time": dict(self.wall_time),
             "version": self.version,
-            "seeds": dict(self.seeds),
         }
 
     @classmethod
@@ -237,7 +235,6 @@ class SolveReport:
             verification=VerificationReport.from_dict(data["verification"]),
             wall_time=dict(data["wall_time"]),
             version=data["version"],
-            seeds=dict(data["seeds"]),
         )
 
 
@@ -274,16 +271,10 @@ def run_experiment(
     t0 = time.perf_counter()
     grid = build_grid(config.grid_n)
     coupling = _build_coupling(grid, config.coupling)
-    probe_forcing = (
-        _build_forcing(grid, config.forcing, None)
-        if "scaled_to_bound" not in config.forcing
-        else _sine_bump(grid)
-    )
-    probe_spec = ProblemSpec(p=config.p, coupling=coupling, forcing=probe_forcing, grid=grid)
     timings["setup"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    ball = make_ball(probe_spec, config.samples, config.seed, config.safety)
+    ball = make_ball(config.p, coupling, config.safety)
     forcing = _build_forcing(grid, config.forcing, ball.forcing_bound)
     spec = ProblemSpec(p=config.p, coupling=coupling, forcing=forcing, grid=grid)
     timings["constants"] = time.perf_counter() - t0
@@ -305,7 +296,6 @@ def run_experiment(
         verification=report_v,
         wall_time=timings,
         version=__version__,
-        seeds={"estimation": config.seed},
     )
     if write_outputs:
         write_run_outputs(report, result, out_dir)

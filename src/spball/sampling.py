@@ -1,17 +1,15 @@
-"""Smoothed random interior fields for the constant estimation.
+"""Smoothed random interior fields for audits of the ball bounds.
 
 Each sample is a weighted random combination of low sine modes plus a
 smoothed noise component, drawn at several amplitudes. Fields come from a
 single seeded generator in a fixed draw order (mode coefficients, then
-noise), so a field does not depend on how many others are kept alive:
-`iter_smoothed_random_fields` yields one field at a time, and
-`smoothed_random_fields` is the same stream collected into a list.
+noise). The residual-bound audits rescale them into the ball, and the tests
+score them against the first eigenfunction, which sets the ball constants.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -23,8 +21,8 @@ _NOISE_WEIGHT = 0.25  # noise RMS relative to the smooth part's RMS
 _SMOOTHING_SWEEPS = 2
 
 
-def iter_smoothed_random_fields(grid: DomainGrid, count: int, seed: int) -> Iterator[ScalarField]:
-    """Yield `count` deterministic random fields on `grid`, one at a time."""
+def smoothed_random_fields(grid: DomainGrid, count: int, seed: int) -> list[ScalarField]:
+    """Deterministic list of `count` random fields on `grid`."""
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     rng = np.random.default_rng(seed)
@@ -38,6 +36,7 @@ def iter_smoothed_random_fields(grid: DomainGrid, count: int, seed: int) -> Iter
     ).astype(float)
     weights = 1.0 / k2
 
+    fields = []
     for i in range(count):
         coeffs = rng.standard_normal((_MAX_MODE,) * 3) * weights
         # contract one mode axis per pass: (a,b,c) -> (b,c,i) -> (c,i,j) -> (i,j,k)
@@ -57,9 +56,5 @@ def iter_smoothed_random_fields(grid: DomainGrid, count: int, seed: int) -> Iter
         # amp * (smooth + noise), formed in place
         smooth += noise
         smooth *= _AMPLITUDES[i % len(_AMPLITUDES)]
-        yield ScalarField(grid, smooth)
-
-
-def smoothed_random_fields(grid: DomainGrid, count: int, seed: int) -> list[ScalarField]:
-    """Deterministic list of `count` random fields on `grid`."""
-    return list(iter_smoothed_random_fields(grid, count, seed))
+        fields.append(ScalarField(grid, smooth))
+    return fields

@@ -51,15 +51,14 @@ def ball_samples(grid: DomainGrid, count: int, seed: int, radius: float) -> list
     return out
 
 
-def standard_problem(n=8, p=7.0, fraction=1.0, samples=12, seed=3):
+def standard_problem(n=8, p=7.0, fraction=1.0):
     """Constant coupling, sine-bump forcing scaled to a fraction of the bound."""
     from spball.grid import build_grid
 
     g = build_grid(n)
     coupling = ScalarField(g, np.ones(g.shape))
     bump, _ = first_eigenpair(g)
-    probe = ProblemSpec(p=p, coupling=coupling, forcing=bump, grid=g)
-    ball = make_ball(probe, samples=samples, seed=seed)
+    ball = make_ball(p, coupling)
     forcing = (fraction * ball.forcing_bound / lp_norm(bump, 3)) * bump
     spec = ProblemSpec(p=p, coupling=coupling, forcing=forcing, grid=g)
     return spec, ball

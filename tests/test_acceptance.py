@@ -161,7 +161,7 @@ def test_criterion_5_radius_certificates():
 def test_criterion_6_residual_bound_audit():
     with criterion(6, "residual bound on 100 fresh ball samples"):
         spec = constant_coupling_spec(8, 3.0)
-        ball = make_ball(spec, samples=64, seed=606, safety=2.0)
+        ball = make_ball(spec.p, spec.coupling, safety=2.0)
         fields = ball_samples(spec.grid, 100, seed=707, radius=ball.radius)
         assert len(fields) == 100
         for u in fields:

@@ -1,18 +1,15 @@
-"""Ball-constants tests: closed-form radii, bisection certificates, ratio
-dominance over the estimation family, the bounds that skip estimation solves
-and power passes, the one-field memory footprint of the streamed family, and
-the residual bound audit."""
+"""Ball-constants tests: closed-form radii, bisection certificates, the
+eigenfunction's constants against the best of 64 smoothed random fields,
+and the residual bound audit."""
 
 import functools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from spball import (
-    EstimationFailureError,
     OutsideBallError,
     ScalarField,
     build_grid,
@@ -20,16 +17,12 @@ from spball import (
     lp_norm,
     w2n_norm,
 )
-import spball.ball as ball_mod
 from spball.ball import (
     BallSpec,
     CONSTANT_FLOOR,
-    _green_row_sum_max,
-    _ratio_bounds,
     admissible_radius,
     check_residual_bound,
     estimate_constants,
-    estimation_fields,
     make_ball,
     max_forcing_norm,
 )
@@ -37,7 +30,7 @@ from spball.energy import ProblemSpec, _signed_power
 from spball.poisson import compute_phi
 from spball.sampling import smoothed_random_fields
 
-from conftest import ball_samples, dense_neg_laplacian
+from conftest import ball_samples
 
 
 def make_spec(n=6, p=3.0, coupling=1.0, forcing=1.0):
@@ -97,28 +90,30 @@ def test_ball_samples_lie_in_ball():
 # ---------------------------------------------------------------- estimation
 
 
+@functools.lru_cache(maxsize=None)
+def estimation_family(n, seed):
+    """The first eigenfunction, then 64 smoothed random fields."""
+    g = build_grid(n)
+    return (first_eigenpair(g)[0], *smoothed_random_fields(g, 64, seed))
+
+
 def test_estimate_constants_zero_coupling_hits_floor():
     spec = make_spec(coupling=0.0)
-    c_coupling, c_power = estimate_constants(spec, samples=5, seed=1)
+    c_coupling, c_power = estimate_constants(spec.p, spec.coupling)
     assert c_coupling == CONSTANT_FLOOR
     assert c_power > CONSTANT_FLOOR
 
 
 def test_estimate_constants_validation():
     spec = make_spec()
-    with pytest.raises(ValueError):
-        estimate_constants(spec, samples=0, seed=1)
-    with pytest.raises(ValueError):
-        estimate_constants(spec, samples=5, seed=1, safety=0.5)
-
-
-def test_estimate_constants_all_zero_samples(monkeypatch):
-    spec = make_spec()
-    monkeypatch.setattr(
-        ball_mod, "estimation_fields", lambda g, s, seed: [ScalarField.zeros(g)] * 3
-    )
-    with pytest.raises(EstimationFailureError):
-        estimate_constants(spec, samples=3, seed=1)
+    for safety in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="safety"):
+            estimate_constants(spec.p, spec.coupling, safety=safety)
+        with pytest.raises(ValueError, match="safety"):
+            make_ball(spec.p, spec.coupling, safety=safety)
+    for p in (1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="p must"):
+            estimate_constants(p, spec.coupling)
 
 
 def test_estimation_ratios_scale_invariant():
@@ -136,11 +131,10 @@ def test_estimation_ratios_scale_invariant():
 
 
 def test_estimate_constants_dominate_family():
-    # safety = 2 means every sampled ratio sits at or below constant/2
+    # safety = 2 means every ratio in the family sits at or below constant/2
     spec = make_spec(p=3.0)
-    samples, seed = 8, 5
-    c_coupling, c_power = estimate_constants(spec, samples, seed, safety=2.0)
-    for u in estimation_fields(spec.grid, samples, seed):
+    c_coupling, c_power = estimate_constants(spec.p, spec.coupling, safety=2.0)
+    for u in estimation_family(spec.grid.n, seed=5):
         w = w2n_norm(u)
         phi = compute_phi(u, spec.coupling)
         rc = lp_norm(ScalarField(spec.grid, spec.coupling.values * phi.values * u.values), 3) / w**3
@@ -166,106 +160,50 @@ def coupling_ratio(u, spec):
     return num / w2n_norm(u) ** 3
 
 
-@functools.lru_cache(maxsize=None)
-def green_row_sum_max(n):
-    # tau = max (-Delta_h)^-1 1 from the dense matrix, independent of the transform solve
-    return float(np.linalg.solve(dense_neg_laplacian(n), np.ones((n - 1) ** 3)).max())
-
-
-@pytest.mark.parametrize("n", [4, 6, 8])
-def test_green_row_sum_max_matches_dense_oracle(n):
-    assert_allclose(_green_row_sum_max(build_grid(n)), green_row_sum_max(n), rtol=1e-12)
-
-
-@pytest.mark.parametrize("seed", [3, 11])
-@pytest.mark.parametrize("kind", ["constant", "sine_bump"])
-@pytest.mark.parametrize("n", [6, 8, 12])
-def test_coupling_ratio_bound_dominates_family(n, kind, seed):
-    spec = coupling_spec(n, kind)
-    coupling_max = float(np.abs(spec.coupling.values).max())
-    tau = green_row_sum_max(n)
-    for u in estimation_fields(spec.grid, 64, seed):
-        w = w2n_norm(u)
-        coupling_bound, _ = _ratio_bounds(u, w, coupling_max, tau, spec.p)
-        assert coupling_bound >= coupling_ratio(u, spec)
-
-
-@pytest.mark.parametrize("p", [1.5, 3.0, 7.0, 400.0])
-@pytest.mark.parametrize("n", [6, 8, 12])
-def test_power_ratio_bound_dominates_family(n, p):
-    g = build_grid(n)
-    for seed in (3, 11):
-        for u in estimation_fields(g, 64, seed):
-            w = w2n_norm(u)
-            _, power_bound = _ratio_bounds(u, w, 1.0, 1.0, p)
-            # the pass the bound skips
-            assert power_bound >= lp_norm(ScalarField(g, np.abs(u.values / w) ** p), 3)
-            # the inequality itself, in log space, where p = 400 does not underflow
-            a = 3.0 * p * np.log(np.abs(u.values[u.values != 0.0]) / w)
-            log_ratio = (a.max() + math.log(np.exp(a - a.max()).sum()) + math.log(g.h**3)) / 3.0
-            log_bound = (p - 1.0) * math.log(np.abs(u.values).max() / w)
-            log_bound += math.log(lp_norm(u, 3) / w)
-            assert log_bound >= log_ratio - 1e-12 * abs(log_ratio)
-
-
-# p = 7 cases carry no p suffix, so their ids stay stable
+# p = 7 cases carry no p suffix; p = 1.01 leaves the power ratio the least margin
 NO_SKIP_CASES = [
-    pytest.param(
-        n, kind, seed, reverse, p,
-        id=f"{n}-{kind}-{seed}-{reverse}" + ("" if p == 7.0 else f"-p{p:g}"),
-    )
-    for p in (7.0, 3.0, 400.0)
+    pytest.param(n, kind, seed, p, id=f"{n}-{kind}-{seed}" + ("" if p == 7.0 else f"-p{p:g}"))
+    for p in (7.0, 3.0, 1.01, 400.0)
     for n in (6, 8, 12)
     for kind in ("constant", "sine_bump", "zero")
     for seed in (3, 11)
-    for reverse in (False, True)
 ]
 
 
-@pytest.mark.parametrize("n, kind, seed, reverse, p", NO_SKIP_CASES)
-def test_estimate_constants_match_no_skip_oracle(n, kind, seed, reverse, p, monkeypatch):
-    # every potential solved and every power pass run, written inline: the
-    # skips must not change a bit; reversed, the winning eigenfunction comes
-    # last and must not be skipped
+@functools.lru_cache(maxsize=None)
+def family_best_coupling_ratio(n, kind, seed):
+    # independent of p, so the four exponents share one set of solves
+    spec = coupling_spec(n, kind)
+    return max(coupling_ratio(u, spec) for u in estimation_family(n, seed))
+
+
+@pytest.mark.parametrize("n, kind, seed, p", NO_SKIP_CASES)
+def test_estimate_constants_match_no_skip_oracle(n, kind, seed, p):
+    # the maxima over the eigenfunction and 64 smoothed random fields, every
+    # potential solved and every power pass run, written inline: the
+    # eigenfunction alone must give the same constants to the bit
     spec = coupling_spec(n, kind, p)
-    family = list(estimation_fields(spec.grid, 64, seed))
-    if reverse:
-        monkeypatch.setattr(ball_mod, "estimation_fields", lambda g, s, sd: family[::-1])
-    best_c = best_p = 0.0
-    for u in family:
+    best_c = family_best_coupling_ratio(n, kind, seed)
+    best_p = 0.0
+    for u in estimation_family(n, seed):
         w = w2n_norm(u)
-        best_c = max(best_c, coupling_ratio(u, spec))
         best_p = max(best_p, lp_norm(ScalarField(spec.grid, np.abs(u.values / w) ** spec.p), 3))
     expected = (max(2.0 * best_c, CONSTANT_FLOOR), max(2.0 * best_p, CONSTANT_FLOOR))
-    assert estimate_constants(spec, 64, seed) == expected
+    assert estimate_constants(spec.p, spec.coupling) == expected
     if kind == "zero":
         assert expected[0] == CONSTANT_FLOOR
 
 
 def test_make_ball_solve_count(solve_counter):
-    # the eigenfunction's potential and tau; the bound rules out all 64 sampled fields
+    # the eigenfunction's potential is the only solve
     spec = make_spec(n=8, p=7.0)
-    _, count = solve_counter(make_ball, spec, samples=64, seed=3)
-    assert count == 2
-
-
-def test_estimate_constants_holds_one_field_at_a_time():
-    # the streamed family keeps a few field-sized arrays alive, not all 65 fields
-    spec = make_spec(n=16, p=7.0)
-    field_bytes = np.zeros(spec.grid.shape).nbytes
-    estimate_constants(spec, 1, seed=3)  # one-time allocations (lazy imports) stay out
-    tracemalloc.start()
-    try:
-        estimate_constants(spec, 64, seed=3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak / field_bytes < 16
+    _, count = solve_counter(make_ball, spec.p, spec.coupling)
+    assert count == 1
 
 
 def test_estimate_constants_deterministic():
     spec = make_spec(p=7.0)
-    assert estimate_constants(spec, 6, seed=2) == estimate_constants(spec, 6, seed=2)
+    assert estimate_constants(spec.p, spec.coupling) == estimate_constants(spec.p, spec.coupling)
 
 
 # ---------------------------------------------------------------- radius
@@ -333,24 +271,23 @@ def test_max_forcing_norm():
 
 
 def test_ball_spec_invariants_enforced():
-    BallSpec(1.0, 1.0, 0.5, 0.25, 3.0, 4, 0)  # exact root is fine
+    BallSpec(1.0, 1.0, 0.5, 0.25, 3.0)  # exact root is fine
     with pytest.raises(ValueError):
-        BallSpec(1.0, 1.0, 0.6, 0.25, 3.0, 4, 0)  # violates the radius inequality
+        BallSpec(1.0, 1.0, 0.6, 0.25, 3.0)  # violates the radius inequality
     with pytest.raises(ValueError):
-        BallSpec(1.0, 1.0, 0.5, 0.3, 3.0, 4, 0)  # forcing bound too large
+        BallSpec(1.0, 1.0, 0.5, 0.3, 3.0)  # forcing bound too large
     with pytest.raises(ValueError):
-        BallSpec(-1.0, 1.0, 0.5, 0.25, 3.0, 4, 0)
+        BallSpec(-1.0, 1.0, 0.5, 0.25, 3.0)
 
 
 def test_make_ball_consistent():
     spec = make_spec(p=7.0)
-    ball = make_ball(spec, samples=6, seed=3)
+    ball = make_ball(spec.p, spec.coupling)
     assert ball.forcing_bound == 0.5 * ball.radius
     assert ball.p == spec.p
-    assert ball.sample_count == 6
     # floor-constant couplings produce enormous but still valid radii
     spec0 = make_spec(coupling=0.0, p=7.0)
-    ball0 = make_ball(spec0, samples=6, seed=3)
+    ball0 = make_ball(spec0.p, spec0.coupling)
     assert ball0.radius > ball.radius
 
 
@@ -359,7 +296,7 @@ def test_make_ball_consistent():
 
 def test_check_residual_bound_zero_field():
     spec = make_spec()
-    ball = make_ball(spec, samples=5, seed=7)
+    ball = make_ball(spec.p, spec.coupling)
     lhs, rhs, holds = check_residual_bound(ScalarField.zeros(spec.grid), ball, spec)
     assert holds
     assert_allclose(lhs, lp_norm(spec.forcing, 3), rtol=1e-12)
@@ -367,10 +304,10 @@ def test_check_residual_bound_zero_field():
 
 
 def test_check_residual_bound_boundary_eigenfunction():
-    # the eigenfunction is in the estimation family, so the bound must hold
-    # with factor-2 headroom even on the ball boundary
+    # the eigenfunction sets both constants, so the bound must hold with
+    # factor-2 headroom even on the ball boundary
     spec = make_spec(p=7.0)
-    ball = make_ball(spec, samples=5, seed=7)
+    ball = make_ball(spec.p, spec.coupling)
     e1, _ = first_eigenpair(spec.grid)
     u = (ball.radius / w2n_norm(e1)) * e1
     lhs, rhs, holds = check_residual_bound(u, ball, spec)
@@ -379,7 +316,7 @@ def test_check_residual_bound_boundary_eigenfunction():
 
 def test_check_residual_bound_random_audit():
     spec = make_spec(p=3.0)
-    ball = make_ball(spec, samples=8, seed=1)
+    ball = make_ball(spec.p, spec.coupling)
     for u in ball_samples(spec.grid, 20, seed=77, radius=ball.radius):
         lhs, rhs, holds = check_residual_bound(u, ball, spec)
         assert holds, (lhs, rhs)
@@ -387,7 +324,7 @@ def test_check_residual_bound_random_audit():
 
 def test_check_residual_bound_outside_ball_raises():
     spec = make_spec()
-    ball = make_ball(spec, samples=5, seed=7)
+    ball = make_ball(spec.p, spec.coupling)
     e1, _ = first_eigenpair(spec.grid)
     outside = (2.0 * ball.radius / w2n_norm(e1)) * e1
     with pytest.raises(OutsideBallError):

@@ -141,8 +141,10 @@ def test_run_experiment_passes_and_writes_outputs(small_run):
 def test_run_experiment_report_contents(small_run):
     cfg, report, _ = small_run
     assert report.config == cfg
-    assert set(report.seeds) == {"estimation"}
-    assert report.seeds["estimation"] == cfg.seed
+    assert "seeds" not in report.to_dict()
+    assert set(report.to_dict()["ball"]) == {
+        "coupling_constant", "power_constant", "radius", "forcing_bound", "p"
+    }
     assert report.version
     assert set(report.wall_time) == {"setup", "constants", "minimize", "verify", "total"}
     assert all(t >= 0.0 for t in report.wall_time.values())
@@ -162,6 +164,27 @@ def test_run_experiment_deterministic_modulo_wall_time(small_run, tmp_path):
     a, b = report.to_dict(), again.to_dict()
     a.pop("wall_time"), b.pop("wall_time")
     assert a == b
+
+
+def test_samples_and_seed_select_nothing(tmp_path):
+    # both stay in the schema, but the ball constants come from the
+    # eigenfunction alone: the outputs match byte for byte outside the
+    # config echo and the wall times
+    outputs = []
+    for samples, seed in ((1, 3), (64, 41)):
+        out = tmp_path / f"samples{samples}-seed{seed}"
+        cfg = small_config(grid_n=8, p=7.0, forcing={"scaled_to_bound": 0.5},
+                           samples=samples, seed=seed)
+        run_experiment(cfg, out_dir=out)
+        text = (out / "report.json").read_text()
+        data = json.loads(text)
+        assert text == json.dumps(data, indent=2, sort_keys=True) + "\n"
+        config = data.pop("config")
+        assert (config["samples"], config["seed"]) == (samples, seed)
+        del data["wall_time"], config["samples"], config["seed"]
+        outputs.append((json.dumps(data, indent=2, sort_keys=True), config,
+                        (out / "trace.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_run_experiment_forcing_too_large():
@@ -270,7 +293,8 @@ def test_cli_run_seed_override_changes_report(tmp_path):
     rb = json.loads((tmp_path / "b" / "report.json").read_text())
     assert ra["config"]["seed"] == 7
     assert rb["config"]["seed"] == 99
-    assert ra["ball"] != rb["ball"]
+    # the seed is echoed but selects nothing: the ball constants come from the eigenfunction
+    assert ra["ball"] == rb["ball"]
 
 
 def test_cli_run_failure_exit_codes(tmp_path, capsys):

@@ -91,7 +91,7 @@ def test_escaping_auxiliary_image_fails_aux_in_ball():
         forcing=ScalarField(g, np.ones(g.shape)),
         grid=g,
     )
-    tiny = BallSpec(1.0, 1.0, 0.01, 0.005, 3.0, 1, 0)
+    tiny = BallSpec(1.0, 1.0, 0.01, 0.005, 3.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         aux = auxiliary_solve(evaluate(ScalarField.zeros(g), spec), tiny)
@@ -170,7 +170,7 @@ def test_vi_detects_non_minimizer():
 def test_vi_gap_is_the_infimum_over_the_old_probe_family(n, p, scale):
     # the probes the sampled audit used, with its per-probe gap written inline:
     # the gap at aux equals the closed form and no probe falls below it
-    spec, ball = standard_problem(n=n, p=p, fraction=0.5, samples=64, seed=3)
+    spec, ball = standard_problem(n=n, p=p, fraction=0.5)
     s = evaluate(scale * minimize(spec, ball).minimizer, spec)
     aux = auxiliary_solve(s, ball)
     u = s.u
