@@ -9,10 +9,11 @@ minimizing the H1 norm of g - dg gamma, the trial is T(u) - dT gamma. The
 differences come from gradients already computed, so the trial costs no
 extra solve. A trial that leaves the ball is pulled back by radial
 retraction. If the mixed trial does not strictly decrease the energy, the
-history is cleared and the plain step u - step g backtracks from
-initial_step until the energy strictly decreases. The iteration stops on a zero gradient, a small
-displacement, a negligible relative energy drop, no decrease at any step,
-or the iteration budget; MinimizeResult.stop_reason says which.
+history is cleared and the plain step u - step g backtracks from 1 by halves
+until the energy strictly decreases. The one convergence test is verify's:
+the descent stops converged (fixed_point) when fixed_point_residual of g and
+pde_residual pass FP_THRESHOLD and PDE_THRESHOLD, and otherwise when no step
+lowers the energy (no_decrease) or the iteration budget is spent (budget).
 """
 
 from __future__ import annotations
@@ -40,8 +41,11 @@ from .grid import (
     neg_laplacian_array,
     w2n_norm,
 )
+from .verify import FP_THRESHOLD, PDE_THRESHOLD, fixed_point_residual, pde_residual
 
-_MIN_STEP_FACTOR = 1e-18
+_INITIAL_STEP = 1.0
+_BACKTRACK_FACTOR = 0.5
+_MIN_STEP = 1e-18
 _INITIAL_T_GRID = 400
 _MIXING_DEPTH = 3  # Anderson history length m
 
@@ -49,24 +53,10 @@ _MIXING_DEPTH = 3  # Anderson history length m
 @dataclass(frozen=True)
 class MinimizeOptions:
     max_iters: int = 5000
-    grad_tol: float = 1e-8  # displacement threshold in the H1 seminorm
-    energy_tol: float = 1e-12  # relative energy-decrease threshold
-    backtrack_factor: float = 0.5
-    initial_step: float = 1.0
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be positive, got {self.max_iters}")
-        if not self.grad_tol > 0.0:
-            raise ValueError(f"grad_tol must be positive, got {self.grad_tol}")
-        if not self.energy_tol > 0.0:
-            raise ValueError(f"energy_tol must be positive, got {self.energy_tol}")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError(
-                f"backtrack_factor must lie in (0, 1), got {self.backtrack_factor}"
-            )
-        if not self.initial_step > 0.0:
-            raise ValueError(f"initial_step must be positive, got {self.initial_step}")
+        if type(self.max_iters) is not int or self.max_iters < 1:  # a bool is no budget
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
 
 
 @dataclass(frozen=True)
@@ -75,9 +65,10 @@ class MinimizeResult:
 
     trace rows are (iteration, energy, accepted step, H1 displacement);
     row 0 records the starting point with step and displacement zero, and an
-    accepted mixed trial records step 1. stop_reason is one of zero_gradient,
-    displacement, energy_drop, no_decrease and budget; only budget leaves
-    converged False. mixed_steps counts the accepted mixed trials.
+    accepted mixed trial records step 1. stop_reason is one of fixed_point,
+    no_decrease and budget; converged means fixed_point, so a converged
+    minimizer passes verify's fixed_point and pde gates. mixed_steps counts
+    the accepted mixed trials.
     """
 
     minimizer: ScalarField
@@ -183,16 +174,16 @@ class _MixingHistory:
 
 
 def _backtrack(s: FieldState, g: ScalarField, current: float, spec: ProblemSpec,
-               ball: BallSpec, opts: MinimizeOptions):
-    """The first plain step u - step g, from initial_step down by backtrack_factor,
+               ball: BallSpec):
+    """The first plain step u - step g, from _INITIAL_STEP down by _BACKTRACK_FACTOR,
     whose retracted trial strictly lowers the energy; None when none does."""
-    step = opts.initial_step
-    while step >= _MIN_STEP_FACTOR * opts.initial_step:
+    step = _INITIAL_STEP
+    while step >= _MIN_STEP:
         candidate = evaluate(retract_to_ball(s.u - step * g, ball.radius), spec)
         cand_energy = energy(candidate, spec).total
         if cand_energy < current:
             return candidate, cand_energy, step
-        step *= opts.backtrack_factor
+        step *= _BACKTRACK_FACTOR
     return None
 
 
@@ -223,13 +214,15 @@ def minimize(
     trace = [(0, current, 0.0, 0.0)]
     iterations = 0
     mixed_steps = 0
-    stop_reason = "budget"
     history = _MixingHistory(spec.grid.h)
 
-    while iterations < opts.max_iters:
+    while True:
         g = gradient_field(s)
-        if grad_l2_norm(g) == 0.0:
-            stop_reason = "zero_gradient"
+        if fixed_point_residual(s.u, g) <= FP_THRESHOLD and pde_residual(s, spec) <= PDE_THRESHOLD:
+            stop_reason = "fixed_point"
+            break
+        if iterations == opts.max_iters:
+            stop_reason = "budget"
             break
         history.push(g.values, s.u.values)
 
@@ -244,32 +237,24 @@ def minimize(
             else:
                 history.clear()
         if accepted is None:
-            accepted = _backtrack(s, g, current, spec, ball, opts)
+            accepted = _backtrack(s, g, current, spec, ball)
         if accepted is None:
-            # no strict decrease at any step: numerically stationary
+            # no step strictly lowers the energy, yet the residual gates fail
             stop_reason = "no_decrease"
             break
 
         candidate, cand_energy, step = accepted
         displacement = grad_l2_norm(candidate.u - s.u)
-        drop = current - cand_energy
         s, current = candidate, cand_energy
         iterations += 1
         trace.append((iterations, current, step, displacement))
-
-        if displacement < opts.grad_tol:
-            stop_reason = "displacement"
-            break
-        if drop < opts.energy_tol * max(abs(current), 1e-300):
-            stop_reason = "energy_drop"
-            break
 
     return MinimizeResult(
         minimizer=s.u,
         energy=current,
         iterations=iterations,
         trace=tuple(trace),
-        converged=stop_reason != "budget",
+        converged=stop_reason == "fixed_point",
         on_boundary=abs(w2n_norm(s.u) - ball.radius) <= 1e-8,
         stop_reason=stop_reason,
         mixed_steps=mixed_steps,

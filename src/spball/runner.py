@@ -42,10 +42,8 @@ def _validate_field_spec(spec: dict, kinds: tuple[str, ...], label: str) -> None
     (kind, value), = spec.items()
     if kind not in kinds:
         raise ConfigError(f"unknown {label} kind {kind!r}; expected one of {kinds}")
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{label}.{kind} must be a number, got {value!r}") from None
+    if not _is_number(value):
+        raise ConfigError(f"{label}.{kind} must be a number, got {value!r}")
     if not math.isfinite(value):
         raise ConfigError(f"{label}.{kind} must be finite")
     if kind == "constant" and label == "coupling":
@@ -320,7 +318,13 @@ def write_run_outputs(
 
 
 def load_report(path: str | Path) -> SolveReport:
-    return SolveReport.from_dict(json.loads(Path(path).read_text()))
+    """Read a report.json; another version's format raises a ConfigError naming
+    the file and the first unexpected or missing key."""
+    try:
+        return SolveReport.from_dict(json.loads(Path(path).read_text()))
+    except (KeyError, TypeError, ConfigError) as exc:
+        problem = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ConfigError(f"{path} is not a spball {__version__} report: {problem}") from None
 
 
 # ---------------------------------------------------------------- study

@@ -8,6 +8,8 @@ when the auxiliary solution coincides with it in the relative H1 seminorm,
 the strong residual is small against the forcing, the variational
 inequality's infimum over the whole ball, taken in closed form, is not
 negative beyond a slack, and the potential's structural properties hold.
+minimize stops on fixed_point_residual and pde_residual at FP_THRESHOLD and
+PDE_THRESHOLD, so a run it calls converged passes those two gates.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from .grid import (
 )
 from .poisson import compute_phi, solve_dirichlet_poisson
 
+FP_THRESHOLD = 1e-6
+PDE_THRESHOLD = 1e-5
 AUX_BALL_SLACK = 1e-8
 VI_SLACK = 1e-8
 _PHI_SAFETY = 2.0
@@ -75,9 +79,9 @@ def auxiliary_solve(s: FieldState, ball: BallSpec) -> ScalarField:
     return solve_dirichlet_poisson(s.rhs).field
 
 
-def fixed_point_residual(u: ScalarField, aux: ScalarField) -> float:
-    """Relative H1-seminorm distance between the candidate and its image."""
-    return grad_l2_norm(aux - u) / max(grad_l2_norm(u), 1e-30)
+def fixed_point_residual(u: ScalarField, g: ScalarField) -> float:
+    """Relative H1-seminorm size ||grad g|| / ||grad u|| of g = u - T(u)."""
+    return grad_l2_norm(g) / max(grad_l2_norm(u), 1e-30)
 
 
 def pde_residual(s: FieldState, spec: ProblemSpec) -> float:
@@ -143,15 +147,15 @@ def verify(
     u: ScalarField,
     spec: ProblemSpec,
     ball: BallSpec,
-    fp_threshold: float = 1e-6,
-    pde_threshold: float = 1e-5,
+    fp_threshold: float = FP_THRESHOLD,
+    pde_threshold: float = PDE_THRESHOLD,
 ) -> VerificationReport:
     """Full verification of a candidate minimizer. One report, no shortcuts."""
     s = evaluate(u, spec)
     aux = auxiliary_solve(s, ball)
     aux_in_ball = w2n_norm(aux) <= ball.radius + AUX_BALL_SLACK
 
-    fp_res = fixed_point_residual(u, aux)
+    fp_res = fixed_point_residual(u, u - aux)
     pde_res = pde_residual(s, spec)
     vi_gap = variational_inequality_check(s, aux)
     nonneg_ok, scaling_ok, bound_ok = phi_property_check(s, spec)

@@ -1,6 +1,9 @@
 """Constrained-descent tests: retraction geometry, certified initialization,
 monotone traces, ball confinement, determinism, local minimality, the
-Anderson-mixed step and its fallback, and the reported stop reason."""
+Anderson-mixed step and its fallback, and the stop rule: converged means
+the verifier's fixed_point and pde gates pass."""
+
+import importlib
 
 import numpy as np
 import pytest
@@ -27,8 +30,12 @@ from spball.minimize import (
 )
 from spball.runner import ExperimentConfig, run_experiment
 from spball.sampling import smoothed_random_fields
+from spball.verify import FP_THRESHOLD, PDE_THRESHOLD
 
 from conftest import random_field, standard_problem
+
+# the package exports the minimize function under the submodule's name
+minimize_mod = importlib.import_module("spball.minimize")
 
 
 # ---------------------------------------------------------------- options
@@ -36,16 +43,15 @@ from conftest import random_field, standard_problem
 
 def test_options_validation():
     MinimizeOptions()
-    for kw in (
-        {"max_iters": 0},
-        {"grad_tol": 0.0},
-        {"energy_tol": 0.0},
-        {"backtrack_factor": 1.0},
-        {"backtrack_factor": 0.0},
-        {"initial_step": 0.0},
-    ):
-        with pytest.raises(ValueError):
-            MinimizeOptions(**kw)
+    MinimizeOptions(max_iters=1)
+    # the budget is the only option; a float, a bool or a numeric string is no budget
+    for value in (0, -1, 2.5, True, "5", None):
+        with pytest.raises(ValueError, match="max_iters"):
+            MinimizeOptions(max_iters=value)
+    # the old stop rule's and line search's knobs are gone
+    for key in ("grad_tol", "energy_tol", "backtrack_factor", "initial_step"):
+        with pytest.raises(TypeError, match=key):
+            MinimizeOptions(**{key: 0.5})
 
 
 # ---------------------------------------------------------------- retraction
@@ -118,7 +124,8 @@ def test_minimize_zero_forcing_diagnostic():
     assert res.energy == 0.0
     assert np.all(res.minimizer.values == 0.0)
     assert res.trace == ((0, 0.0, 0.0, 0.0),)
-    assert res.stop_reason == "zero_gradient"
+    # a zero gradient has fixed-point residual 0
+    assert res.stop_reason == "fixed_point"
     assert res.mixed_steps == 0
 
 
@@ -155,7 +162,7 @@ def test_minimize_standard_run(p):
     energies = [row[1] for row in res.trace]
     assert all(b < a for a, b in zip(energies, energies[1:]))
     assert res.trace[0] == (0, energies[0], 0.0, 0.0)
-    assert res.stop_reason in ("energy_drop", "displacement")
+    assert res.stop_reason == "fixed_point"
     assert 1 <= res.mixed_steps < res.iterations  # the first iteration has no history
 
 
@@ -170,11 +177,71 @@ def test_minimize_trace_is_deterministic():
 
 def test_minimize_iteration_budget_flags_nonconvergence():
     spec, ball = standard_problem(p=3.0)
-    res = minimize(spec, ball, MinimizeOptions(max_iters=1, grad_tol=1e-14, energy_tol=1e-16))
+    res = minimize(spec, ball, MinimizeOptions(max_iters=1))
     assert res.iterations == 1
     assert not res.converged
     assert res.stop_reason == "budget"
     assert isinstance(res, MinimizeResult)
+
+
+def test_minimize_stall_is_not_converged(monkeypatch):
+    # no mixed trial and no backtracked step lowers the energy: the descent
+    # stops where it started, above the fixed-point target
+    monkeypatch.setattr(_MixingHistory, "mixed", lambda self, g, u: u)
+    monkeypatch.setattr(minimize_mod, "_backtrack", lambda *args: None)
+    spec, ball = standard_problem(p=3.0)
+    res = minimize(spec, ball)
+    assert res.stop_reason == "no_decrease"
+    assert not res.converged
+    assert res.iterations == 0
+
+
+# n=6, p=7 with a 1e8 sine-bump coupling: the displacement rule once stopped
+# it after 1 iteration as converged, and verification then failed fixed_point
+# and pde (fp 4.0e-4)
+STIFF_COUPLING_N6 = {
+    "grid_n": 6,
+    "p": 7.0,
+    "coupling": {"sine_bump": 1e8},
+    "forcing": {"scaled_to_bound": 0.5},
+    "samples": 16,
+    "seed": 3,
+}
+
+
+def test_stiff_coupling_converges_only_when_verified():
+    report = run_experiment(ExperimentConfig.from_dict(STIFF_COUPLING_N6), write_outputs=False)
+    assert report.minimize_summary["converged"]
+    assert report.minimize_summary["stop_reason"] == "fixed_point"
+    assert report.verification.passed
+
+
+@pytest.mark.parametrize("n", [6, 8, 12])
+@pytest.mark.parametrize("p", [1.5, 3.0, 7.0])
+@pytest.mark.parametrize("coupling", [{"constant": 1}, {"sine_bump": 1e3}])
+@pytest.mark.parametrize("fraction, safety", [(1.0, 1.0), (0.5, 2.0)])
+def test_converged_runs_pass_the_residual_gates(monkeypatch, n, p, coupling, fraction, safety):
+    # the descent's last fixed-point residual is verify's, bit for bit: both
+    # come from the same evaluation and solve of the same field
+    seen = []
+    fp = minimize_mod.fixed_point_residual
+
+    def recording(u, g):
+        seen.append(fp(u, g))
+        return seen[-1]
+
+    monkeypatch.setattr(minimize_mod, "fixed_point_residual", recording)
+    cfg = ExperimentConfig.from_dict({
+        "grid_n": n, "p": p, "coupling": coupling,
+        "forcing": {"scaled_to_bound": fraction}, "safety": safety,
+    })
+    report = run_experiment(cfg, write_outputs=False)
+    ver = report.verification
+    assert report.minimize_summary["converged"]
+    assert seen[-1] == ver.fixed_point_rel_residual
+    assert ver.fixed_point_rel_residual <= FP_THRESHOLD == ver.fp_threshold
+    assert ver.pde_rel_residual <= PDE_THRESHOLD == ver.pde_threshold
+    assert not {"fixed_point", "pde"} & set(ver.failed_checks)
 
 
 def test_minimize_local_minimality_spot_check():
@@ -191,13 +258,14 @@ def test_minimize_local_minimality_spot_check():
 @pytest.mark.parametrize("p", [3.0, 7.0])
 def test_minimize_solve_count(p, solve_counter):
     # guards against a re-added solve: the initial guess takes two (the
-    # eigenfunction's potential and the certified candidate's state), and each
-    # iteration one gradient solve plus one state per line-search trial
+    # eigenfunction's potential and the certified candidate's state), each
+    # iteration one gradient solve plus one state per line-search trial, and
+    # the gradient at the last iterate one more for the stop test
     spec, ball = standard_problem(n=8, p=p)
     res, count = solve_counter(minimize, spec, ball)
     assert res.iterations >= 1
     assert all(row[2] == 1.0 for row in res.trace[1:])  # no backtracking
-    assert count == 2 + 2 * res.iterations
+    assert count == 3 + 2 * res.iterations
 
 
 # ---------------------------------------------------------------- mixed step
@@ -212,16 +280,16 @@ DESCENT_N8 = {
     "samples": 1,
     "seed": 3,
 }
-# the plain descent's minimum energy on DESCENT_N8, reached in 11 iterations
-PLAIN_DESCENT_N8_ENERGY = -11.206300255059189
+# the plain descent's minimum energy on DESCENT_N8, reached in 10 iterations
+PLAIN_DESCENT_N8_ENERGY = -11.206300255050534
 
 
 def test_mixed_descent_reaches_the_plain_minimizer_in_fewer_iterations():
     report = run_experiment(ExperimentConfig.from_dict(DESCENT_N8), write_outputs=False)
     assert report.verification.passed
-    assert report.minimize_summary["iterations"] <= 6
+    assert report.minimize_summary["iterations"] <= 5
     assert report.minimize_summary["mixed_steps"] == report.minimize_summary["iterations"] - 1
-    assert report.minimize_summary["stop_reason"] in ("energy_drop", "displacement")
+    assert report.minimize_summary["stop_reason"] == "fixed_point"
     assert report.energy == pytest.approx(PLAIN_DESCENT_N8_ENERGY, rel=1e-10, abs=0.0)
 
 
@@ -250,7 +318,7 @@ def test_rejected_mixed_trial_falls_back_to_the_plain_step(monkeypatch, solve_co
     summary = report.minimize_summary
     assert summary["mixed_steps"] == 0
     assert trials == cleared == summary["iterations"] - 1
-    assert summary["iterations"] == 11
+    assert summary["iterations"] == 10
     assert report.energy == PLAIN_DESCENT_N8_ENERGY
     assert report.verification.passed
 
@@ -260,8 +328,8 @@ def test_rejected_mixed_trial_falls_back_to_the_plain_step(monkeypatch, solve_co
     assert all(b < a for a, b in zip(energies, energies[1:]))
     assert res.mixed_steps == 0
     assert all(row[2] == 1.0 for row in res.trace[1:])
-    # each rejected mixed trial costs one state solve on top of 2 + 2 * iterations
-    assert count == 2 + 2 * res.iterations + (res.iterations - 1)
+    # each rejected mixed trial costs one state solve on top of 3 + 2 * iterations
+    assert count == 3 + 2 * res.iterations + (res.iterations - 1)
 
 
 def test_mixing_history_keeps_the_last_three_steps():

@@ -14,6 +14,7 @@ import pytest
 
 from spball import ConfigError, ForcingTooLargeError
 from spball.cli import main
+from spball.version import __version__
 from spball.runner import (
     ExperimentConfig,
     SolveReport,
@@ -78,7 +79,7 @@ def test_config_field_spec_validation():
 
 def test_config_bad_tolerances():
     data = small_config().to_dict()
-    data["tolerances"]["descent"]["backtrack_factor"] = 2.0
+    data["tolerances"]["descent"]["max_iters"] = 0
     with pytest.raises(ConfigError, match="bad tolerances"):
         ExperimentConfig.from_dict(data)
     data = small_config().to_dict()
@@ -156,6 +157,33 @@ def test_report_json_round_trip(small_run):
     cfg, report, out = small_run
     loaded = load_report(out / "report.json")
     assert loaded == report
+
+
+def test_load_report_rejects_another_versions_format(small_run, tmp_path):
+    cfg, report, out = small_run
+    # a report written while the ball carried the sampled family's settings
+    old = report.to_dict()
+    old["ball"].update(sample_count=64, seed=7)
+    old["version"] = "0.1.0"
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(old))
+    with pytest.raises(ConfigError, match="sample_count") as excinfo:
+        load_report(path)
+    assert str(path) in str(excinfo.value)
+    # a report with a section missing names that section
+    data = report.to_dict()
+    del data["verification"]
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match="missing key 'verification'"):
+        load_report(path)
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    with (root / "pyproject.toml").open("rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["version"] == __version__
 
 
 def test_run_experiment_deterministic_modulo_wall_time(small_run, tmp_path):
@@ -278,9 +306,8 @@ def test_cli_run_success(tmp_path, capsys):
     assert code == 0
     assert "verification PASSED" in captured.out
     report = load_report(tmp_path / "out" / "report.json")
-    stop_reason = report.minimize_summary["stop_reason"]
-    assert stop_reason in ("energy_drop", "displacement")
-    assert f"converged=True  stop_reason={stop_reason}\n" in captured.out
+    assert report.minimize_summary["stop_reason"] == "fixed_point"
+    assert "converged=True  stop_reason=fixed_point\n" in captured.out
     assert report.minimize_summary["mixed_steps"] >= 0
     assert (tmp_path / "out" / "trace.csv").exists()
 
@@ -319,6 +346,27 @@ def test_cli_run_failure_exit_codes(tmp_path, capsys):
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert f"{key} must be a number" in capsys.readouterr().err
+    # a field-spec value must be a JSON number too; a bool or a numeric string is not
+    for key, spec in (("coupling", {"constant": True}), ("coupling", {"constant": "1e3"}),
+                      ("forcing", {"scaled_to_bound": "0.5"})):
+        data = json.loads(write_config(tmp_path).read_text())
+        data[key] = spec
+        path.write_text(json.dumps(data))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        (kind,) = spec
+        assert f"{key}.{kind} must be a number" in capsys.readouterr().err
+    # the old stop rule's and line search's descent keys are rejected by name,
+    # and the budget must be an integer >= 1
+    for key, value in (("grad_tol", 1e-8), ("energy_tol", 1e-12), ("backtrack_factor", 0.5),
+                       ("initial_step", 1.0), ("max_iters", "5"), ("max_iters", 2.5),
+                       ("max_iters", True)):
+        data = json.loads(write_config(tmp_path).read_text())
+        data["tolerances"]["descent"][key] = value
+        path.write_text(json.dumps(data))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert key in capsys.readouterr().err
     # an infinite safety (json reads Infinity) is rejected under its own name
     data = json.loads(write_config(tmp_path).read_text())
     data["safety"] = math.inf

@@ -107,10 +107,11 @@ def test_escaping_auxiliary_image_fails_aux_in_ball():
 def test_fixed_point_residual_basics(rng):
     g = build_grid(5)
     u = random_field(g, rng)
-    assert fixed_point_residual(u, u) == 0.0
+    # the residual takes g = u - T(u); T(u) = u gives exactly 0
+    assert fixed_point_residual(u, u - u) == 0.0
     e1, _ = first_eigenpair(g)
     for delta in (1e-3, 1e-6):
-        got = fixed_point_residual(u, u + delta * e1)
+        got = fixed_point_residual(u, u - (u + delta * e1))
         assert_allclose(got, delta * grad_l2_norm(e1) / grad_l2_norm(u), rtol=1e-9)
 
 
@@ -152,7 +153,7 @@ def test_vi_no_violations_at_minimizer(solved_problem):
     gap = variational_inequality_check(s, aux)
     assert -1e-8 <= gap <= 0.0
     # the closed form is minus the squared fixed-point residual
-    assert_allclose(gap, -fixed_point_residual(s.u, aux) ** 2, rtol=1e-12)
+    assert_allclose(gap, -fixed_point_residual(s.u, s.u - aux) ** 2, rtol=1e-12)
 
 
 def test_vi_detects_non_minimizer():
