@@ -2,8 +2,9 @@
 
 The constrained minimization runs inside a ball whose radius is chosen so
 that a trapping inequality holds. This script takes the two embedding
-constants from the first eigenfunction, solves for the largest certified
-radius, and then spot-checks the resulting residual bound on random fields.
+constants and the potential's bound constant from the first eigenfunction,
+solves for the largest certified radius, and then spot-checks the resulting
+residual bound on random fields.
 """
 
 import numpy as np
@@ -27,9 +28,10 @@ spec = ProblemSpec(
     grid=grid,
 )
 
-c1, c2 = estimate_constants(spec.p, spec.coupling, safety=2.0)
+c1, c2, c3 = estimate_constants(spec.p, spec.coupling, safety=2.0)
 print(f"coupling constant (safety 2): {c1:.6e}")
 print(f"power constant    (safety 2): {c2:.6e}")
+print(f"potential constant (factor 2): {c3:.6e}")
 
 ball = make_ball(spec.p, spec.coupling, safety=2.0)
 print(f"certified radius:             {ball.radius:.6f}")

@@ -64,7 +64,6 @@ from .runner import (
 from .sampling import smoothed_random_fields
 from .verify import (
     VerificationReport,
-    auxiliary_solve,
     fixed_point_residual,
     pde_residual,
     phi_property_check,
@@ -97,7 +96,6 @@ __all__ = [
     "VerificationReport",
     "admissible_radius",
     "apply_laplacian",
-    "auxiliary_solve",
     "build_grid",
     "check_residual_bound",
     "compute_phi",

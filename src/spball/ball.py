@@ -1,15 +1,16 @@
 """Ball constants, admissible radius, and the residual bound on the ball.
 
-The two constants bound the coupling and power terms by powers of the
+Two constants bound the coupling and power terms by powers of the
 constraint-ball norm:
 
     ||c phi_u u||_L3 <= coupling_constant * ||u||^3
     ||sign(u)|u|^p||_L3 <= power_constant * ||u||^p
 
-with ||.|| the w2n norm. They are estimated from the first Dirichlet
-eigenfunction, whose two ratios exceed those of every smoothed random field
-tried, and inflated by a safety factor; one potential solve is the whole
-cost. The admissible radius r then satisfies
+with ||.|| the w2n norm, and a third bounds the potential itself,
+||grad phi_u|| <= potential_constant * ||grad u||^2, for verify's phi_bound
+gate. All three are ratios of the first Dirichlet eigenfunction, which
+exceed those of every smoothed random field tried; one potential solve is
+the whole cost. The admissible radius r then satisfies
 
     coupling_constant r^3 + power_constant r^p <= r/2   for all r in (0, radius],
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .energy import ProblemSpec, evaluate
 from .errors import OutsideBallError
-from .grid import ScalarField, first_eigenpair, lp_norm, w2n_norm
+from .grid import ScalarField, first_eigenpair, grad_l2_norm, lp_norm, w2n_norm
 from .poisson import compute_phi
 
 CONSTANT_FLOOR = 1e-30
@@ -35,16 +36,22 @@ RESIDUAL_BOUND_SLACK = 1e-10
 
 @dataclass(frozen=True)
 class BallSpec:
-    """Certified ball data; validated against its two defining inequalities."""
+    """Certified ball data; validated against its two defining inequalities.
+
+    coupling_constant and power_constant set the radius; potential_constant
+    is the phi_bound gate's constant, calibrated on the same eigenfunction.
+    """
 
     coupling_constant: float
     power_constant: float
+    potential_constant: float
     radius: float
     forcing_bound: float
     p: float
 
     def __post_init__(self):
-        for name in ("coupling_constant", "power_constant", "radius", "forcing_bound"):
+        for name in ("coupling_constant", "power_constant", "potential_constant", "radius",
+                     "forcing_bound"):
             val = getattr(self, name)
             if not (math.isfinite(val) and val > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {val}")
@@ -66,15 +73,20 @@ class BallSpec:
         return w2n_norm(u) <= self.radius * (1.0 + BALL_NORM_SLACK)
 
 
-def estimate_constants(p: float, coupling: ScalarField, safety: float = 2.0) -> tuple[float, float]:
-    """(coupling_constant, power_constant) from the first eigenfunction e1.
+def estimate_constants(
+    p: float, coupling: ScalarField, safety: float = 2.0
+) -> tuple[float, float, float]:
+    """(coupling_constant, power_constant, potential_constant) from the first
+    eigenfunction e1 and its one potential phi_e1.
 
-    Both ratios are invariant under field rescaling. The positive e1 sets
-    both: over the grids, exponents and couplings checked, no smoothed random
-    field came within 10x of its coupling ratio or 2x of its power ratio
-    (tests/test_ball.py keeps that comparison). The constants are e1's ratios
-    times `safety`, floored at a tiny positive value so a zero coupling field
-    still yields a valid BallSpec.
+    All three ratios are invariant under field rescaling. The positive e1
+    sets them: over the grids, exponents and couplings checked, no smoothed
+    random field came within 10x of its coupling ratio or 2x of its power
+    ratio (tests/test_ball.py keeps that comparison), nor above its ratio
+    ||grad phi_u|| / ||grad u||^2 (tests/test_verify.py). The first two are
+    e1's ratios times `safety`; the potential constant is twice its ratio,
+    whatever `safety` is. Each is floored at a tiny positive value so a zero
+    coupling field still yields a valid BallSpec.
     """
     if not (math.isfinite(p) and p > 1.0):
         raise ValueError(f"p must be a finite number > 1, got {p}")
@@ -90,6 +102,7 @@ def estimate_constants(p: float, coupling: ScalarField, safety: float = 2.0) -> 
     return (
         max(safety * (num_c / w**3), CONSTANT_FLOOR),
         max(safety * power_ratio, CONSTANT_FLOOR),
+        max(2.0 * (grad_l2_norm(phi) / grad_l2_norm(e1) ** 2), CONSTANT_FLOOR),
     )
 
 
@@ -137,15 +150,9 @@ def max_forcing_norm(radius: float) -> float:
 
 def make_ball(p: float, coupling: ScalarField, safety: float = 2.0) -> BallSpec:
     """Estimate constants and assemble the certified BallSpec."""
-    coupling_constant, power_constant = estimate_constants(p, coupling, safety)
-    radius = admissible_radius(coupling_constant, power_constant, p)
-    return BallSpec(
-        coupling_constant=coupling_constant,
-        power_constant=power_constant,
-        radius=radius,
-        forcing_bound=max_forcing_norm(radius),
-        p=p,
-    )
+    c_coupling, c_power, c_potential = estimate_constants(p, coupling, safety)
+    radius = admissible_radius(c_coupling, c_power, p)
+    return BallSpec(c_coupling, c_power, c_potential, radius, max_forcing_norm(radius), p)
 
 
 def check_residual_bound(

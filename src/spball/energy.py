@@ -11,7 +11,8 @@ Sobolev range; the ball constraint elsewhere is what restores control.
 
 Everything else is read from one FieldState per field, built by evaluate:
 the field, its potential and the equation's right-hand side
--c phi_u u + sign(u)|u|^p + f, which is written out only there.
+-c phi_u u + sign(u)|u|^p + f, which is written out only in _state, the
+no-solve builder evaluate shares with callers that already hold phi_u.
 """
 
 from __future__ import annotations
@@ -95,10 +96,8 @@ class FieldState:
     rhs: ScalarField
 
 
-def evaluate(u: ScalarField, spec: ProblemSpec) -> FieldState:
-    """The state of u: one linear solve for the potential, then the right-hand side."""
-    spec.check_field(u)
-    phi = compute_phi(u, spec.coupling)
+def _state(u: ScalarField, phi: ScalarField, spec: ProblemSpec) -> FieldState:
+    """The state of u from its potential phi, already solved; no solve."""
     rhs = ScalarField(
         spec.grid,
         -spec.coupling.values * phi.values * u.values
@@ -106,6 +105,12 @@ def evaluate(u: ScalarField, spec: ProblemSpec) -> FieldState:
         + spec.forcing.values,
     )
     return FieldState(u, phi, rhs)
+
+
+def evaluate(u: ScalarField, spec: ProblemSpec) -> FieldState:
+    """The state of u: one linear solve for the potential, then the right-hand side."""
+    spec.check_field(u)
+    return _state(u, compute_phi(u, spec.coupling), spec)
 
 
 def _energy_terms(s: FieldState, spec: ProblemSpec) -> tuple[float, float, float, float]:

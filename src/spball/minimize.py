@@ -27,6 +27,7 @@ from .energy import (
     FieldState,
     ProblemSpec,
     _energy_terms,
+    _state,
     energy,
     evaluate,
     gradient_field,
@@ -63,15 +64,18 @@ class MinimizeOptions:
 class MinimizeResult:
     """Minimizer, its energy, and the full iteration trace.
 
-    trace rows are (iteration, energy, accepted step, H1 displacement);
-    row 0 records the starting point with step and displacement zero, and an
-    accepted mixed trial records step 1. stop_reason is one of fixed_point,
-    no_decrease and budget; converged means fixed_point, so a converged
-    minimizer passes verify's fixed_point and pde gates. mixed_steps counts
-    the accepted mixed trials.
+    state is the minimizer's FieldState and gradient its g = u - T(u), both
+    from the last stop test; verify takes them as they are. trace rows are
+    (iteration, energy, accepted step, H1 displacement); row 0 records the
+    starting point with step and displacement zero, and an accepted mixed
+    trial records step 1. stop_reason is one of fixed_point, no_decrease and
+    budget; converged means fixed_point, so a converged minimizer passes
+    verify's fixed_point and pde gates. mixed_steps counts the accepted
+    mixed trials.
     """
 
-    minimizer: ScalarField
+    state: FieldState
+    gradient: ScalarField
     energy: float
     iterations: int
     trace: tuple[tuple[int, float, float, float], ...]
@@ -79,6 +83,10 @@ class MinimizeResult:
     on_boundary: bool
     stop_reason: str
     mixed_steps: int
+
+    @property
+    def minimizer(self) -> ScalarField:
+        return self.state.u
 
 
 def retract_to_ball(u: ScalarField, radius: float) -> ScalarField:
@@ -96,17 +104,19 @@ def initial_guess(spec: ProblemSpec, radius: float) -> FieldState:
 
     Scales the first eigenfunction to the ball boundary, then minimizes the
     exact quartic-plus-power polynomial t -> E(t e) over a log-spaced grid of
-    t in [0, 1] (one potential solve for all t). Ties prefer the smallest t.
-    The winning t is re-checked with a real energy evaluation, whose state is
-    returned; on roundoff disagreement the remaining candidates are tried in
-    polynomial order.
+    t in [0, 1]. Ties prefer the smallest t. The winning t is re-checked with
+    a real energy evaluation, whose state is returned; on roundoff
+    disagreement the remaining candidates are tried in polynomial order.
+    The potential is quadratic, phi_{t e} = t^2 phi_e, so e's one potential
+    solve serves every t.
     """
     if not radius > 0.0:
         raise ValueError(f"ball radius must be positive, got {radius}")
     e1, _ = first_eigenpair(spec.grid)
     e = (radius / w2n_norm(e1)) * e1
 
-    quad, quart, power, lin = _energy_terms(evaluate(e, spec), spec)
+    base = evaluate(e, spec)
+    quad, quart, power, lin = _energy_terms(base, spec)
 
     ts = np.concatenate(([0.0], np.geomspace(1e-8, 1.0, _INITIAL_T_GRID)))
     poly = quad * ts**2 + quart * ts**4 - power * ts ** (spec.p + 1.0) - lin * ts
@@ -115,7 +125,7 @@ def initial_guess(spec: ProblemSpec, radius: float) -> FieldState:
         t = float(ts[idx])
         if poly[idx] >= 0.0:
             break
-        candidate = evaluate(t * e, spec)
+        candidate = _state(t * e, (t * t) * base.phi, spec)
         if restricted_energy(candidate, radius, spec) < 0.0:
             return candidate
     raise InitializationFailureError(
@@ -250,7 +260,8 @@ def minimize(
         trace.append((iterations, current, step, displacement))
 
     return MinimizeResult(
-        minimizer=s.u,
+        state=s,
+        gradient=g,
         energy=current,
         iterations=iterations,
         trace=tuple(trace),

@@ -15,20 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionViolationError
-from .grid import ScalarField, neg_laplacian_array
+from .grid import ScalarField
 
 
 @dataclass(frozen=True)
 class PoissonSolution:
-    """Solution field, solve count and final true residual (discrete L2).
-
-    iterations is 1 for a transform solve and 0 for a zero right-hand side;
-    final_residual is the measured ||f + Delta_h w||, kept to detect faults.
-    """
+    """Solution field and solve count: 1 for a transform solve, 0 for a zero
+    right-hand side."""
 
     field: ScalarField
     iterations: int
-    final_residual: float
 
 
 def _sine_matrix(n: int) -> np.ndarray:
@@ -57,14 +53,13 @@ def solve_dirichlet_poisson(f: ScalarField) -> PoissonSolution:
     n, h = grid.n, grid.h
     b = f.values
     if not np.any(b):
-        return PoissonSolution(ScalarField.zeros(grid), 0, 0.0)
+        return PoissonSolution(ScalarField.zeros(grid), 0)
 
     sines = _sine_matrix(n)
     s = np.sin(0.5 * np.pi * np.arange(1, n) / n) ** 2
     eig = (4.0 / (h * h)) * (s[:, None, None] + s[None, :, None] + s[None, None, :])
     w = (2.0 / n) ** 3 * _dst1(_dst1(b, sines) / eig, sines)
-    residual = float(np.linalg.norm(b - neg_laplacian_array(w, h))) * h**1.5
-    return PoissonSolution(ScalarField(grid, w), 1, residual)
+    return PoissonSolution(ScalarField(grid, w), 1)
 
 
 def compute_phi(u: ScalarField, coupling: ScalarField) -> ScalarField:

@@ -282,7 +282,7 @@ def run_experiment(
     timings["minimize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    report_v = verify(result.minimizer, spec, ball)
+    report_v = verify(result.state, result.gradient, spec, ball)
     timings["verify"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_total
 

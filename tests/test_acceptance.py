@@ -111,10 +111,11 @@ def test_criterion_2_eigenfunction_exactness():
 def test_criterion_3_potential_structure_audit():
     with criterion(3, "potential sign/scaling/bound on 50 fields"):
         spec = constant_coupling_spec(8, 3.0)
+        ball = make_ball(3.0, spec.coupling)
         fields = smoothed_random_fields(spec.grid, 50, seed=303)
         assert len(fields) == 50
         for u in fields:
-            nonneg, scaling, bound = phi_property_check(evaluate(u, spec), spec, t=2.0)
+            nonneg, scaling, bound = phi_property_check(evaluate(u, spec), spec, ball, t=2.0)
             assert nonneg and scaling and bound
 
 

@@ -99,8 +99,8 @@ def estimation_family(n, seed):
 
 def test_estimate_constants_zero_coupling_hits_floor():
     spec = make_spec(coupling=0.0)
-    c_coupling, c_power = estimate_constants(spec.p, spec.coupling)
-    assert c_coupling == CONSTANT_FLOOR
+    c_coupling, c_power, c_potential = estimate_constants(spec.p, spec.coupling)
+    assert c_coupling == c_potential == CONSTANT_FLOOR
     assert c_power > CONSTANT_FLOOR
 
 
@@ -133,7 +133,7 @@ def test_estimation_ratios_scale_invariant():
 def test_estimate_constants_dominate_family():
     # safety = 2 means every ratio in the family sits at or below constant/2
     spec = make_spec(p=3.0)
-    c_coupling, c_power = estimate_constants(spec.p, spec.coupling, safety=2.0)
+    c_coupling, c_power, _ = estimate_constants(spec.p, spec.coupling, safety=2.0)
     for u in estimation_family(spec.grid.n, seed=5):
         w = w2n_norm(u)
         phi = compute_phi(u, spec.coupling)
@@ -199,7 +199,7 @@ def test_estimate_constants_match_no_skip_oracle(n, kind, seed, reverse, p):
         best_c = max(best_c, ratio)
         best_p = max(best_p, lp_norm(ScalarField(spec.grid, np.abs(u.values / w) ** spec.p), 3))
     expected = (max(2.0 * best_c, CONSTANT_FLOOR), max(2.0 * best_p, CONSTANT_FLOOR))
-    assert estimate_constants(spec.p, spec.coupling) == expected
+    assert estimate_constants(spec.p, spec.coupling)[:2] == expected
     if kind == "zero":
         assert expected[0] == CONSTANT_FLOOR
 
@@ -281,13 +281,15 @@ def test_max_forcing_norm():
 
 
 def test_ball_spec_invariants_enforced():
-    BallSpec(1.0, 1.0, 0.5, 0.25, 3.0)  # exact root is fine
+    BallSpec(1.0, 1.0, 1.0, 0.5, 0.25, 3.0)  # exact root is fine
     with pytest.raises(ValueError):
-        BallSpec(1.0, 1.0, 0.6, 0.25, 3.0)  # violates the radius inequality
+        BallSpec(1.0, 1.0, 1.0, 0.6, 0.25, 3.0)  # violates the radius inequality
     with pytest.raises(ValueError):
-        BallSpec(1.0, 1.0, 0.5, 0.3, 3.0)  # forcing bound too large
+        BallSpec(1.0, 1.0, 1.0, 0.5, 0.3, 3.0)  # forcing bound too large
     with pytest.raises(ValueError):
-        BallSpec(-1.0, 1.0, 0.5, 0.25, 3.0)
+        BallSpec(-1.0, 1.0, 1.0, 0.5, 0.25, 3.0)
+    with pytest.raises(ValueError, match="potential_constant"):
+        BallSpec(1.0, 1.0, 0.0, 0.5, 0.25, 3.0)
 
 
 def test_make_ball_consistent():

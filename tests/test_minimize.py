@@ -19,7 +19,7 @@ from spball import (
 )
 from spball.grid import h1_inner
 from spball.ball import make_ball
-from spball.energy import ProblemSpec, energy, evaluate
+from spball.energy import ProblemSpec, energy, evaluate, gradient_field
 from spball.minimize import (
     MinimizeOptions,
     MinimizeResult,
@@ -30,7 +30,7 @@ from spball.minimize import (
 )
 from spball.runner import ExperimentConfig, run_experiment
 from spball.sampling import smoothed_random_fields
-from spball.verify import FP_THRESHOLD, PDE_THRESHOLD
+from spball.verify import FP_THRESHOLD, PDE_THRESHOLD, verify
 
 from conftest import random_field, standard_problem
 
@@ -221,8 +221,8 @@ def test_stiff_coupling_converges_only_when_verified():
 @pytest.mark.parametrize("coupling", [{"constant": 1}, {"sine_bump": 1e3}])
 @pytest.mark.parametrize("fraction, safety", [(1.0, 1.0), (0.5, 2.0)])
 def test_converged_runs_pass_the_residual_gates(monkeypatch, n, p, coupling, fraction, safety):
-    # the descent's last fixed-point residual is verify's, bit for bit: both
-    # come from the same evaluation and solve of the same field
+    # the descent's last fixed-point residual is verify's, bit for bit: verify
+    # reads the state and gradient of the descent's last stop test
     seen = []
     fp = minimize_mod.fixed_point_residual
 
@@ -257,15 +257,15 @@ def test_minimize_local_minimality_spot_check():
 
 @pytest.mark.parametrize("p", [3.0, 7.0])
 def test_minimize_solve_count(p, solve_counter):
-    # guards against a re-added solve: the initial guess takes two (the
-    # eigenfunction's potential and the certified candidate's state), each
+    # guards against a re-added solve: the initial guess takes one (the
+    # eigenfunction's potential, which scales to every candidate's), each
     # iteration one gradient solve plus one state per line-search trial, and
     # the gradient at the last iterate one more for the stop test
     spec, ball = standard_problem(n=8, p=p)
     res, count = solve_counter(minimize, spec, ball)
     assert res.iterations >= 1
     assert all(row[2] == 1.0 for row in res.trace[1:])  # no backtracking
-    assert count == 3 + 2 * res.iterations
+    assert count == 2 + 2 * res.iterations
 
 
 # ---------------------------------------------------------------- mixed step
@@ -328,8 +328,72 @@ def test_rejected_mixed_trial_falls_back_to_the_plain_step(monkeypatch, solve_co
     assert all(b < a for a, b in zip(energies, energies[1:]))
     assert res.mixed_steps == 0
     assert all(row[2] == 1.0 for row in res.trace[1:])
-    # each rejected mixed trial costs one state solve on top of 3 + 2 * iterations
-    assert count == 3 + 2 * res.iterations + (res.iterations - 1)
+    # each rejected mixed trial costs one state solve on top of 2 + 2 * iterations
+    assert count == 2 + 2 * res.iterations + (res.iterations - 1)
+
+
+# ---------------------------------------------------------------- handed-over state
+
+# the solve-n32 benchmark workload at n=8: p=7 at half the forcing bound
+BASELINE_N8 = {
+    "grid_n": 8,
+    "p": 7.0,
+    "coupling": {"constant": 1},
+    "forcing": {"scaled_to_bound": 0.5},
+    "samples": 64,
+    "seed": 3,
+}
+HANDOVER_CASES = [
+    pytest.param(DESCENT_N8, id="descent-n8"),
+    pytest.param(BASELINE_N8, id="baseline-n8"),
+    pytest.param(STIFF_COUPLING_N6, id="stiff-coupling-n6"),
+]
+
+
+def recorded_minimize(monkeypatch):
+    """Patch the runner's minimize to record (result, spec, ball) of each call."""
+    runner_mod = importlib.import_module("spball.runner")
+    calls = []
+
+    def recording(spec, ball, opts=None):
+        calls.append((minimize(spec, ball, opts), spec, ball))
+        return calls[-1][0]
+
+    monkeypatch.setattr(runner_mod, "minimize", recording)
+    return calls
+
+
+@pytest.mark.parametrize("config", HANDOVER_CASES)
+def test_verify_from_the_handed_over_state_matches_the_field_alone(monkeypatch, config):
+    # the final state and gradient are pure functions of the minimizer, so
+    # verify from them reads, bit for bit, what it reads from the field alone
+    calls = recorded_minimize(monkeypatch)
+    report = run_experiment(ExperimentConfig.from_dict(config), write_outputs=False)
+    (res, spec, ball), = calls
+    s = evaluate(res.minimizer, spec)
+    g = gradient_field(s)
+    assert res.iterations >= 1
+    for handed, fresh in ((res.state.phi, s.phi), (res.state.rhs, s.rhs), (res.gradient, g)):
+        assert np.array_equal(handed.values, fresh.values)
+    assert report.verification == verify(res.state, res.gradient, spec, ball) == verify(
+        s, g, spec, ball
+    )
+
+
+@pytest.mark.parametrize("config", HANDOVER_CASES)
+def test_run_experiment_solve_count(monkeypatch, solve_counter, config):
+    # guards the whole run against a re-added solve: one for the ball
+    # constants, 2 + 2 * iterations in the descent (every iteration after the
+    # first accepts its mixed trial at step 1) and phi_{2u} in verify
+    calls = recorded_minimize(monkeypatch)
+    report, count = solve_counter(
+        run_experiment, ExperimentConfig.from_dict(config), write_outputs=False
+    )
+    (res, _, _), = calls
+    assert report.verification.passed
+    assert all(row[2] == 1.0 for row in res.trace[1:])
+    assert res.mixed_steps == res.iterations - 1
+    assert count == 1 + (2 + 2 * res.iterations) + 1
 
 
 def test_mixing_history_keeps_the_last_three_steps():

@@ -2,6 +2,7 @@
 round-trips, determinism modulo wall time, the convergence study, and the
 command-line interface including exit codes."""
 
+import importlib
 import json
 import math
 import os
@@ -144,7 +145,8 @@ def test_run_experiment_report_contents(small_run):
     assert report.config == cfg
     assert "seeds" not in report.to_dict()
     assert set(report.to_dict()["ball"]) == {
-        "coupling_constant", "power_constant", "radius", "forcing_bound", "p"
+        "coupling_constant", "power_constant", "potential_constant", "radius",
+        "forcing_bound", "p",
     }
     assert report.version
     assert set(report.wall_time) == {"setup", "constants", "minimize", "verify", "total"}
@@ -170,6 +172,13 @@ def test_load_report_rejects_another_versions_format(small_run, tmp_path):
     with pytest.raises(ConfigError, match="sample_count") as excinfo:
         load_report(path)
     assert str(path) in str(excinfo.value)
+    # a 0.2.0 report, written before the ball carried the potential constant
+    old = report.to_dict()
+    del old["ball"]["potential_constant"]
+    old["version"] = "0.2.0"
+    path.write_text(json.dumps(old))
+    with pytest.raises(ConfigError, match="potential_constant"):
+        load_report(path)
     # a report with a section missing names that section
     data = report.to_dict()
     del data["verification"]
@@ -378,14 +387,10 @@ def test_cli_run_failure_exit_codes(tmp_path, capsys):
 
 
 def test_cli_run_names_the_failed_checks(tmp_path, capsys, monkeypatch):
-    # an unreachable fixed-point threshold fails exactly that gate
-    import spball.runner as runner_mod
-    from spball.verify import verify
-
-    def strict_verify(*args, **kwargs):
-        return verify(*args, fp_threshold=1e-30, **kwargs)
-
-    monkeypatch.setattr(runner_mod, "verify", strict_verify)
+    # an unreachable fixed-point threshold fails exactly that gate; verify reads
+    # it at call time, and the descent keeps its own imported threshold. The
+    # package's `verify` attribute is the function, so reach the module by name
+    monkeypatch.setattr(importlib.import_module("spball.verify"), "FP_THRESHOLD", 1e-30)
     path = write_config(tmp_path)
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 1

@@ -1,0 +1,51 @@
+"""The benchmark's tracer still understands the package: a traced run passes
+the tracer's own self-checks (stage solves sum to the total, which equals
+the count of PoissonSolution objects built), in a fresh interpreter as the
+benchmark runs it."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+TRACED_RUN = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import spball.runner
+import tracer as tracing
+
+t = tracing.Tracer()
+tracing.install(t)
+config = spball.runner.ExperimentConfig.from_dict({
+    "grid_n": 8, "p": 7.0, "coupling": {"constant": 1},
+    "forcing": {"scaled_to_bound": 0.5},
+})
+report = spball.runner.run_experiment(config, out_dir=sys.argv[3])
+metrics, problems = tracing.layer_metrics(t, report.minimize_summary["iterations"])
+print(json.dumps({"passed": report.verification.passed, "problems": problems,
+                  "metrics": metrics}))
+"""
+
+
+def test_traced_run_passes_the_tracer_self_checks(tmp_path):
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(ROOT / "src"), str(ROOT / "perfbench"),
+         str(tmp_path / "out")],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    out = json.loads(result.stdout.strip().splitlines()[-1])
+    assert out["passed"]
+    assert out["problems"] == []
+    metrics = out["metrics"]
+    assert metrics["ball.solves"] == 1
+    assert metrics["verify.solves"] == 1
+    assert metrics["poisson.solves"] == 1 + metrics["minimize.solves"] + 1

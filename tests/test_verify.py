@@ -2,6 +2,7 @@
 definitions, the closed-form variational inequality against the old probe
 family with a negative control, and potential structure checks."""
 
+import importlib
 import json
 import warnings
 
@@ -19,15 +20,13 @@ from spball import (
     w2n_norm,
 )
 from spball.ball import BallSpec, make_ball
-from spball.energy import FieldState, ProblemSpec, _signed_power, evaluate
+from spball.energy import FieldState, ProblemSpec, _signed_power, evaluate, gradient_field
 from spball.grid import h1_inner, l2_inner, neg_laplacian_array
 from spball.minimize import minimize, retract_to_ball
 from spball.poisson import compute_phi, solve_dirichlet_poisson
 from spball.sampling import smoothed_random_fields
 from spball.verify import (
     VerificationReport,
-    _phi_bound_constant,
-    auxiliary_solve,
     fixed_point_residual,
     pde_residual,
     phi_property_check,
@@ -46,13 +45,20 @@ def solved_problem():
     return spec, ball, res
 
 
+def state_and_gradient(u, spec):
+    """The candidate's state and g = u - T(u), from the field alone."""
+    s = evaluate(u, spec)
+    return s, gradient_field(s)
+
+
 # ---------------------------------------------------------------- auxiliary solve
 
 
 def test_auxiliary_solve_zero_candidate_inverts_forcing():
-    # at u = 0 the right-hand side is the forcing alone
+    # at u = 0 the right-hand side is the forcing alone, and T(0) = 0 - g
     spec, ball = standard_problem(n=6, p=3.0)
-    aux = auxiliary_solve(evaluate(ScalarField.zeros(spec.grid), spec), ball)
+    s, g = state_and_gradient(ScalarField.zeros(spec.grid), spec)
+    aux = s.u - g
     direct = solve_dirichlet_poisson(spec.forcing).field
     assert np.array_equal(aux.values, direct.values)
 
@@ -68,7 +74,8 @@ def test_auxiliary_solve_dense_oracle(rng):
         + spec.forcing.values.ravel()
     )
     expected = np.linalg.solve(a, rhs).reshape(spec.grid.shape)
-    aux = auxiliary_solve(evaluate(u, spec), ball)
+    s, g = state_and_gradient(u, spec)
+    aux = s.u - g
     assert_allclose(aux.values, expected, atol=1e-9 * np.abs(expected).max())
 
 
@@ -77,7 +84,7 @@ def test_auxiliary_solve_rejects_candidate_outside_ball():
     e1, _ = first_eigenpair(spec.grid)
     outside = (3.0 * ball.radius / w2n_norm(e1)) * e1
     with pytest.raises(OutsideBallError):
-        auxiliary_solve(evaluate(outside, spec), ball)
+        verify(*state_and_gradient(outside, spec), spec, ball)
 
 
 def test_escaping_auxiliary_image_fails_aux_in_ball():
@@ -91,12 +98,12 @@ def test_escaping_auxiliary_image_fails_aux_in_ball():
         forcing=ScalarField(g, np.ones(g.shape)),
         grid=g,
     )
-    tiny = BallSpec(1.0, 1.0, 0.01, 0.005, 3.0)
+    tiny = BallSpec(1.0, 1.0, 1.0, 0.01, 0.005, 3.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        aux = auxiliary_solve(evaluate(ScalarField.zeros(g), spec), tiny)
-        report = verify(ScalarField.zeros(g), spec, tiny)
-    assert w2n_norm(aux) > tiny.radius
+        s, grad = state_and_gradient(ScalarField.zeros(g), spec)
+        report = verify(s, grad, spec, tiny)
+    assert w2n_norm(s.u - grad) > tiny.radius
     assert not report.aux_in_ball
     assert "aux_in_ball" in report.failed_checks
 
@@ -148,21 +155,20 @@ def test_pde_residual_small_after_minimize(solved_problem):
 
 def test_vi_no_violations_at_minimizer(solved_problem):
     spec, ball, res = solved_problem
-    s = evaluate(res.minimizer, spec)
-    aux = auxiliary_solve(s, ball)
-    gap = variational_inequality_check(s, aux)
+    s, g = state_and_gradient(res.minimizer, spec)
+    gap = variational_inequality_check(s, g)
     assert -1e-8 <= gap <= 0.0
     # the closed form is minus the squared fixed-point residual
-    assert_allclose(gap, -fixed_point_residual(s.u, s.u - aux) ** 2, rtol=1e-12)
+    assert_allclose(gap, -fixed_point_residual(s.u, g) ** 2, rtol=1e-12)
 
 
 def test_vi_detects_non_minimizer():
     # the zero field with positive forcing is far from stationary: its own
     # auxiliary image is a lower-energy direction, so the gap is negative
     spec, ball = standard_problem(n=6, p=3.0)
-    s = evaluate(ScalarField.zeros(spec.grid), spec)
-    assert variational_inequality_check(s, auxiliary_solve(s, ball)) < -1e-8
-    report = verify(s.u, spec, ball)
+    s, g = state_and_gradient(ScalarField.zeros(spec.grid), spec)
+    assert variational_inequality_check(s, g) < -1e-8
+    report = verify(s, g, spec, ball)
     assert "vi" in report.failed_checks
 
 
@@ -172,8 +178,8 @@ def test_vi_gap_is_the_infimum_over_the_old_probe_family(n, p, scale):
     # the probes the sampled audit used, with its per-probe gap written inline:
     # the gap at aux equals the closed form and no probe falls below it
     spec, ball = standard_problem(n=n, p=p, fraction=0.5)
-    s = evaluate(scale * minimize(spec, ball).minimizer, spec)
-    aux = auxiliary_solve(s, ball)
+    s, g = state_and_gradient(scale * minimize(spec, ball).minimizer, spec)
+    aux = solve_dirichlet_poisson(s.rhs).field
     u = s.u
     half_u = 0.5 * h1_inner(u, u)
     probes = [u, aux, ScalarField.zeros(u.grid), 0.5 * u, retract_to_ball(2.0 * u, ball.radius)]
@@ -182,7 +188,7 @@ def test_vi_gap_is_the_infimum_over_the_old_probe_family(n, p, scale):
     # relative to 1/2||grad u||^2, the scale of the terms the per-probe gap cancels
     gaps = [(0.5 * h1_inner(v, v) - half_u - l2_inner(s.rhs, v - u)) / half_u for v in probes]
 
-    vi_gap = variational_inequality_check(s, aux)
+    vi_gap = variational_inequality_check(s, g)
     assert vi_gap <= 0.0
     assert abs(gaps[1] - vi_gap) <= 1e-12
     assert min(gaps) >= vi_gap - 1e-12
@@ -193,25 +199,25 @@ def test_vi_gap_is_the_infimum_over_the_old_probe_family(n, p, scale):
 
 def test_phi_property_check_standard(solved_problem):
     spec, ball, res = solved_problem
-    assert phi_property_check(evaluate(res.minimizer, spec), spec) == (True, True, True)
+    assert phi_property_check(evaluate(res.minimizer, spec), spec, ball) == (True, True, True)
 
 
 def test_phi_property_check_reuses_a_given_potential(solved_problem):
-    spec, _, res = solved_problem
+    spec, ball, res = solved_problem
     s = evaluate(res.minimizer, spec)
-    assert phi_property_check(s, spec) == (True, True, True)
+    assert phi_property_check(s, spec, ball) == (True, True, True)
     # the checks read the potential they are given
-    assert not phi_property_check(FieldState(s.u, -s.phi, s.rhs), spec)[0]
+    assert not phi_property_check(FieldState(s.u, -s.phi, s.rhs), spec, ball)[0]
 
 
 def test_phi_property_check_zero_candidate_and_zero_scaling():
-    spec, _ = standard_problem(n=5, p=3.0)
+    spec, ball = standard_problem(n=5, p=3.0)
     zero = evaluate(ScalarField.zeros(spec.grid), spec)
-    assert phi_property_check(zero, spec) == (True, True, True)
+    assert phi_property_check(zero, spec, ball) == (True, True, True)
     e1, _ = first_eigenpair(spec.grid)
-    assert phi_property_check(evaluate(0.1 * e1, spec), spec, t=0.0) == (True, True, True)
+    assert phi_property_check(evaluate(0.1 * e1, spec), spec, ball, t=0.0) == (True, True, True)
     with pytest.raises(ValueError):
-        phi_property_check(evaluate(0.1 * e1, spec), spec, t=-1.0)
+        phi_property_check(evaluate(0.1 * e1, spec), spec, ball, t=-1.0)
 
 
 def test_phi_property_check_zero_coupling(rng):
@@ -222,7 +228,10 @@ def test_phi_property_check_zero_coupling(rng):
         forcing=ScalarField(g, np.ones(g.shape)),
         grid=g,
     )
-    assert phi_property_check(evaluate(random_field(g, rng), spec), spec) == (True, True, True)
+    ball = make_ball(spec.p, spec.coupling)
+    assert phi_property_check(evaluate(random_field(g, rng), spec), spec, ball) == (
+        True, True, True
+    )
 
 
 @pytest.mark.parametrize("n", [6, 8, 12])
@@ -233,7 +242,6 @@ def test_phi_bound_calibrates_on_the_extremal_eigenfunction(n, coupling_kind):
     g = build_grid(n)
     e1, _ = first_eigenpair(g)
     coupling = ScalarField(g, np.ones(g.shape)) if coupling_kind == "constant" else 1e8 * e1
-    spec = ProblemSpec(p=3.0, coupling=coupling, forcing=e1, grid=g)
 
     def ratio(w):
         return grad_l2_norm(compute_phi(w, coupling)) / grad_l2_norm(w) ** 2
@@ -241,7 +249,7 @@ def test_phi_bound_calibrates_on_the_extremal_eigenfunction(n, coupling_kind):
     extremal = ratio(e1)
     for w in smoothed_random_fields(g, 32, seed=20260814):
         assert ratio(w) <= extremal
-    assert _phi_bound_constant(spec) == 2.0 * extremal
+    assert make_ball(3.0, coupling).potential_constant == 2.0 * extremal
 
 
 # ---------------------------------------------------------------- full report
@@ -249,7 +257,7 @@ def test_phi_bound_calibrates_on_the_extremal_eigenfunction(n, coupling_kind):
 
 def test_verify_passes_on_solved_problem(solved_problem):
     spec, ball, res = solved_problem
-    report = verify(res.minimizer, spec, ball)
+    report = verify(res.state, res.gradient, spec, ball)
     assert report.passed
     assert report.fixed_point_rel_residual <= report.fp_threshold
     assert report.pde_rel_residual <= report.pde_threshold
@@ -260,7 +268,7 @@ def test_verify_passes_on_solved_problem(solved_problem):
 
 def test_verify_fails_on_non_solution():
     spec, ball = standard_problem(n=6, p=3.0)
-    report = verify(ScalarField.zeros(spec.grid), spec, ball)
+    report = verify(*state_and_gradient(ScalarField.zeros(spec.grid), spec), spec, ball)
     assert not report.passed
     assert report.pde_rel_residual == 1.0
     assert "pde" in report.failed_checks
@@ -268,20 +276,24 @@ def test_verify_fails_on_non_solution():
 
 def test_verify_deterministic(solved_problem):
     spec, ball, res = solved_problem
-    a = verify(res.minimizer, spec, ball)
-    b = verify(res.minimizer, spec, ball)
+    a = verify(*state_and_gradient(res.minimizer, spec), spec, ball)
+    b = verify(*state_and_gradient(res.minimizer, spec), spec, ball)
     assert a == b
 
 
 def test_report_round_trip(solved_problem):
     spec, ball, res = solved_problem
-    report = verify(res.minimizer, spec, ball)
+    report = verify(res.state, res.gradient, spec, ball)
     assert VerificationReport.from_dict(report.to_dict()) == report
 
 
-def test_failed_checks_name_the_failing_gate_and_round_trip(solved_problem):
+def test_failed_checks_name_the_failing_gate_and_round_trip(solved_problem, monkeypatch):
+    # verify reads the threshold at call time; the package's `verify`
+    # attribute is the function, so reach the module by name
     spec, ball, res = solved_problem
-    report = verify(res.minimizer, spec, ball, fp_threshold=1e-30)
+    monkeypatch.setattr(importlib.import_module("spball.verify"), "FP_THRESHOLD", 1e-30)
+    report = verify(res.state, res.gradient, spec, ball)
+    assert report.fp_threshold == 1e-30
     assert not report.passed
     assert report.failed_checks == ("fixed_point",)
     restored = VerificationReport.from_dict(json.loads(json.dumps(report.to_dict())))
@@ -290,9 +302,9 @@ def test_failed_checks_name_the_failing_gate_and_round_trip(solved_problem):
 
 
 def test_verify_solve_count(solved_problem, solve_counter):
-    # guards against a re-added solve: phi_u, phi_{2u}, the auxiliary solve
-    # and the phi-bound calibration on the eigenfunction
+    # guards against a re-added solve: phi_{2u} for the scaling check is the
+    # only one; the state, T(u) and the phi-bound constant are handed over
     spec, ball, res = solved_problem
-    report, count = solve_counter(verify, res.minimizer, spec, ball)
+    report, count = solve_counter(verify, res.state, res.gradient, spec, ball)
     assert report.passed
-    assert count == 4
+    assert count == 1
