@@ -31,7 +31,7 @@ spec = ProblemSpec(
 
 print(f"{'t':>6}  {'kinetic':>10}  {'coupling':>10}  {'power':>10}  {'forcing':>10}  {'total':>11}")
 for t in (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0):
-    b = energy(evaluate(t * e1, spec), spec)
+    b = energy(evaluate(t * e1, spec))
     print(
         f"{t:>6.2f}  {b.kinetic:>10.5f}  {b.coupling:>10.6f}"
         f"  {b.power:>10.5f}  {b.forcing:>10.6f}  {b.total:>11.6f}"
@@ -39,15 +39,15 @@ for t in (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0):
 
 u = 0.8 * e1
 s = evaluate(u, spec)  # the field with its potential and the equation's right-hand side
-convex, smooth = energy_split(s, spec)
+convex, smooth = energy_split(s)
 print(f"\nsplit at t=0.8: convex={convex:.6f}, smooth={smooth:.6f}, "
-      f"difference matches total: {abs((convex - smooth) - energy(s, spec).total):.2e}")
+      f"difference matches total: {abs((convex - smooth) - energy(s).total):.2e}")
 
 v = ScalarField.from_function(grid, lambda x, y, z: x * (1 - x) * y * (1 - y) * z * (1 - z))
 dd = directional_derivative(s, v)
 eps = 1e-5
-e_plus = energy(evaluate(u + eps * v, spec), spec).total
-e_minus = energy(evaluate(u - eps * v, spec), spec).total
+e_plus = energy(evaluate(u + eps * v, spec)).total
+e_minus = energy(evaluate(u - eps * v, spec)).total
 fd = (e_plus - e_minus) / (2 * eps)
 print(f"directional derivative: analytic={dd:.10f}, centered diff={fd:.10f}, "
       f"rel err={abs(fd - dd) / abs(dd):.2e}")

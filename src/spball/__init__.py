@@ -131,4 +131,5 @@ __all__ = [
     "verify",
     "w2n_norm",
     "write_study_csv",
+    "__version__",
 ]

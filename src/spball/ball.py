@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import ProblemSpec, evaluate
+from .energy import FieldState, ProblemSpec, evaluate
 from .errors import OutsideBallError
 from .grid import ScalarField, first_eigenpair, grad_l2_norm, lp_norm, w2n_norm
 from .poisson import compute_phi
@@ -69,8 +69,8 @@ class BallSpec:
         if half + self.forcing_bound > self.radius + 1e-12:
             raise ValueError("forcing bound is incompatible with the radius")
 
-    def contains(self, u: ScalarField) -> bool:
-        return w2n_norm(u) <= self.radius * (1.0 + BALL_NORM_SLACK)
+    def contains(self, s: FieldState) -> bool:
+        return s.w2n <= self.radius * (1.0 + BALL_NORM_SLACK)
 
 
 def estimate_constants(
@@ -163,11 +163,12 @@ def check_residual_bound(
     Returns (lhs, rhs, holds) with rhs = coupling_constant radius^3 +
     power_constant radius^p + ||f||_L3; `holds` allows a 1e-10 slack.
     """
-    if not ball.contains(u):
+    s = evaluate(u, spec)
+    if not ball.contains(s):
         raise OutsideBallError(
-            f"w2n norm {w2n_norm(u):.6e} exceeds the ball radius {ball.radius:.6e}"
+            f"w2n norm {s.w2n:.6e} exceeds the ball radius {ball.radius:.6e}"
         )
-    lhs = lp_norm(evaluate(u, spec).rhs, 3)
+    lhs = lp_norm(s.rhs, 3)
     rhs = (
         ball.coupling_constant * ball.radius**3
         + ball.power_constant * ball.radius**ball.p

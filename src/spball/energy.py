@@ -10,9 +10,11 @@ potential from compute_phi. The power exponent p may exceed the critical
 Sobolev range; the ball constraint elsewhere is what restores control.
 
 Everything else is read from one FieldState per field, built by evaluate:
-the field, its potential and the equation's right-hand side
--c phi_u u + sign(u)|u|^p + f, which is written out only in _state, the
-no-solve builder evaluate shares with callers that already hold phi_u.
+the field, its potential, the equation's right-hand side
+-c phi_u u + sign(u)|u|^p + f, lap = -Delta_h u and the four energy terms.
+All are written out only in _state, the no-solve builder evaluate shares
+with callers that already hold phi_u; each term pairs u with an array the
+state forms anyway, so a state costs one stencil and no gradient pass.
 """
 
 from __future__ import annotations
@@ -23,14 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionViolationError, GridMismatchError
-from .grid import (
-    DomainGrid,
-    ScalarField,
-    apply_laplacian,
-    h1_inner,
-    l2_inner,
-    w2n_norm,
-)
+from .grid import DomainGrid, ScalarField, apply_laplacian, l2_inner, lp_norm
 from .poisson import compute_phi, solve_dirichlet_poisson
 
 
@@ -88,23 +83,45 @@ def _signed_power(values: np.ndarray, p: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FieldState:
-    """A field u with its potential phi = phi_u and the equation's
-    right-hand side rhs = -c phi_u u + sign(u)|u|^p + f; built by evaluate."""
+    """A field u with its potential phi = phi_u, the equation's right-hand
+    side rhs = -c phi_u u + sign(u)|u|^p + f, lap = -Delta_h u and the energy
+    terms (kinetic, coupling, power, forcing); built by evaluate."""
 
     u: ScalarField
     phi: ScalarField
     rhs: ScalarField
+    lap: ScalarField
+    terms: tuple[float, float, float, float]
+
+    @property
+    def w2n(self) -> float:
+        """The ball norm ||-Delta_h u||_3 of grid.w2n_norm, from lap."""
+        return lp_norm(self.lap, 3.0)
+
+    @property
+    def grad_sq(self) -> float:
+        """||grad u||^2 = <-Delta_h u, u> h^3 (summation by parts), twice the kinetic term."""
+        return 2.0 * self.terms[0]
 
 
 def _state(u: ScalarField, phi: ScalarField, spec: ProblemSpec) -> FieldState:
-    """The state of u from its potential phi, already solved; no solve."""
-    rhs = ScalarField(
-        spec.grid,
-        -spec.coupling.values * phi.values * u.values
-        + _signed_power(u.values, spec.p)
-        + spec.forcing.values,
+    """The state of u from its potential phi, already solved; no solve.
+
+    The terms are homogeneous in u, of degree 2, 4, p+1 and 1: 1/2 <lap, u>,
+    1/4 <c phi u, u>, <sign(u)|u|^p, u>/(p+1) and <f, u>, each times h^3.
+    """
+    lap = apply_laplacian(u)
+    coupled = spec.coupling.values * phi.values * u.values
+    power = _signed_power(u.values, spec.p)
+    rhs = ScalarField(spec.grid, -coupled + power + spec.forcing.values)
+    h3 = spec.grid.h ** 3
+    terms = (
+        0.5 * float(np.vdot(lap.values, u.values)) * h3,
+        0.25 * float(np.vdot(coupled, u.values)) * h3,
+        float(np.vdot(power, u.values)) * h3 / (spec.p + 1.0),
+        float(np.vdot(spec.forcing.values, u.values)) * h3,
     )
-    return FieldState(u, phi, rhs)
+    return FieldState(u, phi, rhs, lap, terms)
 
 
 def evaluate(u: ScalarField, spec: ProblemSpec) -> FieldState:
@@ -113,54 +130,42 @@ def evaluate(u: ScalarField, spec: ProblemSpec) -> FieldState:
     return _state(u, compute_phi(u, spec.coupling), spec)
 
 
-def _energy_terms(s: FieldState, spec: ProblemSpec) -> tuple[float, float, float, float]:
-    """The four energy terms (kinetic, coupling, power, forcing) at s.u; each
-    is homogeneous in u, of degree 2, 4, p+1 and 1."""
-    u = s.u
-    h3 = spec.grid.h ** 3
-    kinetic = 0.5 * h1_inner(u, u)
-    coupling = 0.25 * float(np.sum(spec.coupling.values * s.phi.values * u.values**2)) * h3
-    power = float(np.sum(np.abs(u.values) ** (spec.p + 1.0))) * h3 / (spec.p + 1.0)
-    forcing = l2_inner(spec.forcing, u)
-    return kinetic, coupling, power, forcing
+def energy(s: FieldState) -> EnergyBreakdown:
+    """The functional at an evaluated field, from the terms its state holds."""
+    kinetic, coupling, power, forcing = s.terms
+    return EnergyBreakdown(kinetic, coupling, power, forcing, kinetic + coupling - power - forcing)
 
 
-def energy(s: FieldState, spec: ProblemSpec) -> EnergyBreakdown:
-    """The functional at an evaluated field; no further solve."""
-    kinetic, coupling, power, forcing = _energy_terms(s, spec)
-    total = kinetic + coupling - power - forcing
-    return EnergyBreakdown(kinetic, coupling, power, forcing, total)
-
-
-def energy_split(s: FieldState, spec: ProblemSpec) -> tuple[float, float]:
+def energy_split(s: FieldState) -> tuple[float, float]:
     """Split into (convex_part, smooth_part) with total = convex - smooth.
 
     The convex part is the kinetic term (quadratic, hence convex); the
     smooth part collects the differentiable remainder with its sign flipped.
     """
-    b = energy(s, spec)
+    b = energy(s)
     convex_part = b.kinetic
     smooth_part = -b.coupling + b.power + b.forcing
     return convex_part, smooth_part
 
 
-def restricted_energy(s: FieldState, radius: float, spec: ProblemSpec) -> float:
+def restricted_energy(s: FieldState, radius: float) -> float:
     """Energy extended by +inf outside the closed constraint ball."""
     if not radius > 0.0:
         raise ValueError(f"ball radius must be positive, got {radius}")
-    if w2n_norm(s.u) > radius:
+    if s.w2n > radius:
         return math.inf
-    return energy(s, spec).total
+    return energy(s).total
 
 
 def directional_derivative(s: FieldState, v: ScalarField) -> float:
-    """First variation of the energy at s.u in direction v: (grad u, grad v) - (rhs, v)."""
-    return h1_inner(s.u, v) - l2_inner(s.rhs, v)
+    """First variation of the energy at s.u in direction v: (grad u, grad v) - (rhs, v),
+    with (grad u, grad v) = <-Delta_h u, v> h^3 from the held lap."""
+    return l2_inner(s.lap, v) - l2_inner(s.rhs, v)
 
 
 def strong_residual(s: FieldState) -> ScalarField:
     """Nodewise Euler-Lagrange residual -Delta_h u - rhs(u), the L2 gradient."""
-    return apply_laplacian(s.u) - s.rhs
+    return s.lap - s.rhs
 
 
 def gradient_field(s: FieldState) -> ScalarField:

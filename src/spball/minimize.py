@@ -7,8 +7,10 @@ first tries the depth-3 Anderson (type-II) mixture of that iteration
 dT, dg of T and g between the last iterates and the coefficients gamma
 minimizing the H1 norm of g - dg gamma, the trial is T(u) - dT gamma. The
 differences come from gradients already computed, so the trial costs no
-extra solve. A trial that leaves the ball is pulled back by radial
-retraction. If the mixed trial does not strictly decrease the energy, the
+extra solve. A trial is evaluated once; one that leaves the ball is pulled
+back by radial retraction of its state, t u with t = r / ||-Delta_h u||_3,
+whose potential is t^2 phi_u, so the retraction costs a stencil and no
+solve. If the mixed trial does not strictly decrease the energy, the
 history is cleared and the plain step u - step g backtracks from 1 by halves
 until the energy strictly decreases. The one convergence test is verify's:
 the descent stops converged (fixed_point) when fixed_point_residual of g and
@@ -18,6 +20,7 @@ lowers the energy (no_decrease) or the iteration budget is spent (budget).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +29,6 @@ from .ball import BALL_NORM_SLACK, BallSpec
 from .energy import (
     FieldState,
     ProblemSpec,
-    _energy_terms,
     _state,
     energy,
     evaluate,
@@ -34,14 +36,7 @@ from .energy import (
     restricted_energy,
 )
 from .errors import ForcingTooLargeError, InitializationFailureError
-from .grid import (
-    ScalarField,
-    first_eigenpair,
-    grad_l2_norm,
-    lp_norm,
-    neg_laplacian_array,
-    w2n_norm,
-)
+from .grid import ScalarField, first_eigenpair, lp_norm, neg_laplacian_array, w2n_norm
 from .verify import FP_THRESHOLD, PDE_THRESHOLD, fixed_point_residual, pde_residual
 
 _INITIAL_STEP = 1.0
@@ -89,14 +84,16 @@ class MinimizeResult:
         return self.state.u
 
 
-def retract_to_ball(u: ScalarField, radius: float) -> ScalarField:
-    """Radial retraction onto the closed ball of the w2n norm."""
+def retract_to_ball(s: FieldState, radius: float, spec: ProblemSpec) -> FieldState:
+    """Radial retraction of an evaluated field onto the closed ball of the w2n
+    norm: t u with t = radius / ||-Delta_h u||_3, whose potential is t^2 phi_u."""
     if not radius > 0.0:
         raise ValueError(f"ball radius must be positive, got {radius}")
-    w = w2n_norm(u)
+    w = s.w2n
     if w <= radius:
-        return u
-    return (radius / w) * u
+        return s
+    t = radius / w
+    return _state(t * s.u, (t * t) * s.phi, spec)
 
 
 def initial_guess(spec: ProblemSpec, radius: float) -> FieldState:
@@ -116,7 +113,7 @@ def initial_guess(spec: ProblemSpec, radius: float) -> FieldState:
     e = (radius / w2n_norm(e1)) * e1
 
     base = evaluate(e, spec)
-    quad, quart, power, lin = _energy_terms(base, spec)
+    quad, quart, power, lin = base.terms
 
     ts = np.concatenate(([0.0], np.geomspace(1e-8, 1.0, _INITIAL_T_GRID)))
     poly = quad * ts**2 + quart * ts**4 - power * ts ** (spec.p + 1.0) - lin * ts
@@ -126,7 +123,7 @@ def initial_guess(spec: ProblemSpec, radius: float) -> FieldState:
         if poly[idx] >= 0.0:
             break
         candidate = _state(t * e, (t * t) * base.phi, spec)
-        if restricted_energy(candidate, radius, spec) < 0.0:
+        if restricted_energy(candidate, radius) < 0.0:
             return candidate
     raise InitializationFailureError(
         "no scaling of the eigenfunction yields negative energy; "
@@ -189,8 +186,8 @@ def _backtrack(s: FieldState, g: ScalarField, current: float, spec: ProblemSpec,
     whose retracted trial strictly lowers the energy; None when none does."""
     step = _INITIAL_STEP
     while step >= _MIN_STEP:
-        candidate = evaluate(retract_to_ball(s.u - step * g, ball.radius), spec)
-        cand_energy = energy(candidate, spec).total
+        candidate = retract_to_ball(evaluate(s.u - step * g, spec), ball.radius, spec)
+        cand_energy = energy(candidate).total
         if cand_energy < current:
             return candidate, cand_energy, step
         step *= _BACKTRACK_FACTOR
@@ -220,7 +217,7 @@ def minimize(
     else:
         s = initial_guess(spec, ball.radius)
 
-    current = energy(s, spec).total
+    current = energy(s).total
     trace = [(0, current, 0.0, 0.0)]
     iterations = 0
     mixed_steps = 0
@@ -228,7 +225,7 @@ def minimize(
 
     while True:
         g = gradient_field(s)
-        if fixed_point_residual(s.u, g) <= FP_THRESHOLD and pde_residual(s, spec) <= PDE_THRESHOLD:
+        if fixed_point_residual(s, g) <= FP_THRESHOLD and pde_residual(s, spec) <= PDE_THRESHOLD:
             stop_reason = "fixed_point"
             break
         if iterations == opts.max_iters:
@@ -239,8 +236,8 @@ def minimize(
         accepted = None
         if history.steps:
             trial = ScalarField(spec.grid, history.mixed(g.values, s.u.values))
-            candidate = evaluate(retract_to_ball(trial, ball.radius), spec)
-            cand_energy = energy(candidate, spec).total
+            candidate = retract_to_ball(evaluate(trial, spec), ball.radius, spec)
+            cand_energy = energy(candidate).total
             if cand_energy < current:
                 accepted = (candidate, cand_energy, 1.0)
                 mixed_steps += 1
@@ -254,7 +251,9 @@ def minimize(
             break
 
         candidate, cand_energy, step = accepted
-        displacement = grad_l2_norm(candidate.u - s.u)
+        # ||grad(u' - u)||^2 = <-Delta_h (u' - u), u' - u> h^3, from the held Laplacians
+        pair = np.vdot(candidate.lap.values - s.lap.values, candidate.u.values - s.u.values)
+        displacement = math.sqrt(max(float(pair), 0.0) * spec.grid.h ** 3)
         s, current = candidate, cand_energy
         iterations += 1
         trace.append((iterations, current, step, displacement))
@@ -266,7 +265,7 @@ def minimize(
         iterations=iterations,
         trace=tuple(trace),
         converged=stop_reason == "fixed_point",
-        on_boundary=abs(w2n_norm(s.u) - ball.radius) <= 1e-8,
+        on_boundary=abs(s.w2n - ball.radius) <= 1e-8,
         stop_reason=stop_reason,
         mixed_steps=mixed_steps,
     )

@@ -25,7 +25,6 @@ from .grid import (
     build_grid,
     first_eigenpair,
     lp_norm,
-    w2n_norm,
 )
 from .minimize import MinimizeOptions, MinimizeResult, minimize
 from .poisson import solve_dirichlet_poisson
@@ -247,7 +246,7 @@ def _summarize(result: MinimizeResult) -> dict:
         "final_step": last[2],
         "final_displacement": last[3],
         "trace_rows": len(result.trace),
-        "minimizer_w2n": w2n_norm(result.minimizer),
+        "minimizer_w2n": result.state.w2n,
         "minimizer_l2": lp_norm(result.minimizer, 2),
     }
 

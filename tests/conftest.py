@@ -1,8 +1,12 @@
 """Shared oracles and helpers for the test suite."""
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from spball import grid as grid_module
 from spball.ball import make_ball
 from spball.energy import ProblemSpec
 from spball.grid import DomainGrid, ScalarField, first_eigenpair, lp_norm, w2n_norm
@@ -87,5 +91,34 @@ def solve_counter(monkeypatch):
             m.setattr(PoissonSolution, "__init__", counting_init)
             result = fn(*args, **kwargs)
         return result, count
+
+    return run
+
+
+KERNELS = ("neg_laplacian_array", "h1_inner")
+
+
+@pytest.fixture
+def kernel_counter(monkeypatch):
+    """kernel_counter(fn, *args, **kwargs) -> (fn's result, Counter of calls to
+    the grid kernels in KERNELS during the call); each kernel is counted
+    wherever spball bound it, inside grid too. Guards against re-added passes."""
+
+    def run(fn, *args, **kwargs):
+        counts = Counter()
+        holders = [m for key, m in sys.modules.items() if key.split(".")[0] == "spball"]
+        with monkeypatch.context() as m:
+            for name in KERNELS:
+                original = getattr(grid_module, name)
+
+                def counting(*a, _name=name, _original=original, **k):
+                    counts[_name] += 1
+                    return _original(*a, **k)
+
+                for holder in holders:
+                    if getattr(holder, name, None) is original:
+                        m.setattr(holder, name, counting)
+            result = fn(*args, **kwargs)
+        return result, counts
 
     return run

@@ -130,8 +130,8 @@ def test_criterion_4_first_variation_audit():
                 dd = directional_derivative(evaluate(u, spec), v)
                 best = math.inf
                 for eps in (1e-4, 1e-5, 1e-6):
-                    e_plus = energy(evaluate(u + eps * v, spec), spec).total
-                    e_minus = energy(evaluate(u - eps * v, spec), spec).total
+                    e_plus = energy(evaluate(u + eps * v, spec)).total
+                    e_minus = energy(evaluate(u - eps * v, spec)).total
                     fd = (e_plus - e_minus) / (2.0 * eps)
                     best = min(best, abs(fd - dd) / max(abs(dd), 1e-30))
                 assert best <= 1e-6, (p, best)

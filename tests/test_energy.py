@@ -17,7 +17,6 @@ from spball import (
     first_eigenpair,
     h1_inner,
     l2_inner,
-    lp_norm,
     w2n_norm,
 )
 from spball.energy import (
@@ -74,7 +73,7 @@ def test_spec_grid_mismatch():
         )
     spec = make_spec()
     with pytest.raises(GridMismatchError):
-        energy(evaluate(ScalarField.zeros(g5), spec), spec)
+        energy(evaluate(ScalarField.zeros(g5), spec))
 
 
 # ---------------------------------------------------------------- energy values
@@ -82,7 +81,7 @@ def test_spec_grid_mismatch():
 
 def test_energy_zero_field_is_zero():
     spec = make_spec()
-    b = energy(evaluate(ScalarField.zeros(spec.grid), spec), spec)
+    b = energy(evaluate(ScalarField.zeros(spec.grid), spec))
     assert b == EnergyBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
@@ -101,7 +100,7 @@ def test_energy_against_dense_oracle(rng):
     power = math.fsum(np.abs(uv) ** (p + 1.0)) * h3 / (p + 1.0)
     forcing = math.fsum(uv) * h3
     expected = kinetic + coupling - power - forcing
-    got = energy(evaluate(u, spec), spec)
+    got = energy(evaluate(u, spec))
     assert_allclose(got.kinetic, kinetic, rtol=1e-12)
     assert_allclose(got.coupling, coupling, rtol=1e-10)
     assert_allclose(got.power, power, rtol=1e-12)
@@ -112,7 +111,7 @@ def test_energy_against_dense_oracle(rng):
 def test_energy_total_is_exact_term_sum(rng):
     spec = make_spec(n=5)
     u = random_field(spec.grid, rng)
-    b = energy(evaluate(u, spec), spec)
+    b = energy(evaluate(u, spec))
     assert b.total == b.kinetic + b.coupling - b.power - b.forcing
 
 
@@ -120,15 +119,15 @@ def test_energy_negative_dip_for_small_positive_fields():
     # along t * e1 the forcing term -t*int(f e1) dominates as t -> 0+
     spec = make_spec(n=6, p=3.0)
     e1, _ = first_eigenpair(spec.grid)
-    assert energy(evaluate(0.05 * e1, spec), spec).total < 0.0
+    assert energy(evaluate(0.05 * e1, spec)).total < 0.0
 
 
 def test_energy_split_identity(rng):
     spec = make_spec(n=5, p=7.0)
     u = random_field(spec.grid, rng, scale=0.5)
     s = evaluate(u, spec)
-    convex, smooth = energy_split(s, spec)
-    b = energy(s, spec)
+    convex, smooth = energy_split(s)
+    b = energy(s)
     assert_allclose(convex - smooth, b.total, rtol=1e-12, atol=1e-15)
     assert convex == b.kinetic
     assert convex >= 0.0
@@ -139,10 +138,10 @@ def test_energy_split_convex_part_is_convex(rng):
     u, v = random_field(spec.grid, rng), random_field(spec.grid, rng)
     for theta in (0.0, 0.25, 0.5, 0.9, 1.0):
         mix = theta * u + (1.0 - theta) * v
-        lhs = energy_split(evaluate(mix, spec), spec)[0]
+        lhs = energy_split(evaluate(mix, spec))[0]
         rhs = (
-            theta * energy_split(evaluate(u, spec), spec)[0]
-            + (1.0 - theta) * energy_split(evaluate(v, spec), spec)[0]
+            theta * energy_split(evaluate(u, spec))[0]
+            + (1.0 - theta) * energy_split(evaluate(v, spec))[0]
         )
         assert lhs <= rhs + 1e-12
 
@@ -155,11 +154,11 @@ def test_restricted_energy_inside_and_outside(rng):
     u = random_field(spec.grid, rng)
     s = evaluate(u, spec)
     r = w2n_norm(u)
-    assert restricted_energy(s, 2.0 * r, spec) == energy(s, spec).total
-    assert restricted_energy(s, r, spec) == energy(s, spec).total  # boundary included
-    assert restricted_energy(s, 0.5 * r, spec) == math.inf
+    assert restricted_energy(s, 2.0 * r) == energy(s).total
+    assert restricted_energy(s, r) == energy(s).total  # boundary included
+    assert restricted_energy(s, 0.5 * r) == math.inf
     with pytest.raises(ValueError):
-        restricted_energy(s, 0.0, spec)
+        restricted_energy(s, 0.0)
 
 
 # ---------------------------------------------------------------- first variation
@@ -182,8 +181,8 @@ def test_directional_derivative_matches_finite_differences(p, rng):
         dd = directional_derivative(evaluate(u, spec), v)
         best = math.inf
         for eps in (1e-4, 1e-5, 1e-6):
-            e_plus = energy(evaluate(u + eps * v, spec), spec).total
-            e_minus = energy(evaluate(u - eps * v, spec), spec).total
+            e_plus = energy(evaluate(u + eps * v, spec)).total
+            e_minus = energy(evaluate(u - eps * v, spec)).total
             fd = (e_plus - e_minus) / (2 * eps)
             best = min(best, abs(fd - dd) / max(abs(dd), 1e-30))
         assert best <= 1e-6
@@ -234,3 +233,33 @@ def test_strong_residual_composition(rng):
         rtol=0,
         atol=0,
     )
+
+
+# ---------------------------------------------------------------- held quantities
+
+
+@pytest.mark.parametrize("n", [5, 8])
+@pytest.mark.parametrize("p", [1.5, 3.0, 7.0])
+@pytest.mark.parametrize("coupling_kind", ["constant", "sine_bump"])
+def test_state_holds_the_laplacian_and_the_energy_terms(n, p, coupling_kind, rng):
+    # the state's stencil and residual are the grid's, bit for bit, and its
+    # terms agree with the term formulas the state replaced, written inline
+    g = build_grid(n)
+    e1, _ = first_eigenpair(g)
+    coupling = ScalarField(g, np.ones(g.shape)) if coupling_kind == "constant" else 1e3 * e1
+    forcing = ScalarField(g, rng.uniform(0.5, 1.5, g.shape))
+    spec = ProblemSpec(p=p, coupling=coupling, forcing=forcing, grid=g)
+    u = random_field(g, rng, scale=0.7)
+    s = evaluate(u, spec)
+    lap = apply_laplacian(u)
+    assert np.array_equal(s.lap.values, lap.values)
+    assert np.array_equal(strong_residual(s).values, (lap - s.rhs).values)
+
+    h3 = g.h**3
+    kinetic = 0.5 * h1_inner(u, u)
+    coupling_term = 0.25 * float(np.sum(coupling.values * s.phi.values * u.values**2)) * h3
+    power = float(np.sum(np.abs(u.values) ** (p + 1.0))) * h3 / (p + 1.0)
+    forcing_term = l2_inner(forcing, u)
+    assert_allclose(s.terms, (kinetic, coupling_term, power, forcing_term), rtol=1e-13, atol=0)
+    assert s.grad_sq == 2.0 * s.terms[0]
+    assert s.w2n == w2n_norm(u)

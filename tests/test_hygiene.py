@@ -1,0 +1,63 @@
+"""Import hygiene: every name a module imports is used in that module.
+
+Each module under src/spball, tests, demos and perfbench is parsed with
+ast; an imported name counts as used when it appears as a name anywhere in
+the module or is listed in the module's __all__.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(
+    path
+    for folder in ("src/spball", "tests", "demos", "perfbench")
+    for path in (ROOT / folder).glob("*.py")
+)
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each import -> its line; `import a.b` binds `a`."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    used = used_names(tree)
+    return [f"{name} (line {line})" for name, line in imported_names(tree).items()
+            if name not in used]
+
+
+def test_every_tree_is_scanned():
+    folders = {path.parent.name for path in MODULES}
+    assert folders == {"spball", "tests", "demos", "perfbench"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_module_uses_every_name_it_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_the_scan_catches_an_unused_import():
+    source = "import os\nfrom math import pi, tau\n__all__ = ['tau']\nprint(os.sep)\n"
+    assert unused_imports(source) == ["pi (line 2)"]

@@ -12,13 +12,13 @@ from numpy.testing import assert_allclose
 from spball import (
     ForcingTooLargeError,
     ScalarField,
+    apply_laplacian,
     build_grid,
-    first_eigenpair,
-    lp_norm,
+    compute_phi,
     w2n_norm,
 )
+from spball.ball import BALL_NORM_SLACK
 from spball.grid import h1_inner
-from spball.ball import make_ball
 from spball.energy import ProblemSpec, energy, evaluate, gradient_field
 from spball.minimize import (
     MinimizeOptions,
@@ -58,28 +58,28 @@ def test_options_validation():
 
 
 def test_retract_inside_ball_is_identity(rng):
-    g = build_grid(5)
-    u = random_field(g, rng)
-    r = 2.0 * w2n_norm(u)
-    assert retract_to_ball(u, r) is u
+    spec, _ = standard_problem(n=5, p=3.0)
+    s = evaluate(random_field(spec.grid, rng), spec)
+    r = 2.0 * w2n_norm(s.u)
+    assert retract_to_ball(s, r, spec) is s
 
 
 def test_retract_outside_ball_lands_on_boundary(rng):
-    g = build_grid(5)
-    u = random_field(g, rng)
+    spec, _ = standard_problem(n=5, p=3.0)
+    u = random_field(spec.grid, rng)
     r = 0.25 * w2n_norm(u)
-    v = retract_to_ball(u, r)
+    v = retract_to_ball(evaluate(u, spec), r, spec).u
     assert_allclose(w2n_norm(v), r, rtol=1e-12)
     # direction preserved
     assert_allclose(v.values * w2n_norm(u), u.values * r, rtol=1e-10)
 
 
 def test_retract_zero_field_and_bad_radius():
-    g = build_grid(4)
-    z = ScalarField.zeros(g)
-    assert retract_to_ball(z, 1.0) is z
+    spec, _ = standard_problem(n=4, p=3.0)
+    z = evaluate(ScalarField.zeros(spec.grid), spec)
+    assert retract_to_ball(z, 1.0, spec) is z
     with pytest.raises(ValueError):
-        retract_to_ball(z, 0.0)
+        retract_to_ball(z, 0.0, spec)
 
 
 # ---------------------------------------------------------------- initialization
@@ -89,7 +89,7 @@ def test_retract_zero_field_and_bad_radius():
 def test_initial_guess_certifies_negative_energy(p):
     spec, ball = standard_problem(p=p)
     s0 = initial_guess(spec, ball.radius)
-    assert energy(s0, spec).total < 0.0
+    assert energy(s0).total < 0.0
     assert w2n_norm(s0.u) <= ball.radius * (1.0 + 1e-12)
     assert float(s0.u.values.min()) >= 0.0  # positive multiple of the eigenfunction
 
@@ -103,7 +103,7 @@ def test_initial_guess_survives_tiny_forcing():
         grid=spec.grid,
     )
     s0 = initial_guess(tiny, ball.radius)
-    assert energy(s0, tiny).total < 0.0
+    assert energy(s0).total < 0.0
 
 
 # ---------------------------------------------------------------- descent
@@ -156,7 +156,7 @@ def test_minimize_standard_run(p):
     res = minimize(spec, ball)
     assert res.converged
     assert res.energy < 0.0
-    assert res.energy == energy(evaluate(res.minimizer, spec), spec).total
+    assert res.energy == energy(evaluate(res.minimizer, spec)).total
     assert w2n_norm(res.minimizer) <= ball.radius * (1.0 + 1e-12)
     # strict monotone descent along the recorded trace, zero slack
     energies = [row[1] for row in res.trace]
@@ -226,8 +226,8 @@ def test_converged_runs_pass_the_residual_gates(monkeypatch, n, p, coupling, fra
     seen = []
     fp = minimize_mod.fixed_point_residual
 
-    def recording(u, g):
-        seen.append(fp(u, g))
+    def recording(s, g):
+        seen.append(fp(s, g))
         return seen[-1]
 
     monkeypatch.setattr(minimize_mod, "fixed_point_residual", recording)
@@ -251,8 +251,8 @@ def test_minimize_local_minimality_spot_check():
     probes = smoothed_random_fields(spec.grid, 50, seed=123)
     for v in probes:
         scale = 1e-4 / max(w2n_norm(v), 1e-30)
-        cand = retract_to_ball(res.minimizer + scale * v, ball.radius)
-        assert energy(evaluate(cand, spec), spec).total >= base - 1e-9
+        cand = retract_to_ball(evaluate(res.minimizer + scale * v, spec), ball.radius, spec)
+        assert energy(cand).total >= base - 1e-9
 
 
 @pytest.mark.parametrize("p", [3.0, 7.0])
@@ -281,7 +281,7 @@ DESCENT_N8 = {
     "seed": 3,
 }
 # the plain descent's minimum energy on DESCENT_N8, reached in 10 iterations
-PLAIN_DESCENT_N8_ENERGY = -11.206300255050534
+PLAIN_DESCENT_N8_ENERGY = -11.206300255050538
 
 
 def test_mixed_descent_reaches_the_plain_minimizer_in_fewer_iterations():
@@ -330,6 +330,33 @@ def test_rejected_mixed_trial_falls_back_to_the_plain_step(monkeypatch, solve_co
     assert all(row[2] == 1.0 for row in res.trace[1:])
     # each rejected mixed trial costs one state solve on top of 2 + 2 * iterations
     assert count == 2 + 2 * res.iterations + (res.iterations - 1)
+
+
+def test_trial_outside_the_ball_is_rescaled_without_a_solve(monkeypatch, solve_counter):
+    # no trial leaves the ball in an ordinary run; a mixed trial of 3 T(u)
+    # does, and its retraction must rescale the evaluated state, t u with
+    # t^2 phi_u, on the ball and without another solve
+    monkeypatch.setattr(_MixingHistory, "mixed", lambda self, g, u: 3.0 * (u - g))
+    retract = minimize_mod.retract_to_ball
+    calls = []
+
+    def recording(s, radius, spec):
+        calls.append((s, retract(s, radius, spec)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(minimize_mod, "retract_to_ball", recording)
+    spec, ball = standard_problem(n=8, p=3.0)
+    res, count = solve_counter(minimize, spec, ball)
+    assert res.converged
+    assert any(w2n_norm(s.u) > ball.radius for s, _ in calls)  # the path ran
+    for _, out in calls:
+        assert w2n_norm(out.u) <= ball.radius * (1.0 + BALL_NORM_SLACK)
+        assert np.array_equal(out.lap.values, apply_laplacian(out.u).values)
+        assert_allclose(out.phi.values, compute_phi(out.u, spec.coupling).values, rtol=1e-12,
+                        atol=0)
+    # one solve for the initial guess, one gradient per stop test and one
+    # state per trial, retracted or not
+    assert count == 1 + (res.iterations + 1) + len(calls)
 
 
 # ---------------------------------------------------------------- handed-over state
@@ -394,6 +421,27 @@ def test_run_experiment_solve_count(monkeypatch, solve_counter, config):
     assert all(row[2] == 1.0 for row in res.trace[1:])
     assert res.mixed_steps == res.iterations - 1
     assert count == 1 + (2 + 2 * res.iterations) + 1
+
+
+@pytest.mark.parametrize("config", HANDOVER_CASES)
+def test_run_experiment_kernel_count(monkeypatch, kernel_counter, config):
+    # guards the whole run against re-added stencils and gradient pairings.
+    # Stencils: e1's norm in the ball and in the initial guess, the states of
+    # e and t e, one per trial state, one per Anderson history step after the
+    # first iteration, and T(u)'s ball norm in verify. h1_inner: two in the
+    # ball constants, ||grad g|| at each stop test, and in verify the
+    # fixed-point residual and the variational inequality
+    calls = recorded_minimize(monkeypatch)
+    report, counts = kernel_counter(
+        run_experiment, ExperimentConfig.from_dict(config), write_outputs=False
+    )
+    (res, _, _), = calls
+    k = res.iterations
+    assert report.verification.passed
+    assert all(row[2] == 1.0 for row in res.trace[1:])
+    assert res.mixed_steps == k - 1
+    assert counts["neg_laplacian_array"] == 4 + k + (k - 1) + 1
+    assert counts["h1_inner"] == 2 + (k + 1) + 2
 
 
 def test_mixing_history_keeps_the_last_three_steps():

@@ -8,7 +8,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,7 +17,6 @@ from spball.cli import main
 from spball.version import __version__
 from spball.runner import (
     ExperimentConfig,
-    SolveReport,
     convergence_study,
     load_config,
     load_report,

@@ -1,7 +1,7 @@
 """The benchmark's tracer still understands the package: a traced run passes
 the tracer's own self-checks (stage solves sum to the total, which equals
-the count of PoissonSolution objects built), in a fresh interpreter as the
-benchmark runs it."""
+the count of PoissonSolution objects built), and its line-search metrics
+stay meaningful, in a fresh interpreter as the benchmark runs it."""
 
 import json
 import os
@@ -49,3 +49,7 @@ def test_traced_run_passes_the_tracer_self_checks(tmp_path):
     assert metrics["ball.solves"] == 1
     assert metrics["verify.solves"] == 1
     assert metrics["poisson.solves"] == 1 + metrics["minimize.solves"] + 1
+    # the line-search metrics count calls to energy.energy under minimize;
+    # a descent that read the held terms directly would drive backtracks negative
+    assert metrics["minimize.backtracks"] >= 0
+    assert metrics["minimize.energy_evals"] == metrics["energy.evals"]

@@ -5,6 +5,7 @@ family with a negative control, and potential structure checks."""
 import importlib
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,11 +17,10 @@ from spball import (
     build_grid,
     first_eigenpair,
     grad_l2_norm,
-    lp_norm,
     w2n_norm,
 )
 from spball.ball import BallSpec, make_ball
-from spball.energy import FieldState, ProblemSpec, _signed_power, evaluate, gradient_field
+from spball.energy import ProblemSpec, _signed_power, evaluate, gradient_field
 from spball.grid import h1_inner, l2_inner, neg_laplacian_array
 from spball.minimize import minimize, retract_to_ball
 from spball.poisson import compute_phi, solve_dirichlet_poisson
@@ -112,13 +112,15 @@ def test_escaping_auxiliary_image_fails_aux_in_ball():
 
 
 def test_fixed_point_residual_basics(rng):
-    g = build_grid(5)
+    spec, _ = standard_problem(n=5, p=3.0)
+    g = spec.grid
     u = random_field(g, rng)
+    s = evaluate(u, spec)
     # the residual takes g = u - T(u); T(u) = u gives exactly 0
-    assert fixed_point_residual(u, u - u) == 0.0
+    assert fixed_point_residual(s, u - u) == 0.0
     e1, _ = first_eigenpair(g)
     for delta in (1e-3, 1e-6):
-        got = fixed_point_residual(u, u - (u + delta * e1))
+        got = fixed_point_residual(s, u - (u + delta * e1))
         assert_allclose(got, delta * grad_l2_norm(e1) / grad_l2_norm(u), rtol=1e-9)
 
 
@@ -159,7 +161,7 @@ def test_vi_no_violations_at_minimizer(solved_problem):
     gap = variational_inequality_check(s, g)
     assert -1e-8 <= gap <= 0.0
     # the closed form is minus the squared fixed-point residual
-    assert_allclose(gap, -fixed_point_residual(s.u, g) ** 2, rtol=1e-12)
+    assert_allclose(gap, -fixed_point_residual(s, g) ** 2, rtol=1e-12)
 
 
 def test_vi_detects_non_minimizer():
@@ -182,7 +184,7 @@ def test_vi_gap_is_the_infimum_over_the_old_probe_family(n, p, scale):
     aux = solve_dirichlet_poisson(s.rhs).field
     u = s.u
     half_u = 0.5 * h1_inner(u, u)
-    probes = [u, aux, ScalarField.zeros(u.grid), 0.5 * u, retract_to_ball(2.0 * u, ball.radius)]
+    probes = [u, aux, ScalarField.zeros(u.grid), 0.5 * u, retract_to_ball(evaluate(2.0 * u, spec), ball.radius, spec).u]
     # seed 3 plus the old verifier seed offset 1_000_003
     probes.extend(ball_samples(u.grid, 64, 1_000_006, ball.radius))
     # relative to 1/2||grad u||^2, the scale of the terms the per-probe gap cancels
@@ -207,7 +209,7 @@ def test_phi_property_check_reuses_a_given_potential(solved_problem):
     s = evaluate(res.minimizer, spec)
     assert phi_property_check(s, spec, ball) == (True, True, True)
     # the checks read the potential they are given
-    assert not phi_property_check(FieldState(s.u, -s.phi, s.rhs), spec, ball)[0]
+    assert not phi_property_check(replace(s, phi=-s.phi), spec, ball)[0]
 
 
 def test_phi_property_check_zero_candidate_and_zero_scaling():
