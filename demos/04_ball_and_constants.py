@@ -28,12 +28,12 @@ spec = ProblemSpec(
     grid=grid,
 )
 
-c1, c2, c3 = estimate_constants(spec.p, spec.coupling, safety=2.0)
+c1, c2, c3, _ = estimate_constants(spec.p, spec.coupling, safety=2.0)
 print(f"coupling constant (safety 2): {c1:.6e}")
 print(f"power constant    (safety 2): {c2:.6e}")
 print(f"potential constant (factor 2): {c3:.6e}")
 
-ball = make_ball(spec.p, spec.coupling, safety=2.0)
+ball, _ = make_ball(spec.p, spec.coupling, safety=2.0)
 print(f"certified radius:             {ball.radius:.6f}")
 print(f"forcing bound (radius / 2):   {ball.forcing_bound:.6f}")
 check = ball.coupling_constant * ball.radius**3 + ball.power_constant * ball.radius**ball.p

@@ -10,7 +10,8 @@ with ||.|| the w2n norm, and a third bounds the potential itself,
 ||grad phi_u|| <= potential_constant * ||grad u||^2, for verify's phi_bound
 gate. All three are ratios of the first Dirichlet eigenfunction, which
 exceed those of every smoothed random field tried; one potential solve is
-the whole cost. The admissible radius r then satisfies
+the whole cost, and make_ball hands that potential phi_e1 on, since the
+descent starts from a multiple of e1. The admissible radius r then satisfies
 
     coupling_constant r^3 + power_constant r^p <= r/2   for all r in (0, radius],
 
@@ -75,9 +76,9 @@ class BallSpec:
 
 def estimate_constants(
     p: float, coupling: ScalarField, safety: float = 2.0
-) -> tuple[float, float, float]:
-    """(coupling_constant, power_constant, potential_constant) from the first
-    eigenfunction e1 and its one potential phi_e1.
+) -> tuple[float, float, float, ScalarField]:
+    """(coupling_constant, power_constant, potential_constant, phi_e1) from the
+    first eigenfunction e1 and its one potential phi_e1, which is returned too.
 
     All three ratios are invariant under field rescaling. The positive e1
     sets them: over the grids, exponents and couplings checked, no smoothed
@@ -103,6 +104,7 @@ def estimate_constants(
         max(safety * (num_c / w**3), CONSTANT_FLOOR),
         max(safety * power_ratio, CONSTANT_FLOOR),
         max(2.0 * (grad_l2_norm(phi) / grad_l2_norm(e1) ** 2), CONSTANT_FLOOR),
+        phi,
     )
 
 
@@ -148,11 +150,14 @@ def max_forcing_norm(radius: float) -> float:
     return 0.5 * radius
 
 
-def make_ball(p: float, coupling: ScalarField, safety: float = 2.0) -> BallSpec:
-    """Estimate constants and assemble the certified BallSpec."""
-    c_coupling, c_power, c_potential = estimate_constants(p, coupling, safety)
+def make_ball(
+    p: float, coupling: ScalarField, safety: float = 2.0
+) -> tuple[BallSpec, ScalarField]:
+    """Estimate constants and assemble the certified BallSpec; returns it with
+    phi_e1, the potential of the first eigenfunction that set the constants."""
+    c_coupling, c_power, c_potential, phi_e1 = estimate_constants(p, coupling, safety)
     radius = admissible_radius(c_coupling, c_power, p)
-    return BallSpec(c_coupling, c_power, c_potential, radius, max_forcing_norm(radius), p)
+    return BallSpec(c_coupling, c_power, c_potential, radius, max_forcing_norm(radius), p), phi_e1
 
 
 def check_residual_bound(

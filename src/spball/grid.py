@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,6 +56,31 @@ class DomainGrid:
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         c = self.interior_coordinates()
         return np.meshgrid(c, c, c, indexing="ij")
+
+    @cached_property
+    def sine_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(S, inv): the factors of the stencil's diagonalization, built on
+        first use and kept, read-only, for the grid's lifetime.
+
+        S is the DST-I matrix S[j, k] = sin(pi j k / n), j, k = 1..n-1, and
+        inv the cube (2/n)^3 / lambda of the inverse eigenvalues
+        lambda = (4/h^2) sum_i sin^2(pi k_i / (2n)), with the (2/n)^3 of the
+        two unnormalized transforms folded in.
+        """
+        n, h = self.n, self.h
+        sines = _sine_matrix(n)
+        s = np.sin(0.5 * np.pi * np.arange(1, n) / n) ** 2
+        eig = (4.0 / (h * h)) * (s[:, None, None] + s[None, :, None] + s[None, None, :])
+        inv = (2.0 / n) ** 3 / eig
+        sines.setflags(write=False)
+        inv.setflags(write=False)
+        return sines, inv
+
+
+def _sine_matrix(n: int) -> np.ndarray:
+    """DST-I matrix S[j, k] = sin(pi j k / n), j, k = 1..n-1; S @ S = (n/2) I."""
+    k = np.arange(1, n)
+    return np.sin(np.pi * np.outer(k, k) / n)
 
 
 def build_grid(n: int) -> DomainGrid:

@@ -7,12 +7,16 @@ first tries the depth-3 Anderson (type-II) mixture of that iteration
 dT, dg of T and g between the last iterates and the coefficients gamma
 minimizing the H1 norm of g - dg gamma, the trial is T(u) - dT gamma. The
 differences come from gradients already computed, so the trial costs no
-extra solve. A trial is evaluated once; one that leaves the ball is pulled
-back by radial retraction of its state, t u with t = r / ||-Delta_h u||_3,
-whose potential is t^2 phi_u, so the retraction costs a stencil and no
-solve. If the mixed trial does not strictly decrease the energy, the
-history is cleared and the plain step u - step g backtracks from 1 by halves
-until the energy strictly decreases. The one convergence test is verify's:
+extra solve, and the history's H1 pairings read -Delta_h g = lap - rhs, the
+strong residual each state holds, so they cost no stencil either. The
+starting point is a multiple t e of e = (r / ||-Delta_h e1||_3) e1, and its
+potential scales phi_e1, the one the ball constants solved, so the initial
+guess costs no solve. A trial is evaluated once; one that leaves the ball
+is pulled back by radial retraction of its state, t u with
+t = r / ||-Delta_h u||_3, whose potential is t^2 phi_u, so the retraction
+costs a stencil and no solve. If the mixed trial does not strictly
+decrease the energy, the history is cleared and the plain step u - step g
+backtracks from 1 by halves until the energy strictly decreases. The one convergence test is verify's:
 the descent stops converged (fixed_point) when fixed_point_residual of g and
 pde_residual pass FP_THRESHOLD and PDE_THRESHOLD, and otherwise when no step
 lowers the energy (no_decrease) or the iteration budget is spent (budget).
@@ -34,9 +38,10 @@ from .energy import (
     evaluate,
     gradient_field,
     restricted_energy,
+    strong_residual,
 )
 from .errors import ForcingTooLargeError, InitializationFailureError
-from .grid import ScalarField, first_eigenpair, lp_norm, neg_laplacian_array, w2n_norm
+from .grid import ScalarField, first_eigenpair, lp_norm, w2n_norm
 from .verify import FP_THRESHOLD, PDE_THRESHOLD, fixed_point_residual, pde_residual
 
 _INITIAL_STEP = 1.0
@@ -96,7 +101,7 @@ def retract_to_ball(s: FieldState, radius: float, spec: ProblemSpec) -> FieldSta
     return _state(t * s.u, (t * t) * s.phi, spec)
 
 
-def initial_guess(spec: ProblemSpec, radius: float) -> FieldState:
+def initial_guess(spec: ProblemSpec, radius: float, phi_e1: ScalarField) -> FieldState:
     """Evaluated starting point with certified negative energy inside the ball.
 
     Scales the first eigenfunction to the ball boundary, then minimizes the
@@ -104,15 +109,18 @@ def initial_guess(spec: ProblemSpec, radius: float) -> FieldState:
     t in [0, 1]. Ties prefer the smallest t. The winning t is re-checked with
     a real energy evaluation, whose state is returned; on roundoff
     disagreement the remaining candidates are tried in polynomial order.
-    The potential is quadratic, phi_{t e} = t^2 phi_e, so e's one potential
-    solve serves every t.
+    The potential is quadratic, so with e = s e1 the potential of t e is
+    t^2 s^2 phi_e1: phi_e1, the potential make_ball solved for the first
+    eigenfunction, serves every t, and the initial guess costs no solve.
     """
     if not radius > 0.0:
         raise ValueError(f"ball radius must be positive, got {radius}")
+    spec.check_field(phi_e1)
     e1, _ = first_eigenpair(spec.grid)
-    e = (radius / w2n_norm(e1)) * e1
+    scale = radius / w2n_norm(e1)
+    e = scale * e1
 
-    base = evaluate(e, spec)
+    base = _state(e, (scale * scale) * phi_e1, spec)
     quad, quart, power, lin = base.terms
 
     ts = np.concatenate(([0.0], np.geomspace(1e-8, 1.0, _INITIAL_T_GRID)))
@@ -138,22 +146,24 @@ class _MixingHistory:
     changes of g = u - T(u) and of T(u) between consecutive iterates, and the
     Gram matrix of the dg in the discrete H1 pairing, <-Delta_h a, b> h^3
     (h1_inner by summation by parts; the common h^3 cancels in gamma).
+    -Delta_h dg is the change of -Delta_h g, which each push is handed.
     """
 
-    def __init__(self, h: float):
-        self.h = h
+    def __init__(self):
         self.steps: list[tuple[np.ndarray, np.ndarray]] = []  # (-Delta_h dg, dT)
         self.gram = np.zeros((0, 0))
-        self.last: tuple[np.ndarray, np.ndarray] | None = None  # (g, u)
+        # (g, u, -Delta_h g) of the last iterate
+        self.last: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    def push(self, g: np.ndarray, u: np.ndarray) -> None:
-        """Record the iterate u with gradient g = u - T(u)."""
+    def push(self, g: np.ndarray, u: np.ndarray, lap_g: np.ndarray) -> None:
+        """Record the iterate u with gradient g = u - T(u) and lap_g = -Delta_h g,
+        the strong residual -Delta_h u - rhs(u), since -Delta_h T(u) = rhs(u)."""
         if self.last is not None:
             if len(self.steps) == _MIXING_DEPTH:
                 del self.steps[0]
                 self.gram = self.gram[1:, 1:]
             dg = g - self.last[0]
-            ldg = neg_laplacian_array(dg, self.h)
+            ldg = lap_g - self.last[2]
             k = len(self.steps)
             gram = np.empty((k + 1, k + 1))
             gram[:k, :k] = self.gram
@@ -163,7 +173,7 @@ class _MixingHistory:
             dt -= dg
             self.steps.append((ldg, dt))
             self.gram = gram
-        self.last = (g, u)
+        self.last = (g, u, lap_g)
 
     def clear(self) -> None:
         """Forget the steps; the last iterate stays as the base of the next one."""
@@ -197,12 +207,15 @@ def _backtrack(s: FieldState, g: ScalarField, current: float, spec: ProblemSpec,
 def minimize(
     spec: ProblemSpec,
     ball: BallSpec,
+    phi_e1: ScalarField,
     opts: MinimizeOptions | None = None,
 ) -> MinimizeResult:
     """Minimize the energy over the constraint ball by Anderson-mixed retracted descent.
 
-    Requires the forcing to respect the admissible bound. A zero forcing
-    (diagnostic mode) starts and ends at the zero field with zero energy.
+    phi_e1 is the first eigenfunction's potential that make_ball returns with
+    the ball; the initial guess scales it. Requires the forcing to respect
+    the admissible bound. A zero forcing (diagnostic mode) starts and ends at
+    the zero field with zero energy.
     Every iterate stays in the ball; recorded energies are strictly
     decreasing. The accepted trial's state carries into the next gradient.
     """
@@ -215,13 +228,13 @@ def minimize(
     if float(np.abs(spec.forcing.values).max()) == 0.0:
         s = evaluate(ScalarField.zeros(spec.grid), spec)
     else:
-        s = initial_guess(spec, ball.radius)
+        s = initial_guess(spec, ball.radius, phi_e1)
 
     current = energy(s).total
     trace = [(0, current, 0.0, 0.0)]
     iterations = 0
     mixed_steps = 0
-    history = _MixingHistory(spec.grid.h)
+    history = _MixingHistory()
 
     while True:
         g = gradient_field(s)
@@ -231,7 +244,7 @@ def minimize(
         if iterations == opts.max_iters:
             stop_reason = "budget"
             break
-        history.push(g.values, s.u.values)
+        history.push(g.values, s.u.values, strong_residual(s).values)
 
         accepted = None
         if history.steps:

@@ -2,10 +2,12 @@
 
 On the uniform cube the type-I discrete sine transform diagonalizes the
 stencil exactly (fast diagonalization: Lynch, Rice & Thomas 1964; Buzbee,
-Golub & Nielson 1970), so a solve is one forward transform, a division by
-the eigenvalues and one inverse transform, exact up to rounding. A
-transform is one product per axis with the dense sine matrix: O(n^4) flops
-against an FFT's O(n^3 log n), yet faster for every n <= 128 (see README).
+Golub & Nielson 1970), so a solve is one forward transform, a product with
+the scaled inverse eigenvalues and one inverse transform, exact up to
+rounding. The sine matrix and that eigenvalue cube are the grid's
+sine_factors, built once per DomainGrid. A transform is one product per
+axis with the dense sine matrix: O(n^4) flops against an FFT's
+O(n^3 log n), yet faster for every n <= 128 (see README).
 """
 
 from __future__ import annotations
@@ -27,12 +29,6 @@ class PoissonSolution:
     iterations: int
 
 
-def _sine_matrix(n: int) -> np.ndarray:
-    """DST-I matrix S[j, k] = sin(pi j k / n), j, k = 1..n-1; S @ S = (n/2) I."""
-    k = np.arange(1, n)
-    return np.sin(np.pi * np.outer(k, k) / n)
-
-
 def _dst1(values: np.ndarray, sines: np.ndarray) -> np.ndarray:
     """Unnormalized DST-I, sum_j a_j sin(pi j k / n), along every axis of a cube.
 
@@ -46,20 +42,19 @@ def _dst1(values: np.ndarray, sines: np.ndarray) -> np.ndarray:
 def solve_dirichlet_poisson(f: ScalarField) -> PoissonSolution:
     """Solve -Delta_h w = f with zero Dirichlet boundary by sine transforms.
 
-    The stencil's eigenvalues are (4/h^2) sum_i sin^2(pi k_i / (2n)) for
-    modes k_i in 1..n-1. A zero right-hand side returns the zero field.
+    Two transforms and one product with the grid's scaled inverse
+    eigenvalues (DomainGrid.sine_factors). A zero right-hand side returns the
+    zero field.
     """
     grid = f.grid
-    n, h = grid.n, grid.h
     b = f.values
     if not np.any(b):
         return PoissonSolution(ScalarField.zeros(grid), 0)
 
-    sines = _sine_matrix(n)
-    s = np.sin(0.5 * np.pi * np.arange(1, n) / n) ** 2
-    eig = (4.0 / (h * h)) * (s[:, None, None] + s[None, :, None] + s[None, None, :])
-    w = (2.0 / n) ** 3 * _dst1(_dst1(b, sines) / eig, sines)
-    return PoissonSolution(ScalarField(grid, w), 1)
+    sines, inv_eig = grid.sine_factors
+    coeffs = _dst1(b, sines)
+    coeffs *= inv_eig
+    return PoissonSolution(ScalarField(grid, _dst1(coeffs, sines)), 1)
 
 
 def compute_phi(u: ScalarField, coupling: ScalarField) -> ScalarField:

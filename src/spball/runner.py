@@ -271,13 +271,13 @@ def run_experiment(
     timings["setup"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    ball = make_ball(config.p, coupling, config.safety)
+    ball, phi_e1 = make_ball(config.p, coupling, config.safety)
     forcing = _build_forcing(grid, config.forcing, ball.forcing_bound)
     spec = ProblemSpec(p=config.p, coupling=coupling, forcing=forcing, grid=grid)
     timings["constants"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    result = minimize(spec, ball, config.descent)
+    result = minimize(spec, ball, phi_e1, config.descent)
     timings["minimize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -56,16 +56,18 @@ def ball_samples(grid: DomainGrid, count: int, seed: int, radius: float) -> list
 
 
 def standard_problem(n=8, p=7.0, fraction=1.0):
-    """Constant coupling, sine-bump forcing scaled to a fraction of the bound."""
+    """(spec, ball, phi_e1): constant coupling, sine-bump forcing scaled to a
+    fraction of the bound, and the ball with the eigenfunction potential
+    make_ball hands to the descent."""
     from spball.grid import build_grid
 
     g = build_grid(n)
     coupling = ScalarField(g, np.ones(g.shape))
     bump, _ = first_eigenpair(g)
-    ball = make_ball(p, coupling)
+    ball, phi_e1 = make_ball(p, coupling)
     forcing = (fraction * ball.forcing_bound / lp_norm(bump, 3)) * bump
     spec = ProblemSpec(p=p, coupling=coupling, forcing=forcing, grid=g)
-    return spec, ball
+    return spec, ball, phi_e1
 
 
 @pytest.fixture

@@ -99,7 +99,7 @@ def estimation_family(n, seed):
 
 def test_estimate_constants_zero_coupling_hits_floor():
     spec = make_spec(coupling=0.0)
-    c_coupling, c_power, c_potential = estimate_constants(spec.p, spec.coupling)
+    c_coupling, c_power, c_potential, _ = estimate_constants(spec.p, spec.coupling)
     assert c_coupling == c_potential == CONSTANT_FLOOR
     assert c_power > CONSTANT_FLOOR
 
@@ -133,7 +133,7 @@ def test_estimation_ratios_scale_invariant():
 def test_estimate_constants_dominate_family():
     # safety = 2 means every ratio in the family sits at or below constant/2
     spec = make_spec(p=3.0)
-    c_coupling, c_power, _ = estimate_constants(spec.p, spec.coupling, safety=2.0)
+    c_coupling, c_power, _, _ = estimate_constants(spec.p, spec.coupling, safety=2.0)
     for u in estimation_family(spec.grid.n, seed=5):
         w = w2n_norm(u)
         phi = compute_phi(u, spec.coupling)
@@ -213,7 +213,10 @@ def test_make_ball_solve_count(solve_counter):
 
 def test_estimate_constants_deterministic():
     spec = make_spec(p=7.0)
-    assert estimate_constants(spec.p, spec.coupling) == estimate_constants(spec.p, spec.coupling)
+    first = estimate_constants(spec.p, spec.coupling)
+    second = estimate_constants(spec.p, spec.coupling)
+    assert first[:3] == second[:3]
+    assert np.array_equal(first[3].values, second[3].values)
 
 
 # ---------------------------------------------------------------- radius
@@ -294,12 +297,12 @@ def test_ball_spec_invariants_enforced():
 
 def test_make_ball_consistent():
     spec = make_spec(p=7.0)
-    ball = make_ball(spec.p, spec.coupling)
+    ball, _ = make_ball(spec.p, spec.coupling)
     assert ball.forcing_bound == 0.5 * ball.radius
     assert ball.p == spec.p
     # floor-constant couplings produce enormous but still valid radii
     spec0 = make_spec(coupling=0.0, p=7.0)
-    ball0 = make_ball(spec0.p, spec0.coupling)
+    ball0, _ = make_ball(spec0.p, spec0.coupling)
     assert ball0.radius > ball.radius
 
 
@@ -308,7 +311,7 @@ def test_make_ball_consistent():
 
 def test_check_residual_bound_zero_field():
     spec = make_spec()
-    ball = make_ball(spec.p, spec.coupling)
+    ball, _ = make_ball(spec.p, spec.coupling)
     lhs, rhs, holds = check_residual_bound(ScalarField.zeros(spec.grid), ball, spec)
     assert holds
     assert_allclose(lhs, lp_norm(spec.forcing, 3), rtol=1e-12)
@@ -319,7 +322,7 @@ def test_check_residual_bound_boundary_eigenfunction():
     # the eigenfunction sets both constants, so the bound must hold with
     # factor-2 headroom even on the ball boundary
     spec = make_spec(p=7.0)
-    ball = make_ball(spec.p, spec.coupling)
+    ball, _ = make_ball(spec.p, spec.coupling)
     e1, _ = first_eigenpair(spec.grid)
     u = (ball.radius / w2n_norm(e1)) * e1
     lhs, rhs, holds = check_residual_bound(u, ball, spec)
@@ -328,7 +331,7 @@ def test_check_residual_bound_boundary_eigenfunction():
 
 def test_check_residual_bound_random_audit():
     spec = make_spec(p=3.0)
-    ball = make_ball(spec.p, spec.coupling)
+    ball, _ = make_ball(spec.p, spec.coupling)
     for u in ball_samples(spec.grid, 20, seed=77, radius=ball.radius):
         lhs, rhs, holds = check_residual_bound(u, ball, spec)
         assert holds, (lhs, rhs)
@@ -336,7 +339,7 @@ def test_check_residual_bound_random_audit():
 
 def test_check_residual_bound_outside_ball_raises():
     spec = make_spec()
-    ball = make_ball(spec.p, spec.coupling)
+    ball, _ = make_ball(spec.p, spec.coupling)
     e1, _ = first_eigenpair(spec.grid)
     outside = (2.0 * ball.radius / w2n_norm(e1)) * e1
     with pytest.raises(OutsideBallError):

@@ -11,14 +11,16 @@ from numpy.testing import assert_allclose
 
 from spball import (
     ForcingTooLargeError,
+    GridMismatchError,
     ScalarField,
     apply_laplacian,
     build_grid,
     compute_phi,
+    lp_norm,
     w2n_norm,
 )
 from spball.ball import BALL_NORM_SLACK
-from spball.grid import h1_inner
+from spball.grid import h1_inner, neg_laplacian_array
 from spball.energy import ProblemSpec, energy, evaluate, gradient_field
 from spball.minimize import (
     MinimizeOptions,
@@ -58,14 +60,14 @@ def test_options_validation():
 
 
 def test_retract_inside_ball_is_identity(rng):
-    spec, _ = standard_problem(n=5, p=3.0)
+    spec, _, _ = standard_problem(n=5, p=3.0)
     s = evaluate(random_field(spec.grid, rng), spec)
     r = 2.0 * w2n_norm(s.u)
     assert retract_to_ball(s, r, spec) is s
 
 
 def test_retract_outside_ball_lands_on_boundary(rng):
-    spec, _ = standard_problem(n=5, p=3.0)
+    spec, _, _ = standard_problem(n=5, p=3.0)
     u = random_field(spec.grid, rng)
     r = 0.25 * w2n_norm(u)
     v = retract_to_ball(evaluate(u, spec), r, spec).u
@@ -75,7 +77,7 @@ def test_retract_outside_ball_lands_on_boundary(rng):
 
 
 def test_retract_zero_field_and_bad_radius():
-    spec, _ = standard_problem(n=4, p=3.0)
+    spec, _, _ = standard_problem(n=4, p=3.0)
     z = evaluate(ScalarField.zeros(spec.grid), spec)
     assert retract_to_ball(z, 1.0, spec) is z
     with pytest.raises(ValueError):
@@ -87,30 +89,43 @@ def test_retract_zero_field_and_bad_radius():
 
 @pytest.mark.parametrize("p", [3.0, 7.0])
 def test_initial_guess_certifies_negative_energy(p):
-    spec, ball = standard_problem(p=p)
-    s0 = initial_guess(spec, ball.radius)
+    spec, ball, phi_e1 = standard_problem(p=p)
+    s0 = initial_guess(spec, ball.radius, phi_e1)
     assert energy(s0).total < 0.0
     assert w2n_norm(s0.u) <= ball.radius * (1.0 + 1e-12)
     assert float(s0.u.values.min()) >= 0.0  # positive multiple of the eigenfunction
 
 
 def test_initial_guess_survives_tiny_forcing():
-    spec, ball = standard_problem()
+    spec, ball, phi_e1 = standard_problem()
     tiny = ProblemSpec(
         p=spec.p,
         coupling=spec.coupling,
         forcing=1e-3 * spec.forcing,
         grid=spec.grid,
     )
-    s0 = initial_guess(tiny, ball.radius)
+    s0 = initial_guess(tiny, ball.radius, phi_e1)
     assert energy(s0).total < 0.0
+
+
+@pytest.mark.parametrize("p", [3.0, 7.0])
+def test_initial_guess_scales_phi_e1_without_a_solve(p, solve_counter):
+    # the start is t e with e a multiple of e1, so its potential is a multiple
+    # of phi_e1, which make_ball already solved
+    spec, ball, phi_e1 = standard_problem(p=p)
+    s0, count = solve_counter(initial_guess, spec, ball.radius, phi_e1)
+    assert count == 0
+    phi = compute_phi(s0.u, spec.coupling)
+    assert_allclose(s0.phi.values, phi.values, rtol=1e-12, atol=0)
+    with pytest.raises(GridMismatchError):
+        initial_guess(spec, ball.radius, ScalarField.zeros(build_grid(5)))
 
 
 # ---------------------------------------------------------------- descent
 
 
 def test_minimize_zero_forcing_diagnostic():
-    spec, ball = standard_problem()
+    spec, ball, phi_e1 = standard_problem()
     diag = ProblemSpec(
         p=spec.p,
         coupling=spec.coupling,
@@ -118,7 +133,7 @@ def test_minimize_zero_forcing_diagnostic():
         grid=spec.grid,
         require_positive_forcing=False,
     )
-    res = minimize(diag, ball)
+    res = minimize(diag, ball, phi_e1)
     assert res.converged
     assert res.iterations == 0
     assert res.energy == 0.0
@@ -130,7 +145,7 @@ def test_minimize_zero_forcing_diagnostic():
 
 
 def test_minimize_rejects_oversized_forcing():
-    spec, ball = standard_problem()
+    spec, ball, phi_e1 = standard_problem()
     big = ProblemSpec(
         p=spec.p,
         coupling=spec.coupling,
@@ -138,22 +153,22 @@ def test_minimize_rejects_oversized_forcing():
         grid=spec.grid,
     )
     with pytest.raises(ForcingTooLargeError) as excinfo:
-        minimize(big, ball)
+        minimize(big, ball, phi_e1)
     assert excinfo.value.bound == ball.forcing_bound
     assert excinfo.value.actual > excinfo.value.bound
 
 
 def test_minimize_accepts_forcing_at_exact_bound():
     # fraction 1.0 puts the L3 norm on the bound up to float rounding
-    spec, ball = standard_problem(fraction=1.0)
-    res = minimize(spec, ball, MinimizeOptions(max_iters=50))
+    spec, ball, phi_e1 = standard_problem(fraction=1.0)
+    res = minimize(spec, ball, phi_e1, MinimizeOptions(max_iters=50))
     assert res.energy < 0.0
 
 
 @pytest.mark.parametrize("p", [3.0, 7.0])
 def test_minimize_standard_run(p):
-    spec, ball = standard_problem(p=p)
-    res = minimize(spec, ball)
+    spec, ball, phi_e1 = standard_problem(p=p)
+    res = minimize(spec, ball, phi_e1)
     assert res.converged
     assert res.energy < 0.0
     assert res.energy == energy(evaluate(res.minimizer, spec)).total
@@ -167,17 +182,17 @@ def test_minimize_standard_run(p):
 
 
 def test_minimize_trace_is_deterministic():
-    spec, ball = standard_problem()
+    spec, ball, phi_e1 = standard_problem()
     opts = MinimizeOptions()
-    a = minimize(spec, ball, opts)
-    b = minimize(spec, ball, opts)
+    a = minimize(spec, ball, phi_e1, opts)
+    b = minimize(spec, ball, phi_e1, opts)
     assert a.trace == b.trace
     assert np.array_equal(a.minimizer.values, b.minimizer.values)
 
 
 def test_minimize_iteration_budget_flags_nonconvergence():
-    spec, ball = standard_problem(p=3.0)
-    res = minimize(spec, ball, MinimizeOptions(max_iters=1))
+    spec, ball, phi_e1 = standard_problem(p=3.0)
+    res = minimize(spec, ball, phi_e1, MinimizeOptions(max_iters=1))
     assert res.iterations == 1
     assert not res.converged
     assert res.stop_reason == "budget"
@@ -189,8 +204,8 @@ def test_minimize_stall_is_not_converged(monkeypatch):
     # stops where it started, above the fixed-point target
     monkeypatch.setattr(_MixingHistory, "mixed", lambda self, g, u: u)
     monkeypatch.setattr(minimize_mod, "_backtrack", lambda *args: None)
-    spec, ball = standard_problem(p=3.0)
-    res = minimize(spec, ball)
+    spec, ball, phi_e1 = standard_problem(p=3.0)
+    res = minimize(spec, ball, phi_e1)
     assert res.stop_reason == "no_decrease"
     assert not res.converged
     assert res.iterations == 0
@@ -245,8 +260,8 @@ def test_converged_runs_pass_the_residual_gates(monkeypatch, n, p, coupling, fra
 
 
 def test_minimize_local_minimality_spot_check():
-    spec, ball = standard_problem(p=7.0)
-    res = minimize(spec, ball)
+    spec, ball, phi_e1 = standard_problem(p=7.0)
+    res = minimize(spec, ball, phi_e1)
     base = res.energy
     probes = smoothed_random_fields(spec.grid, 50, seed=123)
     for v in probes:
@@ -257,15 +272,15 @@ def test_minimize_local_minimality_spot_check():
 
 @pytest.mark.parametrize("p", [3.0, 7.0])
 def test_minimize_solve_count(p, solve_counter):
-    # guards against a re-added solve: the initial guess takes one (the
-    # eigenfunction's potential, which scales to every candidate's), each
-    # iteration one gradient solve plus one state per line-search trial, and
-    # the gradient at the last iterate one more for the stop test
-    spec, ball = standard_problem(n=8, p=p)
-    res, count = solve_counter(minimize, spec, ball)
+    # guards against a re-added solve: the initial guess takes none (it
+    # scales phi_e1, which make_ball solved), each iteration one gradient
+    # solve plus one state per line-search trial, and the gradient at the
+    # last iterate one more for the stop test
+    spec, ball, phi_e1 = standard_problem(n=8, p=p)
+    res, count = solve_counter(minimize, spec, ball, phi_e1)
     assert res.iterations >= 1
     assert all(row[2] == 1.0 for row in res.trace[1:])  # no backtracking
-    assert count == 2 + 2 * res.iterations
+    assert count == 1 + 2 * res.iterations
 
 
 # ---------------------------------------------------------------- mixed step
@@ -322,14 +337,14 @@ def test_rejected_mixed_trial_falls_back_to_the_plain_step(monkeypatch, solve_co
     assert report.energy == PLAIN_DESCENT_N8_ENERGY
     assert report.verification.passed
 
-    spec, ball = standard_problem(n=8, p=3.0)
-    res, count = solve_counter(minimize, spec, ball)
+    spec, ball, phi_e1 = standard_problem(n=8, p=3.0)
+    res, count = solve_counter(minimize, spec, ball, phi_e1)
     energies = [row[1] for row in res.trace]
     assert all(b < a for a, b in zip(energies, energies[1:]))
     assert res.mixed_steps == 0
     assert all(row[2] == 1.0 for row in res.trace[1:])
-    # each rejected mixed trial costs one state solve on top of 2 + 2 * iterations
-    assert count == 2 + 2 * res.iterations + (res.iterations - 1)
+    # each rejected mixed trial costs one state solve on top of 1 + 2 * iterations
+    assert count == 1 + 2 * res.iterations + (res.iterations - 1)
 
 
 def test_trial_outside_the_ball_is_rescaled_without_a_solve(monkeypatch, solve_counter):
@@ -345,8 +360,8 @@ def test_trial_outside_the_ball_is_rescaled_without_a_solve(monkeypatch, solve_c
         return calls[-1][1]
 
     monkeypatch.setattr(minimize_mod, "retract_to_ball", recording)
-    spec, ball = standard_problem(n=8, p=3.0)
-    res, count = solve_counter(minimize, spec, ball)
+    spec, ball, phi_e1 = standard_problem(n=8, p=3.0)
+    res, count = solve_counter(minimize, spec, ball, phi_e1)
     assert res.converged
     assert any(w2n_norm(s.u) > ball.radius for s, _ in calls)  # the path ran
     for _, out in calls:
@@ -354,9 +369,9 @@ def test_trial_outside_the_ball_is_rescaled_without_a_solve(monkeypatch, solve_c
         assert np.array_equal(out.lap.values, apply_laplacian(out.u).values)
         assert_allclose(out.phi.values, compute_phi(out.u, spec.coupling).values, rtol=1e-12,
                         atol=0)
-    # one solve for the initial guess, one gradient per stop test and one
-    # state per trial, retracted or not
-    assert count == 1 + (res.iterations + 1) + len(calls)
+    # none for the initial guess, one gradient per stop test and one state
+    # per trial, retracted or not
+    assert count == (res.iterations + 1) + len(calls)
 
 
 # ---------------------------------------------------------------- handed-over state
@@ -382,8 +397,8 @@ def recorded_minimize(monkeypatch):
     runner_mod = importlib.import_module("spball.runner")
     calls = []
 
-    def recording(spec, ball, opts=None):
-        calls.append((minimize(spec, ball, opts), spec, ball))
+    def recording(spec, ball, phi_e1, opts=None):
+        calls.append((minimize(spec, ball, phi_e1, opts), spec, ball))
         return calls[-1][0]
 
     monkeypatch.setattr(runner_mod, "minimize", recording)
@@ -408,10 +423,22 @@ def test_verify_from_the_handed_over_state_matches_the_field_alone(monkeypatch, 
 
 
 @pytest.mark.parametrize("config", HANDOVER_CASES)
+def test_aux_ball_norm_is_the_rhs_norm(monkeypatch, config):
+    # -Delta_h T(u) = rhs(u) by construction, so the aux_in_ball gate reads
+    # ||rhs||_3 in place of the stencil norm of T(u) = u - g
+    calls = recorded_minimize(monkeypatch)
+    run_experiment(ExperimentConfig.from_dict(config), write_outputs=False)
+    (res, _, _), = calls
+    stencil = w2n_norm(res.minimizer - res.gradient)
+    assert lp_norm(res.state.rhs, 3) == pytest.approx(stencil, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("config", HANDOVER_CASES)
 def test_run_experiment_solve_count(monkeypatch, solve_counter, config):
     # guards the whole run against a re-added solve: one for the ball
-    # constants, 2 + 2 * iterations in the descent (every iteration after the
-    # first accepts its mixed trial at step 1) and phi_{2u} in verify
+    # constants (phi_e1, which the initial guess scales), 1 + 2 * iterations
+    # in the descent (every iteration after the first accepts its mixed trial
+    # at step 1) and phi_{2u} in verify
     calls = recorded_minimize(monkeypatch)
     report, count = solve_counter(
         run_experiment, ExperimentConfig.from_dict(config), write_outputs=False
@@ -420,15 +447,16 @@ def test_run_experiment_solve_count(monkeypatch, solve_counter, config):
     assert report.verification.passed
     assert all(row[2] == 1.0 for row in res.trace[1:])
     assert res.mixed_steps == res.iterations - 1
-    assert count == 1 + (2 + 2 * res.iterations) + 1
+    assert count == 1 + (1 + 2 * res.iterations) + 1
 
 
 @pytest.mark.parametrize("config", HANDOVER_CASES)
 def test_run_experiment_kernel_count(monkeypatch, kernel_counter, config):
     # guards the whole run against re-added stencils and gradient pairings.
     # Stencils: e1's norm in the ball and in the initial guess, the states of
-    # e and t e, one per trial state, one per Anderson history step after the
-    # first iteration, and T(u)'s ball norm in verify. h1_inner: two in the
+    # e and t e, and one per trial state; the Anderson history reads the held
+    # strong residuals and verify reads T(u)'s ball norm as ||rhs||_3, so
+    # neither runs one. h1_inner: two in the
     # ball constants, ||grad g|| at each stop test, and in verify the
     # fixed-point residual and the variational inequality
     calls = recorded_minimize(monkeypatch)
@@ -440,17 +468,17 @@ def test_run_experiment_kernel_count(monkeypatch, kernel_counter, config):
     assert report.verification.passed
     assert all(row[2] == 1.0 for row in res.trace[1:])
     assert res.mixed_steps == k - 1
-    assert counts["neg_laplacian_array"] == 4 + k + (k - 1) + 1
+    assert counts["neg_laplacian_array"] == 4 + k
     assert counts["h1_inner"] == 2 + (k + 1) + 2
 
 
 def test_mixing_history_keeps_the_last_three_steps():
     g = build_grid(6)
     rng = np.random.default_rng(5)
-    history = _MixingHistory(g.h)
+    history = _MixingHistory()
     arrays = [(rng.standard_normal(g.shape), rng.standard_normal(g.shape)) for _ in range(6)]
     for grad, u in arrays:
-        history.push(grad, u)
+        history.push(grad, u, neg_laplacian_array(grad, g.h))
     assert len(history.steps) == 3
     # the Gram matrix is the H1 pairing of the last three gradient changes
     dgs = [ScalarField(g, b[0] - a[0]) for a, b in zip(arrays[2:], arrays[3:])]

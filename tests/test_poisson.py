@@ -17,7 +17,10 @@ from spball import (
     grad_l2_norm,
     lp_norm,
 )
-from spball.poisson import _dst1, _sine_matrix, compute_phi, solve_dirichlet_poisson
+from spball import grid as grid_module
+from spball.grid import _sine_matrix
+from spball.poisson import _dst1, compute_phi, solve_dirichlet_poisson
+from spball.runner import ExperimentConfig, run_experiment
 
 from conftest import dense_neg_laplacian, random_field
 
@@ -77,6 +80,39 @@ def test_dst1_is_the_sine_sum_along_every_axis(rng, n):
     expected = np.einsum("abc,ai,bj,ck->ijk", x, s, s, s)
     got = _dst1(x, _sine_matrix(n))
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_solves_on_distinct_grid_instances_are_equal(rng):
+    # the transform factors belong to a grid instance and are built on its
+    # first solve; equal grids build equal, read-only factors
+    a, b = build_grid(7), build_grid(7)
+    assert a == b and a is not b
+    assert "sine_factors" not in vars(a)
+    f = rng.standard_normal(a.shape)
+    wa = solve_dirichlet_poisson(ScalarField(a, f)).field.values
+    assert "sine_factors" in vars(a) and "sine_factors" not in vars(b)
+    wb = solve_dirichlet_poisson(ScalarField(b, f)).field.values
+    assert np.array_equal(wa, wb)
+    for fa, fb in zip(a.sine_factors, b.sine_factors):
+        assert fa is not fb and np.array_equal(fa, fb)
+        assert not fa.flags.writeable
+
+
+def test_a_run_builds_the_transform_factors_once(monkeypatch, solve_counter):
+    built = []
+
+    def counting(n, _original=grid_module._sine_matrix):
+        built.append(n)
+        return _original(n)
+
+    monkeypatch.setattr(grid_module, "_sine_matrix", counting)
+    config = ExperimentConfig.from_dict({
+        "grid_n": 8, "p": 7.0, "coupling": {"constant": 1}, "forcing": {"scaled_to_bound": 0.5},
+    })
+    report, solves = solve_counter(run_experiment, config, write_outputs=False)
+    assert report.verification.passed
+    assert solves >= 4
+    assert built == [8]
 
 
 def test_solution_linearity(rng):

@@ -49,6 +49,10 @@ def test_traced_run_passes_the_tracer_self_checks(tmp_path):
     assert metrics["ball.solves"] == 1
     assert metrics["verify.solves"] == 1
     assert metrics["poisson.solves"] == 1 + metrics["minimize.solves"] + 1
+    # the initial guess scales the ball's phi_e1, so the one e1 solve stays
+    # under the ball stage and the descent pays a gradient and a trial per
+    # iteration plus the last gradient
+    assert metrics["minimize.solves"] == 1 + 2 * metrics["minimize.iterations"]
     # the line-search metrics count calls to energy.energy under minimize;
     # a descent that read the held terms directly would drive backtracks negative
     assert metrics["minimize.backtracks"] >= 0

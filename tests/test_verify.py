@@ -39,8 +39,8 @@ from conftest import ball_samples, dense_neg_laplacian, random_field, standard_p
 
 @pytest.fixture(scope="module")
 def solved_problem():
-    spec, ball = standard_problem(n=8, p=7.0)
-    res = minimize(spec, ball)
+    spec, ball, phi_e1 = standard_problem(n=8, p=7.0)
+    res = minimize(spec, ball, phi_e1)
     assert res.converged
     return spec, ball, res
 
@@ -56,7 +56,7 @@ def state_and_gradient(u, spec):
 
 def test_auxiliary_solve_zero_candidate_inverts_forcing():
     # at u = 0 the right-hand side is the forcing alone, and T(0) = 0 - g
-    spec, ball = standard_problem(n=6, p=3.0)
+    spec, ball, phi_e1 = standard_problem(n=6, p=3.0)
     s, g = state_and_gradient(ScalarField.zeros(spec.grid), spec)
     aux = s.u - g
     direct = solve_dirichlet_poisson(spec.forcing).field
@@ -64,7 +64,7 @@ def test_auxiliary_solve_zero_candidate_inverts_forcing():
 
 
 def test_auxiliary_solve_dense_oracle(rng):
-    spec, ball = standard_problem(n=4, p=3.0)
+    spec, ball, phi_e1 = standard_problem(n=4, p=3.0)
     u = (0.1 * ball.radius / 1.0) * random_field(spec.grid, rng, scale=0.05)
     a = dense_neg_laplacian(4)
     phi = np.linalg.solve(a, (spec.coupling.values * u.values**2).ravel())
@@ -80,7 +80,7 @@ def test_auxiliary_solve_dense_oracle(rng):
 
 
 def test_auxiliary_solve_rejects_candidate_outside_ball():
-    spec, ball = standard_problem(n=6)
+    spec, ball, phi_e1 = standard_problem(n=6)
     e1, _ = first_eigenpair(spec.grid)
     outside = (3.0 * ball.radius / w2n_norm(e1)) * e1
     with pytest.raises(OutsideBallError):
@@ -112,7 +112,7 @@ def test_escaping_auxiliary_image_fails_aux_in_ball():
 
 
 def test_fixed_point_residual_basics(rng):
-    spec, _ = standard_problem(n=5, p=3.0)
+    spec, _, _ = standard_problem(n=5, p=3.0)
     g = spec.grid
     u = random_field(g, rng)
     s = evaluate(u, spec)
@@ -125,7 +125,7 @@ def test_fixed_point_residual_basics(rng):
 
 
 def test_pde_residual_is_one_at_zero_candidate():
-    spec, _ = standard_problem(n=5, p=3.0)
+    spec, _, _ = standard_problem(n=5, p=3.0)
     assert pde_residual(evaluate(ScalarField.zeros(spec.grid), spec), spec) == 1.0
 
 
@@ -167,7 +167,7 @@ def test_vi_no_violations_at_minimizer(solved_problem):
 def test_vi_detects_non_minimizer():
     # the zero field with positive forcing is far from stationary: its own
     # auxiliary image is a lower-energy direction, so the gap is negative
-    spec, ball = standard_problem(n=6, p=3.0)
+    spec, ball, phi_e1 = standard_problem(n=6, p=3.0)
     s, g = state_and_gradient(ScalarField.zeros(spec.grid), spec)
     assert variational_inequality_check(s, g) < -1e-8
     report = verify(s, g, spec, ball)
@@ -179,8 +179,8 @@ def test_vi_detects_non_minimizer():
 def test_vi_gap_is_the_infimum_over_the_old_probe_family(n, p, scale):
     # the probes the sampled audit used, with its per-probe gap written inline:
     # the gap at aux equals the closed form and no probe falls below it
-    spec, ball = standard_problem(n=n, p=p, fraction=0.5)
-    s, g = state_and_gradient(scale * minimize(spec, ball).minimizer, spec)
+    spec, ball, phi_e1 = standard_problem(n=n, p=p, fraction=0.5)
+    s, g = state_and_gradient(scale * minimize(spec, ball, phi_e1).minimizer, spec)
     aux = solve_dirichlet_poisson(s.rhs).field
     u = s.u
     half_u = 0.5 * h1_inner(u, u)
@@ -213,7 +213,7 @@ def test_phi_property_check_reuses_a_given_potential(solved_problem):
 
 
 def test_phi_property_check_zero_candidate_and_zero_scaling():
-    spec, ball = standard_problem(n=5, p=3.0)
+    spec, ball, phi_e1 = standard_problem(n=5, p=3.0)
     zero = evaluate(ScalarField.zeros(spec.grid), spec)
     assert phi_property_check(zero, spec, ball) == (True, True, True)
     e1, _ = first_eigenpair(spec.grid)
@@ -230,7 +230,7 @@ def test_phi_property_check_zero_coupling(rng):
         forcing=ScalarField(g, np.ones(g.shape)),
         grid=g,
     )
-    ball = make_ball(spec.p, spec.coupling)
+    ball, _ = make_ball(spec.p, spec.coupling)
     assert phi_property_check(evaluate(random_field(g, rng), spec), spec, ball) == (
         True, True, True
     )
@@ -251,7 +251,7 @@ def test_phi_bound_calibrates_on_the_extremal_eigenfunction(n, coupling_kind):
     extremal = ratio(e1)
     for w in smoothed_random_fields(g, 32, seed=20260814):
         assert ratio(w) <= extremal
-    assert make_ball(3.0, coupling).potential_constant == 2.0 * extremal
+    assert make_ball(3.0, coupling)[0].potential_constant == 2.0 * extremal
 
 
 # ---------------------------------------------------------------- full report
@@ -269,7 +269,7 @@ def test_verify_passes_on_solved_problem(solved_problem):
 
 
 def test_verify_fails_on_non_solution():
-    spec, ball = standard_problem(n=6, p=3.0)
+    spec, ball, phi_e1 = standard_problem(n=6, p=3.0)
     report = verify(*state_and_gradient(ScalarField.zeros(spec.grid), spec), spec, ball)
     assert not report.passed
     assert report.pde_rel_residual == 1.0
