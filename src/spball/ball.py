@@ -177,6 +177,6 @@ def check_residual_bound(
     rhs = (
         ball.coupling_constant * ball.radius**3
         + ball.power_constant * ball.radius**ball.p
-        + lp_norm(spec.forcing, 3)
+        + spec.forcing_norm
     )
     return lhs, rhs, lhs <= rhs + RESIDUAL_BOUND_SLACK

@@ -11,16 +11,21 @@ Sobolev range; the ball constraint elsewhere is what restores control.
 
 Everything else is read from one FieldState per field, built by evaluate:
 the field, its potential, the equation's right-hand side
--c phi_u u + sign(u)|u|^p + f, lap = -Delta_h u and the four energy terms.
-All are written out only in _state, the no-solve builder evaluate shares
-with callers that already hold phi_u; each term pairs u with an array the
-state forms anyway, so a state costs one stencil and no gradient pass.
+-c phi_u u + sign(u)|u|^p + f, lap = -Delta_h u, the four energy terms
+and, taken on first use and kept, the ball norm ||lap||_3 and the strong
+residual lap - rhs. All are
+written out only in _state, the no-solve builder evaluate shares with
+callers that already hold phi_u and lap; each term pairs u with an array
+the state forms anyway, so a state costs no gradient pass, and evaluate's
+stencil for lap is its only one. ProblemSpec holds ||f||_3 for the same
+reason: a stop test re-forms neither the residual nor the forcing norm.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +40,7 @@ class ProblemSpec:
 
     require_positive_forcing=False permits a nonnegative (possibly zero)
     forcing for diagnostics; the default enforces strict positivity.
+    forcing_norm is ||f||_3, taken once at construction.
     """
 
     p: float
@@ -42,6 +48,7 @@ class ProblemSpec:
     forcing: ScalarField
     grid: DomainGrid
     require_positive_forcing: bool = True
+    forcing_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.p) and self.p > 1.0):
@@ -59,6 +66,7 @@ class ProblemSpec:
                 )
         elif fmin < 0.0:
             raise AssumptionViolationError("forcing field must be nonnegative")
+        object.__setattr__(self, "forcing_norm", lp_norm(self.forcing, 3))
 
     def check_field(self, u: ScalarField) -> None:
         if u.grid != self.grid:
@@ -93,10 +101,15 @@ class FieldState:
     lap: ScalarField
     terms: tuple[float, float, float, float]
 
-    @property
+    @cached_property
     def w2n(self) -> float:
-        """The ball norm ||-Delta_h u||_3 of grid.w2n_norm, from lap."""
+        """The ball norm ||-Delta_h u||_3 of grid.w2n_norm, from lap, taken once."""
         return lp_norm(self.lap, 3.0)
+
+    @cached_property
+    def residual(self) -> ScalarField:
+        """The strong residual lap - rhs = -Delta_h u - rhs(u), formed once."""
+        return self.lap - self.rhs
 
     @property
     def grad_sq(self) -> float:
@@ -104,13 +117,13 @@ class FieldState:
         return 2.0 * self.terms[0]
 
 
-def _state(u: ScalarField, phi: ScalarField, spec: ProblemSpec) -> FieldState:
-    """The state of u from its potential phi, already solved; no solve.
+def _state(u: ScalarField, phi: ScalarField, lap: ScalarField, spec: ProblemSpec) -> FieldState:
+    """The state of u from its potential phi, already solved, and lap = -Delta_h u,
+    already formed; no solve and no stencil.
 
     The terms are homogeneous in u, of degree 2, 4, p+1 and 1: 1/2 <lap, u>,
     1/4 <c phi u, u>, <sign(u)|u|^p, u>/(p+1) and <f, u>, each times h^3.
     """
-    lap = apply_laplacian(u)
     coupled = spec.coupling.values * phi.values * u.values
     power = _signed_power(u.values, spec.p)
     rhs = ScalarField(spec.grid, -coupled + power + spec.forcing.values)
@@ -125,9 +138,10 @@ def _state(u: ScalarField, phi: ScalarField, spec: ProblemSpec) -> FieldState:
 
 
 def evaluate(u: ScalarField, spec: ProblemSpec) -> FieldState:
-    """The state of u: one linear solve for the potential, then the right-hand side."""
+    """The state of u: one linear solve for the potential, one stencil for
+    -Delta_h u, then the right-hand side."""
     spec.check_field(u)
-    return _state(u, compute_phi(u, spec.coupling), spec)
+    return _state(u, compute_phi(u, spec.coupling), apply_laplacian(u), spec)
 
 
 def energy(s: FieldState) -> EnergyBreakdown:
@@ -164,8 +178,9 @@ def directional_derivative(s: FieldState, v: ScalarField) -> float:
 
 
 def strong_residual(s: FieldState) -> ScalarField:
-    """Nodewise Euler-Lagrange residual -Delta_h u - rhs(u), the L2 gradient."""
-    return s.lap - s.rhs
+    """Nodewise Euler-Lagrange residual -Delta_h u - rhs(u), the L2 gradient;
+    the state's own, formed once."""
+    return s.residual
 
 
 def gradient_field(s: FieldState) -> ScalarField:
@@ -173,6 +188,8 @@ def gradient_field(s: FieldState) -> ScalarField:
 
     It is the Riesz representative of the strong residual in the discrete H1
     inner product, since (-Delta_h)^-1 (-Delta_h u - rhs) = u - T(u); one solve.
+    So -Delta_h g = lap - rhs, the state's residual, up to solve rounding:
+    verify reads ||grad g||^2 = <lap - rhs, g> h^3 from it with no gradient pass.
     """
     return s.u - solve_dirichlet_poisson(s.rhs).field
 

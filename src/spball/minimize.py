@@ -9,17 +9,21 @@ minimizing the H1 norm of g - dg gamma, the trial is T(u) - dT gamma. The
 differences come from gradients already computed, so the trial costs no
 extra solve, and the history's H1 pairings read -Delta_h g = lap - rhs, the
 strong residual each state holds, so they cost no stencil either. The
-starting point is a multiple t e of e = (r / ||-Delta_h e1||_3) e1, and its
-potential scales phi_e1, the one the ball constants solved, so the initial
-guess costs no solve. A trial is evaluated once; one that leaves the ball
-is pulled back by radial retraction of its state, t u with
-t = r / ||-Delta_h u||_3, whose potential is t^2 phi_u, so the retraction
-costs a stencil and no solve. If the mixed trial does not strictly
-decrease the energy, the history is cleared and the plain step u - step g
-backtracks from 1 by halves until the energy strictly decreases. The one convergence test is verify's:
-the descent stops converged (fixed_point) when fixed_point_residual of g and
-pde_residual pass FP_THRESHOLD and PDE_THRESHOLD, and otherwise when no step
-lowers the energy (no_decrease) or the iteration budget is spent (budget).
+starting point is a multiple t e of e = (r / ||-Delta_h e1||_3) e1. Its
+potential scales phi_e1, the one the ball constants solved, and its
+Laplacian scales lambda_h e, since -Delta_h e1 = lambda_h e1, so the
+initial guess costs no solve and no stencil. A trial is evaluated once
+(one solve, one stencil); one that leaves the ball is pulled back by radial
+retraction of its state, t u with t = r / ||-Delta_h u||_3, whose potential
+is t^2 phi_u, so the retraction costs a stencil and no solve. If the mixed
+trial does not strictly decrease the energy, the history is cleared and the
+plain step u - step g backtracks from 1 by halves until the energy strictly
+decreases. The one convergence test is verify's: the descent stops
+converged (fixed_point) when fixed_point_residual of g and pde_residual
+pass FP_THRESHOLD and PDE_THRESHOLD, and otherwise when no step lowers the
+energy (no_decrease) or the iteration budget is spent (budget). Both
+residuals read the state's held strong residual, and every H1 norm here
+is a pairing with a held Laplacian, so the descent runs no gradient pass.
 """
 
 from __future__ import annotations
@@ -38,10 +42,9 @@ from .energy import (
     evaluate,
     gradient_field,
     restricted_energy,
-    strong_residual,
 )
 from .errors import ForcingTooLargeError, InitializationFailureError
-from .grid import ScalarField, first_eigenpair, lp_norm, w2n_norm
+from .grid import ScalarField, apply_laplacian, first_eigenpair, lp_norm
 from .verify import FP_THRESHOLD, PDE_THRESHOLD, fixed_point_residual, pde_residual
 
 _INITIAL_STEP = 1.0
@@ -49,6 +52,7 @@ _BACKTRACK_FACTOR = 0.5
 _MIN_STEP = 1e-18
 _INITIAL_T_GRID = 400
 _MIXING_DEPTH = 3  # Anderson history length m
+_BOUNDARY_RTOL = 1e-8  # on_boundary: ||-Delta_h u||_3 within this fraction of the radius
 
 
 @dataclass(frozen=True)
@@ -71,7 +75,9 @@ class MinimizeResult:
     trial records step 1. stop_reason is one of fixed_point, no_decrease and
     budget; converged means fixed_point, so a converged minimizer passes
     verify's fixed_point and pde gates. mixed_steps counts the accepted
-    mixed trials.
+    mixed trials. on_boundary means the minimizer's ball norm is within
+    1e-8 of the radius relative to the radius, so it reads the same on a
+    ball of any size.
     """
 
     state: FieldState
@@ -98,7 +104,8 @@ def retract_to_ball(s: FieldState, radius: float, spec: ProblemSpec) -> FieldSta
     if w <= radius:
         return s
     t = radius / w
-    return _state(t * s.u, (t * t) * s.phi, spec)
+    u = t * s.u
+    return _state(u, (t * t) * s.phi, apply_laplacian(u), spec)
 
 
 def initial_guess(spec: ProblemSpec, radius: float, phi_e1: ScalarField) -> FieldState:
@@ -112,15 +119,18 @@ def initial_guess(spec: ProblemSpec, radius: float, phi_e1: ScalarField) -> Fiel
     The potential is quadratic, so with e = s e1 the potential of t e is
     t^2 s^2 phi_e1: phi_e1, the potential make_ball solved for the first
     eigenfunction, serves every t, and the initial guess costs no solve.
+    It runs no stencil either: -Delta_h e1 = lambda_h e1 gives
+    ||-Delta_h e1||_3 = lambda_h ||e1||_3, -Delta_h e = lambda_h e and
+    -Delta_h (t e) = t lambda_h e, all to rounding.
     """
     if not radius > 0.0:
         raise ValueError(f"ball radius must be positive, got {radius}")
     spec.check_field(phi_e1)
-    e1, _ = first_eigenpair(spec.grid)
-    scale = radius / w2n_norm(e1)
+    e1, lam = first_eigenpair(spec.grid)
+    scale = radius / (lam * lp_norm(e1, 3))
     e = scale * e1
 
-    base = _state(e, (scale * scale) * phi_e1, spec)
+    base = _state(e, (scale * scale) * phi_e1, lam * e, spec)
     quad, quart, power, lin = base.terms
 
     ts = np.concatenate(([0.0], np.geomspace(1e-8, 1.0, _INITIAL_T_GRID)))
@@ -130,7 +140,7 @@ def initial_guess(spec: ProblemSpec, radius: float, phi_e1: ScalarField) -> Fiel
         t = float(ts[idx])
         if poly[idx] >= 0.0:
             break
-        candidate = _state(t * e, (t * t) * base.phi, spec)
+        candidate = _state(t * e, (t * t) * base.phi, t * base.lap, spec)
         if restricted_energy(candidate, radius) < 0.0:
             return candidate
     raise InitializationFailureError(
@@ -221,9 +231,8 @@ def minimize(
     """
     if opts is None:
         opts = MinimizeOptions()
-    forcing_norm = lp_norm(spec.forcing, 3)
-    if forcing_norm > ball.forcing_bound * (1.0 + BALL_NORM_SLACK):
-        raise ForcingTooLargeError(forcing_norm, ball.forcing_bound)
+    if spec.forcing_norm > ball.forcing_bound * (1.0 + BALL_NORM_SLACK):
+        raise ForcingTooLargeError(spec.forcing_norm, ball.forcing_bound)
 
     if float(np.abs(spec.forcing.values).max()) == 0.0:
         s = evaluate(ScalarField.zeros(spec.grid), spec)
@@ -244,7 +253,7 @@ def minimize(
         if iterations == opts.max_iters:
             stop_reason = "budget"
             break
-        history.push(g.values, s.u.values, strong_residual(s).values)
+        history.push(g.values, s.u.values, s.residual.values)
 
         accepted = None
         if history.steps:
@@ -278,7 +287,7 @@ def minimize(
         iterations=iterations,
         trace=tuple(trace),
         converged=stop_reason == "fixed_point",
-        on_boundary=abs(s.w2n - ball.radius) <= 1e-8,
+        on_boundary=abs(s.w2n - ball.radius) <= _BOUNDARY_RTOL * ball.radius,
         stop_reason=stop_reason,
         mixed_steps=mixed_steps,
     )

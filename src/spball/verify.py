@@ -4,19 +4,21 @@ verify reads the candidate's state s = evaluate(u) and its gradient
 g = u - T(u) = gradient_field(s), where T(u) solves the auxiliary problem
 -Delta_h T(u) = rhs(u). Both are functions of u alone, so the ones the
 descent holds at its last iterate serve as they are (bit for bit after an
-accepted step; at the initial guess, a multiple of e1 whose potential
-scales phi_e1, to rounding); the minimizer's convergence flags are never
-read. The state also holds -Delta_h u and the energy terms, so the ball
-norm, ||grad u|| and ||grad phi_u|| cost no stencil or gradient pass here.
-T(u)'s ball norm is ||rhs(u)||_3, since -Delta_h T(u) = rhs(u) by
-construction, so verify runs no stencil at all. The candidate is accepted
-when T(u) coincides with u in the relative H1 seminorm, the strong
-residual is small against the forcing, the variational inequality's
-infimum over the whole ball, taken in closed form, is not negative beyond
-a slack, T(u) stays in the ball, and the potential's structural
-properties hold. minimize stops on fixed_point_residual and pde_residual
-at FP_THRESHOLD and PDE_THRESHOLD, so a run it calls converged passes
-those two gates.
+accepted step; at the initial guess, a multiple of e1 whose potential and
+Laplacian scale phi_e1 and lambda_h e1, to rounding); the minimizer's
+convergence flags are never read. The state also holds -Delta_h u, the
+energy terms and the strong residual lap - rhs, and that contract
+g = gradient_field(s) gives -Delta_h g = lap - rhs. So every norm here is a
+pairing with a held array: the ball norm, ||grad u|| and ||grad phi_u||
+from the state, ||grad g||^2 = <lap - rhs, g> h^3 by summation by parts,
+and T(u)'s ball norm ||rhs(u)||_3. verify runs no stencil and no gradient
+pass. The candidate is accepted when T(u) coincides with u in the relative
+H1 seminorm, the strong residual is small against the forcing, the
+variational inequality's infimum over the whole ball, taken in closed form
+as minus the squared fixed-point residual, is not negative beyond a slack,
+T(u) stays in the ball, and the potential's structural properties hold.
+minimize stops on fixed_point_residual and pde_residual at FP_THRESHOLD
+and PDE_THRESHOLD, so a run it calls converged passes those two gates.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .ball import BallSpec
-from .energy import FieldState, ProblemSpec, strong_residual
+from .energy import FieldState, ProblemSpec
 from .errors import OutsideBallError
-from .grid import ScalarField, grad_l2_norm, h1_inner, lp_norm
+from .grid import ScalarField, lp_norm
 from .poisson import compute_phi
 
 FP_THRESHOLD = 1e-6
@@ -67,14 +69,20 @@ class VerificationReport:
 
 
 def fixed_point_residual(s: FieldState, g: ScalarField) -> float:
-    """Relative H1-seminorm size ||grad g|| / ||grad u|| of g = u - T(u);
-    ||grad u|| comes from the state."""
-    return grad_l2_norm(g) / max(math.sqrt(s.grad_sq), 1e-30)
+    """Relative H1-seminorm size ||grad g|| / ||grad u|| of g = u - T(u).
+
+    g must be gradient_field(s): then -Delta_h g = lap - rhs, the state's
+    strong residual, so ||grad g||^2 = max(<lap - rhs, g> h^3, 0) by summation
+    by parts, exact up to rounding and with no gradient pass; ||grad u||
+    comes from the state as well.
+    """
+    pair = float(np.vdot(s.residual.values, g.values)) * g.grid.h ** 3
+    return math.sqrt(max(pair, 0.0)) / max(math.sqrt(s.grad_sq), 1e-30)
 
 
 def pde_residual(s: FieldState, spec: ProblemSpec) -> float:
     """L3 norm of the strong equation residual, relative to the forcing."""
-    return lp_norm(strong_residual(s), 3) / max(lp_norm(spec.forcing, 3), 1e-300)
+    return lp_norm(s.residual, 3) / max(spec.forcing_norm, 1e-300)
 
 
 def variational_inequality_check(s: FieldState, g: ScalarField) -> float:
@@ -86,9 +94,13 @@ def variational_inequality_check(s: FieldState, g: ScalarField) -> float:
     gap(v) = 1/2||grad(v - T(u))||^2 - 1/2||grad g||^2 for every v.
     Its infimum over the ball is therefore -1/2||grad g||^2, attained at
     v = T(u) when T(u) is in the ball (gated as aux_in_ball) and a lower
-    bound otherwise. Returned relative to 1/2||grad u||^2, the state's kinetic term.
+    bound otherwise. Relative to 1/2||grad u||^2 that is -fp^2, with fp the
+    fixed_point_residual of the same g: returned as exactly that, one pairing
+    and one floor, so the report cannot show the two disagreeing. The square
+    is fp * fp, so a huge residual reads -inf rather than overflowing.
     """
-    return -0.5 * h1_inner(g, g) / max(0.5 * s.grad_sq, 1e-300)
+    fp = fixed_point_residual(s, g)
+    return -(fp * fp)
 
 
 def phi_property_check(

@@ -4,6 +4,7 @@ Anderson-mixed step and its fallback, and the stop rule: converged means
 the verifier's fixed_point and pde gates pass."""
 
 import importlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from spball import (
     apply_laplacian,
     build_grid,
     compute_phi,
+    grad_l2_norm,
     lp_norm,
     w2n_norm,
 )
@@ -283,6 +285,50 @@ def test_minimize_solve_count(p, solve_counter):
     assert count == 1 + 2 * res.iterations
 
 
+# n=8, p=3 with a 1e13 coupling: the radius is 3.65e-11 and the minimizer
+# sits at a quarter of it, yet an absolute 1e-8 tolerance called it on the boundary
+TINY_RADIUS_N8 = {
+    "grid_n": 8,
+    "p": 3.0,
+    "coupling": {"constant": 1e13},
+    "forcing": {"scaled_to_bound": 0.5},
+    "safety": 1.0,
+}
+
+
+def test_on_boundary_is_relative_to_the_radius():
+    report = run_experiment(ExperimentConfig.from_dict(TINY_RADIUS_N8), write_outputs=False)
+    summary = report.minimize_summary
+    assert report.ball.radius < 1e-10
+    assert summary["minimizer_w2n"] < 0.5 * report.ball.radius
+    assert report.verification.passed
+    assert summary["on_boundary"] is False
+
+
+def test_retracted_minimizer_is_on_the_boundary(monkeypatch):
+    # a hand-built ball just above the forcing norm and below the free
+    # minimizer's ball norm: the accepted step is a retracted trial, and
+    # the descent ends there, on the boundary
+    retract = minimize_mod.retract_to_ball
+    retracted = []
+
+    def recording(s, radius, spec):
+        out = retract(s, radius, spec)
+        if out is not s:
+            retracted.append(out)
+        return out
+
+    monkeypatch.setattr(minimize_mod, "retract_to_ball", recording)
+    spec, ball, phi_e1 = standard_problem(n=8, p=3.0, fraction=1.0)
+    small = replace(ball, coupling_constant=1e-30, power_constant=1e-30,
+                    radius=0.52 * ball.radius)
+    res = minimize(spec, small, phi_e1, MinimizeOptions(max_iters=50))
+    assert any(res.state is out for out in retracted)
+    assert res.on_boundary
+    free = minimize(spec, ball, phi_e1)
+    assert not free.on_boundary
+
+
 # ---------------------------------------------------------------- mixed step
 
 # the descent-n32 benchmark workload at n=8: p=3 at full forcing, safety 1
@@ -423,6 +469,25 @@ def test_verify_from_the_handed_over_state_matches_the_field_alone(monkeypatch, 
 
 
 @pytest.mark.parametrize("config", HANDOVER_CASES)
+def test_stop_test_residual_is_the_gradient_pass_norm(monkeypatch, config):
+    # at every stop test g = gradient_field(s), so the pairing with the held
+    # strong residual reads the H1 norm a gradient pass over g would
+    seen = []
+    fp = minimize_mod.fixed_point_residual
+
+    def recording(s, g):
+        seen.append((s, g))
+        return fp(s, g)
+
+    monkeypatch.setattr(minimize_mod, "fixed_point_residual", recording)
+    report = run_experiment(ExperimentConfig.from_dict(config), write_outputs=False)
+    assert len(seen) == report.minimize_summary["iterations"] + 1
+    for s, g in seen:
+        assert np.array_equal(g.values, gradient_field(s).values)
+        assert_allclose(fp(s, g), grad_l2_norm(g) / grad_l2_norm(s.u), rtol=1e-9)
+
+
+@pytest.mark.parametrize("config", HANDOVER_CASES)
 def test_aux_ball_norm_is_the_rhs_norm(monkeypatch, config):
     # -Delta_h T(u) = rhs(u) by construction, so the aux_in_ball gate reads
     # ||rhs||_3 in place of the stencil norm of T(u) = u - g
@@ -453,12 +518,11 @@ def test_run_experiment_solve_count(monkeypatch, solve_counter, config):
 @pytest.mark.parametrize("config", HANDOVER_CASES)
 def test_run_experiment_kernel_count(monkeypatch, kernel_counter, config):
     # guards the whole run against re-added stencils and gradient pairings.
-    # Stencils: e1's norm in the ball and in the initial guess, the states of
-    # e and t e, and one per trial state; the Anderson history reads the held
-    # strong residuals and verify reads T(u)'s ball norm as ||rhs||_3, so
-    # neither runs one. h1_inner: two in the
-    # ball constants, ||grad g|| at each stop test, and in verify the
-    # fixed-point residual and the variational inequality
+    # Stencils: e1's ball norm in the ball constants and one per trial state;
+    # the initial guess scales lambda_h e1, the Anderson history reads the
+    # held strong residuals and verify reads T(u)'s ball norm as ||rhs||_3, so
+    # none of them runs one. h1_inner: the two in the ball constants; every
+    # other H1 norm pairs a held Laplacian or strong residual
     calls = recorded_minimize(monkeypatch)
     report, counts = kernel_counter(
         run_experiment, ExperimentConfig.from_dict(config), write_outputs=False
@@ -468,8 +532,8 @@ def test_run_experiment_kernel_count(monkeypatch, kernel_counter, config):
     assert report.verification.passed
     assert all(row[2] == 1.0 for row in res.trace[1:])
     assert res.mixed_steps == k - 1
-    assert counts["neg_laplacian_array"] == 4 + k
-    assert counts["h1_inner"] == 2 + (k + 1) + 2
+    assert counts["neg_laplacian_array"] == 1 + k
+    assert counts["h1_inner"] == 2
 
 
 def test_mixing_history_keeps_the_last_three_steps():

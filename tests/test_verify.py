@@ -112,16 +112,18 @@ def test_escaping_auxiliary_image_fails_aux_in_ball():
 
 
 def test_fixed_point_residual_basics(rng):
+    # the documented contract g = gradient_field(s): -Delta_h g = lap - rhs, so
+    # the pairing <lap - rhs, g> h^3 is ||grad g||^2, the gradient pass it replaces
     spec, _, _ = standard_problem(n=5, p=3.0)
-    g = spec.grid
-    u = random_field(g, rng)
-    s = evaluate(u, spec)
-    # the residual takes g = u - T(u); T(u) = u gives exactly 0
-    assert fixed_point_residual(s, u - u) == 0.0
-    e1, _ = first_eigenpair(g)
-    for delta in (1e-3, 1e-6):
-        got = fixed_point_residual(s, u - (u + delta * e1))
-        assert_allclose(got, delta * grad_l2_norm(e1) / grad_l2_norm(u), rtol=1e-9)
+    for scale in (1.0, 1e-3, 1e2):
+        s, g = state_and_gradient(random_field(spec.grid, rng, scale=scale), spec)
+        assert_allclose(fixed_point_residual(s, g), grad_l2_norm(g) / grad_l2_norm(s.u),
+                        rtol=1e-9)
+    # u = 0 with zero forcing is a fixed point: T(0) = 0 and the residual is exactly 0
+    diag = replace(spec, forcing=ScalarField.zeros(spec.grid), require_positive_forcing=False)
+    s, g = state_and_gradient(ScalarField.zeros(spec.grid), diag)
+    assert not np.any(g.values)
+    assert fixed_point_residual(s, g) == 0.0
 
 
 def test_pde_residual_is_one_at_zero_candidate():
@@ -160,8 +162,29 @@ def test_vi_no_violations_at_minimizer(solved_problem):
     s, g = state_and_gradient(res.minimizer, spec)
     gap = variational_inequality_check(s, g)
     assert -1e-8 <= gap <= 0.0
-    # the closed form is minus the squared fixed-point residual
-    assert_allclose(gap, -fixed_point_residual(s, g) ** 2, rtol=1e-12)
+
+
+def test_vi_gap_is_minus_the_squared_fixed_point_residual(solved_problem, rng):
+    # one pairing and one floor: vi_gap is -(fp * fp) bit for bit, the
+    # correctly rounded square (libm's pow, behind fp ** 2, can differ in the
+    # last bit), at the minimizer, at small random fields and at the zero
+    # candidate, whose ||grad u|| = 0 meets the fixed-point residual's 1e-30 floor
+    spec, ball, res = solved_problem
+    zero_spec, zero_ball, _ = standard_problem(n=6, p=3.0)
+    zero = state_and_gradient(ScalarField.zeros(zero_spec.grid), zero_spec)
+    cases = [(res.state, res.gradient, spec, ball), (*zero, zero_spec, zero_ball)]
+    for _ in range(3):
+        u = random_field(spec.grid, rng)
+        u = (0.5 * ball.radius / w2n_norm(u)) * u
+        cases.append((*state_and_gradient(u, spec), spec, ball))
+    for s, g, case_spec, case_ball in cases:
+        fp = fixed_point_residual(s, g)
+        assert variational_inequality_check(s, g) == -(fp * fp)
+        report = verify(s, g, case_spec, case_ball)
+        assert report.vi_gap == -(fp * fp) and report.fixed_point_rel_residual == fp
+    s, g = zero
+    assert_allclose(fixed_point_residual(s, g), grad_l2_norm(g) / 1e-30, rtol=1e-9)
+    assert variational_inequality_check(s, g) < -1e-8
 
 
 def test_vi_detects_non_minimizer():
