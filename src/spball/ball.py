@@ -97,9 +97,9 @@ def estimate_constants(
     e1 = first_eigenpair(grid)[0]
     w = w2n_norm(e1)
     # ||sign(u)|u|^p||_3 / w^p taken as ||(|u|/w)^p||_3, so w^p cannot overflow
-    power_ratio = lp_norm(ScalarField(grid, np.abs(e1.values / w) ** p), 3)
+    power_ratio = lp_norm(ScalarField._own(grid, np.abs(e1.values / w) ** p), 3)
     phi = compute_phi(e1, coupling)
-    num_c = lp_norm(ScalarField(grid, coupling.values * phi.values * e1.values), 3)
+    num_c = lp_norm(ScalarField._own(grid, coupling.values * phi.values * e1.values), 3)
     return (
         max(safety * (num_c / w**3), CONSTANT_FLOOR),
         max(safety * power_ratio, CONSTANT_FLOOR),

@@ -85,8 +85,10 @@ class EnergyBreakdown:
 
 
 def _signed_power(values: np.ndarray, p: float) -> np.ndarray:
-    # odd extension sign(u) |u|^p, well defined for non-integer p
-    return np.sign(values) * np.abs(values) ** p
+    """The odd extension sign(u)|u|^p, well defined for non-integer p, in one array."""
+    out = np.abs(values)
+    out **= p
+    return np.copysign(out, values, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,9 +126,9 @@ def _state(u: ScalarField, phi: ScalarField, lap: ScalarField, spec: ProblemSpec
     The terms are homogeneous in u, of degree 2, 4, p+1 and 1: 1/2 <lap, u>,
     1/4 <c phi u, u>, <sign(u)|u|^p, u>/(p+1) and <f, u>, each times h^3.
     """
-    coupled = spec.coupling.values * phi.values * u.values
+    coupled = spec.coupling.values * phi.values
+    coupled *= u.values
     power = _signed_power(u.values, spec.p)
-    rhs = ScalarField(spec.grid, -coupled + power + spec.forcing.values)
     h3 = spec.grid.h ** 3
     terms = (
         0.5 * float(np.vdot(lap.values, u.values)) * h3,
@@ -134,7 +136,10 @@ def _state(u: ScalarField, phi: ScalarField, lap: ScalarField, spec: ProblemSpec
         float(np.vdot(power, u.values)) * h3 / (spec.p + 1.0),
         float(np.vdot(spec.forcing.values, u.values)) * h3,
     )
-    return FieldState(u, phi, rhs, lap, terms)
+    # power's term is taken, so its array becomes rhs = (power - coupled) + f
+    power -= coupled
+    power += spec.forcing.values
+    return FieldState(u, phi, ScalarField._own(spec.grid, power), lap, terms)
 
 
 def evaluate(u: ScalarField, spec: ProblemSpec) -> FieldState:

@@ -8,12 +8,15 @@ operators implicitly through zero padding.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import GridMismatchError, InvalidExponentError, InvalidGridError
+
+_TINY = sys.float_info.min  # smallest normal float
 
 
 @dataclass(frozen=True)
@@ -88,38 +91,51 @@ def build_grid(n: int) -> DomainGrid:
     return DomainGrid(n)
 
 
+def _sealed(grid: DomainGrid, vals: np.ndarray) -> np.ndarray:
+    """vals made read-only once its shape matches the grid and every value is
+    finite; an overflow anywhere upstream surfaces here as a ValueError."""
+    if vals.shape != grid.shape:
+        raise InvalidGridError(f"values shape {vals.shape} does not match grid shape {grid.shape}")
+    if not np.isfinite(vals).all():
+        raise ValueError("field values must be finite")
+    vals.setflags(write=False)
+    return vals
+
+
 @dataclass(frozen=True, eq=False)
 class ScalarField:
     """Real values on the interior nodes of a DomainGrid.
 
     Values are stored as a read-only float array of shape (n-1,)*3 and are
     required to be finite. Arithmetic between fields checks grid identity.
+    The constructor copies its input once; the kernels hand their fresh
+    output arrays to _own, which keeps both checks and skips the copy.
     """
 
     grid: DomainGrid
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != self.grid.shape:
-            raise InvalidGridError(
-                f"values shape {vals.shape} does not match grid shape {self.grid.shape}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("field values must be finite")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _sealed(self.grid, np.array(self.values, dtype=float)))
+
+    @classmethod
+    def _own(cls, grid: DomainGrid, values: np.ndarray) -> "ScalarField":
+        """Adopt a float array a kernel has just made and nobody else holds:
+        the shape check, the finiteness scan and the read-only flag, no copy."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        object.__setattr__(field, "values", _sealed(grid, values))
+        return field
 
     @classmethod
     def zeros(cls, grid: DomainGrid) -> "ScalarField":
-        return cls(grid, np.zeros(grid.shape))
+        return cls._own(grid, np.zeros(grid.shape))
 
     @classmethod
     def from_function(cls, grid: DomainGrid, fn) -> "ScalarField":
         """Sample fn(x, y, z) on the interior nodes."""
         x, y, z = grid.meshgrid()
-        return cls(grid, np.asarray(fn(x, y, z), dtype=float))
+        return cls(grid, fn(x, y, z))
 
     def _check_same_grid(self, other: "ScalarField") -> None:
         if self.grid != other.grid:
@@ -129,43 +145,60 @@ class ScalarField:
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
         self._check_same_grid(other)
-        return ScalarField(self.grid, self.values + other.values)
+        return ScalarField._own(self.grid, self.values + other.values)
 
     def __sub__(self, other: "ScalarField") -> "ScalarField":
         self._check_same_grid(other)
-        return ScalarField(self.grid, self.values - other.values)
+        return ScalarField._own(self.grid, self.values - other.values)
 
     def __neg__(self) -> "ScalarField":
-        return ScalarField(self.grid, -self.values)
+        return ScalarField._own(self.grid, -self.values)
 
     def __mul__(self, other):
         # scalar scaling or nodewise product of two fields on one grid
         if isinstance(other, ScalarField):
             self._check_same_grid(other)
-            return ScalarField(self.grid, self.values * other.values)
-        return ScalarField(self.grid, self.values * float(other))
+            return ScalarField._own(self.grid, self.values * other.values)
+        return ScalarField._own(self.grid, self.values * float(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "ScalarField":
-        return ScalarField(self.grid, self.values / float(scalar))
+        return ScalarField._own(self.grid, self.values / float(scalar))
+
+
+def _power_sum(a: np.ndarray, m: float) -> float:
+    """sum a_i^m of a nonnegative array."""
+    # the ball and residual norms use m = 2 and m = 3: BLAS sums, no pow
+    if m == 2.0:
+        return float(np.vdot(a, a))
+    if m == 3.0:
+        return float(np.vdot(a * a, a))
+    return float(np.sum(a**m))
 
 
 def lp_norm(u: ScalarField, m: float) -> float:
-    """Discrete Lp norm: (sum |u_i|^m h^3)^(1/m)."""
+    """Discrete Lp norm: (sum |u_i|^m h^3)^(1/m).
+
+    A field so small or so large that the sum underflows below the normal
+    range or overflows is summed again divided by max|u|, so the norm does
+    not depend on the scale of the field; every other field takes the one
+    direct sum.
+    """
     m = float(m)
     if not math.isfinite(m) or m < 1.0:
         raise InvalidExponentError(f"norm exponent must satisfy m >= 1, got {m}")
     h3 = u.grid.h ** 3
     a = np.abs(u.values)
-    # the ball and residual norms use m = 2 and m = 3: BLAS sums, no pow
-    if m == 2.0:
-        total = float(np.vdot(a, a))
-    elif m == 3.0:
-        total = float(np.vdot(a * a, a))
-    else:
-        total = float(np.sum(a**m))
-    return (total * h3) ** (1.0 / m)
+    with np.errstate(over="ignore"):
+        total = _power_sum(a, m) * h3
+    if _TINY <= total < math.inf:
+        return total ** (1.0 / m)
+    top = float(a.max())
+    if top == 0.0:
+        return 0.0
+    a /= top
+    return top * (_power_sum(a, m) * h3) ** (1.0 / m)
 
 
 def l2_inner(u: ScalarField, v: ScalarField) -> float:
@@ -205,21 +238,34 @@ def neg_laplacian_array(values: np.ndarray, h: float) -> np.ndarray:
 
     Allocates only the output: each axis subtracts its two shifted
     neighbours in place, and a neighbour outside the interior is zero.
+    Axis 0 shifts whole slabs. Axes 1 and 2 shift the flattened arrays by a
+    row or by one node, contiguous where a strided slice would make numpy
+    buffer; such a shift also reaches the plane whose neighbour wraps round
+    into the next row, so that plane is saved before and written back after.
+    Every node thus sees the same subtractions in the same order as the
+    strided form, and the result is bit for bit the same.
     """
+    m = values.shape[-1]
     out = 6.0 * values
     out[1:] -= values[:-1]
     out[:-1] -= values[1:]
-    out[:, 1:] -= values[:, :-1]
-    out[:, :-1] -= values[:, 1:]
-    out[:, :, 1:] -= values[:, :, :-1]
-    out[:, :, :-1] -= values[:, :, 1:]
+    flat_out, flat_in = out.reshape(-1), values.reshape(-1)
+    for plane, dst, src in (
+        (np.s_[:, 0], np.s_[m:], np.s_[:-m]),  # u[i, j-1, k]
+        (np.s_[:, -1], np.s_[:-m], np.s_[m:]),  # u[i, j+1, k]
+        (np.s_[:, :, 0], np.s_[1:], np.s_[:-1]),  # u[i, j, k-1]
+        (np.s_[:, :, -1], np.s_[:-1], np.s_[1:]),  # u[i, j, k+1]
+    ):
+        kept = out[plane].copy()
+        flat_out[dst] -= flat_in[src]
+        out[plane] = kept
     out /= h * h
     return out
 
 
 def apply_laplacian(u: ScalarField) -> ScalarField:
     """Negative 7-point Laplacian, -Delta_h u, with zero Dirichlet boundary."""
-    return ScalarField(u.grid, neg_laplacian_array(u.values, u.grid.h))
+    return ScalarField._own(u.grid, neg_laplacian_array(u.values, u.grid.h))
 
 
 def w2n_norm(u: ScalarField) -> float:
@@ -241,4 +287,4 @@ def first_eigenpair(grid: DomainGrid) -> tuple[ScalarField, float]:
     s = np.sin(np.pi * c)
     e1 = s[:, None, None] * s[None, :, None] * s[None, None, :]
     lam = 12.0 * math.sin(0.5 * math.pi * grid.h) ** 2 / grid.h**2
-    return ScalarField(grid, e1), lam
+    return ScalarField._own(grid, e1), lam

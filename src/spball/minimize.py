@@ -257,7 +257,7 @@ def minimize(
 
         accepted = None
         if history.steps:
-            trial = ScalarField(spec.grid, history.mixed(g.values, s.u.values))
+            trial = ScalarField._own(spec.grid, history.mixed(g.values, s.u.values))
             candidate = retract_to_ball(evaluate(trial, spec), ball.radius, spec)
             cand_energy = energy(candidate).total
             if cand_energy < current:

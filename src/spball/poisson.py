@@ -29,32 +29,37 @@ class PoissonSolution:
     iterations: int
 
 
-def _dst1(values: np.ndarray, sines: np.ndarray) -> np.ndarray:
+def _dst1(values: np.ndarray, sines: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Unnormalized DST-I, sum_j a_j sin(pi j k / n), along every axis of a cube.
 
-    One product with the symmetric sine matrix per axis; applying it twice
-    multiplies by n/2 per axis.
+    One product with the symmetric sine matrix per axis, alternating between
+    the caller's buffers out and work and ending in out, which is returned.
+    Only the first product reads values, so values may be work itself.
+    Applying the transform twice multiplies by n/2 per axis.
     """
-    out = sines @ (values @ sines)
-    return (sines @ out.reshape(len(sines), -1)).reshape(out.shape)
+    m = len(sines)
+    np.matmul(values, sines, out=out)
+    np.matmul(sines, out, out=work)
+    np.matmul(sines, work.reshape(m, -1), out=out.reshape(m, -1))
+    return out
 
 
 def solve_dirichlet_poisson(f: ScalarField) -> PoissonSolution:
     """Solve -Delta_h w = f with zero Dirichlet boundary by sine transforms.
 
     Two transforms and one product with the grid's scaled inverse
-    eigenvalues (DomainGrid.sine_factors). A zero right-hand side returns the
-    zero field.
+    eigenvalues (DomainGrid.sine_factors), in two buffers; the solution field
+    adopts the second. A zero right-hand side returns the zero field.
     """
     grid = f.grid
-    b = f.values
-    if not np.any(b):
+    if not f.values.any():
         return PoissonSolution(ScalarField.zeros(grid), 0)
 
     sines, inv_eig = grid.sine_factors
-    coeffs = _dst1(b, sines)
+    first, second = np.empty(grid.shape), np.empty(grid.shape)
+    coeffs = _dst1(f.values, sines, first, second)
     coeffs *= inv_eig
-    return PoissonSolution(ScalarField(grid, _dst1(coeffs, sines)), 1)
+    return PoissonSolution(ScalarField._own(grid, _dst1(coeffs, sines, second, first)), 1)
 
 
 def compute_phi(u: ScalarField, coupling: ScalarField) -> ScalarField:
@@ -68,5 +73,6 @@ def compute_phi(u: ScalarField, coupling: ScalarField) -> ScalarField:
         u._check_same_grid(coupling)
     if float(coupling.values.min()) < 0.0:
         raise AssumptionViolationError("coupling field must be nonnegative")
-    rhs = ScalarField(u.grid, coupling.values * u.values**2)
-    return solve_dirichlet_poisson(rhs).field
+    rhs = np.square(u.values)
+    rhs *= coupling.values
+    return solve_dirichlet_poisson(ScalarField._own(u.grid, rhs)).field

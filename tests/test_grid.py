@@ -6,6 +6,7 @@ eigenpair of the 7-point stencil.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,23 @@ def test_field_rejects_non_finite():
         ScalarField(g, vals)
 
 
+def test_field_constructor_copies_its_source():
+    # a list, an int array and a float array: the field keeps its own copy
+    g = build_grid(4)
+    ints = np.arange(27).reshape(g.shape)
+    floats = ints.astype(float)
+    listed = floats.tolist()
+    fields = [ScalarField(g, src) for src in (ints, floats, listed)]
+    ints[0, 0, 0] = 99
+    floats[0, 0, 0] = 99.0
+    listed[0][0][0] = 99.0
+    for u in fields:
+        assert u.values.dtype == np.float64
+        assert u.values[0, 0, 0] == 0.0
+        assert np.array_equal(u.values.ravel(), np.arange(27.0))
+        assert not u.values.flags.writeable
+
+
 def test_field_values_read_only():
     g = build_grid(4)
     u = ScalarField.zeros(g)
@@ -133,6 +151,19 @@ def test_lp_norm_constant_field_frozen_value():
 def test_lp_norm_zero_field():
     g = build_grid(5)
     assert lp_norm(ScalarField.zeros(g), 3) == 0.0
+
+
+@pytest.mark.parametrize("m", [2.0, 3.0, 4.5])
+@pytest.mark.parametrize("value", [1e-200, 1e-120, 1e120, 1e200])
+def test_lp_norm_does_not_depend_on_the_scale_of_the_field(value, m):
+    # ||c||_m = c ((n-1)^3 h^3)^(1/m) for a constant c; c^m leaves the float
+    # range here, so the direct sum alone would read 0 or inf
+    g = build_grid(6)
+    expected = value * (125.0 / 216.0) ** (1.0 / m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lp_norm(ScalarField(g, np.full(g.shape, -value)), m)
+    assert_allclose(got, expected, rtol=1e-14)
 
 
 def test_lp_norm_against_fsum_oracle(rng):
@@ -257,6 +288,33 @@ def test_neg_laplacian_array_leaves_its_input_unchanged(rng):
     out = neg_laplacian_array(values, 1.0 / 7)
     assert np.array_equal(values, before)
     assert not np.shares_memory(out, values)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 16])
+def test_neg_laplacian_array_matches_the_strided_form_bit_for_bit(rng, n):
+    # the reference subtracts the six neighbours slice by slice, as the
+    # stencil did before its flat shifts; signed zeros and subnormal
+    # products must come out the same
+    def strided(values, h):
+        out = 6.0 * values
+        out[1:] -= values[:-1]
+        out[:-1] -= values[1:]
+        out[:, 1:] -= values[:, :-1]
+        out[:, :-1] -= values[:, 1:]
+        out[:, :, 1:] -= values[:, :, :-1]
+        out[:, :, :-1] -= values[:, :, 1:]
+        out /= h * h
+        return out
+
+    mixed = rng.standard_normal((n - 1,) * 3)
+    mixed.flat[::3] = -0.0
+    mixed.flat[1::5] = 1e-300
+    mixed.flat[2::7] = -1e-300
+    for values in (mixed, np.full((n - 1,) * 3, -0.0)):
+        got = neg_laplacian_array(values, 1.0 / n)
+        expected = strided(values, 1.0 / n)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 def test_apply_laplacian_self_adjoint(rng):
