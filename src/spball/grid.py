@@ -108,15 +108,17 @@ class ScalarField:
 
     Values are stored as a read-only float array of shape (n-1,)*3 and are
     required to be finite. Arithmetic between fields checks grid identity.
-    The constructor copies its input once; the kernels hand their fresh
-    output arrays to _own, which keeps both checks and skips the copy.
+    The constructor copies its input once, into C order; the kernels hand
+    their fresh output arrays to _own, which keeps both checks and skips the
+    copy.
     """
 
     grid: DomainGrid
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _sealed(self.grid, np.array(self.values, dtype=float)))
+        vals = np.array(self.values, dtype=float, order="C")
+        object.__setattr__(self, "values", _sealed(self.grid, vals))
 
     @classmethod
     def _own(cls, grid: DomainGrid, values: np.ndarray) -> "ScalarField":
@@ -167,14 +169,17 @@ class ScalarField:
         return ScalarField._own(self.grid, self.values / float(scalar))
 
 
-def _power_sum(a: np.ndarray, m: float) -> float:
-    """sum a_i^m of a nonnegative array."""
-    # the ball and residual norms use m = 2 and m = 3: BLAS sums, no pow
+def _power_sum(values: np.ndarray, m: float) -> float:
+    """sum |v_i|^m of an array."""
+    # the ball and residual norms use m = 2 and m = 3: BLAS sums with no pow
+    # and no |v| array, since v_i v_i = |v_i|^2 and copysign(v_i^2, v_i) v_i
+    # = v_i^2 |v_i|, each product exactly the one of |v|
     if m == 2.0:
-        return float(np.vdot(a, a))
+        return float(np.vdot(values, values))
     if m == 3.0:
-        return float(np.vdot(a * a, a))
-    return float(np.sum(a**m))
+        sq = np.multiply(values, values)
+        return float(np.vdot(np.copysign(sq, values, out=sq), values))
+    return float(np.sum(np.abs(values) ** m))
 
 
 def lp_norm(u: ScalarField, m: float) -> float:
@@ -189,11 +194,11 @@ def lp_norm(u: ScalarField, m: float) -> float:
     if not math.isfinite(m) or m < 1.0:
         raise InvalidExponentError(f"norm exponent must satisfy m >= 1, got {m}")
     h3 = u.grid.h ** 3
-    a = np.abs(u.values)
     with np.errstate(over="ignore"):
-        total = _power_sum(a, m) * h3
+        total = _power_sum(u.values, m) * h3
     if _TINY <= total < math.inf:
         return total ** (1.0 / m)
+    a = np.abs(u.values)
     top = float(a.max())
     if top == 0.0:
         return 0.0
@@ -238,27 +243,14 @@ def neg_laplacian_array(values: np.ndarray, h: float) -> np.ndarray:
 
     Allocates only the output: each axis subtracts its two shifted
     neighbours in place, and a neighbour outside the interior is zero.
-    Axis 0 shifts whole slabs. Axes 1 and 2 shift the flattened arrays by a
-    row or by one node, contiguous where a strided slice would make numpy
-    buffer; such a shift also reaches the plane whose neighbour wraps round
-    into the next row, so that plane is saved before and written back after.
-    Every node thus sees the same subtractions in the same order as the
-    strided form, and the result is bit for bit the same.
     """
-    m = values.shape[-1]
     out = 6.0 * values
     out[1:] -= values[:-1]
     out[:-1] -= values[1:]
-    flat_out, flat_in = out.reshape(-1), values.reshape(-1)
-    for plane, dst, src in (
-        (np.s_[:, 0], np.s_[m:], np.s_[:-m]),  # u[i, j-1, k]
-        (np.s_[:, -1], np.s_[:-m], np.s_[m:]),  # u[i, j+1, k]
-        (np.s_[:, :, 0], np.s_[1:], np.s_[:-1]),  # u[i, j, k-1]
-        (np.s_[:, :, -1], np.s_[:-1], np.s_[1:]),  # u[i, j, k+1]
-    ):
-        kept = out[plane].copy()
-        flat_out[dst] -= flat_in[src]
-        out[plane] = kept
+    out[:, 1:] -= values[:, :-1]
+    out[:, :-1] -= values[:, 1:]
+    out[:, :, 1:] -= values[:, :, :-1]
+    out[:, :, :-1] -= values[:, :, 1:]
     out /= h * h
     return out
 

@@ -176,6 +176,22 @@ def test_lp_norm_against_fsum_oracle(rng):
             assert_allclose(lp_norm(u, m), direct ** (1.0 / m), rtol=1e-13)
 
 
+def test_lp_norm_dot_sums_match_the_sums_of_abs_u_bit_for_bit(rng):
+    # m = 2 sums u*u and m = 3 sums copysign(u*u, u)*u: the same products as
+    # |u|*|u| and (|u|*|u|)*|u|, in the same order, signed zeros and
+    # subnormals included
+    g = build_grid(9)
+    values = rng.standard_normal(g.shape)
+    values.flat[::3] = -0.0
+    values.flat[1::5] = -1e-300
+    values.flat[2::7] = 5e-310
+    for scale in (1.0, -3e-5, 7e40):
+        a = np.abs(scale * values)
+        u = ScalarField(g, scale * values)
+        assert lp_norm(u, 2) == (float(np.vdot(a, a)) * g.h**3) ** 0.5
+        assert lp_norm(u, 3) == (float(np.vdot(a * a, a)) * g.h**3) ** (1.0 / 3.0)
+
+
 @pytest.mark.parametrize("m", [0.99, 0.0, -1.0, math.nan])
 def test_lp_norm_rejects_bad_exponent(m):
     g = build_grid(3)
@@ -282,6 +298,23 @@ def test_apply_laplacian_matches_dense_oracle(rng):
             assert_allclose(apply_laplacian(u).values, expected, rtol=1e-12, atol=1e-12)
 
 
+def test_fields_from_any_memory_layout_agree(rng):
+    # the stored values are C-ordered whatever the source's layout, and the
+    # Laplacian, norms and products read the same numbers
+    g = build_grid(6)
+    a = rng.standard_normal(g.shape)
+    ref = ScalarField(g, a)
+    sources = (np.asfortranarray(a), a.T.copy().T, a[::-1].copy()[::-1])
+    fields = [ScalarField(g, src) for src in sources]
+    fields.append(ScalarField.from_function(g, lambda x, y, z: np.asfortranarray(a)))
+    for u in fields:
+        assert u.values.flags.c_contiguous
+        assert np.array_equal(u.values, ref.values)
+        assert np.array_equal(apply_laplacian(u).values, apply_laplacian(ref).values)
+        assert w2n_norm(u) == w2n_norm(ref)
+        assert h1_inner(u, u) == h1_inner(ref, ref)
+
+
 def test_neg_laplacian_array_leaves_its_input_unchanged(rng):
     values = rng.standard_normal((6, 6, 6))
     before = values.copy()
@@ -290,31 +323,20 @@ def test_neg_laplacian_array_leaves_its_input_unchanged(rng):
     assert not np.shares_memory(out, values)
 
 
-@pytest.mark.parametrize("n", [3, 4, 5, 16])
-def test_neg_laplacian_array_matches_the_strided_form_bit_for_bit(rng, n):
-    # the reference subtracts the six neighbours slice by slice, as the
-    # stencil did before its flat shifts; signed zeros and subnormal
-    # products must come out the same
-    def strided(values, h):
-        out = 6.0 * values
-        out[1:] -= values[:-1]
-        out[:-1] -= values[1:]
-        out[:, 1:] -= values[:, :-1]
-        out[:, :-1] -= values[:, 1:]
-        out[:, :, 1:] -= values[:, :, :-1]
-        out[:, :, :-1] -= values[:, :, 1:]
-        out /= h * h
-        return out
-
-    mixed = rng.standard_normal((n - 1,) * 3)
-    mixed.flat[::3] = -0.0
-    mixed.flat[1::5] = 1e-300
-    mixed.flat[2::7] = -1e-300
-    for values in (mixed, np.full((n - 1,) * 3, -0.0)):
-        got = neg_laplacian_array(values, 1.0 / n)
-        expected = strided(values, 1.0 / n)
-        assert np.array_equal(got, expected)
-        assert np.array_equal(np.signbit(got), np.signbit(expected))
+@pytest.mark.parametrize("n", [3, 4, 16])
+def test_neg_laplacian_array_does_not_depend_on_memory_layout(rng, n):
+    # the same values held Fortran-ordered, with permuted strides or with
+    # reversed strides give the C-ordered result bit for bit
+    values = rng.standard_normal((n - 1,) * 3)
+    expected = neg_laplacian_array(values, 1.0 / n)
+    layouts = (
+        np.asfortranarray(values),
+        values.transpose(2, 0, 1).copy().transpose(1, 2, 0),
+        values[::-1, :, ::-1].copy()[::-1, :, ::-1],
+    )
+    for same in layouts:
+        assert not same.flags.c_contiguous
+        assert np.array_equal(neg_laplacian_array(same, 1.0 / n), expected)
 
 
 def test_apply_laplacian_self_adjoint(rng):
