@@ -28,6 +28,7 @@ from .energy import (
 )
 from .errors import (
     AssumptionViolationError,
+    BallOverflowError,
     ConfigError,
     ForcingTooLargeError,
     GridMismatchError,
@@ -74,6 +75,7 @@ from .version import __version__
 
 __all__ = [
     "AssumptionViolationError",
+    "BallOverflowError",
     "BallSpec",
     "ConfigError",
     "DomainGrid",

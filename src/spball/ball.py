@@ -9,9 +9,14 @@ constraint-ball norm:
 with ||.|| the w2n norm, and a third bounds the potential itself,
 ||grad phi_u|| <= potential_constant * ||grad u||^2, for verify's phi_bound
 gate. All three are ratios of the first Dirichlet eigenfunction, which
-exceed those of every smoothed random field tried; one potential solve is
-the whole cost, and make_ball hands that potential phi_e1 on, since the
-descent starts from a multiple of e1. The admissible radius r then satisfies
+exceed those of every smoothed random field tried; one potential solve and
+one stencil are the whole cost, and make_ball hands that potential phi_e1
+on, since the descent starts from a multiple of e1. The two gradient norms
+are pairings with arrays the ratios form anyway, by summation by parts as
+in the phi_bound gate: ||grad e1||^2 = <-Delta_h e1, e1> h^3 and
+||grad phi_e1||^2 = <c phi_e1 e1, e1> h^3, so no gradient pass runs. An
+overflow of c phi_e1 e1 raises BallOverflowError, which names it. The
+admissible radius r then satisfies
 
     coupling_constant r^3 + power_constant r^p <= r/2   for all r in (0, radius],
 
@@ -26,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import FieldState, ProblemSpec, evaluate
-from .errors import OutsideBallError
-from .grid import ScalarField, first_eigenpair, grad_l2_norm, lp_norm, w2n_norm
+from .errors import BallOverflowError, OutsideBallError
+from .grid import ScalarField, apply_laplacian, first_eigenpair, lp_norm
 from .poisson import compute_phi
 
 CONSTANT_FLOOR = 1e-30
@@ -88,22 +93,46 @@ def estimate_constants(
     e1's ratios times `safety`; the potential constant is twice its ratio,
     whatever `safety` is. Each is floored at a tiny positive value so a zero
     coupling field still yields a valid BallSpec.
+
+    The gradient norms are pairings by summation by parts, as in verify's
+    phi_bound gate: ||grad e1||^2 = <-Delta_h e1, e1> h^3 with the stencil
+    that gives w, and ||grad phi_e1||^2 = <c phi_e1 e1, e1> h^3 with the
+    product whose L3 norm is the coupling ratio's numerator. A coupling so
+    large that this product overflows raises BallOverflowError.
     """
     if not (math.isfinite(p) and p > 1.0):
         raise ValueError(f"p must be a finite number > 1, got {p}")
     if not (math.isfinite(safety) and safety >= 1.0):
         raise ValueError(f"safety must be a finite number >= 1, got {safety}")
     grid = coupling.grid
+    h3 = grid.h ** 3
     e1 = first_eigenpair(grid)[0]
-    w = w2n_norm(e1)
+    lap = apply_laplacian(e1)
+    w = lp_norm(lap, 3)
+    grad_e1_sq = float(np.vdot(lap.values, e1.values)) * h3
+    del lap
     # ||sign(u)|u|^p||_3 / w^p taken as ||(|u|/w)^p||_3, so w^p cannot overflow
-    power_ratio = lp_norm(ScalarField._own(grid, np.abs(e1.values / w) ** p), 3)
+    scaled = e1.values / w
+    np.abs(scaled, out=scaled)
+    scaled **= p
+    power_ratio = lp_norm(ScalarField._own(grid, scaled), 3)
+    del scaled
     phi = compute_phi(e1, coupling)
-    num_c = lp_norm(ScalarField._own(grid, coupling.values * phi.values * e1.values), 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coupled = coupling.values * phi.values
+        coupled *= e1.values
+        grad_phi_sq = float(np.vdot(coupled, e1.values)) * h3
+    # an overflow anywhere in the product or its pairing leaves this inf or nan
+    if not math.isfinite(grad_phi_sq):
+        raise BallOverflowError(
+            "the coupling ratio's numerator c·φ_e1·e1 overflows the float range "
+            f"(coupling up to {float(coupling.values.max()):.6g})"
+        )
+    num_c = lp_norm(ScalarField._own(grid, coupled), 3)
     return (
         max(safety * (num_c / w**3), CONSTANT_FLOOR),
         max(safety * power_ratio, CONSTANT_FLOOR),
-        max(2.0 * (grad_l2_norm(phi) / grad_l2_norm(e1) ** 2), CONSTANT_FLOOR),
+        max(2.0 * (math.sqrt(max(grad_phi_sq, 0.0)) / grad_e1_sq), CONSTANT_FLOOR),
         phi,
     )
 

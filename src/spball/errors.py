@@ -23,6 +23,11 @@ class OutsideBallError(ValueError):
     """A field that must lie in the constraint ball does not."""
 
 
+class BallOverflowError(ValueError):
+    """A ball constant's product overflows the float range; the message
+    names the quantity and the data value that drove it."""
+
+
 class ForcingTooLargeError(ValueError):
     """Forcing norm exceeds the admissible bound computed from the ball radius.
 

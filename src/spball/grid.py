@@ -73,8 +73,10 @@ class DomainGrid:
         n, h = self.n, self.h
         sines = _sine_matrix(n)
         s = np.sin(0.5 * np.pi * np.arange(1, n) / n) ** 2
-        eig = (4.0 / (h * h)) * (s[:, None, None] + s[None, :, None] + s[None, None, :])
-        inv = (2.0 / n) ** 3 / eig
+        # one cube, scaled and inverted in place
+        inv = s[:, None, None] + s[None, :, None] + s[None, None, :]
+        inv *= 4.0 / (h * h)
+        np.divide((2.0 / n) ** 3, inv, out=inv)
         sines.setflags(write=False)
         inv.setflags(write=False)
         return sines, inv
@@ -132,6 +134,13 @@ class ScalarField:
     @classmethod
     def zeros(cls, grid: DomainGrid) -> "ScalarField":
         return cls._own(grid, np.zeros(grid.shape))
+
+    @classmethod
+    def constant(cls, grid: DomainGrid, value: float) -> "ScalarField":
+        """The field equal to value at every node, as a read-only zero-stride
+        view of one number: no field-sized array. Its values suit elementwise
+        products and reductions; a BLAS dot product would copy them out."""
+        return cls._own(grid, np.broadcast_to(np.float64(value), grid.shape))
 
     @classmethod
     def from_function(cls, grid: DomainGrid, fn) -> "ScalarField":
@@ -275,8 +284,12 @@ def first_eigenpair(grid: DomainGrid) -> tuple[ScalarField, float]:
     e1(i,j,k) = sin(pi i h) sin(pi j h) sin(pi k h), with
     -Delta_h e1 = lambda_h e1 and lambda_h = 12 sin^2(pi h / 2) / h^2.
     """
-    c = grid.interior_coordinates()
-    s = np.sin(np.pi * c)
+    s = _first_sines(grid)
     e1 = s[:, None, None] * s[None, :, None] * s[None, None, :]
     lam = 12.0 * math.sin(0.5 * math.pi * grid.h) ** 2 / grid.h**2
     return ScalarField._own(grid, e1), lam
+
+
+def _first_sines(grid: DomainGrid) -> np.ndarray:
+    """The factor s_i = sin(pi i h) of e1 = s (x) s (x) s along one axis."""
+    return np.sin(np.pi * grid.interior_coordinates())

@@ -9,11 +9,15 @@ minimizing the H1 norm of g - dg gamma, the trial is T(u) - dT gamma. The
 differences come from gradients already computed, so the trial costs no
 extra solve, and the history's H1 pairings read -Delta_h g = lap - rhs, the
 strong residual each state holds, so they cost no stencil either. The
-starting point is a multiple t e of e = (r / ||-Delta_h e1||_3) e1. Its
-potential scales phi_e1, the one the ball constants solved, and its
-Laplacian scales lambda_h e, since -Delta_h e1 = lambda_h e1, so the
-initial guess costs no solve and no stencil. A trial is evaluated once
-(one solve, one stencil); one that leaves the ball is pulled back by radial
+starting point is a multiple t e of e = (r / ||-Delta_h e1||_3) e1, with t
+minimizing the polynomial t -> E(t e). Its four coefficients are numbers
+read from e1 and phi_e1, the power term a sum over one axis since e1 is a
+product of sines, so no state of e is formed. The potential of t e scales
+phi_e1, the one the ball constants solved, and its Laplacian scales
+lambda_h e, since -Delta_h e1 = lambda_h e1, so the initial guess costs no
+solve and no stencil, and forms only the state it returns (unless rounding
+rejects it). A trial is evaluated once (one solve, one stencil); one that
+leaves the ball is pulled back by radial
 retraction of its state, t u with t = r / ||-Delta_h u||_3, whose potential
 is t^2 phi_u, so the retraction costs a stencil and no solve. If the mixed
 trial does not strictly decrease the energy, the history is cleared and the
@@ -44,7 +48,7 @@ from .energy import (
     restricted_energy,
 )
 from .errors import ForcingTooLargeError, InitializationFailureError
-from .grid import ScalarField, apply_laplacian, first_eigenpair, lp_norm
+from .grid import ScalarField, _first_sines, apply_laplacian, first_eigenpair, lp_norm
 from .verify import FP_THRESHOLD, PDE_THRESHOLD, fixed_point_residual, pde_residual
 
 _INITIAL_STEP = 1.0
@@ -108,30 +112,58 @@ def retract_to_ball(s: FieldState, radius: float, spec: ProblemSpec) -> FieldSta
     return _state(u, (t * t) * s.phi, apply_laplacian(u), spec)
 
 
+def _start_terms(
+    spec: ProblemSpec, radius: float, phi_e1: ScalarField
+) -> tuple[ScalarField, float, float, tuple[float, float, float, float]]:
+    """(e, lambda_h, scale, terms): e = scale e1 lies on the ball boundary, and
+    terms are its four energy terms, the coefficients of t -> E(t e).
+
+    Each is one number, with no state formed: 1/2 lambda_h ||e||_2^2 h^3,
+    1/4 <c phi_e1 e1, e1> h^3 scale^4, the power term and <f, e1> h^3 scale.
+    e1 = s (x) s (x) s makes the power term separable,
+    (h sum_i (scale^(1/3) s_i)^(p+1))^3 / (p+1), a pass over one axis; the
+    cube root inside keeps each factor the cube root of e's own terms, so
+    it overflows no sooner than the field pass would.
+    """
+    grid = spec.grid
+    h3 = grid.h ** 3
+    e1, lam = first_eigenpair(grid)
+    scale = radius / (lam * lp_norm(e1, 3))
+    coupled = spec.coupling.values * phi_e1.values
+    coupled *= e1.values
+    quart = 0.25 * float(np.vdot(coupled, e1.values)) * h3
+    q = spec.p + 1.0
+    axis = grid.h * float(np.sum((np.cbrt(scale) * _first_sines(grid)) ** q))
+    terms = (
+        0.5 * lam * (scale * scale) * float(np.vdot(e1.values, e1.values)) * h3,
+        quart * scale**4,
+        axis * axis * axis / q,
+        float(np.vdot(spec.forcing.values, e1.values)) * h3 * scale,
+    )
+    return scale * e1, lam, scale, terms
+
+
 def initial_guess(spec: ProblemSpec, radius: float, phi_e1: ScalarField) -> FieldState:
     """Evaluated starting point with certified negative energy inside the ball.
 
-    Scales the first eigenfunction to the ball boundary, then minimizes the
-    exact quartic-plus-power polynomial t -> E(t e) over a log-spaced grid of
-    t in [0, 1]. Ties prefer the smallest t. The winning t is re-checked with
-    a real energy evaluation, whose state is returned; on roundoff
+    Scales the first eigenfunction to the ball boundary, e = scale e1, then
+    minimizes the exact quartic-plus-power polynomial t -> E(t e) over a
+    log-spaced grid of t in [0, 1]. Ties prefer the smallest t. Its four
+    coefficients are numbers read from e1 and phi_e1 (_start_terms), so no
+    state of e is formed. The winning t is re-checked with a real state,
+    whose energy is evaluated and which is returned; on roundoff
     disagreement the remaining candidates are tried in polynomial order.
-    The potential is quadratic, so with e = s e1 the potential of t e is
-    t^2 s^2 phi_e1: phi_e1, the potential make_ball solved for the first
-    eigenfunction, serves every t, and the initial guess costs no solve.
-    It runs no stencil either: -Delta_h e1 = lambda_h e1 gives
-    ||-Delta_h e1||_3 = lambda_h ||e1||_3, -Delta_h e = lambda_h e and
-    -Delta_h (t e) = t lambda_h e, all to rounding.
+    The potential is quadratic, so the potential of t e is
+    t^2 (scale^2 phi_e1): phi_e1, the potential make_ball solved for the
+    first eigenfunction, serves every t, and the initial guess costs no
+    solve. It runs no stencil either: -Delta_h e1 = lambda_h e1 gives
+    ||-Delta_h e1||_3 = lambda_h ||e1||_3 and -Delta_h (t e) = t (lambda_h e),
+    to rounding.
     """
     if not radius > 0.0:
         raise ValueError(f"ball radius must be positive, got {radius}")
     spec.check_field(phi_e1)
-    e1, lam = first_eigenpair(spec.grid)
-    scale = radius / (lam * lp_norm(e1, 3))
-    e = scale * e1
-
-    base = _state(e, (scale * scale) * phi_e1, lam * e, spec)
-    quad, quart, power, lin = base.terms
+    e, lam, scale, (quad, quart, power, lin) = _start_terms(spec, radius, phi_e1)
 
     ts = np.concatenate(([0.0], np.geomspace(1e-8, 1.0, _INITIAL_T_GRID)))
     poly = quad * ts**2 + quart * ts**4 - power * ts ** (spec.p + 1.0) - lin * ts
@@ -140,7 +172,15 @@ def initial_guess(spec: ProblemSpec, radius: float, phi_e1: ScalarField) -> Fiel
         t = float(ts[idx])
         if poly[idx] >= 0.0:
             break
-        candidate = _state(t * e, (t * t) * base.phi, t * base.lap, spec)
+        # (t e, t^2 (scale^2 phi_e1), t (lambda_h e)), each product as it
+        # would be formed from e's own state
+        phi = (scale * scale) * phi_e1.values
+        phi *= t * t
+        lap = lam * e.values
+        lap *= t
+        candidate = _state(
+            t * e, ScalarField._own(spec.grid, phi), ScalarField._own(spec.grid, lap), spec
+        )
         if restricted_energy(candidate, radius) < 0.0:
             return candidate
     raise InitializationFailureError(
@@ -223,9 +263,10 @@ def minimize(
     """Minimize the energy over the constraint ball by Anderson-mixed retracted descent.
 
     phi_e1 is the first eigenfunction's potential that make_ball returns with
-    the ball; the initial guess scales it. Requires the forcing to respect
-    the admissible bound. A zero forcing (diagnostic mode) starts and ends at
-    the zero field with zero energy.
+    the ball; the initial guess scales it, and the descent drops it after
+    that. Requires the forcing to respect the admissible bound. A zero
+    forcing (diagnostic mode) starts and ends at the zero field with zero
+    energy.
     Every iterate stays in the ball; recorded energies are strictly
     decreasing. The accepted trial's state carries into the next gradient.
     """
@@ -234,10 +275,11 @@ def minimize(
     if spec.forcing_norm > ball.forcing_bound * (1.0 + BALL_NORM_SLACK):
         raise ForcingTooLargeError(spec.forcing_norm, ball.forcing_bound)
 
-    if float(np.abs(spec.forcing.values).max()) == 0.0:
+    if not spec.forcing.values.any():
         s = evaluate(ScalarField.zeros(spec.grid), spec)
     else:
         s = initial_guess(spec, ball.radius, phi_e1)
+    del phi_e1  # read by the start alone; a caller that keeps no reference frees it here
 
     current = energy(s).total
     trace = [(0, current, 0.0, 0.0)]
@@ -265,6 +307,7 @@ def minimize(
                 mixed_steps += 1
             else:
                 history.clear()
+            del trial, candidate  # a rejected trial's state is not held through the backtracking
         if accepted is None:
             accepted = _backtrack(s, g, current, spec, ball)
         if accepted is None:
@@ -273,10 +316,13 @@ def minimize(
             break
 
         candidate, cand_energy, step = accepted
-        # ||grad(u' - u)||^2 = <-Delta_h (u' - u), u' - u> h^3, from the held Laplacians
-        pair = np.vdot(candidate.lap.values - s.lap.values, candidate.u.values - s.u.values)
-        displacement = math.sqrt(max(float(pair), 0.0) * spec.grid.h ** 3)
+        # the old state gives up its phi and rhs before the two differences
+        lap, u = s.lap.values, s.u.values
         s, current = candidate, cand_energy
+        # ||grad(u' - u)||^2 = <-Delta_h (u' - u), u' - u> h^3, from the held Laplacians
+        pair = np.vdot(s.lap.values - lap, s.u.values - u)
+        del lap, u
+        displacement = math.sqrt(max(float(pair), 0.0) * spec.grid.h ** 3)
         iterations += 1
         trace.append((iterations, current, step, displacement))
 

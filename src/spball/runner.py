@@ -18,7 +18,7 @@ import numpy as np
 
 from .ball import BallSpec, make_ball
 from .energy import ProblemSpec
-from .errors import ConfigError
+from .errors import BallOverflowError, ConfigError
 from .grid import (
     DomainGrid,
     ScalarField,
@@ -185,14 +185,14 @@ def _sine_bump(grid: DomainGrid) -> ScalarField:
 def _build_coupling(grid: DomainGrid, spec: dict) -> ScalarField:
     (kind, value), = spec.items()
     if kind == "constant":
-        return ScalarField(grid, np.full(grid.shape, float(value)))
+        return ScalarField.constant(grid, float(value))
     return float(value) * _sine_bump(grid)
 
 
 def _build_forcing(grid: DomainGrid, spec: dict, forcing_bound: float) -> ScalarField:
     (kind, value), = spec.items()
     if kind == "constant":
-        return ScalarField(grid, np.full(grid.shape, float(value)))
+        return ScalarField._own(grid, np.full(grid.shape, float(value)))
     if kind == "sine_bump":
         return float(value) * _sine_bump(grid)
     base = _sine_bump(grid)
@@ -271,13 +271,21 @@ def run_experiment(
     timings["setup"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    ball, phi_e1 = make_ball(config.p, coupling, config.safety)
+    try:
+        ball, phi_e1 = make_ball(config.p, coupling, config.safety)
+    except BallOverflowError as exc:
+        message = f"{exc}; set by config coupling {json.dumps(config.coupling)}"
+        raise BallOverflowError(message) from None
     forcing = _build_forcing(grid, config.forcing, ball.forcing_bound)
     spec = ProblemSpec(p=config.p, coupling=coupling, forcing=forcing, grid=grid)
     timings["constants"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    result = minimize(spec, ball, phi_e1, config.descent)
+    # minimize gets the only reference to phi_e1, so the field is freed once
+    # the initial guess has scaled it, not held through the descent
+    handover = [phi_e1]
+    del phi_e1
+    result = minimize(spec, ball, handover.pop(), config.descent)
     timings["minimize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

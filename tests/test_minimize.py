@@ -17,17 +17,19 @@ from spball import (
     apply_laplacian,
     build_grid,
     compute_phi,
+    first_eigenpair,
     grad_l2_norm,
     lp_norm,
     w2n_norm,
 )
-from spball.ball import BALL_NORM_SLACK
+from spball.ball import BALL_NORM_SLACK, make_ball
 from spball.grid import h1_inner, neg_laplacian_array
-from spball.energy import ProblemSpec, energy, evaluate, gradient_field
+from spball.energy import ProblemSpec, _state, energy, evaluate, gradient_field, restricted_energy
 from spball.minimize import (
     MinimizeOptions,
     MinimizeResult,
     _MixingHistory,
+    _start_terms,
     initial_guess,
     minimize,
     retract_to_ball,
@@ -121,6 +123,47 @@ def test_initial_guess_scales_phi_e1_without_a_solve(p, solve_counter):
     assert_allclose(s0.phi.values, phi.values, rtol=1e-12, atol=0)
     with pytest.raises(GridMismatchError):
         initial_guess(spec, ball.radius, ScalarField.zeros(build_grid(5)))
+
+
+def _start_problem(n, p, coupling_kind):
+    g = build_grid(n)
+    e1, _ = first_eigenpair(g)
+    coupling = ScalarField.constant(g, 1.0) if coupling_kind == "constant" else 10.0 * e1
+    ball, phi_e1 = make_ball(p, coupling)
+    forcing = (0.5 * ball.forcing_bound / lp_norm(e1, 3)) * e1
+    return ProblemSpec(p=p, coupling=coupling, forcing=forcing, grid=g), ball, phi_e1
+
+
+@pytest.mark.parametrize("coupling_kind", ["constant", "sine_bump"])
+@pytest.mark.parametrize("n", [6, 8, 16])
+@pytest.mark.parametrize("p", [1.01, 3.0, 7.0, 400.0])
+def test_initial_guess_polynomial_from_four_numbers(p, n, coupling_kind):
+    # the start's coefficients are the terms of e's own state, and the state it
+    # returns is, bit for bit, the candidate that state's polynomial picks
+    spec, ball, phi_e1 = _start_problem(n, p, coupling_kind)
+    e1, lam = first_eigenpair(spec.grid)
+    scale = ball.radius / (lam * lp_norm(e1, 3))
+    e = scale * e1
+    base = _state(e, (scale * scale) * phi_e1, lam * e, spec)
+    assert_allclose(_start_terms(spec, ball.radius, phi_e1)[3], base.terms, rtol=1e-13, atol=0)
+
+    quad, quart, power, lin = base.terms
+    ts = np.concatenate(([0.0], np.geomspace(1e-8, 1.0, 400)))
+    poly = quad * ts**2 + quart * ts**4 - power * ts ** (p + 1.0) - lin * ts
+    expected = None
+    for idx in np.argsort(poly, kind="stable"):
+        t = float(ts[idx])
+        if poly[idx] >= 0.0:
+            break
+        candidate = _state(t * e, (t * t) * base.phi, t * base.lap, spec)
+        if restricted_energy(candidate, ball.radius) < 0.0:
+            expected = candidate
+            break
+    assert expected is not None
+    s0 = initial_guess(spec, ball.radius, phi_e1)
+    for name in ("u", "phi", "lap", "rhs"):
+        assert np.array_equal(getattr(s0, name).values, getattr(expected, name).values), name
+    assert s0.terms == expected.terms
 
 
 # ---------------------------------------------------------------- descent
@@ -521,8 +564,9 @@ def test_run_experiment_kernel_count(monkeypatch, kernel_counter, config):
     # Stencils: e1's ball norm in the ball constants and one per trial state;
     # the initial guess scales lambda_h e1, the Anderson history reads the
     # held strong residuals and verify reads T(u)'s ball norm as ||rhs||_3, so
-    # none of them runs one. h1_inner: the two in the ball constants; every
-    # other H1 norm pairs a held Laplacian or strong residual
+    # none of them runs one. h1_inner: none; the ball constants pair e1 with
+    # its stencil and with c phi_e1 e1, and every other H1 norm pairs a held
+    # Laplacian or strong residual
     calls = recorded_minimize(monkeypatch)
     report, counts = kernel_counter(
         run_experiment, ExperimentConfig.from_dict(config), write_outputs=False
@@ -533,7 +577,7 @@ def test_run_experiment_kernel_count(monkeypatch, kernel_counter, config):
     assert all(row[2] == 1.0 for row in res.trace[1:])
     assert res.mixed_steps == k - 1
     assert counts["neg_laplacian_array"] == 1 + k
-    assert counts["h1_inner"] == 2
+    assert counts["h1_inner"] == 0
 
 
 def test_mixing_history_keeps_the_last_three_steps():

@@ -8,11 +8,13 @@ an extra copy or a hidden temporary of field size shows as a whole unit.
 The finiteness scan's boolean mask is an eighth of one.
 """
 
+import importlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from spball.ball import estimate_constants, make_ball
 from spball.energy import ProblemSpec, evaluate, gradient_field
 from spball.grid import (
     ScalarField,
@@ -21,7 +23,9 @@ from spball.grid import (
     first_eigenpair,
     lp_norm,
 )
+from spball.minimize import initial_guess
 from spball.poisson import compute_phi, solve_dirichlet_poisson
+from spball.runner import ExperimentConfig, run_experiment
 
 from conftest import random_field
 
@@ -122,6 +126,96 @@ def test_hot_path_allocation_budget(rng, n, kernel):
         "lp_norm m=3": (lp_norm, u, 3.0),
     }
     assert _peak_in_fields(spec.grid, *calls[kernel]) <= BUDGETS[kernel]
+
+
+# the ball constants and the start, once per run -> budget
+STAGE_BUDGETS = {
+    # e1, c e1^2 and the solve's two buffers; at n=16 the stencil for e1's
+    # ball norm adds its strided temporaries on top of e1 and its Laplacian
+    "estimate_constants": 5.0,
+    # e, the candidate's u, phi and lap, and the c phi u and power arrays
+    # its state forms, but no state of e itself; at n=16 the 401-point t grid
+    # and its polynomial add half a field
+    "initial_guess": 6.75,
+}
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("stage", sorted(STAGE_BUDGETS))
+def test_run_stage_allocation_budget(n, stage):
+    g = build_grid(n)
+    e1, _ = first_eigenpair(g)
+    coupling = ScalarField.constant(g, 1.0)
+    ball, phi_e1 = make_ball(7.0, coupling)
+    forcing = (0.5 * ball.forcing_bound / lp_norm(e1, 3)) * e1
+    spec = ProblemSpec(p=7.0, coupling=coupling, forcing=forcing, grid=g)
+    calls = {
+        "estimate_constants": (estimate_constants, 7.0, coupling),
+        "initial_guess": (initial_guess, spec, ball.radius, phi_e1),
+    }
+    assert _peak_in_fields(g, *calls[stage]) <= STAGE_BUDGETS[stage]
+
+
+# a whole run of the solve-n32 config, in fields; the descent holds
+# the forcing, the sine factors' eigenvalue cube, the current state with its
+# residual, its gradient and the trial's state as it is formed, but neither
+# phi_e1 after the initial guess nor the old state's phi and rhs while the
+# step's displacement is taken
+RUN_BUDGET = 13.5
+
+
+def test_run_allocation_budget():
+    config = ExperimentConfig.from_dict({
+        "grid_n": 32, "p": 7.0, "coupling": {"constant": 1},
+        "forcing": {"scaled_to_bound": 0.5},
+    })
+    assert _peak_in_fields(build_grid(32), run_experiment, config, None, False) <= RUN_BUDGET
+
+
+def test_constant_field_is_a_read_only_zero_stride_view():
+    g = build_grid(8)
+    c = ScalarField.constant(g, 2.5)
+    assert c.values.shape == g.shape
+    assert c.values.strides == (0, 0, 0)
+    assert not c.values.flags.writeable
+    with pytest.raises(ValueError):
+        c.values[0, 0, 0] = 1.0
+    assert np.array_equal(c.values, np.full(g.shape, 2.5))
+    with pytest.raises(ValueError, match="finite"):
+        ScalarField.constant(g, np.inf)
+
+
+def _materialized(grid, value):
+    return ScalarField(grid, np.full(grid.shape, value))
+
+
+def test_constant_coupling_view_gives_the_bits_of_a_full_array(rng, monkeypatch):
+    g = build_grid(8)
+    u = random_field(g, rng)
+    view, full = ScalarField.constant(g, 3.0), _materialized(g, 3.0)
+    assert np.array_equal(compute_phi(u, view).values, compute_phi(u, full).values)
+    specs = [ProblemSpec(p=3.0, coupling=c, forcing=first_eigenpair(g)[0], grid=g)
+             for c in (view, full)]
+    a, b = (evaluate(u, spec) for spec in specs)
+    for name in ("phi", "rhs", "lap"):
+        assert np.array_equal(getattr(a, name).values, getattr(b, name).values), name
+    assert a.terms == b.terms
+    ca, cb = estimate_constants(7.0, view), estimate_constants(7.0, full)
+    assert ca[:3] == cb[:3]
+    assert np.array_equal(ca[3].values, cb[3].values)
+
+    config = ExperimentConfig.from_dict({
+        "grid_n": 8, "p": 3.0, "coupling": {"constant": 1.0},
+        "forcing": {"scaled_to_bound": 1.0}, "safety": 1.0,
+    })
+    with_view = run_experiment(config, write_outputs=False).to_dict()
+    runner = importlib.import_module("spball.runner")
+    monkeypatch.setattr(runner, "_build_coupling",
+                        lambda grid, spec: _materialized(grid, float(spec["constant"])))
+    with_full = run_experiment(config, write_outputs=False).to_dict()
+    assert with_view["minimize_summary"]["iterations"] > 1
+    with_view.pop("wall_time"), with_full.pop("wall_time")
+    assert with_view == with_full
 
 
 def test_public_constructor_copies_once(rng):

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -410,6 +411,22 @@ def test_cli_run_huge_exponent_verifies(tmp_path, capsys):
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 0
     assert "verification PASSED" in capsys.readouterr().out
+
+
+def test_cli_run_names_the_overflowing_ball_product(tmp_path, capsys):
+    # c phi_e1 e1 overflows at this coupling: a typed data error, exit 2, that
+    # names the product and the config value, with no numpy warning on the way
+    path = write_config(tmp_path, grid_n=8, p=7.0, coupling={"constant": 1e300},
+                        forcing={"scaled_to_bound": 0.5})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "c·φ_e1·e1" in err
+    assert '{"constant": 1e+300}' in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_cli_run_missing_config(tmp_path, capsys):

@@ -57,3 +57,6 @@ def test_traced_run_passes_the_tracer_self_checks(tmp_path):
     # a descent that read the held terms directly would drive backtracks negative
     assert metrics["minimize.backtracks"] >= 0
     assert metrics["minimize.energy_evals"] == metrics["energy.evals"]
+    # every H1 norm of a run is a pairing with an array it holds: the ball
+    # pairs e1 with its stencil and with c phi_e1 e1
+    assert metrics["grid.h1_inner.calls"] == 0

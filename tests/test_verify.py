@@ -263,7 +263,9 @@ def test_phi_property_check_zero_coupling(rng):
 @pytest.mark.parametrize("coupling_kind", ["constant", "sine_bump"])
 def test_phi_bound_calibrates_on_the_extremal_eigenfunction(n, coupling_kind):
     # the eigenfunction's ratio ||grad phi_u|| / ||grad u||^2 dominates the
-    # 32 smoothed random fields the calibration used to sample as well
+    # 32 smoothed random fields the calibration used to sample as well. The
+    # ball takes it by the pairings the phi_bound gate reads from a state,
+    # ||grad phi_u||^2 = 4 x coupling term and ||grad u||^2 = 2 x kinetic term
     g = build_grid(n)
     e1, _ = first_eigenpair(g)
     coupling = ScalarField(g, np.ones(g.shape)) if coupling_kind == "constant" else 1e8 * e1
@@ -271,10 +273,13 @@ def test_phi_bound_calibrates_on_the_extremal_eigenfunction(n, coupling_kind):
     def ratio(w):
         return grad_l2_norm(compute_phi(w, coupling)) / grad_l2_norm(w) ** 2
 
-    extremal = ratio(e1)
+    s = evaluate(e1, ProblemSpec(p=3.0, coupling=coupling, forcing=e1, grid=g))
+    extremal = np.sqrt(4.0 * s.terms[1]) / s.grad_sq
+    potential_constant = make_ball(3.0, coupling)[0].potential_constant
+    assert potential_constant == 2.0 * extremal
+    assert_allclose(extremal, ratio(e1), rtol=1e-13)
     for w in smoothed_random_fields(g, 32, seed=20260814):
-        assert ratio(w) <= extremal
-    assert make_ball(3.0, coupling)[0].potential_constant == 2.0 * extremal
+        assert ratio(w) <= potential_constant / 2.0
 
 
 # ---------------------------------------------------------------- full report
