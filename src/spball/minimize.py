@@ -5,7 +5,10 @@ is the fixed-point iteration u <- T(u) of the auxiliary map. Each iteration
 first tries the depth-3 Anderson (type-II) mixture of that iteration
 (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011): with the differences
 dT, dg of T and g between the last iterates and the coefficients gamma
-minimizing the H1 norm of g - dg gamma, the trial is T(u) - dT gamma. The
+minimizing the H1 norm of g - dg gamma, the trial is T(u) - dT gamma.
+gamma solves the normal equations, the at most 3 x 3 Gram system of the dg,
+by one LU solve; a singular Gram matrix or a gamma that is not finite
+clears the history, and the iteration takes the plain step. The
 differences come from gradients already computed, so the trial costs no
 extra solve, and the history's H1 pairings read -Delta_h g = lap - rhs, the
 strong residual each state holds, so they cost no stencil either. The
@@ -189,6 +192,17 @@ def initial_guess(spec: ProblemSpec, radius: float, phi_e1: ScalarField) -> Fiel
     )
 
 
+def _mixing_weights(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """gamma with gram gamma = rhs, the normal equations of the H1 least-squares
+    problem, by one LU solve of the at most 3 x 3 symmetric positive definite
+    Gram matrix; None when it is singular or gamma is not finite."""
+    try:
+        gamma = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        return None
+    return gamma if np.isfinite(gamma).all() else None
+
+
 class _MixingHistory:
     """Depth-m Anderson (type-II) history of the auxiliary map T, as raw arrays.
 
@@ -230,10 +244,16 @@ class _MixingHistory:
         self.steps.clear()
         self.gram = np.zeros((0, 0))
 
-    def mixed(self, g: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """T(u) - dT gamma with gamma = argmin ||g - dg gamma||_H1; needs a step."""
+    def mixed(self, g: np.ndarray, u: np.ndarray) -> np.ndarray | None:
+        """T(u) - dT gamma with gamma = argmin ||g - dg gamma||_H1; needs a step.
+
+        None, with the steps cleared, when _mixing_weights finds no gamma.
+        """
         rhs = np.array([np.vdot(ldg_i, g) for ldg_i, _ in self.steps])
-        gamma = np.linalg.lstsq(self.gram, rhs, rcond=None)[0]
+        gamma = _mixing_weights(self.gram, rhs)
+        if gamma is None:
+            self.clear()
+            return None
         out = u - g
         for coeff, (_, dt) in zip(gamma, self.steps):
             out -= coeff * dt
@@ -298,9 +318,10 @@ def minimize(
         history.push(g.values, s.u.values, s.residual.values)
 
         accepted = None
-        if history.steps:
-            trial = ScalarField._own(spec.grid, history.mixed(g.values, s.u.values))
-            candidate = retract_to_ball(evaluate(trial, spec), ball.radius, spec)
+        trial = history.mixed(g.values, s.u.values) if history.steps else None
+        if trial is not None:
+            candidate = evaluate(ScalarField._own(spec.grid, trial), spec)
+            candidate = retract_to_ball(candidate, ball.radius, spec)
             cand_energy = energy(candidate).total
             if cand_energy < current:
                 accepted = (candidate, cand_energy, 1.0)

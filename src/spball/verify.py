@@ -121,13 +121,17 @@ def phi_property_check(
     phi = s.phi
     phi_t = compute_phi(t * s.u, spec.coupling)
 
-    nonneg_ok = float(phi.values.min()) >= -1e-8 * max(1.0, float(np.abs(phi.values).max()))
+    low = float(phi.values.min())
+    nonneg_ok = low >= -1e-8 * max(1.0, -low, float(phi.values.max()))
 
     base = lp_norm(phi, 2)
     if base == 0.0:
         scaling_ok = True
     else:
-        scaling_ok = lp_norm(phi_t - t * t * phi, 2) <= 1e-9 * base
+        # phi_{t u} - t^2 phi_u in the one array that holds t^2 phi_u
+        diff = (t * t) * phi.values
+        np.subtract(phi_t.values, diff, out=diff)
+        scaling_ok = lp_norm(ScalarField._own(spec.grid, diff), 2) <= 1e-9 * base
 
     grad_phi = math.sqrt(max(4.0 * s.terms[1], 0.0))
     bound_ok = grad_phi <= ball.potential_constant * s.grad_sq + 1e-30

@@ -1,5 +1,6 @@
 """Shared oracles and helpers for the test suite."""
 
+import importlib
 import sys
 from collections import Counter
 
@@ -97,21 +98,29 @@ def solve_counter(monkeypatch):
     return run
 
 
-KERNELS = ("neg_laplacian_array", "h1_inner")
+# the package binds the energy function over its submodule's name
+energy_module = importlib.import_module("spball.energy")
+
+# kernel name -> the module that defines it
+KERNELS = {
+    "neg_laplacian_array": grid_module,
+    "h1_inner": grid_module,
+    "_signed_power": energy_module,
+}
 
 
 @pytest.fixture
 def kernel_counter(monkeypatch):
     """kernel_counter(fn, *args, **kwargs) -> (fn's result, Counter of calls to
-    the grid kernels in KERNELS during the call); each kernel is counted
-    wherever spball bound it, inside grid too. Guards against re-added passes."""
+    the kernels in KERNELS during the call); each kernel is counted wherever
+    spball bound it, inside its own module too. Guards against re-added passes."""
 
     def run(fn, *args, **kwargs):
         counts = Counter()
         holders = [m for key, m in sys.modules.items() if key.split(".")[0] == "spball"]
         with monkeypatch.context() as m:
-            for name in KERNELS:
-                original = getattr(grid_module, name)
+            for name, module in KERNELS.items():
+                original = getattr(module, name)
 
                 def counting(*a, _name=name, _original=original, **k):
                     counts[_name] += 1

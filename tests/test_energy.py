@@ -1,6 +1,6 @@
 """Energy functional tests: a fully independent dense oracle, finite-difference
-consistency of the first variation, split/restriction identities, and the
-gradient representations."""
+consistency of the first variation, split/restriction identities, the
+gradient representations and the power kernel against libm pow."""
 
 import math
 
@@ -22,6 +22,7 @@ from spball import (
 from spball.energy import (
     EnergyBreakdown,
     ProblemSpec,
+    _signed_power,
     directional_derivative,
     energy,
     energy_split,
@@ -263,3 +264,56 @@ def test_state_holds_the_laplacian_and_the_energy_terms(n, p, coupling_kind, rng
     assert_allclose(s.terms, (kinetic, coupling_term, power, forcing_term), rtol=1e-13, atol=0)
     assert s.grad_sq == 2.0 * s.terms[0]
     assert s.w2n == w2n_norm(u)
+
+
+# ---------------------------------------------------------------- power kernel
+
+
+def _pow_reference(u, p):
+    """sign(u)|u|^p by libm pow, the kernel's form for non-integral p."""
+    return np.copysign(np.abs(u) ** p, u)
+
+
+def _power_inputs(p, rng):
+    # magnitudes from below the subnormal range of |u|^p to near its overflow,
+    # both signs, zeros of both signs and subnormal inputs
+    logs = rng.uniform(-330.0 / p, 300.0 / p, 20000)
+    u = np.copysign(10.0 ** logs, rng.standard_normal(logs.size))
+    u[:6] = [0.0, -0.0, 5e-324, -1e-310, -3e-320, 2.2250738585072014e-308]
+    return u
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 5.0, 7.0])
+def test_integral_power_by_products_is_within_its_error_bound(p, rng):
+    # square-and-multiply rounds at most about p - 1 times against pow's once:
+    # (p - 1) eps relative, at most 6 eps at p = 7. Below the normal range the
+    # same bound, taken at its edge, is the floor
+    u = _power_inputs(p, rng)
+    rtol = (p - 1.0) * np.finfo(float).eps
+    got, ref = _signed_power(u, p), _pow_reference(u, p)
+    assert_allclose(got, ref, rtol=rtol, atol=rtol * np.finfo(float).smallest_normal)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+    assert (got == 0.0).any() and (np.abs(got) < np.finfo(float).smallest_normal).sum() > 6
+    assert not np.shares_memory(got, u)
+
+
+@pytest.mark.parametrize("p", [1.01, 1.5, 7.5, 8.0, 20.0, 400.0])
+def test_other_powers_are_pow_bit_for_bit(p, rng):
+    # non-integral p, and integral p beyond the product range, keep pow
+    u = _power_inputs(p, rng)
+    got = _signed_power(u, p)
+    assert np.array_equal(got.view(np.int64), _pow_reference(u, p).view(np.int64))
+
+
+@pytest.mark.parametrize("p", [3.0, 7.0])
+def test_power_overflow_is_inf_where_pow_overflows_and_fails_the_state(p, rng):
+    # about a fifth of the nodes overflow at p = 3
+    spec = make_spec(n=6, p=p)
+    u = random_field(spec.grid, rng, scale=10.0 ** (308.0 / p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, ref = _signed_power(u.values, p), _pow_reference(u.values, p)
+        assert np.isinf(ref).any() and np.isfinite(ref).any()
+        assert np.array_equal(got[np.isinf(ref)], ref[np.isinf(ref)])
+        assert np.isfinite(got[np.isfinite(ref)]).all()
+        with pytest.raises(ValueError, match="field values must be finite"):
+            evaluate(u, spec)

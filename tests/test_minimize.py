@@ -29,6 +29,7 @@ from spball.minimize import (
     MinimizeOptions,
     MinimizeResult,
     _MixingHistory,
+    _mixing_weights,
     _start_terms,
     initial_guess,
     minimize,
@@ -558,15 +559,20 @@ def test_run_experiment_solve_count(monkeypatch, solve_counter, config):
     assert count == 1 + (1 + 2 * res.iterations) + 1
 
 
-@pytest.mark.parametrize("config", HANDOVER_CASES)
+# the solve-n32 benchmark workload itself: 1 iteration, so 2 states
+@pytest.mark.parametrize("config", HANDOVER_CASES + [
+    pytest.param({**BASELINE_N8, "grid_n": 32}, id="solve-n32"),
+])
 def test_run_experiment_kernel_count(monkeypatch, kernel_counter, config):
-    # guards the whole run against re-added stencils and gradient pairings.
-    # Stencils: e1's ball norm in the ball constants and one per trial state;
-    # the initial guess scales lambda_h e1, the Anderson history reads the
-    # held strong residuals and verify reads T(u)'s ball norm as ||rhs||_3, so
-    # none of them runs one. h1_inner: none; the ball constants pair e1 with
-    # its stencil and with c phi_e1 e1, and every other H1 norm pairs a held
-    # Laplacian or strong residual
+    # guards the whole run against re-added stencils, gradient pairings and
+    # power passes. Stencils: e1's ball norm in the ball constants and one per
+    # trial state; the initial guess scales lambda_h e1, the Anderson history
+    # reads the held strong residuals and verify reads T(u)'s ball norm as
+    # ||rhs||_3, so none of them runs one. h1_inner: none; the ball constants
+    # pair e1 with its stencil and with c phi_e1 e1, and every other H1 norm
+    # pairs a held Laplacian or strong residual. _signed_power: one per state
+    # formed, the initial guess's and one per trial; the ball's power ratio
+    # and the start's polynomial take their own powers
     calls = recorded_minimize(monkeypatch)
     report, counts = kernel_counter(
         run_experiment, ExperimentConfig.from_dict(config), write_outputs=False
@@ -578,6 +584,7 @@ def test_run_experiment_kernel_count(monkeypatch, kernel_counter, config):
     assert res.mixed_steps == k - 1
     assert counts["neg_laplacian_array"] == 1 + k
     assert counts["h1_inner"] == 0
+    assert counts["_signed_power"] == 1 + k
 
 
 def test_mixing_history_keeps_the_last_three_steps():
@@ -601,3 +608,69 @@ def test_mixing_history_keeps_the_last_three_steps():
                     rtol=1e-8, atol=1e-10)
     history.clear()
     assert history.steps == [] and history.gram.shape == (0, 0)
+
+
+def test_mixing_weights_match_least_squares():
+    # on a well-conditioned symmetric positive definite Gram matrix the LU
+    # solve gives the least-squares weights
+    rng = np.random.default_rng(17)
+    for k in (1, 2, 3):
+        for _ in range(20):
+            q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+            gram = (q * rng.uniform(1.0, 10.0, k)) @ q.T * 10.0 ** rng.uniform(-8, 8)
+            rhs = rng.standard_normal(k) * 10.0 ** rng.uniform(-8, 8)
+            expected = np.linalg.lstsq(gram, rhs, rcond=None)[0]
+            assert_allclose(_mixing_weights(gram, rhs), expected, rtol=1e-12, atol=0.0)
+
+
+def test_degenerate_gram_gives_no_weights():
+    assert _mixing_weights(np.zeros((1, 1)), np.ones(1)) is None
+    assert _mixing_weights(np.ones((2, 2)), np.ones(2)) is None
+    # finite entries whose solve overflows
+    assert _mixing_weights(np.array([[1e-300]]), np.array([1e300])) is None
+
+
+def test_singular_gram_clears_the_history():
+    # two iterates with the same gradient leave a zero gradient change, so
+    # the Gram matrix is exactly singular: no mixture, and no step kept
+    g = build_grid(6)
+    rng = np.random.default_rng(9)
+    grad = rng.standard_normal(g.shape)
+    history = _MixingHistory()
+    for _ in range(2):
+        history.push(grad, rng.standard_normal(g.shape), neg_laplacian_array(grad, g.h))
+    assert history.gram.shape == (1, 1) and history.gram[0, 0] == 0.0
+    assert history.mixed(grad, rng.standard_normal(g.shape)) is None
+    assert history.steps == [] and history.gram.shape == (0, 0)
+    assert history.last is not None
+
+
+def test_singular_gram_takes_the_plain_step(monkeypatch):
+    # a Gram matrix made exactly singular at every push raises nothing: each
+    # iteration clears the history and backtracks, so the run is the plain descent
+    push = _MixingHistory.push
+
+    def singular_push(self, g, u, lap_g):
+        push(self, g, u, lap_g)
+        self.gram = np.zeros_like(self.gram)
+
+    monkeypatch.setattr(_MixingHistory, "push", singular_push)
+    report = run_experiment(ExperimentConfig.from_dict(DESCENT_N8), write_outputs=False)
+    summary = report.minimize_summary
+    assert summary["mixed_steps"] == 0
+    assert summary["iterations"] == 10
+    assert report.energy == PLAIN_DESCENT_N8_ENERGY
+    assert report.verification.passed
+
+
+def test_descent_runs_no_svd(monkeypatch):
+    # the descent-n32 config at n=12 mixes and verifies without an SVD
+    def refused(*args, **kwargs):
+        raise AssertionError("an SVD routine was called")
+
+    for name in ("lstsq", "pinv", "svd"):
+        monkeypatch.setattr(np.linalg, name, refused)
+    report = run_experiment(ExperimentConfig.from_dict({**DESCENT_N8, "grid_n": 12}),
+                            write_outputs=False)
+    assert report.minimize_summary["mixed_steps"] >= 1
+    assert report.verification.passed

@@ -26,6 +26,7 @@ from spball.grid import (
 from spball.minimize import initial_guess
 from spball.poisson import compute_phi, solve_dirichlet_poisson
 from spball.runner import ExperimentConfig, run_experiment
+from spball.verify import verify
 
 from conftest import random_field
 
@@ -128,7 +129,7 @@ def test_hot_path_allocation_budget(rng, n, kernel):
     assert _peak_in_fields(spec.grid, *calls[kernel]) <= BUDGETS[kernel]
 
 
-# the ball constants and the start, once per run -> budget
+# the ball constants, the start and verify, once per run -> budget
 STAGE_BUDGETS = {
     # e1, c e1^2 and the solve's two buffers; at n=16 the stencil for e1's
     # ball norm adds its strided temporaries on top of e1 and its Laplacian
@@ -137,23 +138,46 @@ STAGE_BUDGETS = {
     # its state forms, but no state of e itself; at n=16 the 401-point t grid
     # and its polynomial add half a field
     "initial_guess": 6.75,
+    # t u, c (t u)^2 and the solve's two buffers for phi_{2u}; the gates
+    # after it hold phi_{2u} and one array for phi_{2u} - 4 phi_u, and take
+    # max |phi_u| from the min and max
+    "verify": 4.25,
 }
 
 
-@pytest.mark.parametrize("n", [16, 32])
-@pytest.mark.parametrize("stage", sorted(STAGE_BUDGETS))
-def test_run_stage_allocation_budget(n, stage):
+def _stage_problem(n):
+    """(spec, ball, phi_e1) of the solve-n32 config on an n-grid."""
     g = build_grid(n)
     e1, _ = first_eigenpair(g)
     coupling = ScalarField.constant(g, 1.0)
     ball, phi_e1 = make_ball(7.0, coupling)
     forcing = (0.5 * ball.forcing_bound / lp_norm(e1, 3)) * e1
-    spec = ProblemSpec(p=7.0, coupling=coupling, forcing=forcing, grid=g)
+    return ProblemSpec(p=7.0, coupling=coupling, forcing=forcing, grid=g), ball, phi_e1
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("stage", sorted(STAGE_BUDGETS))
+def test_run_stage_allocation_budget(n, stage):
+    spec, ball, phi_e1 = _stage_problem(n)
+    s = initial_guess(spec, ball.radius, phi_e1)
     calls = {
-        "estimate_constants": (estimate_constants, 7.0, coupling),
+        "estimate_constants": (estimate_constants, 7.0, spec.coupling),
         "initial_guess": (initial_guess, spec, ball.radius, phi_e1),
+        "verify": (verify, s, gradient_field(s), spec, ball),
     }
-    assert _peak_in_fields(g, *calls[stage]) <= STAGE_BUDGETS[stage]
+    assert _peak_in_fields(spec.grid, *calls[stage]) <= STAGE_BUDGETS[stage]
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_verify_gates_allocate_one_field(monkeypatch, n):
+    # past phi_{2u}'s solve the gates form one array, phi_{2u} - 4 phi_u,
+    # and no |phi_u|; the argument 2 u is freed before it is formed
+    spec, ball, phi_e1 = _stage_problem(n)
+    s = initial_guess(spec, ball.radius, phi_e1)
+    phi_2u = compute_phi(2.0 * s.u, spec.coupling)
+    monkeypatch.setattr(importlib.import_module("spball.verify"), "compute_phi",
+                        lambda u, coupling: phi_2u)
+    assert _peak_in_fields(spec.grid, verify, s, gradient_field(s), spec, ball) <= 1.25
 
 
 # a whole run of the solve-n32 config, in fields; the descent holds
