@@ -14,11 +14,11 @@ from spball import (
     ScalarField,
     build_grid,
     directional_derivative,
-    energy,
     energy_split,
     evaluate,
     first_eigenpair,
 )
+from spball.energy import energy
 
 grid = build_grid(10)
 e1, _ = first_eigenpair(grid)

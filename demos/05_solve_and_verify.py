@@ -33,8 +33,7 @@ print(f"  fixed point residual (rel) = {v.fixed_point_rel_residual:.3e}")
 print(f"  equation residual    (rel) = {v.pde_rel_residual:.3e}")
 print(f"  vi gap over the ball (rel) = {v.vi_gap:.3e}")
 print(f"  aux stays in ball          = {v.aux_in_ball}")
-print(f"  potential checks           = nonneg {v.phi_nonneg_ok}, "
-      f"scaling {v.phi_scaling_ok}, bound {v.phi_bound_ok}")
+print(f"  potential checks           = nonneg {v.phi_nonneg_ok}, bound {v.phi_bound_ok}")
 print(f"  passed                     = {v.passed}")
 print(f"  failed checks              = {', '.join(v.failed_checks) or 'none'}")
 

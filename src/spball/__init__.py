@@ -19,7 +19,6 @@ from .energy import (
     FieldState,
     ProblemSpec,
     directional_derivative,
-    energy,
     energy_split,
     evaluate,
     gradient_field,
@@ -49,7 +48,7 @@ from .grid import (
     lp_norm,
     w2n_norm,
 )
-from .minimize import MinimizeOptions, MinimizeResult, initial_guess, minimize, retract_to_ball
+from .minimize import MinimizeOptions, MinimizeResult, initial_guess, retract_to_ball
 from .poisson import PoissonSolution, compute_phi, solve_dirichlet_poisson
 from .runner import (
     ExperimentConfig,
@@ -68,8 +67,6 @@ from .verify import (
     fixed_point_residual,
     pde_residual,
     phi_property_check,
-    variational_inequality_check,
-    verify,
 )
 from .version import __version__
 
@@ -103,7 +100,6 @@ __all__ = [
     "compute_phi",
     "convergence_study",
     "directional_derivative",
-    "energy",
     "energy_split",
     "estimate_constants",
     "evaluate",
@@ -120,7 +116,6 @@ __all__ = [
     "make_ball",
     "manufactured_poisson_error",
     "max_forcing_norm",
-    "minimize",
     "pde_residual",
     "phi_property_check",
     "restricted_energy",
@@ -129,8 +124,6 @@ __all__ = [
     "smoothed_random_fields",
     "solve_dirichlet_poisson",
     "strong_residual",
-    "variational_inequality_check",
-    "verify",
     "w2n_norm",
     "write_study_csv",
     "__version__",

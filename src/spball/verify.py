@@ -11,14 +11,13 @@ energy terms and the strong residual lap - rhs, and that contract
 g = gradient_field(s) gives -Delta_h g = lap - rhs. So every norm here is a
 pairing with a held array: the ball norm, ||grad u|| and ||grad phi_u||
 from the state, ||grad g||^2 = <lap - rhs, g> h^3 by summation by parts,
-and T(u)'s ball norm ||rhs(u)||_3. verify runs no stencil and no gradient
-pass. The candidate is accepted when T(u) coincides with u in the relative
-H1 seminorm, the strong residual is small against the forcing, the
-variational inequality's infimum over the whole ball, taken in closed form
-as minus the squared fixed-point residual, is not negative beyond a slack,
-T(u) stays in the ball, and the potential's structural properties hold.
-minimize stops on fixed_point_residual and pde_residual at FP_THRESHOLD
-and PDE_THRESHOLD, so a run it calls converged passes those two gates.
+and T(u)'s ball norm ||rhs(u)||_3. verify runs no solve, no stencil and no
+gradient pass. The candidate is accepted when T(u) coincides with u in the
+relative H1 seminorm, the strong residual is small against the forcing,
+T(u) stays in the ball, and the potential is nonnegative and within the
+ball's gradient bound. minimize stops on fixed_point_residual and
+pde_residual at FP_THRESHOLD and PDE_THRESHOLD, so a run it calls
+converged passes those two gates.
 """
 
 from __future__ import annotations
@@ -32,27 +31,37 @@ from .ball import BallSpec
 from .energy import FieldState, ProblemSpec
 from .errors import OutsideBallError
 from .grid import ScalarField, lp_norm
-from .poisson import compute_phi
 
 FP_THRESHOLD = 1e-6
 PDE_THRESHOLD = 1e-5
 AUX_BALL_SLACK = 1e-8
-VI_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of the verification pipeline; passed is the conjunction of
     the component checks at the recorded thresholds; failed_checks names
-    the ones that failed (fixed_point, pde, vi, aux_in_ball, phi_nonneg,
-    phi_scaling, phi_bound), in that order."""
+    the ones that failed (fixed_point, pde, aux_in_ball, phi_nonneg,
+    phi_bound), in that order.
+
+    vi_gap is the variational inequality's infimum over the ball, relative
+    to 1/2||grad u||^2, of
+        gap(v) = 1/2||grad v||^2 - 1/2||grad u||^2 - sum(rhs(u) (v - u)) h^3.
+    -Delta_h T(u) = rhs(u) exactly, so summation by parts gives
+    gap(v) = 1/2||grad(v - T(u))||^2 - 1/2||grad(u - T(u))||^2 for every v:
+    the infimum is -1/2||grad g||^2, attained at v = T(u) when T(u) is in the
+    ball (aux_in_ball) and a lower bound otherwise. Relative, that is -fp^2
+    with fp the fixed-point residual, and it is reported as exactly
+    -(fp * fp), so a huge residual reads -inf rather than overflowing. It
+    gates nothing: vi_gap >= -eps holds exactly when fp <= sqrt(eps), which
+    the fixed_point gate already decides.
+    """
 
     fixed_point_rel_residual: float
     pde_rel_residual: float
     aux_in_ball: bool
     vi_gap: float
     phi_nonneg_ok: bool
-    phi_scaling_ok: bool
     phi_bound_ok: bool
     fp_threshold: float
     pde_threshold: float
@@ -85,62 +94,28 @@ def pde_residual(s: FieldState, spec: ProblemSpec) -> float:
     return lp_norm(s.residual, 3) / max(spec.forcing_norm, 1e-300)
 
 
-def variational_inequality_check(s: FieldState, g: ScalarField) -> float:
-    """Relative infimum over the ball of the variational-inequality gap
-        gap(v) = 1/2||grad v||^2 - 1/2||grad u||^2 - sum(rhs(u) (v - u)) h^3,
-    with g = u - T(u) and T(u) the auxiliary solution.
+def phi_property_check(s: FieldState, ball: BallSpec) -> tuple[bool, bool]:
+    """Check the potential's structure: sign and gradient bound.
 
-    -Delta_h T(u) = rhs(u) exactly, so summation by parts gives
-    gap(v) = 1/2||grad(v - T(u))||^2 - 1/2||grad g||^2 for every v.
-    Its infimum over the ball is therefore -1/2||grad g||^2, attained at
-    v = T(u) when T(u) is in the ball (gated as aux_in_ball) and a lower
-    bound otherwise. Relative to 1/2||grad u||^2 that is -fp^2, with fp the
-    fixed_point_residual of the same g: returned as exactly that, one pairing
-    and one floor, so the report cannot show the two disagreeing. The square
-    is fp * fp, so a huge residual reads -inf rather than overflowing.
-    """
-    fp = fixed_point_residual(s, g)
-    return -(fp * fp)
-
-
-def phi_property_check(
-    s: FieldState, spec: ProblemSpec, ball: BallSpec, t: float = 2.0
-) -> tuple[bool, bool, bool]:
-    """Check the potential's structure: sign, quadratic scaling, gradient bound.
-
-    Returns (nonneg_ok, scaling_ok, bound_ok):
+    Returns (nonneg_ok, bound_ok):
       nonneg:  min phi_u >= -1e-8 * max(1, ||phi_u||_inf)
-      scaling: ||phi_{t u} - t^2 phi_u||_2 <= 1e-9 ||phi_u||_2 (skipped if phi_u = 0)
       bound:   ||grad phi_u|| <= ball.potential_constant ||grad u||^2
     Both gradient norms come from the state's terms: ||grad u||^2 is twice the
     kinetic term, and ||grad phi_u||^2 = <c u^2, phi_u> h^3 = 4 x coupling term
     by summation by parts against -Delta_h phi_u = c u^2.
     """
-    if not t >= 0.0:
-        raise ValueError(f"scaling factor must be nonnegative, got {t}")
-    phi = s.phi
-    phi_t = compute_phi(t * s.u, spec.coupling)
-
-    low = float(phi.values.min())
-    nonneg_ok = low >= -1e-8 * max(1.0, -low, float(phi.values.max()))
-
-    base = lp_norm(phi, 2)
-    if base == 0.0:
-        scaling_ok = True
-    else:
-        # phi_{t u} - t^2 phi_u in the one array that holds t^2 phi_u
-        diff = (t * t) * phi.values
-        np.subtract(phi_t.values, diff, out=diff)
-        scaling_ok = lp_norm(ScalarField._own(spec.grid, diff), 2) <= 1e-9 * base
+    phi = s.phi.values
+    low = float(phi.min())
+    nonneg_ok = low >= -1e-8 * max(1.0, -low, float(phi.max()))
 
     grad_phi = math.sqrt(max(4.0 * s.terms[1], 0.0))
     bound_ok = grad_phi <= ball.potential_constant * s.grad_sq + 1e-30
-    return nonneg_ok, scaling_ok, bound_ok
+    return nonneg_ok, bound_ok
 
 
 def verify(s: FieldState, g: ScalarField, spec: ProblemSpec, ball: BallSpec) -> VerificationReport:
     """Full verification of a candidate minimizer from its state s and its
-    gradient g = gradient_field(s); the one solve left is phi_{2u}.
+    gradient g = gradient_field(s); it runs no solve.
 
     A candidate outside the ball is rejected with OutsideBallError; an
     auxiliary solution T(u) = u - g that escapes the ball fails aux_in_ball.
@@ -154,16 +129,13 @@ def verify(s: FieldState, g: ScalarField, spec: ProblemSpec, ball: BallSpec) -> 
 
     fp_res = fixed_point_residual(s, g)
     pde_res = pde_residual(s, spec)
-    vi_gap = variational_inequality_check(s, g)
-    nonneg_ok, scaling_ok, bound_ok = phi_property_check(s, spec, ball)
+    nonneg_ok, bound_ok = phi_property_check(s, ball)
 
     gates = {
         "fixed_point": fp_res <= FP_THRESHOLD,
         "pde": pde_res <= PDE_THRESHOLD,
-        "vi": vi_gap >= -VI_SLACK,
         "aux_in_ball": aux_in_ball,
         "phi_nonneg": nonneg_ok,
-        "phi_scaling": scaling_ok,
         "phi_bound": bound_ok,
     }
     failed = tuple(name for name, ok in gates.items() if not ok)
@@ -171,9 +143,8 @@ def verify(s: FieldState, g: ScalarField, spec: ProblemSpec, ball: BallSpec) -> 
         fixed_point_rel_residual=fp_res,
         pde_rel_residual=pde_res,
         aux_in_ball=aux_in_ball,
-        vi_gap=vi_gap,
+        vi_gap=-(fp_res * fp_res),
         phi_nonneg_ok=nonneg_ok,
-        phi_scaling_ok=scaling_ok,
         phi_bound_ok=bound_ok,
         fp_threshold=FP_THRESHOLD,
         pde_threshold=PDE_THRESHOLD,

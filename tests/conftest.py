@@ -1,12 +1,12 @@
 """Shared oracles and helpers for the test suite."""
 
-import importlib
 import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from spball import energy as energy_module
 from spball import grid as grid_module
 from spball.ball import make_ball
 from spball.energy import ProblemSpec
@@ -97,9 +97,6 @@ def solve_counter(monkeypatch):
 
     return run
 
-
-# the package binds the energy function over its submodule's name
-energy_module = importlib.import_module("spball.energy")
 
 # kernel name -> the module that defines it
 KERNELS = {

@@ -18,8 +18,8 @@ from spball import (
     apply_laplacian,
     build_grid,
     check_residual_bound,
+    compute_phi,
     directional_derivative,
-    energy,
     first_eigenpair,
     lp_norm,
     make_ball,
@@ -28,7 +28,7 @@ from spball import (
     admissible_radius,
     smoothed_random_fields,
 )
-from spball.energy import ProblemSpec, evaluate
+from spball.energy import ProblemSpec, energy, evaluate
 from spball.runner import ExperimentConfig, run_experiment
 
 from conftest import ball_samples, random_field
@@ -115,8 +115,11 @@ def test_criterion_3_potential_structure_audit():
         fields = smoothed_random_fields(spec.grid, 50, seed=303)
         assert len(fields) == 50
         for u in fields:
-            nonneg, scaling, bound = phi_property_check(evaluate(u, spec), spec, ball, t=2.0)
-            assert nonneg and scaling and bound
+            s = evaluate(u, spec)
+            nonneg, bound = phi_property_check(s, ball)
+            assert nonneg and bound
+            scaled = compute_phi(2.0 * u, spec.coupling)
+            assert lp_norm(scaled - 4.0 * s.phi, 2) <= 1e-9 * lp_norm(s.phi, 2)
 
 
 def test_criterion_4_first_variation_audit():

@@ -1,4 +1,5 @@
-"""Import hygiene: every name a module imports is used in that module.
+"""Import hygiene: every name a module imports is used in that module, and
+the package binds no other object over a submodule's name.
 
 Each module under src/spball, tests, demos and perfbench is parsed with
 ast; an imported name counts as used when it appears as a name anywhere in
@@ -6,9 +7,12 @@ the module or is listed in the module's __all__.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import spball
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -61,3 +65,16 @@ def test_module_uses_every_name_it_imports(path):
 def test_the_scan_catches_an_unused_import():
     source = "import os\nfrom math import pi, tau\n__all__ = ['tau']\nprint(os.sep)\n"
     assert unused_imports(source) == ["pi (line 2)"]
+
+
+SUBMODULES = sorted(path.stem for path in (ROOT / "src" / "spball").glob("*.py")
+                    if path.stem != "__init__")
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_package_attribute_is_its_submodule_or_unbound(name):
+    # `import spball.<name> as m` reads the package attribute first, so a
+    # function bound there would be what m names
+    bound = getattr(spball, name, None)
+    assert bound is None or (isinstance(bound, types.ModuleType)
+                             and bound.__name__ == f"spball.{name}")

@@ -3,13 +3,14 @@ monotone traces, ball confinement, determinism, local minimality, the
 Anderson-mixed step and its fallback, and the stop rule: converged means
 the verifier's fixed_point and pde gates pass."""
 
-import importlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import spball.minimize as minimize_mod
+import spball.runner as runner_mod
 from spball import (
     ForcingTooLargeError,
     GridMismatchError,
@@ -40,9 +41,6 @@ from spball.sampling import smoothed_random_fields
 from spball.verify import FP_THRESHOLD, PDE_THRESHOLD, verify
 
 from conftest import random_field, standard_problem
-
-# the package exports the minimize function under the submodule's name
-minimize_mod = importlib.import_module("spball.minimize")
 
 
 # ---------------------------------------------------------------- options
@@ -484,7 +482,6 @@ HANDOVER_CASES = [
 
 def recorded_minimize(monkeypatch):
     """Patch the runner's minimize to record (result, spec, ball) of each call."""
-    runner_mod = importlib.import_module("spball.runner")
     calls = []
 
     def recording(spec, ball, phi_e1, opts=None):
@@ -547,7 +544,7 @@ def test_run_experiment_solve_count(monkeypatch, solve_counter, config):
     # guards the whole run against a re-added solve: one for the ball
     # constants (phi_e1, which the initial guess scales), 1 + 2 * iterations
     # in the descent (every iteration after the first accepts its mixed trial
-    # at step 1) and phi_{2u} in verify
+    # at step 1) and none in verify
     calls = recorded_minimize(monkeypatch)
     report, count = solve_counter(
         run_experiment, ExperimentConfig.from_dict(config), write_outputs=False
@@ -556,7 +553,7 @@ def test_run_experiment_solve_count(monkeypatch, solve_counter, config):
     assert report.verification.passed
     assert all(row[2] == 1.0 for row in res.trace[1:])
     assert res.mixed_steps == res.iterations - 1
-    assert count == 1 + (1 + 2 * res.iterations) + 1
+    assert count == 1 + (1 + 2 * res.iterations)
 
 
 # the solve-n32 benchmark workload itself: 1 iteration, so 2 states

@@ -8,12 +8,12 @@ an extra copy or a hidden temporary of field size shows as a whole unit.
 The finiteness scan's boolean mask is an eighth of one.
 """
 
-import importlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import spball.runner as runner_module
 from spball.ball import estimate_constants, make_ball
 from spball.energy import ProblemSpec, evaluate, gradient_field
 from spball.grid import (
@@ -26,7 +26,7 @@ from spball.grid import (
 from spball.minimize import initial_guess
 from spball.poisson import compute_phi, solve_dirichlet_poisson
 from spball.runner import ExperimentConfig, run_experiment
-from spball.verify import verify
+from spball.verify import phi_property_check, verify
 
 from conftest import random_field
 
@@ -138,10 +138,10 @@ STAGE_BUDGETS = {
     # its state forms, but no state of e itself; at n=16 the 401-point t grid
     # and its polynomial add half a field
     "initial_guess": 6.75,
-    # t u, c (t u)^2 and the solve's two buffers for phi_{2u}; the gates
-    # after it hold phi_{2u} and one array for phi_{2u} - 4 phi_u, and take
-    # max |phi_u| from the min and max
-    "verify": 4.25,
+    # no solve: one array at a time, the signed square behind the L3 norm
+    # of rhs (aux_in_ball) and then of the strong residual (pde); max |phi_u|
+    # comes from the min and max
+    "verify": 1.25,
 }
 
 
@@ -169,14 +169,13 @@ def test_run_stage_allocation_budget(n, stage):
 
 
 @pytest.mark.parametrize("n", [16, 32])
-def test_verify_gates_allocate_one_field(monkeypatch, n):
-    # past phi_{2u}'s solve the gates form one array, phi_{2u} - 4 phi_u,
-    # and no |phi_u|; the argument 2 u is freed before it is formed
+def test_verify_gates_allocate_one_field(n):
+    # the potential's gates take min and max of phi_u and pair the state's
+    # terms, so they form no array; verify's gates as a whole form one, the
+    # signed square behind an L3 norm
     spec, ball, phi_e1 = _stage_problem(n)
     s = initial_guess(spec, ball.radius, phi_e1)
-    phi_2u = compute_phi(2.0 * s.u, spec.coupling)
-    monkeypatch.setattr(importlib.import_module("spball.verify"), "compute_phi",
-                        lambda u, coupling: phi_2u)
+    assert _peak_in_fields(spec.grid, phi_property_check, s, ball) <= 0.25
     assert _peak_in_fields(spec.grid, verify, s, gradient_field(s), spec, ball) <= 1.25
 
 
@@ -233,8 +232,7 @@ def test_constant_coupling_view_gives_the_bits_of_a_full_array(rng, monkeypatch)
         "forcing": {"scaled_to_bound": 1.0}, "safety": 1.0,
     })
     with_view = run_experiment(config, write_outputs=False).to_dict()
-    runner = importlib.import_module("spball.runner")
-    monkeypatch.setattr(runner, "_build_coupling",
+    monkeypatch.setattr(runner_module, "_build_coupling",
                         lambda grid, spec: _materialized(grid, float(spec["constant"])))
     with_full = run_experiment(config, write_outputs=False).to_dict()
     assert with_view["minimize_summary"]["iterations"] > 1

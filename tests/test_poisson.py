@@ -194,14 +194,19 @@ def test_compute_phi_nonnegative(rng):
 
 
 def test_compute_phi_quadratic_scaling(rng):
-    # phi(t u) = t^2 phi(u); solves are deterministic so only rounding enters
-    g = build_grid(6)
-    coupling = ScalarField(g, np.ones(g.shape))
-    u = random_field(g, rng)
-    phi1 = compute_phi(u, coupling)
-    phi2 = compute_phi(2.0 * u, coupling)
-    rel = lp_norm(phi2 - 4.0 * phi1, 2) / lp_norm(phi1, 2)
-    assert rel <= 1e-9
+    # phi(t u) = t^2 phi(u), for any sign of t: the solve is linear, so only
+    # rounding enters; a constant coupling view and a sine bump
+    for n in (6, 8, 16):
+        g = build_grid(n)
+        for coupling in (ScalarField.constant(g, 1.0), first_eigenpair(g)[0]):
+            for _ in range(4):
+                u = random_field(g, rng)
+                phi1 = compute_phi(u, coupling)
+                base = lp_norm(phi1, 2)
+                assert base > 0.0
+                for t in (0.0, 0.5, 2.0, -3.0):
+                    rel = lp_norm(compute_phi(t * u, coupling) - (t * t) * phi1, 2) / base
+                    assert rel <= 1e-9, (n, t)
 
 
 def test_compute_phi_gradient_bound_stable_constant(rng):

@@ -2,7 +2,6 @@
 round-trips, determinism modulo wall time, the convergence study, and the
 command-line interface including exit codes."""
 
-import importlib
 import json
 import math
 import os
@@ -13,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import spball.runner as runner_mod
+import spball.verify as verify_mod
 from spball import ConfigError, ForcingTooLargeError
 from spball.cli import main
 from spball.version import __version__
@@ -178,6 +179,13 @@ def test_load_report_rejects_another_versions_format(small_run, tmp_path):
     path.write_text(json.dumps(old))
     with pytest.raises(ConfigError, match="potential_constant"):
         load_report(path)
+    # a 0.7.0 report, written while verify still ran the phi_scaling gate
+    old = report.to_dict()
+    old["verification"]["phi_scaling_ok"] = True
+    old["version"] = "0.7.0"
+    path.write_text(json.dumps(old))
+    with pytest.raises(ConfigError, match="phi_scaling_ok"):
+        load_report(path)
     # a report with a section missing names that section
     data = report.to_dict()
     del data["verification"]
@@ -270,8 +278,6 @@ def test_convergence_study_validates_grids():
 
 def test_convergence_study_records_failures_and_continues(monkeypatch):
     cfg = small_config(samples=4)
-    import spball.runner as runner_mod
-
     real = runner_mod.manufactured_poisson_error
 
     def flaky(n):
@@ -387,9 +393,8 @@ def test_cli_run_failure_exit_codes(tmp_path, capsys):
 
 def test_cli_run_names_the_failed_checks(tmp_path, capsys, monkeypatch):
     # an unreachable fixed-point threshold fails exactly that gate; verify reads
-    # it at call time, and the descent keeps its own imported threshold. The
-    # package's `verify` attribute is the function, so reach the module by name
-    monkeypatch.setattr(importlib.import_module("spball.verify"), "FP_THRESHOLD", 1e-30)
+    # it at call time, and the descent keeps its own imported threshold
+    monkeypatch.setattr(verify_mod, "FP_THRESHOLD", 1e-30)
     path = write_config(tmp_path)
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 1
@@ -411,6 +416,21 @@ def test_cli_run_huge_exponent_verifies(tmp_path, capsys):
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 0
     assert "verification PASSED" in capsys.readouterr().out
+
+
+def test_cli_run_subnormal_coupling_verifies(tmp_path, capsys):
+    # the potential of this coupling is subnormal; the descent stops on
+    # fixed_point, and verify once rejected the run for a relative test of
+    # phi_{2u} = 4 phi_u that subnormal rounding cannot meet
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"grid_n": 8, "p": 3, "coupling": {"constant": 1e-315},
+                                "forcing": {"scaled_to_bound": 0.5}}))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert "verification PASSED" in capsys.readouterr().out
+    report = load_report(tmp_path / "out" / "report.json")
+    assert report.minimize_summary["stop_reason"] == "fixed_point"
+    assert report.verification.failed_checks == ()
 
 
 def test_cli_run_names_the_overflowing_ball_product(tmp_path, capsys):

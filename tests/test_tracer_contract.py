@@ -47,8 +47,8 @@ def test_traced_run_passes_the_tracer_self_checks(tmp_path):
     assert out["problems"] == []
     metrics = out["metrics"]
     assert metrics["ball.solves"] == 1
-    assert metrics["verify.solves"] == 1
-    assert metrics["poisson.solves"] == 1 + metrics["minimize.solves"] + 1
+    assert metrics["verify.solves"] == 0
+    assert metrics["poisson.solves"] == 1 + metrics["minimize.solves"]
     # the initial guess scales the ball's phi_e1, so the one e1 solve stays
     # under the ball stage and the descent pays a gradient and a trial per
     # iteration plus the last gradient

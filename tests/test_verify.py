@@ -1,8 +1,8 @@
 """Verifier tests: auxiliary solve against a dense oracle, residual
-definitions, the closed-form variational inequality against the old probe
-family with a negative control, and potential structure checks."""
+definitions, the closed-form variational inequality gap against the old probe
+family with a negative control, potential structure checks, and the five
+gates in their order."""
 
-import importlib
 import json
 import warnings
 from dataclasses import replace
@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import spball.verify as verify_module
 from spball import (
     OutsideBallError,
     ScalarField,
@@ -30,7 +31,6 @@ from spball.verify import (
     fixed_point_residual,
     pde_residual,
     phi_property_check,
-    variational_inequality_check,
     verify,
 )
 
@@ -160,8 +160,10 @@ def test_pde_residual_small_after_minimize(solved_problem):
 def test_vi_no_violations_at_minimizer(solved_problem):
     spec, ball, res = solved_problem
     s, g = state_and_gradient(res.minimizer, spec)
-    gap = variational_inequality_check(s, g)
-    assert -1e-8 <= gap <= 0.0
+    fp = fixed_point_residual(s, g)
+    report = verify(s, g, spec, ball)
+    assert report.vi_gap == -(fp * fp)
+    assert -1e-8 <= report.vi_gap <= 0.0
 
 
 def test_vi_gap_is_minus_the_squared_fixed_point_residual(solved_problem, rng):
@@ -179,22 +181,24 @@ def test_vi_gap_is_minus_the_squared_fixed_point_residual(solved_problem, rng):
         cases.append((*state_and_gradient(u, spec), spec, ball))
     for s, g, case_spec, case_ball in cases:
         fp = fixed_point_residual(s, g)
-        assert variational_inequality_check(s, g) == -(fp * fp)
         report = verify(s, g, case_spec, case_ball)
         assert report.vi_gap == -(fp * fp) and report.fixed_point_rel_residual == fp
     s, g = zero
     assert_allclose(fixed_point_residual(s, g), grad_l2_norm(g) / 1e-30, rtol=1e-9)
-    assert variational_inequality_check(s, g) < -1e-8
+    assert verify(s, g, zero_spec, zero_ball).vi_gap < -1e-8
 
 
 def test_vi_detects_non_minimizer():
     # the zero field with positive forcing is far from stationary: its own
-    # auxiliary image is a lower-energy direction, so the gap is negative
+    # auxiliary image is a lower-energy direction, so the gap is negative.
+    # The gap is -fp^2, so the fixed_point gate is what rejects it
     spec, ball, phi_e1 = standard_problem(n=6, p=3.0)
     s, g = state_and_gradient(ScalarField.zeros(spec.grid), spec)
-    assert variational_inequality_check(s, g) < -1e-8
     report = verify(s, g, spec, ball)
-    assert "vi" in report.failed_checks
+    assert report.vi_gap < -1e-8
+    assert not report.passed
+    assert "fixed_point" in report.failed_checks
+    assert "vi" not in report.failed_checks
 
 
 @pytest.mark.parametrize("n, p", [(16, 7.0), (32, 3.0)])
@@ -213,7 +217,8 @@ def test_vi_gap_is_the_infimum_over_the_old_probe_family(n, p, scale):
     # relative to 1/2||grad u||^2, the scale of the terms the per-probe gap cancels
     gaps = [(0.5 * h1_inner(v, v) - half_u - l2_inner(s.rhs, v - u)) / half_u for v in probes]
 
-    vi_gap = variational_inequality_check(s, g)
+    fp = fixed_point_residual(s, g)
+    vi_gap = -(fp * fp)
     assert vi_gap <= 0.0
     assert abs(gaps[1] - vi_gap) <= 1e-12
     assert min(gaps) >= vi_gap - 1e-12
@@ -224,25 +229,23 @@ def test_vi_gap_is_the_infimum_over_the_old_probe_family(n, p, scale):
 
 def test_phi_property_check_standard(solved_problem):
     spec, ball, res = solved_problem
-    assert phi_property_check(evaluate(res.minimizer, spec), spec, ball) == (True, True, True)
+    assert phi_property_check(evaluate(res.minimizer, spec), ball) == (True, True)
 
 
 def test_phi_property_check_reuses_a_given_potential(solved_problem):
     spec, ball, res = solved_problem
     s = evaluate(res.minimizer, spec)
-    assert phi_property_check(s, spec, ball) == (True, True, True)
+    assert phi_property_check(s, ball) == (True, True)
     # the checks read the potential they are given
-    assert not phi_property_check(replace(s, phi=-s.phi), spec, ball)[0]
+    assert not phi_property_check(replace(s, phi=-s.phi), ball)[0]
 
 
-def test_phi_property_check_zero_candidate_and_zero_scaling():
+def test_phi_property_check_zero_candidate():
     spec, ball, phi_e1 = standard_problem(n=5, p=3.0)
     zero = evaluate(ScalarField.zeros(spec.grid), spec)
-    assert phi_property_check(zero, spec, ball) == (True, True, True)
+    assert phi_property_check(zero, ball) == (True, True)
     e1, _ = first_eigenpair(spec.grid)
-    assert phi_property_check(evaluate(0.1 * e1, spec), spec, ball, t=0.0) == (True, True, True)
-    with pytest.raises(ValueError):
-        phi_property_check(evaluate(0.1 * e1, spec), spec, ball, t=-1.0)
+    assert phi_property_check(evaluate(0.1 * e1, spec), ball) == (True, True)
 
 
 def test_phi_property_check_zero_coupling(rng):
@@ -254,9 +257,7 @@ def test_phi_property_check_zero_coupling(rng):
         grid=g,
     )
     ball, _ = make_ball(spec.p, spec.coupling)
-    assert phi_property_check(evaluate(random_field(g, rng), spec), spec, ball) == (
-        True, True, True
-    )
+    assert phi_property_check(evaluate(random_field(g, rng), spec), ball) == (True, True)
 
 
 @pytest.mark.parametrize("n", [6, 8, 12])
@@ -318,10 +319,9 @@ def test_report_round_trip(solved_problem):
 
 
 def test_failed_checks_name_the_failing_gate_and_round_trip(solved_problem, monkeypatch):
-    # verify reads the threshold at call time; the package's `verify`
-    # attribute is the function, so reach the module by name
+    # verify reads the threshold at call time
     spec, ball, res = solved_problem
-    monkeypatch.setattr(importlib.import_module("spball.verify"), "FP_THRESHOLD", 1e-30)
+    monkeypatch.setattr(verify_module, "FP_THRESHOLD", 1e-30)
     report = verify(res.state, res.gradient, spec, ball)
     assert report.fp_threshold == 1e-30
     assert not report.passed
@@ -331,10 +331,25 @@ def test_failed_checks_name_the_failing_gate_and_round_trip(solved_problem, monk
     assert restored.failed_checks == ("fixed_point",)
 
 
+def test_failed_checks_list_the_five_gates_in_order():
+    # a candidate that fails every gate: far from a fixed point, an image
+    # outside a hand-built ball, a negated potential and a vanishing bound
+    g = build_grid(6)
+    e1, _ = first_eigenpair(g)
+    spec = ProblemSpec(p=3.0, coupling=ScalarField.constant(g, 1.0),
+                       forcing=ScalarField(g, np.ones(g.shape)), grid=g)
+    ball = BallSpec(1.0, 1.0, 1e-300, 0.1, 0.05, 3.0)
+    s, grad = state_and_gradient((0.05 / w2n_norm(e1)) * e1, spec)
+    report = verify(replace(s, phi=-s.phi), grad, spec, ball)
+    assert report.failed_checks == ("fixed_point", "pde", "aux_in_ball", "phi_nonneg",
+                                    "phi_bound")
+    assert not hasattr(report, "phi_scaling_ok")
+
+
 def test_verify_solve_count(solved_problem, solve_counter):
-    # guards against a re-added solve: phi_{2u} for the scaling check is the
-    # only one; the state, T(u) and the phi-bound constant are handed over
+    # guards against a re-added solve: the state, T(u) and the phi-bound
+    # constant are handed over, so verify solves nothing
     spec, ball, res = solved_problem
     report, count = solve_counter(verify, res.state, res.gradient, spec, ball)
     assert report.passed
-    assert count == 1
+    assert count == 0
