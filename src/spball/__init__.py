@@ -31,7 +31,6 @@ from .errors import (
     ConfigError,
     ForcingTooLargeError,
     GridMismatchError,
-    InitializationFailureError,
     InvalidExponentError,
     InvalidGridError,
     OutsideBallError,
@@ -81,7 +80,6 @@ __all__ = [
     "FieldState",
     "ForcingTooLargeError",
     "GridMismatchError",
-    "InitializationFailureError",
     "InvalidExponentError",
     "InvalidGridError",
     "MinimizeOptions",

@@ -5,9 +5,9 @@ The functional on interior fields u is
     E(u) = 1/2 ||grad u||^2 + 1/4 sum(c phi_u u^2) h^3
            - 1/(p+1) sum |u|^(p+1) h^3 - sum(f u) h^3
 
-with c the nonnegative coupling field, f the forcing field, and phi_u the
-potential from compute_phi. The power exponent p may exceed the critical
-Sobolev range; the ball constraint elsewhere is what restores control.
+with c the nonnegative coupling field, f the forcing field of any sign, and
+phi_u the potential from compute_phi. The power exponent p may exceed the
+critical Sobolev range; the ball constraint elsewhere is what restores control.
 
 Everything else is read from one FieldState per field, built by evaluate:
 the field, its potential, the equation's right-hand side
@@ -47,16 +47,16 @@ _PRODUCT_POWER_MAX = 7
 class ProblemSpec:
     """Problem data: exponent, coupling field, forcing field and grid.
 
-    require_positive_forcing=False permits a nonnegative (possibly zero)
-    forcing for diagnostics; the default enforces strict positivity.
-    forcing_norm is ||f||_3, taken once at construction.
+    The forcing may take any sign, zero included, as the existence theory
+    asks only f in L-infinity. The coupling must be nonnegative: compute_phi
+    needs it for the discrete maximum principle that verify's phi_nonneg gate
+    checks. forcing_norm is ||f||_3, taken once at construction.
     """
 
     p: float
     coupling: ScalarField
     forcing: ScalarField
     grid: DomainGrid
-    require_positive_forcing: bool = True
     forcing_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -66,15 +66,6 @@ class ProblemSpec:
             raise GridMismatchError("coupling/forcing fields must live on the problem grid")
         if float(self.coupling.values.min()) < 0.0:
             raise AssumptionViolationError("coupling field must be nonnegative")
-        fmin = float(self.forcing.values.min())
-        if self.require_positive_forcing:
-            if fmin <= 0.0:
-                raise AssumptionViolationError(
-                    "forcing field must be strictly positive "
-                    "(set require_positive_forcing=False for zero-forcing diagnostics)"
-                )
-        elif fmin < 0.0:
-            raise AssumptionViolationError("forcing field must be nonnegative")
         object.__setattr__(self, "forcing_norm", lp_norm(self.forcing, 3))
 
     def check_field(self, u: ScalarField) -> None:

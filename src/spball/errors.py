@@ -16,7 +16,7 @@ class InvalidExponentError(ValueError):
 
 
 class AssumptionViolationError(ValueError):
-    """Problem data violates a structural assumption (sign conditions, exponent range)."""
+    """Problem data violates a structural assumption (coupling sign, exponent range)."""
 
 
 class OutsideBallError(ValueError):
@@ -41,10 +41,6 @@ class ForcingTooLargeError(ValueError):
             f"forcing L3 norm {actual:.6e} exceeds the admissible bound {bound:.6e}; "
             "rescale the forcing field or use kind 'scaled_to_bound'"
         )
-
-
-class InitializationFailureError(RuntimeError):
-    """No starting point with negative energy could be certified."""
 
 
 class ConfigError(ValueError):

@@ -12,17 +12,19 @@ clears the history, and the iteration takes the plain step. The
 differences come from gradients already computed, so the trial costs no
 extra solve, and the history's H1 pairings read -Delta_h g = lap - rhs, the
 strong residual each state holds, so they cost no stencil either. The
-starting point is a multiple t e of e = (r / ||-Delta_h e1||_3) e1, with t
-minimizing the polynomial t -> E(t e). Its four coefficients are numbers
-read from e1 and phi_e1, the power term a sum over one axis since e1 is a
-product of sines, so no state of e is formed. The potential of t e scales
-phi_e1, the one the ball constants solved, and its Laplacian scales
-lambda_h e, since -Delta_h e1 = lambda_h e1, so the initial guess costs no
-solve and no stencil, and forms only the state it returns (unless rounding
-rejects it). A trial is evaluated once (one solve, one stencil); one that
-leaves the ball is pulled back by radial
-retraction of its state, t u with t = r / ||-Delta_h u||_3, whose potential
-is t^2 phi_u, so the retraction costs a stencil and no solve. If the mixed
+starting point is a multiple t e of e = +-(r / ||-Delta_h e1||_3) e1, the
+sign that of <f, e1>, with t minimizing the polynomial t -> E(t e). Its four
+coefficients are numbers read from e1 and phi_e1, the power term a sum over
+one axis since e1 is a product of sines, so no state of e is formed. The
+potential of t e scales phi_e1, the one the ball constants solved, and its
+Laplacian scales lambda_h e, since -Delta_h e1 = lambda_h e1, so the initial
+guess costs no solve and no stencil, and forms only the state it returns
+(unless rounding rejects it). When <f, e1> is zero, or no multiple has
+negative energy, the descent starts at u = 0, from which a plain step lowers
+the energy whenever f is not zero. A trial is evaluated once (one solve,
+one stencil); one that leaves the ball is pulled back by radial retraction
+of its state, t u with t = r / ||-Delta_h u||_3, whose potential is
+t^2 phi_u, so the retraction costs a stencil and no solve. If the mixed
 trial does not strictly decrease the energy, the history is cleared and the
 plain step u - step g backtracks from 1 by halves until the energy strictly
 decreases. The one convergence test is verify's: the descent stops
@@ -50,7 +52,7 @@ from .energy import (
     gradient_field,
     restricted_energy,
 )
-from .errors import ForcingTooLargeError, InitializationFailureError
+from .errors import ForcingTooLargeError
 from .grid import ScalarField, _first_sines, apply_laplacian, first_eigenpair, lp_norm
 from .verify import FP_THRESHOLD, PDE_THRESHOLD, fixed_point_residual, pde_residual
 
@@ -147,26 +149,40 @@ def _start_terms(
 
 
 def initial_guess(spec: ProblemSpec, radius: float, phi_e1: ScalarField) -> FieldState:
-    """Evaluated starting point with certified negative energy inside the ball.
+    """Evaluated starting point inside the ball: a multiple of e1 with certified
+    negative energy, or else the zero field.
 
-    Scales the first eigenfunction to the ball boundary, e = scale e1, then
-    minimizes the exact quartic-plus-power polynomial t -> E(t e) over a
-    log-spaced grid of t in [0, 1]. Ties prefer the smallest t. Its four
-    coefficients are numbers read from e1 and phi_e1 (_start_terms), so no
-    state of e is formed. The winning t is re-checked with a real state,
-    whose energy is evaluated and which is returned; on roundoff
-    disagreement the remaining candidates are tried in polynomial order.
+    Scales the first eigenfunction to the ball boundary, e = scale e1, negated
+    when <f, e1> < 0 (only the forcing term is odd in e), then minimizes the
+    exact quartic-plus-power polynomial t -> E(t e) over a log-spaced grid of
+    t in [0, 1]. Ties prefer the smallest t. Its four coefficients are
+    numbers read from e1 and phi_e1 (_start_terms), so no state of e is
+    formed. The winning t is re-checked with a real state, whose energy is
+    evaluated and which is returned; on roundoff disagreement the remaining
+    candidates are tried in polynomial order.
     The potential is quadratic, so the potential of t e is
     t^2 (scale^2 phi_e1): phi_e1, the potential make_ball solved for the
     first eigenfunction, serves every t, and the initial guess costs no
     solve. It runs no stencil either: -Delta_h e1 = lambda_h e1 gives
     ||-Delta_h e1||_3 = lambda_h ||e1||_3 and -Delta_h (t e) = t (lambda_h e),
     to rounding.
+
+    The zero field's state is returned instead, with no search when
+    <f, e1> = 0 (a zero forcing included), and when no candidate has negative
+    energy, as for a forcing too small to register above rounding. From
+    u = 0 with f nonzero a small enough plain step lowers the energy, since
+    the first variation in the direction -g = (-Delta_h)^-1 f is
+    -<f, (-Delta_h)^-1 f> h^3 < 0, so the descent can start there.
     """
     if not radius > 0.0:
         raise ValueError(f"ball radius must be positive, got {radius}")
     spec.check_field(phi_e1)
     e, lam, scale, (quad, quart, power, lin) = _start_terms(spec, radius, phi_e1)
+    if lin == 0.0:
+        return evaluate(ScalarField.zeros(spec.grid), spec)
+    if lin < 0.0:
+        # the other three terms are even in e
+        e, lin = -e, -lin
 
     ts = np.concatenate(([0.0], np.geomspace(1e-8, 1.0, _INITIAL_T_GRID)))
     poly = quad * ts**2 + quart * ts**4 - power * ts ** (spec.p + 1.0) - lin * ts
@@ -186,10 +202,7 @@ def initial_guess(spec: ProblemSpec, radius: float, phi_e1: ScalarField) -> Fiel
         )
         if restricted_energy(candidate, radius) < 0.0:
             return candidate
-    raise InitializationFailureError(
-        "no scaling of the eigenfunction yields negative energy; "
-        "the forcing may be too small to register above rounding error"
-    )
+    return evaluate(ScalarField.zeros(spec.grid), spec)
 
 
 def _mixing_weights(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
@@ -284,9 +297,8 @@ def minimize(
 
     phi_e1 is the first eigenfunction's potential that make_ball returns with
     the ball; the initial guess scales it, and the descent drops it after
-    that. Requires the forcing to respect the admissible bound. A zero
-    forcing (diagnostic mode) starts and ends at the zero field with zero
-    energy.
+    that. Requires the forcing, of any sign, to respect the admissible bound.
+    A zero forcing starts and ends at the zero field with zero energy.
     Every iterate stays in the ball; recorded energies are strictly
     decreasing. The accepted trial's state carries into the next gradient.
     """
@@ -295,10 +307,7 @@ def minimize(
     if spec.forcing_norm > ball.forcing_bound * (1.0 + BALL_NORM_SLACK):
         raise ForcingTooLargeError(spec.forcing_norm, ball.forcing_bound)
 
-    if not spec.forcing.values.any():
-        s = evaluate(ScalarField.zeros(spec.grid), spec)
-    else:
-        s = initial_guess(spec, ball.radius, phi_e1)
+    s = initial_guess(spec, ball.radius, phi_e1)
     del phi_e1  # read by the start alone; a caller that keeps no reference frees it here
 
     current = energy(s).total

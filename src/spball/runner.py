@@ -51,6 +51,9 @@ def _validate_field_spec(spec: dict, kinds: tuple[str, ...], label: str) -> None
     elif kind == "scaled_to_bound":
         if not 0.0 < value <= 1.0:
             raise ConfigError(f"scaled_to_bound fraction must lie in (0, 1], got {value}")
+    elif label == "forcing":
+        if value == 0.0:
+            raise ConfigError(f"forcing.{kind} must be nonzero")
     elif value <= 0.0:
         raise ConfigError(f"{label}.{kind} must be positive, got {value}")
 

@@ -35,14 +35,13 @@ from spball.energy import (
 from conftest import dense_neg_laplacian, random_field
 
 
-def make_spec(n=4, p=3.0, coupling=1.0, forcing=1.0, **kw):
+def make_spec(n=4, p=3.0, coupling=1.0, forcing=1.0):
     g = build_grid(n)
     return ProblemSpec(
         p=p,
         coupling=ScalarField(g, np.full(g.shape, coupling)),
         forcing=ScalarField(g, np.full(g.shape, forcing)),
         grid=g,
-        **kw,
     )
 
 
@@ -54,13 +53,10 @@ def test_spec_validation():
         make_spec(p=1.0)
     with pytest.raises(AssumptionViolationError):
         make_spec(coupling=-0.5)
-    with pytest.raises(AssumptionViolationError):
-        make_spec(forcing=0.0)
-    # zero forcing allowed only in diagnostic mode
-    diag = make_spec(forcing=0.0, require_positive_forcing=False)
-    assert float(diag.forcing.values.max()) == 0.0
-    with pytest.raises(AssumptionViolationError):
-        make_spec(forcing=-1.0, require_positive_forcing=False)
+    # the forcing may take any sign, zero included
+    for value in (0.0, -1.0, 1.0):
+        assert np.all(make_spec(forcing=value).forcing.values == value)
+    assert make_spec(forcing=-1.0).forcing_norm == make_spec(forcing=1.0).forcing_norm
 
 
 def test_spec_grid_mismatch():

@@ -175,7 +175,6 @@ def test_minimize_zero_forcing_diagnostic():
         coupling=spec.coupling,
         forcing=ScalarField.zeros(spec.grid),
         grid=spec.grid,
-        require_positive_forcing=False,
     )
     res = minimize(diag, ball, phi_e1)
     assert res.converged

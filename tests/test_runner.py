@@ -72,6 +72,13 @@ def test_config_field_spec_validation():
         small_config(forcing={"scaled_to_bound": 1.5})
     with pytest.raises(ConfigError):
         small_config(forcing={"constant": 1.0, "sine_bump": 1.0})
+    # a literal forcing takes any sign but zero; the coupling stays nonnegative
+    for kind in ("constant", "sine_bump"):
+        assert small_config(forcing={kind: -0.5}).forcing == {kind: -0.5}
+        with pytest.raises(ConfigError, match=f"forcing.{kind} must be nonzero"):
+            small_config(forcing={kind: 0.0})
+    with pytest.raises(ConfigError, match="must be positive"):
+        small_config(coupling={"sine_bump": -1.0})
     with pytest.raises(ConfigError):
         small_config(grid_n=2)
     with pytest.raises(ConfigError):

@@ -1,13 +1,17 @@
-"""Sweep regression: 70 configs end to end against outcomes recorded at
-version 0.5.0, before the H1 norms were read from held Laplacians.
+"""Sweep regression: 73 configs end to end; the first 70 against outcomes
+recorded at version 0.5.0, before the H1 norms were read from held Laplacians.
 
 The grid part is n in {8, 16, 32, 64} x p in {1.5, 3, 5, 7} x coupling
 {constant 1, sine_bump 1e3} x (forcing fraction, safety) in {(1, 1), (0.5, 2)};
-six special configs follow: the two benchmark workloads, the n=12 audit
-config, a stiff 1e8 coupling at n=6, p=400 at n=8 and p=1.01 at n=16. Each
-run must verify with the recorded iterations, stop reason, mixed steps and
-failed checks, and an energy within 1e-12 relative: a hot-path change that
-only reorders rounding passes, one that moves a stop decision does not.
+nine special configs follow: the two benchmark workloads, the n=12 audit
+config, a stiff 1e8 coupling at n=6, p=400 at n=8 and p=1.01 at n=16, then
+three absolute forcings recorded at version 0.9.0, when the start came to
+take the sign of <f, e1> and to fall back to u = 0: a 1e-7 constant, too
+small for any multiple of e1 to register, and two negative forcings, the
+first with the energy of its positive twin. Each run must verify with the
+recorded iterations, stop reason, mixed steps and failed checks, and an
+energy within 1e-12 relative: a hot-path change that only reorders rounding
+passes, one that moves a stop decision does not.
 The n=64 configs take about 1.5 s together and run only with SPBALL_SLOW=1.
 """
 
@@ -48,6 +52,13 @@ SPECIAL_CONFIGS = {
                 "forcing": {"scaled_to_bound": 0.5}},
     "n16-p1.01-sine_bump5": {"grid_n": 16, "p": 1.01, "coupling": {"sine_bump": 5},
                              "forcing": {"scaled_to_bound": 0.5}},
+    "n8-p7-constant1e-7": {"grid_n": 8, "p": 7.0, "coupling": {"constant": 1},
+                           "forcing": {"constant": 1e-7}},
+    "n8-p3-forcing-constant-1": {"grid_n": 8, "p": 3.0, "coupling": {"constant": 1},
+                                 "forcing": {"constant": -1}},
+    "n16-p7-sine_bump1e3-forcing-sine_bump-0.1": {
+        "grid_n": 16, "p": 7.0, "coupling": {"sine_bump": 1e3}, "forcing": {"sine_bump": -0.1},
+    },
 }
 CONFIGS = {**dict(grid_configs()), **SPECIAL_CONFIGS}
 
@@ -123,6 +134,10 @@ EXPECTED = {
     "n6-p7-sine_bump1e8": (2, "fixed_point", 1, (), -7.39314552867296e-15),
     "n8-p400": (1, "fixed_point", 0, (), -0.00104459649020802),
     "n16-p1.01-sine_bump5": (3, "fixed_point", 2, (), -2.8756112000160905),
+    "n8-p7-constant1e-7": (1, "fixed_point", 0, (), -9.209308452487013e-17),
+    "n8-p3-forcing-constant-1": (2, "fixed_point", 1, (), -0.009209512629332978),
+    "n16-p7-sine_bump1e3-forcing-sine_bump-0.1": (
+        2, "fixed_point", 1, (), -2.1149391132293095e-05),
 }
 
 SLOW = pytest.mark.skipif(
@@ -131,7 +146,7 @@ SLOW = pytest.mark.skipif(
 
 
 def test_the_sweep_covers_every_recorded_config():
-    assert len(CONFIGS) == 70
+    assert len(CONFIGS) == 73
     assert set(CONFIGS) == set(EXPECTED)
 
 

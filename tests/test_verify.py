@@ -120,7 +120,7 @@ def test_fixed_point_residual_basics(rng):
         assert_allclose(fixed_point_residual(s, g), grad_l2_norm(g) / grad_l2_norm(s.u),
                         rtol=1e-9)
     # u = 0 with zero forcing is a fixed point: T(0) = 0 and the residual is exactly 0
-    diag = replace(spec, forcing=ScalarField.zeros(spec.grid), require_positive_forcing=False)
+    diag = replace(spec, forcing=ScalarField.zeros(spec.grid))
     s, g = state_and_gradient(ScalarField.zeros(spec.grid), diag)
     assert not np.any(g.values)
     assert fixed_point_residual(s, g) == 0.0
