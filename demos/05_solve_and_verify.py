@@ -23,7 +23,7 @@ print(f"forcing bound       = {report.ball.forcing_bound:.6f}")
 print(f"energy at minimizer = {report.energy:.8f}  (negative: beats u = 0)")
 summary = report.minimize_summary
 print(f"descent iterations  = {summary['iterations']}, "
-      f"converged={summary['converged']}, on_boundary={summary['on_boundary']}")
+      f"stop_reason={summary['stop_reason']}, on_boundary={summary['on_boundary']}")
 print(f"minimizer norms     : W2N={summary['minimizer_w2n']:.6f}, "
       f"L2={summary['minimizer_l2']:.6f}")
 
@@ -32,8 +32,6 @@ print("\nverification")
 print(f"  fixed point residual (rel) = {v.fixed_point_rel_residual:.3e}")
 print(f"  equation residual    (rel) = {v.pde_rel_residual:.3e}")
 print(f"  vi gap over the ball (rel) = {v.vi_gap:.3e}")
-print(f"  aux stays in ball          = {v.aux_in_ball}")
-print(f"  potential checks           = nonneg {v.phi_nonneg_ok}, bound {v.phi_bound_ok}")
 print(f"  passed                     = {v.passed}")
 print(f"  failed checks              = {', '.join(v.failed_checks) or 'none'}")
 

@@ -66,7 +66,6 @@ def _cmd_run(args) -> int:
     print(
         f"descent: energy={report.energy:.9e}  "
         f"iterations={report.minimize_summary['iterations']}  "
-        f"converged={report.minimize_summary['converged']}  "
         f"stop_reason={report.minimize_summary['stop_reason']}"
     )
     print(

@@ -18,21 +18,22 @@ coefficients are numbers read from e1 and phi_e1, the power term a sum over
 one axis since e1 is a product of sines, so no state of e is formed. The
 potential of t e scales phi_e1, the one the ball constants solved, and its
 Laplacian scales lambda_h e, since -Delta_h e1 = lambda_h e1, so the initial
-guess costs no solve and no stencil, and forms only the state it returns
-(unless rounding rejects it). When <f, e1> is zero, or no multiple has
-negative energy, the descent starts at u = 0, from which a plain step lowers
-the energy whenever f is not zero. A trial is evaluated once (one solve,
-one stencil); one that leaves the ball is pulled back by radial retraction
+guess costs no solve and no stencil, and forms only the state it returns.
+When <f, e1> is zero, or the best multiple has no negative energy, the
+descent starts at u = 0, from which a plain step lowers the energy whenever
+f is not zero. A trial is evaluated once (one solve, one stencil); one that
+leaves the ball is pulled back by radial retraction
 of its state, t u with t = r / ||-Delta_h u||_3, whose potential is
 t^2 phi_u, so the retraction costs a stencil and no solve. If the mixed
 trial does not strictly decrease the energy, the history is cleared and the
 plain step u - step g backtracks from 1 by halves until the energy strictly
-decreases. The one convergence test is verify's: the descent stops
-converged (fixed_point) when fixed_point_residual of g and pde_residual
+decreases. The one stop test is verify's: the descent stops with
+stop_reason fixed_point when fixed_point_residual of g and pde_residual
 pass FP_THRESHOLD and PDE_THRESHOLD, and otherwise when no step lowers the
-energy (no_decrease) or the iteration budget is spent (budget). Both
-residuals read the state's held strong residual, and every H1 norm here
-is a pairing with a held Laplacian, so the descent runs no gradient pass.
+energy (no_decrease) or the iteration budget is spent (budget); verify alone
+says whether the result is a solution. Both residuals read the state's held
+strong residual, and every H1 norm here is a pairing with a held Laplacian,
+so the descent runs no gradient pass.
 """
 
 from __future__ import annotations
@@ -81,12 +82,12 @@ class MinimizeResult:
     from the last stop test; verify takes them as they are. trace rows are
     (iteration, energy, accepted step, H1 displacement); row 0 records the
     starting point with step and displacement zero, and an accepted mixed
-    trial records step 1. stop_reason is one of fixed_point, no_decrease and
-    budget; converged means fixed_point, so a converged minimizer passes
-    verify's fixed_point and pde gates. mixed_steps counts the accepted
-    mixed trials. on_boundary means the minimizer's ball norm is within
-    1e-8 of the radius relative to the radius, so it reads the same on a
-    ball of any size.
+    trial records step 1, so there are iterations + 1 rows. stop_reason is
+    one of fixed_point, no_decrease and budget; a fixed_point stop passes
+    verify's fixed_point and pde gates, and verify alone says whether the
+    minimizer is a solution. mixed_steps counts the accepted mixed trials.
+    on_boundary means the minimizer's ball norm is within 1e-8 of the radius
+    relative to the radius, so it reads the same on a ball of any size.
     """
 
     state: FieldState
@@ -94,7 +95,6 @@ class MinimizeResult:
     energy: float
     iterations: int
     trace: tuple[tuple[int, float, float, float], ...]
-    converged: bool
     on_boundary: bool
     stop_reason: str
     mixed_steps: int
@@ -157,9 +157,8 @@ def initial_guess(spec: ProblemSpec, radius: float, phi_e1: ScalarField) -> Fiel
     exact quartic-plus-power polynomial t -> E(t e) over a log-spaced grid of
     t in [0, 1]. Ties prefer the smallest t. Its four coefficients are
     numbers read from e1 and phi_e1 (_start_terms), so no state of e is
-    formed. The winning t is re-checked with a real state, whose energy is
-    evaluated and which is returned; on roundoff disagreement the remaining
-    candidates are tried in polynomial order.
+    formed. The one winning t is re-checked with a real state, which is
+    returned when its restricted energy is negative too.
     The potential is quadratic, so the potential of t e is
     t^2 (scale^2 phi_e1): phi_e1, the potential make_ball solved for the
     first eigenfunction, serves every t, and the initial guess costs no
@@ -168,11 +167,12 @@ def initial_guess(spec: ProblemSpec, radius: float, phi_e1: ScalarField) -> Fiel
     to rounding.
 
     The zero field's state is returned instead, with no search when
-    <f, e1> = 0 (a zero forcing included), and when no candidate has negative
-    energy, as for a forcing too small to register above rounding. From
-    u = 0 with f nonzero a small enough plain step lowers the energy, since
-    the first variation in the direction -g = (-Delta_h)^-1 f is
-    -<f, (-Delta_h)^-1 f> h^3 < 0, so the descent can start there.
+    <f, e1> = 0 (a zero forcing included), and when the winning t has no
+    negative energy, polynomial or evaluated, as for a forcing too small to
+    register above rounding. From u = 0 with f nonzero a small enough plain
+    step lowers the energy, since the first variation in the direction
+    -g = (-Delta_h)^-1 f is -<f, (-Delta_h)^-1 f> h^3 < 0, so the descent can
+    start there.
     """
     if not radius > 0.0:
         raise ValueError(f"ball radius must be positive, got {radius}")
@@ -186,11 +186,9 @@ def initial_guess(spec: ProblemSpec, radius: float, phi_e1: ScalarField) -> Fiel
 
     ts = np.concatenate(([0.0], np.geomspace(1e-8, 1.0, _INITIAL_T_GRID)))
     poly = quad * ts**2 + quart * ts**4 - power * ts ** (spec.p + 1.0) - lin * ts
-    # stable argsort keeps the smallest t first among equal values
-    for idx in np.argsort(poly, kind="stable"):
+    idx = int(np.argmin(poly))  # the first minimum, so the smallest t among ties
+    if poly[idx] < 0.0:
         t = float(ts[idx])
-        if poly[idx] >= 0.0:
-            break
         # (t e, t^2 (scale^2 phi_e1), t (lambda_h e)), each product as it
         # would be formed from e's own state
         phi = (scale * scale) * phi_e1.values
@@ -362,7 +360,6 @@ def minimize(
         energy=current,
         iterations=iterations,
         trace=tuple(trace),
-        converged=stop_reason == "fixed_point",
         on_boundary=abs(s.w2n - ball.radius) <= _BOUNDARY_RTOL * ball.radius,
         stop_reason=stop_reason,
         mixed_steps=mixed_steps,

@@ -242,13 +242,11 @@ def _summarize(result: MinimizeResult) -> dict:
     last = result.trace[-1]
     return {
         "iterations": result.iterations,
-        "converged": result.converged,
         "stop_reason": result.stop_reason,
         "mixed_steps": result.mixed_steps,
         "on_boundary": result.on_boundary,
         "final_step": last[2],
         "final_displacement": last[3],
-        "trace_rows": len(result.trace),
         "minimizer_w2n": result.state.w2n,
         "minimizer_l2": lp_norm(result.minimizer, 2),
     }

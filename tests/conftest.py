@@ -1,6 +1,11 @@
 """Shared oracles and helpers for the test suite."""
 
+import contextlib
+import io
+import json
 import sys
+import tempfile
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -9,6 +14,7 @@ import pytest
 from spball import energy as energy_module
 from spball import grid as grid_module
 from spball.ball import make_ball
+from spball.cli import main
 from spball.energy import ProblemSpec
 from spball.grid import DomainGrid, ScalarField, first_eigenpair, lp_norm, w2n_norm
 from spball.poisson import PoissonSolution
@@ -54,6 +60,21 @@ def ball_samples(grid: DomainGrid, count: int, seed: int, radius: float) -> list
         frac = float(frac_rng.uniform(0.05, 1.0))
         out.append((frac * radius / w) * u)
     return out
+
+
+def run_cli(config: dict) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `spball run` on config, with every
+    warning an error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/config.json"
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(["run", "--config", path, "--out", f"{tmp}/out"])
+    return code, out.getvalue(), err.getvalue()
 
 
 def standard_problem(n=8, p=7.0, fraction=1.0):

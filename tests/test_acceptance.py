@@ -183,7 +183,7 @@ def test_criterion_7_end_to_end_verification(end_to_end):
             assert ver.pde_rel_residual <= 1e-5, (p, ver.pde_rel_residual)
             # the gap's infimum over the whole ball, so it covers every probe
             assert ver.vi_gap >= -1e-8, (p, ver.vi_gap)
-            assert ver.aux_in_ball, p
+            assert "aux_in_ball" not in ver.failed_checks, p
             assert ver.passed, p
             assert elapsed <= 600.0, (p, elapsed)
 

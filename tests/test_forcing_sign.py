@@ -5,12 +5,7 @@ and a hypothesis sweep over exponents, kinds, signs and amplitudes down to
 1e-300 checks that every run through the CLI ends verified or with a typed
 error."""
 
-import contextlib
-import io
 import itertools
-import json
-import tempfile
-import warnings
 
 import numpy as np
 import pytest
@@ -19,27 +14,13 @@ from hypothesis import strategies as st
 
 import spball.runner as runner_mod
 from spball.ball import make_ball
-from spball.cli import main
 from spball.energy import ProblemSpec
 from spball.grid import ScalarField, build_grid, first_eigenpair, lp_norm
 from spball.minimize import initial_guess, minimize
 from spball.runner import ExperimentConfig, run_experiment
 from spball.verify import verify
 
-
-def run_cli(config: dict) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of `spball run` on config, with every
-    warning an error."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = f"{tmp}/config.json"
-        with open(path, "w") as fh:
-            json.dump(config, fh)
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
-                contextlib.redirect_stderr(err):
-            warnings.simplefilter("error")
-            code = main(["run", "--config", path, "--out", f"{tmp}/out"])
-    return code, out.getvalue(), err.getvalue()
+from conftest import run_cli
 
 
 # ---------------------------------------------------------------- regressions
@@ -82,7 +63,7 @@ def _solve(p, shape):
 @pytest.mark.parametrize("p", [3.0, 7.0])
 def test_forcing_of_any_sign_verifies(p, shape):
     res, report = _solve(p, SHAPES[shape])
-    assert res.converged
+    assert res.stop_reason == "fixed_point"
     assert report.passed, report.failed_checks
     assert res.energy < 0.0
 

@@ -1,5 +1,6 @@
-"""Import hygiene: every name a module imports is used in that module, and
-the package binds no other object over a submodule's name.
+"""Import hygiene: every name a module imports is used in that module, the
+package imports nothing but the standard library, numpy and itself, and it
+binds no other object over a submodule's name.
 
 Each module under src/spball, tests, demos and perfbench is parsed with
 ast; an imported name counts as used when it appears as a name anywhere in
@@ -7,6 +8,7 @@ the module or is listed in the module's __all__.
 """
 
 import ast
+import sys
 import types
 from pathlib import Path
 
@@ -65,6 +67,35 @@ def test_module_uses_every_name_it_imports(path):
 def test_the_scan_catches_an_unused_import():
     source = "import os\nfrom math import pi, tau\n__all__ = ['tau']\nprint(os.sep)\n"
     assert unused_imports(source) == ["pi (line 2)"]
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Top-level modules imported that are not in the standard library, numpy
+    or spball; a relative import is the package's own."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "spball"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots = [node.module.split(".")[0]]
+        else:
+            continue
+        found += [f"{root} (line {node.lineno})" for root in roots if root not in allowed]
+    return found
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES if path.parent.name == "spball"],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_imports_only_numpy_and_the_standard_library(path):
+    assert foreign_imports(path.read_text()) == []
+
+
+def test_the_scan_flags_a_third_party_import():
+    source = ("from __future__ import annotations\nimport os, scipy.linalg\n"
+              "import numpy as np\nfrom . import grid\nfrom spball.grid import lp_norm\n"
+              "from hypothesis import given\n")
+    assert foreign_imports(source) == ["scipy (line 2)", "hypothesis (line 6)"]
 
 
 SUBMODULES = sorted(path.stem for path in (ROOT / "src" / "spball").glob("*.py")

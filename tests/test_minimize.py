@@ -1,7 +1,7 @@
 """Constrained-descent tests: retraction geometry, certified initialization,
 monotone traces, ball confinement, determinism, local minimality, the
-Anderson-mixed step and its fallback, and the stop rule: converged means
-the verifier's fixed_point and pde gates pass."""
+Anderson-mixed step and its fallback, and the stop rule: a fixed_point stop
+means the verifier's fixed_point and pde gates pass."""
 
 from dataclasses import replace
 
@@ -111,6 +111,18 @@ def test_initial_guess_survives_tiny_forcing():
     assert energy(s0).total < 0.0
 
 
+def test_initial_guess_tries_one_candidate(monkeypatch):
+    # a winning t whose evaluated energy is not negative sends the start to
+    # u = 0 at once: no second candidate is formed
+    calls = []
+    monkeypatch.setattr(minimize_mod, "restricted_energy", lambda s, r: calls.append(s) or 0.0)
+    spec, ball, phi_e1 = standard_problem()
+    s0 = initial_guess(spec, ball.radius, phi_e1)
+    assert len(calls) == 1
+    assert not s0.u.values.any()
+    assert s0.terms == (0.0, 0.0, 0.0, 0.0)
+
+
 @pytest.mark.parametrize("p", [3.0, 7.0])
 def test_initial_guess_scales_phi_e1_without_a_solve(p, solve_counter):
     # the start is t e with e a multiple of e1, so its potential is a multiple
@@ -177,7 +189,6 @@ def test_minimize_zero_forcing_diagnostic():
         grid=spec.grid,
     )
     res = minimize(diag, ball, phi_e1)
-    assert res.converged
     assert res.iterations == 0
     assert res.energy == 0.0
     assert np.all(res.minimizer.values == 0.0)
@@ -212,7 +223,6 @@ def test_minimize_accepts_forcing_at_exact_bound():
 def test_minimize_standard_run(p):
     spec, ball, phi_e1 = standard_problem(p=p)
     res = minimize(spec, ball, phi_e1)
-    assert res.converged
     assert res.energy < 0.0
     assert res.energy == energy(evaluate(res.minimizer, spec)).total
     assert w2n_norm(res.minimizer) <= ball.radius * (1.0 + 1e-12)
@@ -237,7 +247,6 @@ def test_minimize_iteration_budget_flags_nonconvergence():
     spec, ball, phi_e1 = standard_problem(p=3.0)
     res = minimize(spec, ball, phi_e1, MinimizeOptions(max_iters=1))
     assert res.iterations == 1
-    assert not res.converged
     assert res.stop_reason == "budget"
     assert isinstance(res, MinimizeResult)
 
@@ -250,12 +259,11 @@ def test_minimize_stall_is_not_converged(monkeypatch):
     spec, ball, phi_e1 = standard_problem(p=3.0)
     res = minimize(spec, ball, phi_e1)
     assert res.stop_reason == "no_decrease"
-    assert not res.converged
     assert res.iterations == 0
 
 
 # n=6, p=7 with a 1e8 sine-bump coupling: the displacement rule once stopped
-# it after 1 iteration as converged, and verification then failed fixed_point
+# it after 1 iteration, and verification then failed fixed_point
 # and pde (fp 4.0e-4)
 STIFF_COUPLING_N6 = {
     "grid_n": 6,
@@ -269,7 +277,6 @@ STIFF_COUPLING_N6 = {
 
 def test_stiff_coupling_converges_only_when_verified():
     report = run_experiment(ExperimentConfig.from_dict(STIFF_COUPLING_N6), write_outputs=False)
-    assert report.minimize_summary["converged"]
     assert report.minimize_summary["stop_reason"] == "fixed_point"
     assert report.verification.passed
 
@@ -295,7 +302,7 @@ def test_converged_runs_pass_the_residual_gates(monkeypatch, n, p, coupling, fra
     })
     report = run_experiment(cfg, write_outputs=False)
     ver = report.verification
-    assert report.minimize_summary["converged"]
+    assert report.minimize_summary["stop_reason"] == "fixed_point"
     assert seen[-1] == ver.fixed_point_rel_residual
     assert ver.fixed_point_rel_residual <= FP_THRESHOLD == ver.fp_threshold
     assert ver.pde_rel_residual <= PDE_THRESHOLD == ver.pde_threshold
@@ -449,7 +456,7 @@ def test_trial_outside_the_ball_is_rescaled_without_a_solve(monkeypatch, solve_c
     monkeypatch.setattr(minimize_mod, "retract_to_ball", recording)
     spec, ball, phi_e1 = standard_problem(n=8, p=3.0)
     res, count = solve_counter(minimize, spec, ball, phi_e1)
-    assert res.converged
+    assert res.stop_reason == "fixed_point"
     assert any(w2n_norm(s.u) > ball.radius for s, _ in calls)  # the path ran
     for _, out in calls:
         assert w2n_norm(out.u) <= ball.radius * (1.0 + BALL_NORM_SLACK)

@@ -144,7 +144,7 @@ def test_run_experiment_passes_and_writes_outputs(small_run):
     assert (out / "trace.csv").exists()
     trace_lines = (out / "trace.csv").read_text().strip().splitlines()
     assert trace_lines[0] == "iteration,energy,step,displacement"
-    assert len(trace_lines) == report.minimize_summary["trace_rows"] + 1
+    assert len(trace_lines) == report.minimize_summary["iterations"] + 2
 
 
 def test_run_experiment_report_contents(small_run):
@@ -192,6 +192,14 @@ def test_load_report_rejects_another_versions_format(small_run, tmp_path):
     old["version"] = "0.7.0"
     path.write_text(json.dumps(old))
     with pytest.raises(ConfigError, match="phi_scaling_ok"):
+        load_report(path)
+    # a 0.9.0 report, whose verification restated failed_checks as booleans
+    old = report.to_dict()
+    old["verification"].update(
+        dict.fromkeys(("aux_in_ball", "phi_nonneg_ok", "phi_bound_ok"), True))
+    old["version"] = "0.9.0"
+    path.write_text(json.dumps(old))
+    with pytest.raises(ConfigError, match="aux_in_ball"):
         load_report(path)
     # a report with a section missing names that section
     data = report.to_dict()
@@ -328,7 +336,8 @@ def test_cli_run_success(tmp_path, capsys):
     assert "verification PASSED" in captured.out
     report = load_report(tmp_path / "out" / "report.json")
     assert report.minimize_summary["stop_reason"] == "fixed_point"
-    assert "converged=True  stop_reason=fixed_point\n" in captured.out
+    iterations = report.minimize_summary["iterations"]
+    assert f"iterations={iterations}  stop_reason=fixed_point\n" in captured.out
     assert report.minimize_summary["mixed_steps"] >= 0
     assert (tmp_path / "out" / "trace.csv").exists()
 
