@@ -4,7 +4,7 @@ Along t -> t*e1 the energy is an explicit polynomial in t: quadratic
 kinetic term, quartic nonlocal coupling term, a power term of degree p+1,
 and a linear forcing term. Watching the breakdown makes the competition
 between the convex and concave pieces visible, and a centered difference
-confirms the directional derivative.
+confirms the first variation, read from the state's strong residual.
 """
 
 import numpy as np
@@ -13,8 +13,6 @@ from spball import (
     ProblemSpec,
     ScalarField,
     build_grid,
-    directional_derivative,
-    energy_split,
     evaluate,
     first_eigenpair,
 )
@@ -39,15 +37,20 @@ for t in (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0):
 
 u = 0.8 * e1
 s = evaluate(u, spec)  # the field with its potential and the equation's right-hand side
-convex, smooth = energy_split(s)
+b = energy(s)
+# convex part: the kinetic term; smooth part: the rest, sign flipped
+convex, smooth = b.kinetic, -b.coupling + b.power + b.forcing
 print(f"\nsplit at t=0.8: convex={convex:.6f}, smooth={smooth:.6f}, "
-      f"difference matches total: {abs((convex - smooth) - energy(s).total):.2e}")
+      f"difference matches total: {abs((convex - smooth) - b.total):.2e}")
 
-v = ScalarField.from_function(grid, lambda x, y, z: x * (1 - x) * y * (1 - y) * z * (1 - z))
-dd = directional_derivative(s, v)
+c = grid.interior_coordinates()
+bump = c * (1 - c)
+v = ScalarField(grid, bump[:, None, None] * bump[None, :, None] * bump[None, None, :])
+# the strong residual -Delta_h u - rhs(u) is the energy's L2 gradient
+dd = float(np.vdot(s.residual.values, v.values)) * grid.h**3
 eps = 1e-5
 e_plus = energy(evaluate(u + eps * v, spec)).total
 e_minus = energy(evaluate(u - eps * v, spec)).total
 fd = (e_plus - e_minus) / (2 * eps)
-print(f"directional derivative: analytic={dd:.10f}, centered diff={fd:.10f}, "
+print(f"first variation: <residual, v> h^3={dd:.10f}, centered diff={fd:.10f}, "
       f"rel err={abs(fd - dd) / abs(dd):.2e}")

@@ -9,21 +9,16 @@ fixed-point verifier that certifies the minimizer as a discrete weak solution.
 from .ball import (
     BallSpec,
     admissible_radius,
-    check_residual_bound,
     estimate_constants,
     make_ball,
-    max_forcing_norm,
 )
 from .energy import (
     EnergyBreakdown,
     FieldState,
     ProblemSpec,
-    directional_derivative,
-    energy_split,
     evaluate,
     gradient_field,
     restricted_energy,
-    strong_residual,
 )
 from .errors import (
     AssumptionViolationError,
@@ -41,11 +36,7 @@ from .grid import (
     apply_laplacian,
     build_grid,
     first_eigenpair,
-    grad_l2_norm,
-    h1_inner,
-    l2_inner,
     lp_norm,
-    w2n_norm,
 )
 from .minimize import MinimizeOptions, MinimizeResult, initial_guess, retract_to_ball
 from .poisson import PoissonSolution, compute_phi, solve_dirichlet_poisson
@@ -94,26 +85,19 @@ __all__ = [
     "admissible_radius",
     "apply_laplacian",
     "build_grid",
-    "check_residual_bound",
     "compute_phi",
     "convergence_study",
-    "directional_derivative",
-    "energy_split",
     "estimate_constants",
     "evaluate",
     "first_eigenpair",
     "fixed_point_residual",
-    "grad_l2_norm",
     "gradient_field",
-    "h1_inner",
     "initial_guess",
-    "l2_inner",
     "load_config",
     "load_report",
     "lp_norm",
     "make_ball",
     "manufactured_poisson_error",
-    "max_forcing_norm",
     "pde_residual",
     "phi_property_check",
     "restricted_energy",
@@ -121,8 +105,6 @@ __all__ = [
     "run_experiment",
     "smoothed_random_fields",
     "solve_dirichlet_poisson",
-    "strong_residual",
-    "w2n_norm",
     "write_study_csv",
     "__version__",
 ]

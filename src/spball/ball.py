@@ -1,4 +1,4 @@
-"""Ball constants, admissible radius, and the residual bound on the ball.
+"""Ball constants and the admissible radius.
 
 Two constants bound the coupling and power terms by powers of the
 constraint-ball norm:
@@ -20,7 +20,9 @@ admissible radius r then satisfies
 
     coupling_constant r^3 + power_constant r^p <= r/2   for all r in (0, radius],
 
-which caps the forcing at forcing_bound = radius / 2.
+which caps the forcing at forcing_bound = radius / 2, so that on the ball
+||rhs(u)||_3 <= coupling_constant radius^3 + power_constant radius^p + ||f||_3
+<= radius.
 """
 
 from __future__ import annotations
@@ -30,14 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import FieldState, ProblemSpec, evaluate
-from .errors import BallOverflowError, OutsideBallError
+from .energy import FieldState
+from .errors import BallOverflowError
 from .grid import ScalarField, apply_laplacian, first_eigenpair, lp_norm
 from .poisson import compute_phi
 
 CONSTANT_FLOOR = 1e-30
 BALL_NORM_SLACK = 1e-12  # relative slack when checking membership of the closed ball
-RESIDUAL_BOUND_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -172,13 +173,6 @@ def admissible_radius(coupling_constant: float, power_constant: float, p: float)
     return lo if lo > 0.0 else hi
 
 
-def max_forcing_norm(radius: float) -> float:
-    """Admissible forcing bound: half the ball radius."""
-    if not radius > 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    return 0.5 * radius
-
-
 def make_ball(
     p: float, coupling: ScalarField, safety: float = 2.0
 ) -> tuple[BallSpec, ScalarField]:
@@ -186,26 +180,5 @@ def make_ball(
     phi_e1, the potential of the first eigenfunction that set the constants."""
     c_coupling, c_power, c_potential, phi_e1 = estimate_constants(p, coupling, safety)
     radius = admissible_radius(c_coupling, c_power, p)
-    return BallSpec(c_coupling, c_power, c_potential, radius, max_forcing_norm(radius), p), phi_e1
+    return BallSpec(c_coupling, c_power, c_potential, radius, 0.5 * radius, p), phi_e1
 
-
-def check_residual_bound(
-    u: ScalarField, ball: BallSpec, spec: ProblemSpec
-) -> tuple[float, float, bool]:
-    """Check ||-c phi_u u + sign(u)|u|^p + f||_L3 against its ball bound.
-
-    Returns (lhs, rhs, holds) with rhs = coupling_constant radius^3 +
-    power_constant radius^p + ||f||_L3; `holds` allows a 1e-10 slack.
-    """
-    s = evaluate(u, spec)
-    if not ball.contains(s):
-        raise OutsideBallError(
-            f"w2n norm {s.w2n:.6e} exceeds the ball radius {ball.radius:.6e}"
-        )
-    lhs = lp_norm(s.rhs, 3)
-    rhs = (
-        ball.coupling_constant * ball.radius**3
-        + ball.power_constant * ball.radius**ball.p
-        + spec.forcing_norm
-    )
-    return lhs, rhs, lhs <= rhs + RESIDUAL_BOUND_SLACK

@@ -1,4 +1,4 @@
-"""Coupled energy functional, its split, directional derivatives, and gradients.
+"""Coupled energy functional, the field state it is read from, and the Sobolev gradient.
 
 The functional on interior fields u is
 
@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AssumptionViolationError, GridMismatchError
-from .grid import DomainGrid, ScalarField, apply_laplacian, l2_inner, lp_norm
+from .grid import DomainGrid, ScalarField, apply_laplacian, lp_norm
 from .poisson import compute_phi, solve_dirichlet_poisson
 
 # the largest integral exponent formed by products, in at most four field
@@ -122,12 +122,13 @@ class FieldState:
 
     @cached_property
     def w2n(self) -> float:
-        """The ball norm ||-Delta_h u||_3 of grid.w2n_norm, from lap, taken once."""
+        """The ball norm ||-Delta_h u||_3, from lap, taken once."""
         return lp_norm(self.lap, 3.0)
 
     @cached_property
     def residual(self) -> ScalarField:
-        """The strong residual lap - rhs = -Delta_h u - rhs(u), formed once."""
+        """The strong residual lap - rhs = -Delta_h u - rhs(u), formed once: the
+        energy's L2 gradient, so <residual, v> h^3 is its first variation along v."""
         return self.lap - self.rhs
 
     @property
@@ -172,18 +173,6 @@ def energy(s: FieldState) -> EnergyBreakdown:
     return EnergyBreakdown(kinetic, coupling, power, forcing, kinetic + coupling - power - forcing)
 
 
-def energy_split(s: FieldState) -> tuple[float, float]:
-    """Split into (convex_part, smooth_part) with total = convex - smooth.
-
-    The convex part is the kinetic term (quadratic, hence convex); the
-    smooth part collects the differentiable remainder with its sign flipped.
-    """
-    b = energy(s)
-    convex_part = b.kinetic
-    smooth_part = -b.coupling + b.power + b.forcing
-    return convex_part, smooth_part
-
-
 def restricted_energy(s: FieldState, radius: float) -> float:
     """Energy extended by +inf outside the closed constraint ball."""
     if not radius > 0.0:
@@ -191,18 +180,6 @@ def restricted_energy(s: FieldState, radius: float) -> float:
     if s.w2n > radius:
         return math.inf
     return energy(s).total
-
-
-def directional_derivative(s: FieldState, v: ScalarField) -> float:
-    """First variation of the energy at s.u in direction v: (grad u, grad v) - (rhs, v),
-    with (grad u, grad v) = <-Delta_h u, v> h^3 from the held lap."""
-    return l2_inner(s.lap, v) - l2_inner(s.rhs, v)
-
-
-def strong_residual(s: FieldState) -> ScalarField:
-    """Nodewise Euler-Lagrange residual -Delta_h u - rhs(u), the L2 gradient;
-    the state's own, formed once."""
-    return s.residual
 
 
 def gradient_field(s: FieldState) -> ScalarField:
@@ -215,16 +192,3 @@ def gradient_field(s: FieldState) -> ScalarField:
     """
     return s.u - solve_dirichlet_poisson(s.rhs).field
 
-
-__all__ = [
-    "EnergyBreakdown",
-    "FieldState",
-    "ProblemSpec",
-    "directional_derivative",
-    "energy",
-    "energy_split",
-    "evaluate",
-    "gradient_field",
-    "restricted_energy",
-    "strong_residual",
-]

@@ -1,4 +1,5 @@
-"""Uniform cube grid, interior scalar fields, and the discrete operators on them.
+"""Uniform cube grid, interior scalar fields, the discrete Lp norm, the
+7-point Laplacian and its first eigenpair.
 
 The domain is the open unit cube with zero Dirichlet data. Only interior
 nodes are stored; boundary values are identically zero and enter the
@@ -39,26 +40,14 @@ class DomainGrid:
         return 1.0 / self.n
 
     @property
-    def dim(self) -> int:
-        return 3
-
-    @property
     def shape(self) -> tuple[int, int, int]:
         m = self.n - 1
         return (m, m, m)
-
-    @property
-    def interior_count(self) -> int:
-        return (self.n - 1) ** 3
 
     def interior_coordinates(self) -> np.ndarray:
         # i/n rather than i*h: the right endpoint would land on 1.0 exactly
         # for every n, not only powers of two.
         return np.arange(1, self.n) / self.n
-
-    def meshgrid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        c = self.interior_coordinates()
-        return np.meshgrid(c, c, c, indexing="ij")
 
     @cached_property
     def sine_factors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -142,12 +131,6 @@ class ScalarField:
         products and reductions; a BLAS dot product would copy them out."""
         return cls._own(grid, np.broadcast_to(np.float64(value), grid.shape))
 
-    @classmethod
-    def from_function(cls, grid: DomainGrid, fn) -> "ScalarField":
-        """Sample fn(x, y, z) on the interior nodes."""
-        x, y, z = grid.meshgrid()
-        return cls(grid, fn(x, y, z))
-
     def _check_same_grid(self, other: "ScalarField") -> None:
         if self.grid != other.grid:
             raise GridMismatchError(
@@ -215,38 +198,6 @@ def lp_norm(u: ScalarField, m: float) -> float:
     return top * (_power_sum(a, m) * h3) ** (1.0 / m)
 
 
-def l2_inner(u: ScalarField, v: ScalarField) -> float:
-    """Discrete L2 pairing sum(u v) h^3."""
-    u._check_same_grid(v)
-    return float(np.sum(u.values * v.values)) * u.grid.h ** 3
-
-
-def h1_inner(u: ScalarField, v: ScalarField) -> float:
-    """Discrete gradient pairing over all cell faces, zero boundary included.
-
-    Forward differences on the zero-padded cube; equals <apply_laplacian(u), v> h^3
-    exactly (summation by parts). The padding is never built: the interior
-    faces are the differences of the unpadded arrays, and the two boundary
-    faces per axis carry the first and last slabs themselves.
-    """
-    u._check_same_grid(v)
-    a, b = u.values, v.values
-    total = 0.0
-    for axis in range(3):
-        da = np.diff(a, axis=axis)
-        db = da if b is a else np.diff(b, axis=axis)
-        total += float(np.vdot(da, db))
-        for end in (0, -1):
-            total += float(np.vdot(a.take(end, axis), b.take(end, axis)))
-    # (d/h)*(d/h) summed over faces, times the h^3 cell volume
-    return total * u.grid.h
-
-
-def grad_l2_norm(u: ScalarField) -> float:
-    """Discrete H1 seminorm (L2 norm of the forward-difference gradient)."""
-    return math.sqrt(max(h1_inner(u, u), 0.0))
-
-
 def neg_laplacian_array(values: np.ndarray, h: float) -> np.ndarray:
     """-Laplacian of a raw interior array under zero Dirichlet padding.
 
@@ -267,15 +218,6 @@ def neg_laplacian_array(values: np.ndarray, h: float) -> np.ndarray:
 def apply_laplacian(u: ScalarField) -> ScalarField:
     """Negative 7-point Laplacian, -Delta_h u, with zero Dirichlet boundary."""
     return ScalarField._own(u.grid, neg_laplacian_array(u.values, u.grid.h))
-
-
-def w2n_norm(u: ScalarField) -> float:
-    """Constraint-ball norm: L3 norm of -Delta_h u.
-
-    On the zero-boundary cube this is an equivalent second-order Sobolev
-    (W^{2,3}) norm; N = 3 is the space dimension and is fixed.
-    """
-    return lp_norm(apply_laplacian(u), 3.0)
 
 
 def first_eigenpair(grid: DomainGrid) -> tuple[ScalarField, float]:

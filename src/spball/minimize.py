@@ -220,7 +220,8 @@ class _MixingHistory:
     For the last m steps it holds -Delta_h dg and dT, where dg and dT are the
     changes of g = u - T(u) and of T(u) between consecutive iterates, and the
     Gram matrix of the dg in the discrete H1 pairing, <-Delta_h a, b> h^3
-    (h1_inner by summation by parts; the common h^3 cancels in gamma).
+    (the forward-difference gradient pairing, by summation by parts; the
+    common h^3 cancels in gamma).
     -Delta_h dg is the change of -Delta_h g, which each push is handed.
     """
 

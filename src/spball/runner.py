@@ -231,25 +231,32 @@ class SolveReport:
             config=ExperimentConfig.from_dict(data["config"]),
             ball=BallSpec(**data["ball"]),
             energy=data["energy"],
-            minimize_summary=dict(data["minimize_summary"]),
+            minimize_summary=_checked_summary(data["minimize_summary"]),
             verification=VerificationReport.from_dict(data["verification"]),
             wall_time=dict(data["wall_time"]),
             version=data["version"],
         )
 
 
+_SUMMARY_KEYS = ("iterations", "stop_reason", "mixed_steps", "on_boundary", "final_step",
+                 "final_displacement", "minimizer_w2n", "minimizer_l2")
+
+
 def _summarize(result: MinimizeResult) -> dict:
     last = result.trace[-1]
-    return {
-        "iterations": result.iterations,
-        "stop_reason": result.stop_reason,
-        "mixed_steps": result.mixed_steps,
-        "on_boundary": result.on_boundary,
-        "final_step": last[2],
-        "final_displacement": last[3],
-        "minimizer_w2n": result.state.w2n,
-        "minimizer_l2": lp_norm(result.minimizer, 2),
-    }
+    values = (result.iterations, result.stop_reason, result.mixed_steps, result.on_boundary,
+              last[2], last[3], result.state.w2n, lp_norm(result.minimizer, 2))
+    return dict(zip(_SUMMARY_KEYS, values, strict=True))
+
+
+def _checked_summary(summary: dict) -> dict:
+    """A report's minimize_summary, if its keys are the ones _summarize writes."""
+    missing = [key for key in _SUMMARY_KEYS if key not in summary]
+    unexpected = sorted(set(summary) - set(_SUMMARY_KEYS))
+    if missing or unexpected:
+        problem = f"missing key {missing[0]!r}" if missing else f"unexpected key {unexpected[0]!r}"
+        raise ConfigError(f"minimize_summary has a {problem}")
+    return dict(summary)
 
 
 def run_experiment(
@@ -326,11 +333,12 @@ def write_run_outputs(
 
 
 def load_report(path: str | Path) -> SolveReport:
-    """Read a report.json; another version's format raises a ConfigError naming
-    the file and the first unexpected or missing key."""
+    """Read a report.json; another version's format, or a ball that BallSpec
+    rejects, raises a ConfigError naming the file and the first unexpected or
+    missing key or the rejected value."""
     try:
         return SolveReport.from_dict(json.loads(Path(path).read_text()))
-    except (KeyError, TypeError, ConfigError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
         problem = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ConfigError(f"{path} is not a spball {__version__} report: {problem}") from None
 

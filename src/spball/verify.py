@@ -101,8 +101,12 @@ def fixed_point_residual(s: FieldState, g: ScalarField) -> float:
 
 
 def pde_residual(s: FieldState, spec: ProblemSpec) -> float:
-    """L3 norm of the strong equation residual, relative to the forcing."""
-    return lp_norm(s.residual, 3) / max(spec.forcing_norm, 1e-300)
+    """L3 norm of the strong equation residual relative to the forcing's, both
+    scale-free (lp_norm); for a zero forcing, 0 if the residual is zero, else inf."""
+    res = lp_norm(s.residual, 3)
+    if spec.forcing_norm == 0.0:
+        return 0.0 if res == 0.0 else math.inf
+    return res / spec.forcing_norm
 
 
 def phi_property_check(s: FieldState, ball: BallSpec) -> tuple[bool, bool]:

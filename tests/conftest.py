@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import sys
 import tempfile
 import warnings
@@ -13,10 +14,11 @@ import pytest
 
 from spball import energy as energy_module
 from spball import grid as grid_module
-from spball.ball import make_ball
+from spball.ball import BallSpec, make_ball
 from spball.cli import main
-from spball.energy import ProblemSpec
-from spball.grid import DomainGrid, ScalarField, first_eigenpair, lp_norm, w2n_norm
+from spball.energy import FieldState, ProblemSpec, evaluate
+from spball.errors import OutsideBallError
+from spball.grid import DomainGrid, ScalarField, apply_laplacian, first_eigenpair, lp_norm
 from spball.poisson import PoissonSolution
 from spball.sampling import smoothed_random_fields
 
@@ -38,6 +40,93 @@ def dense_neg_laplacian(n: int) -> np.ndarray:
         + np.kron(np.kron(eye, eye), t)
     )
     return a / h2
+
+
+# ---------------------------------------------------------------- oracles
+# Reference forms the tests check the package's held-array readings against;
+# no run calls them, so they live here rather than in src/spball.
+
+
+def l2_inner(u: ScalarField, v: ScalarField) -> float:
+    """Discrete L2 pairing sum(u v) h^3."""
+    u._check_same_grid(v)
+    return float(np.sum(u.values * v.values)) * u.grid.h ** 3
+
+
+def h1_inner(u: ScalarField, v: ScalarField) -> float:
+    """Discrete gradient pairing over all cell faces, zero boundary included.
+
+    Forward differences on the zero-padded cube; equals <apply_laplacian(u), v> h^3
+    exactly (summation by parts). The padding is never built: the interior
+    faces are the differences of the unpadded arrays, and the two boundary
+    faces per axis carry the first and last slabs themselves.
+    """
+    u._check_same_grid(v)
+    a, b = u.values, v.values
+    total = 0.0
+    for axis in range(3):
+        da = np.diff(a, axis=axis)
+        db = da if b is a else np.diff(b, axis=axis)
+        total += float(np.vdot(da, db))
+        for end in (0, -1):
+            total += float(np.vdot(a.take(end, axis), b.take(end, axis)))
+    # (d/h)*(d/h) summed over faces, times the h^3 cell volume
+    return total * u.grid.h
+
+
+def grad_l2_norm(u: ScalarField) -> float:
+    """Discrete H1 seminorm (L2 norm of the forward-difference gradient)."""
+    return math.sqrt(max(h1_inner(u, u), 0.0))
+
+
+def w2n_norm(u: ScalarField) -> float:
+    """Constraint-ball norm: L3 norm of -Delta_h u.
+
+    On the zero-boundary cube this is an equivalent second-order Sobolev
+    (W^{2,3}) norm; N = 3 is the space dimension and is fixed.
+    """
+    return lp_norm(apply_laplacian(u), 3.0)
+
+
+def directional_derivative(s: FieldState, v: ScalarField) -> float:
+    """First variation of the energy at s.u in direction v: (grad u, grad v) - (rhs, v),
+    with (grad u, grad v) = <-Delta_h u, v> h^3 from the held lap."""
+    return l2_inner(s.lap, v) - l2_inner(s.rhs, v)
+
+
+RESIDUAL_BOUND_SLACK = 1e-10
+
+
+def check_residual_bound(
+    u: ScalarField, ball: BallSpec, spec: ProblemSpec
+) -> tuple[float, float, bool]:
+    """Check ||-c phi_u u + sign(u)|u|^p + f||_L3 against its ball bound.
+
+    Returns (lhs, rhs, holds) with rhs = coupling_constant radius^3 +
+    power_constant radius^p + ||f||_L3; `holds` allows a 1e-10 slack.
+    """
+    s = evaluate(u, spec)
+    if not ball.contains(s):
+        raise OutsideBallError(
+            f"w2n norm {s.w2n:.6e} exceeds the ball radius {ball.radius:.6e}"
+        )
+    lhs = lp_norm(s.rhs, 3)
+    rhs = (
+        ball.coupling_constant * ball.radius**3
+        + ball.power_constant * ball.radius**ball.p
+        + spec.forcing_norm
+    )
+    return lhs, rhs, lhs <= rhs + RESIDUAL_BOUND_SLACK
+
+
+# ---------------------------------------------------------------- helpers
+
+
+def sample_function(grid: DomainGrid, fn) -> ScalarField:
+    """fn(x, y, z) sampled on the interior nodes."""
+    c = grid.interior_coordinates()
+    x, y, z = np.meshgrid(c, c, c, indexing="ij")
+    return ScalarField(grid, fn(x, y, z))
 
 
 def random_field(grid: DomainGrid, rng: np.random.Generator, scale: float = 1.0) -> ScalarField:
@@ -122,7 +211,6 @@ def solve_counter(monkeypatch):
 # kernel name -> the module that defines it
 KERNELS = {
     "neg_laplacian_array": grid_module,
-    "h1_inner": grid_module,
     "_signed_power": energy_module,
 }
 

@@ -17,9 +17,7 @@ from spball import (
     ScalarField,
     apply_laplacian,
     build_grid,
-    check_residual_bound,
     compute_phi,
-    directional_derivative,
     first_eigenpair,
     lp_norm,
     make_ball,
@@ -31,7 +29,7 @@ from spball import (
 from spball.energy import ProblemSpec, energy, evaluate
 from spball.runner import ExperimentConfig, run_experiment
 
-from conftest import ball_samples, random_field
+from conftest import ball_samples, check_residual_bound, directional_derivative, random_field
 
 
 def _emit(line: str) -> None:

@@ -15,22 +15,19 @@ from spball import (
     build_grid,
     first_eigenpair,
     lp_norm,
-    w2n_norm,
 )
 from spball.ball import (
     BallSpec,
     CONSTANT_FLOOR,
     admissible_radius,
-    check_residual_bound,
     estimate_constants,
     make_ball,
-    max_forcing_norm,
 )
 from spball.energy import ProblemSpec, _signed_power
 from spball.poisson import compute_phi
 from spball.sampling import smoothed_random_fields
 
-from conftest import ball_samples
+from conftest import ball_samples, check_residual_bound, w2n_norm
 
 
 def make_spec(n=6, p=3.0, coupling=1.0, forcing=1.0):
@@ -271,13 +268,6 @@ def test_admissible_radius_validation():
         admissible_radius(1.0, -1.0, 3.0)
     with pytest.raises(ValueError):
         admissible_radius(1.0, 1.0, 1.0)
-
-
-def test_max_forcing_norm():
-    assert max_forcing_norm(1.0) == 0.5
-    assert max_forcing_norm(0.5) == 0.25
-    with pytest.raises(ValueError):
-        max_forcing_norm(0.0)
 
 
 # ---------------------------------------------------------------- ball spec

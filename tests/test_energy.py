@@ -15,24 +15,25 @@ from spball import (
     apply_laplacian,
     build_grid,
     first_eigenpair,
-    h1_inner,
-    l2_inner,
-    w2n_norm,
 )
 from spball.energy import (
     EnergyBreakdown,
     ProblemSpec,
     _signed_power,
-    directional_derivative,
     energy,
-    energy_split,
     evaluate,
     gradient_field,
     restricted_energy,
-    strong_residual,
 )
 
-from conftest import dense_neg_laplacian, random_field
+from conftest import (
+    dense_neg_laplacian,
+    directional_derivative,
+    h1_inner,
+    l2_inner,
+    random_field,
+    w2n_norm,
+)
 
 
 def make_spec(n=4, p=3.0, coupling=1.0, forcing=1.0):
@@ -120,25 +121,26 @@ def test_energy_negative_dip_for_small_positive_fields():
 
 
 def test_energy_split_identity(rng):
+    # total = convex - smooth with the kinetic term as the convex part and
+    # the rest, sign flipped, as the smooth part
     spec = make_spec(n=5, p=7.0)
     u = random_field(spec.grid, rng, scale=0.5)
-    s = evaluate(u, spec)
-    convex, smooth = energy_split(s)
-    b = energy(s)
+    b = energy(evaluate(u, spec))
+    convex, smooth = b.kinetic, -b.coupling + b.power + b.forcing
     assert_allclose(convex - smooth, b.total, rtol=1e-12, atol=1e-15)
-    assert convex == b.kinetic
     assert convex >= 0.0
 
 
 def test_energy_split_convex_part_is_convex(rng):
+    # the kinetic term, the split's convex part, is convex along segments
     spec = make_spec(n=4)
     u, v = random_field(spec.grid, rng), random_field(spec.grid, rng)
     for theta in (0.0, 0.25, 0.5, 0.9, 1.0):
         mix = theta * u + (1.0 - theta) * v
-        lhs = energy_split(evaluate(mix, spec))[0]
+        lhs = energy(evaluate(mix, spec)).kinetic
         rhs = (
-            theta * energy_split(evaluate(u, spec))[0]
-            + (1.0 - theta) * energy_split(evaluate(v, spec))[0]
+            theta * energy(evaluate(u, spec)).kinetic
+            + (1.0 - theta) * energy(evaluate(v, spec)).kinetic
         )
         assert lhs <= rhs + 1e-12
 
@@ -190,7 +192,7 @@ def test_directional_derivative_matches_finite_differences(p, rng):
 
 def test_gradient_field_l2_at_zero_is_minus_forcing():
     spec = make_spec(n=4)
-    g = strong_residual(evaluate(ScalarField.zeros(spec.grid), spec))
+    g = evaluate(ScalarField.zeros(spec.grid), spec).residual
     assert_allclose(g.values, -spec.forcing.values, rtol=0, atol=0)
 
 
@@ -198,7 +200,7 @@ def test_gradient_field_l2_pairs_to_directional_derivative(rng):
     spec = make_spec(n=5, p=3.0)
     s = evaluate(random_field(spec.grid, rng, scale=0.5), spec)
     v = random_field(spec.grid, rng)
-    g = strong_residual(s)
+    g = s.residual
     assert_allclose(l2_inner(g, v), directional_derivative(s, v), rtol=1e-10)
 
 
@@ -226,7 +228,7 @@ def test_strong_residual_composition(rng):
     )
     assert_allclose(
         apply_laplacian(u).values - rhs,
-        strong_residual(s).values,
+        s.residual.values,
         rtol=0,
         atol=0,
     )
@@ -250,7 +252,7 @@ def test_state_holds_the_laplacian_and_the_energy_terms(n, p, coupling_kind, rng
     s = evaluate(u, spec)
     lap = apply_laplacian(u)
     assert np.array_equal(s.lap.values, lap.values)
-    assert np.array_equal(strong_residual(s).values, (lap - s.rhs).values)
+    assert np.array_equal(s.residual.values, (lap - s.rhs).values)
 
     h3 = g.h**3
     kinetic = 0.5 * h1_inner(u, u)

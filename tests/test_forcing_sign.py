@@ -20,7 +20,7 @@ from spball.minimize import initial_guess, minimize
 from spball.runner import ExperimentConfig, run_experiment
 from spball.verify import verify
 
-from conftest import run_cli
+from conftest import run_cli, sample_function
 
 
 # ---------------------------------------------------------------- regressions
@@ -36,7 +36,7 @@ def test_forcing_too_small_for_any_multiple_of_e1_verifies():
 
 
 def _mode(grid, i, j, k):
-    return ScalarField.from_function(
+    return sample_function(
         grid, lambda x, y, z: np.sin(i * np.pi * x) * np.sin(j * np.pi * y) * np.sin(k * np.pi * z)
     )
 

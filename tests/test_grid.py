@@ -2,7 +2,8 @@
 
 Oracles: math.fsum direct summation for norms, the dense Kronecker
 Laplacian for operator identities, and the closed-form discrete
-eigenpair of the 7-point stencil.
+eigenpair of the 7-point stencil. The gradient pairing and ball norm
+checked here are conftest's, the oracles the other test modules use.
 """
 
 import math
@@ -22,15 +23,19 @@ from spball import (
     apply_laplacian,
     build_grid,
     first_eigenpair,
-    grad_l2_norm,
-    h1_inner,
-    l2_inner,
     lp_norm,
-    w2n_norm,
 )
 from spball.grid import neg_laplacian_array
 
-from conftest import dense_neg_laplacian, random_field
+from conftest import (
+    dense_neg_laplacian,
+    grad_l2_norm,
+    h1_inner,
+    l2_inner,
+    random_field,
+    sample_function,
+    w2n_norm,
+)
 
 
 # ---------------------------------------------------------------- grid
@@ -39,14 +44,12 @@ from conftest import dense_neg_laplacian, random_field
 def test_build_grid_basic():
     g = build_grid(4)
     assert g.h == 0.25
-    assert g.interior_count == 27
     assert g.shape == (3, 3, 3)
-    assert g.dim == 3
 
 
 def test_build_grid_minimum_resolution():
     g = build_grid(3)
-    assert g.interior_count == 8
+    assert g.shape == (2, 2, 2)
 
 
 @pytest.mark.parametrize("n", [2, 1, 0, -3])
@@ -130,12 +133,6 @@ def test_field_arithmetic_and_grid_mismatch():
     for op in (lambda: u + w, lambda: u - w, lambda: u * w, lambda: l2_inner(u, w)):
         with pytest.raises(GridMismatchError):
             op()
-
-
-def test_from_function_samples_interior():
-    g = build_grid(4)
-    u = ScalarField.from_function(g, lambda x, y, z: x + 10 * y + 100 * z)
-    assert u.values[0, 1, 2] == pytest.approx(0.25 + 10 * 0.5 + 100 * 0.75)
 
 
 # ---------------------------------------------------------------- lp_norm
@@ -306,7 +303,7 @@ def test_fields_from_any_memory_layout_agree(rng):
     ref = ScalarField(g, a)
     sources = (np.asfortranarray(a), a.T.copy().T, a[::-1].copy()[::-1])
     fields = [ScalarField(g, src) for src in sources]
-    fields.append(ScalarField.from_function(g, lambda x, y, z: np.asfortranarray(a)))
+    fields.append(sample_function(g, lambda x, y, z: np.asfortranarray(a)))
     for u in fields:
         assert u.values.flags.c_contiguous
         assert np.array_equal(u.values, ref.values)

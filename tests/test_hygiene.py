@@ -1,6 +1,8 @@
 """Import hygiene: every name a module imports is used in that module, the
 package imports nothing but the standard library, numpy and itself, and it
-binds no other object over a submodule's name.
+binds no other object over a submodule's name. Run path: every public
+function, method and property of the package is reached by `spball run`,
+`spball study` or load_report.
 
 Each module under src/spball, tests, demos and perfbench is parsed with
 ast; an imported name counts as used when it appears as a name anywhere in
@@ -8,6 +10,9 @@ the module or is listed in the module's __all__.
 """
 
 import ast
+import importlib
+import inspect
+import json
 import sys
 import types
 from pathlib import Path
@@ -15,6 +20,8 @@ from pathlib import Path
 import pytest
 
 import spball
+from spball.cli import main
+from spball.runner import load_report
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -109,3 +116,66 @@ def test_package_attribute_is_its_submodule_or_unbound(name):
     bound = getattr(spball, name, None)
     assert bound is None or (isinstance(bound, types.ModuleType)
                              and bound.__name__ == f"spball.{name}")
+
+
+# ---------------------------------------------------------------- run path
+
+# public names that no run reaches, each with its reason
+UNREACHED = {
+    "sampling.smoothed_random_fields": "the benchmark tracer imports spball.sampling",
+}
+
+RUN_CONFIGS = (
+    {"grid_n": 8, "p": 7, "coupling": {"constant": 1}, "forcing": {"scaled_to_bound": 0.5}},
+    # no multiple of e1 registers this forcing, so the start falls back to u = 0
+    {"grid_n": 8, "p": 7, "coupling": {"constant": 1}, "forcing": {"constant": 1e-7}},
+)
+
+
+def public_code() -> dict:
+    """Code object -> name of each public module-level function of the
+    package, and of each public method or property of its public classes."""
+    found = {}
+    for short in SUBMODULES:
+        if short.startswith("_"):
+            continue  # __main__ runs the CLI on import
+        module = importlib.import_module(f"spball.{short}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                found[obj.__code__] = f"{short}.{name}"
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    # property, cached_property, classmethod or plain method
+                    fn = (getattr(member, "fget", None) or getattr(member, "func", None)
+                          or getattr(member, "__func__", None) or member)
+                    if not attr.startswith("_") and inspect.isfunction(fn):
+                        found[fn.__code__] = f"{short}.{name}.{attr}"
+    return found
+
+
+def test_every_public_name_is_on_the_run_path(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        codes = []
+        for i, data in enumerate(RUN_CONFIGS):
+            config.write_text(json.dumps(data))
+            codes.append(main(["run", "--config", str(config), "--out", str(tmp_path / f"run{i}")]))
+        codes.append(main(["study", "--config", str(config), "--grids", "6,8",
+                           "--out", str(tmp_path / "study")]))
+        load_report(tmp_path / "run0" / "report.json")
+    finally:
+        sys.setprofile(None)
+    assert codes == [0, 0, 0], capsys.readouterr()
+    names = public_code()
+    assert set(UNREACHED) <= set(names.values())
+    unreached = sorted(name for code, name in names.items() if code not in called)
+    assert unreached == sorted(UNREACHED)

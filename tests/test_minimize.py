@@ -19,12 +19,10 @@ from spball import (
     build_grid,
     compute_phi,
     first_eigenpair,
-    grad_l2_norm,
     lp_norm,
-    w2n_norm,
 )
 from spball.ball import BALL_NORM_SLACK, make_ball
-from spball.grid import h1_inner, neg_laplacian_array
+from spball.grid import neg_laplacian_array
 from spball.energy import ProblemSpec, _state, energy, evaluate, gradient_field, restricted_energy
 from spball.minimize import (
     MinimizeOptions,
@@ -40,7 +38,7 @@ from spball.runner import ExperimentConfig, run_experiment
 from spball.sampling import smoothed_random_fields
 from spball.verify import FP_THRESHOLD, PDE_THRESHOLD, verify
 
-from conftest import random_field, standard_problem
+from conftest import grad_l2_norm, h1_inner, random_field, standard_problem, w2n_norm
 
 
 # ---------------------------------------------------------------- options
@@ -567,13 +565,10 @@ def test_run_experiment_solve_count(monkeypatch, solve_counter, config):
     pytest.param({**BASELINE_N8, "grid_n": 32}, id="solve-n32"),
 ])
 def test_run_experiment_kernel_count(monkeypatch, kernel_counter, config):
-    # guards the whole run against re-added stencils, gradient pairings and
-    # power passes. Stencils: e1's ball norm in the ball constants and one per
+    # guards the whole run against re-added stencils and power passes. Stencils: e1's ball norm in the ball constants and one per
     # trial state; the initial guess scales lambda_h e1, the Anderson history
     # reads the held strong residuals and verify reads T(u)'s ball norm as
-    # ||rhs||_3, so none of them runs one. h1_inner: none; the ball constants
-    # pair e1 with its stencil and with c phi_e1 e1, and every other H1 norm
-    # pairs a held Laplacian or strong residual. _signed_power: one per state
+    # ||rhs||_3, so none of them runs one. _signed_power: one per state
     # formed, the initial guess's and one per trial; the ball's power ratio
     # and the start's polynomial take their own powers
     calls = recorded_minimize(monkeypatch)
@@ -586,7 +581,6 @@ def test_run_experiment_kernel_count(monkeypatch, kernel_counter, config):
     assert all(row[2] == 1.0 for row in res.trace[1:])
     assert res.mixed_steps == k - 1
     assert counts["neg_laplacian_array"] == 1 + k
-    assert counts["h1_inner"] == 0
     assert counts["_signed_power"] == 1 + k
 
 

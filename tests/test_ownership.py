@@ -98,7 +98,7 @@ def _peak_in_fields(grid, fn, *args) -> float:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / (8 * grid.interior_count)
+    return peak / (8 * (grid.n - 1) ** 3)
 
 
 # kernel -> budget: its output arrays, its buffers and one finiteness mask

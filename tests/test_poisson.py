@@ -14,7 +14,6 @@ from spball import (
     apply_laplacian,
     build_grid,
     first_eigenpair,
-    grad_l2_norm,
     lp_norm,
 )
 from spball import grid as grid_module
@@ -22,7 +21,7 @@ from spball.grid import _sine_matrix
 from spball.poisson import _dst1, compute_phi, solve_dirichlet_poisson
 from spball.runner import ExperimentConfig, run_experiment
 
-from conftest import dense_neg_laplacian, random_field
+from conftest import dense_neg_laplacian, grad_l2_norm, random_field
 
 
 def test_zero_rhs_returns_zero_without_iterating():

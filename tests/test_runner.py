@@ -209,6 +209,36 @@ def test_load_report_rejects_another_versions_format(small_run, tmp_path):
         load_report(path)
 
 
+def test_load_report_checks_the_minimize_summary_keys(small_run, tmp_path):
+    cfg, report, out = small_run
+    path = tmp_path / "report.json"
+    # a foreign summary: two keys that restated stop_reason and iterations in 0.9.0
+    old = report.to_dict()
+    old["minimize_summary"] = {"converged": True, "trace_rows": 2}
+    path.write_text(json.dumps(old))
+    with pytest.raises(ConfigError, match="missing key 'iterations'") as excinfo:
+        load_report(path)
+    assert str(path) in str(excinfo.value)
+    data = report.to_dict()
+    data["minimize_summary"]["converged"] = True
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match="unexpected key 'converged'"):
+        load_report(path)
+    # the summary stays a plain dict, read by key
+    assert load_report(out / "report.json").minimize_summary == report.minimize_summary
+
+
+def test_load_report_rejects_a_ball_that_ball_spec_rejects(small_run, tmp_path):
+    cfg, report, out = small_run
+    data = report.to_dict()
+    data["ball"]["radius"] = -1.0
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match="radius must be positive") as excinfo:
+        load_report(path)
+    assert str(path) in str(excinfo.value)
+
+
 def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     root = Path(__file__).resolve().parent.parent

@@ -19,13 +19,11 @@ from spball import (
     ScalarField,
     build_grid,
     first_eigenpair,
-    grad_l2_norm,
-    w2n_norm,
 )
 from spball.ball import BallSpec, make_ball
 from spball.cli import main
 from spball.energy import FieldState, ProblemSpec, _signed_power, evaluate, gradient_field
-from spball.grid import h1_inner, l2_inner, neg_laplacian_array
+from spball.grid import neg_laplacian_array
 from spball.minimize import minimize, retract_to_ball
 from spball.poisson import compute_phi, solve_dirichlet_poisson
 from spball.runner import load_report
@@ -38,7 +36,16 @@ from spball.verify import (
     verify,
 )
 
-from conftest import ball_samples, dense_neg_laplacian, random_field, standard_problem
+from conftest import (
+    ball_samples,
+    dense_neg_laplacian,
+    grad_l2_norm,
+    h1_inner,
+    l2_inner,
+    random_field,
+    standard_problem,
+    w2n_norm,
+)
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +164,27 @@ def test_fixed_point_gate_fails_on_the_zero_state(tmp_path):
     assert report.verification.failed_checks == ("fixed_point", "pde")
     assert report.verification.fixed_point_rel_residual == math.inf
     assert report.verification.vi_gap == -math.inf
+
+
+def test_pde_gate_fails_on_the_zero_state_of_a_tiny_forcing(tmp_path):
+    # a 1e-305 forcing also ends at u = 0, where the residual is -f: relative
+    # to the forcing it is 1 however small f is, so pde fails beside fixed_point
+    config = {"grid_n": 8, "p": 7, "coupling": {"constant": 1}, "forcing": {"constant": 1e-305}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    report = load_report(tmp_path / "out" / "report.json")
+    assert report.verification.failed_checks == ("fixed_point", "pde")
+    assert abs(report.verification.pde_rel_residual - 1.0) <= 1e-12
+
+
+def test_pde_residual_against_a_zero_forcing(rng):
+    # no forcing to compare with: a zero residual reads 0, any other inf
+    g = build_grid(5)
+    spec = ProblemSpec(p=3.0, coupling=ScalarField.constant(g, 1.0),
+                       forcing=ScalarField.zeros(g), grid=g)
+    assert pde_residual(evaluate(ScalarField.zeros(g), spec), spec) == 0.0
+    assert pde_residual(evaluate(random_field(g, rng), spec), spec) == math.inf
 
 
 def test_pde_residual_is_one_at_zero_candidate():
