@@ -15,7 +15,8 @@ from spball import (
     build_grid,
     estimate_constants,
     evaluate,
-    lp_norm,
+    first_eigenpair,
+    gradient_field,
     make_ball,
     smoothed_random_fields,
 )
@@ -28,12 +29,13 @@ spec = ProblemSpec(
     grid=grid,
 )
 
-c1, c2, c3, _ = estimate_constants(spec.p, spec.coupling, safety=2.0)
+e1 = first_eigenpair(grid)[0]  # e1 = s (x) s (x) s, which sets all three
+c1, c2, c3, _ = estimate_constants(spec.p, spec.coupling, e1, safety=2.0)
 print(f"coupling constant (safety 2): {c1:.6e}")
 print(f"power constant    (safety 2): {c2:.6e}")
 print(f"potential constant (factor 2): {c3:.6e}")
 
-ball, _ = make_ball(spec.p, spec.coupling, safety=2.0)
+ball, _ = make_ball(spec.p, spec.coupling, e1, safety=2.0)
 print(f"certified radius:             {ball.radius:.6f}")
 print(f"forcing bound (radius / 2):   {ball.forcing_bound:.6f}")
 check = ball.coupling_constant * ball.radius**3 + ball.power_constant * ball.radius**ball.p
@@ -41,7 +43,8 @@ print(f"defining inequality: {check:.6f} <= {ball.radius / 2:.6f}")
 
 # every field in the ball should satisfy the residual bound with room:
 # ||rhs(u)||_3 <= C_c r^3 + C_p r^p + ||f||_3. Random fields are rescaled
-# to random fractions of the radius by the ball norm their state holds
+# to random fractions of the radius by the ball norm their state holds, and
+# ||rhs(u)||_3 is read from the state's gradient
 bound = (
     ball.coupling_constant * ball.radius**3
     + ball.power_constant * ball.radius**ball.p
@@ -53,7 +56,7 @@ for frac, u in zip(fractions, smoothed_random_fields(grid, 25, seed=99)):
     u = (frac * ball.radius / evaluate(u, spec).w2n) * u
     s = evaluate(u, spec)
     assert ball.contains(s)
-    lhs = lp_norm(s.rhs, 3)
+    lhs = gradient_field(s).rhs_norm
     assert lhs <= bound
     worst = max(worst, lhs / bound)
 print(f"residual bound over 25 random fields: worst lhs/rhs = {worst:.3f}")

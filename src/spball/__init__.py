@@ -8,6 +8,7 @@ fixed-point verifier that certifies the minimizer as a discrete weak solution.
 
 from .ball import (
     BallSpec,
+    FirstMode,
     admissible_radius,
     estimate_constants,
     make_ball,
@@ -15,6 +16,7 @@ from .ball import (
 from .energy import (
     EnergyBreakdown,
     FieldState,
+    Gradient,
     ProblemSpec,
     evaluate,
     gradient_field,
@@ -38,7 +40,7 @@ from .grid import (
     first_eigenpair,
     lp_norm,
 )
-from .minimize import MinimizeOptions, MinimizeResult, initial_guess, retract_to_ball
+from .minimize import MinimizeOptions, MinimizeResult, initial_guess
 from .poisson import PoissonSolution, compute_phi, solve_dirichlet_poisson
 from .runner import (
     ExperimentConfig,
@@ -69,7 +71,9 @@ __all__ = [
     "EnergyBreakdown",
     "ExperimentConfig",
     "FieldState",
+    "FirstMode",
     "ForcingTooLargeError",
+    "Gradient",
     "GridMismatchError",
     "InvalidExponentError",
     "InvalidGridError",
@@ -101,7 +105,6 @@ __all__ = [
     "pde_residual",
     "phi_property_check",
     "restricted_energy",
-    "retract_to_ball",
     "run_experiment",
     "smoothed_random_fields",
     "solve_dirichlet_poisson",

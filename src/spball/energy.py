@@ -10,15 +10,24 @@ phi_u the potential from compute_phi. The power exponent p may exceed the
 critical Sobolev range; the ball constraint elsewhere is what restores control.
 
 Everything else is read from one FieldState per field, built by evaluate:
-the field, its potential, the equation's right-hand side
--c phi_u u + sign(u)|u|^p + f, lap = -Delta_h u, the four energy terms
-and, taken on first use and kept, the ball norm ||lap||_3 and the strong
-residual lap - rhs. All are
-written out only in _state, the no-solve builder evaluate shares with
-callers that already hold phi_u and lap; each term pairs u with an array
-the state forms anyway, so a state costs no gradient pass, and evaluate's
-stencil for lap is its only one. ProblemSpec holds ||f||_3 for the same
-reason: a stop test re-forms neither the residual nor the forcing norm.
+the field u, lap = -Delta_h u and its ball norm ||lap||_3, the four energy
+terms, the minimum and maximum of phi_u, and the equation's right-hand
+side rhs = -c phi_u u + sign(u)|u|^p + f, which the state holds until its
+gradient takes it. All are written out only in _state, the no-solve
+builder evaluate shares with the descent's start, which holds phi_u and
+lap already; each term pairs u with an array the state forms anyway, so a
+state costs no gradient pass. _state forms c phi_u u in phi_u's own array,
+so the state keeps no potential: the radial retraction onto the ball, which
+scales phi_u, is decided in evaluate before that. evaluate's stencil for lap
+is its only one, but for a field it pulls back onto the ball.
+
+gradient_field takes a state's rhs to form its Sobolev gradient g = u - T(u)
+with one solve for T(u) = (-Delta_h)^-1 rhs: it keeps ||rhs||_3, T(u)'s ball
+norm, then writes the strong residual lap - rhs into rhs's array and g into
+T(u)'s. So the state and its Gradient hold four arrays, u, lap, g and the
+residual, and the residual's L3 norm is taken once, for the descent's stop
+test and verify. ProblemSpec holds ||f||_3 for the same reason: a stop test
+re-forms neither the residual nor the forcing norm.
 The power sign(u)|u|^p is one array per state: for an integral p from 2
 to 7 it is formed by products, within (p - 1) eps relative of libm pow;
 any other p uses pow.
@@ -28,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -110,26 +118,19 @@ def _signed_power(values: np.ndarray, p: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FieldState:
-    """A field u with its potential phi = phi_u, the equation's right-hand
-    side rhs = -c phi_u u + sign(u)|u|^p + f, lap = -Delta_h u and the energy
-    terms (kinetic, coupling, power, forcing); built by evaluate."""
+    """A field u with lap = -Delta_h u, its ball norm w2n = ||lap||_3, the
+    energy terms (kinetic, coupling, power, forcing) and phi_range, the
+    minimum and maximum of its potential phi_u; built by evaluate. It holds
+    the right-hand side rhs = -c phi_u u + sign(u)|u|^p + f privately, until
+    gradient_field takes it."""
 
     u: ScalarField
-    phi: ScalarField
-    rhs: ScalarField
     lap: ScalarField
     terms: tuple[float, float, float, float]
-
-    @cached_property
-    def w2n(self) -> float:
-        """The ball norm ||-Delta_h u||_3, from lap, taken once."""
-        return lp_norm(self.lap, 3.0)
-
-    @cached_property
-    def residual(self) -> ScalarField:
-        """The strong residual lap - rhs = -Delta_h u - rhs(u), formed once: the
-        energy's L2 gradient, so <residual, v> h^3 is its first variation along v."""
-        return self.lap - self.rhs
+    phi_range: tuple[float, float]
+    w2n: float
+    # set by _state alone, so a copy made by dataclasses.replace holds none
+    _rhs: ScalarField | None = field(init=False, default=None, repr=False)
 
     @property
     def grad_sq(self) -> float:
@@ -137,14 +138,20 @@ class FieldState:
         return 2.0 * self.terms[0]
 
 
-def _state(u: ScalarField, phi: ScalarField, lap: ScalarField, spec: ProblemSpec) -> FieldState:
-    """The state of u from its potential phi, already solved, and lap = -Delta_h u,
-    already formed; no solve and no stencil.
+def _state(u: ScalarField, phi: np.ndarray, lap: ScalarField, w2n: float,
+           spec: ProblemSpec) -> FieldState:
+    """The state of u from its potential's values phi, already solved,
+    lap = -Delta_h u, already formed, and w2n = ||lap||_3; no solve and no
+    stencil.
 
-    The terms are homogeneous in u, of degree 2, 4, p+1 and 1: 1/2 <lap, u>,
-    1/4 <c phi u, u>, <sign(u)|u|^p, u>/(p+1) and <f, u>, each times h^3.
+    phi must be an array the caller alone holds: once its minimum and
+    maximum are read, c phi u is formed in it. The terms are homogeneous in
+    u, of degree 2, 4, p+1 and 1: 1/2 <lap, u>, 1/4 <c phi u, u>,
+    <sign(u)|u|^p, u>/(p+1) and <f, u>, each times h^3.
     """
-    coupled = spec.coupling.values * phi.values
+    phi_range = (float(phi.min()), float(phi.max()))
+    coupled = phi
+    coupled *= spec.coupling.values
     coupled *= u.values
     power = _signed_power(u.values, spec.p)
     h3 = spec.grid.h ** 3
@@ -157,14 +164,33 @@ def _state(u: ScalarField, phi: ScalarField, lap: ScalarField, spec: ProblemSpec
     # power's term is taken, so its array becomes rhs = (power - coupled) + f
     power -= coupled
     power += spec.forcing.values
-    return FieldState(u, phi, ScalarField._own(spec.grid, power), lap, terms)
+    s = FieldState(u, lap, terms, phi_range, w2n)
+    object.__setattr__(s, "_rhs", ScalarField._own(spec.grid, power))
+    return s
 
 
-def evaluate(u: ScalarField, spec: ProblemSpec) -> FieldState:
+def evaluate(u: ScalarField, spec: ProblemSpec, radius: float = math.inf) -> FieldState:
     """The state of u: one linear solve for the potential, one stencil for
-    -Delta_h u, then the right-hand side."""
+    -Delta_h u, then the right-hand side.
+
+    A u outside the closed ball of the w2n norm with this radius is pulled
+    back onto it first, by radial retraction: t u with t = radius /
+    ||-Delta_h u||_3, whose potential is t^2 phi_u, so the retraction costs
+    one more stencil and no solve.
+    """
+    if not radius > 0.0:
+        raise ValueError(f"ball radius must be positive, got {radius}")
     spec.check_field(u)
-    return _state(u, compute_phi(u, spec.coupling), apply_laplacian(u), spec)
+    phi = compute_phi(u, spec.coupling)._release()
+    lap = apply_laplacian(u)
+    w2n = lp_norm(lap, 3.0)
+    if w2n > radius:
+        t = radius / w2n
+        u = t * u
+        phi *= t * t
+        lap = apply_laplacian(u)
+        w2n = lp_norm(lap, 3.0)
+    return _state(u, phi, lap, w2n, spec)
 
 
 def energy(s: FieldState) -> EnergyBreakdown:
@@ -182,13 +208,39 @@ def restricted_energy(s: FieldState, radius: float) -> float:
     return energy(s).total
 
 
-def gradient_field(s: FieldState) -> ScalarField:
-    """Sobolev gradient u - T(u), with T(u) = (-Delta_h)^-1 rhs(u) the auxiliary map.
+@dataclass(frozen=True, eq=False)
+class Gradient:
+    """The Sobolev gradient g = u - T(u) of a state, its strong residual
+    lap - rhs with that residual's L3 norm, and rhs_norm = ||rhs||_3, the
+    ball norm of T(u) since -Delta_h T(u) = rhs; built by gradient_field."""
 
-    It is the Riesz representative of the strong residual in the discrete H1
-    inner product, since (-Delta_h)^-1 (-Delta_h u - rhs) = u - T(u); one solve.
-    So -Delta_h g = lap - rhs, the state's residual, up to solve rounding:
-    verify reads ||grad g||^2 = <lap - rhs, g> h^3 from it with no gradient pass.
+    g: ScalarField
+    residual: ScalarField
+    residual_norm: float
+    rhs_norm: float
+
+
+def gradient_field(s: FieldState) -> Gradient:
+    """Sobolev gradient u - T(u), with T(u) = (-Delta_h)^-1 rhs(u) the auxiliary
+    map, and the strong residual -Delta_h u - rhs(u); one solve.
+
+    g is the Riesz representative of the residual in the discrete H1 inner
+    product, since (-Delta_h)^-1 (-Delta_h u - rhs) = u - T(u). So
+    -Delta_h g = lap - rhs up to solve rounding: verify reads
+    ||grad g||^2 = <lap - rhs, g> h^3 with no gradient pass. The state hands
+    over its rhs and holds none afterwards, so it has one gradient: once the
+    solve has read rhs and its L3 norm is taken, the residual is written
+    into rhs's array and g into T(u)'s.
     """
-    return s.u - solve_dirichlet_poisson(s.rhs).field
-
+    rhs = s._rhs
+    if rhs is None:
+        raise ValueError("the state holds no right-hand side: its gradient took it, "
+                         "or the state is a copy")
+    object.__setattr__(s, "_rhs", None)
+    rhs_norm = lp_norm(rhs, 3.0)
+    g = solve_dirichlet_poisson(rhs).field._release()
+    np.subtract(s.u.values, g, out=g)
+    residual = rhs._release()
+    np.subtract(s.lap.values, residual, out=residual)
+    residual = ScalarField._own(s.u.grid, residual)
+    return Gradient(ScalarField._own(s.u.grid, g), residual, lp_norm(residual, 3.0), rhs_norm)

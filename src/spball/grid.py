@@ -120,6 +120,13 @@ class ScalarField:
         object.__setattr__(field, "values", _sealed(grid, values))
         return field
 
+    def _release(self) -> np.ndarray:
+        """The values, writable again, for a caller that made this field and
+        alone holds it, so that its next result can go into the same buffer;
+        the field must not be read once that result is written."""
+        self.values.setflags(write=True)
+        return self.values
+
     @classmethod
     def zeros(cls, grid: DomainGrid) -> "ScalarField":
         return cls._own(grid, np.zeros(grid.shape))
@@ -164,13 +171,14 @@ class ScalarField:
 def _power_sum(values: np.ndarray, m: float) -> float:
     """sum |v_i|^m of an array."""
     # the ball and residual norms use m = 2 and m = 3: BLAS sums with no pow
-    # and no |v| array, since v_i v_i = |v_i|^2 and copysign(v_i^2, v_i) v_i
+    # and no |v| array, since v_i v_i = |v_i|^2 and (|v_i| v_i) v_i
     # = v_i^2 |v_i|, each product exactly the one of |v|
     if m == 2.0:
         return float(np.vdot(values, values))
     if m == 3.0:
-        sq = np.multiply(values, values)
-        return float(np.vdot(np.copysign(sq, values, out=sq), values))
+        signed_sq = np.abs(values)
+        signed_sq *= values
+        return float(np.vdot(signed_sq, values))
     return float(np.sum(np.abs(values) ** m))
 
 
@@ -228,8 +236,12 @@ def first_eigenpair(grid: DomainGrid) -> tuple[ScalarField, float]:
     """
     s = _first_sines(grid)
     e1 = s[:, None, None] * s[None, :, None] * s[None, None, :]
-    lam = 12.0 * math.sin(0.5 * math.pi * grid.h) ** 2 / grid.h**2
-    return ScalarField._own(grid, e1), lam
+    return ScalarField._own(grid, e1), _first_eigenvalue(grid)
+
+
+def _first_eigenvalue(grid: DomainGrid) -> float:
+    """lambda_h = 12 sin^2(pi h / 2) / h^2, the eigenvalue of e1."""
+    return 12.0 * math.sin(0.5 * math.pi * grid.h) ** 2 / grid.h**2
 
 
 def _first_sines(grid: DomainGrid) -> np.ndarray:

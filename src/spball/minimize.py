@@ -14,26 +14,30 @@ extra solve, and the history's H1 pairings read -Delta_h g = lap - rhs, the
 strong residual each state holds, so they cost no stencil either. The
 starting point is a multiple t e of e = +-(r / ||-Delta_h e1||_3) e1, the
 sign that of <f, e1>, with t minimizing the polynomial t -> E(t e). Its four
-coefficients are numbers read from e1 and phi_e1, the power term a sum over
-one axis since e1 is a product of sines, so no state of e is formed. The
-potential of t e scales phi_e1, the one the ball constants solved, and its
-Laplacian scales lambda_h e, since -Delta_h e1 = lambda_h e1, so the initial
-guess costs no solve and no stencil, and forms only the state it returns.
-When <f, e1> is zero, or the best multiple has no negative energy, the
-descent starts at u = 0, from which a plain step lowers the energy whenever
-f is not zero. A trial is evaluated once (one solve, one stencil); one that
-leaves the ball is pulled back by radial retraction
-of its state, t u with t = r / ||-Delta_h u||_3, whose potential is
-t^2 phi_u, so the retraction costs a stencil and no solve. If the mixed
-trial does not strictly decrease the energy, the history is cleared and the
-plain step u - step g backtracks from 1 by halves until the energy strictly
+coefficients are numbers the ball constants took from e1 and phi_e1, the
+FirstMode, with the power term a sum over one axis since e1 is a product
+of sines, so no state of e is formed. The potential of t e scales phi_e1,
+the one the ball constants solved, and its Laplacian scales lambda_h e,
+since -Delta_h e1 = lambda_h e1, so the initial guess costs no solve and no
+stencil, and forms only the state it returns; the descent then drops the
+FirstMode. When <f, e1> is zero, or the best multiple has no negative
+energy, the descent starts at u = 0, from which a plain step lowers the
+energy whenever f is not zero. A trial is evaluated once (one solve, one
+stencil); one that leaves the ball is pulled back by radial retraction in
+evaluate, t u with t = r / ||-Delta_h u||_3, whose potential is t^2 phi_u,
+so the retraction costs a stencil and no solve. If the mixed trial does not
+strictly decrease the energy, the history is cleared and the plain step
+u - step g backtracks from 1 by halves until the energy strictly
 decreases. The one stop test is verify's: the descent stops with
-stop_reason fixed_point when fixed_point_residual of g and pde_residual
-pass FP_THRESHOLD and PDE_THRESHOLD, and otherwise when no step lowers the
-energy (no_decrease) or the iteration budget is spent (budget); verify alone
-says whether the result is a solution. Both residuals read the state's held
-strong residual, and every H1 norm here is a pairing with a held Laplacian,
-so the descent runs no gradient pass.
+stop_reason fixed_point when fixed_point_residual and pde_residual of the
+iterate's Gradient pass FP_THRESHOLD and PDE_THRESHOLD, and otherwise when
+no step lowers the energy (no_decrease) or the iteration budget is spent
+(budget); verify alone says whether the result is a solution. An iterate
+is the accepted trial's state, u, lap and its energy terms, with its
+Gradient, g and the strong residual, formed in the arrays of T(u) and of
+the state's rhs: four arrays. Both residuals read the Gradient, and every
+H1 norm here is a pairing with a held Laplacian, so the descent runs no
+gradient pass.
 """
 
 from __future__ import annotations
@@ -43,9 +47,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import BALL_NORM_SLACK, BallSpec
+from .ball import BALL_NORM_SLACK, BallSpec, FirstMode
 from .energy import (
     FieldState,
+    Gradient,
     ProblemSpec,
     _state,
     energy,
@@ -54,7 +59,7 @@ from .energy import (
     restricted_energy,
 )
 from .errors import ForcingTooLargeError
-from .grid import ScalarField, _first_sines, apply_laplacian, first_eigenpair, lp_norm
+from .grid import ScalarField, _first_sines, lp_norm
 from .verify import FP_THRESHOLD, PDE_THRESHOLD, fixed_point_residual, pde_residual
 
 _INITIAL_STEP = 1.0
@@ -78,8 +83,8 @@ class MinimizeOptions:
 class MinimizeResult:
     """Minimizer, its energy, and the full iteration trace.
 
-    state is the minimizer's FieldState and gradient its g = u - T(u), both
-    from the last stop test; verify takes them as they are. trace rows are
+    state is the minimizer's FieldState and gradient its Gradient, both from
+    the last stop test; verify takes them as they are. trace rows are
     (iteration, energy, accepted step, H1 displacement); row 0 records the
     starting point with step and displacement zero, and an accepted mixed
     trial records step 1, so there are iterations + 1 rows. stop_reason is
@@ -91,7 +96,7 @@ class MinimizeResult:
     """
 
     state: FieldState
-    gradient: ScalarField
+    gradient: Gradient
     energy: float
     iterations: int
     trace: tuple[tuple[int, float, float, float], ...]
@@ -104,51 +109,33 @@ class MinimizeResult:
         return self.state.u
 
 
-def retract_to_ball(s: FieldState, radius: float, spec: ProblemSpec) -> FieldState:
-    """Radial retraction of an evaluated field onto the closed ball of the w2n
-    norm: t u with t = radius / ||-Delta_h u||_3, whose potential is t^2 phi_u."""
-    if not radius > 0.0:
-        raise ValueError(f"ball radius must be positive, got {radius}")
-    w = s.w2n
-    if w <= radius:
-        return s
-    t = radius / w
-    u = t * s.u
-    return _state(u, (t * t) * s.phi, apply_laplacian(u), spec)
-
-
 def _start_terms(
-    spec: ProblemSpec, radius: float, phi_e1: ScalarField
-) -> tuple[ScalarField, float, float, tuple[float, float, float, float]]:
-    """(e, lambda_h, scale, terms): e = scale e1 lies on the ball boundary, and
-    terms are its four energy terms, the coefficients of t -> E(t e).
+    spec: ProblemSpec, radius: float, mode: FirstMode
+) -> tuple[float, tuple[float, float, float, float]]:
+    """(scale, terms): e = scale e1 lies on the ball boundary, and terms are
+    its four energy terms, the coefficients of t -> E(t e).
 
-    Each is one number, with no state formed: 1/2 lambda_h ||e||_2^2 h^3,
-    1/4 <c phi_e1 e1, e1> h^3 scale^4, the power term and <f, e1> h^3 scale.
-    e1 = s (x) s (x) s makes the power term separable,
-    (h sum_i (scale^(1/3) s_i)^(p+1))^3 / (p+1), a pass over one axis; the
-    cube root inside keeps each factor the cube root of e's own terms, so
-    it overflows no sooner than the field pass would.
+    Each is one number read from the FirstMode, with no state and no array
+    formed: 1/2 ||grad e1||^2 scale^2, 1/4 ||grad phi_e1||^2 scale^4, the
+    power term and <f, e1> h^3 scale. e1 = s (x) s (x) s makes the power
+    term separable, (h sum_i (scale^(1/3) s_i)^(p+1))^3 / (p+1), a pass over
+    one axis; the cube root inside keeps each factor the cube root of e's
+    own terms, so it overflows no sooner than the field pass would.
     """
     grid = spec.grid
-    h3 = grid.h ** 3
-    e1, lam = first_eigenpair(grid)
-    scale = radius / (lam * lp_norm(e1, 3))
-    coupled = spec.coupling.values * phi_e1.values
-    coupled *= e1.values
-    quart = 0.25 * float(np.vdot(coupled, e1.values)) * h3
+    scale = radius / (mode.lam * mode.norm)
     q = spec.p + 1.0
     axis = grid.h * float(np.sum((np.cbrt(scale) * _first_sines(grid)) ** q))
     terms = (
-        0.5 * lam * (scale * scale) * float(np.vdot(e1.values, e1.values)) * h3,
-        quart * scale**4,
+        0.5 * (scale * scale) * mode.grad_sq,
+        0.25 * mode.phi_grad_sq * scale**4,
         axis * axis * axis / q,
-        float(np.vdot(spec.forcing.values, e1.values)) * h3 * scale,
+        float(np.vdot(spec.forcing.values, mode.e1.values)) * grid.h ** 3 * scale,
     )
-    return scale * e1, lam, scale, terms
+    return scale, terms
 
 
-def initial_guess(spec: ProblemSpec, radius: float, phi_e1: ScalarField) -> FieldState:
+def initial_guess(spec: ProblemSpec, radius: float, mode: FirstMode) -> FieldState:
     """Evaluated starting point inside the ball: a multiple of e1 with certified
     negative energy, or else the zero field.
 
@@ -156,7 +143,7 @@ def initial_guess(spec: ProblemSpec, radius: float, phi_e1: ScalarField) -> Fiel
     when <f, e1> < 0 (only the forcing term is odd in e), then minimizes the
     exact quartic-plus-power polynomial t -> E(t e) over a log-spaced grid of
     t in [0, 1]. Ties prefer the smallest t. Its four coefficients are
-    numbers read from e1 and phi_e1 (_start_terms), so no state of e is
+    numbers read from the FirstMode (_start_terms), so no state of e is
     formed. The one winning t is re-checked with a real state, which is
     returned when its restricted energy is negative too.
     The potential is quadratic, so the potential of t e is
@@ -176,28 +163,29 @@ def initial_guess(spec: ProblemSpec, radius: float, phi_e1: ScalarField) -> Fiel
     """
     if not radius > 0.0:
         raise ValueError(f"ball radius must be positive, got {radius}")
-    spec.check_field(phi_e1)
-    e, lam, scale, (quad, quart, power, lin) = _start_terms(spec, radius, phi_e1)
+    spec.check_field(mode.e1)
+    scale, (quad, quart, power, lin) = _start_terms(spec, radius, mode)
     if lin == 0.0:
         return evaluate(ScalarField.zeros(spec.grid), spec)
-    if lin < 0.0:
-        # the other three terms are even in e
-        e, lin = -e, -lin
 
     ts = np.concatenate(([0.0], np.geomspace(1e-8, 1.0, _INITIAL_T_GRID)))
-    poly = quad * ts**2 + quart * ts**4 - power * ts ** (spec.p + 1.0) - lin * ts
+    # the other three terms are even in e, so the better sign makes lin positive
+    poly = quad * ts**2 + quart * ts**4 - power * ts ** (spec.p + 1.0) - abs(lin) * ts
     idx = int(np.argmin(poly))  # the first minimum, so the smallest t among ties
     if poly[idx] < 0.0:
         t = float(ts[idx])
         # (t e, t^2 (scale^2 phi_e1), t (lambda_h e)), each product as it
         # would be formed from e's own state
-        phi = (scale * scale) * phi_e1.values
-        phi *= t * t
-        lap = lam * e.values
+        u = mode.e1.values * scale
+        if lin < 0.0:
+            np.negative(u, out=u)
+        lap = u * mode.lam
         lap *= t
-        candidate = _state(
-            t * e, ScalarField._own(spec.grid, phi), ScalarField._own(spec.grid, lap), spec
-        )
+        u *= t
+        phi = mode.phi.values * (scale * scale)
+        phi *= t * t
+        lap = ScalarField._own(spec.grid, lap)
+        candidate = _state(ScalarField._own(spec.grid, u), phi, lap, lp_norm(lap, 3.0), spec)
         if restricted_energy(candidate, radius) < 0.0:
             return candidate
     return evaluate(ScalarField.zeros(spec.grid), spec)
@@ -272,13 +260,13 @@ class _MixingHistory:
         return out
 
 
-def _backtrack(s: FieldState, g: ScalarField, current: float, spec: ProblemSpec,
+def _backtrack(s: FieldState, grad: Gradient, current: float, spec: ProblemSpec,
                ball: BallSpec):
     """The first plain step u - step g, from _INITIAL_STEP down by _BACKTRACK_FACTOR,
     whose retracted trial strictly lowers the energy; None when none does."""
     step = _INITIAL_STEP
     while step >= _MIN_STEP:
-        candidate = retract_to_ball(evaluate(s.u - step * g, spec), ball.radius, spec)
+        candidate = evaluate(s.u - step * grad.g, spec, ball.radius)
         cand_energy = energy(candidate).total
         if cand_energy < current:
             return candidate, cand_energy, step
@@ -289,14 +277,14 @@ def _backtrack(s: FieldState, g: ScalarField, current: float, spec: ProblemSpec,
 def minimize(
     spec: ProblemSpec,
     ball: BallSpec,
-    phi_e1: ScalarField,
+    mode: FirstMode,
     opts: MinimizeOptions | None = None,
 ) -> MinimizeResult:
     """Minimize the energy over the constraint ball by Anderson-mixed retracted descent.
 
-    phi_e1 is the first eigenfunction's potential that make_ball returns with
-    the ball; the initial guess scales it, and the descent drops it after
-    that. Requires the forcing, of any sign, to respect the admissible bound.
+    mode is the FirstMode that make_ball returns with the ball; the initial
+    guess scales its e1 and phi_e1, and the descent drops it after that.
+    Requires the forcing, of any sign, to respect the admissible bound.
     A zero forcing starts and ends at the zero field with zero energy.
     Every iterate stays in the ball; recorded energies are strictly
     decreasing. The accepted trial's state carries into the next gradient.
@@ -306,8 +294,8 @@ def minimize(
     if spec.forcing_norm > ball.forcing_bound * (1.0 + BALL_NORM_SLACK):
         raise ForcingTooLargeError(spec.forcing_norm, ball.forcing_bound)
 
-    s = initial_guess(spec, ball.radius, phi_e1)
-    del phi_e1  # read by the start alone; a caller that keeps no reference frees it here
+    s = initial_guess(spec, ball.radius, mode)
+    del mode  # read by the start alone; a caller that keeps no reference frees it here
 
     current = energy(s).total
     trace = [(0, current, 0.0, 0.0)]
@@ -316,20 +304,20 @@ def minimize(
     history = _MixingHistory()
 
     while True:
-        g = gradient_field(s)
-        if fixed_point_residual(s, g) <= FP_THRESHOLD and pde_residual(s, spec) <= PDE_THRESHOLD:
+        grad = gradient_field(s)
+        if (fixed_point_residual(s, grad) <= FP_THRESHOLD
+                and pde_residual(grad, spec) <= PDE_THRESHOLD):
             stop_reason = "fixed_point"
             break
         if iterations == opts.max_iters:
             stop_reason = "budget"
             break
-        history.push(g.values, s.u.values, s.residual.values)
+        history.push(grad.g.values, s.u.values, grad.residual.values)
 
         accepted = None
-        trial = history.mixed(g.values, s.u.values) if history.steps else None
+        trial = history.mixed(grad.g.values, s.u.values) if history.steps else None
         if trial is not None:
-            candidate = evaluate(ScalarField._own(spec.grid, trial), spec)
-            candidate = retract_to_ball(candidate, ball.radius, spec)
+            candidate = evaluate(ScalarField._own(spec.grid, trial), spec, ball.radius)
             cand_energy = energy(candidate).total
             if cand_energy < current:
                 accepted = (candidate, cand_energy, 1.0)
@@ -338,14 +326,13 @@ def minimize(
                 history.clear()
             del trial, candidate  # a rejected trial's state is not held through the backtracking
         if accepted is None:
-            accepted = _backtrack(s, g, current, spec, ball)
+            accepted = _backtrack(s, grad, current, spec, ball)
         if accepted is None:
             # no step strictly lowers the energy, yet the residual gates fail
             stop_reason = "no_decrease"
             break
 
         candidate, cand_energy, step = accepted
-        # the old state gives up its phi and rhs before the two differences
         lap, u = s.lap.values, s.u.values
         s, current = candidate, cand_energy
         # ||grad(u' - u)||^2 = <-Delta_h (u' - u), u' - u> h^3, from the held Laplacians
@@ -357,7 +344,7 @@ def minimize(
 
     return MinimizeResult(
         state=s,
-        gradient=g,
+        gradient=grad,
         energy=current,
         iterations=iterations,
         trace=tuple(trace),

@@ -44,19 +44,23 @@ def _dst1(values: np.ndarray, sines: np.ndarray, out: np.ndarray, work: np.ndarr
     return out
 
 
-def solve_dirichlet_poisson(f: ScalarField) -> PoissonSolution:
+def solve_dirichlet_poisson(f: ScalarField, overwrite: bool = False) -> PoissonSolution:
     """Solve -Delta_h w = f with zero Dirichlet boundary by sine transforms.
 
     Two transforms and one product with the grid's scaled inverse
     eigenvalues (DomainGrid.sine_factors), in two buffers; the solution field
-    adopts the second. A zero right-hand side returns the zero field.
+    adopts the second. With overwrite, f's own buffer is the second, so the
+    solve allocates one array: the caller must have made f and alone hold
+    it, and f is gone afterwards. A zero right-hand side returns the zero
+    field.
     """
     grid = f.grid
     if not f.values.any():
         return PoissonSolution(ScalarField.zeros(grid), 0)
 
     sines, inv_eig = grid.sine_factors
-    first, second = np.empty(grid.shape), np.empty(grid.shape)
+    first = np.empty(grid.shape)
+    second = f._release() if overwrite else np.empty(grid.shape)
     coeffs = _dst1(f.values, sines, first, second)
     coeffs *= inv_eig
     return PoissonSolution(ScalarField._own(grid, _dst1(coeffs, sines, second, first)), 1)
@@ -66,7 +70,8 @@ def compute_phi(u: ScalarField, coupling: ScalarField) -> ScalarField:
     """Potential generated by u: solve -Delta_h phi = coupling * u^2.
 
     The coupling field must be nonnegative; that sign condition is what
-    makes the potential nonnegative and the energy term well behaved.
+    makes the potential nonnegative and the energy term well behaved. The
+    solve works in the array of coupling * u^2, which the potential adopts.
     """
     if u.grid != coupling.grid:
         # reuse the field arithmetic check for a consistent error type
@@ -75,4 +80,4 @@ def compute_phi(u: ScalarField, coupling: ScalarField) -> ScalarField:
         raise AssumptionViolationError("coupling field must be nonnegative")
     rhs = np.square(u.values)
     rhs *= coupling.values
-    return solve_dirichlet_poisson(ScalarField._own(u.grid, rhs)).field
+    return solve_dirichlet_poisson(ScalarField._own(u.grid, rhs), overwrite=True).field

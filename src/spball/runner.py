@@ -11,12 +11,12 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .ball import BallSpec, make_ball
+from .ball import BallSpec, FirstMode, make_ball
 from .energy import ProblemSpec
 from .errors import BallOverflowError, ConfigError
 from .grid import (
@@ -181,25 +181,21 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
-def _sine_bump(grid: DomainGrid) -> ScalarField:
-    return first_eigenpair(grid)[0]
-
-
-def _build_coupling(grid: DomainGrid, spec: dict) -> ScalarField:
+def _build_coupling(grid: DomainGrid, spec: dict, e1: ScalarField) -> ScalarField:
     (kind, value), = spec.items()
     if kind == "constant":
         return ScalarField.constant(grid, float(value))
-    return float(value) * _sine_bump(grid)
+    return float(value) * e1
 
 
-def _build_forcing(grid: DomainGrid, spec: dict, forcing_bound: float) -> ScalarField:
+def _build_forcing(grid: DomainGrid, spec: dict, forcing_bound: float,
+                   mode: FirstMode) -> ScalarField:
     (kind, value), = spec.items()
     if kind == "constant":
         return ScalarField._own(grid, np.full(grid.shape, float(value)))
     if kind == "sine_bump":
-        return float(value) * _sine_bump(grid)
-    base = _sine_bump(grid)
-    return (float(value) * forcing_bound / lp_norm(base, 3)) * base
+        return float(value) * mode.e1
+    return (float(value) * forcing_bound / mode.norm) * mode.e1
 
 
 @dataclass(frozen=True)
@@ -227,13 +223,18 @@ class SolveReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolveReport":
+        unexpected = sorted(set(data) - {f.name for f in fields(cls)})
+        if unexpected:
+            raise ConfigError(f"unexpected key {unexpected[0]!r}")
+        if not isinstance(data["version"], str):
+            raise ConfigError(f"version must be a string, got {data['version']!r}")
         return cls(
             config=ExperimentConfig.from_dict(data["config"]),
             ball=BallSpec(**data["ball"]),
             energy=data["energy"],
             minimize_summary=_checked_summary(data["minimize_summary"]),
             verification=VerificationReport.from_dict(data["verification"]),
-            wall_time=dict(data["wall_time"]),
+            wall_time=_checked_wall_time(data["wall_time"]),
             version=data["version"],
         )
 
@@ -247,6 +248,24 @@ def _summarize(result: MinimizeResult) -> dict:
     values = (result.iterations, result.stop_reason, result.mixed_steps, result.on_boundary,
               last[2], last[3], result.state.w2n, lp_norm(result.minimizer, 2))
     return dict(zip(_SUMMARY_KEYS, values, strict=True))
+
+
+# the stages run_experiment times, in the order it times them
+_WALL_TIME_KEYS = ("setup", "constants", "minimize", "verify", "total")
+
+
+def _checked_wall_time(wall_time: dict) -> dict:
+    """A report's wall_time, if it is a mapping whose keys are the stages
+    run_experiment times and each value is a finite number of seconds."""
+    if not isinstance(wall_time, dict):
+        raise ConfigError(f"wall_time must be a mapping, got {wall_time!r}")
+    if set(wall_time) != set(_WALL_TIME_KEYS):
+        raise ConfigError(
+            f"wall_time keys must be {list(_WALL_TIME_KEYS)}, got {sorted(wall_time)}")
+    for key, value in wall_time.items():
+        if not (_is_number(value) and math.isfinite(value)):
+            raise ConfigError(f"wall_time.{key} must be a finite number, got {value!r}")
+    return dict(wall_time)
 
 
 def _checked_summary(summary: dict) -> dict:
@@ -275,24 +294,28 @@ def run_experiment(
 
     t0 = time.perf_counter()
     grid = build_grid(config.grid_n)
-    coupling = _build_coupling(grid, config.coupling)
+    # the run's one e1; the ball's FirstMode is its only holder after make_ball
+    e1 = first_eigenpair(grid)[0]
+    coupling = _build_coupling(grid, config.coupling, e1)
     timings["setup"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     try:
-        ball, phi_e1 = make_ball(config.p, coupling, config.safety)
+        ball, mode = make_ball(config.p, coupling, e1, config.safety)
     except BallOverflowError as exc:
         message = f"{exc}; set by config coupling {json.dumps(config.coupling)}"
         raise BallOverflowError(message) from None
-    forcing = _build_forcing(grid, config.forcing, ball.forcing_bound)
+    del e1
+    forcing = _build_forcing(grid, config.forcing, ball.forcing_bound, mode)
     spec = ProblemSpec(p=config.p, coupling=coupling, forcing=forcing, grid=grid)
     timings["constants"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # minimize gets the only reference to phi_e1, so the field is freed once
-    # the initial guess has scaled it, not held through the descent
-    handover = [phi_e1]
-    del phi_e1
+    # minimize gets the only reference to the FirstMode, so e1 and phi_e1
+    # are freed once the initial guess has scaled them, not held through the
+    # descent
+    handover = [mode]
+    del mode
     result = minimize(spec, ball, handover.pop(), config.descent)
     timings["minimize"] = time.perf_counter() - t0
 
@@ -366,7 +389,7 @@ def manufactured_poisson_error(n: int) -> float:
     order in h.
     """
     grid = build_grid(n)
-    star = _sine_bump(grid)
+    star = first_eigenpair(grid)[0]
     f = ScalarField(grid, 3.0 * np.pi**2 * star.values)
     w = solve_dirichlet_poisson(f).field
     return lp_norm(w - star, 2) / lp_norm(star, 2)

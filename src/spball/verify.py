@@ -1,23 +1,24 @@
 """Fixed-point verification that a minimizer is a discrete weak solution.
 
-verify reads the candidate's state s = evaluate(u) and its gradient
-g = u - T(u) = gradient_field(s), where T(u) solves the auxiliary problem
--Delta_h T(u) = rhs(u). Both are functions of u alone, so the ones the
-descent holds at its last iterate serve as they are (bit for bit after an
-accepted step; at the initial guess, a multiple of e1 whose potential and
-Laplacian scale phi_e1 and lambda_h e1, to rounding); the descent's
-stop_reason is never read. The state also holds -Delta_h u, the
-energy terms and the strong residual lap - rhs, and that contract
-g = gradient_field(s) gives -Delta_h g = lap - rhs. So every norm here is a
-pairing with a held array: the ball norm, ||grad u|| and ||grad phi_u||
-from the state, ||grad g||^2 = <lap - rhs, g> h^3 by summation by parts,
-and T(u)'s ball norm ||rhs(u)||_3. verify runs no solve, no stencil and no
-gradient pass. The candidate is accepted when T(u) coincides with u in the
-relative H1 seminorm, the strong residual is small against the forcing,
-T(u) stays in the ball, and the potential is nonnegative and within the
-ball's gradient bound. minimize stops on fixed_point_residual and
-pde_residual at FP_THRESHOLD and PDE_THRESHOLD, so a run whose stop_reason
-is fixed_point passes those two gates; failed_checks is the verdict on all five.
+verify reads the candidate's state s = evaluate(u) and its Gradient
+gradient_field(s), with g = u - T(u), where T(u) solves the auxiliary
+problem -Delta_h T(u) = rhs(u). Both are functions of u alone, so the ones
+the descent holds at its last iterate serve as they are (bit for bit after
+an accepted step; at the initial guess, a multiple of e1 whose potential
+and Laplacian scale phi_e1 and lambda_h e1, to rounding); the descent's
+stop_reason is never read. The state holds -Delta_h u, its L3 norm, the
+energy terms and the potential's minimum and maximum; the Gradient holds g,
+the strong residual lap - rhs = -Delta_h g (up to solve rounding) with its
+L3 norm, and ||rhs(u)||_3, T(u)'s ball norm. So every norm here is a number
+or a pairing with a held array: ||grad u|| and ||grad phi_u|| from the
+terms, and ||grad g||^2 = <lap - rhs, g> h^3 by summation by parts. verify
+runs no solve, no stencil and no gradient pass, and forms no array. The
+candidate is accepted when T(u) coincides with u in the relative H1
+seminorm, the strong residual is small against the forcing, T(u) stays in
+the ball, and the potential is nonnegative and within the ball's gradient
+bound. minimize stops on fixed_point_residual and pde_residual at
+FP_THRESHOLD and PDE_THRESHOLD, so a run whose stop_reason is fixed_point
+passes those two gates; failed_checks is the verdict on all five.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .ball import BallSpec
-from .energy import FieldState, ProblemSpec
+from .energy import FieldState, Gradient, ProblemSpec
 from .errors import OutsideBallError
-from .grid import ScalarField, lp_norm
 
 FP_THRESHOLD = 1e-6
 PDE_THRESHOLD = 1e-5
@@ -75,38 +75,39 @@ class VerificationReport:
         return cls(**{**data, "failed_checks": tuple(data["failed_checks"])})
 
 
-def fixed_point_residual(s: FieldState, g: ScalarField) -> float:
+def fixed_point_residual(s: FieldState, grad: Gradient) -> float:
     """Relative H1-seminorm size ||grad g|| / ||grad u|| of g = u - T(u).
 
-    g must be gradient_field(s): then -Delta_h g = lap - rhs, the state's
-    strong residual, so ||grad g||^2 = max(<lap - rhs, g> h^3, 0) by summation
-    by parts, exact up to rounding and with no gradient pass; ||grad u||^2
-    comes from the state as well. The ratio is free of a common scale, so when
+    grad must be gradient_field(s): then -Delta_h g = lap - rhs, its strong
+    residual, so ||grad g||^2 = max(<lap - rhs, g> h^3, 0) by summation by
+    parts, exact up to rounding and with no gradient pass; ||grad u||^2
+    comes from the state. The ratio is free of a common scale, so when
     either square is not a normal float both are taken again on the arrays
-    over their largest magnitude, as lp_norm does; u = 0 beside g != 0 is inf,
-    and g = 0 is 0.
+    over their largest magnitude, as lp_norm does; u = 0 beside g != 0 is
+    inf, and g = 0 is 0.
     """
-    h3 = g.grid.h ** 3
-    pair = float(np.vdot(s.residual.values, g.values)) * h3
+    g, residual = grad.g.values, grad.residual.values
+    h3 = grad.g.grid.h ** 3
+    pair = float(np.vdot(residual, g)) * h3
     grad_sq = s.grad_sq
     if not all(sys.float_info.min <= abs(x) <= sys.float_info.max for x in (pair, grad_sq)):
-        scale = max(float(np.abs(g.values).max()), float(np.abs(s.u.values).max()))
+        scale = max(float(np.abs(g).max()), float(np.abs(s.u.values).max()))
         if scale == 0.0:
             return 0.0
-        pair = float(np.vdot(s.residual.values / scale, g.values / scale)) * h3
+        pair = float(np.vdot(residual / scale, g / scale)) * h3
         grad_sq = float(np.vdot(s.lap.values / scale, s.u.values / scale)) * h3
     if grad_sq <= 0.0:
         return math.inf if pair > 0.0 else 0.0
     return math.sqrt(max(pair, 0.0)) / math.sqrt(grad_sq)
 
 
-def pde_residual(s: FieldState, spec: ProblemSpec) -> float:
-    """L3 norm of the strong equation residual relative to the forcing's, both
-    scale-free (lp_norm); for a zero forcing, 0 if the residual is zero, else inf."""
-    res = lp_norm(s.residual, 3)
+def pde_residual(grad: Gradient, spec: ProblemSpec) -> float:
+    """L3 norm of the strong equation residual, which the Gradient holds,
+    relative to the forcing's, both scale-free (lp_norm); for a zero forcing,
+    0 if the residual is zero, else inf."""
     if spec.forcing_norm == 0.0:
-        return 0.0 if res == 0.0 else math.inf
-    return res / spec.forcing_norm
+        return 0.0 if grad.residual_norm == 0.0 else math.inf
+    return grad.residual_norm / spec.forcing_norm
 
 
 def phi_property_check(s: FieldState, ball: BallSpec) -> tuple[bool, bool]:
@@ -115,38 +116,38 @@ def phi_property_check(s: FieldState, ball: BallSpec) -> tuple[bool, bool]:
     Returns (nonneg_ok, bound_ok):
       nonneg:  min phi_u >= -1e-8 * max(1, ||phi_u||_inf)
       bound:   ||grad phi_u|| <= ball.potential_constant ||grad u||^2
-    Both gradient norms come from the state's terms: ||grad u||^2 is twice the
-    kinetic term, and ||grad phi_u||^2 = <c u^2, phi_u> h^3 = 4 x coupling term
-    by summation by parts against -Delta_h phi_u = c u^2.
+    The minimum and maximum of phi_u are the state's phi_range. Both
+    gradient norms come from the state's terms: ||grad u||^2 is twice the
+    kinetic term, and ||grad phi_u||^2 = <c u^2, phi_u> h^3 = 4 x coupling
+    term by summation by parts against -Delta_h phi_u = c u^2.
     """
-    phi = s.phi.values
-    low = float(phi.min())
-    nonneg_ok = low >= -1e-8 * max(1.0, -low, float(phi.max()))
+    low, high = s.phi_range
+    nonneg_ok = low >= -1e-8 * max(1.0, -low, high)
 
     grad_phi = math.sqrt(max(4.0 * s.terms[1], 0.0))
     bound_ok = grad_phi <= ball.potential_constant * s.grad_sq + 1e-30
     return nonneg_ok, bound_ok
 
 
-def verify(s: FieldState, g: ScalarField, spec: ProblemSpec, ball: BallSpec) -> VerificationReport:
+def verify(s: FieldState, grad: Gradient, spec: ProblemSpec, ball: BallSpec) -> VerificationReport:
     """Full verification of a candidate minimizer from its state s and its
-    gradient g = gradient_field(s); it runs no solve.
+    Gradient gradient_field(s); it runs no solve.
 
     A candidate outside the ball is rejected with OutsideBallError; an
     auxiliary solution T(u) = u - g that escapes the ball fails aux_in_ball.
-    Its ball norm ||-Delta_h T(u)||_3 is ||rhs(u)||_3, read from the state.
+    Its ball norm ||-Delta_h T(u)||_3 is ||rhs(u)||_3, read from the Gradient.
     """
     if not ball.contains(s):
         raise OutsideBallError(
             f"candidate w2n norm {s.w2n:.6e} exceeds the radius {ball.radius:.6e}"
         )
-    fp_res = fixed_point_residual(s, g)
-    pde_res = pde_residual(s, spec)
+    fp_res = fixed_point_residual(s, grad)
+    pde_res = pde_residual(grad, spec)
     nonneg_ok, bound_ok = phi_property_check(s, ball)
     gates = {
         "fixed_point": fp_res <= FP_THRESHOLD,
         "pde": pde_res <= PDE_THRESHOLD,
-        "aux_in_ball": lp_norm(s.rhs, 3) <= ball.radius + AUX_BALL_SLACK,
+        "aux_in_ball": grad.rhs_norm <= ball.radius + AUX_BALL_SLACK,
         "phi_nonneg": nonneg_ok,
         "phi_bound": bound_ok,
     }

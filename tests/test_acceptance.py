@@ -109,15 +109,17 @@ def test_criterion_2_eigenfunction_exactness():
 def test_criterion_3_potential_structure_audit():
     with criterion(3, "potential sign/scaling/bound on 50 fields"):
         spec = constant_coupling_spec(8, 3.0)
-        ball, _ = make_ball(3.0, spec.coupling)
+        ball, _ = make_ball(3.0, spec.coupling, first_eigenpair(spec.grid)[0])
         fields = smoothed_random_fields(spec.grid, 50, seed=303)
         assert len(fields) == 50
         for u in fields:
             s = evaluate(u, spec)
             nonneg, bound = phi_property_check(s, ball)
             assert nonneg and bound
+            phi = compute_phi(u, spec.coupling)
+            assert s.phi_range == (float(phi.values.min()), float(phi.values.max()))
             scaled = compute_phi(2.0 * u, spec.coupling)
-            assert lp_norm(scaled - 4.0 * s.phi, 2) <= 1e-9 * lp_norm(s.phi, 2)
+            assert lp_norm(scaled - 4.0 * phi, 2) <= 1e-9 * lp_norm(phi, 2)
 
 
 def test_criterion_4_first_variation_audit():
@@ -128,7 +130,7 @@ def test_criterion_4_first_variation_audit():
             for _ in range(20):
                 u = random_field(spec.grid, rng, scale=0.7)
                 v = random_field(spec.grid, rng, scale=0.7)
-                dd = directional_derivative(evaluate(u, spec), v)
+                dd = directional_derivative(evaluate(u, spec), spec, v)
                 best = math.inf
                 for eps in (1e-4, 1e-5, 1e-6):
                     e_plus = energy(evaluate(u + eps * v, spec)).total
@@ -163,7 +165,7 @@ def test_criterion_5_radius_certificates():
 def test_criterion_6_residual_bound_audit():
     with criterion(6, "residual bound on 100 fresh ball samples"):
         spec = constant_coupling_spec(8, 3.0)
-        ball, _ = make_ball(spec.p, spec.coupling, safety=2.0)
+        ball, _ = make_ball(spec.p, spec.coupling, first_eigenpair(spec.grid)[0], safety=2.0)
         fields = ball_samples(spec.grid, 100, seed=707, radius=ball.radius)
         assert len(fields) == 100
         for u in fields:

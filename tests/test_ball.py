@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spball import (
+    GridMismatchError,
     OutsideBallError,
     ScalarField,
     build_grid,
@@ -19,6 +20,7 @@ from spball import (
 from spball.ball import (
     BallSpec,
     CONSTANT_FLOOR,
+    _first_mode_sums,
     admissible_radius,
     estimate_constants,
     make_ball,
@@ -27,7 +29,7 @@ from spball.energy import ProblemSpec, _signed_power
 from spball.poisson import compute_phi
 from spball.sampling import smoothed_random_fields
 
-from conftest import ball_samples, check_residual_bound, w2n_norm
+from conftest import ball_samples, check_residual_bound, e1_field_sums, w2n_norm
 
 
 def make_spec(n=6, p=3.0, coupling=1.0, forcing=1.0):
@@ -96,21 +98,41 @@ def estimation_family(n, seed):
 
 def test_estimate_constants_zero_coupling_hits_floor():
     spec = make_spec(coupling=0.0)
-    c_coupling, c_power, c_potential, _ = estimate_constants(spec.p, spec.coupling)
+    c_coupling, c_power, c_potential, _ = estimate_constants(
+        spec.p, spec.coupling, first_eigenpair(spec.grid)[0])
     assert c_coupling == c_potential == CONSTANT_FLOOR
     assert c_power > CONSTANT_FLOOR
 
 
 def test_estimate_constants_validation():
     spec = make_spec()
+    e1 = first_eigenpair(spec.grid)[0]
     for safety in (0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="safety"):
-            estimate_constants(spec.p, spec.coupling, safety=safety)
+            estimate_constants(spec.p, spec.coupling, e1, safety=safety)
         with pytest.raises(ValueError, match="safety"):
-            make_ball(spec.p, spec.coupling, safety=safety)
+            make_ball(spec.p, spec.coupling, e1, safety=safety)
     for p in (1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="p must"):
-            estimate_constants(p, spec.coupling)
+            estimate_constants(p, spec.coupling, e1)
+
+
+@pytest.mark.parametrize("other", [
+    lambda e1: 2.0 * e1,
+    lambda e1: ScalarField(e1.grid, np.sqrt(e1.values)),
+    lambda e1: ScalarField.constant(e1.grid, 1.0),
+], ids=["scaled", "square-root", "constant"])
+def test_constants_refuse_a_field_that_is_not_e1(other):
+    # the one-axis sums hold for first_eigenpair's e1 alone: any other field
+    # would give wrong constants, so it is refused, as is e1 of another grid
+    spec = make_spec()
+    e1 = first_eigenpair(spec.grid)[0]
+    with pytest.raises(ValueError, match="first eigenfunction"):
+        estimate_constants(spec.p, spec.coupling, other(e1))
+    with pytest.raises(ValueError, match="first eigenfunction"):
+        make_ball(spec.p, spec.coupling, other(e1))
+    with pytest.raises(GridMismatchError):
+        make_ball(spec.p, spec.coupling, first_eigenpair(build_grid(spec.grid.n + 1))[0])
 
 
 def test_estimation_ratios_scale_invariant():
@@ -130,7 +152,8 @@ def test_estimation_ratios_scale_invariant():
 def test_estimate_constants_dominate_family():
     # safety = 2 means every ratio in the family sits at or below constant/2
     spec = make_spec(p=3.0)
-    c_coupling, c_power, _, _ = estimate_constants(spec.p, spec.coupling, safety=2.0)
+    c_coupling, c_power, _, _ = estimate_constants(
+        spec.p, spec.coupling, first_eigenpair(spec.grid)[0], safety=2.0)
     for u in estimation_family(spec.grid.n, seed=5):
         w = w2n_norm(u)
         phi = compute_phi(u, spec.coupling)
@@ -179,12 +202,18 @@ def family_coupling_ratios(n, kind, seed):
     return tuple(coupling_ratio(u, spec) for u in estimation_family(n, seed))
 
 
+# the sums over one axis against the cube passes they replace: the power
+# ratio raises one rounding of s_i / w^(1/3) to the 3p-th power
+AXIS_SUM_RTOL = 1e-13
+
+
 @pytest.mark.parametrize("n, kind, seed, reverse, p", NO_SKIP_CASES)
 def test_estimate_constants_match_no_skip_oracle(n, kind, seed, reverse, p):
     # the maxima over the eigenfunction and 64 smoothed random fields, every
     # potential solved and every power pass run, written inline: the
-    # eigenfunction alone must give the same constants to the bit; reversed,
-    # the oracle meets the eigenfunction last, after every sampled field
+    # eigenfunction's ratios dominate every sampled field's exactly, and the
+    # eigenfunction alone gives the same constants within the sums' rounding;
+    # reversed, the oracle meets the eigenfunction last, after every sampled field
     spec = coupling_spec(n, kind, p)
     family = estimation_family(n, seed)
     ratios = family_coupling_ratios(n, kind, seed)
@@ -195,25 +224,63 @@ def test_estimate_constants_match_no_skip_oracle(n, kind, seed, reverse, p):
         w = w2n_norm(u)
         best_c = max(best_c, ratio)
         best_p = max(best_p, lp_norm(ScalarField(spec.grid, np.abs(u.values / w) ** spec.p), 3))
+    e1 = estimation_family(n, seed)[0]
+    e1_ratios = (family_coupling_ratios(n, kind, seed)[0],
+                 lp_norm(ScalarField(spec.grid, np.abs(e1.values / w2n_norm(e1)) ** spec.p), 3))
+    assert e1_ratios == (best_c, best_p)
     expected = (max(2.0 * best_c, CONSTANT_FLOOR), max(2.0 * best_p, CONSTANT_FLOOR))
-    assert estimate_constants(spec.p, spec.coupling)[:2] == expected
+    got = estimate_constants(spec.p, spec.coupling, first_eigenpair(spec.grid)[0])[:2]
+    assert_allclose(got, expected, rtol=AXIS_SUM_RTOL, atol=0.0)
     if kind == "zero":
-        assert expected[0] == CONSTANT_FLOOR
+        assert expected[0] == got[0] == CONSTANT_FLOOR
+
+
+@pytest.mark.parametrize("n", [6, 8, 16, 32])
+@pytest.mark.parametrize("p", [1.01, 3.0, 7.0, 400.0])
+def test_first_mode_sums_match_the_cube_passes(n, p):
+    # ||e1||_3, its ball norm w against the stencil's, ||grad e1||^2 against
+    # the stencil's pairing with e1, and the power ratio against |e1/w|^p
+    g = build_grid(n)
+    e1, lam = first_eigenpair(g)
+    sum_lam, norm, grad_sq, power_ratio = _first_mode_sums(e1, p)
+    field_norm, field_w, field_grad_sq, field_power = e1_field_sums(g, p)
+    assert sum_lam == lam
+    assert norm == field_norm
+    assert_allclose(lam * norm, field_w, rtol=AXIS_SUM_RTOL, atol=0.0)
+    assert_allclose(grad_sq, field_grad_sq, rtol=AXIS_SUM_RTOL, atol=0.0)
+    assert_allclose(power_ratio, field_power, rtol=AXIS_SUM_RTOL, atol=0.0)
+    # e1/w is below 1 everywhere, so at p = 400 both underflow to zero alike
+    assert (power_ratio == 0.0) == (p == 400.0) == (field_power == 0.0)
+
+
+def test_estimate_constants_hand_on_the_first_mode():
+    # the FirstMode holds the e1 it was given, its eigenvalue, its potential
+    # and the numbers the start reads: ||e1||_3, ||grad e1||^2 and
+    # ||grad phi_e1||^2 = <c phi_e1 e1, e1> h^3
+    spec = make_spec(n=8, p=7.0)
+    e1, lam = first_eigenpair(spec.grid)
+    *_, mode = estimate_constants(spec.p, spec.coupling, e1)
+    phi = compute_phi(e1, spec.coupling)
+    assert mode.e1 is e1 and mode.lam == lam
+    assert np.array_equal(mode.phi.values, phi.values)
+    assert (mode.lam, mode.norm, mode.grad_sq) == _first_mode_sums(e1, spec.p)[:3]
+    pairing = float(np.vdot(spec.coupling.values * phi.values * e1.values, e1.values))
+    assert_allclose(mode.phi_grad_sq, pairing * spec.grid.h**3, rtol=1e-15, atol=0.0)
 
 
 def test_make_ball_solve_count(solve_counter):
     # the eigenfunction's potential is the only solve
     spec = make_spec(n=8, p=7.0)
-    _, count = solve_counter(make_ball, spec.p, spec.coupling)
+    _, count = solve_counter(make_ball, spec.p, spec.coupling, first_eigenpair(spec.grid)[0])
     assert count == 1
 
 
 def test_estimate_constants_deterministic():
     spec = make_spec(p=7.0)
-    first = estimate_constants(spec.p, spec.coupling)
-    second = estimate_constants(spec.p, spec.coupling)
+    first = estimate_constants(spec.p, spec.coupling, first_eigenpair(spec.grid)[0])
+    second = estimate_constants(spec.p, spec.coupling, first_eigenpair(spec.grid)[0])
     assert first[:3] == second[:3]
-    assert np.array_equal(first[3].values, second[3].values)
+    assert np.array_equal(first[3].phi.values, second[3].phi.values)
 
 
 # ---------------------------------------------------------------- radius
@@ -287,12 +354,12 @@ def test_ball_spec_invariants_enforced():
 
 def test_make_ball_consistent():
     spec = make_spec(p=7.0)
-    ball, _ = make_ball(spec.p, spec.coupling)
+    ball, _ = make_ball(spec.p, spec.coupling, first_eigenpair(spec.grid)[0])
     assert ball.forcing_bound == 0.5 * ball.radius
     assert ball.p == spec.p
     # floor-constant couplings produce enormous but still valid radii
     spec0 = make_spec(coupling=0.0, p=7.0)
-    ball0, _ = make_ball(spec0.p, spec0.coupling)
+    ball0, _ = make_ball(spec0.p, spec0.coupling, first_eigenpair(spec0.grid)[0])
     assert ball0.radius > ball.radius
 
 
@@ -301,7 +368,7 @@ def test_make_ball_consistent():
 
 def test_check_residual_bound_zero_field():
     spec = make_spec()
-    ball, _ = make_ball(spec.p, spec.coupling)
+    ball, _ = make_ball(spec.p, spec.coupling, first_eigenpair(spec.grid)[0])
     lhs, rhs, holds = check_residual_bound(ScalarField.zeros(spec.grid), ball, spec)
     assert holds
     assert_allclose(lhs, lp_norm(spec.forcing, 3), rtol=1e-12)
@@ -312,7 +379,7 @@ def test_check_residual_bound_boundary_eigenfunction():
     # the eigenfunction sets both constants, so the bound must hold with
     # factor-2 headroom even on the ball boundary
     spec = make_spec(p=7.0)
-    ball, _ = make_ball(spec.p, spec.coupling)
+    ball, _ = make_ball(spec.p, spec.coupling, first_eigenpair(spec.grid)[0])
     e1, _ = first_eigenpair(spec.grid)
     u = (ball.radius / w2n_norm(e1)) * e1
     lhs, rhs, holds = check_residual_bound(u, ball, spec)
@@ -321,7 +388,7 @@ def test_check_residual_bound_boundary_eigenfunction():
 
 def test_check_residual_bound_random_audit():
     spec = make_spec(p=3.0)
-    ball, _ = make_ball(spec.p, spec.coupling)
+    ball, _ = make_ball(spec.p, spec.coupling, first_eigenpair(spec.grid)[0])
     for u in ball_samples(spec.grid, 20, seed=77, radius=ball.radius):
         lhs, rhs, holds = check_residual_bound(u, ball, spec)
         assert holds, (lhs, rhs)
@@ -329,7 +396,7 @@ def test_check_residual_bound_random_audit():
 
 def test_check_residual_bound_outside_ball_raises():
     spec = make_spec()
-    ball, _ = make_ball(spec.p, spec.coupling)
+    ball, _ = make_ball(spec.p, spec.coupling, first_eigenpair(spec.grid)[0])
     e1, _ = first_eigenpair(spec.grid)
     outside = (2.0 * ball.radius / w2n_norm(e1)) * e1
     with pytest.raises(OutsideBallError):

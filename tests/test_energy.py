@@ -3,6 +3,7 @@ consistency of the first variation, split/restriction identities, the
 gradient representations and the power kernel against libm pow."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from spball import (
     ScalarField,
     apply_laplacian,
     build_grid,
+    compute_phi,
     first_eigenpair,
 )
 from spball.energy import (
@@ -29,6 +31,7 @@ from spball.energy import (
 from conftest import (
     dense_neg_laplacian,
     directional_derivative,
+    equation_rhs,
     h1_inner,
     l2_inner,
     random_field,
@@ -167,7 +170,7 @@ def test_directional_derivative_at_zero(rng):
     # at u = 0 every nonlinear term vanishes: d/dt E(tv) = -int(f v)
     spec = make_spec(n=5)
     v = random_field(spec.grid, rng)
-    got = directional_derivative(evaluate(ScalarField.zeros(spec.grid), spec), v)
+    got = directional_derivative(evaluate(ScalarField.zeros(spec.grid), spec), spec, v)
     assert_allclose(got, -l2_inner(spec.forcing, v), rtol=1e-12)
 
 
@@ -177,7 +180,7 @@ def test_directional_derivative_matches_finite_differences(p, rng):
     for _ in range(4):
         u = random_field(spec.grid, rng, scale=0.7)
         v = random_field(spec.grid, rng, scale=0.7)
-        dd = directional_derivative(evaluate(u, spec), v)
+        dd = directional_derivative(evaluate(u, spec), spec, v)
         best = math.inf
         for eps in (1e-4, 1e-5, 1e-6):
             e_plus = energy(evaluate(u + eps * v, spec)).total
@@ -192,7 +195,7 @@ def test_directional_derivative_matches_finite_differences(p, rng):
 
 def test_gradient_field_l2_at_zero_is_minus_forcing():
     spec = make_spec(n=4)
-    g = evaluate(ScalarField.zeros(spec.grid), spec).residual
+    g = gradient_field(evaluate(ScalarField.zeros(spec.grid), spec)).residual
     assert_allclose(g.values, -spec.forcing.values, rtol=0, atol=0)
 
 
@@ -200,17 +203,17 @@ def test_gradient_field_l2_pairs_to_directional_derivative(rng):
     spec = make_spec(n=5, p=3.0)
     s = evaluate(random_field(spec.grid, rng, scale=0.5), spec)
     v = random_field(spec.grid, rng)
-    g = s.residual
-    assert_allclose(l2_inner(g, v), directional_derivative(s, v), rtol=1e-10)
+    g = gradient_field(s).residual
+    assert_allclose(l2_inner(g, v), directional_derivative(s, spec, v), rtol=1e-10)
 
 
 def test_gradient_field_sobolev_is_riesz_representative(rng):
     spec = make_spec(n=5, p=3.0)
     s = evaluate(random_field(spec.grid, rng, scale=0.5), spec)
-    w = gradient_field(s)
+    w = gradient_field(s).g
     for _ in range(3):
         v = random_field(spec.grid, rng)
-        dd = directional_derivative(s, v)
+        dd = directional_derivative(s, spec, v)
         scale = max(abs(dd), h1_inner(w, w), 1.0)
         assert abs(h1_inner(w, v) - dd) <= 1e-9 * scale
 
@@ -222,13 +225,13 @@ def test_strong_residual_composition(rng):
     u = random_field(spec.grid, rng, scale=0.3)
     s = evaluate(u, spec)
     rhs = (
-        -spec.coupling.values * s.phi.values * u.values
+        -spec.coupling.values * compute_phi(u, spec.coupling).values * u.values
         + np.sign(u.values) * np.abs(u.values) ** spec.p
         + spec.forcing.values
     )
     assert_allclose(
         apply_laplacian(u).values - rhs,
-        s.residual.values,
+        gradient_field(s).residual.values,
         rtol=0,
         atol=0,
     )
@@ -241,8 +244,9 @@ def test_strong_residual_composition(rng):
 @pytest.mark.parametrize("p", [1.5, 3.0, 7.0])
 @pytest.mark.parametrize("coupling_kind", ["constant", "sine_bump"])
 def test_state_holds_the_laplacian_and_the_energy_terms(n, p, coupling_kind, rng):
-    # the state's stencil and residual are the grid's, bit for bit, and its
-    # terms agree with the term formulas the state replaced, written inline
+    # the state's stencil, right-hand side and residual are the grid's, bit
+    # for bit, the range of the potential is its own, and its terms agree
+    # with the term formulas the state replaced, written inline
     g = build_grid(n)
     e1, _ = first_eigenpair(g)
     coupling = ScalarField(g, np.ones(g.shape)) if coupling_kind == "constant" else 1e3 * e1
@@ -251,17 +255,37 @@ def test_state_holds_the_laplacian_and_the_energy_terms(n, p, coupling_kind, rng
     u = random_field(g, rng, scale=0.7)
     s = evaluate(u, spec)
     lap = apply_laplacian(u)
+    rhs = equation_rhs(u, spec)
+    phi = compute_phi(u, spec.coupling)
     assert np.array_equal(s.lap.values, lap.values)
-    assert np.array_equal(s.residual.values, (lap - s.rhs).values)
+    assert np.array_equal(s._rhs.values, rhs.values)
+    assert np.array_equal(gradient_field(s).residual.values, (lap - rhs).values)
+    assert s.phi_range == (float(phi.values.min()), float(phi.values.max()))
 
     h3 = g.h**3
     kinetic = 0.5 * h1_inner(u, u)
-    coupling_term = 0.25 * float(np.sum(coupling.values * s.phi.values * u.values**2)) * h3
+    coupling_term = 0.25 * float(np.sum(coupling.values * phi.values * u.values**2)) * h3
     power = float(np.sum(np.abs(u.values) ** (p + 1.0))) * h3 / (p + 1.0)
     forcing_term = l2_inner(forcing, u)
     assert_allclose(s.terms, (kinetic, coupling_term, power, forcing_term), rtol=1e-13, atol=0)
     assert s.grad_sq == 2.0 * s.terms[0]
     assert s.w2n == w2n_norm(u)
+
+
+def test_a_state_has_one_gradient(rng):
+    # gradient_field writes the residual into the rhs it takes, so a state
+    # gives one gradient, and a copy made by dataclasses.replace holds no rhs
+    # to share with it: both raise rather than read that buffer
+    spec = ProblemSpec(p=3.0, coupling=ScalarField.constant(build_grid(6), 1.0),
+                       forcing=first_eigenpair(build_grid(6))[0], grid=build_grid(6))
+    s = evaluate(random_field(spec.grid, rng), spec)
+    copy = replace(s, phi_range=(0.0, 1.0))
+    assert copy._rhs is None
+    with pytest.raises(ValueError, match="right-hand side"):
+        gradient_field(copy)
+    gradient_field(s)
+    with pytest.raises(ValueError, match="right-hand side"):
+        gradient_field(s)
 
 
 # ---------------------------------------------------------------- power kernel

@@ -51,11 +51,11 @@ SHAPES = {
 def _solve(p, shape):
     g = build_grid(8)
     coupling = ScalarField.constant(g, 1.0)
-    ball, phi_e1 = make_ball(p, coupling)
+    ball, mode = make_ball(p, coupling, first_eigenpair(g)[0])
     f = shape(g)
     f = (0.5 * ball.forcing_bound / lp_norm(f, 3)) * f
     spec = ProblemSpec(p=p, coupling=coupling, forcing=f, grid=g)
-    res = minimize(spec, ball, phi_e1)
+    res = minimize(spec, ball, mode)
     return res, verify(res.state, res.gradient, spec, ball)
 
 
@@ -86,13 +86,13 @@ def test_minus_e1_has_the_energy_of_e1(p):
 def test_initial_guess_takes_the_sign_of_the_forcing():
     g = build_grid(6)
     coupling = ScalarField.constant(g, 1.0)
-    ball, phi_e1 = make_ball(3.0, coupling)
-    e1 = first_eigenpair(g)[0]
+    ball, mode = make_ball(3.0, coupling, first_eigenpair(g)[0])
+    e1 = mode.e1
     f = (0.5 * ball.forcing_bound / lp_norm(e1, 3)) * e1
 
     def start(forcing):
         spec = ProblemSpec(p=3.0, coupling=coupling, forcing=forcing, grid=g)
-        return initial_guess(spec, ball.radius, phi_e1)
+        return initial_guess(spec, ball.radius, mode)
 
     plus, minus = start(f), start(-f)
     assert plus.terms[3] > 0.0

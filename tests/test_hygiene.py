@@ -4,7 +4,7 @@ binds no other object over a submodule's name. Run path: every public
 function, method and property of the package is reached by `spball run`,
 `spball study` or load_report.
 
-Each module under src/spball, tests, demos and perfbench is parsed with
+Each module under src/spball, tests, demos, perfbench and tools is parsed with
 ast; an imported name counts as used when it appears as a name anywhere in
 the module or is listed in the module's __all__.
 """
@@ -26,7 +26,7 @@ from spball.runner import load_report
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
     path
-    for folder in ("src/spball", "tests", "demos", "perfbench")
+    for folder in ("src/spball", "tests", "demos", "perfbench", "tools")
     for path in (ROOT / folder).glob("*.py")
 )
 
@@ -63,7 +63,7 @@ def unused_imports(source: str) -> list[str]:
 
 def test_every_tree_is_scanned():
     folders = {path.parent.name for path in MODULES}
-    assert folders == {"spball", "tests", "demos", "perfbench"}
+    assert folders == {"spball", "tests", "demos", "perfbench", "tools"}
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))

@@ -3,6 +3,7 @@ monotone traces, ball confinement, determinism, local minimality, the
 Anderson-mixed step and its fallback, and the stop rule: a fixed_point stop
 means the verifier's fixed_point and pde gates pass."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from spball import (
 from spball.ball import BALL_NORM_SLACK, make_ball
 from spball.grid import neg_laplacian_array
 from spball.energy import ProblemSpec, _state, energy, evaluate, gradient_field, restricted_energy
+from spball.poisson import solve_dirichlet_poisson
 from spball.minimize import (
     MinimizeOptions,
     MinimizeResult,
@@ -32,13 +34,19 @@ from spball.minimize import (
     _start_terms,
     initial_guess,
     minimize,
-    retract_to_ball,
 )
 from spball.runner import ExperimentConfig, run_experiment
 from spball.sampling import smoothed_random_fields
 from spball.verify import FP_THRESHOLD, PDE_THRESHOLD, verify
 
-from conftest import grad_l2_norm, h1_inner, random_field, standard_problem, w2n_norm
+from conftest import (
+    equation_rhs,
+    grad_l2_norm,
+    h1_inner,
+    random_field,
+    standard_problem,
+    w2n_norm,
+)
 
 
 # ---------------------------------------------------------------- options
@@ -61,17 +69,22 @@ def test_options_validation():
 
 
 def test_retract_inside_ball_is_identity(rng):
+    # a field inside the ball keeps its state: evaluate with a radius gives
+    # the state evaluate without one gives, bit for bit
     spec, _, _ = standard_problem(n=5, p=3.0)
-    s = evaluate(random_field(spec.grid, rng), spec)
-    r = 2.0 * w2n_norm(s.u)
-    assert retract_to_ball(s, r, spec) is s
+    u = random_field(spec.grid, rng)
+    s, free = evaluate(u, spec, 2.0 * w2n_norm(u)), evaluate(u, spec)
+    assert s.u is u
+    assert np.array_equal(s.lap.values, free.lap.values)
+    assert np.array_equal(s._rhs.values, free._rhs.values)
+    assert (s.terms, s.phi_range, s.w2n) == (free.terms, free.phi_range, free.w2n)
 
 
 def test_retract_outside_ball_lands_on_boundary(rng):
     spec, _, _ = standard_problem(n=5, p=3.0)
     u = random_field(spec.grid, rng)
     r = 0.25 * w2n_norm(u)
-    v = retract_to_ball(evaluate(u, spec), r, spec).u
+    v = evaluate(u, spec, r).u
     assert_allclose(w2n_norm(v), r, rtol=1e-12)
     # direction preserved
     assert_allclose(v.values * w2n_norm(u), u.values * r, rtol=1e-10)
@@ -79,10 +92,10 @@ def test_retract_outside_ball_lands_on_boundary(rng):
 
 def test_retract_zero_field_and_bad_radius():
     spec, _, _ = standard_problem(n=4, p=3.0)
-    z = evaluate(ScalarField.zeros(spec.grid), spec)
-    assert retract_to_ball(z, 1.0, spec) is z
+    zero = ScalarField.zeros(spec.grid)
+    assert evaluate(zero, spec, 1.0).u is zero
     with pytest.raises(ValueError):
-        retract_to_ball(z, 0.0, spec)
+        evaluate(zero, spec, 0.0)
 
 
 # ---------------------------------------------------------------- initialization
@@ -90,22 +103,22 @@ def test_retract_zero_field_and_bad_radius():
 
 @pytest.mark.parametrize("p", [3.0, 7.0])
 def test_initial_guess_certifies_negative_energy(p):
-    spec, ball, phi_e1 = standard_problem(p=p)
-    s0 = initial_guess(spec, ball.radius, phi_e1)
+    spec, ball, mode = standard_problem(p=p)
+    s0 = initial_guess(spec, ball.radius, mode)
     assert energy(s0).total < 0.0
     assert w2n_norm(s0.u) <= ball.radius * (1.0 + 1e-12)
     assert float(s0.u.values.min()) >= 0.0  # positive multiple of the eigenfunction
 
 
 def test_initial_guess_survives_tiny_forcing():
-    spec, ball, phi_e1 = standard_problem()
+    spec, ball, mode = standard_problem()
     tiny = ProblemSpec(
         p=spec.p,
         coupling=spec.coupling,
         forcing=1e-3 * spec.forcing,
         grid=spec.grid,
     )
-    s0 = initial_guess(tiny, ball.radius, phi_e1)
+    s0 = initial_guess(tiny, ball.radius, mode)
     assert energy(s0).total < 0.0
 
 
@@ -114,8 +127,8 @@ def test_initial_guess_tries_one_candidate(monkeypatch):
     # u = 0 at once: no second candidate is formed
     calls = []
     monkeypatch.setattr(minimize_mod, "restricted_energy", lambda s, r: calls.append(s) or 0.0)
-    spec, ball, phi_e1 = standard_problem()
-    s0 = initial_guess(spec, ball.radius, phi_e1)
+    spec, ball, mode = standard_problem()
+    s0 = initial_guess(spec, ball.radius, mode)
     assert len(calls) == 1
     assert not s0.u.values.any()
     assert s0.terms == (0.0, 0.0, 0.0, 0.0)
@@ -125,22 +138,26 @@ def test_initial_guess_tries_one_candidate(monkeypatch):
 def test_initial_guess_scales_phi_e1_without_a_solve(p, solve_counter):
     # the start is t e with e a multiple of e1, so its potential is a multiple
     # of phi_e1, which make_ball already solved
-    spec, ball, phi_e1 = standard_problem(p=p)
-    s0, count = solve_counter(initial_guess, spec, ball.radius, phi_e1)
+    spec, ball, mode = standard_problem(p=p)
+    s0, count = solve_counter(initial_guess, spec, ball.radius, mode)
     assert count == 0
-    phi = compute_phi(s0.u, spec.coupling)
-    assert_allclose(s0.phi.values, phi.values, rtol=1e-12, atol=0)
+    phi = compute_phi(s0.u, spec.coupling).values
+    assert_allclose(s0.phi_range, (phi.min(), phi.max()), rtol=1e-12, atol=0)
+    coupling_term = 0.25 * float(np.vdot(spec.coupling.values * phi * s0.u.values, s0.u.values))
+    assert_allclose(s0.terms[1], coupling_term * spec.grid.h**3, rtol=1e-12, atol=0)
+    g5 = build_grid(5)
+    other = make_ball(p, ScalarField.constant(g5, 1.0), first_eigenpair(g5)[0])[1]
     with pytest.raises(GridMismatchError):
-        initial_guess(spec, ball.radius, ScalarField.zeros(build_grid(5)))
+        initial_guess(spec, ball.radius, other)
 
 
 def _start_problem(n, p, coupling_kind):
     g = build_grid(n)
     e1, _ = first_eigenpair(g)
     coupling = ScalarField.constant(g, 1.0) if coupling_kind == "constant" else 10.0 * e1
-    ball, phi_e1 = make_ball(p, coupling)
+    ball, mode = make_ball(p, coupling, e1)
     forcing = (0.5 * ball.forcing_bound / lp_norm(e1, 3)) * e1
-    return ProblemSpec(p=p, coupling=coupling, forcing=forcing, grid=g), ball, phi_e1
+    return ProblemSpec(p=p, coupling=coupling, forcing=forcing, grid=g), ball, mode
 
 
 @pytest.mark.parametrize("coupling_kind", ["constant", "sine_bump"])
@@ -149,12 +166,14 @@ def _start_problem(n, p, coupling_kind):
 def test_initial_guess_polynomial_from_four_numbers(p, n, coupling_kind):
     # the start's coefficients are the terms of e's own state, and the state it
     # returns is, bit for bit, the candidate that state's polynomial picks
-    spec, ball, phi_e1 = _start_problem(n, p, coupling_kind)
-    e1, lam = first_eigenpair(spec.grid)
-    scale = ball.radius / (lam * lp_norm(e1, 3))
-    e = scale * e1
-    base = _state(e, (scale * scale) * phi_e1, lam * e, spec)
-    assert_allclose(_start_terms(spec, ball.radius, phi_e1)[3], base.terms, rtol=1e-13, atol=0)
+    spec, ball, mode = _start_problem(n, p, coupling_kind)
+    scale = ball.radius / (mode.lam * mode.norm)
+    e = scale * mode.e1
+    phi = mode.phi.values * (scale * scale)
+    base_lap = mode.lam * e
+    base = _state(e, phi.copy(), base_lap, lp_norm(base_lap, 3), spec)
+    assert _start_terms(spec, ball.radius, mode)[0] == scale
+    assert_allclose(_start_terms(spec, ball.radius, mode)[1], base.terms, rtol=1e-13, atol=0)
 
     quad, quart, power, lin = base.terms
     ts = np.concatenate(([0.0], np.geomspace(1e-8, 1.0, 400)))
@@ -164,29 +183,30 @@ def test_initial_guess_polynomial_from_four_numbers(p, n, coupling_kind):
         t = float(ts[idx])
         if poly[idx] >= 0.0:
             break
-        candidate = _state(t * e, (t * t) * base.phi, t * base.lap, spec)
+        lap = t * base.lap
+        candidate = _state(t * e, phi * (t * t), lap, lp_norm(lap, 3), spec)
         if restricted_energy(candidate, ball.radius) < 0.0:
             expected = candidate
             break
     assert expected is not None
-    s0 = initial_guess(spec, ball.radius, phi_e1)
-    for name in ("u", "phi", "lap", "rhs"):
+    s0 = initial_guess(spec, ball.radius, mode)
+    for name in ("u", "lap", "_rhs"):
         assert np.array_equal(getattr(s0, name).values, getattr(expected, name).values), name
-    assert s0.terms == expected.terms
+    assert (s0.terms, s0.phi_range, s0.w2n) == (expected.terms, expected.phi_range, expected.w2n)
 
 
 # ---------------------------------------------------------------- descent
 
 
 def test_minimize_zero_forcing_diagnostic():
-    spec, ball, phi_e1 = standard_problem()
+    spec, ball, mode = standard_problem()
     diag = ProblemSpec(
         p=spec.p,
         coupling=spec.coupling,
         forcing=ScalarField.zeros(spec.grid),
         grid=spec.grid,
     )
-    res = minimize(diag, ball, phi_e1)
+    res = minimize(diag, ball, mode)
     assert res.iterations == 0
     assert res.energy == 0.0
     assert np.all(res.minimizer.values == 0.0)
@@ -197,7 +217,7 @@ def test_minimize_zero_forcing_diagnostic():
 
 
 def test_minimize_rejects_oversized_forcing():
-    spec, ball, phi_e1 = standard_problem()
+    spec, ball, mode = standard_problem()
     big = ProblemSpec(
         p=spec.p,
         coupling=spec.coupling,
@@ -205,22 +225,22 @@ def test_minimize_rejects_oversized_forcing():
         grid=spec.grid,
     )
     with pytest.raises(ForcingTooLargeError) as excinfo:
-        minimize(big, ball, phi_e1)
+        minimize(big, ball, mode)
     assert excinfo.value.bound == ball.forcing_bound
     assert excinfo.value.actual > excinfo.value.bound
 
 
 def test_minimize_accepts_forcing_at_exact_bound():
     # fraction 1.0 puts the L3 norm on the bound up to float rounding
-    spec, ball, phi_e1 = standard_problem(fraction=1.0)
-    res = minimize(spec, ball, phi_e1, MinimizeOptions(max_iters=50))
+    spec, ball, mode = standard_problem(fraction=1.0)
+    res = minimize(spec, ball, mode, MinimizeOptions(max_iters=50))
     assert res.energy < 0.0
 
 
 @pytest.mark.parametrize("p", [3.0, 7.0])
 def test_minimize_standard_run(p):
-    spec, ball, phi_e1 = standard_problem(p=p)
-    res = minimize(spec, ball, phi_e1)
+    spec, ball, mode = standard_problem(p=p)
+    res = minimize(spec, ball, mode)
     assert res.energy < 0.0
     assert res.energy == energy(evaluate(res.minimizer, spec)).total
     assert w2n_norm(res.minimizer) <= ball.radius * (1.0 + 1e-12)
@@ -233,17 +253,17 @@ def test_minimize_standard_run(p):
 
 
 def test_minimize_trace_is_deterministic():
-    spec, ball, phi_e1 = standard_problem()
+    spec, ball, mode = standard_problem()
     opts = MinimizeOptions()
-    a = minimize(spec, ball, phi_e1, opts)
-    b = minimize(spec, ball, phi_e1, opts)
+    a = minimize(spec, ball, mode, opts)
+    b = minimize(spec, ball, mode, opts)
     assert a.trace == b.trace
     assert np.array_equal(a.minimizer.values, b.minimizer.values)
 
 
 def test_minimize_iteration_budget_flags_nonconvergence():
-    spec, ball, phi_e1 = standard_problem(p=3.0)
-    res = minimize(spec, ball, phi_e1, MinimizeOptions(max_iters=1))
+    spec, ball, mode = standard_problem(p=3.0)
+    res = minimize(spec, ball, mode, MinimizeOptions(max_iters=1))
     assert res.iterations == 1
     assert res.stop_reason == "budget"
     assert isinstance(res, MinimizeResult)
@@ -254,8 +274,8 @@ def test_minimize_stall_is_not_converged(monkeypatch):
     # stops where it started, above the fixed-point target
     monkeypatch.setattr(_MixingHistory, "mixed", lambda self, g, u: u)
     monkeypatch.setattr(minimize_mod, "_backtrack", lambda *args: None)
-    spec, ball, phi_e1 = standard_problem(p=3.0)
-    res = minimize(spec, ball, phi_e1)
+    spec, ball, mode = standard_problem(p=3.0)
+    res = minimize(spec, ball, mode)
     assert res.stop_reason == "no_decrease"
     assert res.iterations == 0
 
@@ -308,13 +328,13 @@ def test_converged_runs_pass_the_residual_gates(monkeypatch, n, p, coupling, fra
 
 
 def test_minimize_local_minimality_spot_check():
-    spec, ball, phi_e1 = standard_problem(p=7.0)
-    res = minimize(spec, ball, phi_e1)
+    spec, ball, mode = standard_problem(p=7.0)
+    res = minimize(spec, ball, mode)
     base = res.energy
     probes = smoothed_random_fields(spec.grid, 50, seed=123)
     for v in probes:
         scale = 1e-4 / max(w2n_norm(v), 1e-30)
-        cand = retract_to_ball(evaluate(res.minimizer + scale * v, spec), ball.radius, spec)
+        cand = evaluate(res.minimizer + scale * v, spec, ball.radius)
         assert energy(cand).total >= base - 1e-9
 
 
@@ -324,8 +344,8 @@ def test_minimize_solve_count(p, solve_counter):
     # scales phi_e1, which make_ball solved), each iteration one gradient
     # solve plus one state per line-search trial, and the gradient at the
     # last iterate one more for the stop test
-    spec, ball, phi_e1 = standard_problem(n=8, p=p)
-    res, count = solve_counter(minimize, spec, ball, phi_e1)
+    spec, ball, mode = standard_problem(n=8, p=p)
+    res, count = solve_counter(minimize, spec, ball, mode)
     assert res.iterations >= 1
     assert all(row[2] == 1.0 for row in res.trace[1:])  # no backtracking
     assert count == 1 + 2 * res.iterations
@@ -355,23 +375,23 @@ def test_retracted_minimizer_is_on_the_boundary(monkeypatch):
     # a hand-built ball just above the forcing norm and below the free
     # minimizer's ball norm: the accepted step is a retracted trial, and
     # the descent ends there, on the boundary
-    retract = minimize_mod.retract_to_ball
+    evaluate_ = minimize_mod.evaluate
     retracted = []
 
-    def recording(s, radius, spec):
-        out = retract(s, radius, spec)
-        if out is not s:
+    def recording(u, spec, radius=math.inf):
+        out = evaluate_(u, spec, radius)
+        if out.u is not u:  # pulled back onto the ball
             retracted.append(out)
         return out
 
-    monkeypatch.setattr(minimize_mod, "retract_to_ball", recording)
-    spec, ball, phi_e1 = standard_problem(n=8, p=3.0, fraction=1.0)
+    monkeypatch.setattr(minimize_mod, "evaluate", recording)
+    spec, ball, mode = standard_problem(n=8, p=3.0, fraction=1.0)
     small = replace(ball, coupling_constant=1e-30, power_constant=1e-30,
                     radius=0.52 * ball.radius)
-    res = minimize(spec, small, phi_e1, MinimizeOptions(max_iters=50))
+    res = minimize(spec, small, mode, MinimizeOptions(max_iters=50))
     assert any(res.state is out for out in retracted)
     assert res.on_boundary
-    free = minimize(spec, ball, phi_e1)
+    free = minimize(spec, ball, mode)
     assert not free.on_boundary
 
 
@@ -429,8 +449,8 @@ def test_rejected_mixed_trial_falls_back_to_the_plain_step(monkeypatch, solve_co
     assert report.energy == PLAIN_DESCENT_N8_ENERGY
     assert report.verification.passed
 
-    spec, ball, phi_e1 = standard_problem(n=8, p=3.0)
-    res, count = solve_counter(minimize, spec, ball, phi_e1)
+    spec, ball, mode = standard_problem(n=8, p=3.0)
+    res, count = solve_counter(minimize, spec, ball, mode)
     energies = [row[1] for row in res.trace]
     assert all(b < a for a, b in zip(energies, energies[1:]))
     assert res.mixed_steps == 0
@@ -444,23 +464,27 @@ def test_trial_outside_the_ball_is_rescaled_without_a_solve(monkeypatch, solve_c
     # does, and its retraction must rescale the evaluated state, t u with
     # t^2 phi_u, on the ball and without another solve
     monkeypatch.setattr(_MixingHistory, "mixed", lambda self, g, u: 3.0 * (u - g))
-    retract = minimize_mod.retract_to_ball
+    evaluate_ = minimize_mod.evaluate
     calls = []
 
-    def recording(s, radius, spec):
-        calls.append((s, retract(s, radius, spec)))
+    def recording(u, spec, radius=math.inf):
+        calls.append((u, evaluate_(u, spec, radius)))
         return calls[-1][1]
 
-    monkeypatch.setattr(minimize_mod, "retract_to_ball", recording)
-    spec, ball, phi_e1 = standard_problem(n=8, p=3.0)
-    res, count = solve_counter(minimize, spec, ball, phi_e1)
+    monkeypatch.setattr(minimize_mod, "evaluate", recording)
+    spec, ball, mode = standard_problem(n=8, p=3.0)
+    res, count = solve_counter(minimize, spec, ball, mode)
     assert res.stop_reason == "fixed_point"
-    assert any(w2n_norm(s.u) > ball.radius for s, _ in calls)  # the path ran
+    assert any(w2n_norm(u) > ball.radius for u, _ in calls)  # the path ran
+    h3 = spec.grid.h**3
     for _, out in calls:
         assert w2n_norm(out.u) <= ball.radius * (1.0 + BALL_NORM_SLACK)
         assert np.array_equal(out.lap.values, apply_laplacian(out.u).values)
-        assert_allclose(out.phi.values, compute_phi(out.u, spec.coupling).values, rtol=1e-12,
-                        atol=0)
+        # the state's potential reads are those of phi_u, solved afresh
+        phi = compute_phi(out.u, spec.coupling).values
+        assert_allclose(out.phi_range, (phi.min(), phi.max()), rtol=1e-12, atol=0)
+        coupled = float(np.vdot(spec.coupling.values * phi * out.u.values, out.u.values))
+        assert_allclose(out.terms[1], 0.25 * coupled * h3, rtol=1e-12, atol=0)
     # none for the initial guess, one gradient per stop test and one state
     # per trial, retracted or not
     assert count == (res.iterations + 1) + len(calls)
@@ -488,8 +512,8 @@ def recorded_minimize(monkeypatch):
     """Patch the runner's minimize to record (result, spec, ball) of each call."""
     calls = []
 
-    def recording(spec, ball, phi_e1, opts=None):
-        calls.append((minimize(spec, ball, phi_e1, opts), spec, ball))
+    def recording(spec, ball, mode, opts=None):
+        calls.append((minimize(spec, ball, mode, opts), spec, ball))
         return calls[-1][0]
 
     monkeypatch.setattr(runner_mod, "minimize", recording)
@@ -506,8 +530,11 @@ def test_verify_from_the_handed_over_state_matches_the_field_alone(monkeypatch, 
     s = evaluate(res.minimizer, spec)
     g = gradient_field(s)
     assert res.iterations >= 1
-    for handed, fresh in ((res.state.phi, s.phi), (res.state.rhs, s.rhs), (res.gradient, g)):
+    for handed, fresh in ((res.state.lap, s.lap), (res.gradient.g, g.g),
+                          (res.gradient.residual, g.residual)):
         assert np.array_equal(handed.values, fresh.values)
+    assert (res.state.terms, res.state.phi_range, res.state.w2n) == (s.terms, s.phi_range, s.w2n)
+    assert (res.gradient.residual_norm, res.gradient.rhs_norm) == (g.residual_norm, g.rhs_norm)
     assert report.verification == verify(res.state, res.gradient, spec, ball) == verify(
         s, g, spec, ball
     )
@@ -515,32 +542,43 @@ def test_verify_from_the_handed_over_state_matches_the_field_alone(monkeypatch, 
 
 @pytest.mark.parametrize("config", HANDOVER_CASES)
 def test_stop_test_residual_is_the_gradient_pass_norm(monkeypatch, config):
-    # at every stop test g = gradient_field(s), so the pairing with the held
-    # strong residual reads the H1 norm a gradient pass over g would
-    seen = []
+    # at every stop test the Gradient is gradient_field(s), formed from the
+    # rhs the state held, so the pairing with its strong residual reads the
+    # H1 norm a gradient pass over g would
+    seen, held = [], []
     fp = minimize_mod.fixed_point_residual
+    gradient_field_ = minimize_mod.gradient_field
+
+    def recording_gradient(s):
+        held.append(s._rhs.values.copy())
+        return gradient_field_(s)
 
     def recording(s, g):
         seen.append((s, g))
         return fp(s, g)
 
+    monkeypatch.setattr(minimize_mod, "gradient_field", recording_gradient)
     monkeypatch.setattr(minimize_mod, "fixed_point_residual", recording)
     report = run_experiment(ExperimentConfig.from_dict(config), write_outputs=False)
-    assert len(seen) == report.minimize_summary["iterations"] + 1
-    for s, g in seen:
-        assert np.array_equal(g.values, gradient_field(s).values)
-        assert_allclose(fp(s, g), grad_l2_norm(g) / grad_l2_norm(s.u), rtol=1e-9)
+    assert len(seen) == len(held) == report.minimize_summary["iterations"] + 1
+    for (s, g), rhs in zip(seen, held):
+        rhs = ScalarField(s.u.grid, rhs)
+        assert np.array_equal(g.g.values, (s.u - solve_dirichlet_poisson(rhs).field).values)
+        assert np.array_equal(g.residual.values, (s.lap - rhs).values)
+        assert_allclose(fp(s, g), grad_l2_norm(g.g) / grad_l2_norm(s.u), rtol=1e-9)
 
 
 @pytest.mark.parametrize("config", HANDOVER_CASES)
 def test_aux_ball_norm_is_the_rhs_norm(monkeypatch, config):
     # -Delta_h T(u) = rhs(u) by construction, so the aux_in_ball gate reads
-    # ||rhs||_3 in place of the stencil norm of T(u) = u - g
+    # ||rhs||_3, which the Gradient keeps, in place of the stencil norm of
+    # T(u) = u - g
     calls = recorded_minimize(monkeypatch)
     run_experiment(ExperimentConfig.from_dict(config), write_outputs=False)
-    (res, _, _), = calls
-    stencil = w2n_norm(res.minimizer - res.gradient)
-    assert lp_norm(res.state.rhs, 3) == pytest.approx(stencil, rel=1e-12, abs=0.0)
+    (res, spec, _), = calls
+    stencil = w2n_norm(res.minimizer - res.gradient.g)
+    assert res.gradient.rhs_norm == pytest.approx(stencil, rel=1e-12, abs=0.0)
+    assert res.gradient.rhs_norm == lp_norm(equation_rhs(res.minimizer, spec), 3)
 
 
 @pytest.mark.parametrize("config", HANDOVER_CASES)
@@ -565,10 +603,11 @@ def test_run_experiment_solve_count(monkeypatch, solve_counter, config):
     pytest.param({**BASELINE_N8, "grid_n": 32}, id="solve-n32"),
 ])
 def test_run_experiment_kernel_count(monkeypatch, kernel_counter, config):
-    # guards the whole run against re-added stencils and power passes. Stencils: e1's ball norm in the ball constants and one per
-    # trial state; the initial guess scales lambda_h e1, the Anderson history
-    # reads the held strong residuals and verify reads T(u)'s ball norm as
-    # ||rhs||_3, so none of them runs one. _signed_power: one per state
+    # guards the whole run against re-added stencils and power passes.
+    # Stencils: one per trial state; the ball takes e1's ball norm as
+    # lambda_h ||e1||_3, the initial guess scales lambda_h e1, the Anderson
+    # history reads the held strong residuals and verify reads T(u)'s ball
+    # norm as ||rhs||_3, so none of them runs one. _signed_power: one per state
     # formed, the initial guess's and one per trial; the ball's power ratio
     # and the start's polynomial take their own powers
     calls = recorded_minimize(monkeypatch)
@@ -580,7 +619,7 @@ def test_run_experiment_kernel_count(monkeypatch, kernel_counter, config):
     assert report.verification.passed
     assert all(row[2] == 1.0 for row in res.trace[1:])
     assert res.mixed_steps == k - 1
-    assert counts["neg_laplacian_array"] == 1 + k
+    assert counts["neg_laplacian_array"] == k
     assert counts["_signed_power"] == 1 + k
 
 

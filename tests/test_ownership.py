@@ -2,17 +2,22 @@
 
 A kernel hands its fresh output array to the field it returns instead of
 copying it, so such a field must still be read-only, share no memory with
-the kernel's inputs and pass the finiteness scan. The budgets are
-tracemalloc peaks in units of one field's array, (n-1)^3 float64 values:
-an extra copy or a hidden temporary of field size shows as a whole unit.
-The finiteness scan's boolean mask is an eighth of one.
+the kernel's inputs and pass the finiteness scan. A buffer is reused only
+once no other object holds it: the potential's solve works in the array of
+c u^2, and a state's gradient writes the residual into the rhs array the
+state hands over. The budgets are tracemalloc peaks in units of one field's
+array, (n-1)^3 float64 values: an extra copy or a hidden temporary of field
+size shows as a whole unit. The finiteness scan's boolean mask is an eighth
+of one.
 """
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+import spball.minimize as minimize_module
 import spball.runner as runner_module
 from spball.ball import estimate_constants, make_ball
 from spball.energy import ProblemSpec, evaluate, gradient_field
@@ -43,6 +48,7 @@ def test_kernel_fields_are_read_only_and_share_no_memory_with_inputs(rng):
     spec, u = _problem(6, rng)
     v = random_field(spec.grid, rng)
     s = evaluate(u, spec)
+    grad = gradient_field(s)
     inputs = (u.values, v.values, spec.coupling.values, spec.forcing.values)
     made = {
         "sum": u + v,
@@ -56,11 +62,9 @@ def test_kernel_fields_are_read_only_and_share_no_memory_with_inputs(rng):
         "zero solve": solve_dirichlet_poisson(ScalarField.zeros(spec.grid)).field,
         "potential": compute_phi(u, spec.coupling),
         "eigenfunction": first_eigenpair(spec.grid)[0],
-        "state phi": s.phi,
         "state lap": s.lap,
-        "state rhs": s.rhs,
-        "residual": s.residual,
-        "gradient": gradient_field(s),
+        "gradient": grad.g,
+        "residual": grad.residual,
     }
     arrays = [f.values for f in made.values()]
     for name, field in made.items():
@@ -69,6 +73,31 @@ def test_kernel_fields_are_read_only_and_share_no_memory_with_inputs(rng):
         for other in inputs:
             assert not np.shares_memory(field.values, other), name
         assert sum(np.shares_memory(field.values, a) for a in arrays) == 1, name
+
+
+def _address(values: np.ndarray) -> int:
+    return values.__array_interface__["data"][0]
+
+
+def test_a_buffer_is_reused_only_once_no_other_object_holds_it(rng):
+    # (the solve that works in its right-hand side's buffer, as compute_phi's
+    # does in c u^2's, is tests/test_poisson.py's)
+    spec, u = _problem(6, rng)
+    # a state holds its rhs alone, and hands it to its gradient, which
+    # writes the residual into it; the state holds no rhs afterwards, and a
+    # second gradient of it is refused
+    s = evaluate(u, spec)
+    address = _address(s._rhs.values)
+    grad = gradient_field(s)
+    assert s._rhs is None
+    assert _address(grad.residual.values) == address
+    with pytest.raises(ValueError, match="right-hand side"):
+        gradient_field(s)
+    # what the caller holds is never written: the field a trial is made
+    # from keeps its values through evaluate, retraction included
+    before = u.values.copy()
+    evaluate(u, spec, 0.5 * s.w2n)
+    assert np.array_equal(u.values, before)
 
 
 def test_kernel_results_that_overflow_raise_value_error():
@@ -104,10 +133,11 @@ def _peak_in_fields(grid, fn, *args) -> float:
 # kernel -> budget: its output arrays, its buffers and one finiteness mask
 BUDGETS = {
     "solve": 2.25,  # two transform buffers; the field adopts the second
-    "compute_phi": 3.25,  # c u^2 and the solve's two buffers
+    "compute_phi": 2.25,  # c u^2, which the potential adopts, and one solve buffer
     "scalar product": 1.25,
-    # phi, lap, c phi u and the power array that becomes rhs; the stencil's
-    # strided subtractions add numpy temporaries (0.9 of a field at n=16)
+    # phi, in which c phi u is formed, lap and the power array that becomes
+    # rhs; the stencil's strided subtractions add numpy temporaries (0.9 of
+    # a field at n=16)
     "evaluate": 5.0,
     "lp_norm m=2": 0.25,  # no array: the dot product of u with itself
     "lp_norm m=3": 1.25,  # u*u, signed in place
@@ -131,38 +161,39 @@ def test_hot_path_allocation_budget(rng, n, kernel):
 
 # the ball constants, the start and verify, once per run -> budget
 STAGE_BUDGETS = {
-    # e1, c e1^2 and the solve's two buffers; at n=16 the stencil for e1's
-    # ball norm adds its strided temporaries on top of e1 and its Laplacian
-    "estimate_constants": 5.0,
-    # e, the candidate's u, phi and lap, and the c phi u and power arrays
-    # its state forms, but no state of e itself; at n=16 the 401-point t grid
-    # and its polynomial add half a field
-    "initial_guess": 6.75,
-    # no solve: one array at a time, the signed square behind the L3 norm
-    # of rhs (aux_in_ball) and then of the strong residual (pde); max |phi_u|
-    # comes from the min and max
-    "verify": 1.25,
+    # the signed square behind ||e1||_3, then phi_e1, c phi_e1 e1 and the
+    # signed square behind its L3 norm; e1 is the caller's, and the ball's
+    # other numbers are sums over one axis
+    "estimate_constants": 3.25,
+    # the candidate's u, phi and lap, in which c phi u is formed, and the
+    # power array its state forms, but no state of e; at n=16 the 401-point
+    # t grid and its polynomial add a third of a field
+    "initial_guess": 4.75,
+    # no solve and no array: the L3 norms of rhs (aux_in_ball) and of the
+    # strong residual (pde) come with the Gradient, and the range of phi_u
+    # with the state
+    "verify": 0.25,
 }
 
 
 def _stage_problem(n):
-    """(spec, ball, phi_e1) of the solve-n32 config on an n-grid."""
+    """(spec, ball, mode) of the solve-n32 config on an n-grid."""
     g = build_grid(n)
-    e1, _ = first_eigenpair(g)
+    e1 = first_eigenpair(g)[0]
     coupling = ScalarField.constant(g, 1.0)
-    ball, phi_e1 = make_ball(7.0, coupling)
+    ball, mode = make_ball(7.0, coupling, e1)
     forcing = (0.5 * ball.forcing_bound / lp_norm(e1, 3)) * e1
-    return ProblemSpec(p=7.0, coupling=coupling, forcing=forcing, grid=g), ball, phi_e1
+    return ProblemSpec(p=7.0, coupling=coupling, forcing=forcing, grid=g), ball, mode
 
 
 @pytest.mark.parametrize("n", [16, 32])
 @pytest.mark.parametrize("stage", sorted(STAGE_BUDGETS))
 def test_run_stage_allocation_budget(n, stage):
-    spec, ball, phi_e1 = _stage_problem(n)
-    s = initial_guess(spec, ball.radius, phi_e1)
+    spec, ball, mode = _stage_problem(n)
+    s = initial_guess(spec, ball.radius, mode)
     calls = {
-        "estimate_constants": (estimate_constants, 7.0, spec.coupling),
-        "initial_guess": (initial_guess, spec, ball.radius, phi_e1),
+        "estimate_constants": (estimate_constants, 7.0, spec.coupling, mode.e1),
+        "initial_guess": (initial_guess, spec, ball.radius, mode),
         "verify": (verify, s, gradient_field(s), spec, ball),
     }
     assert _peak_in_fields(spec.grid, *calls[stage]) <= STAGE_BUDGETS[stage]
@@ -170,29 +201,67 @@ def test_run_stage_allocation_budget(n, stage):
 
 @pytest.mark.parametrize("n", [16, 32])
 def test_verify_gates_allocate_one_field(n):
-    # the potential's gates take min and max of phi_u and pair the state's
-    # terms, so they form no array; verify's gates as a whole form one, the
-    # signed square behind an L3 norm
-    spec, ball, phi_e1 = _stage_problem(n)
-    s = initial_guess(spec, ball.radius, phi_e1)
+    # the potential's gates read the state's range of phi_u and pair its
+    # terms, so they form no array; verify's gates as a whole read the
+    # Gradient's norms and form none either, within the one field allowed
+    spec, ball, mode = _stage_problem(n)
+    s = initial_guess(spec, ball.radius, mode)
     assert _peak_in_fields(spec.grid, phi_property_check, s, ball) <= 0.25
     assert _peak_in_fields(spec.grid, verify, s, gradient_field(s), spec, ball) <= 1.25
 
 
-# a whole run of the solve-n32 config, in fields; the descent holds
-# the forcing, the sine factors' eigenvalue cube, the current state with its
-# residual, its gradient and the trial's state as it is formed, but neither
-# phi_e1 after the initial guess nor the old state's phi and rhs while the
-# step's displacement is taken
-RUN_BUDGET = 13.5
+# a whole run, in fields, per config: the descent holds the forcing, the
+# sine factors' eigenvalue cube, the iterate's u, lap, g and residual and
+# the trial's state as it is formed (u, lap, the phi array that becomes
+# c phi u, and the power array that becomes rhs), but not e1 or phi_e1
+# after the initial guess; the peak is the step's displacement, two
+# differences taken while the old iterate and the new state are held.
+# descent-n32 adds its Anderson history, two arrays per step
+RUN_CONFIGS = {
+    "solve-n32": {"grid_n": 32, "p": 7.0, "coupling": {"constant": 1},
+                  "forcing": {"scaled_to_bound": 0.5}},
+    "descent-n32": {"grid_n": 32, "p": 3.0, "coupling": {"constant": 1},
+                    "forcing": {"scaled_to_bound": 1.0}, "safety": 1.0},
+}
+RUN_BUDGETS = {"solve-n32": 11.25, "descent-n32": 17.25}
+
+
+def _run_peak(name: str) -> float:
+    config = ExperimentConfig.from_dict(RUN_CONFIGS[name])
+    return _peak_in_fields(build_grid(32), run_experiment, config, None, False)
 
 
 def test_run_allocation_budget():
-    config = ExperimentConfig.from_dict({
-        "grid_n": 32, "p": 7.0, "coupling": {"constant": 1},
-        "forcing": {"scaled_to_bound": 0.5},
-    })
-    assert _peak_in_fields(build_grid(32), run_experiment, config, None, False) <= RUN_BUDGET
+    assert _run_peak("solve-n32") <= RUN_BUDGETS["solve-n32"]
+
+
+def test_descent_run_allocation_budget():
+    assert _run_peak("descent-n32") <= RUN_BUDGETS["descent-n32"]
+
+
+def test_a_run_frees_e1_and_its_potential_after_the_start(monkeypatch):
+    # the run's one FirstMode goes to minimize alone, which drops it once
+    # the start has read it: by the first gradient, e1 and phi_e1 are gone,
+    # and the result holds neither
+    refs = []
+    make_ball_ = runner_module.make_ball
+    gradient_field_ = minimize_module.gradient_field
+
+    def recording_ball(*args):
+        ball, mode = make_ball_(*args)
+        refs.extend((weakref.ref(mode.e1), weakref.ref(mode.phi)))
+        return ball, mode
+
+    def checking_gradient(s):
+        assert [ref() for ref in refs] == [None, None]
+        return gradient_field_(s)
+
+    monkeypatch.setattr(runner_module, "make_ball", recording_ball)
+    monkeypatch.setattr(minimize_module, "gradient_field", checking_gradient)
+    config = ExperimentConfig.from_dict(RUN_CONFIGS["solve-n32"])
+    report = run_experiment(config, write_outputs=False)
+    assert report.verification.passed
+    assert len(refs) == 2 and [ref() for ref in refs] == [None, None]
 
 
 def test_constant_field_is_a_read_only_zero_stride_view():
@@ -220,12 +289,13 @@ def test_constant_coupling_view_gives_the_bits_of_a_full_array(rng, monkeypatch)
     specs = [ProblemSpec(p=3.0, coupling=c, forcing=first_eigenpair(g)[0], grid=g)
              for c in (view, full)]
     a, b = (evaluate(u, spec) for spec in specs)
-    for name in ("phi", "rhs", "lap"):
+    for name in ("_rhs", "lap"):
         assert np.array_equal(getattr(a, name).values, getattr(b, name).values), name
-    assert a.terms == b.terms
-    ca, cb = estimate_constants(7.0, view), estimate_constants(7.0, full)
+    assert (a.terms, a.phi_range) == (b.terms, b.phi_range)
+    e1 = first_eigenpair(g)[0]
+    ca, cb = estimate_constants(7.0, view, e1), estimate_constants(7.0, full, e1)
     assert ca[:3] == cb[:3]
-    assert np.array_equal(ca[3].values, cb[3].values)
+    assert np.array_equal(ca[3].phi.values, cb[3].phi.values)
 
     config = ExperimentConfig.from_dict({
         "grid_n": 8, "p": 3.0, "coupling": {"constant": 1.0},
@@ -233,7 +303,7 @@ def test_constant_coupling_view_gives_the_bits_of_a_full_array(rng, monkeypatch)
     })
     with_view = run_experiment(config, write_outputs=False).to_dict()
     monkeypatch.setattr(runner_module, "_build_coupling",
-                        lambda grid, spec: _materialized(grid, float(spec["constant"])))
+                        lambda grid, spec, e1: _materialized(grid, float(spec["constant"])))
     with_full = run_experiment(config, write_outputs=False).to_dict()
     assert with_view["minimize_summary"]["iterations"] > 1
     with_view.pop("wall_time"), with_full.pop("wall_time")

@@ -3,6 +3,8 @@ direct-solve oracle, exactness of the transform solve, manufactured-solution
 convergence, and the potential's structural properties (sign, scaling,
 quadratic bound)."""
 
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -117,6 +119,41 @@ def test_a_run_builds_the_transform_factors_once(monkeypatch, solve_counter):
     assert report.verification.passed
     assert solves >= 4
     assert built == [8]
+
+
+def test_a_run_builds_the_first_eigenfunction_once(monkeypatch):
+    # e1 serves the coupling, the ball constants, the forcing and the start:
+    # one first_eigenpair per run, wherever spball bound the name
+    built = []
+    original = grid_module.first_eigenpair
+
+    def counting(grid):
+        built.append(grid.n)
+        return original(grid)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "spball" and getattr(module, "first_eigenpair", None) is original:
+            monkeypatch.setattr(module, "first_eigenpair", counting)
+    for coupling, forcing in (({"constant": 1}, {"scaled_to_bound": 0.5}),
+                              ({"sine_bump": 1e3}, {"sine_bump": -0.1})):
+        built.clear()
+        config = ExperimentConfig.from_dict({
+            "grid_n": 8, "p": 7.0, "coupling": coupling, "forcing": forcing,
+        })
+        assert run_experiment(config, write_outputs=False).verification.passed
+        assert built == [8]
+
+
+def test_overwrite_solves_in_the_given_buffer(rng):
+    # the result is the plain solve's, bit for bit, in f's own array
+    g = build_grid(7)
+    f = random_field(g, rng)
+    plain = solve_dirichlet_poisson(f).field
+    address = f.values.__array_interface__["data"][0]
+    solved = solve_dirichlet_poisson(f, overwrite=True).field
+    assert solved.values.__array_interface__["data"][0] == address
+    assert np.array_equal(solved.values, plain.values)
+    assert not solved.values.flags.writeable
 
 
 def test_solution_linearity(rng):

@@ -239,6 +239,54 @@ def test_load_report_rejects_a_ball_that_ball_spec_rejects(small_run, tmp_path):
     assert str(path) in str(excinfo.value)
 
 
+def test_load_report_rejects_an_unknown_top_level_key(small_run, tmp_path):
+    # a 0.9.0 report carried converged beside the blocks
+    cfg, report, out = small_run
+    data = report.to_dict()
+    data["converged"] = True
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match="unexpected key 'converged'") as excinfo:
+        load_report(path)
+    assert str(path) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("wall_time", [
+    ["setup", "constants", "minimize", "verify", "total"],
+    {"bogus": "x"},
+    {"setup": 0.1, "constants": 0.1, "minimize": 0.1, "verify": 0.1},
+    {"setup": 0.1, "constants": 0.1, "minimize": 0.1, "verify": 0.1, "total": 0.4, "write": 0.1},
+    {"setup": 0.1, "constants": 0.1, "minimize": 0.1, "verify": 0.1, "total": "0.4"},
+    {"setup": 0.1, "constants": 0.1, "minimize": 0.1, "verify": 0.1, "total": None},
+    {"setup": 0.1, "constants": 0.1, "minimize": 0.1, "verify": 0.1, "total": float("nan")},
+    {"setup": 0.1, "constants": 0.1, "minimize": 0.1, "verify": True, "total": 0.4},
+])
+def test_load_report_checks_the_wall_time(small_run, tmp_path, wall_time):
+    # the five stages run_experiment times, each a finite number of seconds
+    cfg, report, out = small_run
+    data = report.to_dict()
+    data["wall_time"] = wall_time
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match="wall_time") as excinfo:
+        load_report(path)
+    assert str(path) in str(excinfo.value)
+    assert set(load_report(out / "report.json").wall_time) == {
+        "setup", "constants", "minimize", "verify", "total"}
+
+
+@pytest.mark.parametrize("version", [12, None, ["0.12.0"]])
+def test_load_report_checks_the_version_is_a_string(small_run, tmp_path, version):
+    cfg, report, out = small_run
+    data = report.to_dict()
+    data["version"] = version
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match="version must be a string") as excinfo:
+        load_report(path)
+    assert str(path) in str(excinfo.value)
+
+
 def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     root = Path(__file__).resolve().parent.parent

@@ -22,9 +22,16 @@ from spball import (
 )
 from spball.ball import BallSpec, make_ball
 from spball.cli import main
-from spball.energy import FieldState, ProblemSpec, _signed_power, evaluate, gradient_field
+from spball.energy import (
+    FieldState,
+    Gradient,
+    ProblemSpec,
+    _signed_power,
+    evaluate,
+    gradient_field,
+)
 from spball.grid import neg_laplacian_array
-from spball.minimize import minimize, retract_to_ball
+from spball.minimize import minimize
 from spball.poisson import compute_phi, solve_dirichlet_poisson
 from spball.runner import load_report
 from spball.sampling import smoothed_random_fields
@@ -39,6 +46,7 @@ from spball.verify import (
 from conftest import (
     ball_samples,
     dense_neg_laplacian,
+    equation_rhs,
     grad_l2_norm,
     h1_inner,
     l2_inner,
@@ -50,14 +58,14 @@ from conftest import (
 
 @pytest.fixture(scope="module")
 def solved_problem():
-    spec, ball, phi_e1 = standard_problem(n=8, p=7.0)
-    res = minimize(spec, ball, phi_e1)
+    spec, ball, mode = standard_problem(n=8, p=7.0)
+    res = minimize(spec, ball, mode)
     assert res.stop_reason == "fixed_point"
     return spec, ball, res
 
 
 def state_and_gradient(u, spec):
-    """The candidate's state and g = u - T(u), from the field alone."""
+    """The candidate's state and its Gradient, with g = u - T(u), from the field alone."""
     s = evaluate(u, spec)
     return s, gradient_field(s)
 
@@ -67,15 +75,15 @@ def state_and_gradient(u, spec):
 
 def test_auxiliary_solve_zero_candidate_inverts_forcing():
     # at u = 0 the right-hand side is the forcing alone, and T(0) = 0 - g
-    spec, ball, phi_e1 = standard_problem(n=6, p=3.0)
+    spec, ball, mode = standard_problem(n=6, p=3.0)
     s, g = state_and_gradient(ScalarField.zeros(spec.grid), spec)
-    aux = s.u - g
+    aux = s.u - g.g
     direct = solve_dirichlet_poisson(spec.forcing).field
     assert np.array_equal(aux.values, direct.values)
 
 
 def test_auxiliary_solve_dense_oracle(rng):
-    spec, ball, phi_e1 = standard_problem(n=4, p=3.0)
+    spec, ball, mode = standard_problem(n=4, p=3.0)
     u = (0.1 * ball.radius / 1.0) * random_field(spec.grid, rng, scale=0.05)
     a = dense_neg_laplacian(4)
     phi = np.linalg.solve(a, (spec.coupling.values * u.values**2).ravel())
@@ -86,12 +94,12 @@ def test_auxiliary_solve_dense_oracle(rng):
     )
     expected = np.linalg.solve(a, rhs).reshape(spec.grid.shape)
     s, g = state_and_gradient(u, spec)
-    aux = s.u - g
+    aux = s.u - g.g
     assert_allclose(aux.values, expected, atol=1e-9 * np.abs(expected).max())
 
 
 def test_auxiliary_solve_rejects_candidate_outside_ball():
-    spec, ball, phi_e1 = standard_problem(n=6)
+    spec, ball, mode = standard_problem(n=6)
     e1, _ = first_eigenpair(spec.grid)
     outside = (3.0 * ball.radius / w2n_norm(e1)) * e1
     with pytest.raises(OutsideBallError):
@@ -114,7 +122,7 @@ def test_escaping_auxiliary_image_fails_aux_in_ball():
         warnings.simplefilter("error")
         s, grad = state_and_gradient(ScalarField.zeros(g), spec)
         report = verify(s, grad, spec, tiny)
-    assert w2n_norm(s.u - grad) > tiny.radius
+    assert w2n_norm(s.u - grad.g) > tiny.radius
     assert "aux_in_ball" in report.failed_checks
 
 
@@ -127,28 +135,32 @@ def test_fixed_point_residual_basics(rng):
     spec, _, _ = standard_problem(n=5, p=3.0)
     for scale in (1.0, 1e-3, 1e2):
         s, g = state_and_gradient(random_field(spec.grid, rng, scale=scale), spec)
-        assert_allclose(fixed_point_residual(s, g), grad_l2_norm(g) / grad_l2_norm(s.u),
+        assert_allclose(fixed_point_residual(s, g), grad_l2_norm(g.g) / grad_l2_norm(s.u),
                         rtol=1e-9)
     # u = 0 with zero forcing is a fixed point: T(0) = 0 and the residual is exactly 0
     diag = replace(spec, forcing=ScalarField.zeros(spec.grid))
     s, g = state_and_gradient(ScalarField.zeros(spec.grid), diag)
-    assert not np.any(g.values)
+    assert not np.any(g.g.values)
     assert fixed_point_residual(s, g) == 0.0
 
 
 @pytest.mark.parametrize("sigma", [1e-170, 1e-60, 1e150])
 def test_fixed_point_residual_is_scale_free(rng, sigma):
-    # u, rhs, lap and g times sigma, phi times sigma^2 and each energy term
-    # times sigma to its degree: at 1e-170 both squares fall below the normal
-    # range and are taken again on rescaled arrays; at 1e-60 and 1e150 they
-    # stay normal and the quotient alone cancels sigma
+    # u, lap, g, the residual and their norms times sigma, the potential's
+    # range times sigma^2 and each energy term times sigma to its degree: at
+    # 1e-170 both squares fall below the normal range and are taken again on
+    # rescaled arrays; at 1e-60 and 1e150 they stay normal and the quotient
+    # alone cancels sigma
     spec, _, _ = standard_problem(n=6, p=3.0)
     s, g = state_and_gradient(random_field(spec.grid, rng), spec)
     degrees = (2, 4, 4, 1)  # 2, 4, p + 1 and 1 at p = 3
-    scaled = FieldState(sigma * s.u, (sigma * sigma) * s.phi, sigma * s.rhs, sigma * s.lap,
-                        tuple(term * math.prod([sigma] * d) for term, d in zip(s.terms, degrees)))
+    scaled = FieldState(sigma * s.u, sigma * s.lap,
+                        tuple(term * math.prod([sigma] * d) for term, d in zip(s.terms, degrees)),
+                        tuple(sigma * sigma * x for x in s.phi_range), sigma * s.w2n)
+    scaled_g = Gradient(sigma * g.g, sigma * g.residual, sigma * g.residual_norm,
+                        sigma * g.rhs_norm)
     assert (scaled.grad_sq < sys.float_info.min) == (sigma == 1e-170)
-    assert_allclose(fixed_point_residual(scaled, sigma * g), fixed_point_residual(s, g),
+    assert_allclose(fixed_point_residual(scaled, scaled_g), fixed_point_residual(s, g),
                     rtol=1e-12, atol=0.0)
 
 
@@ -183,13 +195,13 @@ def test_pde_residual_against_a_zero_forcing(rng):
     g = build_grid(5)
     spec = ProblemSpec(p=3.0, coupling=ScalarField.constant(g, 1.0),
                        forcing=ScalarField.zeros(g), grid=g)
-    assert pde_residual(evaluate(ScalarField.zeros(g), spec), spec) == 0.0
-    assert pde_residual(evaluate(random_field(g, rng), spec), spec) == math.inf
+    assert pde_residual(gradient_field(evaluate(ScalarField.zeros(g), spec)), spec) == 0.0
+    assert pde_residual(gradient_field(evaluate(random_field(g, rng), spec)), spec) == math.inf
 
 
 def test_pde_residual_is_one_at_zero_candidate():
     spec, _, _ = standard_problem(n=5, p=3.0)
-    assert pde_residual(evaluate(ScalarField.zeros(spec.grid), spec), spec) == 1.0
+    assert pde_residual(state_and_gradient(ScalarField.zeros(spec.grid), spec)[1], spec) == 1.0
 
 
 def test_pde_residual_vanishes_on_manufactured_solution():
@@ -207,12 +219,12 @@ def test_pde_residual_vanishes_on_manufactured_solution():
     )
     assert f_vals.min() > 0.0
     spec = ProblemSpec(p=3.0, coupling=coupling, forcing=ScalarField(g, f_vals), grid=g)
-    assert pde_residual(evaluate(star, spec), spec) <= 1e-12
+    assert pde_residual(state_and_gradient(star, spec)[1], spec) <= 1e-12
 
 
 def test_pde_residual_small_after_minimize(solved_problem):
     spec, ball, res = solved_problem
-    assert pde_residual(evaluate(res.minimizer, spec), spec) <= 1e-5
+    assert pde_residual(state_and_gradient(res.minimizer, spec)[1], spec) <= 1e-5
 
 
 # ---------------------------------------------------------------- variational inequality
@@ -253,7 +265,7 @@ def test_vi_detects_non_minimizer():
     # the zero field with positive forcing is far from stationary: its own
     # auxiliary image is a lower-energy direction, so the gap is negative.
     # The gap is -fp^2, so the fixed_point gate is what rejects it
-    spec, ball, phi_e1 = standard_problem(n=6, p=3.0)
+    spec, ball, mode = standard_problem(n=6, p=3.0)
     s, g = state_and_gradient(ScalarField.zeros(spec.grid), spec)
     report = verify(s, g, spec, ball)
     assert report.vi_gap < -1e-8
@@ -267,16 +279,17 @@ def test_vi_detects_non_minimizer():
 def test_vi_gap_is_the_infimum_over_the_old_probe_family(n, p, scale):
     # the probes the sampled audit used, with its per-probe gap written inline:
     # the gap at aux equals the closed form and no probe falls below it
-    spec, ball, phi_e1 = standard_problem(n=n, p=p, fraction=0.5)
-    s, g = state_and_gradient(scale * minimize(spec, ball, phi_e1).minimizer, spec)
-    aux = solve_dirichlet_poisson(s.rhs).field
-    u = s.u
+    spec, ball, mode = standard_problem(n=n, p=p, fraction=0.5)
+    u = scale * minimize(spec, ball, mode).minimizer
+    rhs = equation_rhs(u, spec)
+    s, g = state_and_gradient(u, spec)
+    aux = solve_dirichlet_poisson(rhs).field
     half_u = 0.5 * h1_inner(u, u)
-    probes = [u, aux, ScalarField.zeros(u.grid), 0.5 * u, retract_to_ball(evaluate(2.0 * u, spec), ball.radius, spec).u]
+    probes = [u, aux, ScalarField.zeros(u.grid), 0.5 * u, evaluate(2.0 * u, spec, ball.radius).u]
     # seed 3 plus the old verifier seed offset 1_000_003
     probes.extend(ball_samples(u.grid, 64, 1_000_006, ball.radius))
     # relative to 1/2||grad u||^2, the scale of the terms the per-probe gap cancels
-    gaps = [(0.5 * h1_inner(v, v) - half_u - l2_inner(s.rhs, v - u)) / half_u for v in probes]
+    gaps = [(0.5 * h1_inner(v, v) - half_u - l2_inner(rhs, v - u)) / half_u for v in probes]
 
     fp = fixed_point_residual(s, g)
     vi_gap = -(fp * fp)
@@ -297,12 +310,14 @@ def test_phi_property_check_reuses_a_given_potential(solved_problem):
     spec, ball, res = solved_problem
     s = evaluate(res.minimizer, spec)
     assert phi_property_check(s, ball) == (True, True)
-    # the checks read the potential they are given
-    assert not phi_property_check(replace(s, phi=-s.phi), ball)[0]
+    # the checks read the potential's range they are given: negated, its
+    # maximum is the negated minimum
+    low, high = s.phi_range
+    assert not phi_property_check(replace(s, phi_range=(-high, -low)), ball)[0]
 
 
 def test_phi_property_check_zero_candidate():
-    spec, ball, phi_e1 = standard_problem(n=5, p=3.0)
+    spec, ball, mode = standard_problem(n=5, p=3.0)
     zero = evaluate(ScalarField.zeros(spec.grid), spec)
     assert phi_property_check(zero, ball) == (True, True)
     e1, _ = first_eigenpair(spec.grid)
@@ -317,7 +332,7 @@ def test_phi_property_check_zero_coupling(rng):
         forcing=ScalarField(g, np.ones(g.shape)),
         grid=g,
     )
-    ball, _ = make_ball(spec.p, spec.coupling)
+    ball, _ = make_ball(spec.p, spec.coupling, first_eigenpair(spec.grid)[0])
     assert phi_property_check(evaluate(random_field(g, rng), spec), ball) == (True, True)
 
 
@@ -337,8 +352,9 @@ def test_phi_bound_calibrates_on_the_extremal_eigenfunction(n, coupling_kind):
 
     s = evaluate(e1, ProblemSpec(p=3.0, coupling=coupling, forcing=e1, grid=g))
     extremal = np.sqrt(4.0 * s.terms[1]) / s.grad_sq
-    potential_constant = make_ball(3.0, coupling)[0].potential_constant
-    assert potential_constant == 2.0 * extremal
+    potential_constant = make_ball(3.0, coupling, e1)[0].potential_constant
+    # the ball takes ||grad e1||^2 as a sum over one axis, the state by the stencil
+    assert_allclose(potential_constant, 2.0 * extremal, rtol=1e-13, atol=0.0)
     assert_allclose(extremal, ratio(e1), rtol=1e-13)
     for w in smoothed_random_fields(g, 32, seed=20260814):
         assert ratio(w) <= potential_constant / 2.0
@@ -358,7 +374,7 @@ def test_verify_passes_on_solved_problem(solved_problem):
 
 
 def test_verify_fails_on_non_solution():
-    spec, ball, phi_e1 = standard_problem(n=6, p=3.0)
+    spec, ball, mode = standard_problem(n=6, p=3.0)
     report = verify(*state_and_gradient(ScalarField.zeros(spec.grid), spec), spec, ball)
     assert not report.passed
     assert report.pde_rel_residual == 1.0
@@ -400,7 +416,8 @@ def test_failed_checks_list_the_five_gates_in_order():
                        forcing=ScalarField(g, np.ones(g.shape)), grid=g)
     ball = BallSpec(1.0, 1.0, 1e-300, 0.1, 0.05, 3.0)
     s, grad = state_and_gradient((0.05 / w2n_norm(e1)) * e1, spec)
-    report = verify(replace(s, phi=-s.phi), grad, spec, ball)
+    low, high = s.phi_range
+    report = verify(replace(s, phi_range=(-high, -low)), grad, spec, ball)
     assert report.failed_checks == ("fixed_point", "pde", "aux_in_ball", "phi_nonneg",
                                     "phi_bound")
     assert not hasattr(report, "phi_scaling_ok")

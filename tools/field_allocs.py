@@ -1,0 +1,117 @@
+"""Field-sized allocations, tracemalloc peak and minor page faults of one run.
+
+Usage:
+    python tools/field_allocs.py --workload descent-n32 [--src DIR] [--reps 5]
+
+Takes the workload's config from perfbench/run.py and calls
+spball.runner.run_experiment on it, without writing outputs, in fresh
+interpreters that import spball from DIR (default: this checkout's src):
+
+- allocations: one traced run after a warm one, with tracemalloc on and a
+  per-opcode trace hook; each bytecode instruction whose traced memory rose
+  by k field sizes ((n-1)^3 float64 values) above its start counts k
+  allocations, and the run's tracemalloc peak is given in fields too;
+- minor faults: --reps untraced cold runs, each in its own interpreter,
+  reading getrusage's ru_minflt just before and after run_experiment.
+
+Prints one JSON object.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import resource
+import statistics
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def workload_config(name: str) -> dict:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import run
+
+    return {"coupling": {"constant": 1}, **run.WORKLOADS[name]["config"]}
+
+
+def count_allocations(config, field_bytes: int) -> dict:
+    from spball.runner import run_experiment
+
+    run_experiment(config, write_outputs=False)  # sine factors and imports, as a warm run
+    allocations = 0
+    start = 0
+
+    def hook(frame, event, arg):
+        nonlocal allocations, start
+        frame.f_trace_opcodes = True
+        if event in ("opcode", "line", "return"):
+            current, peak = tracemalloc.get_traced_memory()
+            allocations += max(0, round((peak - start) / field_bytes - 0.25))
+            tracemalloc.reset_peak()
+            start = current
+        return hook
+
+    tracemalloc.start()
+    sys.settrace(hook)
+    try:
+        run_experiment(config, write_outputs=False)
+    finally:
+        sys.settrace(None)
+    tracemalloc.stop()
+    tracemalloc.start()
+    run_experiment(config, write_outputs=False)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return {"field_allocations": allocations, "tracemalloc_peak_fields": peak / field_bytes}
+
+
+def count_faults(config) -> dict:
+    from spball.runner import run_experiment
+
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_experiment(config, write_outputs=False)
+    return {"minflt": resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before}
+
+
+def child(src: str, workload: str, mode: str) -> None:
+    sys.path.insert(0, src)
+    from spball.runner import ExperimentConfig
+
+    config = ExperimentConfig.from_dict(workload_config(workload))
+    field_bytes = 8 * (config.grid_n - 1) ** 3
+    out = count_allocations(config, field_bytes) if mode == "allocs" else count_faults(config)
+    print(json.dumps(out))
+
+
+def spawn(src: str, workload: str, mode: str) -> dict:
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, __file__, "--src", src, "--workload", workload, "--child", mode],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--src", default=str(ROOT / "src"))
+    parser.add_argument("--reps", type=int, default=5)
+    parser.add_argument("--child", choices=("allocs", "faults"))
+    args = parser.parse_args()
+    if args.child:
+        child(args.src, args.workload, args.child)
+        return
+    result = spawn(args.src, args.workload, "allocs")
+    faults = [spawn(args.src, args.workload, "faults")["minflt"] for _ in range(args.reps)]
+    result.update(minflt_median=statistics.median(faults), minflt_runs=faults)
+    print(json.dumps({"workload": args.workload, "src": args.src, **result}))
+
+
+if __name__ == "__main__":
+    main()
