@@ -55,7 +55,7 @@ worst = 0.0
 for frac, u in zip(fractions, smoothed_random_fields(grid, 25, seed=99)):
     u = (frac * ball.radius / evaluate(u, spec).w2n) * u
     s = evaluate(u, spec)
-    assert ball.contains(s)
+    assert ball.contains(s.w2n)
     lhs = gradient_field(s).rhs_norm
     assert lhs <= bound
     worst = max(worst, lhs / bound)

@@ -20,7 +20,6 @@ from .energy import (
     ProblemSpec,
     evaluate,
     gradient_field,
-    restricted_energy,
 )
 from .errors import (
     AssumptionViolationError,
@@ -40,7 +39,7 @@ from .grid import (
     first_eigenpair,
     lp_norm,
 )
-from .minimize import MinimizeOptions, MinimizeResult, initial_guess
+from .minimize import MinimizeResult, initial_guess
 from .poisson import PoissonSolution, compute_phi, solve_dirichlet_poisson
 from .runner import (
     ExperimentConfig,
@@ -77,7 +76,6 @@ __all__ = [
     "GridMismatchError",
     "InvalidExponentError",
     "InvalidGridError",
-    "MinimizeOptions",
     "MinimizeResult",
     "OutsideBallError",
     "PoissonSolution",
@@ -104,7 +102,6 @@ __all__ = [
     "manufactured_poisson_error",
     "pde_residual",
     "phi_property_check",
-    "restricted_energy",
     "run_experiment",
     "smoothed_random_fields",
     "solve_dirichlet_poisson",

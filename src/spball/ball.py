@@ -14,42 +14,58 @@ random field tried. Its ball norm is lambda_h ||e1||_3, and its gradient
 norm and power ratio are sums over one axis (_first_mode_sums), so the
 one potential solve, phi_e1, is the whole field cost; make_ball hands e1,
 phi_e1 and the numbers taken from them on as a FirstMode, since the
-forcing and the descent's start are multiples of e1. ||grad phi_e1||^2 = <c phi_e1 e1, e1> h^3 is a pairing by
-summation by parts, as in the phi_bound gate, with the product whose L3
-norm is the coupling ratio's numerator, so no gradient pass runs. An
-overflow of c phi_e1 e1 raises BallOverflowError, which names it. The
-admissible radius r then satisfies
+forcing and the descent's start are multiples of e1.
+||grad phi_e1||^2 = <c phi_e1 e1, e1> h^3 is a pairing by summation by
+parts, as in the phi_bound gate, with the product whose L3 norm is the
+coupling ratio's numerator, so no gradient pass runs. An overflow of
+c phi_e1 e1 raises BallOverflowError, which names it. The admissible
+radius r then satisfies
 
     coupling_constant r^3 + power_constant r^p <= r/2   for all r in (0, radius],
 
 which caps the forcing at forcing_bound = radius / 2, so that on the ball
 ||rhs(u)||_3 <= coupling_constant radius^3 + power_constant radius^p + ||f||_3
 <= radius.
+
+BallSpec holds the ball's whole policy. The inequality over r is one
+function, _radius_excess, which admissible_radius bisects and BallSpec
+checks, exactly; every membership test, contains, on_boundary and
+check_forcing, allows the one slack BALL_RTOL relative to its bound, so
+none depends on the scale of the field.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import FieldState
-from .errors import BallOverflowError
+from .errors import BallOverflowError, ForcingTooLargeError
 from .grid import ScalarField, _first_eigenvalue, _first_sines, lp_norm
 from .poisson import compute_phi
 
 CONSTANT_FLOOR = 1e-30
-BALL_NORM_SLACK = 1e-12  # relative slack when checking membership of the closed ball
+BALL_RTOL = 1e-12  # the one slack of every membership test, relative to its bound
+
+
+def _radius_excess(coupling_constant: float, power_constant: float, p: float, r: float) -> float:
+    """g(r) = coupling_constant r^2 + power_constant r^(p-1) - 1/2: the
+    radius inequality over r, which holds when g(r) <= 0."""
+    try:
+        power = power_constant * r ** (p - 1.0)
+    except OverflowError:  # r^(p-1) beyond float range, so g(r) > 0 for sure
+        return math.inf
+    return coupling_constant * r * r + power - 0.5
 
 
 @dataclass(frozen=True)
 class BallSpec:
-    """Certified ball data; validated against its two defining inequalities.
-
-    coupling_constant and power_constant set the radius; potential_constant
-    is the phi_bound gate's constant, calibrated on the same eigenfunction.
-    """
+    """Certified ball data, validated against its two defining inequalities,
+    and its membership tests. coupling_constant and power_constant set the
+    radius; potential_constant is the phi_bound gate's constant, calibrated
+    on the same eigenfunction."""
 
     coupling_constant: float
     power_constant: float
@@ -66,20 +82,30 @@ class BallSpec:
                 raise ValueError(f"{name} must be positive and finite, got {val}")
         if not self.p > 1.0:
             raise ValueError(f"p must exceed 1, got {self.p}")
-        half = (
-            self.coupling_constant * self.radius**3
-            + self.power_constant * self.radius**self.p
-        )
-        if half > 0.5 * self.radius + 1e-12:
+        excess = _radius_excess(self.coupling_constant, self.power_constant, self.p, self.radius)
+        if excess > 0.0:
             raise ValueError(
-                "radius fails its defining inequality: "
-                f"{half:.6e} > {0.5 * self.radius:.6e} + 1e-12"
+                f"ball radius {self.radius:.6e} fails its defining inequality: "
+                f"coupling_constant r^2 + power_constant r^(p-1) exceeds 1/2 by {excess:.6e}"
             )
-        if half + self.forcing_bound > self.radius + 1e-12:
-            raise ValueError("forcing bound is incompatible with the radius")
+        # coupling_constant r^3 + power_constant r^p + forcing_bound <= r, over r
+        if excess + self.forcing_bound / self.radius > 0.5:
+            raise ValueError(
+                f"ball forcing bound {self.forcing_bound:.6e} is incompatible with "
+                f"the radius {self.radius:.6e}"
+            )
 
-    def contains(self, s: FieldState) -> bool:
-        return s.w2n <= self.radius * (1.0 + BALL_NORM_SLACK)
+    def contains(self, norm: float) -> bool:
+        """Whether a ball norm, ||-Delta_h v||_3, lies in the closed ball."""
+        return norm <= self.radius * (1.0 + BALL_RTOL)
+
+    def on_boundary(self, norm: float) -> bool:
+        return abs(norm - self.radius) <= BALL_RTOL * self.radius
+
+    def check_forcing(self, norm: float) -> None:
+        """Raise ForcingTooLargeError when ||f||_3 = norm exceeds the forcing bound."""
+        if norm > self.forcing_bound * (1.0 + BALL_RTOL):
+            raise ForcingTooLargeError(norm, self.forcing_bound)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,9 +209,10 @@ def estimate_constants(
 def admissible_radius(coupling_constant: float, power_constant: float, p: float) -> float:
     """Largest radius r with coupling_constant r^2 + power_constant r^(p-1) <= 1/2.
 
-    g(r) = coupling_constant r^2 + power_constant r^(p-1) - 1/2 is strictly
-    increasing from -1/2, so the root exists and is unique; bisection to
-    1e-12 relative width returns the certified left endpoint (g <= 0 there).
+    g(r) = _radius_excess(r) is strictly increasing from -1/2, so the root
+    exists and is unique; bisection to 1e-12 relative width returns the left
+    endpoint, where g <= 0 holds exactly as BallSpec evaluates it. A root
+    below the smallest positive float raises ValueError.
     """
     for name, val in (("coupling_constant", coupling_constant), ("power_constant", power_constant)):
         if not (math.isfinite(val) and val > 0.0):
@@ -193,13 +220,7 @@ def admissible_radius(coupling_constant: float, power_constant: float, p: float)
     if not p > 1.0:
         raise ValueError(f"p must exceed 1, got {p}")
 
-    def g(r: float) -> float:
-        try:
-            power = power_constant * r ** (p - 1.0)
-        except OverflowError:  # r^(p-1) beyond float range, so g(r) > 0 for sure
-            return math.inf
-        return coupling_constant * r * r + power - 0.5
-
+    g = functools.partial(_radius_excess, coupling_constant, power_constant, p)
     hi = 1.0
     while g(hi) <= 0.0:
         hi *= 2.0
@@ -212,7 +233,9 @@ def admissible_radius(coupling_constant: float, power_constant: float, p: float)
             lo = mid
         else:
             hi = mid
-    return lo if lo > 0.0 else hi
+    if lo == 0.0:
+        raise ValueError("the admissible radius is below the smallest positive float")
+    return lo
 
 
 def make_ball(

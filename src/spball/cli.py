@@ -1,7 +1,7 @@
 """Command-line front end.
 
-    spball run --config cfg.json [--seed N] [--out DIR]
-    spball study --config cfg.json --grids 8,16,32 [--seed N] [--out DIR]
+    spball run --config cfg.json [--out DIR]
+    spball study --config cfg.json --grids 8,16,32 [--out DIR]
 
 `run` exits 0 only when verification passed; `study` exits 0 only when every
 grid completed. Configuration or data errors exit 2.
@@ -34,31 +34,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="solve and verify one configuration")
     run.add_argument("--config", required=True, help="path to a JSON experiment config")
-    run.add_argument("--seed", type=int, default=None, help="override the config seed")
     run.add_argument("--out", default=None, help="override the output directory")
 
     study = sub.add_parser("study", help="convergence study over a grid sequence")
     study.add_argument("--config", required=True, help="path to a JSON experiment config")
     study.add_argument("--grids", required=True, help="comma-separated grid sizes, e.g. 8,16,32")
-    study.add_argument("--seed", type=int, default=None, help="override the config seed")
     study.add_argument("--out", default=None, help="override the output directory")
     return parser
 
 
-def _apply_overrides(config, seed, out):
-    if seed is not None:
-        config = replace(config, seed=seed)
-    if out is not None:
-        config = replace(config, output_path=str(out))
-    return config
+def _load(args):
+    """The config at --config, with --out as its output_path when given."""
+    config = load_config(args.config)
+    return replace(config, output_path=args.out) if args.out is not None else config
 
 
 def _cmd_run(args) -> int:
-    config = _apply_overrides(load_config(args.config), args.seed, args.out)
-    report = run_experiment(config, out_dir=args.out)
+    config = _load(args)
+    report = run_experiment(config)
     ver = report.verification
-    out_dir = Path(args.out) if args.out else Path(config.output_path)
-    print(f"grid n={config.grid_n}  p={config.p}  seed={config.seed}")
+    out_dir = Path(config.output_path)
+    print(f"grid n={config.grid_n}  p={config.p}")
     print(
         f"ball: radius={report.ball.radius:.6e}  "
         f"forcing_bound={report.ball.forcing_bound:.6e}"
@@ -82,10 +78,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    config = _apply_overrides(load_config(args.config), args.seed, args.out)
+    config = _load(args)
     grids = _parse_grids(args.grids)
     rows = convergence_study(config, grids)
-    out_dir = Path(args.out) if args.out else Path(config.output_path)
+    out_dir = Path(config.output_path)
     write_study_csv(rows, out_dir / "study.csv")
     header = f"{'n':>5}  {'poisson_rel_err':>15}  {'order':>7}  {'energy':>14}  {'pde_rel':>10}"
     print(header)

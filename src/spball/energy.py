@@ -199,15 +199,6 @@ def energy(s: FieldState) -> EnergyBreakdown:
     return EnergyBreakdown(kinetic, coupling, power, forcing, kinetic + coupling - power - forcing)
 
 
-def restricted_energy(s: FieldState, radius: float) -> float:
-    """Energy extended by +inf outside the closed constraint ball."""
-    if not radius > 0.0:
-        raise ValueError(f"ball radius must be positive, got {radius}")
-    if s.w2n > radius:
-        return math.inf
-    return energy(s).total
-
-
 @dataclass(frozen=True, eq=False)
 class Gradient:
     """The Sobolev gradient g = u - T(u) of a state, its strong residual

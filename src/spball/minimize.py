@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ball import BALL_NORM_SLACK, BallSpec, FirstMode
+from .ball import BallSpec, FirstMode
 from .energy import (
     FieldState,
     Gradient,
@@ -56,27 +56,16 @@ from .energy import (
     energy,
     evaluate,
     gradient_field,
-    restricted_energy,
 )
-from .errors import ForcingTooLargeError
 from .grid import ScalarField, _first_sines, lp_norm
 from .verify import FP_THRESHOLD, PDE_THRESHOLD, fixed_point_residual, pde_residual
 
 _INITIAL_STEP = 1.0
 _BACKTRACK_FACTOR = 0.5
-_MIN_STEP = 1e-18
+_MIN_STEP = 1e-12
 _INITIAL_T_GRID = 400
 _MIXING_DEPTH = 3  # Anderson history length m
-_BOUNDARY_RTOL = 1e-8  # on_boundary: ||-Delta_h u||_3 within this fraction of the radius
-
-
-@dataclass(frozen=True)
-class MinimizeOptions:
-    max_iters: int = 5000
-
-    def __post_init__(self):
-        if type(self.max_iters) is not int or self.max_iters < 1:  # a bool is no budget
-            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+MAX_ITERS = 5000  # the default iteration budget
 
 
 @dataclass(frozen=True)
@@ -91,7 +80,7 @@ class MinimizeResult:
     one of fixed_point, no_decrease and budget; a fixed_point stop passes
     verify's fixed_point and pde gates, and verify alone says whether the
     minimizer is a solution. mixed_steps counts the accepted mixed trials.
-    on_boundary means the minimizer's ball norm is within 1e-8 of the radius
+    on_boundary is BallSpec.on_boundary of the minimizer's ball norm,
     relative to the radius, so it reads the same on a ball of any size.
     """
 
@@ -135,7 +124,7 @@ def _start_terms(
     return scale, terms
 
 
-def initial_guess(spec: ProblemSpec, radius: float, mode: FirstMode) -> FieldState:
+def initial_guess(spec: ProblemSpec, ball: BallSpec, mode: FirstMode) -> FieldState:
     """Evaluated starting point inside the ball: a multiple of e1 with certified
     negative energy, or else the zero field.
 
@@ -145,7 +134,7 @@ def initial_guess(spec: ProblemSpec, radius: float, mode: FirstMode) -> FieldSta
     t in [0, 1]. Ties prefer the smallest t. Its four coefficients are
     numbers read from the FirstMode (_start_terms), so no state of e is
     formed. The one winning t is re-checked with a real state, which is
-    returned when its restricted energy is negative too.
+    returned when the ball contains it and its energy is negative too.
     The potential is quadratic, so the potential of t e is
     t^2 (scale^2 phi_e1): phi_e1, the potential make_ball solved for the
     first eigenfunction, serves every t, and the initial guess costs no
@@ -161,10 +150,8 @@ def initial_guess(spec: ProblemSpec, radius: float, mode: FirstMode) -> FieldSta
     -g = (-Delta_h)^-1 f is -<f, (-Delta_h)^-1 f> h^3 < 0, so the descent can
     start there.
     """
-    if not radius > 0.0:
-        raise ValueError(f"ball radius must be positive, got {radius}")
     spec.check_field(mode.e1)
-    scale, (quad, quart, power, lin) = _start_terms(spec, radius, mode)
+    scale, (quad, quart, power, lin) = _start_terms(spec, ball.radius, mode)
     if lin == 0.0:
         return evaluate(ScalarField.zeros(spec.grid), spec)
 
@@ -186,7 +173,7 @@ def initial_guess(spec: ProblemSpec, radius: float, mode: FirstMode) -> FieldSta
         phi *= t * t
         lap = ScalarField._own(spec.grid, lap)
         candidate = _state(ScalarField._own(spec.grid, u), phi, lap, lp_norm(lap, 3.0), spec)
-        if restricted_energy(candidate, radius) < 0.0:
+        if ball.contains(candidate.w2n) and energy(candidate).total < 0.0:
             return candidate
     return evaluate(ScalarField.zeros(spec.grid), spec)
 
@@ -278,23 +265,23 @@ def minimize(
     spec: ProblemSpec,
     ball: BallSpec,
     mode: FirstMode,
-    opts: MinimizeOptions | None = None,
+    max_iters: int = MAX_ITERS,
 ) -> MinimizeResult:
     """Minimize the energy over the constraint ball by Anderson-mixed retracted descent.
 
     mode is the FirstMode that make_ball returns with the ball; the initial
     guess scales its e1 and phi_e1, and the descent drops it after that.
-    Requires the forcing, of any sign, to respect the admissible bound.
+    Requires the forcing, of any sign, to respect the admissible bound, and
+    stops with stop_reason budget after max_iters iterations.
     A zero forcing starts and ends at the zero field with zero energy.
     Every iterate stays in the ball; recorded energies are strictly
     decreasing. The accepted trial's state carries into the next gradient.
     """
-    if opts is None:
-        opts = MinimizeOptions()
-    if spec.forcing_norm > ball.forcing_bound * (1.0 + BALL_NORM_SLACK):
-        raise ForcingTooLargeError(spec.forcing_norm, ball.forcing_bound)
+    if type(max_iters) is not int or max_iters < 1:  # a bool is no budget
+        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
+    ball.check_forcing(spec.forcing_norm)
 
-    s = initial_guess(spec, ball.radius, mode)
+    s = initial_guess(spec, ball, mode)
     del mode  # read by the start alone; a caller that keeps no reference frees it here
 
     current = energy(s).total
@@ -309,7 +296,7 @@ def minimize(
                 and pde_residual(grad, spec) <= PDE_THRESHOLD):
             stop_reason = "fixed_point"
             break
-        if iterations == opts.max_iters:
+        if iterations == max_iters:
             stop_reason = "budget"
             break
         history.push(grad.g.values, s.u.values, grad.residual.values)
@@ -348,7 +335,7 @@ def minimize(
         energy=current,
         iterations=iterations,
         trace=tuple(trace),
-        on_boundary=abs(s.w2n - ball.radius) <= _BOUNDARY_RTOL * ball.radius,
+        on_boundary=ball.on_boundary(s.w2n),
         stop_reason=stop_reason,
         mixed_steps=mixed_steps,
     )

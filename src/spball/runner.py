@@ -11,7 +11,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from .grid import (
     first_eigenpair,
     lp_norm,
 )
-from .minimize import MinimizeOptions, MinimizeResult, minimize
+from .minimize import MAX_ITERS, MinimizeResult, minimize
 from .poisson import solve_dirichlet_poisson
 from .verify import VerificationReport, verify
 from .version import __version__
@@ -81,7 +81,7 @@ class ExperimentConfig:
     # the first eigenfunction alone; both go in schema_version 3
     samples: int = 64
     seed: int = 0
-    descent: MinimizeOptions = field(default_factory=MinimizeOptions)
+    max_iters: int = MAX_ITERS  # tolerances.descent.max_iters in JSON
     output_path: str = "out"
     schema_version: int = 2
 
@@ -105,6 +105,9 @@ class ExperimentConfig:
             raise ConfigError(f"samples must be a positive integer, got {self.samples}")
         if not _is_int(self.seed):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not (_is_int(self.max_iters) and self.max_iters >= 1):
+            raise ConfigError(
+                f"bad tolerances: max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not isinstance(self.output_path, str) or not self.output_path:
             raise ConfigError("output_path must be a nonempty string")
 
@@ -118,7 +121,7 @@ class ExperimentConfig:
             "safety": self.safety,
             "samples": self.samples,
             "seed": self.seed,
-            "tolerances": {"descent": asdict(self.descent)},
+            "tolerances": {"descent": {"max_iters": self.max_iters}},
             "output_path": self.output_path,
         }
 
@@ -156,13 +159,12 @@ class ExperimentConfig:
         bad = set(tolerances) - {"descent"}
         if bad:
             raise ConfigError(f"unknown tolerances sections: {sorted(bad)}")
-        try:
-            descent = MinimizeOptions(**tolerances.get("descent", {}))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad tolerances: {exc}") from None
+        descent = tolerances.get("descent", {})
+        if not isinstance(descent, dict) or set(descent) - {"max_iters"}:
+            raise ConfigError(f"bad tolerances: descent takes max_iters alone, got {descent!r}")
 
         kwargs = {k: data[k] for k in known - {"tolerances"} if k in data}
-        kwargs["descent"] = descent
+        kwargs.update(descent)
         for key in ("p", "safety"):
             if key in kwargs:
                 if not _is_number(kwargs[key]):
@@ -316,7 +318,7 @@ def run_experiment(
     # descent
     handover = [mode]
     del mode
-    result = minimize(spec, ball, handover.pop(), config.descent)
+    result = minimize(spec, ball, handover.pop(), config.max_iters)
     timings["minimize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

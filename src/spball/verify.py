@@ -35,7 +35,6 @@ from .errors import OutsideBallError
 
 FP_THRESHOLD = 1e-6
 PDE_THRESHOLD = 1e-5
-AUX_BALL_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -114,18 +113,19 @@ def phi_property_check(s: FieldState, ball: BallSpec) -> tuple[bool, bool]:
     """Check the potential's structure: sign and gradient bound.
 
     Returns (nonneg_ok, bound_ok):
-      nonneg:  min phi_u >= -1e-8 * max(1, ||phi_u||_inf)
+      nonneg:  min phi_u >= -1e-8 ||phi_u||_inf
       bound:   ||grad phi_u|| <= ball.potential_constant ||grad u||^2
+    Neither has an absolute term, so both read the same at every scale of u.
     The minimum and maximum of phi_u are the state's phi_range. Both
     gradient norms come from the state's terms: ||grad u||^2 is twice the
     kinetic term, and ||grad phi_u||^2 = <c u^2, phi_u> h^3 = 4 x coupling
     term by summation by parts against -Delta_h phi_u = c u^2.
     """
     low, high = s.phi_range
-    nonneg_ok = low >= -1e-8 * max(1.0, -low, high)
+    nonneg_ok = low >= -1e-8 * max(-low, high)
 
     grad_phi = math.sqrt(max(4.0 * s.terms[1], 0.0))
-    bound_ok = grad_phi <= ball.potential_constant * s.grad_sq + 1e-30
+    bound_ok = grad_phi <= ball.potential_constant * s.grad_sq
     return nonneg_ok, bound_ok
 
 
@@ -136,8 +136,9 @@ def verify(s: FieldState, grad: Gradient, spec: ProblemSpec, ball: BallSpec) -> 
     A candidate outside the ball is rejected with OutsideBallError; an
     auxiliary solution T(u) = u - g that escapes the ball fails aux_in_ball.
     Its ball norm ||-Delta_h T(u)||_3 is ||rhs(u)||_3, read from the Gradient.
+    Both memberships are ball.contains, relative to the radius.
     """
-    if not ball.contains(s):
+    if not ball.contains(s.w2n):
         raise OutsideBallError(
             f"candidate w2n norm {s.w2n:.6e} exceeds the radius {ball.radius:.6e}"
         )
@@ -147,7 +148,7 @@ def verify(s: FieldState, grad: Gradient, spec: ProblemSpec, ball: BallSpec) -> 
     gates = {
         "fixed_point": fp_res <= FP_THRESHOLD,
         "pde": pde_res <= PDE_THRESHOLD,
-        "aux_in_ball": grad.rhs_norm <= ball.radius + AUX_BALL_SLACK,
+        "aux_in_ball": ball.contains(grad.rhs_norm),
         "phi_nonneg": nonneg_ok,
         "phi_bound": bound_ok,
     }

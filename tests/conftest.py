@@ -125,7 +125,7 @@ def check_residual_bound(
     power_constant radius^p + ||f||_L3; `holds` allows a 1e-10 slack.
     """
     s = evaluate(u, spec)
-    if not ball.contains(s):
+    if not ball.contains(s.w2n):
         raise OutsideBallError(
             f"w2n norm {s.w2n:.6e} exceeds the ball radius {ball.radius:.6e}"
         )

@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spball import (
+    ForcingTooLargeError,
     GridMismatchError,
     OutsideBallError,
     ScalarField,
@@ -18,6 +19,7 @@ from spball import (
     lp_norm,
 )
 from spball.ball import (
+    BALL_RTOL,
     BallSpec,
     CONSTANT_FLOOR,
     _first_mode_sums,
@@ -335,6 +337,10 @@ def test_admissible_radius_validation():
         admissible_radius(1.0, -1.0, 3.0)
     with pytest.raises(ValueError):
         admissible_radius(1.0, 1.0, 1.0)
+    # a root near 1e-1030, below every positive float: no radius satisfies
+    # the inequality, and none is returned
+    with pytest.raises(ValueError, match="smallest positive float"):
+        admissible_radius(1.0, 1e10, 1.01)
 
 
 # ---------------------------------------------------------------- ball spec
@@ -350,6 +356,42 @@ def test_ball_spec_invariants_enforced():
         BallSpec(-1.0, 1.0, 1.0, 0.5, 0.25, 3.0)
     with pytest.raises(ValueError, match="potential_constant"):
         BallSpec(1.0, 1.0, 0.0, 0.5, 0.25, 3.0)
+
+
+def test_ball_spec_rejects_a_tiny_radius_that_fails_the_inequality():
+    # coupling_constant r^3 = 1e-12 is 200 times r / 2 = 5e-15; an absolute
+    # 1e-12 slack on both sides of the inequality let it pass
+    with pytest.raises(ValueError, match="ball radius 1.000000e-14 fails"):
+        BallSpec(1e30, 1.0, 1.0, 1e-14, 5e-15, 3.0)
+    # the same ball at radius 1, the constants scaled to keep each term of
+    # the inequality over r, is rejected alike
+    with pytest.raises(ValueError, match="ball radius"):
+        BallSpec(100.0, 1e-28, 1.0, 1.0, 0.5, 3.0)
+
+
+@pytest.mark.parametrize("r", [1e-148, 1e-20, 0.5, 1e100])
+def test_ball_membership_is_relative_to_the_radius(r):
+    # every membership test reads the same on a ball of any size: the closed
+    # ball includes its boundary, up to BALL_RTOL relative, and nothing more
+    c = 0.125 / (r * r)  # coupling_constant r^2 = power_constant r^(p-1) = 1/8
+    ball = BallSpec(c, c, 1.0, r, 0.5 * r, 3.0)
+    assert ball.contains(0.0) and ball.contains(0.5 * r) and ball.contains(r)
+    assert ball.contains(r * (1.0 + 0.5 * BALL_RTOL))
+    assert not ball.contains(r * (1.0 + 1e-9))
+    assert ball.on_boundary(r) and ball.on_boundary(r * (1.0 - 0.5 * BALL_RTOL))
+    assert not ball.on_boundary(r * (1.0 - 1e-9))
+    ball.check_forcing(0.5 * r)
+    with pytest.raises(ForcingTooLargeError):
+        ball.check_forcing(0.5 * r * (1.0 + 1e-9))
+
+
+def test_admissible_radius_is_what_ball_spec_accepts():
+    # the bisection and the validation evaluate one inequality, so every
+    # radius the bisection returns builds a BallSpec, with no slack
+    for c1, c2, p in ((1.0, 1.0, 3.0), (1e30, 1.0, 3.0), (1e300, 1e-30, 1.01),
+                      (1e-30, 1e-30, 400.0), (3.7, 0.2, 7.0)):
+        r = admissible_radius(c1, c2, p)
+        BallSpec(c1, c2, 1.0, r, 0.5 * r, p)
 
 
 def test_make_ball_consistent():

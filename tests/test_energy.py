@@ -25,7 +25,6 @@ from spball.energy import (
     energy,
     evaluate,
     gradient_field,
-    restricted_energy,
 )
 
 from conftest import (
@@ -146,21 +145,6 @@ def test_energy_split_convex_part_is_convex(rng):
             + (1.0 - theta) * energy(evaluate(v, spec)).kinetic
         )
         assert lhs <= rhs + 1e-12
-
-
-# ---------------------------------------------------------------- restriction
-
-
-def test_restricted_energy_inside_and_outside(rng):
-    spec = make_spec(n=5)
-    u = random_field(spec.grid, rng)
-    s = evaluate(u, spec)
-    r = w2n_norm(u)
-    assert restricted_energy(s, 2.0 * r) == energy(s).total
-    assert restricted_energy(s, r) == energy(s).total  # boundary included
-    assert restricted_energy(s, 0.5 * r) == math.inf
-    with pytest.raises(ValueError):
-        restricted_energy(s, 0.0)
 
 
 # ---------------------------------------------------------------- first variation

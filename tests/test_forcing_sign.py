@@ -92,7 +92,7 @@ def test_initial_guess_takes_the_sign_of_the_forcing():
 
     def start(forcing):
         spec = ProblemSpec(p=3.0, coupling=coupling, forcing=forcing, grid=g)
-        return initial_guess(spec, ball.radius, mode)
+        return initial_guess(spec, ball, mode)
 
     plus, minus = start(f), start(-f)
     assert plus.terms[3] > 0.0

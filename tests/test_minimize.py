@@ -22,12 +22,11 @@ from spball import (
     first_eigenpair,
     lp_norm,
 )
-from spball.ball import BALL_NORM_SLACK, make_ball
+from spball.ball import BALL_RTOL, make_ball
 from spball.grid import neg_laplacian_array
-from spball.energy import ProblemSpec, _state, energy, evaluate, gradient_field, restricted_energy
+from spball.energy import EnergyBreakdown, ProblemSpec, _state, energy, evaluate, gradient_field
 from spball.poisson import solve_dirichlet_poisson
 from spball.minimize import (
-    MinimizeOptions,
     MinimizeResult,
     _MixingHistory,
     _mixing_weights,
@@ -53,16 +52,16 @@ from conftest import (
 
 
 def test_options_validation():
-    MinimizeOptions()
-    MinimizeOptions(max_iters=1)
-    # the budget is the only option; a float, a bool or a numeric string is no budget
+    spec, ball, mode = standard_problem(n=4, p=3.0)
+    # the budget is the only option; a float, a bool or a numeric string is no
+    # budget, and it is refused before the start is formed
     for value in (0, -1, 2.5, True, "5", None):
         with pytest.raises(ValueError, match="max_iters"):
-            MinimizeOptions(max_iters=value)
+            minimize(spec, ball, mode, max_iters=value)
     # the old stop rule's and line search's knobs are gone
-    for key in ("grad_tol", "energy_tol", "backtrack_factor", "initial_step"):
+    for key in ("grad_tol", "energy_tol", "backtrack_factor", "initial_step", "opts"):
         with pytest.raises(TypeError, match=key):
-            MinimizeOptions(**{key: 0.5})
+            minimize(spec, ball, mode, **{key: 0.5})
 
 
 # ---------------------------------------------------------------- retraction
@@ -104,7 +103,7 @@ def test_retract_zero_field_and_bad_radius():
 @pytest.mark.parametrize("p", [3.0, 7.0])
 def test_initial_guess_certifies_negative_energy(p):
     spec, ball, mode = standard_problem(p=p)
-    s0 = initial_guess(spec, ball.radius, mode)
+    s0 = initial_guess(spec, ball, mode)
     assert energy(s0).total < 0.0
     assert w2n_norm(s0.u) <= ball.radius * (1.0 + 1e-12)
     assert float(s0.u.values.min()) >= 0.0  # positive multiple of the eigenfunction
@@ -118,7 +117,7 @@ def test_initial_guess_survives_tiny_forcing():
         forcing=1e-3 * spec.forcing,
         grid=spec.grid,
     )
-    s0 = initial_guess(tiny, ball.radius, mode)
+    s0 = initial_guess(tiny, ball, mode)
     assert energy(s0).total < 0.0
 
 
@@ -126,9 +125,10 @@ def test_initial_guess_tries_one_candidate(monkeypatch):
     # a winning t whose evaluated energy is not negative sends the start to
     # u = 0 at once: no second candidate is formed
     calls = []
-    monkeypatch.setattr(minimize_mod, "restricted_energy", lambda s, r: calls.append(s) or 0.0)
+    zero = EnergyBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
+    monkeypatch.setattr(minimize_mod, "energy", lambda s: calls.append(s) or zero)
     spec, ball, mode = standard_problem()
-    s0 = initial_guess(spec, ball.radius, mode)
+    s0 = initial_guess(spec, ball, mode)
     assert len(calls) == 1
     assert not s0.u.values.any()
     assert s0.terms == (0.0, 0.0, 0.0, 0.0)
@@ -139,7 +139,7 @@ def test_initial_guess_scales_phi_e1_without_a_solve(p, solve_counter):
     # the start is t e with e a multiple of e1, so its potential is a multiple
     # of phi_e1, which make_ball already solved
     spec, ball, mode = standard_problem(p=p)
-    s0, count = solve_counter(initial_guess, spec, ball.radius, mode)
+    s0, count = solve_counter(initial_guess, spec, ball, mode)
     assert count == 0
     phi = compute_phi(s0.u, spec.coupling).values
     assert_allclose(s0.phi_range, (phi.min(), phi.max()), rtol=1e-12, atol=0)
@@ -148,7 +148,7 @@ def test_initial_guess_scales_phi_e1_without_a_solve(p, solve_counter):
     g5 = build_grid(5)
     other = make_ball(p, ScalarField.constant(g5, 1.0), first_eigenpair(g5)[0])[1]
     with pytest.raises(GridMismatchError):
-        initial_guess(spec, ball.radius, other)
+        initial_guess(spec, ball, other)
 
 
 def _start_problem(n, p, coupling_kind):
@@ -185,11 +185,11 @@ def test_initial_guess_polynomial_from_four_numbers(p, n, coupling_kind):
             break
         lap = t * base.lap
         candidate = _state(t * e, phi * (t * t), lap, lp_norm(lap, 3), spec)
-        if restricted_energy(candidate, ball.radius) < 0.0:
+        if candidate.w2n <= ball.radius * (1.0 + BALL_RTOL) and energy(candidate).total < 0.0:
             expected = candidate
             break
     assert expected is not None
-    s0 = initial_guess(spec, ball.radius, mode)
+    s0 = initial_guess(spec, ball, mode)
     for name in ("u", "lap", "_rhs"):
         assert np.array_equal(getattr(s0, name).values, getattr(expected, name).values), name
     assert (s0.terms, s0.phi_range, s0.w2n) == (expected.terms, expected.phi_range, expected.w2n)
@@ -233,7 +233,7 @@ def test_minimize_rejects_oversized_forcing():
 def test_minimize_accepts_forcing_at_exact_bound():
     # fraction 1.0 puts the L3 norm on the bound up to float rounding
     spec, ball, mode = standard_problem(fraction=1.0)
-    res = minimize(spec, ball, mode, MinimizeOptions(max_iters=50))
+    res = minimize(spec, ball, mode, max_iters=50)
     assert res.energy < 0.0
 
 
@@ -254,16 +254,15 @@ def test_minimize_standard_run(p):
 
 def test_minimize_trace_is_deterministic():
     spec, ball, mode = standard_problem()
-    opts = MinimizeOptions()
-    a = minimize(spec, ball, mode, opts)
-    b = minimize(spec, ball, mode, opts)
+    a = minimize(spec, ball, mode)
+    b = minimize(spec, ball, mode)
     assert a.trace == b.trace
     assert np.array_equal(a.minimizer.values, b.minimizer.values)
 
 
 def test_minimize_iteration_budget_flags_nonconvergence():
     spec, ball, mode = standard_problem(p=3.0)
-    res = minimize(spec, ball, mode, MinimizeOptions(max_iters=1))
+    res = minimize(spec, ball, mode, max_iters=1)
     assert res.iterations == 1
     assert res.stop_reason == "budget"
     assert isinstance(res, MinimizeResult)
@@ -388,11 +387,35 @@ def test_retracted_minimizer_is_on_the_boundary(monkeypatch):
     spec, ball, mode = standard_problem(n=8, p=3.0, fraction=1.0)
     small = replace(ball, coupling_constant=1e-30, power_constant=1e-30,
                     radius=0.52 * ball.radius)
-    res = minimize(spec, small, mode, MinimizeOptions(max_iters=50))
+    res = minimize(spec, small, mode, max_iters=50)
     assert any(res.state is out for out in retracted)
     assert res.on_boundary
     free = minimize(spec, ball, mode)
     assert not free.on_boundary
+
+
+def test_backtracking_stops_at_the_step_floor(monkeypatch):
+    # on the hand-built ball above, the retracted step 1 is the minimizer; the
+    # next iteration's mixed trial fails, and the plain step halves from 1 down
+    # to 2^-39, the last step above the 1e-12 floor, 40 trials, before the
+    # descent ends no_decrease. A floor of 1e-18 took 111 trial states and
+    # accepted a step of 7e-15 whose energy decrease was rounding
+    evaluate_ = minimize_mod.evaluate
+    calls = 0
+
+    def counting(u, spec, radius=math.inf):
+        nonlocal calls
+        calls += 1
+        return evaluate_(u, spec, radius)
+
+    monkeypatch.setattr(minimize_mod, "evaluate", counting)
+    spec, ball, mode = standard_problem(n=8, p=3.0, fraction=1.0)
+    small = replace(ball, coupling_constant=1e-30, power_constant=1e-30,
+                    radius=0.52 * ball.radius)
+    res = minimize(spec, small, mode, max_iters=50)
+    assert res.stop_reason == "no_decrease"
+    assert [row[2] for row in res.trace] == [0.0, 1.0]
+    assert calls == 1 + 1 + 40
 
 
 # ---------------------------------------------------------------- mixed step
@@ -478,7 +501,7 @@ def test_trial_outside_the_ball_is_rescaled_without_a_solve(monkeypatch, solve_c
     assert any(w2n_norm(u) > ball.radius for u, _ in calls)  # the path ran
     h3 = spec.grid.h**3
     for _, out in calls:
-        assert w2n_norm(out.u) <= ball.radius * (1.0 + BALL_NORM_SLACK)
+        assert w2n_norm(out.u) <= ball.radius * (1.0 + BALL_RTOL)
         assert np.array_equal(out.lap.values, apply_laplacian(out.u).values)
         # the state's potential reads are those of phi_u, solved afresh
         phi = compute_phi(out.u, spec.coupling).values

@@ -190,10 +190,10 @@ def _stage_problem(n):
 @pytest.mark.parametrize("stage", sorted(STAGE_BUDGETS))
 def test_run_stage_allocation_budget(n, stage):
     spec, ball, mode = _stage_problem(n)
-    s = initial_guess(spec, ball.radius, mode)
+    s = initial_guess(spec, ball, mode)
     calls = {
         "estimate_constants": (estimate_constants, 7.0, spec.coupling, mode.e1),
-        "initial_guess": (initial_guess, spec, ball.radius, mode),
+        "initial_guess": (initial_guess, spec, ball, mode),
         "verify": (verify, s, gradient_field(s), spec, ball),
     }
     assert _peak_in_fields(spec.grid, *calls[stage]) <= STAGE_BUDGETS[stage]
@@ -205,7 +205,7 @@ def test_verify_gates_allocate_one_field(n):
     # terms, so they form no array; verify's gates as a whole read the
     # Gradient's norms and form none either, within the one field allowed
     spec, ball, mode = _stage_problem(n)
-    s = initial_guess(spec, ball.radius, mode)
+    s = initial_guess(spec, ball, mode)
     assert _peak_in_fields(spec.grid, phi_property_check, s, ball) <= 0.25
     assert _peak_in_fields(spec.grid, verify, s, gradient_field(s), spec, ball) <= 1.25
 

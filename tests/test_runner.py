@@ -239,6 +239,19 @@ def test_load_report_rejects_a_ball_that_ball_spec_rejects(small_run, tmp_path):
     assert str(path) in str(excinfo.value)
 
 
+def test_load_report_rejects_a_tiny_ball_that_fails_the_inequality(small_run, tmp_path):
+    # radius 1e-14 with coupling_constant r^3 200 times r / 2
+    cfg, report, out = small_run
+    data = report.to_dict()
+    data["ball"].update(coupling_constant=1e30, power_constant=1.0, radius=1e-14,
+                        forcing_bound=5e-15)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match="ball radius 1.000000e-14 fails") as excinfo:
+        load_report(path)
+    assert str(path) in str(excinfo.value)
+
+
 def test_load_report_rejects_an_unknown_top_level_key(small_run, tmp_path):
     # a 0.9.0 report carried converged beside the blocks
     cfg, report, out = small_run
@@ -420,16 +433,23 @@ def test_cli_run_success(tmp_path, capsys):
     assert (tmp_path / "out" / "trace.csv").exists()
 
 
-def test_cli_run_seed_override_changes_report(tmp_path):
+def test_cli_has_no_seed_option(tmp_path, capsys):
+    # the seed selects nothing, so neither subcommand offers it (a usage
+    # error, exit 2) and `run` does not print it; the config key stays
     path = write_config(tmp_path)
-    main(["run", "--config", str(path), "--out", str(tmp_path / "a")])
-    main(["run", "--config", str(path), "--out", str(tmp_path / "b"), "--seed", "99"])
-    ra = json.loads((tmp_path / "a" / "report.json").read_text())
-    rb = json.loads((tmp_path / "b" / "report.json").read_text())
-    assert ra["config"]["seed"] == 7
-    assert rb["config"]["seed"] == 99
-    # the seed is echoed but selects nothing: the ball constants come from the eigenfunction
-    assert ra["ball"] == rb["ball"]
+    for argv in (["run", "--config", str(path)],
+                 ["study", "--config", str(path), "--grids", "6"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--out", str(tmp_path / "a"), "--seed", "99"])
+        assert excinfo.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+    out = tmp_path / "b"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "grid n=6  p=3.0"
+    # --out is the config's output_path, echoed in the report it names
+    report = load_report(out / "report.json")
+    assert report.config.output_path == str(out)
+    assert report.config.seed == 7
 
 
 def test_cli_run_failure_exit_codes(tmp_path, capsys):

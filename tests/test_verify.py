@@ -126,6 +126,20 @@ def test_escaping_auxiliary_image_fails_aux_in_ball():
     assert "aux_in_ball" in report.failed_checks
 
 
+def test_aux_in_ball_is_relative_to_the_radius():
+    # on a ball of radius 1e-20, the image of u = 0 under a forcing of 1e-13 e1
+    # has ball norm ||f||_3, about 3e-14: far outside, which an absolute 1e-8
+    # slack on the radius let pass
+    g = build_grid(6)
+    e1, _ = first_eigenpair(g)
+    spec = ProblemSpec(p=3.0, coupling=ScalarField.constant(g, 1.0),
+                       forcing=1e-13 * e1, grid=g)
+    ball = BallSpec(1e39, 1e39, 1.0, 1e-20, 5e-21, 3.0)
+    s, grad = state_and_gradient(ScalarField.zeros(g), spec)
+    assert grad.rhs_norm > 1e6 * ball.radius
+    assert "aux_in_ball" in verify(s, grad, spec, ball).failed_checks
+
+
 # ---------------------------------------------------------------- residuals
 
 
@@ -322,6 +336,29 @@ def test_phi_property_check_zero_candidate():
     assert phi_property_check(zero, ball) == (True, True)
     e1, _ = first_eigenpair(spec.grid)
     assert phi_property_check(evaluate(0.1 * e1, spec), ball) == (True, True)
+
+
+def test_phi_nonneg_is_relative_to_the_potential():
+    # a minimum of -1e-101 against a maximum of 1e-100 is a tenth of the
+    # potential's size, a sign error at any scale; an absolute floor of 1e-8
+    # passed it
+    spec, ball, mode = standard_problem(n=5, p=3.0)
+    s = evaluate(ScalarField.zeros(spec.grid), spec)
+    assert not phi_property_check(replace(s, phi_range=(-1e-101, 1e-100)), ball)[0]
+    assert phi_property_check(replace(s, phi_range=(-1e-109, 1e-100)), ball)[0]
+
+
+def test_phi_bound_has_no_absolute_floor():
+    # at the scale 1e-20 of u, ||grad phi_u|| is near 1e-40, far above a bound
+    # of 1e-300 ||grad u||^2; an absolute 1e-30 added to the bound passed it
+    g = build_grid(6)
+    e1, _ = first_eigenpair(g)
+    spec = ProblemSpec(p=3.0, coupling=ScalarField.constant(g, 1.0),
+                       forcing=ScalarField.zeros(g), grid=g)
+    s = evaluate(1e-20 * e1, spec)
+    assert 0.0 < 4.0 * s.terms[1] < 1e-60
+    assert not phi_property_check(s, BallSpec(1.0, 1.0, 1e-300, 0.1, 0.05, 3.0))[1]
+    assert phi_property_check(s, make_ball(3.0, spec.coupling, e1)[0]) == (True, True)
 
 
 def test_phi_property_check_zero_coupling(rng):
