@@ -11,7 +11,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,9 +68,44 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _exact_keys(label: str, data, required, optional=()) -> dict:
+    """data, if it is an object with every required key and no key but those
+    and the optional ones; else a ConfigError naming the block and the key."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{label} must be an object, got {data!r}")
+    for key in required:
+        if key not in data:
+            raise ConfigError(f"{label} has a missing key {key!r}")
+    for key in data:
+        if key not in required and key not in optional:
+            raise ConfigError(f"{label} has an unexpected key {key!r}")
+    return data
+
+
+def _names(record) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(record))
+
+
+def _record(obj) -> dict:
+    """A dataclass's JSON block: its fields by name, with a dict copied and a
+    dataclass written by its to_dict, else as its own block. Shallow: unlike
+    dataclasses.asdict, it copies no leaf."""
+    data = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, dict):
+            value = dict(value)
+        elif is_dataclass(value):
+            value = value.to_dict() if hasattr(value, "to_dict") else _record(value)
+        data[f.name] = value
+    return data
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description; see README for the JSON schema."""
+    """Validated experiment description; see README for the JSON schema.
+    Its fields are the config's keys, those without a default required,
+    except that max_iters is written as tolerances.descent.max_iters."""
 
     grid_n: int
     p: float
@@ -95,11 +130,15 @@ class ExperimentConfig:
             raise ConfigError(f"unsupported schema_version {self.schema_version}")
         if not _is_int(self.grid_n) or self.grid_n < 3:
             raise ConfigError(f"grid_n must be an integer >= 3, got {self.grid_n}")
-        if not (_is_number(self.p) and math.isfinite(self.p) and self.p > 1.0):
+        for key, value in (("p", self.p), ("safety", self.safety)):
+            if not _is_number(value):
+                raise ConfigError(f"{key} must be a number, got {value!r}")
+            object.__setattr__(self, key, float(value))
+        if not (math.isfinite(self.p) and self.p > 1.0):
             raise ConfigError(f"p must be a finite number > 1, got {self.p}")
         _validate_field_spec(self.coupling, _COUPLING_KINDS, "coupling")
         _validate_field_spec(self.forcing, _FORCING_KINDS, "forcing")
-        if not (_is_number(self.safety) and math.isfinite(self.safety) and self.safety >= 1.0):
+        if not (math.isfinite(self.safety) and self.safety >= 1.0):
             raise ConfigError(f"safety must be a finite number >= 1, got {self.safety}")
         if not (_is_int(self.samples) and self.samples >= 1):
             raise ConfigError(f"samples must be a positive integer, got {self.samples}")
@@ -112,64 +151,24 @@ class ExperimentConfig:
             raise ConfigError("output_path must be a nonempty string")
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "grid_n": self.grid_n,
-            "p": self.p,
-            "coupling": dict(self.coupling),
-            "forcing": dict(self.forcing),
-            "safety": self.safety,
-            "samples": self.samples,
-            "seed": self.seed,
-            "tolerances": {"descent": {"max_iters": self.max_iters}},
-            "output_path": self.output_path,
-        }
+        data = _record(self)
+        data["tolerances"] = {"descent": {"max_iters": data.pop("max_iters")}}
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-        known = {
-            "schema_version",
-            "grid_n",
-            "p",
-            "coupling",
-            "forcing",
-            "safety",
-            "samples",
-            "seed",
-            "tolerances",
-            "output_path",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = {"grid_n", "p", "coupling", "forcing"} - set(data)
-        if missing:
-            raise ConfigError(f"missing required config keys: {sorted(missing)}")
-
-        tolerances = data.get("tolerances", {})
-        if not isinstance(tolerances, dict):
-            raise ConfigError("tolerances must be an object")
-        if "linear" in tolerances:
-            raise ConfigError(
-                "the tolerances.linear section was removed in schema_version 2: "
-                "the Poisson solve is direct and has no tolerance"
-            )
-        bad = set(tolerances) - {"descent"}
-        if bad:
-            raise ConfigError(f"unknown tolerances sections: {sorted(bad)}")
-        descent = tolerances.get("descent", {})
-        if not isinstance(descent, dict) or set(descent) - {"max_iters"}:
-            raise ConfigError(f"bad tolerances: descent takes max_iters alone, got {descent!r}")
-
-        kwargs = {k: data[k] for k in known - {"tolerances"} if k in data}
-        kwargs.update(descent)
-        for key in ("p", "safety"):
-            if key in kwargs:
-                if not _is_number(kwargs[key]):
-                    raise ConfigError(f"{key} must be a number, got {kwargs[key]!r}")
-                kwargs[key] = float(kwargs[key])
+        required = tuple(f.name for f in fields(cls) if f.default is MISSING)
+        keys = ["tolerances" if name == "max_iters" else name for name in _names(cls)]
+        kwargs = dict(_exact_keys("config", data, required, keys))
+        if "tolerances" in kwargs:
+            tolerances = kwargs.pop("tolerances")
+            if isinstance(tolerances, dict) and "linear" in tolerances:
+                raise ConfigError(
+                    "the tolerances.linear section was removed in schema_version 2: "
+                    "the Poisson solve is direct and has no tolerance"
+                )
+            descent = _exact_keys("config.tolerances", tolerances, ("descent",))["descent"]
+            kwargs.update(_exact_keys("config.tolerances.descent", descent, ("max_iters",)))
         return cls(**kwargs)
 
 
@@ -202,7 +201,8 @@ def _build_forcing(grid: DomainGrid, spec: dict, forcing_bound: float,
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Everything a run produced, minus the raw field data."""
+    """Everything a run produced, minus the raw field data; its fields are
+    report.json's blocks."""
 
     config: ExperimentConfig
     ball: BallSpec
@@ -213,32 +213,26 @@ class SolveReport:
     version: str
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "ball": asdict(self.ball),
-            "energy": self.energy,
-            "minimize_summary": dict(self.minimize_summary),
-            "verification": self.verification.to_dict(),
-            "wall_time": dict(self.wall_time),
-            "version": self.version,
-        }
+        return _record(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SolveReport":
-        unexpected = sorted(set(data) - {f.name for f in fields(cls)})
-        if unexpected:
-            raise ConfigError(f"unexpected key {unexpected[0]!r}")
+        data = dict(_exact_keys("report", data, _names(cls)))
+        if not _is_number(data["energy"]):
+            raise ConfigError(f"energy must be a number, got {data['energy']!r}")
         if not isinstance(data["version"], str):
             raise ConfigError(f"version must be a string, got {data['version']!r}")
-        return cls(
-            config=ExperimentConfig.from_dict(data["config"]),
-            ball=BallSpec(**data["ball"]),
-            energy=data["energy"],
-            minimize_summary=_checked_summary(data["minimize_summary"]),
-            verification=VerificationReport.from_dict(data["verification"]),
-            wall_time=_checked_wall_time(data["wall_time"]),
-            version=data["version"],
-        )
+        data["config"] = ExperimentConfig.from_dict(data["config"])
+        data["ball"] = BallSpec(**_exact_keys("ball", data["ball"], _names(BallSpec)))
+        data["minimize_summary"] = dict(
+            _exact_keys("minimize_summary", data["minimize_summary"], _SUMMARY_KEYS))
+        data["verification"] = VerificationReport(
+            **_exact_keys("verification", data["verification"], _names(VerificationReport)))
+        data["wall_time"] = dict(_exact_keys("wall_time", data["wall_time"], _WALL_TIME_KEYS))
+        for key, value in data["wall_time"].items():
+            if not (_is_number(value) and math.isfinite(value)):
+                raise ConfigError(f"wall_time.{key} must be a finite number, got {value!r}")
+        return cls(**data)
 
 
 _SUMMARY_KEYS = ("iterations", "stop_reason", "mixed_steps", "on_boundary", "final_step",
@@ -254,30 +248,6 @@ def _summarize(result: MinimizeResult) -> dict:
 
 # the stages run_experiment times, in the order it times them
 _WALL_TIME_KEYS = ("setup", "constants", "minimize", "verify", "total")
-
-
-def _checked_wall_time(wall_time: dict) -> dict:
-    """A report's wall_time, if it is a mapping whose keys are the stages
-    run_experiment times and each value is a finite number of seconds."""
-    if not isinstance(wall_time, dict):
-        raise ConfigError(f"wall_time must be a mapping, got {wall_time!r}")
-    if set(wall_time) != set(_WALL_TIME_KEYS):
-        raise ConfigError(
-            f"wall_time keys must be {list(_WALL_TIME_KEYS)}, got {sorted(wall_time)}")
-    for key, value in wall_time.items():
-        if not (_is_number(value) and math.isfinite(value)):
-            raise ConfigError(f"wall_time.{key} must be a finite number, got {value!r}")
-    return dict(wall_time)
-
-
-def _checked_summary(summary: dict) -> dict:
-    """A report's minimize_summary, if its keys are the ones _summarize writes."""
-    missing = [key for key in _SUMMARY_KEYS if key not in summary]
-    unexpected = sorted(set(summary) - set(_SUMMARY_KEYS))
-    if missing or unexpected:
-        problem = f"missing key {missing[0]!r}" if missing else f"unexpected key {unexpected[0]!r}"
-        raise ConfigError(f"minimize_summary has a {problem}")
-    return dict(summary)
 
 
 def run_experiment(
@@ -326,15 +296,9 @@ def run_experiment(
     timings["verify"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_total
 
-    report = SolveReport(
-        config=config,
-        ball=ball,
-        energy=result.energy,
-        minimize_summary=_summarize(result),
-        verification=report_v,
-        wall_time=timings,
-        version=__version__,
-    )
+    report = SolveReport(config=config, ball=ball, energy=result.energy,
+                         minimize_summary=_summarize(result), verification=report_v,
+                         wall_time=timings, version=__version__)
     if write_outputs:
         write_run_outputs(report, result, out_dir)
     return report
@@ -346,26 +310,23 @@ def write_run_outputs(
     """Write report.json and trace.csv; returns the output directory."""
     out = Path(out_dir) if out_dir is not None else Path(report.config.output_path)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    (out / "report.json").write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     with (out / "trace.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "energy", "step", "displacement"])
-        for row in result.trace:
-            writer.writerow([row[0], repr(row[1]), repr(row[2]), repr(row[3])])
+        writer.writerows(result.trace)  # csv writes a float as its repr
     return out
 
 
 def load_report(path: str | Path) -> SolveReport:
-    """Read a report.json; another version's format, or a ball that BallSpec
-    rejects, raises a ConfigError naming the file and the first unexpected or
-    missing key or the rejected value."""
+    """Read a report.json. Each block must hold exactly its record's keys,
+    and its values must pass the record's own checks; anything else, another
+    version's format included, raises a ConfigError naming the file and the
+    block's first missing or unexpected key or the rejected value."""
     try:
         return SolveReport.from_dict(json.loads(Path(path).read_text()))
-    except (KeyError, TypeError, ValueError) as exc:  # ConfigError is a ValueError
-        problem = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-        raise ConfigError(f"{path} is not a spball {__version__} report: {problem}") from None
+    except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
+        raise ConfigError(f"{path} is not a spball {__version__} report: {exc}") from None
 
 
 # ---------------------------------------------------------------- study
@@ -376,10 +337,10 @@ class StudyRow:
     """Per-grid study outcome; error holds a message when the grid failed."""
 
     n: int
-    poisson_rel_error: float | None
-    observed_order: float | None
-    energy: float | None
-    pde_rel_residual: float | None
+    poisson_rel_error: float | None = None
+    observed_order: float | None = None
+    energy: float | None = None
+    pde_rel_residual: float | None = None
     error: str = ""
 
 
@@ -420,19 +381,12 @@ def convergence_study(config: ExperimentConfig, grids: list[int]) -> list[StudyR
             order = None
             if prev is not None:
                 order = math.log(prev[1] / poisson_err) / math.log(n / prev[0])
-            rows.append(
-                StudyRow(
-                    n=n,
-                    poisson_rel_error=poisson_err,
-                    observed_order=order,
-                    energy=report.energy,
-                    pde_rel_residual=report.verification.pde_rel_residual,
-                )
-            )
+            rows.append(StudyRow(n=n, poisson_rel_error=poisson_err, observed_order=order,
+                                 energy=report.energy,
+                                 pde_rel_residual=report.verification.pde_rel_residual))
             prev = (n, poisson_err)
         except Exception as exc:  # recorded, study continues
-            rows.append(StudyRow(n=n, poisson_rel_error=None, observed_order=None,
-                                 energy=None, pde_rel_residual=None, error=str(exc)))
+            rows.append(StudyRow(n=n, error=str(exc)))
     return rows
 
 
@@ -441,10 +395,8 @@ def write_study_csv(rows: list[StudyRow], path: str | Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["n", "poisson_rel_error", "observed_order", "energy", "pde_rel_residual", "error"]
-        )
+        header = _names(StudyRow)
+        writer.writerow(header)
         for row in rows:
-            values = (row.poisson_rel_error, row.observed_order, row.energy, row.pde_rel_residual)
-            cells = ["" if v is None else repr(v) for v in values]
-            writer.writerow([row.n, *cells, row.error])
+            values = (getattr(row, name) for name in header)
+            writer.writerow(["" if v is None else v for v in values])  # None as an empty cell

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,14 +35,16 @@ from .errors import OutsideBallError
 
 FP_THRESHOLD = 1e-6
 PDE_THRESHOLD = 1e-5
+# verify's five gates, in the order failed_checks names them
+GATES = ("fixed_point", "pde", "aux_in_ball", "phi_nonneg", "phi_bound")
 
 
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of the verification pipeline; failed_checks names the gates
-    that failed, in the order fixed_point, pde, aux_in_ball, phi_nonneg,
-    phi_bound, and passed means it is empty. The two residuals stand beside
-    their thresholds.
+    that failed, in GATES order, and passed means it is empty, which the
+    report checks on construction. The two residuals stand beside their
+    thresholds.
 
     vi_gap is the variational inequality's infimum over the ball, relative
     to 1/2||grad u||^2, of
@@ -65,13 +67,16 @@ class VerificationReport:
     passed: bool
     failed_checks: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VerificationReport":
+    def __post_init__(self):
         # JSON carries failed_checks as a list
-        return cls(**{**data, "failed_checks": tuple(data["failed_checks"])})
+        failed = tuple(self.failed_checks)
+        object.__setattr__(self, "failed_checks", failed)
+        if failed != tuple(gate for gate in GATES if gate in failed):
+            raise ValueError(f"failed_checks must name gates of {GATES} in that order, "
+                             f"got {list(failed)}")
+        if self.passed is not (not failed):
+            raise ValueError(f"passed must be {not failed} beside failed_checks "
+                             f"{list(failed)}, got {self.passed!r}")
 
 
 def fixed_point_residual(s: FieldState, grad: Gradient) -> float:
@@ -145,14 +150,9 @@ def verify(s: FieldState, grad: Gradient, spec: ProblemSpec, ball: BallSpec) -> 
     fp_res = fixed_point_residual(s, grad)
     pde_res = pde_residual(grad, spec)
     nonneg_ok, bound_ok = phi_property_check(s, ball)
-    gates = {
-        "fixed_point": fp_res <= FP_THRESHOLD,
-        "pde": pde_res <= PDE_THRESHOLD,
-        "aux_in_ball": ball.contains(grad.rhs_norm),
-        "phi_nonneg": nonneg_ok,
-        "phi_bound": bound_ok,
-    }
-    failed = tuple(name for name, ok in gates.items() if not ok)
+    oks = (fp_res <= FP_THRESHOLD, pde_res <= PDE_THRESHOLD, ball.contains(grad.rhs_norm),
+           nonneg_ok, bound_ok)
+    failed = tuple(gate for gate, ok in zip(GATES, oks, strict=True) if not ok)
     return VerificationReport(
         fixed_point_rel_residual=fp_res,
         pde_rel_residual=pde_res,

@@ -52,12 +52,12 @@ def test_config_round_trip():
 
 
 def test_config_rejects_unknown_keys():
-    with pytest.raises(ConfigError, match="unknown config keys"):
+    with pytest.raises(ConfigError, match="config has an unexpected key 'extra'"):
         ExperimentConfig.from_dict({**small_config().to_dict(), "extra": 1})
 
 
 def test_config_rejects_missing_keys():
-    with pytest.raises(ConfigError, match="missing required"):
+    with pytest.raises(ConfigError, match="config has a missing key 'p'"):
         ExperimentConfig.from_dict({"grid_n": 6})
 
 
@@ -92,11 +92,12 @@ def test_config_bad_tolerances():
         ExperimentConfig.from_dict(data)
     data = small_config().to_dict()
     data["tolerances"]["mystery"] = {}
-    with pytest.raises(ConfigError, match="unknown tolerances"):
+    with pytest.raises(ConfigError, match="config.tolerances has an unexpected key 'mystery'"):
         ExperimentConfig.from_dict(data)
     data = small_config().to_dict()
     data["tolerances"]["descent"]["seed"] = 0
-    with pytest.raises(ConfigError, match="bad tolerances"):
+    with pytest.raises(ConfigError,
+                       match="config.tolerances.descent has an unexpected key 'seed'"):
         ExperimentConfig.from_dict(data)
     # schema_version 2 removed the linear-solver section; both v1 shapes name it
     data = small_config().to_dict()
@@ -107,6 +108,15 @@ def test_config_bad_tolerances():
     data["schema_version"] = 1
     with pytest.raises(ConfigError, match="tolerances.linear"):
         ExperimentConfig.from_dict(data)
+
+
+def test_config_stores_p_and_safety_as_floats():
+    # the constructor, which perfbench/worker.py calls, echoes what from_dict echoes
+    cfg = ExperimentConfig(grid_n=8, p=7, coupling={"constant": 1.0},
+                           forcing={"scaled_to_bound": 1.0}, safety=2)
+    assert json.dumps(cfg.to_dict()["p"]) == "7.0"
+    assert json.dumps(cfg.to_dict()["safety"]) == "2.0"
+    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 
 @pytest.mark.parametrize("key", ["grid_n", "samples", "seed"])
@@ -264,6 +274,43 @@ def test_load_report_rejects_an_unknown_top_level_key(small_run, tmp_path):
     assert str(path) in str(excinfo.value)
 
 
+# block -> (its place in report.json, a key it must hold, a key it must not)
+REPORT_BLOCKS = {
+    "report": ((), "energy", "converged"),
+    "config": (("config",), "grid_n", "extra"),
+    "config.tolerances": (("config", "tolerances"), "descent", "mystery"),
+    "config.tolerances.descent": (("config", "tolerances", "descent"), "max_iters", "seed"),
+    "ball": (("ball",), "radius", "sample_count"),
+    "verification": (("verification",), "passed", "phi_scaling_ok"),
+    "minimize_summary": (("minimize_summary",), "iterations", "converged"),
+    "wall_time": (("wall_time",), "total", "write"),
+}
+
+
+@pytest.mark.parametrize("change", ["missing", "unexpected"])
+@pytest.mark.parametrize("block", list(REPORT_BLOCKS))
+def test_load_report_names_the_block_and_its_key(small_run, tmp_path, block, change):
+    # every block holds exactly its record's keys
+    cfg, report, out = small_run
+    place, required, foreign = REPORT_BLOCKS[block]
+    data = report.to_dict()
+    target = data
+    for key in place:
+        target = target[key]
+    if change == "missing":
+        del target[required]
+        expected = f"{block} has a missing key {required!r}"
+    else:
+        target[foreign] = 0
+        expected = f"{block} has an unexpected key {foreign!r}"
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError) as excinfo:
+        load_report(path)
+    assert str(excinfo.value).startswith(f"{path} is not a spball {__version__} report")
+    assert expected in str(excinfo.value)
+
+
 @pytest.mark.parametrize("wall_time", [
     ["setup", "constants", "minimize", "verify", "total"],
     {"bogus": "x"},
@@ -296,6 +343,35 @@ def test_load_report_checks_the_version_is_a_string(small_run, tmp_path, version
     path = tmp_path / "report.json"
     path.write_text(json.dumps(data))
     with pytest.raises(ConfigError, match="version must be a string") as excinfo:
+        load_report(path)
+    assert str(path) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("energy", ["abc", None, True, [-1.0]])
+def test_load_report_checks_the_energy_is_a_number(small_run, tmp_path, energy):
+    cfg, report, out = small_run
+    data = report.to_dict()
+    data["energy"] = energy
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match="energy must be a number") as excinfo:
+        load_report(path)
+    assert str(path) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("verdict", [
+    {"passed": True, "failed_checks": ["pde"]},
+    {"passed": False, "failed_checks": []},
+    {"passed": False, "failed_checks": ["bogus"]},
+])
+def test_load_report_checks_the_verdict(small_run, tmp_path, verdict):
+    # perfbench/run.py counts a repetition as verified on passed alone
+    cfg, report, out = small_run
+    data = report.to_dict()
+    data["verification"].update(verdict)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match="passed must be|failed_checks must name") as excinfo:
         load_report(path)
     assert str(path) in str(excinfo.value)
 

@@ -7,7 +7,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -428,7 +428,8 @@ def test_verify_deterministic(solved_problem):
 def test_report_round_trip(solved_problem):
     spec, ball, res = solved_problem
     report = verify(res.state, res.gradient, spec, ball)
-    assert VerificationReport.from_dict(report.to_dict()) == report
+    # load_report reads the block as VerificationReport(**block)
+    assert VerificationReport(**asdict(report)) == report
 
 
 def test_failed_checks_name_the_failing_gate_and_round_trip(solved_problem, monkeypatch):
@@ -439,9 +440,25 @@ def test_failed_checks_name_the_failing_gate_and_round_trip(solved_problem, monk
     assert report.fp_threshold == 1e-30
     assert not report.passed
     assert report.failed_checks == ("fixed_point",)
-    restored = VerificationReport.from_dict(json.loads(json.dumps(report.to_dict())))
+    restored = VerificationReport(**json.loads(json.dumps(asdict(report))))
     assert restored == report
     assert restored.failed_checks == ("fixed_point",)
+
+
+@pytest.mark.parametrize("passed, failed_checks", [
+    (True, ("pde",)),
+    (False, ()),
+    (1, ()),
+    (False, ("bogus",)),
+    (False, ("pde", "fixed_point")),
+    (False, ("pde", "pde")),
+])
+def test_verification_report_checks_its_verdict(solved_problem, passed, failed_checks):
+    # passed is the verdict of failed_checks, which names gates of GATES in order
+    spec, ball, res = solved_problem
+    report = verify(res.state, res.gradient, spec, ball)
+    with pytest.raises(ValueError, match="passed must be|failed_checks must name"):
+        replace(report, passed=passed, failed_checks=failed_checks)
 
 
 def test_failed_checks_list_the_five_gates_in_order():
@@ -457,6 +474,7 @@ def test_failed_checks_list_the_five_gates_in_order():
     report = verify(replace(s, phi_range=(-high, -low)), grad, spec, ball)
     assert report.failed_checks == ("fixed_point", "pde", "aux_in_ball", "phi_nonneg",
                                     "phi_bound")
+    assert report.failed_checks == verify_module.GATES
     assert not hasattr(report, "phi_scaling_ok")
 
 
