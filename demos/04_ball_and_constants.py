@@ -18,8 +18,8 @@ from spball import (
     first_eigenpair,
     gradient_field,
     make_ball,
-    smoothed_random_fields,
 )
+from spball.sampling import smoothed_random_fields
 
 grid = build_grid(8)
 spec = ProblemSpec(

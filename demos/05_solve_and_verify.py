@@ -31,7 +31,6 @@ v = report.verification
 print("\nverification")
 print(f"  fixed point residual (rel) = {v.fixed_point_rel_residual:.3e}")
 print(f"  equation residual    (rel) = {v.pde_rel_residual:.3e}")
-print(f"  vi gap over the ball (rel) = {v.vi_gap:.3e}")
 print(f"  passed                     = {v.passed}")
 print(f"  failed checks              = {', '.join(v.failed_checks) or 'none'}")
 

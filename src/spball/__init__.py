@@ -27,7 +27,6 @@ from .errors import (
     ConfigError,
     ForcingTooLargeError,
     GridMismatchError,
-    InvalidExponentError,
     InvalidGridError,
     OutsideBallError,
 )
@@ -52,7 +51,6 @@ from .runner import (
     run_experiment,
     write_study_csv,
 )
-from .sampling import smoothed_random_fields
 from .verify import (
     VerificationReport,
     fixed_point_residual,
@@ -74,7 +72,6 @@ __all__ = [
     "ForcingTooLargeError",
     "Gradient",
     "GridMismatchError",
-    "InvalidExponentError",
     "InvalidGridError",
     "MinimizeResult",
     "OutsideBallError",
@@ -103,7 +100,6 @@ __all__ = [
     "pde_residual",
     "phi_property_check",
     "run_experiment",
-    "smoothed_random_fields",
     "solve_dirichlet_poisson",
     "write_study_csv",
     "__version__",

@@ -64,11 +64,7 @@ def _cmd_run(args) -> int:
         f"iterations={report.minimize_summary['iterations']}  "
         f"stop_reason={report.minimize_summary['stop_reason']}"
     )
-    print(
-        f"verify: fp_rel={ver.fixed_point_rel_residual:.3e}  "
-        f"pde_rel={ver.pde_rel_residual:.3e}  "
-        f"vi_gap={ver.vi_gap:.3e}"
-    )
+    print(f"verify: fp_rel={ver.fixed_point_rel_residual:.3e}  pde_rel={ver.pde_rel_residual:.3e}")
     print(f"outputs: {out_dir / 'report.json'}  {out_dir / 'trace.csv'}")
     if ver.passed:
         print("verification PASSED")

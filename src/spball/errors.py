@@ -11,10 +11,6 @@ class GridMismatchError(ValueError):
     """Two fields (or a field and a problem) live on different grids."""
 
 
-class InvalidExponentError(ValueError):
-    """Norm exponent outside [1, inf)."""
-
-
 class AssumptionViolationError(ValueError):
     """Problem data violates a structural assumption (coupling sign, exponent range)."""
 

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridMismatchError, InvalidExponentError, InvalidGridError
+from .errors import GridMismatchError, InvalidGridError
 
 _TINY = sys.float_info.min  # smallest normal float
 
@@ -169,30 +169,27 @@ class ScalarField:
 
 
 def _power_sum(values: np.ndarray, m: float) -> float:
-    """sum |v_i|^m of an array."""
-    # the ball and residual norms use m = 2 and m = 3: BLAS sums with no pow
-    # and no |v| array, since v_i v_i = |v_i|^2 and (|v_i| v_i) v_i
-    # = v_i^2 |v_i|, each product exactly the one of |v|
+    """sum |v_i|^m of an array, for m = 2 or 3."""
+    # BLAS sums with no pow and no |v| array, since v_i v_i = |v_i|^2 and
+    # (|v_i| v_i) v_i = v_i^2 |v_i|, each product exactly the one of |v|
     if m == 2.0:
         return float(np.vdot(values, values))
-    if m == 3.0:
-        signed_sq = np.abs(values)
-        signed_sq *= values
-        return float(np.vdot(signed_sq, values))
-    return float(np.sum(np.abs(values) ** m))
+    signed_sq = np.abs(values)
+    signed_sq *= values
+    return float(np.vdot(signed_sq, values))
 
 
 def lp_norm(u: ScalarField, m: float) -> float:
-    """Discrete Lp norm: (sum |u_i|^m h^3)^(1/m).
+    """Discrete Lp norm: (sum |u_i|^m h^3)^(1/m), for m = 2 or 3, the two
+    exponents a run takes; any other m is a ValueError.
 
     A field so small or so large that the sum underflows below the normal
     range or overflows is summed again divided by max|u|, so the norm does
     not depend on the scale of the field; every other field takes the one
     direct sum.
     """
-    m = float(m)
-    if not math.isfinite(m) or m < 1.0:
-        raise InvalidExponentError(f"norm exponent must satisfy m >= 1, got {m}")
+    if m not in (2, 3):
+        raise ValueError(f"lp_norm takes the exponent 2 or 3, got {m!r}")
     h3 = u.grid.h ** 3
     with np.errstate(over="ignore"):
         total = _power_sum(u.values, m) * h3

@@ -41,10 +41,7 @@ def _validate_field_spec(spec: dict, kinds: tuple[str, ...], label: str) -> None
     (kind, value), = spec.items()
     if kind not in kinds:
         raise ConfigError(f"unknown {label} kind {kind!r}; expected one of {kinds}")
-    if not _is_number(value):
-        raise ConfigError(f"{label}.{kind} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{label}.{kind} must be finite")
+    value = _number(f"{label}.{kind}", value)
     if kind == "constant" and label == "coupling":
         if value < 0.0:
             raise ConfigError("coupling constant must be nonnegative")
@@ -63,22 +60,35 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    # a JSON number; strings such as "7" are not numbers
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _number(label: str, value) -> float:
+    """value as a float, if it is a JSON number that float() converts to a
+    finite value, else a ConfigError naming label: a string such as "7" is no
+    number, and Infinity, NaN or an integer past the float range no finite one."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{label} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{label} must be a finite number, got {value!r}")
+    return number
 
 
 def _exact_keys(label: str, data, required, optional=()) -> dict:
     """data, if it is an object with every required key and no key but those
-    and the optional ones; else a ConfigError naming the block and the key."""
+    and the optional ones; else a ConfigError naming the block and its first
+    missing key, or every unexpected one."""
     if not isinstance(data, dict):
         raise ConfigError(f"{label} must be an object, got {data!r}")
     for key in required:
         if key not in data:
             raise ConfigError(f"{label} has a missing key {key!r}")
-    for key in data:
-        if key not in required and key not in optional:
-            raise ConfigError(f"{label} has an unexpected key {key!r}")
+    unexpected = [repr(key) for key in data if key not in required and key not in optional]
+    if len(unexpected) == 1:
+        raise ConfigError(f"{label} has an unexpected key {unexpected[0]}")
+    if unexpected:
+        raise ConfigError(f"{label} has unexpected keys {', '.join(unexpected)}")
     return data
 
 
@@ -130,16 +140,14 @@ class ExperimentConfig:
             raise ConfigError(f"unsupported schema_version {self.schema_version}")
         if not _is_int(self.grid_n) or self.grid_n < 3:
             raise ConfigError(f"grid_n must be an integer >= 3, got {self.grid_n}")
-        for key, value in (("p", self.p), ("safety", self.safety)):
-            if not _is_number(value):
-                raise ConfigError(f"{key} must be a number, got {value!r}")
-            object.__setattr__(self, key, float(value))
-        if not (math.isfinite(self.p) and self.p > 1.0):
-            raise ConfigError(f"p must be a finite number > 1, got {self.p}")
+        for key in ("p", "safety"):
+            object.__setattr__(self, key, _number(key, getattr(self, key)))
+        if not self.p > 1.0:
+            raise ConfigError(f"p must be a number > 1, got {self.p}")
         _validate_field_spec(self.coupling, _COUPLING_KINDS, "coupling")
         _validate_field_spec(self.forcing, _FORCING_KINDS, "forcing")
-        if not (math.isfinite(self.safety) and self.safety >= 1.0):
-            raise ConfigError(f"safety must be a finite number >= 1, got {self.safety}")
+        if not self.safety >= 1.0:
+            raise ConfigError(f"safety must be a number >= 1, got {self.safety}")
         if not (_is_int(self.samples) and self.samples >= 1):
             raise ConfigError(f"samples must be a positive integer, got {self.samples}")
         if not _is_int(self.seed):
@@ -218,8 +226,7 @@ class SolveReport:
     @classmethod
     def from_dict(cls, data: dict) -> "SolveReport":
         data = dict(_exact_keys("report", data, _names(cls)))
-        if not _is_number(data["energy"]):
-            raise ConfigError(f"energy must be a number, got {data['energy']!r}")
+        _number("energy", data["energy"])
         if not isinstance(data["version"], str):
             raise ConfigError(f"version must be a string, got {data['version']!r}")
         data["config"] = ExperimentConfig.from_dict(data["config"])
@@ -230,8 +237,7 @@ class SolveReport:
             **_exact_keys("verification", data["verification"], _names(VerificationReport)))
         data["wall_time"] = dict(_exact_keys("wall_time", data["wall_time"], _WALL_TIME_KEYS))
         for key, value in data["wall_time"].items():
-            if not (_is_number(value) and math.isfinite(value)):
-                raise ConfigError(f"wall_time.{key} must be a finite number, got {value!r}")
+            _number(f"wall_time.{key}", value)
         return cls(**data)
 
 
@@ -322,7 +328,7 @@ def load_report(path: str | Path) -> SolveReport:
     """Read a report.json. Each block must hold exactly its record's keys,
     and its values must pass the record's own checks; anything else, another
     version's format included, raises a ConfigError naming the file and the
-    block's first missing or unexpected key or the rejected value."""
+    block's first missing key, its unexpected keys or the rejected value."""
     try:
         return SolveReport.from_dict(json.loads(Path(path).read_text()))
     except (TypeError, ValueError) as exc:  # ConfigError is a ValueError

@@ -43,27 +43,12 @@ GATES = ("fixed_point", "pde", "aux_in_ball", "phi_nonneg", "phi_bound")
 class VerificationReport:
     """Outcome of the verification pipeline; failed_checks names the gates
     that failed, in GATES order, and passed means it is empty, which the
-    report checks on construction. The two residuals stand beside their
-    thresholds.
-
-    vi_gap is the variational inequality's infimum over the ball, relative
-    to 1/2||grad u||^2, of
-        gap(v) = 1/2||grad v||^2 - 1/2||grad u||^2 - sum(rhs(u) (v - u)) h^3.
-    -Delta_h T(u) = rhs(u) exactly, so summation by parts gives
-    gap(v) = 1/2||grad(v - T(u))||^2 - 1/2||grad(u - T(u))||^2 for every v:
-    the infimum is -1/2||grad g||^2, attained at v = T(u) when T(u) is in the
-    ball (the aux_in_ball gate) and a lower bound otherwise. Relative, that is -fp^2
-    with fp the fixed-point residual, and it is reported as exactly
-    -(fp * fp), so a huge residual reads -inf rather than overflowing. It
-    gates nothing: vi_gap >= -eps holds exactly when fp <= sqrt(eps), which
-    the fixed_point gate already decides.
+    report checks on construction. The two residuals are the numbers the
+    fixed_point and pde gates compare with FP_THRESHOLD and PDE_THRESHOLD.
     """
 
     fixed_point_rel_residual: float
     pde_rel_residual: float
-    vi_gap: float
-    fp_threshold: float
-    pde_threshold: float
     passed: bool
     failed_checks: tuple[str, ...]
 
@@ -156,9 +141,6 @@ def verify(s: FieldState, grad: Gradient, spec: ProblemSpec, ball: BallSpec) -> 
     return VerificationReport(
         fixed_point_rel_residual=fp_res,
         pde_rel_residual=pde_res,
-        vi_gap=-(fp_res * fp_res),
-        fp_threshold=FP_THRESHOLD,
-        pde_threshold=PDE_THRESHOLD,
         passed=not failed,
         failed_checks=failed,
     )

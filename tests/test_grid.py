@@ -17,7 +17,6 @@ from numpy.testing import assert_allclose
 
 from spball import (
     GridMismatchError,
-    InvalidExponentError,
     InvalidGridError,
     ScalarField,
     apply_laplacian,
@@ -150,7 +149,7 @@ def test_lp_norm_zero_field():
     assert lp_norm(ScalarField.zeros(g), 3) == 0.0
 
 
-@pytest.mark.parametrize("m", [2.0, 3.0, 4.5])
+@pytest.mark.parametrize("m", [2.0, 3.0])
 @pytest.mark.parametrize("value", [1e-200, 1e-120, 1e120, 1e200])
 def test_lp_norm_does_not_depend_on_the_scale_of_the_field(value, m):
     # ||c||_m = c ((n-1)^3 h^3)^(1/m) for a constant c; c^m leaves the float
@@ -164,11 +163,11 @@ def test_lp_norm_does_not_depend_on_the_scale_of_the_field(value, m):
 
 
 def test_lp_norm_against_fsum_oracle(rng):
-    # m = 2 and m = 3 sum with dot products, the other exponents with a power
+    # m = 2 and m = 3 sum with dot products
     for n in (5, 7):
         g = build_grid(n)
         u = random_field(g, rng)
-        for m in (1.0, 2.0, 3.0, 7.5):
+        for m in (2.0, 3.0):
             direct = math.fsum(abs(float(x)) ** m for x in u.values.ravel()) * g.h**3
             assert_allclose(lp_norm(u, m), direct ** (1.0 / m), rtol=1e-13)
 
@@ -189,10 +188,11 @@ def test_lp_norm_dot_sums_match_the_sums_of_abs_u_bit_for_bit(rng):
         assert lp_norm(u, 3) == (float(np.vdot(a * a, a)) * g.h**3) ** (1.0 / 3.0)
 
 
-@pytest.mark.parametrize("m", [0.99, 0.0, -1.0, math.nan])
+@pytest.mark.parametrize("m", [0.99, 0.0, -1.0, math.nan, 1.0, 2.5, 4.5, math.inf])
 def test_lp_norm_rejects_bad_exponent(m):
+    # a run takes the ball and residual norms, m = 3, and L2 norms, m = 2
     g = build_grid(3)
-    with pytest.raises(InvalidExponentError):
+    with pytest.raises(ValueError, match="exponent 2 or 3"):
         lp_norm(ScalarField.zeros(g), m)
 
 
@@ -204,7 +204,7 @@ def test_lp_norm_rejects_bad_exponent(m):
         st.just(0.0), st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6)
     ),
     seed=st.integers(0, 2**16),
-    m=st.sampled_from([1.0, 2.0, 3.0, 5.0]),
+    m=st.sampled_from([2.0, 3.0]),
 )
 def test_lp_norm_absolute_homogeneity(t, seed, m):
     g = build_grid(4)
@@ -213,7 +213,7 @@ def test_lp_norm_absolute_homogeneity(t, seed, m):
 
 
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**16), m=st.sampled_from([1.0, 2.0, 3.0]))
+@given(seed=st.integers(0, 2**16), m=st.sampled_from([2.0, 3.0]))
 def test_lp_norm_triangle_inequality(seed, m):
     g = build_grid(4)
     r = np.random.default_rng(seed)

@@ -321,8 +321,8 @@ def test_converged_runs_pass_the_residual_gates(monkeypatch, n, p, coupling, fra
     ver = report.verification
     assert report.minimize_summary["stop_reason"] == "fixed_point"
     assert seen[-1] == ver.fixed_point_rel_residual
-    assert ver.fixed_point_rel_residual <= FP_THRESHOLD == ver.fp_threshold
-    assert ver.pde_rel_residual <= PDE_THRESHOLD == ver.pde_threshold
+    assert ver.fixed_point_rel_residual <= FP_THRESHOLD
+    assert ver.pde_rel_residual <= PDE_THRESHOLD
     assert not {"fixed_point", "pde"} & set(ver.failed_checks)
 
 
@@ -588,7 +588,11 @@ def test_stop_test_residual_is_the_gradient_pass_norm(monkeypatch, config):
         rhs = ScalarField(s.u.grid, rhs)
         assert np.array_equal(g.g.values, (s.u - solve_dirichlet_poisson(rhs).field).values)
         assert np.array_equal(g.residual.values, (s.lap - rhs).values)
-        assert_allclose(fp(s, g), grad_l2_norm(g.g) / grad_l2_norm(s.u), rtol=1e-9)
+        # the two readings differ by stencil and solve rounding of about eps
+        # in absolute terms, at most 1.2 eps over these cases, which near the
+        # threshold fp ~ 1e-7 is a relative 1e-9; 16 eps keeps a margin
+        assert_allclose(fp(s, g), grad_l2_norm(g.g) / grad_l2_norm(s.u), rtol=1e-9,
+                        atol=16 * np.finfo(float).eps)
 
 
 @pytest.mark.parametrize("config", HANDOVER_CASES)

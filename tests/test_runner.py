@@ -11,11 +11,14 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import spball.runner as runner_mod
 import spball.verify as verify_mod
 from spball import ConfigError, ForcingTooLargeError
 from spball.cli import main
+from spball.verify import GATES
 from spball.version import __version__
 from spball.runner import (
     ExperimentConfig,
@@ -210,6 +213,15 @@ def test_load_report_rejects_another_versions_format(small_run, tmp_path):
     old["version"] = "0.9.0"
     path.write_text(json.dumps(old))
     with pytest.raises(ConfigError, match="aux_in_ball"):
+        load_report(path)
+    # a 0.13.0 report, whose verification restated fp as vi_gap = -(fp * fp)
+    # and echoed both thresholds; written with sorted keys, as the runner does
+    old = report.to_dict()
+    old["verification"].update(vi_gap=-1e-14, fp_threshold=1e-6, pde_threshold=1e-5)
+    old["version"] = "0.13.0"
+    path.write_text(json.dumps(old, indent=2, sort_keys=True) + "\n")
+    with pytest.raises(ConfigError, match="verification has unexpected keys 'fp_threshold', "
+                                          "'pde_threshold', 'vi_gap'"):
         load_report(path)
     # a report with a section missing names that section
     data = report.to_dict()
@@ -579,6 +591,92 @@ def test_cli_run_failure_exit_codes(tmp_path, capsys):
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
     assert "safety must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400), math.inf, -math.inf, math.nan],
+                         ids=["huge-int", "minus-huge-int", "inf", "minus-inf", "nan"])
+@pytest.mark.parametrize("key, kind", [("p", None), ("safety", None), ("coupling", "constant"),
+                                       ("coupling", "sine_bump"), ("forcing", "constant"),
+                                       ("forcing", "scaled_to_bound")])
+def test_cli_run_rejects_a_number_that_is_not_a_finite_float(tmp_path, capsys, key, kind, value):
+    # a JSON integer past the float range once escaped main as an OverflowError;
+    # json reads Infinity and NaN, which are numbers but not finite ones
+    data = json.loads(write_config(tmp_path).read_text())
+    data[key] = value if kind is None else {kind: value}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    label = key if kind is None else f"{key}.{kind}"
+    assert line.startswith(f"error: {label} must be a finite number, got ")
+
+
+def _signed(low: float, high: float):
+    """Floats of both signs whose magnitude lies in [low, high]."""
+    magnitude = st.floats(low, high)
+    return st.one_of(magnitude, magnitude.map(lambda x: -x))
+
+
+# numbers a config field rarely holds: any sign and size, zero and the
+# subnormals, the non-finite floats json reads, and integers past the float range
+_ODD = st.one_of(
+    _signed(0.0, 1e300),
+    st.floats(-sys.float_info.min, sys.float_info.min),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.integers(2**1024, 10**400).flatmap(lambda n: st.sampled_from([n, -n])),
+)
+
+
+def _mostly(common):
+    """common in about seven draws of eight, else an odd number."""
+    return st.integers(0, 7).flatmap(lambda i: common if i else _ODD)
+
+
+def _spec(kinds, values):
+    return st.builds(lambda kind, value: {kind: value}, st.sampled_from(kinds), _mostly(values))
+
+
+_CONFIGS = st.fixed_dictionaries(
+    {
+        "grid_n": st.integers(3, 6),
+        "p": _mostly(st.one_of(st.floats(1.0 + 1e-12, 1e4), st.integers(2, 10**4))),
+        "coupling": _spec(["constant", "sine_bump"], st.floats(0.0, 1e150)),
+        "forcing": st.one_of(_spec(["constant", "sine_bump"], _signed(1e-300, 1e300)),
+                             _spec(["scaled_to_bound"], st.floats(0.0, 1.0))),
+    },
+    optional={"safety": _mostly(st.floats(1.0, 1e3))},
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=_CONFIGS)
+def test_cli_run_ends_every_config_in_a_named_outcome(tmp_path, capsys, config):
+    # every config of the schema verifies (0), fails named gates (1) or is
+    # rejected with one error line (2); nothing escapes main, and a silent
+    # overflow would raise here as a RuntimeWarning
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    if code == 2:
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+        return
+    assert code in (0, 1) and captured.err == ""
+    verdict = captured.out.splitlines()[-1]
+    if code == 0:
+        assert verdict == "verification PASSED"
+    else:
+        prefix = "verification FAILED: "
+        assert verdict.startswith(prefix)
+        failed = verdict[len(prefix):].split(", ")
+        assert failed == [gate for gate in GATES if gate in failed] != []
 
 
 def test_cli_run_names_the_failed_checks(tmp_path, capsys, monkeypatch):

@@ -189,7 +189,6 @@ def test_fixed_point_gate_fails_on_the_zero_state(tmp_path):
     report = load_report(tmp_path / "out" / "report.json")
     assert report.verification.failed_checks == ("fixed_point", "pde")
     assert report.verification.fixed_point_rel_residual == math.inf
-    assert report.verification.vi_gap == -math.inf
 
 
 def test_pde_gate_fails_on_the_zero_state_of_a_tiny_forcing(tmp_path):
@@ -249,15 +248,15 @@ def test_vi_no_violations_at_minimizer(solved_problem):
     s, g = state_and_gradient(res.minimizer, spec)
     fp = fixed_point_residual(s, g)
     report = verify(s, g, spec, ball)
-    assert report.vi_gap == -(fp * fp)
-    assert -1e-8 <= report.vi_gap <= 0.0
+    assert report.fixed_point_rel_residual == fp
+    # the gap's infimum over the ball is -fp^2, relative to 1/2||grad u||^2
+    assert fp * fp <= 1e-8
 
 
-def test_vi_gap_is_minus_the_squared_fixed_point_residual(solved_problem, rng):
-    # one pairing: vi_gap is -(fp * fp) bit for bit, the correctly rounded
-    # square (libm's pow, behind fp ** 2, can differ in the last bit), at the
-    # minimizer, at small random fields and at the zero candidate, whose
-    # ||grad u|| = 0 beside a nonzero g makes the residual inf and the gap -inf
+def test_report_holds_the_fixed_point_residual(solved_problem, rng):
+    # one pairing: the report's residual is fixed_point_residual's bit for
+    # bit, at the minimizer, at small random fields and at the zero candidate,
+    # whose ||grad u|| = 0 beside a nonzero g makes the residual inf
     spec, ball, res = solved_problem
     zero_spec, zero_ball, _ = standard_problem(n=6, p=3.0)
     zero = state_and_gradient(ScalarField.zeros(zero_spec.grid), zero_spec)
@@ -269,10 +268,10 @@ def test_vi_gap_is_minus_the_squared_fixed_point_residual(solved_problem, rng):
     for s, g, case_spec, case_ball in cases:
         fp = fixed_point_residual(s, g)
         report = verify(s, g, case_spec, case_ball)
-        assert report.vi_gap == -(fp * fp) and report.fixed_point_rel_residual == fp
+        assert report.fixed_point_rel_residual == fp
     s, g = zero
     assert fixed_point_residual(s, g) == math.inf
-    assert verify(s, g, zero_spec, zero_ball).vi_gap == -math.inf
+    assert verify(s, g, zero_spec, zero_ball).fixed_point_rel_residual == math.inf
 
 
 def test_vi_detects_non_minimizer():
@@ -282,7 +281,8 @@ def test_vi_detects_non_minimizer():
     spec, ball, mode = standard_problem(n=6, p=3.0)
     s, g = state_and_gradient(ScalarField.zeros(spec.grid), spec)
     report = verify(s, g, spec, ball)
-    assert report.vi_gap < -1e-8
+    fp = report.fixed_point_rel_residual
+    assert fp * fp > 1e-8
     assert not report.passed
     assert "fixed_point" in report.failed_checks
     assert "vi" not in report.failed_checks
@@ -404,9 +404,10 @@ def test_verify_passes_on_solved_problem(solved_problem):
     spec, ball, res = solved_problem
     report = verify(res.state, res.gradient, spec, ball)
     assert report.passed
-    assert report.fixed_point_rel_residual <= report.fp_threshold
-    assert report.pde_rel_residual <= report.pde_threshold
-    assert -1e-8 <= report.vi_gap <= 0.0
+    assert report.fixed_point_rel_residual <= verify_module.FP_THRESHOLD
+    assert report.pde_rel_residual <= verify_module.PDE_THRESHOLD
+    fp = report.fixed_point_rel_residual
+    assert fp * fp <= 1e-8
     assert report.failed_checks == ()
 
 
@@ -437,7 +438,7 @@ def test_failed_checks_name_the_failing_gate_and_round_trip(solved_problem, monk
     spec, ball, res = solved_problem
     monkeypatch.setattr(verify_module, "FP_THRESHOLD", 1e-30)
     report = verify(res.state, res.gradient, spec, ball)
-    assert report.fp_threshold == 1e-30
+    assert report.fixed_point_rel_residual > verify_module.FP_THRESHOLD == 1e-30
     assert not report.passed
     assert report.failed_checks == ("fixed_point",)
     restored = VerificationReport(**json.loads(json.dumps(asdict(report))))
