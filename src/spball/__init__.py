@@ -16,7 +16,6 @@ from .ball import (
 from .energy import (
     EnergyBreakdown,
     FieldState,
-    Gradient,
     ProblemSpec,
     evaluate,
     gradient_field,
@@ -70,7 +69,6 @@ __all__ = [
     "FieldState",
     "FirstMode",
     "ForcingTooLargeError",
-    "Gradient",
     "GridMismatchError",
     "InvalidGridError",
     "MinimizeResult",

@@ -4,7 +4,8 @@
     spball study --config cfg.json --grids 8,16,32 [--out DIR]
 
 `run` exits 0 only when verification passed; `study` exits 0 only when every
-grid completed. Configuration or data errors exit 2.
+grid completed. Configuration or data errors exit 2, as does a run whose
+grid is too large for the memory at hand.
 """
 
 from __future__ import annotations
@@ -51,7 +52,10 @@ def _load(args):
 
 def _cmd_run(args) -> int:
     config = _load(args)
-    report = run_experiment(config)
+    try:
+        report = run_experiment(config)
+    except MemoryError:
+        raise ConfigError(f"grid_n={config.grid_n} needs more memory than is available") from None
     ver = report.verification
     out_dir = Path(config.output_path)
     print(f"grid n={config.grid_n}  p={config.p}")

@@ -11,23 +11,26 @@ critical Sobolev range; the ball constraint elsewhere is what restores control.
 
 Everything else is read from one FieldState per field, built by evaluate:
 the field u, lap = -Delta_h u and its ball norm ||lap||_3, the four energy
-terms, the minimum and maximum of phi_u, and the equation's right-hand
-side rhs = -c phi_u u + sign(u)|u|^p + f, which the state holds until its
-gradient takes it. All are written out only in _state, the no-solve
-builder evaluate shares with the descent's start, which holds phi_u and
-lap already; each term pairs u with an array the state forms anyway, so a
-state costs no gradient pass. _state forms c phi_u u in phi_u's own array,
-so the state keeps no potential: the radial retraction onto the ball, which
-scales phi_u, is decided in evaluate before that. evaluate's stencil for lap
-is its only one, but for a field it pulls back onto the ball.
+terms, the minimum and maximum of phi_u, and the Sobolev gradient
+g = u - T(u) with the strong residual lap - rhs, its L3 norm and
+||rhs||_3, where rhs = -c phi_u u + sign(u)|u|^p + f is the equation's
+right-hand side and T(u) = (-Delta_h)^-1 rhs the auxiliary map. All are
+written out only in _state, the builder evaluate shares with the descent's
+start, which holds phi_u and lap already; each term pairs u with an array
+the state forms anyway, so a state costs no gradient pass. _state forms
+c phi_u u in phi_u's own array and then rhs in the same array, so the state
+keeps no potential and the power array is gone before the gradient's
+solve: the radial retraction onto the ball, which scales phi_u, is decided
+in evaluate before that. evaluate's stencil for lap is its only one, but
+for a field it pulls back onto the ball.
 
-gradient_field takes a state's rhs to form its Sobolev gradient g = u - T(u)
-with one solve for T(u) = (-Delta_h)^-1 rhs: it keeps ||rhs||_3, T(u)'s ball
-norm, then writes the strong residual lap - rhs into rhs's array and g into
-T(u)'s. So the state and its Gradient hold four arrays, u, lap, g and the
-residual, and the residual's L3 norm is taken once, for the descent's stop
-test and verify. ProblemSpec holds ||f||_3 for the same reason: a stop test
-re-forms neither the residual nor the forcing norm.
+gradient_field, the one place a gradient is formed, takes rhs with one
+solve for T(u): it keeps ||rhs||_3, T(u)'s ball norm, then writes the
+strong residual lap - rhs into rhs's array and g into T(u)'s. So a state
+holds four arrays, u, lap, g and the residual, and the residual's L3 norm
+is taken once, for the descent's stop test and verify. ProblemSpec holds
+||f||_3 for the same reason: a stop test re-forms neither the residual nor
+the forcing norm.
 The power sign(u)|u|^p is one array per state: for an integral p from 2
 to 7 it is formed by products, within (p - 1) eps relative of libm pow;
 any other p uses pow.
@@ -119,18 +122,21 @@ def _signed_power(values: np.ndarray, p: float) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class FieldState:
     """A field u with lap = -Delta_h u, its ball norm w2n = ||lap||_3, the
-    energy terms (kinetic, coupling, power, forcing) and phi_range, the
-    minimum and maximum of its potential phi_u; built by evaluate. It holds
-    the right-hand side rhs = -c phi_u u + sign(u)|u|^p + f privately, until
-    gradient_field takes it."""
+    energy terms (kinetic, coupling, power, forcing), phi_range, the minimum
+    and maximum of its potential phi_u, and its gradient: g = u - T(u), the
+    strong residual lap - rhs, which is -Delta_h g up to solve rounding, the
+    residual's L3 norm and rhs_norm = ||rhs||_3, the ball norm of T(u) since
+    -Delta_h T(u) = rhs; built by evaluate."""
 
     u: ScalarField
     lap: ScalarField
     terms: tuple[float, float, float, float]
     phi_range: tuple[float, float]
     w2n: float
-    # set by _state alone, so a copy made by dataclasses.replace holds none
-    _rhs: ScalarField | None = field(init=False, default=None, repr=False)
+    g: ScalarField
+    residual: ScalarField
+    residual_norm: float
+    rhs_norm: float
 
     @property
     def grad_sq(self) -> float:
@@ -141,13 +147,13 @@ class FieldState:
 def _state(u: ScalarField, phi: np.ndarray, lap: ScalarField, w2n: float,
            spec: ProblemSpec) -> FieldState:
     """The state of u from its potential's values phi, already solved,
-    lap = -Delta_h u, already formed, and w2n = ||lap||_3; no solve and no
-    stencil.
+    lap = -Delta_h u, already formed, and w2n = ||lap||_3; no stencil, and
+    one solve, the gradient's.
 
     phi must be an array the caller alone holds: once its minimum and
-    maximum are read, c phi u is formed in it. The terms are homogeneous in
-    u, of degree 2, 4, p+1 and 1: 1/2 <lap, u>, 1/4 <c phi u, u>,
-    <sign(u)|u|^p, u>/(p+1) and <f, u>, each times h^3.
+    maximum are read, c phi u is formed in it, and then rhs. The terms are
+    homogeneous in u, of degree 2, 4, p+1 and 1: 1/2 <lap, u>,
+    1/4 <c phi u, u>, <sign(u)|u|^p, u>/(p+1) and <f, u>, each times h^3.
     """
     phi_range = (float(phi.min()), float(phi.max()))
     coupled = phi
@@ -161,17 +167,18 @@ def _state(u: ScalarField, phi: np.ndarray, lap: ScalarField, w2n: float,
         float(np.vdot(power, u.values)) * h3 / (spec.p + 1.0),
         float(np.vdot(spec.forcing.values, u.values)) * h3,
     )
-    # power's term is taken, so its array becomes rhs = (power - coupled) + f
-    power -= coupled
-    power += spec.forcing.values
-    s = FieldState(u, lap, terms, phi_range, w2n)
-    object.__setattr__(s, "_rhs", ScalarField._own(spec.grid, power))
-    return s
+    # the terms are taken, so phi's array becomes rhs = (power - coupled) + f
+    # and the power array goes before the gradient's solve
+    rhs = np.subtract(power, coupled, out=coupled)
+    del power
+    rhs += spec.forcing.values
+    rhs = ScalarField._own(spec.grid, rhs)
+    return FieldState(u, lap, terms, phi_range, w2n, *gradient_field(u, lap, rhs))
 
 
 def evaluate(u: ScalarField, spec: ProblemSpec, radius: float = math.inf) -> FieldState:
     """The state of u: one linear solve for the potential, one stencil for
-    -Delta_h u, then the right-hand side.
+    -Delta_h u, then the right-hand side and one solve for the gradient.
 
     A u outside the closed ball of the w2n norm with this radius is pulled
     back onto it first, by radial retraction: t u with t = radius /
@@ -199,39 +206,25 @@ def energy(s: FieldState) -> EnergyBreakdown:
     return EnergyBreakdown(kinetic, coupling, power, forcing, kinetic + coupling - power - forcing)
 
 
-@dataclass(frozen=True, eq=False)
-class Gradient:
-    """The Sobolev gradient g = u - T(u) of a state, its strong residual
-    lap - rhs with that residual's L3 norm, and rhs_norm = ||rhs||_3, the
-    ball norm of T(u) since -Delta_h T(u) = rhs; built by gradient_field."""
-
-    g: ScalarField
-    residual: ScalarField
-    residual_norm: float
-    rhs_norm: float
-
-
-def gradient_field(s: FieldState) -> Gradient:
-    """Sobolev gradient u - T(u), with T(u) = (-Delta_h)^-1 rhs(u) the auxiliary
-    map, and the strong residual -Delta_h u - rhs(u); one solve.
+def gradient_field(u: ScalarField, lap: ScalarField,
+                   rhs: ScalarField) -> tuple[ScalarField, ScalarField, float, float]:
+    """(g, residual, residual_norm, rhs_norm) of u from lap = -Delta_h u and
+    rhs = rhs(u): the Sobolev gradient g = u - T(u), with T(u) =
+    (-Delta_h)^-1 rhs the auxiliary map, the strong residual lap - rhs with
+    its L3 norm, and ||rhs||_3; one solve.
 
     g is the Riesz representative of the residual in the discrete H1 inner
     product, since (-Delta_h)^-1 (-Delta_h u - rhs) = u - T(u). So
     -Delta_h g = lap - rhs up to solve rounding: verify reads
-    ||grad g||^2 = <lap - rhs, g> h^3 with no gradient pass. The state hands
-    over its rhs and holds none afterwards, so it has one gradient: once the
-    solve has read rhs and its L3 norm is taken, the residual is written
-    into rhs's array and g into T(u)'s.
+    ||grad g||^2 = <lap - rhs, g> h^3 with no gradient pass. rhs must be an
+    array the caller made and alone holds: once the solve has read it and
+    its L3 norm is taken, the residual is written into it, and g into T(u)'s
+    array.
     """
-    rhs = s._rhs
-    if rhs is None:
-        raise ValueError("the state holds no right-hand side: its gradient took it, "
-                         "or the state is a copy")
-    object.__setattr__(s, "_rhs", None)
     rhs_norm = lp_norm(rhs, 3.0)
     g = solve_dirichlet_poisson(rhs).field._release()
-    np.subtract(s.u.values, g, out=g)
+    np.subtract(u.values, g, out=g)
     residual = rhs._release()
-    np.subtract(s.lap.values, residual, out=residual)
-    residual = ScalarField._own(s.u.grid, residual)
-    return Gradient(ScalarField._own(s.u.grid, g), residual, lp_norm(residual, 3.0), rhs_norm)
+    np.subtract(lap.values, residual, out=residual)
+    residual = ScalarField._own(u.grid, residual)
+    return ScalarField._own(u.grid, g), residual, lp_norm(residual, 3.0), rhs_norm

@@ -18,26 +18,26 @@ coefficients are numbers the ball constants took from e1 and phi_e1, the
 FirstMode, with the power term a sum over one axis since e1 is a product
 of sines, so no state of e is formed. The potential of t e scales phi_e1,
 the one the ball constants solved, and its Laplacian scales lambda_h e,
-since -Delta_h e1 = lambda_h e1, so the initial guess costs no solve and no
-stencil, and forms only the state it returns; the descent then drops the
-FirstMode. When <f, e1> is zero, or the best multiple has no negative
-energy, the descent starts at u = 0, from which a plain step lowers the
-energy whenever f is not zero. A trial is evaluated once (one solve, one
-stencil); one that leaves the ball is pulled back by radial retraction in
-evaluate, t u with t = r / ||-Delta_h u||_3, whose potential is t^2 phi_u,
-so the retraction costs a stencil and no solve. If the mixed trial does not
+since -Delta_h e1 = lambda_h e1, so the initial guess runs no stencil and
+one solve, its state's gradient, and forms only the state it returns; the
+descent then drops the FirstMode. When <f, e1> is zero, or the best
+multiple has no negative energy, the descent starts at u = 0, from which a
+plain step lowers the energy whenever f is not zero. A trial is evaluated
+once (two solves, the potential's and the gradient's, and one stencil);
+one that leaves the ball is pulled back by radial retraction in evaluate,
+t u with t = r / ||-Delta_h u||_3, whose potential is t^2 phi_u, so the
+retraction costs a stencil and no solve. If the mixed trial does not
 strictly decrease the energy, the history is cleared and the plain step
 u - step g backtracks from 1 by halves until the energy strictly
-decreases. The one stop test is verify's: the descent stops with
-stop_reason fixed_point when fixed_point_residual and pde_residual of the
-iterate's Gradient pass FP_THRESHOLD and PDE_THRESHOLD, and otherwise when
-no step lowers the energy (no_decrease) or the iteration budget is spent
-(budget); verify alone says whether the result is a solution. An iterate
-is the accepted trial's state, u, lap and its energy terms, with its
-Gradient, g and the strong residual, formed in the arrays of T(u) and of
-the state's rhs: four arrays. Both residuals read the Gradient, and every
-H1 norm here is a pairing with a held Laplacian, so the descent runs no
-gradient pass.
+decreases; a rejected trial's two solves are spent for nothing.
+The one stop test is verify's: the descent stops with stop_reason
+fixed_point when fixed_point_residual and pde_residual of the iterate's
+state pass FP_THRESHOLD and PDE_THRESHOLD, and otherwise when no step
+lowers the energy (no_decrease) or the iteration budget is spent (budget);
+verify alone says whether the result is a solution. An iterate is the
+accepted trial's state: u, lap, g and the strong residual, four arrays,
+with its energy terms and norms. Every H1 norm here is a pairing with a
+held Laplacian, so the descent runs no gradient pass.
 """
 
 from __future__ import annotations
@@ -48,15 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ball import BallSpec, FirstMode
-from .energy import (
-    FieldState,
-    Gradient,
-    ProblemSpec,
-    _state,
-    energy,
-    evaluate,
-    gradient_field,
-)
+from .energy import FieldState, ProblemSpec, _state, energy, evaluate
 from .grid import ScalarField, _first_sines, lp_norm
 from .verify import FP_THRESHOLD, PDE_THRESHOLD, fixed_point_residual, pde_residual
 
@@ -72,8 +64,8 @@ MAX_ITERS = 5000  # the default iteration budget
 class MinimizeResult:
     """Minimizer, its energy, and the full iteration trace.
 
-    state is the minimizer's FieldState and gradient its Gradient, both from
-    the last stop test; verify takes them as they are. trace rows are
+    state is the minimizer's FieldState, gradient included, from the last
+    stop test; verify takes it as it is. trace rows are
     (iteration, energy, accepted step, H1 displacement); row 0 records the
     starting point with step and displacement zero, and an accepted mixed
     trial records step 1, so there are iterations + 1 rows. stop_reason is
@@ -85,7 +77,6 @@ class MinimizeResult:
     """
 
     state: FieldState
-    gradient: Gradient
     energy: float
     iterations: int
     trace: tuple[tuple[int, float, float, float], ...]
@@ -137,8 +128,8 @@ def initial_guess(spec: ProblemSpec, ball: BallSpec, mode: FirstMode) -> FieldSt
     returned when the ball contains it and its energy is negative too.
     The potential is quadratic, so the potential of t e is
     t^2 (scale^2 phi_e1): phi_e1, the potential make_ball solved for the
-    first eigenfunction, serves every t, and the initial guess costs no
-    solve. It runs no stencil either: -Delta_h e1 = lambda_h e1 gives
+    first eigenfunction, serves every t, and the initial guess's one solve
+    is its state's gradient. It runs no stencil: -Delta_h e1 = lambda_h e1 gives
     ||-Delta_h e1||_3 = lambda_h ||e1||_3 and -Delta_h (t e) = t (lambda_h e),
     to rounding.
 
@@ -159,8 +150,9 @@ def initial_guess(spec: ProblemSpec, ball: BallSpec, mode: FirstMode) -> FieldSt
     # the other three terms are even in e, so the better sign makes lin positive
     poly = quad * ts**2 + quart * ts**4 - power * ts ** (spec.p + 1.0) - abs(lin) * ts
     idx = int(np.argmin(poly))  # the first minimum, so the smallest t among ties
-    if poly[idx] < 0.0:
-        t = float(ts[idx])
+    t, best = float(ts[idx]), float(poly[idx])
+    del ts, poly  # freed before the candidate's gradient solve
+    if best < 0.0:
         # (t e, t^2 (scale^2 phi_e1), t (lambda_h e)), each product as it
         # would be formed from e's own state
         u = mode.e1.values * scale
@@ -247,13 +239,12 @@ class _MixingHistory:
         return out
 
 
-def _backtrack(s: FieldState, grad: Gradient, current: float, spec: ProblemSpec,
-               ball: BallSpec):
+def _backtrack(s: FieldState, current: float, spec: ProblemSpec, ball: BallSpec):
     """The first plain step u - step g, from _INITIAL_STEP down by _BACKTRACK_FACTOR,
     whose retracted trial strictly lowers the energy; None when none does."""
     step = _INITIAL_STEP
     while step >= _MIN_STEP:
-        candidate = evaluate(s.u - step * grad.g, spec, ball.radius)
+        candidate = evaluate(s.u - step * s.g, spec, ball.radius)
         cand_energy = energy(candidate).total
         if cand_energy < current:
             return candidate, cand_energy, step
@@ -275,7 +266,8 @@ def minimize(
     stops with stop_reason budget after max_iters iterations.
     A zero forcing starts and ends at the zero field with zero energy.
     Every iterate stays in the ball; recorded energies are strictly
-    decreasing. The accepted trial's state carries into the next gradient.
+    decreasing. The accepted trial's state, gradient included, is the next
+    iterate.
     """
     if type(max_iters) is not int or max_iters < 1:  # a bool is no budget
         raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
@@ -291,18 +283,16 @@ def minimize(
     history = _MixingHistory()
 
     while True:
-        grad = gradient_field(s)
-        if (fixed_point_residual(s, grad) <= FP_THRESHOLD
-                and pde_residual(grad, spec) <= PDE_THRESHOLD):
+        if fixed_point_residual(s) <= FP_THRESHOLD and pde_residual(s, spec) <= PDE_THRESHOLD:
             stop_reason = "fixed_point"
             break
         if iterations == max_iters:
             stop_reason = "budget"
             break
-        history.push(grad.g.values, s.u.values, grad.residual.values)
+        history.push(s.g.values, s.u.values, s.residual.values)
 
         accepted = None
-        trial = history.mixed(grad.g.values, s.u.values) if history.steps else None
+        trial = history.mixed(s.g.values, s.u.values) if history.steps else None
         if trial is not None:
             candidate = evaluate(ScalarField._own(spec.grid, trial), spec, ball.radius)
             cand_energy = energy(candidate).total
@@ -313,25 +303,27 @@ def minimize(
                 history.clear()
             del trial, candidate  # a rejected trial's state is not held through the backtracking
         if accepted is None:
-            accepted = _backtrack(s, grad, current, spec, ball)
+            accepted = _backtrack(s, current, spec, ball)
         if accepted is None:
             # no step strictly lowers the energy, yet the residual gates fail
             stop_reason = "no_decrease"
             break
 
         candidate, cand_energy, step = accepted
-        lap, u = s.lap.values, s.u.values
-        s, current = candidate, cand_energy
-        # ||grad(u' - u)||^2 = <-Delta_h (u' - u), u' - u> h^3, from the held Laplacians
-        pair = np.vdot(s.lap.values - lap, s.u.values - u)
-        del lap, u
+        old, s, current = s, candidate, cand_energy
+        # ||grad(u' - u)||^2 = <-Delta_h (u' - u), u' - u> h^3, from the held
+        # Laplacians; the dropped iterate's lap, which nothing else holds,
+        # takes lap' - lap
+        dlap = old.lap._release()
+        np.subtract(s.lap.values, dlap, out=dlap)
+        pair = np.vdot(dlap, s.u.values - old.u.values)
+        del old, dlap
         displacement = math.sqrt(max(float(pair), 0.0) * spec.grid.h ** 3)
         iterations += 1
         trace.append((iterations, current, step, displacement))
 
     return MinimizeResult(
         state=s,
-        gradient=grad,
         energy=current,
         iterations=iterations,
         trace=tuple(trace),

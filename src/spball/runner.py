@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 import time
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
@@ -181,12 +182,17 @@ class ExperimentConfig:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
+    """The config in a UTF-8 JSON file; any failure to read or decode it is a
+    ConfigError naming the file."""
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    except ValueError:  # json's only other error: an integer past the digit limit
+        raise ConfigError(f"config file {path} holds an integer of more than "
+                          f"{sys.get_int_max_str_digits()} digits") from None
     return ExperimentConfig.from_dict(data)
 
 
@@ -298,7 +304,7 @@ def run_experiment(
     timings["minimize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    report_v = verify(result.state, result.gradient, spec, ball)
+    report_v = verify(result.state, spec, ball)
     timings["verify"] = time.perf_counter() - t0
     timings["total"] = time.perf_counter() - t_total
 

@@ -1,16 +1,16 @@
 """Fixed-point verification that a minimizer is a discrete weak solution.
 
-verify reads the candidate's state s = evaluate(u) and its Gradient
-gradient_field(s), with g = u - T(u), where T(u) solves the auxiliary
-problem -Delta_h T(u) = rhs(u). Both are functions of u alone, so the ones
-the descent holds at its last iterate serve as they are (bit for bit after
-an accepted step; at the initial guess, a multiple of e1 whose potential
-and Laplacian scale phi_e1 and lambda_h e1, to rounding); the descent's
+verify reads the candidate's state s = evaluate(u), gradient included,
+with g = u - T(u), where T(u) solves the auxiliary problem
+-Delta_h T(u) = rhs(u). The state is a function of u alone, so the one the
+descent holds at its last iterate serves as it is (bit for bit after an
+accepted step; at the initial guess, a multiple of e1 whose potential and
+Laplacian scale phi_e1 and lambda_h e1, to rounding); the descent's
 stop_reason is never read. The state holds -Delta_h u, its L3 norm, the
-energy terms and the potential's minimum and maximum; the Gradient holds g,
-the strong residual lap - rhs = -Delta_h g (up to solve rounding) with its
-L3 norm, and ||rhs(u)||_3, T(u)'s ball norm. So every norm here is a number
-or a pairing with a held array: ||grad u|| and ||grad phi_u|| from the
+energy terms, the potential's minimum and maximum, g, the strong residual
+lap - rhs = -Delta_h g (up to solve rounding) with its L3 norm, and
+||rhs(u)||_3, T(u)'s ball norm. So every norm here is a number or a
+pairing with a held array: ||grad u|| and ||grad phi_u|| from the
 terms, and ||grad g||^2 = <lap - rhs, g> h^3 by summation by parts. verify
 runs no solve, no stencil and no gradient pass, and forms no array. The
 candidate is accepted when T(u) coincides with u in the relative H1
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ball import BallSpec
-from .energy import FieldState, Gradient, ProblemSpec
+from .energy import FieldState, ProblemSpec
 from .errors import OutsideBallError
 
 FP_THRESHOLD = 1e-6
@@ -64,19 +64,19 @@ class VerificationReport:
                              f"{list(failed)}, got {self.passed!r}")
 
 
-def fixed_point_residual(s: FieldState, grad: Gradient) -> float:
+def fixed_point_residual(s: FieldState) -> float:
     """Relative H1-seminorm size ||grad g|| / ||grad u|| of g = u - T(u).
 
-    grad must be gradient_field(s): then -Delta_h g = lap - rhs, its strong
-    residual, so ||grad g||^2 = max(<lap - rhs, g> h^3, 0) by summation by
-    parts, exact up to rounding and with no gradient pass; ||grad u||^2
-    comes from the state. The ratio is free of a common scale, so when
-    either square is not a normal float both are taken again on the arrays
-    over their largest magnitude, as lp_norm does; u = 0 beside g != 0 is
-    inf, and g = 0 is 0.
+    The state's strong residual is -Delta_h g = lap - rhs, so
+    ||grad g||^2 = max(<lap - rhs, g> h^3, 0) by summation by parts, exact
+    up to rounding and with no gradient pass; ||grad u||^2 comes from the
+    terms. The ratio is free of a common scale, so when either square is
+    not a normal float both are taken again on the arrays over their
+    largest magnitude, as lp_norm does; u = 0 beside g != 0 is inf, and
+    g = 0 is 0.
     """
-    g, residual = grad.g.values, grad.residual.values
-    h3 = grad.g.grid.h ** 3
+    g, residual = s.g.values, s.residual.values
+    h3 = s.g.grid.h ** 3
     pair = float(np.vdot(residual, g)) * h3
     grad_sq = s.grad_sq
     if not all(sys.float_info.min <= abs(x) <= sys.float_info.max for x in (pair, grad_sq)):
@@ -90,13 +90,13 @@ def fixed_point_residual(s: FieldState, grad: Gradient) -> float:
     return math.sqrt(max(pair, 0.0)) / math.sqrt(grad_sq)
 
 
-def pde_residual(grad: Gradient, spec: ProblemSpec) -> float:
-    """L3 norm of the strong equation residual, which the Gradient holds,
+def pde_residual(s: FieldState, spec: ProblemSpec) -> float:
+    """L3 norm of the strong equation residual, which the state holds,
     relative to the forcing's, both scale-free (lp_norm); for a zero forcing,
     0 if the residual is zero, else inf."""
     if spec.forcing_norm == 0.0:
-        return 0.0 if grad.residual_norm == 0.0 else math.inf
-    return grad.residual_norm / spec.forcing_norm
+        return 0.0 if s.residual_norm == 0.0 else math.inf
+    return s.residual_norm / spec.forcing_norm
 
 
 def phi_property_check(s: FieldState, ball: BallSpec) -> tuple[bool, bool]:
@@ -119,23 +119,23 @@ def phi_property_check(s: FieldState, ball: BallSpec) -> tuple[bool, bool]:
     return nonneg_ok, bound_ok
 
 
-def verify(s: FieldState, grad: Gradient, spec: ProblemSpec, ball: BallSpec) -> VerificationReport:
-    """Full verification of a candidate minimizer from its state s and its
-    Gradient gradient_field(s); it runs no solve.
+def verify(s: FieldState, spec: ProblemSpec, ball: BallSpec) -> VerificationReport:
+    """Full verification of a candidate minimizer from its state s; it runs
+    no solve.
 
     A candidate outside the ball is rejected with OutsideBallError; an
     auxiliary solution T(u) = u - g that escapes the ball fails aux_in_ball.
-    Its ball norm ||-Delta_h T(u)||_3 is ||rhs(u)||_3, read from the Gradient.
+    Its ball norm ||-Delta_h T(u)||_3 is ||rhs(u)||_3, read from the state.
     Both memberships are ball.contains, relative to the radius.
     """
     if not ball.contains(s.w2n):
         raise OutsideBallError(
             f"candidate w2n norm {s.w2n:.6e} exceeds the radius {ball.radius:.6e}"
         )
-    fp_res = fixed_point_residual(s, grad)
-    pde_res = pde_residual(grad, spec)
+    fp_res = fixed_point_residual(s)
+    pde_res = pde_residual(s, spec)
     nonneg_ok, bound_ok = phi_property_check(s, ball)
-    oks = (fp_res <= FP_THRESHOLD, pde_res <= PDE_THRESHOLD, ball.contains(grad.rhs_norm),
+    oks = (fp_res <= FP_THRESHOLD, pde_res <= PDE_THRESHOLD, ball.contains(s.rhs_norm),
            nonneg_ok, bound_ok)
     failed = tuple(gate for gate, ok in zip(GATES, oks, strict=True) if not ok)
     return VerificationReport(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import spball.energy as energy_module
 from spball import (
     AssumptionViolationError,
     GridMismatchError,
@@ -17,6 +18,7 @@ from spball import (
     build_grid,
     compute_phi,
     first_eigenpair,
+    lp_norm,
 )
 from spball.energy import (
     EnergyBreakdown,
@@ -24,8 +26,9 @@ from spball.energy import (
     _signed_power,
     energy,
     evaluate,
-    gradient_field,
 )
+from spball.grid import neg_laplacian_array
+from spball.minimize import initial_guess
 
 from conftest import (
     dense_neg_laplacian,
@@ -34,6 +37,7 @@ from conftest import (
     h1_inner,
     l2_inner,
     random_field,
+    standard_problem,
     w2n_norm,
 )
 
@@ -179,7 +183,7 @@ def test_directional_derivative_matches_finite_differences(p, rng):
 
 def test_gradient_field_l2_at_zero_is_minus_forcing():
     spec = make_spec(n=4)
-    g = gradient_field(evaluate(ScalarField.zeros(spec.grid), spec)).residual
+    g = evaluate(ScalarField.zeros(spec.grid), spec).residual
     assert_allclose(g.values, -spec.forcing.values, rtol=0, atol=0)
 
 
@@ -187,14 +191,14 @@ def test_gradient_field_l2_pairs_to_directional_derivative(rng):
     spec = make_spec(n=5, p=3.0)
     s = evaluate(random_field(spec.grid, rng, scale=0.5), spec)
     v = random_field(spec.grid, rng)
-    g = gradient_field(s).residual
+    g = s.residual
     assert_allclose(l2_inner(g, v), directional_derivative(s, spec, v), rtol=1e-10)
 
 
 def test_gradient_field_sobolev_is_riesz_representative(rng):
     spec = make_spec(n=5, p=3.0)
     s = evaluate(random_field(spec.grid, rng, scale=0.5), spec)
-    w = gradient_field(s).g
+    w = s.g
     for _ in range(3):
         v = random_field(spec.grid, rng)
         dd = directional_derivative(s, spec, v)
@@ -215,7 +219,7 @@ def test_strong_residual_composition(rng):
     )
     assert_allclose(
         apply_laplacian(u).values - rhs,
-        gradient_field(s).residual.values,
+        s.residual.values,
         rtol=0,
         atol=0,
     )
@@ -228,9 +232,9 @@ def test_strong_residual_composition(rng):
 @pytest.mark.parametrize("p", [1.5, 3.0, 7.0])
 @pytest.mark.parametrize("coupling_kind", ["constant", "sine_bump"])
 def test_state_holds_the_laplacian_and_the_energy_terms(n, p, coupling_kind, rng):
-    # the state's stencil, right-hand side and residual are the grid's, bit
-    # for bit, the range of the potential is its own, and its terms agree
-    # with the term formulas the state replaced, written inline
+    # the state's stencil and residual are the grid's, bit for bit, with the
+    # right-hand side's L3 norm, the range of the potential is its own, and
+    # its terms agree with the term formulas the state replaced, written inline
     g = build_grid(n)
     e1, _ = first_eigenpair(g)
     coupling = ScalarField(g, np.ones(g.shape)) if coupling_kind == "constant" else 1e3 * e1
@@ -242,8 +246,8 @@ def test_state_holds_the_laplacian_and_the_energy_terms(n, p, coupling_kind, rng
     rhs = equation_rhs(u, spec)
     phi = compute_phi(u, spec.coupling)
     assert np.array_equal(s.lap.values, lap.values)
-    assert np.array_equal(s._rhs.values, rhs.values)
-    assert np.array_equal(gradient_field(s).residual.values, (lap - rhs).values)
+    assert np.array_equal(s.residual.values, (lap - rhs).values)
+    assert s.rhs_norm == lp_norm(rhs, 3)
     assert s.phi_range == (float(phi.values.min()), float(phi.values.max()))
 
     h3 = g.h**3
@@ -256,20 +260,59 @@ def test_state_holds_the_laplacian_and_the_energy_terms(n, p, coupling_kind, rng
     assert s.w2n == w2n_norm(u)
 
 
-def test_a_state_has_one_gradient(rng):
-    # gradient_field writes the residual into the rhs it takes, so a state
-    # gives one gradient, and a copy made by dataclasses.replace holds no rhs
-    # to share with it: both raise rather than read that buffer
+def test_a_state_has_one_gradient(rng, monkeypatch):
+    # gradient_field runs once per state, retracted or not, and a copy made
+    # by dataclasses.replace shares that gradient rather than forming one
+    calls = []
+    gradient_field_ = energy_module.gradient_field
+
+    def counting(u, lap, rhs):
+        calls.append(u)
+        return gradient_field_(u, lap, rhs)
+
+    monkeypatch.setattr(energy_module, "gradient_field", counting)
     spec = ProblemSpec(p=3.0, coupling=ScalarField.constant(build_grid(6), 1.0),
                        forcing=first_eigenpair(build_grid(6))[0], grid=build_grid(6))
-    s = evaluate(random_field(spec.grid, rng), spec)
+    u = random_field(spec.grid, rng)
+    s = evaluate(u, spec)
+    retracted = evaluate(u, spec, 0.5 * s.w2n)
     copy = replace(s, phi_range=(0.0, 1.0))
-    assert copy._rhs is None
-    with pytest.raises(ValueError, match="right-hand side"):
-        gradient_field(copy)
-    gradient_field(s)
-    with pytest.raises(ValueError, match="right-hand side"):
-        gradient_field(s)
+    assert calls == [s.u, retracted.u]  # fields compare by identity
+    assert (copy.g, copy.residual, copy.residual_norm, copy.rhs_norm) == (
+        s.g, s.residual, s.residual_norm, s.rhs_norm)
+
+
+def _built_state(how, rng):
+    """A state built the given way on the n=8, p=3 standard problem."""
+    spec, ball, mode = standard_problem(n=8, p=3.0)
+    u = random_field(spec.grid, rng, scale=0.5)
+    if how == "evaluate":
+        return evaluate(u, spec)
+    if how == "retracted":
+        s = evaluate(u, spec, 0.5 * w2n_norm(u))
+        assert s.u is not u
+        return s
+    if how == "start":
+        s = initial_guess(spec, ball, mode)
+        assert s.u.values.any() and s.u.values.min() >= 0.0  # a multiple of e1
+        return s
+    # a forcing too small to register: the start is the zero field
+    s = initial_guess(replace(spec, forcing=1e-200 * spec.forcing), ball, mode)
+    assert not s.u.values.any() and s.residual.values.any()
+    return s
+
+
+@pytest.mark.parametrize("how", ["evaluate", "retracted", "start", "zero_start"])
+def test_every_state_carries_its_gradient(how, rng):
+    # -Delta_h g = residual up to solve rounding, the residual's norm is its
+    # L3 norm, and rhs_norm is the ball norm of T(u) = u - g
+    s = _built_state(how, rng)
+    h = s.u.grid.h
+    scale = float(np.abs(s.lap.values).max() + np.abs(s.residual.values).max())
+    assert_allclose(neg_laplacian_array(s.g.values, h), s.residual.values,
+                    rtol=0, atol=1e-12 * scale)
+    assert s.residual_norm == lp_norm(s.residual, 3)
+    assert_allclose(s.rhs_norm, w2n_norm(s.u - s.g), rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------- power kernel

@@ -56,7 +56,7 @@ def _solve(p, shape):
     f = (0.5 * ball.forcing_bound / lp_norm(f, 3)) * f
     spec = ProblemSpec(p=p, coupling=coupling, forcing=f, grid=g)
     res = minimize(spec, ball, mode)
-    return res, verify(res.state, res.gradient, spec, ball)
+    return res, verify(res.state, spec, ball)
 
 
 @pytest.mark.parametrize("shape", SHAPES)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import spball.energy as energy_mod
 import spball.minimize as minimize_mod
 import spball.runner as runner_mod
 from spball import (
@@ -24,7 +25,7 @@ from spball import (
 )
 from spball.ball import BALL_RTOL, make_ball
 from spball.grid import neg_laplacian_array
-from spball.energy import EnergyBreakdown, ProblemSpec, _state, energy, evaluate, gradient_field
+from spball.energy import EnergyBreakdown, ProblemSpec, _state, energy, evaluate
 from spball.poisson import solve_dirichlet_poisson
 from spball.minimize import (
     MinimizeResult,
@@ -74,9 +75,10 @@ def test_retract_inside_ball_is_identity(rng):
     u = random_field(spec.grid, rng)
     s, free = evaluate(u, spec, 2.0 * w2n_norm(u)), evaluate(u, spec)
     assert s.u is u
-    assert np.array_equal(s.lap.values, free.lap.values)
-    assert np.array_equal(s._rhs.values, free._rhs.values)
-    assert (s.terms, s.phi_range, s.w2n) == (free.terms, free.phi_range, free.w2n)
+    for name in ("lap", "g", "residual"):
+        assert np.array_equal(getattr(s, name).values, getattr(free, name).values), name
+    assert (s.terms, s.phi_range, s.w2n, s.residual_norm, s.rhs_norm) == (
+        free.terms, free.phi_range, free.w2n, free.residual_norm, free.rhs_norm)
 
 
 def test_retract_outside_ball_lands_on_boundary(rng):
@@ -137,10 +139,11 @@ def test_initial_guess_tries_one_candidate(monkeypatch):
 @pytest.mark.parametrize("p", [3.0, 7.0])
 def test_initial_guess_scales_phi_e1_without_a_solve(p, solve_counter):
     # the start is t e with e a multiple of e1, so its potential is a multiple
-    # of phi_e1, which make_ball already solved
+    # of phi_e1, which make_ball already solved; the one solve is the
+    # start's gradient
     spec, ball, mode = standard_problem(p=p)
     s0, count = solve_counter(initial_guess, spec, ball, mode)
-    assert count == 0
+    assert count == 1
     phi = compute_phi(s0.u, spec.coupling).values
     assert_allclose(s0.phi_range, (phi.min(), phi.max()), rtol=1e-12, atol=0)
     coupling_term = 0.25 * float(np.vdot(spec.coupling.values * phi * s0.u.values, s0.u.values))
@@ -190,9 +193,10 @@ def test_initial_guess_polynomial_from_four_numbers(p, n, coupling_kind):
             break
     assert expected is not None
     s0 = initial_guess(spec, ball, mode)
-    for name in ("u", "lap", "_rhs"):
+    for name in ("u", "lap", "g", "residual"):
         assert np.array_equal(getattr(s0, name).values, getattr(expected, name).values), name
-    assert (s0.terms, s0.phi_range, s0.w2n) == (expected.terms, expected.phi_range, expected.w2n)
+    for name in ("terms", "phi_range", "w2n", "residual_norm", "rhs_norm"):
+        assert getattr(s0, name) == getattr(expected, name), name
 
 
 # ---------------------------------------------------------------- descent
@@ -304,12 +308,12 @@ def test_stiff_coupling_converges_only_when_verified():
 @pytest.mark.parametrize("fraction, safety", [(1.0, 1.0), (0.5, 2.0)])
 def test_converged_runs_pass_the_residual_gates(monkeypatch, n, p, coupling, fraction, safety):
     # the descent's last fixed-point residual is verify's, bit for bit: verify
-    # reads the state and gradient of the descent's last stop test
+    # reads the state of the descent's last stop test
     seen = []
     fp = minimize_mod.fixed_point_residual
 
-    def recording(s, g):
-        seen.append(fp(s, g))
+    def recording(s):
+        seen.append(fp(s))
         return seen[-1]
 
     monkeypatch.setattr(minimize_mod, "fixed_point_residual", recording)
@@ -339,10 +343,9 @@ def test_minimize_local_minimality_spot_check():
 
 @pytest.mark.parametrize("p", [3.0, 7.0])
 def test_minimize_solve_count(p, solve_counter):
-    # guards against a re-added solve: the initial guess takes none (it
-    # scales phi_e1, which make_ball solved), each iteration one gradient
-    # solve plus one state per line-search trial, and the gradient at the
-    # last iterate one more for the stop test
+    # guards against a re-added solve: the initial guess takes one, its
+    # gradient (it scales phi_e1, which make_ball solved), and each
+    # line-search trial two, its potential and its gradient
     spec, ball, mode = standard_problem(n=8, p=p)
     res, count = solve_counter(minimize, spec, ball, mode)
     assert res.iterations >= 1
@@ -478,8 +481,9 @@ def test_rejected_mixed_trial_falls_back_to_the_plain_step(monkeypatch, solve_co
     assert all(b < a for a, b in zip(energies, energies[1:]))
     assert res.mixed_steps == 0
     assert all(row[2] == 1.0 for row in res.trace[1:])
-    # each rejected mixed trial costs one state solve on top of 1 + 2 * iterations
-    assert count == 1 + 2 * res.iterations + (res.iterations - 1)
+    # each rejected mixed trial costs two solves, its potential and its
+    # gradient, on top of 1 + 2 * iterations
+    assert count == 1 + 2 * res.iterations + 2 * (res.iterations - 1)
 
 
 def test_trial_outside_the_ball_is_rescaled_without_a_solve(monkeypatch, solve_counter):
@@ -491,8 +495,12 @@ def test_trial_outside_the_ball_is_rescaled_without_a_solve(monkeypatch, solve_c
     calls = []
 
     def recording(u, spec, radius=math.inf):
-        calls.append((u, evaluate_(u, spec, radius)))
-        return calls[-1][1]
+        out = evaluate_(u, spec, radius)
+        # lap is checked as it is formed: a step's displacement is taken in
+        # the Laplacian of the iterate it drops
+        assert np.array_equal(out.lap.values, apply_laplacian(out.u).values)
+        calls.append((u, out))
+        return out
 
     monkeypatch.setattr(minimize_mod, "evaluate", recording)
     spec, ball, mode = standard_problem(n=8, p=3.0)
@@ -502,15 +510,14 @@ def test_trial_outside_the_ball_is_rescaled_without_a_solve(monkeypatch, solve_c
     h3 = spec.grid.h**3
     for _, out in calls:
         assert w2n_norm(out.u) <= ball.radius * (1.0 + BALL_RTOL)
-        assert np.array_equal(out.lap.values, apply_laplacian(out.u).values)
         # the state's potential reads are those of phi_u, solved afresh
         phi = compute_phi(out.u, spec.coupling).values
         assert_allclose(out.phi_range, (phi.min(), phi.max()), rtol=1e-12, atol=0)
         coupled = float(np.vdot(spec.coupling.values * phi * out.u.values, out.u.values))
         assert_allclose(out.terms[1], 0.25 * coupled * h3, rtol=1e-12, atol=0)
-    # none for the initial guess, one gradient per stop test and one state
-    # per trial, retracted or not
-    assert count == (res.iterations + 1) + len(calls)
+    # one for the initial guess's gradient and two per trial, its potential
+    # and its gradient, retracted or not
+    assert count == 1 + 2 * len(calls)
 
 
 # ---------------------------------------------------------------- handed-over state
@@ -545,67 +552,66 @@ def recorded_minimize(monkeypatch):
 
 @pytest.mark.parametrize("config", HANDOVER_CASES)
 def test_verify_from_the_handed_over_state_matches_the_field_alone(monkeypatch, config):
-    # the final state and gradient are pure functions of the minimizer, so
-    # verify from them reads, bit for bit, what it reads from the field alone
+    # the final state, gradient included, is a pure function of the
+    # minimizer, so verify from it reads, bit for bit, what it reads from
+    # the field alone
     calls = recorded_minimize(monkeypatch)
     report = run_experiment(ExperimentConfig.from_dict(config), write_outputs=False)
     (res, spec, ball), = calls
     s = evaluate(res.minimizer, spec)
-    g = gradient_field(s)
     assert res.iterations >= 1
-    for handed, fresh in ((res.state.lap, s.lap), (res.gradient.g, g.g),
-                          (res.gradient.residual, g.residual)):
-        assert np.array_equal(handed.values, fresh.values)
-    assert (res.state.terms, res.state.phi_range, res.state.w2n) == (s.terms, s.phi_range, s.w2n)
-    assert (res.gradient.residual_norm, res.gradient.rhs_norm) == (g.residual_norm, g.rhs_norm)
-    assert report.verification == verify(res.state, res.gradient, spec, ball) == verify(
-        s, g, spec, ball
-    )
+    for name in ("lap", "g", "residual"):
+        assert np.array_equal(getattr(res.state, name).values, getattr(s, name).values), name
+    for name in ("terms", "phi_range", "w2n", "residual_norm", "rhs_norm"):
+        assert getattr(res.state, name) == getattr(s, name), name
+    assert report.verification == verify(res.state, spec, ball) == verify(s, spec, ball)
 
 
 @pytest.mark.parametrize("config", HANDOVER_CASES)
 def test_stop_test_residual_is_the_gradient_pass_norm(monkeypatch, config):
-    # at every stop test the Gradient is gradient_field(s), formed from the
-    # rhs the state held, so the pairing with its strong residual reads the
-    # H1 norm a gradient pass over g would
-    seen, held = [], []
+    # at every stop test the state's gradient is gradient_field's, formed
+    # from the state's rhs, so the pairing with its strong residual reads the
+    # H1 norm a gradient pass over g would. Each state is checked at its
+    # stop test: the next step's displacement is taken in its Laplacian
+    held, checked = [], 0
     fp = minimize_mod.fixed_point_residual
-    gradient_field_ = minimize_mod.gradient_field
+    gradient_field_ = energy_mod.gradient_field
 
-    def recording_gradient(s):
-        held.append(s._rhs.values.copy())
-        return gradient_field_(s)
+    def recording_gradient(u, lap, rhs):
+        copy = ScalarField(rhs.grid, rhs.values)
+        held.append((gradient_field_(u, lap, rhs), copy))
+        return held[-1][0]
 
-    def recording(s, g):
-        seen.append((s, g))
-        return fp(s, g)
-
-    monkeypatch.setattr(minimize_mod, "gradient_field", recording_gradient)
-    monkeypatch.setattr(minimize_mod, "fixed_point_residual", recording)
-    report = run_experiment(ExperimentConfig.from_dict(config), write_outputs=False)
-    assert len(seen) == len(held) == report.minimize_summary["iterations"] + 1
-    for (s, g), rhs in zip(seen, held):
-        rhs = ScalarField(s.u.grid, rhs)
-        assert np.array_equal(g.g.values, (s.u - solve_dirichlet_poisson(rhs).field).values)
-        assert np.array_equal(g.residual.values, (s.lap - rhs).values)
+    def recording(s):
+        nonlocal checked
+        checked += 1
+        rhs = next(rhs for gradient, rhs in held if gradient[0] is s.g)
+        assert np.array_equal(s.g.values, (s.u - solve_dirichlet_poisson(rhs).field).values)
+        assert np.array_equal(s.residual.values, (s.lap - rhs).values)
         # the two readings differ by stencil and solve rounding of about eps
         # in absolute terms, at most 1.2 eps over these cases, which near the
         # threshold fp ~ 1e-7 is a relative 1e-9; 16 eps keeps a margin
-        assert_allclose(fp(s, g), grad_l2_norm(g.g) / grad_l2_norm(s.u), rtol=1e-9,
+        assert_allclose(fp(s), grad_l2_norm(s.g) / grad_l2_norm(s.u), rtol=1e-9,
                         atol=16 * np.finfo(float).eps)
+        return fp(s)
+
+    monkeypatch.setattr(energy_mod, "gradient_field", recording_gradient)
+    monkeypatch.setattr(minimize_mod, "fixed_point_residual", recording)
+    report = run_experiment(ExperimentConfig.from_dict(config), write_outputs=False)
+    assert checked == len(held) == report.minimize_summary["iterations"] + 1
 
 
 @pytest.mark.parametrize("config", HANDOVER_CASES)
 def test_aux_ball_norm_is_the_rhs_norm(monkeypatch, config):
     # -Delta_h T(u) = rhs(u) by construction, so the aux_in_ball gate reads
-    # ||rhs||_3, which the Gradient keeps, in place of the stencil norm of
+    # ||rhs||_3, which the state keeps, in place of the stencil norm of
     # T(u) = u - g
     calls = recorded_minimize(monkeypatch)
     run_experiment(ExperimentConfig.from_dict(config), write_outputs=False)
     (res, spec, _), = calls
-    stencil = w2n_norm(res.minimizer - res.gradient.g)
-    assert res.gradient.rhs_norm == pytest.approx(stencil, rel=1e-12, abs=0.0)
-    assert res.gradient.rhs_norm == lp_norm(equation_rhs(res.minimizer, spec), 3)
+    stencil = w2n_norm(res.minimizer - res.state.g)
+    assert res.state.rhs_norm == pytest.approx(stencil, rel=1e-12, abs=0.0)
+    assert res.state.rhs_norm == lp_norm(equation_rhs(res.minimizer, spec), 3)
 
 
 @pytest.mark.parametrize("config", HANDOVER_CASES)

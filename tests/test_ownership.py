@@ -4,11 +4,12 @@ A kernel hands its fresh output array to the field it returns instead of
 copying it, so such a field must still be read-only, share no memory with
 the kernel's inputs and pass the finiteness scan. A buffer is reused only
 once no other object holds it: the potential's solve works in the array of
-c u^2, and a state's gradient writes the residual into the rhs array the
-state hands over. The budgets are tracemalloc peaks in units of one field's
-array, (n-1)^3 float64 values: an extra copy or a hidden temporary of field
-size shows as a whole unit. The finiteness scan's boolean mask is an eighth
-of one.
+c u^2, a state forms rhs in the potential's array and its gradient writes
+the residual into that rhs, and the descent takes a step's displacement in
+the dropped iterate's Laplacian. The budgets are tracemalloc peaks in units
+of one field's array, (n-1)^3 float64 values: an extra copy or a hidden
+temporary of field size shows as a whole unit. The finiteness scan's
+boolean mask is an eighth of one.
 """
 
 import tracemalloc
@@ -17,6 +18,7 @@ import weakref
 import numpy as np
 import pytest
 
+import spball.energy as energy_module
 import spball.minimize as minimize_module
 import spball.runner as runner_module
 from spball.ball import estimate_constants, make_ball
@@ -33,7 +35,7 @@ from spball.poisson import compute_phi, solve_dirichlet_poisson
 from spball.runner import ExperimentConfig, run_experiment
 from spball.verify import phi_property_check, verify
 
-from conftest import random_field
+from conftest import equation_rhs, random_field
 
 
 def _problem(n, rng):
@@ -48,7 +50,6 @@ def test_kernel_fields_are_read_only_and_share_no_memory_with_inputs(rng):
     spec, u = _problem(6, rng)
     v = random_field(spec.grid, rng)
     s = evaluate(u, spec)
-    grad = gradient_field(s)
     inputs = (u.values, v.values, spec.coupling.values, spec.forcing.values)
     made = {
         "sum": u + v,
@@ -63,8 +64,8 @@ def test_kernel_fields_are_read_only_and_share_no_memory_with_inputs(rng):
         "potential": compute_phi(u, spec.coupling),
         "eigenfunction": first_eigenpair(spec.grid)[0],
         "state lap": s.lap,
-        "gradient": grad.g,
-        "residual": grad.residual,
+        "gradient": s.g,
+        "residual": s.residual,
     }
     arrays = [f.values for f in made.values()]
     for name, field in made.items():
@@ -79,20 +80,27 @@ def _address(values: np.ndarray) -> int:
     return values.__array_interface__["data"][0]
 
 
-def test_a_buffer_is_reused_only_once_no_other_object_holds_it(rng):
+def test_a_buffer_is_reused_only_once_no_other_object_holds_it(rng, monkeypatch):
     # (the solve that works in its right-hand side's buffer, as compute_phi's
     # does in c u^2's, is tests/test_poisson.py's)
     spec, u = _problem(6, rng)
-    # a state holds its rhs alone, and hands it to its gradient, which
-    # writes the residual into it; the state holds no rhs afterwards, and a
-    # second gradient of it is refused
+    # the state forms rhs in its potential's array, which nobody else holds,
+    # and the gradient writes the residual into that rhs
+    potentials = []
+    compute_phi_ = energy_module.compute_phi
+
+    def recording(v, coupling):
+        potentials.append(compute_phi_(v, coupling))
+        return potentials[-1]
+
+    monkeypatch.setattr(energy_module, "compute_phi", recording)
     s = evaluate(u, spec)
-    address = _address(s._rhs.values)
-    grad = gradient_field(s)
-    assert s._rhs is None
-    assert _address(grad.residual.values) == address
-    with pytest.raises(ValueError, match="right-hand side"):
-        gradient_field(s)
+    assert _address(s.residual.values) == _address(potentials[0].values)
+    rhs = equation_rhs(u, spec)
+    g, residual, _, _ = gradient_field(u, s.lap, rhs)
+    assert _address(residual.values) == _address(rhs.values)
+    assert np.array_equal(residual.values, s.residual.values)
+    assert np.array_equal(g.values, s.g.values)
     # what the caller holds is never written: the field a trial is made
     # from keeps its values through evaluate, retraction included
     before = u.values.copy()
@@ -135,9 +143,10 @@ BUDGETS = {
     "solve": 2.25,  # two transform buffers; the field adopts the second
     "compute_phi": 2.25,  # c u^2, which the potential adopts, and one solve buffer
     "scalar product": 1.25,
-    # phi, in which c phi u is formed, lap and the power array that becomes
-    # rhs; the stencil's strided subtractions add numpy temporaries (0.9 of
-    # a field at n=16)
+    # phi, in which c phi u and then rhs are formed, lap and the power
+    # array, freed before the gradient's solve adds its two buffers, one of
+    # which g adopts; the stencil's strided subtractions add numpy
+    # temporaries (0.9 of a field at n=16)
     "evaluate": 5.0,
     "lp_norm m=2": 0.25,  # no array: the dot product of u with itself
     "lp_norm m=3": 1.25,  # u*u, signed in place
@@ -165,13 +174,16 @@ STAGE_BUDGETS = {
     # signed square behind its L3 norm; e1 is the caller's, and the ball's
     # other numbers are sums over one axis
     "estimate_constants": 3.25,
-    # the candidate's u, phi and lap, in which c phi u is formed, and the
-    # power array its state forms, but no state of e; at n=16 the 401-point
-    # t grid and its polynomial add a third of a field
-    "initial_guess": 4.75,
+    # the candidate's u, lap and rhs, formed in phi's array once the power
+    # array is gone, and its gradient solve's two buffers with their
+    # finiteness mask: 5.125 fields, but no state of e; the 401-point t grid
+    # and its polynomial are freed before that solve. Per grid, no more than
+    # the start followed by its gradient took when the descent formed it
+    # (5.23 and 5.14 fields at n=16 and 32); the mask and its reduction
+    # buffers are a sixth of a field at n=16
+    "initial_guess": {16: 5.23, 32: 5.14},
     # no solve and no array: the L3 norms of rhs (aux_in_ball) and of the
-    # strong residual (pde) come with the Gradient, and the range of phi_u
-    # with the state
+    # strong residual (pde) and the range of phi_u come with the state
     "verify": 0.25,
 }
 
@@ -194,29 +206,33 @@ def test_run_stage_allocation_budget(n, stage):
     calls = {
         "estimate_constants": (estimate_constants, 7.0, spec.coupling, mode.e1),
         "initial_guess": (initial_guess, spec, ball, mode),
-        "verify": (verify, s, gradient_field(s), spec, ball),
+        "verify": (verify, s, spec, ball),
     }
-    assert _peak_in_fields(spec.grid, *calls[stage]) <= STAGE_BUDGETS[stage]
+    budget = STAGE_BUDGETS[stage]
+    budget = budget[n] if isinstance(budget, dict) else budget
+    assert _peak_in_fields(spec.grid, *calls[stage]) <= budget
 
 
 @pytest.mark.parametrize("n", [16, 32])
 def test_verify_gates_allocate_one_field(n):
     # the potential's gates read the state's range of phi_u and pair its
     # terms, so they form no array; verify's gates as a whole read the
-    # Gradient's norms and form none either, within the one field allowed
+    # state's norms and form none either, within the one field allowed
     spec, ball, mode = _stage_problem(n)
     s = initial_guess(spec, ball, mode)
     assert _peak_in_fields(spec.grid, phi_property_check, s, ball) <= 0.25
-    assert _peak_in_fields(spec.grid, verify, s, gradient_field(s), spec, ball) <= 1.25
+    assert _peak_in_fields(spec.grid, verify, s, spec, ball) <= 1.25
 
 
 # a whole run, in fields, per config: the descent holds the forcing, the
 # sine factors' eigenvalue cube, the iterate's u, lap, g and residual and
-# the trial's state as it is formed (u, lap, the phi array that becomes
-# c phi u, and the power array that becomes rhs), but not e1 or phi_e1
-# after the initial guess; the peak is the step's displacement, two
-# differences taken while the old iterate and the new state are held.
-# descent-n32 adds its Anderson history, two arrays per step
+# the trial's state as it is formed, but not e1 or phi_e1 after the initial
+# guess; the peak is the trial's gradient solve, its two buffers beside the
+# trial's u, lap and rhs (formed in the phi array once the power array is
+# gone), with their finiteness mask. The step's displacement, taken while
+# both states are held, forms one difference: lap' - lap goes into the
+# dropped iterate's Laplacian. descent-n32 adds its Anderson history, two
+# arrays per step
 RUN_CONFIGS = {
     "solve-n32": {"grid_n": 32, "p": 7.0, "coupling": {"constant": 1},
                   "forcing": {"scaled_to_bound": 0.5}},
@@ -241,26 +257,30 @@ def test_descent_run_allocation_budget():
 
 def test_a_run_frees_e1_and_its_potential_after_the_start(monkeypatch):
     # the run's one FirstMode goes to minimize alone, which drops it once
-    # the start has read it: by the first gradient, e1 and phi_e1 are gone,
-    # and the result holds neither
+    # the start has read it: by the first trial's evaluate, e1 and phi_e1
+    # are gone, and the result holds neither
     refs = []
+    trials = 0
     make_ball_ = runner_module.make_ball
-    gradient_field_ = minimize_module.gradient_field
+    evaluate_ = minimize_module.evaluate
 
     def recording_ball(*args):
         ball, mode = make_ball_(*args)
         refs.extend((weakref.ref(mode.e1), weakref.ref(mode.phi)))
         return ball, mode
 
-    def checking_gradient(s):
+    def checking_evaluate(u, spec, radius):
+        nonlocal trials
+        trials += 1
         assert [ref() for ref in refs] == [None, None]
-        return gradient_field_(s)
+        return evaluate_(u, spec, radius)
 
     monkeypatch.setattr(runner_module, "make_ball", recording_ball)
-    monkeypatch.setattr(minimize_module, "gradient_field", checking_gradient)
+    monkeypatch.setattr(minimize_module, "evaluate", checking_evaluate)
     config = ExperimentConfig.from_dict(RUN_CONFIGS["solve-n32"])
     report = run_experiment(config, write_outputs=False)
     assert report.verification.passed
+    assert trials >= 1
     assert len(refs) == 2 and [ref() for ref in refs] == [None, None]
 
 
@@ -289,9 +309,10 @@ def test_constant_coupling_view_gives_the_bits_of_a_full_array(rng, monkeypatch)
     specs = [ProblemSpec(p=3.0, coupling=c, forcing=first_eigenpair(g)[0], grid=g)
              for c in (view, full)]
     a, b = (evaluate(u, spec) for spec in specs)
-    for name in ("_rhs", "lap"):
+    for name in ("lap", "g", "residual"):
         assert np.array_equal(getattr(a, name).values, getattr(b, name).values), name
-    assert (a.terms, a.phi_range) == (b.terms, b.phi_range)
+    assert (a.terms, a.phi_range, a.residual_norm, a.rhs_norm) == (
+        b.terms, b.phi_range, b.residual_norm, b.rhs_norm)
     e1 = first_eigenpair(g)[0]
     ca, cb = estimate_constants(7.0, view, e1), estimate_constants(7.0, full, e1)
     assert ca[:3] == cb[:3]

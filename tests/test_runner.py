@@ -614,6 +614,38 @@ def test_cli_run_rejects_a_number_that_is_not_a_finite_float(tmp_path, capsys, k
     assert line.startswith(f"error: {label} must be a finite number, got ")
 
 
+@pytest.mark.parametrize("content", [
+    b'{"grid_n": 8, "p": 1' + b"0" * 5000 + b"}",
+    b'{"grid_n": 8, "p": 7, "note": "\xff"}',
+], ids=["integer-past-the-digit-limit", "not-utf8"])
+def test_cli_run_names_the_config_file_it_cannot_decode(tmp_path, capsys, content):
+    # json raised a plain ValueError that advised sys.set_int_max_str_digits()
+    # for the first and a UnicodeDecodeError that named no file for the second
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and str(path) in line
+    assert "set_int_max_str_digits" not in line
+
+
+def test_cli_run_reports_a_grid_too_large_for_memory(tmp_path, capsys):
+    # e1's first (n-1)^2-element product at n = 10^7 needs 727 TiB, past the
+    # address space, so it fails at once; it escaped as a raw MemoryError
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"grid_n": 10_000_000, "p": 7, "coupling": {"constant": 1},
+                                "forcing": {"scaled_to_bound": 0.5}}))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: grid_n=10000000 ")
+
+
 def _signed(low: float, high: float):
     """Floats of both signs whose magnitude lies in [low, high]."""
     magnitude = st.floats(low, high)

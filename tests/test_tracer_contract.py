@@ -50,9 +50,12 @@ def test_traced_run_passes_the_tracer_self_checks(tmp_path):
     assert metrics["verify.solves"] == 0
     assert metrics["poisson.solves"] == 1 + metrics["minimize.solves"]
     # the initial guess scales the ball's phi_e1, so the one e1 solve stays
-    # under the ball stage and the descent pays a gradient and a trial per
-    # iteration plus the last gradient
+    # under the ball stage; the descent pays the start's gradient and two
+    # solves per trial, its potential and its gradient
     assert metrics["minimize.solves"] == 1 + 2 * metrics["minimize.iterations"]
+    # every state forms its gradient through gradient_field, once: the
+    # start's and one per accepted trial
+    assert metrics["energy.gradient_evals"] == 1 + metrics["minimize.iterations"]
     # the line-search metrics count calls to energy.energy under minimize;
     # a descent that read the held terms directly would drive backtracks negative
     assert metrics["minimize.backtracks"] >= 0

@@ -22,14 +22,7 @@ from spball import (
 )
 from spball.ball import BallSpec, make_ball
 from spball.cli import main
-from spball.energy import (
-    FieldState,
-    Gradient,
-    ProblemSpec,
-    _signed_power,
-    evaluate,
-    gradient_field,
-)
+from spball.energy import FieldState, ProblemSpec, _signed_power, evaluate
 from spball.grid import neg_laplacian_array
 from spball.minimize import minimize
 from spball.poisson import compute_phi, solve_dirichlet_poisson
@@ -64,20 +57,14 @@ def solved_problem():
     return spec, ball, res
 
 
-def state_and_gradient(u, spec):
-    """The candidate's state and its Gradient, with g = u - T(u), from the field alone."""
-    s = evaluate(u, spec)
-    return s, gradient_field(s)
-
-
 # ---------------------------------------------------------------- auxiliary solve
 
 
 def test_auxiliary_solve_zero_candidate_inverts_forcing():
     # at u = 0 the right-hand side is the forcing alone, and T(0) = 0 - g
     spec, ball, mode = standard_problem(n=6, p=3.0)
-    s, g = state_and_gradient(ScalarField.zeros(spec.grid), spec)
-    aux = s.u - g.g
+    s = evaluate(ScalarField.zeros(spec.grid), spec)
+    aux = s.u - s.g
     direct = solve_dirichlet_poisson(spec.forcing).field
     assert np.array_equal(aux.values, direct.values)
 
@@ -93,8 +80,8 @@ def test_auxiliary_solve_dense_oracle(rng):
         + spec.forcing.values.ravel()
     )
     expected = np.linalg.solve(a, rhs).reshape(spec.grid.shape)
-    s, g = state_and_gradient(u, spec)
-    aux = s.u - g.g
+    s = evaluate(u, spec)
+    aux = s.u - s.g
     assert_allclose(aux.values, expected, atol=1e-9 * np.abs(expected).max())
 
 
@@ -103,7 +90,7 @@ def test_auxiliary_solve_rejects_candidate_outside_ball():
     e1, _ = first_eigenpair(spec.grid)
     outside = (3.0 * ball.radius / w2n_norm(e1)) * e1
     with pytest.raises(OutsideBallError):
-        verify(*state_and_gradient(outside, spec), spec, ball)
+        verify(evaluate(outside, spec), spec, ball)
 
 
 def test_escaping_auxiliary_image_fails_aux_in_ball():
@@ -120,9 +107,9 @@ def test_escaping_auxiliary_image_fails_aux_in_ball():
     tiny = BallSpec(1.0, 1.0, 1.0, 0.01, 0.005, 3.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        s, grad = state_and_gradient(ScalarField.zeros(g), spec)
-        report = verify(s, grad, spec, tiny)
-    assert w2n_norm(s.u - grad.g) > tiny.radius
+        s = evaluate(ScalarField.zeros(g), spec)
+        report = verify(s, spec, tiny)
+    assert w2n_norm(s.u - s.g) > tiny.radius
     assert "aux_in_ball" in report.failed_checks
 
 
@@ -135,27 +122,28 @@ def test_aux_in_ball_is_relative_to_the_radius():
     spec = ProblemSpec(p=3.0, coupling=ScalarField.constant(g, 1.0),
                        forcing=1e-13 * e1, grid=g)
     ball = BallSpec(1e39, 1e39, 1.0, 1e-20, 5e-21, 3.0)
-    s, grad = state_and_gradient(ScalarField.zeros(g), spec)
-    assert grad.rhs_norm > 1e6 * ball.radius
-    assert "aux_in_ball" in verify(s, grad, spec, ball).failed_checks
+    s = evaluate(ScalarField.zeros(g), spec)
+    assert s.rhs_norm > 1e6 * ball.radius
+    assert "aux_in_ball" in verify(s, spec, ball).failed_checks
 
 
 # ---------------------------------------------------------------- residuals
 
 
 def test_fixed_point_residual_basics(rng):
-    # the documented contract g = gradient_field(s): -Delta_h g = lap - rhs, so
-    # the pairing <lap - rhs, g> h^3 is ||grad g||^2, the gradient pass it replaces
+    # the documented contract of the state's gradient: -Delta_h g = lap - rhs,
+    # so the pairing <lap - rhs, g> h^3 is ||grad g||^2, the gradient pass it
+    # replaces
     spec, _, _ = standard_problem(n=5, p=3.0)
     for scale in (1.0, 1e-3, 1e2):
-        s, g = state_and_gradient(random_field(spec.grid, rng, scale=scale), spec)
-        assert_allclose(fixed_point_residual(s, g), grad_l2_norm(g.g) / grad_l2_norm(s.u),
+        s = evaluate(random_field(spec.grid, rng, scale=scale), spec)
+        assert_allclose(fixed_point_residual(s), grad_l2_norm(s.g) / grad_l2_norm(s.u),
                         rtol=1e-9)
     # u = 0 with zero forcing is a fixed point: T(0) = 0 and the residual is exactly 0
     diag = replace(spec, forcing=ScalarField.zeros(spec.grid))
-    s, g = state_and_gradient(ScalarField.zeros(spec.grid), diag)
-    assert not np.any(g.g.values)
-    assert fixed_point_residual(s, g) == 0.0
+    s = evaluate(ScalarField.zeros(spec.grid), diag)
+    assert not np.any(s.g.values)
+    assert fixed_point_residual(s) == 0.0
 
 
 @pytest.mark.parametrize("sigma", [1e-170, 1e-60, 1e150])
@@ -166,15 +154,15 @@ def test_fixed_point_residual_is_scale_free(rng, sigma):
     # rescaled arrays; at 1e-60 and 1e150 they stay normal and the quotient
     # alone cancels sigma
     spec, _, _ = standard_problem(n=6, p=3.0)
-    s, g = state_and_gradient(random_field(spec.grid, rng), spec)
+    s = evaluate(random_field(spec.grid, rng), spec)
     degrees = (2, 4, 4, 1)  # 2, 4, p + 1 and 1 at p = 3
     scaled = FieldState(sigma * s.u, sigma * s.lap,
                         tuple(term * math.prod([sigma] * d) for term, d in zip(s.terms, degrees)),
-                        tuple(sigma * sigma * x for x in s.phi_range), sigma * s.w2n)
-    scaled_g = Gradient(sigma * g.g, sigma * g.residual, sigma * g.residual_norm,
-                        sigma * g.rhs_norm)
+                        tuple(sigma * sigma * x for x in s.phi_range), sigma * s.w2n,
+                        sigma * s.g, sigma * s.residual, sigma * s.residual_norm,
+                        sigma * s.rhs_norm)
     assert (scaled.grad_sq < sys.float_info.min) == (sigma == 1e-170)
-    assert_allclose(fixed_point_residual(scaled, scaled_g), fixed_point_residual(s, g),
+    assert_allclose(fixed_point_residual(scaled), fixed_point_residual(s),
                     rtol=1e-12, atol=0.0)
 
 
@@ -208,13 +196,13 @@ def test_pde_residual_against_a_zero_forcing(rng):
     g = build_grid(5)
     spec = ProblemSpec(p=3.0, coupling=ScalarField.constant(g, 1.0),
                        forcing=ScalarField.zeros(g), grid=g)
-    assert pde_residual(gradient_field(evaluate(ScalarField.zeros(g), spec)), spec) == 0.0
-    assert pde_residual(gradient_field(evaluate(random_field(g, rng), spec)), spec) == math.inf
+    assert pde_residual(evaluate(ScalarField.zeros(g), spec), spec) == 0.0
+    assert pde_residual(evaluate(random_field(g, rng), spec), spec) == math.inf
 
 
 def test_pde_residual_is_one_at_zero_candidate():
     spec, _, _ = standard_problem(n=5, p=3.0)
-    assert pde_residual(state_and_gradient(ScalarField.zeros(spec.grid), spec)[1], spec) == 1.0
+    assert pde_residual(evaluate(ScalarField.zeros(spec.grid), spec), spec) == 1.0
 
 
 def test_pde_residual_vanishes_on_manufactured_solution():
@@ -232,12 +220,12 @@ def test_pde_residual_vanishes_on_manufactured_solution():
     )
     assert f_vals.min() > 0.0
     spec = ProblemSpec(p=3.0, coupling=coupling, forcing=ScalarField(g, f_vals), grid=g)
-    assert pde_residual(state_and_gradient(star, spec)[1], spec) <= 1e-12
+    assert pde_residual(evaluate(star, spec), spec) <= 1e-12
 
 
 def test_pde_residual_small_after_minimize(solved_problem):
     spec, ball, res = solved_problem
-    assert pde_residual(state_and_gradient(res.minimizer, spec)[1], spec) <= 1e-5
+    assert pde_residual(evaluate(res.minimizer, spec), spec) <= 1e-5
 
 
 # ---------------------------------------------------------------- variational inequality
@@ -245,9 +233,9 @@ def test_pde_residual_small_after_minimize(solved_problem):
 
 def test_vi_no_violations_at_minimizer(solved_problem):
     spec, ball, res = solved_problem
-    s, g = state_and_gradient(res.minimizer, spec)
-    fp = fixed_point_residual(s, g)
-    report = verify(s, g, spec, ball)
+    s = evaluate(res.minimizer, spec)
+    fp = fixed_point_residual(s)
+    report = verify(s, spec, ball)
     assert report.fixed_point_rel_residual == fp
     # the gap's infimum over the ball is -fp^2, relative to 1/2||grad u||^2
     assert fp * fp <= 1e-8
@@ -259,19 +247,18 @@ def test_report_holds_the_fixed_point_residual(solved_problem, rng):
     # whose ||grad u|| = 0 beside a nonzero g makes the residual inf
     spec, ball, res = solved_problem
     zero_spec, zero_ball, _ = standard_problem(n=6, p=3.0)
-    zero = state_and_gradient(ScalarField.zeros(zero_spec.grid), zero_spec)
-    cases = [(res.state, res.gradient, spec, ball), (*zero, zero_spec, zero_ball)]
+    zero = evaluate(ScalarField.zeros(zero_spec.grid), zero_spec)
+    cases = [(res.state, spec, ball), (zero, zero_spec, zero_ball)]
     for _ in range(3):
         u = random_field(spec.grid, rng)
         u = (0.5 * ball.radius / w2n_norm(u)) * u
-        cases.append((*state_and_gradient(u, spec), spec, ball))
-    for s, g, case_spec, case_ball in cases:
-        fp = fixed_point_residual(s, g)
-        report = verify(s, g, case_spec, case_ball)
+        cases.append((evaluate(u, spec), spec, ball))
+    for s, case_spec, case_ball in cases:
+        fp = fixed_point_residual(s)
+        report = verify(s, case_spec, case_ball)
         assert report.fixed_point_rel_residual == fp
-    s, g = zero
-    assert fixed_point_residual(s, g) == math.inf
-    assert verify(s, g, zero_spec, zero_ball).fixed_point_rel_residual == math.inf
+    assert fixed_point_residual(zero) == math.inf
+    assert verify(zero, zero_spec, zero_ball).fixed_point_rel_residual == math.inf
 
 
 def test_vi_detects_non_minimizer():
@@ -279,8 +266,7 @@ def test_vi_detects_non_minimizer():
     # auxiliary image is a lower-energy direction, so the gap is negative.
     # The gap is -fp^2, so the fixed_point gate is what rejects it
     spec, ball, mode = standard_problem(n=6, p=3.0)
-    s, g = state_and_gradient(ScalarField.zeros(spec.grid), spec)
-    report = verify(s, g, spec, ball)
+    report = verify(evaluate(ScalarField.zeros(spec.grid), spec), spec, ball)
     fp = report.fixed_point_rel_residual
     assert fp * fp > 1e-8
     assert not report.passed
@@ -296,7 +282,7 @@ def test_vi_gap_is_the_infimum_over_the_old_probe_family(n, p, scale):
     spec, ball, mode = standard_problem(n=n, p=p, fraction=0.5)
     u = scale * minimize(spec, ball, mode).minimizer
     rhs = equation_rhs(u, spec)
-    s, g = state_and_gradient(u, spec)
+    s = evaluate(u, spec)
     aux = solve_dirichlet_poisson(rhs).field
     half_u = 0.5 * h1_inner(u, u)
     probes = [u, aux, ScalarField.zeros(u.grid), 0.5 * u, evaluate(2.0 * u, spec, ball.radius).u]
@@ -305,7 +291,7 @@ def test_vi_gap_is_the_infimum_over_the_old_probe_family(n, p, scale):
     # relative to 1/2||grad u||^2, the scale of the terms the per-probe gap cancels
     gaps = [(0.5 * h1_inner(v, v) - half_u - l2_inner(rhs, v - u)) / half_u for v in probes]
 
-    fp = fixed_point_residual(s, g)
+    fp = fixed_point_residual(s)
     vi_gap = -(fp * fp)
     assert vi_gap <= 0.0
     assert abs(gaps[1] - vi_gap) <= 1e-12
@@ -402,7 +388,7 @@ def test_phi_bound_calibrates_on_the_extremal_eigenfunction(n, coupling_kind):
 
 def test_verify_passes_on_solved_problem(solved_problem):
     spec, ball, res = solved_problem
-    report = verify(res.state, res.gradient, spec, ball)
+    report = verify(res.state, spec, ball)
     assert report.passed
     assert report.fixed_point_rel_residual <= verify_module.FP_THRESHOLD
     assert report.pde_rel_residual <= verify_module.PDE_THRESHOLD
@@ -413,7 +399,7 @@ def test_verify_passes_on_solved_problem(solved_problem):
 
 def test_verify_fails_on_non_solution():
     spec, ball, mode = standard_problem(n=6, p=3.0)
-    report = verify(*state_and_gradient(ScalarField.zeros(spec.grid), spec), spec, ball)
+    report = verify(evaluate(ScalarField.zeros(spec.grid), spec), spec, ball)
     assert not report.passed
     assert report.pde_rel_residual == 1.0
     assert "pde" in report.failed_checks
@@ -421,14 +407,14 @@ def test_verify_fails_on_non_solution():
 
 def test_verify_deterministic(solved_problem):
     spec, ball, res = solved_problem
-    a = verify(*state_and_gradient(res.minimizer, spec), spec, ball)
-    b = verify(*state_and_gradient(res.minimizer, spec), spec, ball)
+    a = verify(evaluate(res.minimizer, spec), spec, ball)
+    b = verify(evaluate(res.minimizer, spec), spec, ball)
     assert a == b
 
 
 def test_report_round_trip(solved_problem):
     spec, ball, res = solved_problem
-    report = verify(res.state, res.gradient, spec, ball)
+    report = verify(res.state, spec, ball)
     # load_report reads the block as VerificationReport(**block)
     assert VerificationReport(**asdict(report)) == report
 
@@ -437,7 +423,7 @@ def test_failed_checks_name_the_failing_gate_and_round_trip(solved_problem, monk
     # verify reads the threshold at call time
     spec, ball, res = solved_problem
     monkeypatch.setattr(verify_module, "FP_THRESHOLD", 1e-30)
-    report = verify(res.state, res.gradient, spec, ball)
+    report = verify(res.state, spec, ball)
     assert report.fixed_point_rel_residual > verify_module.FP_THRESHOLD == 1e-30
     assert not report.passed
     assert report.failed_checks == ("fixed_point",)
@@ -457,7 +443,7 @@ def test_failed_checks_name_the_failing_gate_and_round_trip(solved_problem, monk
 def test_verification_report_checks_its_verdict(solved_problem, passed, failed_checks):
     # passed is the verdict of failed_checks, which names gates of GATES in order
     spec, ball, res = solved_problem
-    report = verify(res.state, res.gradient, spec, ball)
+    report = verify(res.state, spec, ball)
     with pytest.raises(ValueError, match="passed must be|failed_checks must name"):
         replace(report, passed=passed, failed_checks=failed_checks)
 
@@ -470,9 +456,9 @@ def test_failed_checks_list_the_five_gates_in_order():
     spec = ProblemSpec(p=3.0, coupling=ScalarField.constant(g, 1.0),
                        forcing=ScalarField(g, np.ones(g.shape)), grid=g)
     ball = BallSpec(1.0, 1.0, 1e-300, 0.1, 0.05, 3.0)
-    s, grad = state_and_gradient((0.05 / w2n_norm(e1)) * e1, spec)
+    s = evaluate((0.05 / w2n_norm(e1)) * e1, spec)
     low, high = s.phi_range
-    report = verify(replace(s, phi_range=(-high, -low)), grad, spec, ball)
+    report = verify(replace(s, phi_range=(-high, -low)), spec, ball)
     assert report.failed_checks == ("fixed_point", "pde", "aux_in_ball", "phi_nonneg",
                                     "phi_bound")
     assert report.failed_checks == verify_module.GATES
@@ -483,6 +469,6 @@ def test_verify_solve_count(solved_problem, solve_counter):
     # guards against a re-added solve: the state, T(u) and the phi-bound
     # constant are handed over, so verify solves nothing
     spec, ball, res = solved_problem
-    report, count = solve_counter(verify, res.state, res.gradient, spec, ball)
+    report, count = solve_counter(verify, res.state, spec, ball)
     assert report.passed
     assert count == 0
