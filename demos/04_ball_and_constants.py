@@ -15,7 +15,6 @@ from spball import (
     build_grid,
     estimate_constants,
     evaluate,
-    first_eigenpair,
     make_ball,
 )
 from spball.sampling import smoothed_random_fields
@@ -28,13 +27,15 @@ spec = ProblemSpec(
     grid=grid,
 )
 
-e1 = first_eigenpair(grid)[0]  # e1 = s (x) s (x) s, which sets all three
-c1, c2, c3, _ = estimate_constants(spec.p, spec.coupling, e1, safety=2.0)
+# the first eigenfunction e1 = s (x) s (x) s of the coupling's grid sets all
+# three; the FirstMode returned last holds it with the numbers taken from it
+c1, c2, c3, mode = estimate_constants(spec.p, spec.coupling, safety=2.0)
 print(f"coupling constant (safety 2): {c1:.6e}")
 print(f"power constant    (safety 2): {c2:.6e}")
 print(f"potential constant (factor 2): {c3:.6e}")
+print(f"e1: lambda_h = {mode.lam:.6f}, ||e1||_3 = {mode.norm:.6f}")
 
-ball, _ = make_ball(spec.p, spec.coupling, e1, safety=2.0)
+ball, _ = make_ball(spec.p, spec.coupling, safety=2.0)
 print(f"certified radius:             {ball.radius:.6f}")
 print(f"forcing bound (radius / 2):   {ball.forcing_bound:.6f}")
 check = ball.coupling_constant * ball.radius**3 + ball.power_constant * ball.radius**ball.p

@@ -10,11 +10,12 @@ with ||.|| the w2n norm, and a third bounds the potential itself,
 ||grad phi_u|| <= potential_constant * ||grad u||^2, for verify's phi_bound
 gate. All three are ratios of the first Dirichlet eigenfunction
 e1 = s (x) s (x) s, s_i = sin(pi i h), which exceed those of every smoothed
-random field tried. Its ball norm is lambda_h ||e1||_3, and its gradient
-norm and power ratio are sums over one axis (_first_mode_sums), so the
-one potential solve, phi_e1, is the whole field cost; make_ball hands e1,
-phi_e1 and the numbers taken from them on as a FirstMode, since the
-forcing and the descent's start are multiples of e1.
+random field tried. They depend on p, the coupling and its grid alone:
+make_ball builds e1 itself. Its ball norm is lambda_h ||e1||_3, and its
+gradient norm and power ratio are sums over one axis (FirstMode.power_sum),
+so the one potential solve, phi_e1, is the whole field cost; make_ball
+hands e1, phi_e1 and the numbers taken from them on as a FirstMode, since
+the forcing and the descent's start are multiples of e1.
 ||grad phi_e1||^2 = <c phi_e1 e1, e1> h^3 is a pairing by summation by
 parts, as in the phi_bound gate, with the product whose L3 norm is the
 coupling ratio's numerator, so no gradient pass runs. An overflow of
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BallOverflowError, ForcingTooLargeError
-from .grid import ScalarField, _first_eigenvalue, _first_sines, lp_norm
+from .grid import ScalarField, _first_sines, first_eigenpair, lp_norm
 from .poisson import compute_phi
 
 CONSTANT_FLOOR = 1e-30
@@ -110,57 +111,34 @@ class BallSpec:
 
 @dataclass(frozen=True, eq=False)
 class FirstMode:
-    """The first eigenfunction e1 with what the ball constants took from it,
-    for the forcing and the descent's start: lam = lambda_h, norm = ||e1||_3,
-    grad_sq = ||grad e1||^2, its potential phi and
-    phi_grad_sq = ||grad phi_e1||^2 = <c phi_e1 e1, e1> h^3."""
+    """The first eigenfunction e1 = s (x) s (x) s with what the ball constants
+    took from it, for the forcing and the descent's start: its axis factor
+    sines = s, lam = lambda_h, norm = ||e1||_3, grad_sq = ||grad e1||^2, its
+    potential phi and phi_grad_sq = ||grad phi_e1||^2 = <c phi_e1 e1, e1> h^3."""
 
     e1: ScalarField
+    sines: np.ndarray
     lam: float
     norm: float
     grad_sq: float
     phi: ScalarField
     phi_grad_sq: float
 
-
-def _first_mode_sums(e1: ScalarField, p: float) -> tuple[float, float, float, float]:
-    """(lambda_h, ||e1||_3, ||grad e1||^2, ||(|e1|/w)^p||_3) with
-    w = lambda_h ||e1||_3, for e1 = s (x) s (x) s, s_i = sin(pi i h) > 0.
-
-    -Delta_h e1 = lambda_h e1 makes w = ||-Delta_h e1||_3 = lambda_h ||e1||_3.
-    A sum over the cube of a product of three factors is the cube of the sum
-    over one axis, so ||grad e1||^2 = <-Delta_h e1, e1> h^3
-    = lambda_h (h sum_i s_i^2)^3, and (e1/w)^p = prod_axes (s_i / w^(1/3))^p
-    gives the power ratio h sum_i (s_i / w^(1/3))^(3p), whose terms
-    underflow with the field's own. ||e1||_3 is the field's lp_norm, one
-    pass rather than h sum_i s_i^3, which rounds otherwise: the descent's
-    start and a forcing scaled to the bound are multiples of 1/||e1||_3, so
-    every run stays the one it is with the norm a field pass takes. The
-    one-axis sums hold for first_eigenpair's e1 alone, so the line of e1
-    through the middle of the cube along the first axis must be s s_m s_m,
-    bit for bit; a scaled or foreign field raises ValueError.
-    """
-    grid = e1.grid
-    s = _first_sines(grid)
-    m = len(s) // 2
-    if not np.array_equal(e1.values[:, m, m], s * s[m] * s[m]):
-        raise ValueError("e1 must be the grid's first eigenfunction, first_eigenpair(grid)[0]")
-    lam = _first_eigenvalue(grid)
-    norm = lp_norm(e1, 3)
-    axis_sq = grid.h * float(np.vdot(s, s))
-    ratio = grid.h * float(np.sum((s / np.cbrt(lam * norm)) ** (3.0 * p)))
-    return lam, norm, lam * axis_sq**3, ratio
+    def power_sum(self, d: float, q: float) -> float:
+        """h sum_i (s_i / d^(1/3))^q, the cube root of sum (e1/d)^q h^3 over the
+        cube, as e1 is a product of three factors; each term is the cube root
+        of the field's own, so it underflows and overflows with it."""
+        return self.e1.grid.h * float(np.sum((self.sines / np.cbrt(d)) ** q))
 
 
 def estimate_constants(
     p: float,
     coupling: ScalarField,
-    e1: ScalarField,
     safety: float = 2.0,
 ) -> tuple[float, float, float, FirstMode]:
     """(coupling_constant, power_constant, potential_constant, mode) from the
-    first eigenfunction e1 = first_eigenpair(grid)[0], its eigenvalue
-    lambda_h and its one potential phi_e1, handed on in the FirstMode.
+    first eigenfunction e1, lambda_h = first_eigenpair(grid) of the
+    coupling's grid and e1's one potential phi_e1, handed on in the FirstMode.
 
     All three ratios are invariant under field rescaling. The positive e1
     sets them: over the grids, exponents and couplings checked, no smoothed
@@ -171,21 +149,25 @@ def estimate_constants(
     whatever `safety` is. Each is floored at a tiny positive value so a zero
     coupling field still yields a valid BallSpec.
 
-    The ball norm w, ||grad e1||^2 and the power ratio are read from
-    ||e1||_3 and sums over one axis (_first_mode_sums), which refuses a
-    field that is not first_eigenpair's e1. ||grad phi_e1||^2
-    = <c phi_e1 e1, e1> h^3 pairs the product whose L3 norm is the coupling
-    ratio's numerator; a coupling so large that this product overflows
-    raises BallOverflowError.
+    -Delta_h e1 = lambda_h e1 makes the ball norm w = lambda_h ||e1||_3;
+    ||grad e1||^2 = <-Delta_h e1, e1> h^3 = lambda_h (h sum_i s_i^2)^3 and
+    the power ratio ||(|e1|/w)^p||_3 = power_sum(w, 3p) are sums over one
+    axis. ||e1||_3 is the field's lp_norm, not h sum_i s_i^3, whose other
+    rounding would move every run: the start and a forcing scaled to the
+    bound are multiples of 1/||e1||_3. ||grad phi_e1||^2 = <c phi_e1 e1, e1>
+    h^3 pairs the product whose L3 norm is the coupling ratio's numerator; a
+    coupling so large that this product overflows raises BallOverflowError.
     """
     if not (math.isfinite(p) and p > 1.0):
         raise ValueError(f"p must be a finite number > 1, got {p}")
     if not (math.isfinite(safety) and safety >= 1.0):
         raise ValueError(f"safety must be a finite number >= 1, got {safety}")
     grid = coupling.grid
-    coupling._check_same_grid(e1)
-    lam, norm, grad_e1_sq, power_ratio = _first_mode_sums(e1, p)
+    e1, lam = first_eigenpair(grid)
+    sines = _first_sines(grid)
+    norm = lp_norm(e1, 3)
     w = lam * norm
+    grad_e1_sq = lam * (grid.h * float(np.vdot(sines, sines))) ** 3
     phi = compute_phi(e1, coupling)
     with np.errstate(over="ignore", invalid="ignore"):
         coupled = coupling.values * phi.values
@@ -198,11 +180,12 @@ def estimate_constants(
             f"(coupling up to {float(coupling.values.max()):.6g})"
         )
     num_c = lp_norm(ScalarField._own(grid, coupled), 3)
+    mode = FirstMode(e1, sines, lam, norm, grad_e1_sq, phi, grad_phi_sq)
     return (
         max(safety * (num_c / w**3), CONSTANT_FLOOR),
-        max(safety * power_ratio, CONSTANT_FLOOR),
+        max(safety * mode.power_sum(w, 3.0 * p), CONSTANT_FLOOR),
         max(2.0 * (math.sqrt(max(grad_phi_sq, 0.0)) / grad_e1_sq), CONSTANT_FLOOR),
-        FirstMode(e1, lam, norm, grad_e1_sq, phi, grad_phi_sq),
+        mode,
     )
 
 
@@ -241,11 +224,10 @@ def admissible_radius(coupling_constant: float, power_constant: float, p: float)
 def make_ball(
     p: float,
     coupling: ScalarField,
-    e1: ScalarField,
     safety: float = 2.0,
 ) -> tuple[BallSpec, FirstMode]:
-    """Estimate constants from the first eigenfunction e1 and assemble the
-    certified BallSpec; returns it with the FirstMode that set the constants."""
-    c_coupling, c_power, c_potential, mode = estimate_constants(p, coupling, e1, safety)
+    """Estimate constants from the coupling's grid and assemble the certified
+    BallSpec; returns it with the FirstMode that set the constants."""
+    c_coupling, c_power, c_potential, mode = estimate_constants(p, coupling, safety)
     radius = admissible_radius(c_coupling, c_power, p)
     return BallSpec(c_coupling, c_power, c_potential, radius, 0.5 * radius, p), mode

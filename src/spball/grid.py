@@ -233,12 +233,7 @@ def first_eigenpair(grid: DomainGrid) -> tuple[ScalarField, float]:
     """
     s = _first_sines(grid)
     e1 = s[:, None, None] * s[None, :, None] * s[None, None, :]
-    return ScalarField._own(grid, e1), _first_eigenvalue(grid)
-
-
-def _first_eigenvalue(grid: DomainGrid) -> float:
-    """lambda_h = 12 sin^2(pi h / 2) / h^2, the eigenvalue of e1."""
-    return 12.0 * math.sin(0.5 * math.pi * grid.h) ** 2 / grid.h**2
+    return ScalarField._own(grid, e1), 12.0 * math.sin(0.5 * math.pi * grid.h) ** 2 / grid.h**2
 
 
 def _first_sines(grid: DomainGrid) -> np.ndarray:

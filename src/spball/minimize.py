@@ -15,7 +15,7 @@ strong residual each state holds, so they cost no stencil either. The
 starting point is a multiple t e of e = +-(r / ||-Delta_h e1||_3) e1, the
 sign that of <f, e1>, with t minimizing the polynomial t -> E(t e). Its four
 coefficients are numbers the ball constants took from e1 and phi_e1, the
-FirstMode, with the power term a sum over one axis since e1 is a product
+FirstMode, the power term its power_sum since e1 is a product
 of sines, so no state of e is formed. The potential of t e scales phi_e1,
 the one the ball constants solved, and its Laplacian scales lambda_h e,
 since -Delta_h e1 = lambda_h e1, so the initial guess runs no stencil and
@@ -49,7 +49,7 @@ import numpy as np
 
 from .ball import BallSpec, FirstMode
 from .energy import FieldState, ProblemSpec, _state, energy, evaluate
-from .grid import ScalarField, _first_sines, lp_norm
+from .grid import ScalarField, lp_norm
 from .verify import FP_THRESHOLD, PDE_THRESHOLD, fixed_point_residual, pde_residual
 
 _INITIAL_STEP = 1.0
@@ -98,19 +98,17 @@ def _start_terms(
     Each is one number read from the FirstMode, with no state and no array
     formed: 1/2 ||grad e1||^2 scale^2, 1/4 ||grad phi_e1||^2 scale^4, the
     power term and <f, e1> h^3 scale. e1 = s (x) s (x) s makes the power
-    term separable, (h sum_i (scale^(1/3) s_i)^(p+1))^3 / (p+1), a pass over
-    one axis; the cube root inside keeps each factor the cube root of e's
-    own terms, so it overflows no sooner than the field pass would.
+    term separable, mode.power_sum(1/scale, p+1)^3 / (p+1), a pass over one
+    axis.
     """
-    grid = spec.grid
     scale = radius / (mode.lam * mode.norm)
     q = spec.p + 1.0
-    axis = grid.h * float(np.sum((np.cbrt(scale) * _first_sines(grid)) ** q))
+    axis = mode.power_sum(1.0 / scale, q)
     terms = (
         0.5 * (scale * scale) * mode.grad_sq,
         0.25 * mode.phi_grad_sq * scale**4,
         axis * axis * axis / q,
-        float(np.vdot(spec.forcing.values, mode.e1.values)) * grid.h ** 3 * scale,
+        float(np.vdot(spec.forcing.values, mode.e1.values)) * spec.grid.h ** 3 * scale,
     )
     return scale, terms
 

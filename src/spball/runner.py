@@ -141,6 +141,8 @@ class ExperimentConfig:
             raise ConfigError(f"unsupported schema_version {self.schema_version}")
         if not _is_int(self.grid_n) or self.grid_n < 3:
             raise ConfigError(f"grid_n must be an integer >= 3, got {self.grid_n}")
+        if (self.grid_n - 1) ** 3 * 8 > np.iinfo(np.intp).max:
+            raise ConfigError(f"grid_n={self.grid_n} is too large for an array of (n-1)^3 floats")
         for key in ("p", "safety"):
             object.__setattr__(self, key, _number(key, getattr(self, key)))
         if not self.p > 1.0:
@@ -181,26 +183,30 @@ class ExperimentConfig:
         return cls(**kwargs)
 
 
+def _read_json(path: str | Path, what: str):
+    """The JSON in a UTF-8 file; a failure to read or decode it is a ConfigError naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
+    except ValueError:  # json's only other error: an integer past the digit limit
+        raise ConfigError(f"{what} {path} holds an integer of more than "
+                          f"{sys.get_int_max_str_digits()} digits") from None
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """The config in a UTF-8 JSON file; any failure to read or decode it is a
     ConfigError naming the file."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-    except ValueError:  # json's only other error: an integer past the digit limit
-        raise ConfigError(f"config file {path} holds an integer of more than "
-                          f"{sys.get_int_max_str_digits()} digits") from None
-    return ExperimentConfig.from_dict(data)
+    return ExperimentConfig.from_dict(_read_json(path, "config file"))
 
 
-def _build_coupling(grid: DomainGrid, spec: dict, e1: ScalarField) -> ScalarField:
+def _build_coupling(grid: DomainGrid, spec: dict) -> ScalarField:
     (kind, value), = spec.items()
     if kind == "constant":
         return ScalarField.constant(grid, float(value))
-    return float(value) * e1
+    return float(value) * first_eigenpair(grid)[0]
 
 
 def _build_forcing(grid: DomainGrid, spec: dict, forcing_bound: float,
@@ -278,18 +284,15 @@ def run_experiment(
 
     t0 = time.perf_counter()
     grid = build_grid(config.grid_n)
-    # the run's one e1; the ball's FirstMode is its only holder after make_ball
-    e1 = first_eigenpair(grid)[0]
-    coupling = _build_coupling(grid, config.coupling, e1)
+    coupling = _build_coupling(grid, config.coupling)
     timings["setup"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     try:
-        ball, mode = make_ball(config.p, coupling, e1, config.safety)
+        ball, mode = make_ball(config.p, coupling, config.safety)
     except BallOverflowError as exc:
         message = f"{exc}; set by config coupling {json.dumps(config.coupling)}"
         raise BallOverflowError(message) from None
-    del e1
     forcing = _build_forcing(grid, config.forcing, ball.forcing_bound, mode)
     spec = ProblemSpec(p=config.p, coupling=coupling, forcing=forcing, grid=grid)
     timings["constants"] = time.perf_counter() - t0
@@ -334,9 +337,11 @@ def load_report(path: str | Path) -> SolveReport:
     """Read a report.json. Each block must hold exactly its record's keys,
     and its values must pass the record's own checks; anything else, another
     version's format included, raises a ConfigError naming the file and the
-    block's first missing key, its unexpected keys or the rejected value."""
+    block's first missing key, its unexpected keys or the rejected value;
+    a file that cannot be read or decoded is a ConfigError naming it too."""
+    data = _read_json(path, "report file")
     try:
-        return SolveReport.from_dict(json.loads(Path(path).read_text()))
+        return SolveReport.from_dict(data)
     except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
         raise ConfigError(f"{path} is not a spball {__version__} report: {exc}") from None
 

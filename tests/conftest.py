@@ -194,7 +194,7 @@ def standard_problem(n=8, p=7.0, fraction=1.0):
     g = build_grid(n)
     coupling = ScalarField(g, np.ones(g.shape))
     bump, lam = first_eigenpair(g)
-    ball, mode = make_ball(p, coupling, bump)
+    ball, mode = make_ball(p, coupling)
     forcing = (fraction * ball.forcing_bound / lp_norm(bump, 3)) * bump
     spec = ProblemSpec(p=p, coupling=coupling, forcing=forcing, grid=g)
     return spec, ball, mode

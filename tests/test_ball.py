@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 
 from spball import (
     ForcingTooLargeError,
-    GridMismatchError,
     OutsideBallError,
     ScalarField,
     build_grid,
@@ -22,12 +21,12 @@ from spball.ball import (
     BALL_RTOL,
     BallSpec,
     CONSTANT_FLOOR,
-    _first_mode_sums,
     admissible_radius,
     estimate_constants,
     make_ball,
 )
 from spball.energy import ProblemSpec, _signed_power
+from spball.grid import _first_sines
 from spball.poisson import compute_phi
 from spball.sampling import smoothed_random_fields
 
@@ -100,41 +99,21 @@ def estimation_family(n, seed):
 
 def test_estimate_constants_zero_coupling_hits_floor():
     spec = make_spec(coupling=0.0)
-    c_coupling, c_power, c_potential, _ = estimate_constants(
-        spec.p, spec.coupling, first_eigenpair(spec.grid)[0])
+    c_coupling, c_power, c_potential, _ = estimate_constants(spec.p, spec.coupling)
     assert c_coupling == c_potential == CONSTANT_FLOOR
     assert c_power > CONSTANT_FLOOR
 
 
 def test_estimate_constants_validation():
     spec = make_spec()
-    e1 = first_eigenpair(spec.grid)[0]
     for safety in (0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="safety"):
-            estimate_constants(spec.p, spec.coupling, e1, safety=safety)
+            estimate_constants(spec.p, spec.coupling, safety=safety)
         with pytest.raises(ValueError, match="safety"):
-            make_ball(spec.p, spec.coupling, e1, safety=safety)
+            make_ball(spec.p, spec.coupling, safety=safety)
     for p in (1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="p must"):
-            estimate_constants(p, spec.coupling, e1)
-
-
-@pytest.mark.parametrize("other", [
-    lambda e1: 2.0 * e1,
-    lambda e1: ScalarField(e1.grid, np.sqrt(e1.values)),
-    lambda e1: ScalarField.constant(e1.grid, 1.0),
-], ids=["scaled", "square-root", "constant"])
-def test_constants_refuse_a_field_that_is_not_e1(other):
-    # the one-axis sums hold for first_eigenpair's e1 alone: any other field
-    # would give wrong constants, so it is refused, as is e1 of another grid
-    spec = make_spec()
-    e1 = first_eigenpair(spec.grid)[0]
-    with pytest.raises(ValueError, match="first eigenfunction"):
-        estimate_constants(spec.p, spec.coupling, other(e1))
-    with pytest.raises(ValueError, match="first eigenfunction"):
-        make_ball(spec.p, spec.coupling, other(e1))
-    with pytest.raises(GridMismatchError):
-        make_ball(spec.p, spec.coupling, first_eigenpair(build_grid(spec.grid.n + 1))[0])
+            estimate_constants(p, spec.coupling)
 
 
 def test_estimation_ratios_scale_invariant():
@@ -154,8 +133,7 @@ def test_estimation_ratios_scale_invariant():
 def test_estimate_constants_dominate_family():
     # safety = 2 means every ratio in the family sits at or below constant/2
     spec = make_spec(p=3.0)
-    c_coupling, c_power, _, _ = estimate_constants(
-        spec.p, spec.coupling, first_eigenpair(spec.grid)[0], safety=2.0)
+    c_coupling, c_power, _, _ = estimate_constants(spec.p, spec.coupling, safety=2.0)
     for u in estimation_family(spec.grid.n, seed=5):
         w = w2n_norm(u)
         phi = compute_phi(u, spec.coupling)
@@ -231,7 +209,7 @@ def test_estimate_constants_match_no_skip_oracle(n, kind, seed, reverse, p):
                  lp_norm(ScalarField(spec.grid, np.abs(e1.values / w2n_norm(e1)) ** spec.p), 3))
     assert e1_ratios == (best_c, best_p)
     expected = (max(2.0 * best_c, CONSTANT_FLOOR), max(2.0 * best_p, CONSTANT_FLOOR))
-    got = estimate_constants(spec.p, spec.coupling, first_eigenpair(spec.grid)[0])[:2]
+    got = estimate_constants(spec.p, spec.coupling)[:2]
     assert_allclose(got, expected, rtol=AXIS_SUM_RTOL, atol=0.0)
     if kind == "zero":
         assert expected[0] == got[0] == CONSTANT_FLOOR
@@ -243,29 +221,31 @@ def test_first_mode_sums_match_the_cube_passes(n, p):
     # ||e1||_3, its ball norm w against the stencil's, ||grad e1||^2 against
     # the stencil's pairing with e1, and the power ratio against |e1/w|^p
     g = build_grid(n)
-    e1, lam = first_eigenpair(g)
-    sum_lam, norm, grad_sq, power_ratio = _first_mode_sums(e1, p)
+    _, lam = first_eigenpair(g)
+    *_, mode = estimate_constants(p, ScalarField.constant(g, 1.0))
+    power_ratio = mode.power_sum(mode.lam * mode.norm, 3.0 * p)
     field_norm, field_w, field_grad_sq, field_power = e1_field_sums(g, p)
-    assert sum_lam == lam
-    assert norm == field_norm
-    assert_allclose(lam * norm, field_w, rtol=AXIS_SUM_RTOL, atol=0.0)
-    assert_allclose(grad_sq, field_grad_sq, rtol=AXIS_SUM_RTOL, atol=0.0)
+    assert mode.lam == lam
+    assert mode.norm == field_norm
+    assert_allclose(mode.lam * mode.norm, field_w, rtol=AXIS_SUM_RTOL, atol=0.0)
+    assert_allclose(mode.grad_sq, field_grad_sq, rtol=AXIS_SUM_RTOL, atol=0.0)
     assert_allclose(power_ratio, field_power, rtol=AXIS_SUM_RTOL, atol=0.0)
     # e1/w is below 1 everywhere, so at p = 400 both underflow to zero alike
     assert (power_ratio == 0.0) == (p == 400.0) == (field_power == 0.0)
 
 
 def test_estimate_constants_hand_on_the_first_mode():
-    # the FirstMode holds the e1 it was given, its eigenvalue, its potential
-    # and the numbers the start reads: ||e1||_3, ||grad e1||^2 and
-    # ||grad phi_e1||^2 = <c phi_e1 e1, e1> h^3
+    # the FirstMode holds the grid's e1 with its axis factor, its eigenvalue,
+    # its potential and the numbers the start reads: ||e1||_3, ||grad e1||^2
+    # and ||grad phi_e1||^2 = <c phi_e1 e1, e1> h^3
     spec = make_spec(n=8, p=7.0)
     e1, lam = first_eigenpair(spec.grid)
-    *_, mode = estimate_constants(spec.p, spec.coupling, e1)
+    *_, mode = estimate_constants(spec.p, spec.coupling)
     phi = compute_phi(e1, spec.coupling)
-    assert mode.e1 is e1 and mode.lam == lam
+    assert np.array_equal(mode.e1.values, e1.values) and mode.lam == lam
+    assert np.array_equal(mode.sines, _first_sines(spec.grid))
     assert np.array_equal(mode.phi.values, phi.values)
-    assert (mode.lam, mode.norm, mode.grad_sq) == _first_mode_sums(e1, spec.p)[:3]
+    assert mode.norm == lp_norm(e1, 3)
     pairing = float(np.vdot(spec.coupling.values * phi.values * e1.values, e1.values))
     assert_allclose(mode.phi_grad_sq, pairing * spec.grid.h**3, rtol=1e-15, atol=0.0)
 
@@ -273,14 +253,14 @@ def test_estimate_constants_hand_on_the_first_mode():
 def test_make_ball_solve_count(solve_counter):
     # the eigenfunction's potential is the only solve
     spec = make_spec(n=8, p=7.0)
-    _, count = solve_counter(make_ball, spec.p, spec.coupling, first_eigenpair(spec.grid)[0])
+    _, count = solve_counter(make_ball, spec.p, spec.coupling)
     assert count == 1
 
 
 def test_estimate_constants_deterministic():
     spec = make_spec(p=7.0)
-    first = estimate_constants(spec.p, spec.coupling, first_eigenpair(spec.grid)[0])
-    second = estimate_constants(spec.p, spec.coupling, first_eigenpair(spec.grid)[0])
+    first = estimate_constants(spec.p, spec.coupling)
+    second = estimate_constants(spec.p, spec.coupling)
     assert first[:3] == second[:3]
     assert np.array_equal(first[3].phi.values, second[3].phi.values)
 
@@ -396,12 +376,12 @@ def test_admissible_radius_is_what_ball_spec_accepts():
 
 def test_make_ball_consistent():
     spec = make_spec(p=7.0)
-    ball, _ = make_ball(spec.p, spec.coupling, first_eigenpair(spec.grid)[0])
+    ball, _ = make_ball(spec.p, spec.coupling)
     assert ball.forcing_bound == 0.5 * ball.radius
     assert ball.p == spec.p
     # floor-constant couplings produce enormous but still valid radii
     spec0 = make_spec(coupling=0.0, p=7.0)
-    ball0, _ = make_ball(spec0.p, spec0.coupling, first_eigenpair(spec0.grid)[0])
+    ball0, _ = make_ball(spec0.p, spec0.coupling)
     assert ball0.radius > ball.radius
 
 
@@ -410,7 +390,7 @@ def test_make_ball_consistent():
 
 def test_check_residual_bound_zero_field():
     spec = make_spec()
-    ball, _ = make_ball(spec.p, spec.coupling, first_eigenpair(spec.grid)[0])
+    ball, _ = make_ball(spec.p, spec.coupling)
     lhs, rhs, holds = check_residual_bound(ScalarField.zeros(spec.grid), ball, spec)
     assert holds
     assert_allclose(lhs, lp_norm(spec.forcing, 3), rtol=1e-12)
@@ -421,7 +401,7 @@ def test_check_residual_bound_boundary_eigenfunction():
     # the eigenfunction sets both constants, so the bound must hold with
     # factor-2 headroom even on the ball boundary
     spec = make_spec(p=7.0)
-    ball, _ = make_ball(spec.p, spec.coupling, first_eigenpair(spec.grid)[0])
+    ball, _ = make_ball(spec.p, spec.coupling)
     e1, _ = first_eigenpair(spec.grid)
     u = (ball.radius / w2n_norm(e1)) * e1
     lhs, rhs, holds = check_residual_bound(u, ball, spec)
@@ -430,7 +410,7 @@ def test_check_residual_bound_boundary_eigenfunction():
 
 def test_check_residual_bound_random_audit():
     spec = make_spec(p=3.0)
-    ball, _ = make_ball(spec.p, spec.coupling, first_eigenpair(spec.grid)[0])
+    ball, _ = make_ball(spec.p, spec.coupling)
     for u in ball_samples(spec.grid, 20, seed=77, radius=ball.radius):
         lhs, rhs, holds = check_residual_bound(u, ball, spec)
         assert holds, (lhs, rhs)
@@ -438,7 +418,7 @@ def test_check_residual_bound_random_audit():
 
 def test_check_residual_bound_outside_ball_raises():
     spec = make_spec()
-    ball, _ = make_ball(spec.p, spec.coupling, first_eigenpair(spec.grid)[0])
+    ball, _ = make_ball(spec.p, spec.coupling)
     e1, _ = first_eigenpair(spec.grid)
     outside = (2.0 * ball.radius / w2n_norm(e1)) * e1
     with pytest.raises(OutsideBallError):

@@ -51,7 +51,7 @@ SHAPES = {
 def _solve(p, shape):
     g = build_grid(8)
     coupling = ScalarField.constant(g, 1.0)
-    ball, mode = make_ball(p, coupling, first_eigenpair(g)[0])
+    ball, mode = make_ball(p, coupling)
     f = shape(g)
     f = (0.5 * ball.forcing_bound / lp_norm(f, 3)) * f
     spec = ProblemSpec(p=p, coupling=coupling, forcing=f, grid=g)
@@ -86,7 +86,7 @@ def test_minus_e1_has_the_energy_of_e1(p):
 def test_initial_guess_takes_the_sign_of_the_forcing():
     g = build_grid(6)
     coupling = ScalarField.constant(g, 1.0)
-    ball, mode = make_ball(3.0, coupling, first_eigenpair(g)[0])
+    ball, mode = make_ball(3.0, coupling)
     e1 = mode.e1
     f = (0.5 * ball.forcing_bound / lp_norm(e1, 3)) * e1
 

@@ -149,7 +149,7 @@ def test_initial_guess_scales_phi_e1_without_a_solve(p, solve_counter):
     coupling_term = 0.25 * float(np.vdot(spec.coupling.values * phi * s0.u.values, s0.u.values))
     assert_allclose(s0.terms[1], coupling_term * spec.grid.h**3, rtol=1e-12, atol=0)
     g5 = build_grid(5)
-    other = make_ball(p, ScalarField.constant(g5, 1.0), first_eigenpair(g5)[0])[1]
+    other = make_ball(p, ScalarField.constant(g5, 1.0))[1]
     with pytest.raises(GridMismatchError):
         initial_guess(spec, ball, other)
 
@@ -158,7 +158,7 @@ def _start_problem(n, p, coupling_kind):
     g = build_grid(n)
     e1, _ = first_eigenpair(g)
     coupling = ScalarField.constant(g, 1.0) if coupling_kind == "constant" else 10.0 * e1
-    ball, mode = make_ball(p, coupling, e1)
+    ball, mode = make_ball(p, coupling)
     forcing = (0.5 * ball.forcing_bound / lp_norm(e1, 3)) * e1
     return ProblemSpec(p=p, coupling=coupling, forcing=forcing, grid=g), ball, mode
 

@@ -88,6 +88,17 @@ def test_config_field_spec_validation():
         small_config(p=1.0)
 
 
+@pytest.mark.parametrize("n, accepted", [(2**20, True), (2**20 + 1, False)])
+def test_config_rejects_a_grid_no_array_can_hold(n, accepted):
+    # at n - 1 = 2^20 a field's (n - 1)^3 floats take 2^63 bytes, past the
+    # largest array size; the config is only built, no field of it
+    if accepted:
+        assert small_config(grid_n=n).grid_n == n
+    else:
+        with pytest.raises(ConfigError, match=f"^grid_n={n} "):
+            small_config(grid_n=n)
+
+
 def test_config_bad_tolerances():
     data = small_config().to_dict()
     data["tolerances"]["descent"]["max_iters"] = 0
@@ -229,6 +240,24 @@ def test_load_report_rejects_another_versions_format(small_run, tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(ConfigError, match="missing key 'verification'"):
         load_report(path)
+
+
+@pytest.mark.parametrize("content", [
+    None,
+    b'{"energy": 1' + b"0" * 5000 + b"}",
+    b'{"version": "\xff"}',
+], ids=["missing", "integer-past-the-digit-limit", "not-utf8"])
+def test_load_report_names_the_file_it_cannot_read(tmp_path, content):
+    # a missing report raised a raw FileNotFoundError, and the digit limit's
+    # ValueError advised sys.set_int_max_str_digits()
+    path = tmp_path / "report.json"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ConfigError) as excinfo:
+        load_report(path)
+    message = str(excinfo.value)
+    assert str(path) in message
+    assert "set_int_max_str_digits" not in message
 
 
 def test_load_report_checks_the_minimize_summary_keys(small_run, tmp_path):
@@ -633,8 +662,9 @@ def test_cli_run_names_the_config_file_it_cannot_decode(tmp_path, capsys, conten
 
 
 def test_cli_run_reports_a_grid_too_large_for_memory(tmp_path, capsys):
-    # e1's first (n-1)^2-element product at n = 10^7 needs 727 TiB, past the
-    # address space, so it fails at once; it escaped as a raw MemoryError
+    # a field at n = 10^7 holds 10^21 floats, more than any array can index,
+    # so the config refuses it before any array is made; a run's first array
+    # once escaped as a raw MemoryError here
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"grid_n": 10_000_000, "p": 7, "coupling": {"constant": 1},
                                 "forcing": {"scaled_to_bound": 0.5}}))
@@ -644,6 +674,21 @@ def test_cli_run_reports_a_grid_too_large_for_memory(tmp_path, capsys):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error: grid_n=10000000 ")
+
+
+def test_cli_run_reports_a_memory_error_as_one_line(tmp_path, capsys, monkeypatch):
+    # a grid the config accepts can still need more memory than is available
+    def out_of_memory(config):
+        raise MemoryError
+
+    monkeypatch.setattr("spball.cli.run_experiment", out_of_memory)
+    code = main(["run", "--config", str(write_config(tmp_path, grid_n=8)),
+                 "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: grid_n=8 ") and "memory" in line
 
 
 def _signed(low: float, high: float):

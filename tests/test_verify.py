@@ -344,7 +344,7 @@ def test_phi_bound_has_no_absolute_floor():
     s = evaluate(1e-20 * e1, spec)
     assert 0.0 < 4.0 * s.terms[1] < 1e-60
     assert not phi_property_check(s, BallSpec(1.0, 1.0, 1e-300, 0.1, 0.05, 3.0))[1]
-    assert phi_property_check(s, make_ball(3.0, spec.coupling, e1)[0]) == (True, True)
+    assert phi_property_check(s, make_ball(3.0, spec.coupling)[0]) == (True, True)
 
 
 def test_phi_property_check_zero_coupling(rng):
@@ -355,7 +355,7 @@ def test_phi_property_check_zero_coupling(rng):
         forcing=ScalarField(g, np.ones(g.shape)),
         grid=g,
     )
-    ball, _ = make_ball(spec.p, spec.coupling, first_eigenpair(spec.grid)[0])
+    ball, _ = make_ball(spec.p, spec.coupling)
     assert phi_property_check(evaluate(random_field(g, rng), spec), ball) == (True, True)
 
 
@@ -375,7 +375,7 @@ def test_phi_bound_calibrates_on_the_extremal_eigenfunction(n, coupling_kind):
 
     s = evaluate(e1, ProblemSpec(p=3.0, coupling=coupling, forcing=e1, grid=g))
     extremal = np.sqrt(4.0 * s.terms[1]) / s.grad_sq
-    potential_constant = make_ball(3.0, coupling, e1)[0].potential_constant
+    potential_constant = make_ball(3.0, coupling)[0].potential_constant
     # the ball takes ||grad e1||^2 as a sum over one axis, the state by the stencil
     assert_allclose(potential_constant, 2.0 * extremal, rtol=1e-13, atol=0.0)
     assert_allclose(extremal, ratio(e1), rtol=1e-13)
