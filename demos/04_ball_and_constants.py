@@ -15,7 +15,6 @@ from spball import (
     build_grid,
     estimate_constants,
     evaluate,
-    make_ball,
 )
 from spball.sampling import smoothed_random_fields
 
@@ -28,14 +27,13 @@ spec = ProblemSpec(
 )
 
 # the first eigenfunction e1 = s (x) s (x) s of the coupling's grid sets all
-# three; the FirstMode returned last holds it with the numbers taken from it
-c1, c2, c3, mode = estimate_constants(spec.p, spec.coupling, safety=2.0)
-print(f"coupling constant (safety 2): {c1:.6e}")
-print(f"power constant    (safety 2): {c2:.6e}")
-print(f"potential constant (factor 2): {c3:.6e}")
+# three constants, and they set the radius; the FirstMode returned with the
+# ball holds e1 with the numbers taken from it
+ball, mode = estimate_constants(spec.p, spec.coupling, safety=2.0)
+print(f"coupling constant (safety 2): {ball.coupling_constant:.6e}")
+print(f"power constant    (safety 2): {ball.power_constant:.6e}")
+print(f"potential constant (factor 2): {ball.potential_constant:.6e}")
 print(f"e1: lambda_h = {mode.lam:.6f}, ||e1||_3 = {mode.norm:.6f}")
-
-ball, _ = make_ball(spec.p, spec.coupling, safety=2.0)
 print(f"certified radius:             {ball.radius:.6f}")
 print(f"forcing bound (radius / 2):   {ball.forcing_bound:.6f}")
 check = ball.coupling_constant * ball.radius**3 + ball.power_constant * ball.radius**ball.p

@@ -2,7 +2,8 @@
 
 Mirrors what `spball run --config ...` does, but through the library so the
 intermediate objects are visible. The forcing is scaled to sit exactly at
-the admissible bound, the hardest case the theory still covers.
+the admissible bound, the hardest case the theory still covers. Without an
+out_dir, run_experiment writes no report.json or trace.csv.
 """
 
 from spball.runner import ExperimentConfig, run_experiment
@@ -16,7 +17,7 @@ config = ExperimentConfig.from_dict(
     }
 )
 
-report = run_experiment(config, write_outputs=False)
+report = run_experiment(config)
 
 print(f"ball radius         = {report.ball.radius:.6f}")
 print(f"forcing bound       = {report.ball.forcing_bound:.6f}")

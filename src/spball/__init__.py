@@ -11,7 +11,6 @@ from .ball import (
     FirstMode,
     admissible_radius,
     estimate_constants,
-    make_ball,
 )
 from .energy import (
     EnergyBreakdown,
@@ -93,7 +92,6 @@ __all__ = [
     "load_config",
     "load_report",
     "lp_norm",
-    "make_ball",
     "manufactured_poisson_error",
     "pde_residual",
     "phi_property_check",

@@ -11,11 +11,12 @@ with ||.|| the w2n norm, and a third bounds the potential itself,
 gate. All three are ratios of the first Dirichlet eigenfunction
 e1 = s (x) s (x) s, s_i = sin(pi i h), which exceed those of every smoothed
 random field tried. They depend on p, the coupling and its grid alone:
-make_ball builds e1 itself. Its ball norm is lambda_h ||e1||_3, and its
-gradient norm and power ratio are sums over one axis (FirstMode.power_sum),
-so the one potential solve, phi_e1, is the whole field cost; make_ball
-hands e1, phi_e1 and the numbers taken from them on as a FirstMode, since
-the forcing and the descent's start are multiples of e1.
+estimate_constants builds e1 itself. Its ball norm is lambda_h ||e1||_3,
+and its gradient norm and power ratio are sums over one axis
+(FirstMode.power_sum), so the one potential solve, phi_e1, is the whole
+field cost; estimate_constants hands e1, phi_e1 and the numbers taken from
+them on as a FirstMode, since the forcing and the descent's start are
+multiples of e1.
 ||grad phi_e1||^2 = <c phi_e1 e1, e1> h^3 is a pairing by summation by
 parts, as in the phi_bound gate, with the product whose L3 norm is the
 coupling ratio's numerator, so no gradient pass runs. An overflow of
@@ -24,9 +25,9 @@ radius r then satisfies
 
     coupling_constant r^3 + power_constant r^p <= r/2   for all r in (0, radius],
 
-which caps the forcing at forcing_bound = radius / 2, so that on the ball
-||rhs(u)||_3 <= coupling_constant radius^3 + power_constant radius^p + ||f||_3
-<= radius.
+which leaves the forcing the budget forcing_bound = radius / 2, so that on
+the ball ||rhs(u)||_3 <= coupling_constant radius^3 + power_constant
+radius^p + ||f||_3 <= radius.
 
 BallSpec holds the ball's whole policy. The inequality over r is one
 function, _radius_excess, which admissible_radius bisects and BallSpec
@@ -63,8 +64,8 @@ def _radius_excess(coupling_constant: float, power_constant: float, p: float, r:
 
 @dataclass(frozen=True)
 class BallSpec:
-    """Certified ball data, validated against its two defining inequalities,
-    and its membership tests. coupling_constant and power_constant set the
+    """Certified ball data, validated against its defining inequality, and
+    its membership tests. coupling_constant and power_constant set the
     radius; potential_constant is the phi_bound gate's constant, calibrated
     on the same eigenfunction."""
 
@@ -72,12 +73,10 @@ class BallSpec:
     power_constant: float
     potential_constant: float
     radius: float
-    forcing_bound: float
     p: float
 
     def __post_init__(self):
-        for name in ("coupling_constant", "power_constant", "potential_constant", "radius",
-                     "forcing_bound"):
+        for name in ("coupling_constant", "power_constant", "potential_constant", "radius"):
             val = getattr(self, name)
             if not (math.isfinite(val) and val > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {val}")
@@ -89,12 +88,11 @@ class BallSpec:
                 f"ball radius {self.radius:.6e} fails its defining inequality: "
                 f"coupling_constant r^2 + power_constant r^(p-1) exceeds 1/2 by {excess:.6e}"
             )
-        # coupling_constant r^3 + power_constant r^p + forcing_bound <= r, over r
-        if excess + self.forcing_bound / self.radius > 0.5:
-            raise ValueError(
-                f"ball forcing bound {self.forcing_bound:.6e} is incompatible with "
-                f"the radius {self.radius:.6e}"
-            )
+
+    @property
+    def forcing_bound(self) -> float:
+        """The forcing's budget: the radius inequality leaves it half the radius."""
+        return 0.5 * self.radius
 
     def contains(self, norm: float) -> bool:
         """Whether a ball norm, ||-Delta_h v||_3, lies in the closed ball."""
@@ -135,10 +133,11 @@ def estimate_constants(
     p: float,
     coupling: ScalarField,
     safety: float = 2.0,
-) -> tuple[float, float, float, FirstMode]:
-    """(coupling_constant, power_constant, potential_constant, mode) from the
-    first eigenfunction e1, lambda_h = first_eigenpair(grid) of the
-    coupling's grid and e1's one potential phi_e1, handed on in the FirstMode.
+) -> tuple[BallSpec, FirstMode]:
+    """The certified ball and the FirstMode that set it: three constants from
+    the first eigenfunction e1, lambda_h = first_eigenpair(grid) of the
+    coupling's grid and e1's one potential phi_e1, and the admissible radius
+    they allow.
 
     All three ratios are invariant under field rescaling. The positive e1
     sets them: over the grids, exponents and couplings checked, no smoothed
@@ -181,12 +180,11 @@ def estimate_constants(
         )
     num_c = lp_norm(ScalarField._own(grid, coupled), 3)
     mode = FirstMode(e1, sines, lam, norm, grad_e1_sq, phi, grad_phi_sq)
-    return (
-        max(safety * (num_c / w**3), CONSTANT_FLOOR),
-        max(safety * mode.power_sum(w, 3.0 * p), CONSTANT_FLOOR),
-        max(2.0 * (math.sqrt(max(grad_phi_sq, 0.0)) / grad_e1_sq), CONSTANT_FLOOR),
-        mode,
-    )
+    c_coupling = max(safety * (num_c / w**3), CONSTANT_FLOOR)
+    c_power = max(safety * mode.power_sum(w, 3.0 * p), CONSTANT_FLOOR)
+    c_potential = max(2.0 * (math.sqrt(max(grad_phi_sq, 0.0)) / grad_e1_sq), CONSTANT_FLOOR)
+    radius = admissible_radius(c_coupling, c_power, p)
+    return BallSpec(c_coupling, c_power, c_potential, radius, p), mode
 
 
 def admissible_radius(coupling_constant: float, power_constant: float, p: float) -> float:
@@ -219,15 +217,3 @@ def admissible_radius(coupling_constant: float, power_constant: float, p: float)
     if lo == 0.0:
         raise ValueError("the admissible radius is below the smallest positive float")
     return lo
-
-
-def make_ball(
-    p: float,
-    coupling: ScalarField,
-    safety: float = 2.0,
-) -> tuple[BallSpec, FirstMode]:
-    """Estimate constants from the coupling's grid and assemble the certified
-    BallSpec; returns it with the FirstMode that set the constants."""
-    c_coupling, c_power, c_potential, mode = estimate_constants(p, coupling, safety)
-    radius = admissible_radius(c_coupling, c_power, p)
-    return BallSpec(c_coupling, c_power, c_potential, radius, 0.5 * radius, p), mode

@@ -52,12 +52,12 @@ def _load(args):
 
 def _cmd_run(args) -> int:
     config = _load(args)
+    out_dir = Path(config.output_path)
     try:
-        report = run_experiment(config)
+        report = run_experiment(config, out_dir)
     except MemoryError:
         raise ConfigError(f"grid_n={config.grid_n} needs more memory than is available") from None
     ver = report.verification
-    out_dir = Path(config.output_path)
     print(f"grid n={config.grid_n}  p={config.p}")
     print(
         f"ball: radius={report.ball.radius:.6e}  "

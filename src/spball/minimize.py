@@ -125,11 +125,11 @@ def initial_guess(spec: ProblemSpec, ball: BallSpec, mode: FirstMode) -> FieldSt
     formed. The one winning t is re-checked with a real state, which is
     returned when the ball contains it and its energy is negative too.
     The potential is quadratic, so the potential of t e is
-    t^2 (scale^2 phi_e1): phi_e1, the potential make_ball solved for the
-    first eigenfunction, serves every t, and the initial guess's one solve
-    is its state's gradient. It runs no stencil: -Delta_h e1 = lambda_h e1 gives
-    ||-Delta_h e1||_3 = lambda_h ||e1||_3 and -Delta_h (t e) = t (lambda_h e),
-    to rounding.
+    t^2 (scale^2 phi_e1): phi_e1, the potential estimate_constants solved
+    for the first eigenfunction, serves every t, and the initial guess's one
+    solve is its state's gradient. It runs no stencil: -Delta_h e1 =
+    lambda_h e1 gives ||-Delta_h e1||_3 = lambda_h ||e1||_3 and
+    -Delta_h (t e) = t (lambda_h e), to rounding.
 
     The zero field's state is returned instead, with no search when
     <f, e1> = 0 (a zero forcing included), and when the winning t has no
@@ -258,8 +258,9 @@ def minimize(
 ) -> MinimizeResult:
     """Minimize the energy over the constraint ball by Anderson-mixed retracted descent.
 
-    mode is the FirstMode that make_ball returns with the ball; the initial
-    guess scales its e1 and phi_e1, and the descent drops it after that.
+    mode is the FirstMode that estimate_constants returns with the ball; the
+    initial guess scales its e1 and phi_e1, and the descent drops it after
+    that.
     Requires the forcing, of any sign, to respect the admissible bound, and
     stops with stop_reason budget after max_iters iterations.
     A zero forcing starts and ends at the zero field with zero energy.

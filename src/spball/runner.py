@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ball import BallSpec, FirstMode, make_ball
+from .ball import BallSpec, FirstMode, estimate_constants
 from .energy import ProblemSpec
 from .errors import BallOverflowError, ConfigError
 from .grid import (
@@ -268,12 +268,8 @@ def _summarize(result: MinimizeResult) -> dict:
 _WALL_TIME_KEYS = ("setup", "constants", "minimize", "verify", "total")
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    out_dir: str | Path | None = None,
-    write_outputs: bool = True,
-) -> SolveReport:
-    """Run the full pipeline and (by default) write report.json and trace.csv.
+def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) -> SolveReport:
+    """Run the full pipeline; given out_dir, write report.json and trace.csv there.
 
     Raises ForcingTooLargeError (from minimize), with the computed bound in
     the message, when an absolute forcing spec lands above the admissible
@@ -289,7 +285,7 @@ def run_experiment(
 
     t0 = time.perf_counter()
     try:
-        ball, mode = make_ball(config.p, coupling, config.safety)
+        ball, mode = estimate_constants(config.p, coupling, config.safety)
     except BallOverflowError as exc:
         message = f"{exc}; set by config coupling {json.dumps(config.coupling)}"
         raise BallOverflowError(message) from None
@@ -314,16 +310,14 @@ def run_experiment(
     report = SolveReport(config=config, ball=ball, energy=result.energy,
                          minimize_summary=_summarize(result), verification=report_v,
                          wall_time=timings, version=__version__)
-    if write_outputs:
+    if out_dir is not None:
         write_run_outputs(report, result, out_dir)
     return report
 
 
-def write_run_outputs(
-    report: SolveReport, result: MinimizeResult, out_dir: str | Path | None = None
-) -> Path:
+def write_run_outputs(report: SolveReport, result: MinimizeResult, out_dir: str | Path) -> Path:
     """Write report.json and trace.csv; returns the output directory."""
-    out = Path(out_dir) if out_dir is not None else Path(report.config.output_path)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     with (out / "trace.csv").open("w", newline="") as fh:
@@ -393,8 +387,9 @@ def convergence_study(config: ExperimentConfig, grids: list[int]) -> list[StudyR
     prev: tuple[int, float] | None = None
     for n in grids:
         try:
+            grid_config = replace(config, grid_n=n)
             poisson_err = manufactured_poisson_error(n)
-            report = run_experiment(replace(config, grid_n=n), write_outputs=False)
+            report = run_experiment(grid_config)
             order = None
             if prev is not None:
                 order = math.log(prev[1] / poisson_err) / math.log(n / prev[0])

@@ -14,7 +14,7 @@ import pytest
 
 from spball import energy as energy_module
 from spball import grid as grid_module
-from spball.ball import BallSpec, make_ball
+from spball.ball import BallSpec, estimate_constants
 from spball.cli import main
 from spball.energy import FieldState, ProblemSpec, _signed_power, evaluate
 from spball.errors import OutsideBallError
@@ -187,14 +187,14 @@ def run_cli(config: dict) -> tuple[int, str, str]:
 
 def standard_problem(n=8, p=7.0, fraction=1.0):
     """(spec, ball, mode): constant coupling, sine-bump forcing scaled to a
-    fraction of the bound, and the ball with the FirstMode make_ball hands
-    to the descent."""
+    fraction of the bound, and the ball with the FirstMode estimate_constants
+    hands to the descent."""
     from spball.grid import build_grid
 
     g = build_grid(n)
     coupling = ScalarField(g, np.ones(g.shape))
     bump, lam = first_eigenpair(g)
-    ball, mode = make_ball(p, coupling)
+    ball, mode = estimate_constants(p, coupling)
     forcing = (fraction * ball.forcing_bound / lp_norm(bump, 3)) * bump
     spec = ProblemSpec(p=p, coupling=coupling, forcing=forcing, grid=g)
     return spec, ball, mode

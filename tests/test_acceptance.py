@@ -18,9 +18,9 @@ from spball import (
     apply_laplacian,
     build_grid,
     compute_phi,
+    estimate_constants,
     first_eigenpair,
     lp_norm,
-    make_ball,
     manufactured_poisson_error,
     phi_property_check,
     admissible_radius,
@@ -109,7 +109,7 @@ def test_criterion_2_eigenfunction_exactness():
 def test_criterion_3_potential_structure_audit():
     with criterion(3, "potential sign/scaling/bound on 50 fields"):
         spec = constant_coupling_spec(8, 3.0)
-        ball, _ = make_ball(3.0, spec.coupling)
+        ball, _ = estimate_constants(3.0, spec.coupling)
         fields = smoothed_random_fields(spec.grid, 50, seed=303)
         assert len(fields) == 50
         for u in fields:
@@ -165,7 +165,7 @@ def test_criterion_5_radius_certificates():
 def test_criterion_6_residual_bound_audit():
     with criterion(6, "residual bound on 100 fresh ball samples"):
         spec = constant_coupling_spec(8, 3.0)
-        ball, _ = make_ball(spec.p, spec.coupling, safety=2.0)
+        ball, _ = estimate_constants(spec.p, spec.coupling, safety=2.0)
         fields = ball_samples(spec.grid, 100, seed=707, radius=ball.radius)
         assert len(fields) == 100
         for u in fields:

@@ -23,7 +23,6 @@ from spball.ball import (
     CONSTANT_FLOOR,
     admissible_radius,
     estimate_constants,
-    make_ball,
 )
 from spball.energy import ProblemSpec, _signed_power
 from spball.grid import _first_sines
@@ -99,9 +98,9 @@ def estimation_family(n, seed):
 
 def test_estimate_constants_zero_coupling_hits_floor():
     spec = make_spec(coupling=0.0)
-    c_coupling, c_power, c_potential, _ = estimate_constants(spec.p, spec.coupling)
-    assert c_coupling == c_potential == CONSTANT_FLOOR
-    assert c_power > CONSTANT_FLOOR
+    ball, _ = estimate_constants(spec.p, spec.coupling)
+    assert ball.coupling_constant == ball.potential_constant == CONSTANT_FLOOR
+    assert ball.power_constant > CONSTANT_FLOOR
 
 
 def test_estimate_constants_validation():
@@ -109,8 +108,6 @@ def test_estimate_constants_validation():
     for safety in (0.5, math.nan, math.inf):
         with pytest.raises(ValueError, match="safety"):
             estimate_constants(spec.p, spec.coupling, safety=safety)
-        with pytest.raises(ValueError, match="safety"):
-            make_ball(spec.p, spec.coupling, safety=safety)
     for p in (1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="p must"):
             estimate_constants(p, spec.coupling)
@@ -133,7 +130,8 @@ def test_estimation_ratios_scale_invariant():
 def test_estimate_constants_dominate_family():
     # safety = 2 means every ratio in the family sits at or below constant/2
     spec = make_spec(p=3.0)
-    c_coupling, c_power, _, _ = estimate_constants(spec.p, spec.coupling, safety=2.0)
+    ball, _ = estimate_constants(spec.p, spec.coupling, safety=2.0)
+    c_coupling, c_power = ball.coupling_constant, ball.power_constant
     for u in estimation_family(spec.grid.n, seed=5):
         w = w2n_norm(u)
         phi = compute_phi(u, spec.coupling)
@@ -209,7 +207,8 @@ def test_estimate_constants_match_no_skip_oracle(n, kind, seed, reverse, p):
                  lp_norm(ScalarField(spec.grid, np.abs(e1.values / w2n_norm(e1)) ** spec.p), 3))
     assert e1_ratios == (best_c, best_p)
     expected = (max(2.0 * best_c, CONSTANT_FLOOR), max(2.0 * best_p, CONSTANT_FLOOR))
-    got = estimate_constants(spec.p, spec.coupling)[:2]
+    ball, _ = estimate_constants(spec.p, spec.coupling)
+    got = (ball.coupling_constant, ball.power_constant)
     assert_allclose(got, expected, rtol=AXIS_SUM_RTOL, atol=0.0)
     if kind == "zero":
         assert expected[0] == got[0] == CONSTANT_FLOOR
@@ -222,7 +221,7 @@ def test_first_mode_sums_match_the_cube_passes(n, p):
     # the stencil's pairing with e1, and the power ratio against |e1/w|^p
     g = build_grid(n)
     _, lam = first_eigenpair(g)
-    *_, mode = estimate_constants(p, ScalarField.constant(g, 1.0))
+    _, mode = estimate_constants(p, ScalarField.constant(g, 1.0))
     power_ratio = mode.power_sum(mode.lam * mode.norm, 3.0 * p)
     field_norm, field_w, field_grad_sq, field_power = e1_field_sums(g, p)
     assert mode.lam == lam
@@ -240,7 +239,7 @@ def test_estimate_constants_hand_on_the_first_mode():
     # and ||grad phi_e1||^2 = <c phi_e1 e1, e1> h^3
     spec = make_spec(n=8, p=7.0)
     e1, lam = first_eigenpair(spec.grid)
-    *_, mode = estimate_constants(spec.p, spec.coupling)
+    _, mode = estimate_constants(spec.p, spec.coupling)
     phi = compute_phi(e1, spec.coupling)
     assert np.array_equal(mode.e1.values, e1.values) and mode.lam == lam
     assert np.array_equal(mode.sines, _first_sines(spec.grid))
@@ -250,10 +249,10 @@ def test_estimate_constants_hand_on_the_first_mode():
     assert_allclose(mode.phi_grad_sq, pairing * spec.grid.h**3, rtol=1e-15, atol=0.0)
 
 
-def test_make_ball_solve_count(solve_counter):
+def test_estimate_constants_solve_count(solve_counter):
     # the eigenfunction's potential is the only solve
     spec = make_spec(n=8, p=7.0)
-    _, count = solve_counter(make_ball, spec.p, spec.coupling)
+    _, count = solve_counter(estimate_constants, spec.p, spec.coupling)
     assert count == 1
 
 
@@ -261,8 +260,8 @@ def test_estimate_constants_deterministic():
     spec = make_spec(p=7.0)
     first = estimate_constants(spec.p, spec.coupling)
     second = estimate_constants(spec.p, spec.coupling)
-    assert first[:3] == second[:3]
-    assert np.array_equal(first[3].phi.values, second[3].phi.values)
+    assert first[0] == second[0]
+    assert np.array_equal(first[1].phi.values, second[1].phi.values)
 
 
 # ---------------------------------------------------------------- radius
@@ -327,26 +326,24 @@ def test_admissible_radius_validation():
 
 
 def test_ball_spec_invariants_enforced():
-    BallSpec(1.0, 1.0, 1.0, 0.5, 0.25, 3.0)  # exact root is fine
+    BallSpec(1.0, 1.0, 1.0, 0.5, 3.0)  # exact root is fine
     with pytest.raises(ValueError):
-        BallSpec(1.0, 1.0, 1.0, 0.6, 0.25, 3.0)  # violates the radius inequality
+        BallSpec(1.0, 1.0, 1.0, 0.6, 3.0)  # violates the radius inequality
     with pytest.raises(ValueError):
-        BallSpec(1.0, 1.0, 1.0, 0.5, 0.3, 3.0)  # forcing bound too large
-    with pytest.raises(ValueError):
-        BallSpec(-1.0, 1.0, 1.0, 0.5, 0.25, 3.0)
+        BallSpec(-1.0, 1.0, 1.0, 0.5, 3.0)
     with pytest.raises(ValueError, match="potential_constant"):
-        BallSpec(1.0, 1.0, 0.0, 0.5, 0.25, 3.0)
+        BallSpec(1.0, 1.0, 0.0, 0.5, 3.0)
 
 
 def test_ball_spec_rejects_a_tiny_radius_that_fails_the_inequality():
     # coupling_constant r^3 = 1e-12 is 200 times r / 2 = 5e-15; an absolute
     # 1e-12 slack on both sides of the inequality let it pass
     with pytest.raises(ValueError, match="ball radius 1.000000e-14 fails"):
-        BallSpec(1e30, 1.0, 1.0, 1e-14, 5e-15, 3.0)
+        BallSpec(1e30, 1.0, 1.0, 1e-14, 3.0)
     # the same ball at radius 1, the constants scaled to keep each term of
     # the inequality over r, is rejected alike
     with pytest.raises(ValueError, match="ball radius"):
-        BallSpec(100.0, 1e-28, 1.0, 1.0, 0.5, 3.0)
+        BallSpec(100.0, 1e-28, 1.0, 1.0, 3.0)
 
 
 @pytest.mark.parametrize("r", [1e-148, 1e-20, 0.5, 1e100])
@@ -354,7 +351,7 @@ def test_ball_membership_is_relative_to_the_radius(r):
     # every membership test reads the same on a ball of any size: the closed
     # ball includes its boundary, up to BALL_RTOL relative, and nothing more
     c = 0.125 / (r * r)  # coupling_constant r^2 = power_constant r^(p-1) = 1/8
-    ball = BallSpec(c, c, 1.0, r, 0.5 * r, 3.0)
+    ball = BallSpec(c, c, 1.0, r, 3.0)
     assert ball.contains(0.0) and ball.contains(0.5 * r) and ball.contains(r)
     assert ball.contains(r * (1.0 + 0.5 * BALL_RTOL))
     assert not ball.contains(r * (1.0 + 1e-9))
@@ -371,17 +368,18 @@ def test_admissible_radius_is_what_ball_spec_accepts():
     for c1, c2, p in ((1.0, 1.0, 3.0), (1e30, 1.0, 3.0), (1e300, 1e-30, 1.01),
                       (1e-30, 1e-30, 400.0), (3.7, 0.2, 7.0)):
         r = admissible_radius(c1, c2, p)
-        BallSpec(c1, c2, 1.0, r, 0.5 * r, p)
+        BallSpec(c1, c2, 1.0, r, p)
 
 
-def test_make_ball_consistent():
+def test_estimate_constants_ball_consistent():
     spec = make_spec(p=7.0)
-    ball, _ = make_ball(spec.p, spec.coupling)
+    ball, _ = estimate_constants(spec.p, spec.coupling)
+    assert ball.radius == admissible_radius(ball.coupling_constant, ball.power_constant, spec.p)
     assert ball.forcing_bound == 0.5 * ball.radius
     assert ball.p == spec.p
     # floor-constant couplings produce enormous but still valid radii
     spec0 = make_spec(coupling=0.0, p=7.0)
-    ball0, _ = make_ball(spec0.p, spec0.coupling)
+    ball0, _ = estimate_constants(spec0.p, spec0.coupling)
     assert ball0.radius > ball.radius
 
 
@@ -390,7 +388,7 @@ def test_make_ball_consistent():
 
 def test_check_residual_bound_zero_field():
     spec = make_spec()
-    ball, _ = make_ball(spec.p, spec.coupling)
+    ball, _ = estimate_constants(spec.p, spec.coupling)
     lhs, rhs, holds = check_residual_bound(ScalarField.zeros(spec.grid), ball, spec)
     assert holds
     assert_allclose(lhs, lp_norm(spec.forcing, 3), rtol=1e-12)
@@ -401,7 +399,7 @@ def test_check_residual_bound_boundary_eigenfunction():
     # the eigenfunction sets both constants, so the bound must hold with
     # factor-2 headroom even on the ball boundary
     spec = make_spec(p=7.0)
-    ball, _ = make_ball(spec.p, spec.coupling)
+    ball, _ = estimate_constants(spec.p, spec.coupling)
     e1, _ = first_eigenpair(spec.grid)
     u = (ball.radius / w2n_norm(e1)) * e1
     lhs, rhs, holds = check_residual_bound(u, ball, spec)
@@ -410,7 +408,7 @@ def test_check_residual_bound_boundary_eigenfunction():
 
 def test_check_residual_bound_random_audit():
     spec = make_spec(p=3.0)
-    ball, _ = make_ball(spec.p, spec.coupling)
+    ball, _ = estimate_constants(spec.p, spec.coupling)
     for u in ball_samples(spec.grid, 20, seed=77, radius=ball.radius):
         lhs, rhs, holds = check_residual_bound(u, ball, spec)
         assert holds, (lhs, rhs)
@@ -418,7 +416,7 @@ def test_check_residual_bound_random_audit():
 
 def test_check_residual_bound_outside_ball_raises():
     spec = make_spec()
-    ball, _ = make_ball(spec.p, spec.coupling)
+    ball, _ = estimate_constants(spec.p, spec.coupling)
     e1, _ = first_eigenpair(spec.grid)
     outside = (2.0 * ball.radius / w2n_norm(e1)) * e1
     with pytest.raises(OutsideBallError):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spball.runner as runner_mod
-from spball.ball import make_ball
+from spball.ball import estimate_constants
 from spball.energy import ProblemSpec
 from spball.grid import ScalarField, build_grid, first_eigenpair, lp_norm
 from spball.minimize import initial_guess, minimize
@@ -51,7 +51,7 @@ SHAPES = {
 def _solve(p, shape):
     g = build_grid(8)
     coupling = ScalarField.constant(g, 1.0)
-    ball, mode = make_ball(p, coupling)
+    ball, mode = estimate_constants(p, coupling)
     f = shape(g)
     f = (0.5 * ball.forcing_bound / lp_norm(f, 3)) * f
     spec = ProblemSpec(p=p, coupling=coupling, forcing=f, grid=g)
@@ -86,7 +86,7 @@ def test_minus_e1_has_the_energy_of_e1(p):
 def test_initial_guess_takes_the_sign_of_the_forcing():
     g = build_grid(6)
     coupling = ScalarField.constant(g, 1.0)
-    ball, mode = make_ball(3.0, coupling)
+    ball, mode = estimate_constants(3.0, coupling)
     e1 = mode.e1
     f = (0.5 * ball.forcing_bound / lp_norm(e1, 3)) * e1
 
@@ -113,7 +113,7 @@ def _recorded_run(monkeypatch, config):
         return results[-1]
 
     monkeypatch.setattr(runner_mod, "minimize", recording)
-    report = run_experiment(ExperimentConfig.from_dict(config), write_outputs=False)
+    report = run_experiment(ExperimentConfig.from_dict(config))
     report_dict = report.to_dict()
     del report_dict["config"], report_dict["wall_time"]
     return report_dict, results[0].minimizer

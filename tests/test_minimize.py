@@ -23,7 +23,7 @@ from spball import (
     first_eigenpair,
     lp_norm,
 )
-from spball.ball import BALL_RTOL, make_ball
+from spball.ball import BALL_RTOL, estimate_constants
 from spball.grid import neg_laplacian_array
 from spball.energy import EnergyBreakdown, ProblemSpec, _state, energy, evaluate
 from spball.poisson import solve_dirichlet_poisson
@@ -139,7 +139,7 @@ def test_initial_guess_tries_one_candidate(monkeypatch):
 @pytest.mark.parametrize("p", [3.0, 7.0])
 def test_initial_guess_scales_phi_e1_without_a_solve(p, solve_counter):
     # the start is t e with e a multiple of e1, so its potential is a multiple
-    # of phi_e1, which make_ball already solved; the one solve is the
+    # of phi_e1, which estimate_constants already solved; the one solve is the
     # start's gradient
     spec, ball, mode = standard_problem(p=p)
     s0, count = solve_counter(initial_guess, spec, ball, mode)
@@ -149,7 +149,7 @@ def test_initial_guess_scales_phi_e1_without_a_solve(p, solve_counter):
     coupling_term = 0.25 * float(np.vdot(spec.coupling.values * phi * s0.u.values, s0.u.values))
     assert_allclose(s0.terms[1], coupling_term * spec.grid.h**3, rtol=1e-12, atol=0)
     g5 = build_grid(5)
-    other = make_ball(p, ScalarField.constant(g5, 1.0))[1]
+    other = estimate_constants(p, ScalarField.constant(g5, 1.0))[1]
     with pytest.raises(GridMismatchError):
         initial_guess(spec, ball, other)
 
@@ -158,7 +158,7 @@ def _start_problem(n, p, coupling_kind):
     g = build_grid(n)
     e1, _ = first_eigenpair(g)
     coupling = ScalarField.constant(g, 1.0) if coupling_kind == "constant" else 10.0 * e1
-    ball, mode = make_ball(p, coupling)
+    ball, mode = estimate_constants(p, coupling)
     forcing = (0.5 * ball.forcing_bound / lp_norm(e1, 3)) * e1
     return ProblemSpec(p=p, coupling=coupling, forcing=forcing, grid=g), ball, mode
 
@@ -297,7 +297,7 @@ STIFF_COUPLING_N6 = {
 
 
 def test_stiff_coupling_converges_only_when_verified():
-    report = run_experiment(ExperimentConfig.from_dict(STIFF_COUPLING_N6), write_outputs=False)
+    report = run_experiment(ExperimentConfig.from_dict(STIFF_COUPLING_N6))
     assert report.minimize_summary["stop_reason"] == "fixed_point"
     assert report.verification.passed
 
@@ -321,7 +321,7 @@ def test_converged_runs_pass_the_residual_gates(monkeypatch, n, p, coupling, fra
         "grid_n": n, "p": p, "coupling": coupling,
         "forcing": {"scaled_to_bound": fraction}, "safety": safety,
     })
-    report = run_experiment(cfg, write_outputs=False)
+    report = run_experiment(cfg)
     ver = report.verification
     assert report.minimize_summary["stop_reason"] == "fixed_point"
     assert seen[-1] == ver.fixed_point_rel_residual
@@ -344,7 +344,7 @@ def test_minimize_local_minimality_spot_check():
 @pytest.mark.parametrize("p", [3.0, 7.0])
 def test_minimize_solve_count(p, solve_counter):
     # guards against a re-added solve: the initial guess takes one, its
-    # gradient (it scales phi_e1, which make_ball solved), and each
+    # gradient (it scales phi_e1, which estimate_constants solved), and each
     # line-search trial two, its potential and its gradient
     spec, ball, mode = standard_problem(n=8, p=p)
     res, count = solve_counter(minimize, spec, ball, mode)
@@ -365,7 +365,7 @@ TINY_RADIUS_N8 = {
 
 
 def test_on_boundary_is_relative_to_the_radius():
-    report = run_experiment(ExperimentConfig.from_dict(TINY_RADIUS_N8), write_outputs=False)
+    report = run_experiment(ExperimentConfig.from_dict(TINY_RADIUS_N8))
     summary = report.minimize_summary
     assert report.ball.radius < 1e-10
     assert summary["minimizer_w2n"] < 0.5 * report.ball.radius
@@ -373,10 +373,21 @@ def test_on_boundary_is_relative_to_the_radius():
     assert summary["on_boundary"] is False
 
 
+def _forcing_sized_ball(fraction=1.9):
+    """standard_problem at `fraction` of its ball's budget, with a hand-built
+    ball of tiny constants whose own budget, half its radius, is just that
+    forcing's norm."""
+    spec, ball, mode = standard_problem(n=8, p=3.0, fraction=fraction)
+    small = replace(ball, coupling_constant=1e-30, power_constant=1e-30,
+                    radius=fraction * ball.radius)
+    return spec, small, mode
+
+
 def test_retracted_minimizer_is_on_the_boundary(monkeypatch):
-    # a hand-built ball just above the forcing norm and below the free
-    # minimizer's ball norm: the accepted step is a retracted trial, and
-    # the descent ends there, on the boundary
+    # a hand-built ball just large enough for the forcing, whose descent
+    # leaves it: the accepted step is a retracted trial, and the descent
+    # ends there, on the boundary; at the package ball's budget, on the
+    # package's ball, it ends inside
     evaluate_ = minimize_mod.evaluate
     retracted = []
 
@@ -387,13 +398,10 @@ def test_retracted_minimizer_is_on_the_boundary(monkeypatch):
         return out
 
     monkeypatch.setattr(minimize_mod, "evaluate", recording)
-    spec, ball, mode = standard_problem(n=8, p=3.0, fraction=1.0)
-    small = replace(ball, coupling_constant=1e-30, power_constant=1e-30,
-                    radius=0.52 * ball.radius)
-    res = minimize(spec, small, mode, max_iters=50)
+    res = minimize(*_forcing_sized_ball(), max_iters=50)
     assert any(res.state is out for out in retracted)
     assert res.on_boundary
-    free = minimize(spec, ball, mode)
+    free = minimize(*standard_problem(n=8, p=3.0, fraction=1.0))
     assert not free.on_boundary
 
 
@@ -412,10 +420,7 @@ def test_backtracking_stops_at_the_step_floor(monkeypatch):
         return evaluate_(u, spec, radius)
 
     monkeypatch.setattr(minimize_mod, "evaluate", counting)
-    spec, ball, mode = standard_problem(n=8, p=3.0, fraction=1.0)
-    small = replace(ball, coupling_constant=1e-30, power_constant=1e-30,
-                    radius=0.52 * ball.radius)
-    res = minimize(spec, small, mode, max_iters=50)
+    res = minimize(*_forcing_sized_ball(), max_iters=50)
     assert res.stop_reason == "no_decrease"
     assert [row[2] for row in res.trace] == [0.0, 1.0]
     assert calls == 1 + 1 + 40
@@ -438,7 +443,7 @@ PLAIN_DESCENT_N8_ENERGY = -11.206300255050538
 
 
 def test_mixed_descent_reaches_the_plain_minimizer_in_fewer_iterations():
-    report = run_experiment(ExperimentConfig.from_dict(DESCENT_N8), write_outputs=False)
+    report = run_experiment(ExperimentConfig.from_dict(DESCENT_N8))
     assert report.verification.passed
     assert report.minimize_summary["iterations"] <= 5
     assert report.minimize_summary["mixed_steps"] == report.minimize_summary["iterations"] - 1
@@ -467,7 +472,7 @@ def test_rejected_mixed_trial_falls_back_to_the_plain_step(monkeypatch, solve_co
 
     monkeypatch.setattr(_MixingHistory, "clear", counting_clear)
     cfg = ExperimentConfig.from_dict(DESCENT_N8)
-    report = run_experiment(cfg, write_outputs=False)
+    report = run_experiment(cfg)
     summary = report.minimize_summary
     assert summary["mixed_steps"] == 0
     assert trials == cleared == summary["iterations"] - 1
@@ -556,7 +561,7 @@ def test_verify_from_the_handed_over_state_matches_the_field_alone(monkeypatch, 
     # minimizer, so verify from it reads, bit for bit, what it reads from
     # the field alone
     calls = recorded_minimize(monkeypatch)
-    report = run_experiment(ExperimentConfig.from_dict(config), write_outputs=False)
+    report = run_experiment(ExperimentConfig.from_dict(config))
     (res, spec, ball), = calls
     s = evaluate(res.minimizer, spec)
     assert res.iterations >= 1
@@ -597,7 +602,7 @@ def test_stop_test_residual_is_the_gradient_pass_norm(monkeypatch, config):
 
     monkeypatch.setattr(energy_mod, "gradient_field", recording_gradient)
     monkeypatch.setattr(minimize_mod, "fixed_point_residual", recording)
-    report = run_experiment(ExperimentConfig.from_dict(config), write_outputs=False)
+    report = run_experiment(ExperimentConfig.from_dict(config))
     assert checked == len(held) == report.minimize_summary["iterations"] + 1
 
 
@@ -607,7 +612,7 @@ def test_aux_ball_norm_is_the_rhs_norm(monkeypatch, config):
     # ||rhs||_3, which the state keeps, in place of the stencil norm of
     # T(u) = u - g
     calls = recorded_minimize(monkeypatch)
-    run_experiment(ExperimentConfig.from_dict(config), write_outputs=False)
+    run_experiment(ExperimentConfig.from_dict(config))
     (res, spec, _), = calls
     stencil = w2n_norm(res.minimizer - res.state.g)
     assert res.state.rhs_norm == pytest.approx(stencil, rel=1e-12, abs=0.0)
@@ -621,9 +626,7 @@ def test_run_experiment_solve_count(monkeypatch, solve_counter, config):
     # in the descent (every iteration after the first accepts its mixed trial
     # at step 1) and none in verify
     calls = recorded_minimize(monkeypatch)
-    report, count = solve_counter(
-        run_experiment, ExperimentConfig.from_dict(config), write_outputs=False
-    )
+    report, count = solve_counter(run_experiment, ExperimentConfig.from_dict(config))
     (res, _, _), = calls
     assert report.verification.passed
     assert all(row[2] == 1.0 for row in res.trace[1:])
@@ -644,9 +647,7 @@ def test_run_experiment_kernel_count(monkeypatch, kernel_counter, config):
     # formed, the initial guess's and one per trial; the ball's power ratio
     # and the start's polynomial take their own powers
     calls = recorded_minimize(monkeypatch)
-    report, counts = kernel_counter(
-        run_experiment, ExperimentConfig.from_dict(config), write_outputs=False
-    )
+    report, counts = kernel_counter(run_experiment, ExperimentConfig.from_dict(config))
     (res, _, _), = calls
     k = res.iterations
     assert report.verification.passed
@@ -724,7 +725,7 @@ def test_singular_gram_takes_the_plain_step(monkeypatch):
         self.gram = np.zeros_like(self.gram)
 
     monkeypatch.setattr(_MixingHistory, "push", singular_push)
-    report = run_experiment(ExperimentConfig.from_dict(DESCENT_N8), write_outputs=False)
+    report = run_experiment(ExperimentConfig.from_dict(DESCENT_N8))
     summary = report.minimize_summary
     assert summary["mixed_steps"] == 0
     assert summary["iterations"] == 10
@@ -739,7 +740,6 @@ def test_descent_runs_no_svd(monkeypatch):
 
     for name in ("lstsq", "pinv", "svd"):
         monkeypatch.setattr(np.linalg, name, refused)
-    report = run_experiment(ExperimentConfig.from_dict({**DESCENT_N8, "grid_n": 12}),
-                            write_outputs=False)
+    report = run_experiment(ExperimentConfig.from_dict({**DESCENT_N8, "grid_n": 12}))
     assert report.minimize_summary["mixed_steps"] >= 1
     assert report.verification.passed

@@ -21,7 +21,7 @@ import pytest
 import spball.energy as energy_module
 import spball.minimize as minimize_module
 import spball.runner as runner_module
-from spball.ball import estimate_constants, make_ball
+from spball.ball import estimate_constants
 from spball.energy import ProblemSpec, evaluate, gradient_field
 from spball.grid import (
     ScalarField,
@@ -192,7 +192,7 @@ def _stage_problem(n):
     """(spec, ball, mode) of the solve-n32 config on an n-grid."""
     g = build_grid(n)
     coupling = ScalarField.constant(g, 1.0)
-    ball, mode = make_ball(7.0, coupling)
+    ball, mode = estimate_constants(7.0, coupling)
     forcing = (0.5 * ball.forcing_bound / mode.norm) * mode.e1
     return ProblemSpec(p=7.0, coupling=coupling, forcing=forcing, grid=g), ball, mode
 
@@ -243,7 +243,7 @@ RUN_BUDGETS = {"solve-n32": 11.25, "descent-n32": 17.25}
 
 def _run_peak(name: str) -> float:
     config = ExperimentConfig.from_dict(RUN_CONFIGS[name])
-    return _peak_in_fields(build_grid(32), run_experiment, config, None, False)
+    return _peak_in_fields(build_grid(32), run_experiment, config)
 
 
 def test_run_allocation_budget():
@@ -260,11 +260,11 @@ def test_a_run_frees_e1_and_its_potential_after_the_start(monkeypatch):
     # are gone, and the result holds neither
     refs = []
     trials = 0
-    make_ball_ = runner_module.make_ball
+    estimate_constants_ = runner_module.estimate_constants
     evaluate_ = minimize_module.evaluate
 
     def recording_ball(*args):
-        ball, mode = make_ball_(*args)
+        ball, mode = estimate_constants_(*args)
         refs.extend((weakref.ref(mode.e1), weakref.ref(mode.phi)))
         return ball, mode
 
@@ -274,10 +274,10 @@ def test_a_run_frees_e1_and_its_potential_after_the_start(monkeypatch):
         assert [ref() for ref in refs] == [None, None]
         return evaluate_(u, spec, radius)
 
-    monkeypatch.setattr(runner_module, "make_ball", recording_ball)
+    monkeypatch.setattr(runner_module, "estimate_constants", recording_ball)
     monkeypatch.setattr(minimize_module, "evaluate", checking_evaluate)
     config = ExperimentConfig.from_dict(RUN_CONFIGS["solve-n32"])
-    report = run_experiment(config, write_outputs=False)
+    report = run_experiment(config)
     assert report.verification.passed
     assert trials >= 1
     assert len(refs) == 2 and [ref() for ref in refs] == [None, None]
@@ -313,17 +313,17 @@ def test_constant_coupling_view_gives_the_bits_of_a_full_array(rng, monkeypatch)
     assert (a.terms, a.phi_range, a.residual_norm, a.rhs_norm) == (
         b.terms, b.phi_range, b.residual_norm, b.rhs_norm)
     ca, cb = estimate_constants(7.0, view), estimate_constants(7.0, full)
-    assert ca[:3] == cb[:3]
-    assert np.array_equal(ca[3].phi.values, cb[3].phi.values)
+    assert ca[0] == cb[0]
+    assert np.array_equal(ca[1].phi.values, cb[1].phi.values)
 
     config = ExperimentConfig.from_dict({
         "grid_n": 8, "p": 3.0, "coupling": {"constant": 1.0},
         "forcing": {"scaled_to_bound": 1.0}, "safety": 1.0,
     })
-    with_view = run_experiment(config, write_outputs=False).to_dict()
+    with_view = run_experiment(config).to_dict()
     monkeypatch.setattr(runner_module, "_build_coupling",
                         lambda grid, spec: _materialized(grid, float(spec["constant"])))
-    with_full = run_experiment(config, write_outputs=False).to_dict()
+    with_full = run_experiment(config).to_dict()
     assert with_view["minimize_summary"]["iterations"] > 1
     with_view.pop("wall_time"), with_full.pop("wall_time")
     assert with_view == with_full

@@ -115,7 +115,7 @@ def test_a_run_builds_the_transform_factors_once(monkeypatch, solve_counter):
     config = ExperimentConfig.from_dict({
         "grid_n": 8, "p": 7.0, "coupling": {"constant": 1}, "forcing": {"scaled_to_bound": 0.5},
     })
-    report, solves = solve_counter(run_experiment, config, write_outputs=False)
+    report, solves = solve_counter(run_experiment, config)
     assert report.verification.passed
     assert solves >= 4
     assert built == [8]
@@ -143,7 +143,7 @@ def test_a_run_builds_the_first_eigenfunction_once(monkeypatch):
         config = ExperimentConfig.from_dict({
             "grid_n": 8, "p": 7.0, "coupling": coupling, "forcing": forcing,
         })
-        assert run_experiment(config, write_outputs=False).verification.passed
+        assert run_experiment(config).verification.passed
         assert built == builds
 
 

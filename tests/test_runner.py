@@ -176,8 +176,7 @@ def test_run_experiment_report_contents(small_run):
     assert report.config == cfg
     assert "seeds" not in report.to_dict()
     assert set(report.to_dict()["ball"]) == {
-        "coupling_constant", "power_constant", "potential_constant", "radius",
-        "forcing_bound", "p",
+        "coupling_constant", "power_constant", "potential_constant", "radius", "p",
     }
     assert report.version
     assert set(report.wall_time) == {"setup", "constants", "minimize", "verify", "total"}
@@ -233,6 +232,13 @@ def test_load_report_rejects_another_versions_format(small_run, tmp_path):
     path.write_text(json.dumps(old, indent=2, sort_keys=True) + "\n")
     with pytest.raises(ConfigError, match="verification has unexpected keys 'fp_threshold', "
                                           "'pde_threshold', 'vi_gap'"):
+        load_report(path)
+    # a 0.16.0 report, whose ball stored its forcing budget radius / 2
+    old = report.to_dict()
+    old["ball"]["forcing_bound"] = 0.5 * old["ball"]["radius"]
+    old["version"] = "0.16.0"
+    path.write_text(json.dumps(old, indent=2, sort_keys=True) + "\n")
+    with pytest.raises(ConfigError, match="ball has an unexpected key 'forcing_bound'"):
         load_report(path)
     # a report with a section missing names that section
     data = report.to_dict()
@@ -294,8 +300,7 @@ def test_load_report_rejects_a_tiny_ball_that_fails_the_inequality(small_run, tm
     # radius 1e-14 with coupling_constant r^3 200 times r / 2
     cfg, report, out = small_run
     data = report.to_dict()
-    data["ball"].update(coupling_constant=1e30, power_constant=1.0, radius=1e-14,
-                        forcing_bound=5e-15)
+    data["ball"].update(coupling_constant=1e30, power_constant=1.0, radius=1e-14)
     path = tmp_path / "report.json"
     path.write_text(json.dumps(data))
     with pytest.raises(ConfigError, match="ball radius 1.000000e-14 fails") as excinfo:
@@ -454,10 +459,29 @@ def test_samples_and_seed_select_nothing(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_forcing_budget_is_half_the_radius(small_run):
+    # the budget is derived, not stored: bit for bit half the radius, on the
+    # run's ball and on the ball its report.json reads back
+    cfg, report, out = small_run
+    loaded = load_report(out / "report.json")
+    for ball in (report.ball, loaded.ball):
+        assert ball.forcing_bound == 0.5 * ball.radius
+    assert loaded.ball == report.ball
+
+
+def test_a_run_without_out_dir_writes_nothing(tmp_path, monkeypatch):
+    # out_dir alone decides whether outputs are written: the config's
+    # output_path is the CLI's default, not the library's
+    monkeypatch.chdir(tmp_path)
+    report = run_experiment(small_config())
+    assert report.verification.passed
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_experiment_forcing_too_large():
     cfg = small_config(forcing={"constant": 50.0})
     with pytest.raises(ForcingTooLargeError) as excinfo:
-        run_experiment(cfg, write_outputs=False)
+        run_experiment(cfg)
     assert excinfo.value.bound > 0.0
     assert "admissible bound" in str(excinfo.value)
 
@@ -465,7 +489,7 @@ def test_run_experiment_forcing_too_large():
 def test_run_experiment_absolute_forcing_below_bound():
     # a minuscule constant forcing stays under any reasonable bound
     cfg = small_config(forcing={"constant": 1e-4}, samples=4)
-    report = run_experiment(cfg, write_outputs=False)
+    report = run_experiment(cfg)
     assert report.energy < 0.0
 
 
@@ -515,6 +539,21 @@ def test_convergence_study_records_failures_and_continues(monkeypatch):
     assert rows[2].error == ""
     # the order after a failed grid is computed against the last good one
     assert rows[2].observed_order == pytest.approx(2.0, abs=0.2)
+
+
+def test_convergence_study_names_a_grid_the_config_refuses(monkeypatch):
+    # the grid's config is built first, so a grid no array can hold fails
+    # with the config's named error before any field of it is formed
+    real = runner_mod.manufactured_poisson_error
+
+    def guarded(n):
+        assert n < 1000, f"manufactured_poisson_error ran on grid_n={n}"
+        return real(n)
+
+    monkeypatch.setattr(runner_mod, "manufactured_poisson_error", guarded)
+    rows = runner_mod.convergence_study(small_config(samples=4), [6, 10_000_000])
+    assert rows[0].error == ""
+    assert rows[1].error.startswith("grid_n=10000000 is too large"), rows[1].error
 
 
 def test_write_study_csv_empty_cells(tmp_path):
@@ -678,7 +717,7 @@ def test_cli_run_reports_a_grid_too_large_for_memory(tmp_path, capsys):
 
 def test_cli_run_reports_a_memory_error_as_one_line(tmp_path, capsys, monkeypatch):
     # a grid the config accepts can still need more memory than is available
-    def out_of_memory(config):
+    def out_of_memory(config, out_dir):
         raise MemoryError
 
     monkeypatch.setattr("spball.cli.run_experiment", out_of_memory)

@@ -155,7 +155,7 @@ def test_the_sweep_covers_every_recorded_config():
     [pytest.param(key, marks=SLOW) if CONFIGS[key]["grid_n"] == 64 else key for key in CONFIGS],
 )
 def test_sweep_config_matches_the_recorded_outcome(key):
-    report = run_experiment(ExperimentConfig.from_dict(CONFIGS[key]), write_outputs=False)
+    report = run_experiment(ExperimentConfig.from_dict(CONFIGS[key]))
     iterations, stop_reason, mixed_steps, failed_checks, energy = EXPECTED[key]
     summary = report.minimize_summary
     assert report.verification.passed

@@ -26,7 +26,8 @@ config = spball.runner.ExperimentConfig.from_dict({
 report = spball.runner.run_experiment(config, out_dir=sys.argv[3])
 metrics, problems = tracing.layer_metrics(t, report.minimize_summary["iterations"])
 print(json.dumps({"passed": report.verification.passed, "problems": problems,
-                  "metrics": metrics}))
+                  "metrics": metrics,
+                  "ball_calls": t.edge_calls["runner.run_experiment", "ball.estimate_constants"]}))
 """
 
 
@@ -46,6 +47,9 @@ def test_traced_run_passes_the_tracer_self_checks(tmp_path):
     assert out["passed"]
     assert out["problems"] == []
     metrics = out["metrics"]
+    # the run calls the stage the tracer times as the ball, once, so its
+    # time is the ball's and not the runner's own
+    assert out["ball_calls"] == 1
     assert metrics["ball.solves"] == 1
     assert metrics["verify.solves"] == 0
     assert metrics["poisson.solves"] == 1 + metrics["minimize.solves"]

@@ -20,7 +20,7 @@ from spball import (
     build_grid,
     first_eigenpair,
 )
-from spball.ball import BallSpec, make_ball
+from spball.ball import BallSpec, estimate_constants
 from spball.cli import main
 from spball.energy import FieldState, ProblemSpec, _signed_power, evaluate
 from spball.grid import neg_laplacian_array
@@ -104,7 +104,7 @@ def test_escaping_auxiliary_image_fails_aux_in_ball():
         forcing=ScalarField(g, np.ones(g.shape)),
         grid=g,
     )
-    tiny = BallSpec(1.0, 1.0, 1.0, 0.01, 0.005, 3.0)
+    tiny = BallSpec(1.0, 1.0, 1.0, 0.01, 3.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         s = evaluate(ScalarField.zeros(g), spec)
@@ -121,7 +121,7 @@ def test_aux_in_ball_is_relative_to_the_radius():
     e1, _ = first_eigenpair(g)
     spec = ProblemSpec(p=3.0, coupling=ScalarField.constant(g, 1.0),
                        forcing=1e-13 * e1, grid=g)
-    ball = BallSpec(1e39, 1e39, 1.0, 1e-20, 5e-21, 3.0)
+    ball = BallSpec(1e39, 1e39, 1.0, 1e-20, 3.0)
     s = evaluate(ScalarField.zeros(g), spec)
     assert s.rhs_norm > 1e6 * ball.radius
     assert "aux_in_ball" in verify(s, spec, ball).failed_checks
@@ -343,8 +343,8 @@ def test_phi_bound_has_no_absolute_floor():
                        forcing=ScalarField.zeros(g), grid=g)
     s = evaluate(1e-20 * e1, spec)
     assert 0.0 < 4.0 * s.terms[1] < 1e-60
-    assert not phi_property_check(s, BallSpec(1.0, 1.0, 1e-300, 0.1, 0.05, 3.0))[1]
-    assert phi_property_check(s, make_ball(3.0, spec.coupling)[0]) == (True, True)
+    assert not phi_property_check(s, BallSpec(1.0, 1.0, 1e-300, 0.1, 3.0))[1]
+    assert phi_property_check(s, estimate_constants(3.0, spec.coupling)[0]) == (True, True)
 
 
 def test_phi_property_check_zero_coupling(rng):
@@ -355,7 +355,7 @@ def test_phi_property_check_zero_coupling(rng):
         forcing=ScalarField(g, np.ones(g.shape)),
         grid=g,
     )
-    ball, _ = make_ball(spec.p, spec.coupling)
+    ball, _ = estimate_constants(spec.p, spec.coupling)
     assert phi_property_check(evaluate(random_field(g, rng), spec), ball) == (True, True)
 
 
@@ -375,7 +375,7 @@ def test_phi_bound_calibrates_on_the_extremal_eigenfunction(n, coupling_kind):
 
     s = evaluate(e1, ProblemSpec(p=3.0, coupling=coupling, forcing=e1, grid=g))
     extremal = np.sqrt(4.0 * s.terms[1]) / s.grad_sq
-    potential_constant = make_ball(3.0, coupling)[0].potential_constant
+    potential_constant = estimate_constants(3.0, coupling)[0].potential_constant
     # the ball takes ||grad e1||^2 as a sum over one axis, the state by the stencil
     assert_allclose(potential_constant, 2.0 * extremal, rtol=1e-13, atol=0.0)
     assert_allclose(extremal, ratio(e1), rtol=1e-13)
@@ -455,7 +455,7 @@ def test_failed_checks_list_the_five_gates_in_order():
     e1, _ = first_eigenpair(g)
     spec = ProblemSpec(p=3.0, coupling=ScalarField.constant(g, 1.0),
                        forcing=ScalarField(g, np.ones(g.shape)), grid=g)
-    ball = BallSpec(1.0, 1.0, 1e-300, 0.1, 0.05, 3.0)
+    ball = BallSpec(1.0, 1.0, 1e-300, 0.1, 3.0)
     s = evaluate((0.05 / w2n_norm(e1)) * e1, spec)
     low, high = s.phi_range
     report = verify(replace(s, phi_range=(-high, -low)), spec, ball)

@@ -42,7 +42,7 @@ def workload_config(name: str) -> dict:
 def count_allocations(config, field_bytes: int) -> dict:
     from spball.runner import run_experiment
 
-    run_experiment(config, write_outputs=False)  # sine factors and imports, as a warm run
+    run_experiment(config)  # sine factors and imports, as a warm run
     allocations = 0
     start = 0
 
@@ -59,12 +59,12 @@ def count_allocations(config, field_bytes: int) -> dict:
     tracemalloc.start()
     sys.settrace(hook)
     try:
-        run_experiment(config, write_outputs=False)
+        run_experiment(config)
     finally:
         sys.settrace(None)
     tracemalloc.stop()
     tracemalloc.start()
-    run_experiment(config, write_outputs=False)
+    run_experiment(config)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     return {"field_allocations": allocations, "tracemalloc_peak_fields": peak / field_bytes}
@@ -74,7 +74,7 @@ def count_faults(config) -> dict:
     from spball.runner import run_experiment
 
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    run_experiment(config, write_outputs=False)
+    run_experiment(config)
     return {"minflt": resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before}
 
 
