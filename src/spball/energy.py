@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssumptionViolationError, GridMismatchError
-from .grid import DomainGrid, ScalarField, apply_laplacian, lp_norm
+from .grid import DomainGrid, ScalarField, apply_laplacian, lp_norm, unbroadcast
 from .poisson import compute_phi, solve_dirichlet_poisson
 
 # the largest integral exponent formed by products, in at most four field
@@ -75,7 +75,7 @@ class ProblemSpec:
             raise AssumptionViolationError(f"power exponent must satisfy p > 1, got {self.p}")
         if self.coupling.grid != self.grid or self.forcing.grid != self.grid:
             raise GridMismatchError("coupling/forcing fields must live on the problem grid")
-        if float(self.coupling.values.min()) < 0.0:
+        if float(unbroadcast(self.coupling.values).min()) < 0.0:
             raise AssumptionViolationError("coupling field must be nonnegative")
         object.__setattr__(self, "forcing_norm", lp_norm(self.forcing, 3))
 

@@ -168,6 +168,14 @@ class ScalarField:
         return ScalarField._own(self.grid, self.values / float(scalar))
 
 
+def unbroadcast(values: np.ndarray) -> np.ndarray:
+    """values with every zero-stride axis cut to length 1: a view of the same
+    set of numbers, so a min or max over it is the one over values. A
+    constant field's view reduces over one number, not (n-1)^3 repeats of
+    it."""
+    return values[tuple(slice(None, 1) if s == 0 else slice(None) for s in values.strides)]
+
+
 def _power_sum(values: np.ndarray, m: float) -> float:
     """sum |v_i|^m of an array, for m = 2 or 3."""
     # BLAS sums with no pow and no |v| array, since v_i v_i = |v_i|^2 and
@@ -206,16 +214,32 @@ def lp_norm(u: ScalarField, m: float) -> float:
 def neg_laplacian_array(values: np.ndarray, h: float) -> np.ndarray:
     """-Laplacian of a raw interior array under zero Dirichlet padding.
 
-    Allocates only the output: each axis subtracts its two shifted
-    neighbours in place, and a neighbour outside the interior is zero.
+    Allocates only the output and a saved face or two, (n-1)^2 values each.
+    Over the flat C-ordered arrays a neighbour along an axis is a contiguous
+    shift by that axis's stride, so the six subtractions run as flat passes
+    in the stencil's order. A shift by a row or by one also pairs the
+    entries on a face, whose neighbour there is the zero boundary, with an
+    entry of the next row or plane; they are saved before the pass and
+    written back after it, never corrected by adding that entry back, so
+    every entry takes the operations of six strided subtractions and the
+    result is theirs bit for bit.
     """
+    values = np.ascontiguousarray(values)
     out = 6.0 * values
-    out[1:] -= values[:-1]
-    out[:-1] -= values[1:]
-    out[:, 1:] -= values[:, :-1]
-    out[:, :-1] -= values[:, 1:]
-    out[:, :, 1:] -= values[:, :, :-1]
-    out[:, :, :-1] -= values[:, :, 1:]
+    flat, v = out.reshape(-1), values.reshape(-1)
+    plane = values.shape[1] * values.shape[2]
+    flat[plane:] -= v[:-plane]
+    flat[:-plane] -= v[plane:]
+    for shift, low_face, high_face in (
+        (values.shape[2], out[1:, 0, :], out[:-1, -1, :]),
+        (1, out[:, :, 0], out[:, :, -1]),
+    ):
+        kept = low_face.copy()
+        flat[shift:] -= v[:-shift]
+        low_face[...] = kept
+        kept = high_face.copy()
+        flat[:-shift] -= v[shift:]
+        high_face[...] = kept
     out /= h * h
     return out
 

@@ -12,6 +12,9 @@ clears the history, and the iteration takes the plain step. The
 differences come from gradients already computed, so the trial costs no
 extra solve, and the history's H1 pairings read -Delta_h g = lap - rhs, the
 strong residual each state holds, so they cost no stencil either. The
+history frees an array at its last read: the last iterate's g, u and
+residual as each difference is formed, and the oldest of three steps once
+the mixture has read it, so a trial is evaluated beside two steps. The
 starting point is a multiple t e of e = +-(r / ||-Delta_h e1||_3) e1, the
 sign that of <f, e1>, with t minimizing the polynomial t -> E(t e). Its four
 coefficients are numbers the ball constants took from e1 and phi_e1, the
@@ -188,6 +191,11 @@ class _MixingHistory:
     (the forward-difference gradient pairing, by summation by parts; the
     common h^3 cancels in gamma).
     -Delta_h dg is the change of -Delta_h g, which each push is handed.
+    Each array lives until its last read: push drops each of the last
+    iterate's arrays as soon as its difference is formed, and mixed, once it
+    has formed a mixture from a full window, drops the oldest step, which
+    the next push would drop and a rejected mixture would clear. The steps
+    and the Gram matrix are the same bits either way.
     """
 
     def __init__(self):
@@ -201,20 +209,28 @@ class _MixingHistory:
         the strong residual -Delta_h u - rhs(u), since -Delta_h T(u) = rhs(u)."""
         if self.last is not None:
             if len(self.steps) == _MIXING_DEPTH:
-                del self.steps[0]
-                self.gram = self.gram[1:, 1:]
-            dg = g - self.last[0]
-            ldg = lap_g - self.last[2]
+                self._drop_oldest()
+            last_g, last_u, last_lap = self.last
+            self.last = None
+            dg = g - last_g
+            del last_g
+            ldg = lap_g - last_lap
+            del last_lap
             k = len(self.steps)
             gram = np.empty((k + 1, k + 1))
             gram[:k, :k] = self.gram
             gram[k, :k] = gram[:k, k] = [np.vdot(ldg_i, dg) for ldg_i, _ in self.steps]
             gram[k, k] = np.vdot(ldg, dg)
-            dt = u - self.last[1]
+            dt = u - last_u
+            del last_u
             dt -= dg
             self.steps.append((ldg, dt))
             self.gram = gram
         self.last = (g, u, lap_g)
+
+    def _drop_oldest(self) -> None:
+        del self.steps[0]
+        self.gram = self.gram[1:, 1:]
 
     def clear(self) -> None:
         """Forget the steps; the last iterate stays as the base of the next one."""
@@ -225,6 +241,7 @@ class _MixingHistory:
         """T(u) - dT gamma with gamma = argmin ||g - dg gamma||_H1; needs a step.
 
         None, with the steps cleared, when _mixing_weights finds no gamma.
+        A full window drops its oldest step once the mixture is formed.
         """
         rhs = np.array([np.vdot(ldg_i, g) for ldg_i, _ in self.steps])
         gamma = _mixing_weights(self.gram, rhs)
@@ -234,6 +251,10 @@ class _MixingHistory:
         out = u - g
         for coeff, (_, dt) in zip(gamma, self.steps):
             out -= coeff * dt
+        if len(self.steps) == _MIXING_DEPTH:
+            # the next push would drop the oldest step, and a rejected
+            # mixture clears the window, so no later read needs it
+            self._drop_oldest()
         return out
 
 

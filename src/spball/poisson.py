@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionViolationError
-from .grid import ScalarField
+from .grid import ScalarField, unbroadcast
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def compute_phi(u: ScalarField, coupling: ScalarField) -> ScalarField:
     if u.grid != coupling.grid:
         # reuse the field arithmetic check for a consistent error type
         u._check_same_grid(coupling)
-    if float(coupling.values.min()) < 0.0:
+    if float(unbroadcast(coupling.values).min()) < 0.0:
         raise AssumptionViolationError("coupling field must be nonnegative")
     rhs = np.square(u.values)
     rhs *= coupling.values

@@ -60,6 +60,10 @@ def test_spec_validation():
         make_spec(p=1.0)
     with pytest.raises(AssumptionViolationError):
         make_spec(coupling=-0.5)
+    g = build_grid(4)
+    with pytest.raises(AssumptionViolationError):
+        ProblemSpec(p=3.0, coupling=ScalarField.constant(g, -1.0),
+                    forcing=ScalarField.zeros(g), grid=g)
     # the forcing may take any sign, zero included
     for value in (0.0, -1.0, 1.0):
         assert np.all(make_spec(forcing=value).forcing.values == value)

@@ -24,7 +24,7 @@ from spball import (
     first_eigenpair,
     lp_norm,
 )
-from spball.grid import neg_laplacian_array
+from spball.grid import neg_laplacian_array, unbroadcast
 
 from conftest import (
     dense_neg_laplacian,
@@ -320,12 +320,29 @@ def test_neg_laplacian_array_leaves_its_input_unchanged(rng):
     assert not np.shares_memory(out, values)
 
 
-@pytest.mark.parametrize("n", [3, 4, 16])
+def _strided_neg_laplacian(values, h):
+    """The stencil as six strided in-place subtractions, one per neighbour,
+    in the order the flat kernel takes them: the oracle it must match bit
+    for bit."""
+    out = 6.0 * values
+    out[1:] -= values[:-1]
+    out[:-1] -= values[1:]
+    out[:, 1:] -= values[:, :-1]
+    out[:, :-1] -= values[:, 1:]
+    out[:, :, 1:] -= values[:, :, :-1]
+    out[:, :, :-1] -= values[:, :, 1:]
+    out /= h * h
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 16, 33])
 def test_neg_laplacian_array_does_not_depend_on_memory_layout(rng, n):
-    # the same values held Fortran-ordered, with permuted strides or with
-    # reversed strides give the C-ordered result bit for bit
+    # the flat passes give the strided subtractions bit for bit, and the
+    # same values held Fortran-ordered, with permuted strides, with reversed
+    # strides or read-only give that result too
     values = rng.standard_normal((n - 1,) * 3)
-    expected = neg_laplacian_array(values, 1.0 / n)
+    expected = _strided_neg_laplacian(values, 1.0 / n)
+    assert np.array_equal(neg_laplacian_array(values, 1.0 / n), expected)
     layouts = (
         np.asfortranarray(values),
         values.transpose(2, 0, 1).copy().transpose(1, 2, 0),
@@ -334,6 +351,29 @@ def test_neg_laplacian_array_does_not_depend_on_memory_layout(rng, n):
     for same in layouts:
         assert not same.flags.c_contiguous
         assert np.array_equal(neg_laplacian_array(same, 1.0 / n), expected)
+    read_only = values.copy()
+    read_only.setflags(write=False)
+    assert np.array_equal(neg_laplacian_array(read_only, 1.0 / n), expected)
+    # a constant field's zero-stride view, through apply_laplacian
+    g = build_grid(n)
+    c = ScalarField.constant(g, -2.5)
+    assert np.array_equal(apply_laplacian(c).values,
+                          _strided_neg_laplacian(np.full(g.shape, -2.5), g.h))
+
+
+def test_unbroadcast_cuts_zero_stride_axes_to_one_entry(rng):
+    g = build_grid(8)
+    c = ScalarField.constant(g, -1.5)
+    assert unbroadcast(c.values).shape == (1, 1, 1)
+    assert float(unbroadcast(c.values).min()) == float(c.values.min()) == -1.5
+    # a stored field keeps every entry; a view broadcast along one axis
+    # keeps that axis's one row
+    u = random_field(g, rng)
+    assert unbroadcast(u.values).shape == g.shape
+    assert np.shares_memory(unbroadcast(u.values), u.values)
+    row = np.broadcast_to(rng.standard_normal((7, 1, 7)), g.shape)
+    assert unbroadcast(row).shape == (7, 1, 7)
+    assert unbroadcast(row).min() == row.min() and unbroadcast(row).max() == row.max()
 
 
 def test_apply_laplacian_self_adjoint(rng):

@@ -4,6 +4,8 @@ Anderson-mixed step and its fallback, and the stop rule: a fixed_point stop
 means the verifier's fixed_point and pde gates pass."""
 
 import math
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -678,6 +680,58 @@ def test_mixing_history_keeps_the_last_three_steps():
                     rtol=1e-8, atol=1e-10)
     history.clear()
     assert history.steps == [] and history.gram.shape == (0, 0)
+
+
+def test_mixing_history_push_frees_the_last_iterate_as_it_differences():
+    # once the caller has moved on, the window alone holds the last
+    # iterate's g, u and -Delta_h g; push drops each as soon as its
+    # difference is formed, so recording an iterate holds one new field at a
+    # time, not three
+    g = build_grid(16)
+    rng = np.random.default_rng(3)
+    history = _MixingHistory()
+    tracemalloc.start()
+    try:
+        grad = rng.standard_normal(g.shape)
+        history.push(grad, rng.standard_normal(g.shape), neg_laplacian_array(grad, g.h))
+        grad = rng.standard_normal(g.shape)
+        u = rng.standard_normal(g.shape)
+        lap = neg_laplacian_array(grad, g.h)
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        history.push(grad, u, lap)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert len(history.steps) == 1
+    assert peak / (8 * (g.n - 1) ** 3) <= 1.25
+
+
+def test_mixing_history_drops_the_oldest_step_once_a_full_window_has_mixed():
+    # the mixture is the last read of the oldest step: the next push would
+    # drop it and a rejected mixture clears the window, so mixed drops it at
+    # once, and the next push leaves the window of a history that never mixed
+    g = build_grid(6)
+    rng = np.random.default_rng(5)
+    arrays = [(rng.standard_normal(g.shape), rng.standard_normal(g.shape)) for _ in range(5)]
+    history, twin = _MixingHistory(), _MixingHistory()
+    for grad, u in arrays[:4]:
+        lap = neg_laplacian_array(grad, g.h)
+        history.push(grad, u, lap)
+        twin.push(grad, u, lap)
+    assert len(history.steps) == 3
+    oldest = [weakref.ref(a) for a in history.steps[0]]
+    assert history.mixed(*arrays[3]) is not None
+    assert len(history.steps) == 2 and history.gram.shape == (2, 2)
+    assert [ref() for ref in oldest] == [None, None]
+    grad, u = arrays[4]
+    lap = neg_laplacian_array(grad, g.h)
+    history.push(grad, u, lap)
+    twin.push(grad, u, lap)
+    assert len(history.steps) == len(twin.steps) == 3
+    for mine, theirs in zip(history.steps, twin.steps):
+        assert [a.tobytes() for a in mine] == [b.tobytes() for b in theirs]
+    assert history.gram.tobytes() == twin.gram.tobytes()
 
 
 def test_mixing_weights_match_least_squares():

@@ -29,6 +29,7 @@ from spball.grid import (
     build_grid,
     first_eigenpair,
     lp_norm,
+    neg_laplacian_array,
 )
 from spball.minimize import initial_guess
 from spball.poisson import compute_phi, solve_dirichlet_poisson
@@ -145,9 +146,10 @@ BUDGETS = {
     "scalar product": 1.25,
     # phi, in which c phi u and then rhs are formed, lap and the power
     # array, freed before the gradient's solve adds its two buffers, one of
-    # which g adopts; the stencil's strided subtractions add numpy
-    # temporaries (0.9 of a field at n=16)
-    "evaluate": 5.0,
+    # which g adopts
+    "evaluate": 4.25,
+    # the output and a saved face or two of the flat passes, (n-1)^2 values each
+    "neg_laplacian_array": 1.25,
     "lp_norm m=2": 0.25,  # no array: the dot product of u with itself
     "lp_norm m=3": 1.25,  # u*u, signed in place
 }
@@ -162,6 +164,7 @@ def test_hot_path_allocation_budget(rng, n, kernel):
         "compute_phi": (compute_phi, u, spec.coupling),
         "scalar product": (ScalarField.__mul__, u, 2.0),
         "evaluate": (evaluate, u, spec),
+        "neg_laplacian_array": (neg_laplacian_array, u.values, spec.grid.h),
         "lp_norm m=2": (lp_norm, u, 2.0),
         "lp_norm m=3": (lp_norm, u, 3.0),
     }
@@ -231,14 +234,15 @@ def test_verify_gates_allocate_one_field(n):
 # gone), with their finiteness mask. The step's displacement, taken while
 # both states are held, forms one difference: lap' - lap goes into the
 # dropped iterate's Laplacian. descent-n32 adds its Anderson history, two
-# arrays per step
+# arrays per step, but a trial is formed and evaluated with two steps held,
+# not three: the window drops its oldest step once the mixture has read it
 RUN_CONFIGS = {
     "solve-n32": {"grid_n": 32, "p": 7.0, "coupling": {"constant": 1},
                   "forcing": {"scaled_to_bound": 0.5}},
     "descent-n32": {"grid_n": 32, "p": 3.0, "coupling": {"constant": 1},
                     "forcing": {"scaled_to_bound": 1.0}, "safety": 1.0},
 }
-RUN_BUDGETS = {"solve-n32": 11.25, "descent-n32": 17.25}
+RUN_BUDGETS = {"solve-n32": 11.25, "descent-n32": 15.25}
 
 
 def _run_peak(name: str) -> float:

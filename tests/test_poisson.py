@@ -198,9 +198,9 @@ def test_compute_phi_zero_coupling(rng):
 def test_compute_phi_requires_nonnegative_coupling(rng):
     g = build_grid(4)
     u = random_field(g, rng)
-    bad = ScalarField(g, -np.ones(g.shape))
-    with pytest.raises(AssumptionViolationError):
-        compute_phi(u, bad)
+    for bad in (ScalarField(g, -np.ones(g.shape)), ScalarField.constant(g, -1.0)):
+        with pytest.raises(AssumptionViolationError):
+            compute_phi(u, bad)
 
 
 def test_compute_phi_grid_mismatch(rng):

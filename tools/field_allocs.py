@@ -11,6 +11,8 @@ interpreters that import spball from DIR (default: this checkout's src):
   per-opcode trace hook; each bytecode instruction whose traced memory rose
   by k field sizes ((n-1)^3 float64 values) above its start counts k
   allocations, and the run's tracemalloc peak is given in fields too;
+- peak_site: the spball call chain, outermost first, as file:line function,
+  at which the traced run's memory first reached its maximum;
 - minor faults: --reps untraced cold runs, each in its own interpreter,
   reading getrusage's ru_minflt just before and after run_experiment.
 
@@ -45,13 +47,16 @@ def count_allocations(config, field_bytes: int) -> dict:
     run_experiment(config)  # sine factors and imports, as a warm run
     allocations = 0
     start = 0
+    top, site = 0, []
 
     def hook(frame, event, arg):
-        nonlocal allocations, start
+        nonlocal allocations, start, top, site
         frame.f_trace_opcodes = True
         if event in ("opcode", "line", "return"):
             current, peak = tracemalloc.get_traced_memory()
             allocations += max(0, round((peak - start) / field_bytes - 0.25))
+            if peak > top:  # the instruction just run reached a new maximum
+                top, site = peak, spball_chain(frame)
             tracemalloc.reset_peak()
             start = current
         return hook
@@ -67,7 +72,22 @@ def count_allocations(config, field_bytes: int) -> dict:
     run_experiment(config)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    return {"field_allocations": allocations, "tracemalloc_peak_fields": peak / field_bytes}
+    return {
+        "field_allocations": allocations,
+        "tracemalloc_peak_fields": peak / field_bytes,
+        "peak_site": " -> ".join(site),
+    }
+
+
+def spball_chain(frame) -> list[str]:
+    """file:line function of each spball frame from the outermost to frame."""
+    chain = []
+    while frame is not None:
+        code = frame.f_code
+        if f"{os.sep}spball{os.sep}" in code.co_filename:
+            chain.append(f"{Path(code.co_filename).name}:{frame.f_lineno} {code.co_name}")
+        frame = frame.f_back
+    return chain[::-1]
 
 
 def count_faults(config) -> dict:
