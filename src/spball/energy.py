@@ -10,27 +10,30 @@ phi_u the potential from compute_phi. The power exponent p may exceed the
 critical Sobolev range; the ball constraint elsewhere is what restores control.
 
 Everything else is read from one FieldState per field, built by evaluate:
-the field u, lap = -Delta_h u and its ball norm ||lap||_3, the four energy
-terms, the minimum and maximum of phi_u, and the Sobolev gradient
-g = u - T(u) with the strong residual lap - rhs, its L3 norm and
-||rhs||_3, where rhs = -c phi_u u + sign(u)|u|^p + f is the equation's
-right-hand side and T(u) = (-Delta_h)^-1 rhs the auxiliary map. All are
-written out only in _state, the builder evaluate shares with the descent's
-start, which holds phi_u and lap already; each term pairs u with an array
-the state forms anyway, so a state costs no gradient pass. _state forms
-c phi_u u in phi_u's own array and then rhs in the same array, so the state
+the field u, the ball norm ||-Delta_h u||_3, the four energy terms, the
+minimum and maximum of phi_u, and the Sobolev gradient g = u - T(u) with
+the strong residual -Delta_h u - rhs, its L3 norm and ||rhs||_3, where
+rhs = -c phi_u u + sign(u)|u|^p + f is the equation's right-hand side and
+T(u) = (-Delta_h)^-1 rhs the auxiliary map. All are written out only in
+_state, the builder evaluate shares with the descent's start, which holds
+phi_u and lap = -Delta_h u already; each term pairs u with an array the
+state forms anyway, so a state costs no gradient pass. _state forms
+c phi u in phi_u's own array and then rhs in the same array, so the state
 keeps no potential and the power array is gone before the gradient's
 solve: the radial retraction onto the ball, which scales phi_u, is decided
 in evaluate before that. evaluate's stencil for lap is its only one, but
 for a field it pulls back onto the ball.
 
-gradient_field, the one place a gradient is formed, takes rhs with one
-solve for T(u): it keeps ||rhs||_3, T(u)'s ball norm, then writes the
-strong residual lap - rhs into rhs's array and g into T(u)'s. So a state
-holds four arrays, u, lap, g and the residual, and the residual's L3 norm
-is taken once, for the descent's stop test and verify. ProblemSpec holds
-||f||_3 for the same reason: a stop test re-forms neither the residual nor
-the forcing norm.
+gradient_field, the one place a gradient is formed, takes lap and rhs and
+keeps neither: it writes the strong residual lap - rhs into lap's array,
+takes ||rhs||_3, T(u)'s ball norm, and then solves for T(u) in rhs's own
+buffer, where g = u - T(u) is formed. So the solve adds one buffer, not
+two, and a state holds three arrays, u, g and the residual; the residual's
+L3 norm is taken once, for the descent's stop test and verify. Once the
+terms are taken nothing reads lap again: verify's rescaled branch and the
+descent's displacement run their own stencil. ProblemSpec holds ||f||_3
+for the same reason: a stop test re-forms neither the residual nor the
+forcing norm.
 The power sign(u)|u|^p is one array per state: for an integral p from 2
 to 7 it is formed by products, within (p - 1) eps relative of libm pow;
 any other p uses pow.
@@ -121,15 +124,15 @@ def _signed_power(values: np.ndarray, p: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FieldState:
-    """A field u with lap = -Delta_h u, its ball norm w2n = ||lap||_3, the
-    energy terms (kinetic, coupling, power, forcing), phi_range, the minimum
-    and maximum of its potential phi_u, and its gradient: g = u - T(u), the
-    strong residual lap - rhs, which is -Delta_h g up to solve rounding, the
+    """A field u with its ball norm w2n = ||-Delta_h u||_3, the energy terms
+    (kinetic, coupling, power, forcing), phi_range, the minimum and maximum
+    of its potential phi_u, and its gradient: g = u - T(u), the strong
+    residual -Delta_h u - rhs, which is -Delta_h g up to solve rounding, the
     residual's L3 norm and rhs_norm = ||rhs||_3, the ball norm of T(u) since
-    -Delta_h T(u) = rhs; built by evaluate."""
+    -Delta_h T(u) = rhs; built by evaluate. It holds three arrays, u, g and
+    the residual."""
 
     u: ScalarField
-    lap: ScalarField
     terms: tuple[float, float, float, float]
     phi_range: tuple[float, float]
     w2n: float
@@ -150,8 +153,10 @@ def _state(u: ScalarField, phi: np.ndarray, lap: ScalarField, w2n: float,
     lap = -Delta_h u, already formed, and w2n = ||lap||_3; no stencil, and
     one solve, the gradient's.
 
-    phi must be an array the caller alone holds: once its minimum and
-    maximum are read, c phi u is formed in it, and then rhs. The terms are
+    phi and lap must be arrays the caller alone holds, and neither is read
+    after: once phi's minimum and maximum are read, c phi u is formed in it,
+    and then rhs, and once the terms are taken gradient_field writes the
+    strong residual into lap's array and g into rhs's. The terms are
     homogeneous in u, of degree 2, 4, p+1 and 1: 1/2 <lap, u>,
     1/4 <c phi u, u>, <sign(u)|u|^p, u>/(p+1) and <f, u>, each times h^3.
     """
@@ -173,7 +178,7 @@ def _state(u: ScalarField, phi: np.ndarray, lap: ScalarField, w2n: float,
     del power
     rhs += spec.forcing.values
     rhs = ScalarField._own(spec.grid, rhs)
-    return FieldState(u, lap, terms, phi_range, w2n, *gradient_field(u, lap, rhs))
+    return FieldState(u, terms, phi_range, w2n, *gradient_field(u, lap, rhs))
 
 
 def evaluate(u: ScalarField, spec: ProblemSpec, radius: float = math.inf) -> FieldState:
@@ -216,15 +221,16 @@ def gradient_field(u: ScalarField, lap: ScalarField,
     g is the Riesz representative of the residual in the discrete H1 inner
     product, since (-Delta_h)^-1 (-Delta_h u - rhs) = u - T(u). So
     -Delta_h g = lap - rhs up to solve rounding: verify reads
-    ||grad g||^2 = <lap - rhs, g> h^3 with no gradient pass. rhs must be an
-    array the caller made and alone holds: once the solve has read it and
-    its L3 norm is taken, the residual is written into it, and g into T(u)'s
-    array.
+    ||grad g||^2 = <lap - rhs, g> h^3 with no gradient pass. lap and rhs
+    must be arrays the caller made and alone holds, and both are gone
+    afterwards: the residual is written into lap's array, and once rhs's L3
+    norm is taken the solve runs in rhs's own buffer, where g = u - T(u) is
+    formed, so it adds one buffer.
     """
-    rhs_norm = lp_norm(rhs, 3.0)
-    g = solve_dirichlet_poisson(rhs).field._release()
-    np.subtract(u.values, g, out=g)
-    residual = rhs._release()
-    np.subtract(lap.values, residual, out=residual)
+    residual = lap._release()
+    np.subtract(residual, rhs.values, out=residual)
     residual = ScalarField._own(u.grid, residual)
+    rhs_norm = lp_norm(rhs, 3.0)
+    g = solve_dirichlet_poisson(rhs, overwrite=True).field._release()
+    np.subtract(u.values, g, out=g)
     return ScalarField._own(u.grid, g), residual, lp_norm(residual, 3.0), rhs_norm

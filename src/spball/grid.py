@@ -84,10 +84,15 @@ def build_grid(n: int) -> DomainGrid:
 
 def _sealed(grid: DomainGrid, vals: np.ndarray) -> np.ndarray:
     """vals made read-only once its shape matches the grid and every value is
-    finite; an overflow anywhere upstream surfaces here as a ValueError."""
+    finite; an overflow anywhere upstream surfaces here as a ValueError.
+
+    The scan is a minimum and a maximum over unbroadcast(vals), which a NaN
+    or an infinity reaches, so it forms no mask and reduces a constant
+    field's one number."""
     if vals.shape != grid.shape:
         raise InvalidGridError(f"values shape {vals.shape} does not match grid shape {grid.shape}")
-    if not np.isfinite(vals).all():
+    distinct = unbroadcast(vals)
+    if not (math.isfinite(distinct.min()) and math.isfinite(distinct.max())):
         raise ValueError("field values must be finite")
     vals.setflags(write=False)
     return vals

@@ -10,11 +10,14 @@ gamma solves the normal equations, the at most 3 x 3 Gram system of the dg,
 by one LU solve; a singular Gram matrix or a gamma that is not finite
 clears the history, and the iteration takes the plain step. The
 differences come from gradients already computed, so the trial costs no
-extra solve, and the history's H1 pairings read -Delta_h g = lap - rhs, the
-strong residual each state holds, so they cost no stencil either. The
-history frees an array at its last read: the last iterate's g, u and
+extra solve, and the history's H1 pairings read -Delta_h g, the strong
+residual -Delta_h u - rhs each state holds, so they cost no stencil either.
+The history frees an array at its last read: the last iterate's g and
 residual as each difference is formed, and the oldest of three steps once
 the mixture has read it, so a trial is evaluated beside two steps. The
+last iterate's u is read once, by the step d = u' - u of an accepted trial,
+which takes u's place in the history: the next push forms dT = d - dg in
+its array. The
 starting point is a multiple t e of e = +-(r / ||-Delta_h e1||_3) e1, the
 sign that of <f, e1>, with t minimizing the polynomial t -> E(t e). Its four
 coefficients are numbers the ball constants took from e1 and phi_e1, the
@@ -38,9 +41,11 @@ fixed_point when fixed_point_residual and pde_residual of the iterate's
 state pass FP_THRESHOLD and PDE_THRESHOLD, and otherwise when no step
 lowers the energy (no_decrease) or the iteration budget is spent (budget);
 verify alone says whether the result is a solution. An iterate is the
-accepted trial's state: u, lap, g and the strong residual, four arrays,
-with its energy terms and norms. Every H1 norm here is a pairing with a
-held Laplacian, so the descent runs no gradient pass.
+accepted trial's state: u, g and the strong residual, three arrays, with
+its energy terms and norms. Every H1 norm here is a pairing with a
+Laplacian, so the descent runs no gradient pass: the history's with the
+held residuals, and a step's displacement ||grad d|| with the stencil of d,
+<-Delta_h d, d> h^3, one stencil per accepted step, freed at once.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ import numpy as np
 
 from .ball import BallSpec, FirstMode
 from .energy import FieldState, ProblemSpec, _state, energy, evaluate
-from .grid import ScalarField, lp_norm
+from .grid import ScalarField, lp_norm, neg_laplacian_array
 from .verify import FP_THRESHOLD, PDE_THRESHOLD, fixed_point_residual, pde_residual
 
 _INITIAL_STEP = 1.0
@@ -191,7 +196,8 @@ class _MixingHistory:
     (the forward-difference gradient pairing, by summation by parts; the
     common h^3 cancels in gamma).
     -Delta_h dg is the change of -Delta_h g, which each push is handed.
-    Each array lives until its last read: push drops each of the last
+    Each array lives until its last read: step replaces the last iterate's
+    u by the step d = u' - u to the next one, push drops each of the last
     iterate's arrays as soon as its difference is formed, and mixed, once it
     has formed a mixture from a full window, drops the oldest step, which
     the next push would drop and a rejected mixture would clear. The steps
@@ -201,16 +207,27 @@ class _MixingHistory:
     def __init__(self):
         self.steps: list[tuple[np.ndarray, np.ndarray]] = []  # (-Delta_h dg, dT)
         self.gram = np.zeros((0, 0))
-        # (g, u, -Delta_h g) of the last iterate
+        # (g, u, -Delta_h g) of the last iterate, with u replaced by the
+        # step d = u' - u once the next iterate u' is accepted
         self.last: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def step(self, u: np.ndarray) -> np.ndarray:
+        """The step d = u - u_last from the last iterate to the accepted u,
+        which takes u_last's place: the next push, of u, forms dT = d - dg
+        in d's array, so the caller reads d only until then."""
+        last_g, last_u, last_lap = self.last
+        d = np.subtract(u, last_u)
+        self.last = (last_g, d, last_lap)
+        return d
 
     def push(self, g: np.ndarray, u: np.ndarray, lap_g: np.ndarray) -> None:
         """Record the iterate u with gradient g = u - T(u) and lap_g = -Delta_h g,
-        the strong residual -Delta_h u - rhs(u), since -Delta_h T(u) = rhs(u)."""
+        the strong residual -Delta_h u - rhs(u), since -Delta_h T(u) = rhs(u).
+        Past the first iterate, step(u) must have formed the step to u."""
         if self.last is not None:
             if len(self.steps) == _MIXING_DEPTH:
                 self._drop_oldest()
-            last_g, last_u, last_lap = self.last
+            last_g, d, last_lap = self.last
             self.last = None
             dg = g - last_g
             del last_g
@@ -221,10 +238,8 @@ class _MixingHistory:
             gram[:k, :k] = self.gram
             gram[k, :k] = gram[:k, k] = [np.vdot(ldg_i, dg) for ldg_i, _ in self.steps]
             gram[k, k] = np.vdot(ldg, dg)
-            dt = u - last_u
-            del last_u
-            dt -= dg
-            self.steps.append((ldg, dt))
+            d -= dg
+            self.steps.append((ldg, d))
             self.gram = gram
         self.last = (g, u, lap_g)
 
@@ -241,7 +256,9 @@ class _MixingHistory:
         """T(u) - dT gamma with gamma = argmin ||g - dg gamma||_H1; needs a step.
 
         None, with the steps cleared, when _mixing_weights finds no gamma.
-        A full window drops its oldest step once the mixture is formed.
+        Each coeff dT is formed in one scratch array, the same bits as a
+        product per step. A full window drops its oldest step once the
+        mixture is formed.
         """
         rhs = np.array([np.vdot(ldg_i, g) for ldg_i, _ in self.steps])
         gamma = _mixing_weights(self.gram, rhs)
@@ -249,8 +266,10 @@ class _MixingHistory:
             self.clear()
             return None
         out = u - g
+        scratch = np.empty_like(out)
         for coeff, (_, dt) in zip(gamma, self.steps):
-            out -= coeff * dt
+            np.multiply(dt, coeff, out=scratch)
+            out -= scratch
         if len(self.steps) == _MIXING_DEPTH:
             # the next push would drop the oldest step, and a rejected
             # mixture clears the window, so no later read needs it
@@ -329,15 +348,12 @@ def minimize(
             stop_reason = "no_decrease"
             break
 
-        candidate, cand_energy, step = accepted
-        old, s, current = s, candidate, cand_energy
-        # ||grad(u' - u)||^2 = <-Delta_h (u' - u), u' - u> h^3, from the held
-        # Laplacians; the dropped iterate's lap, which nothing else holds,
-        # takes lap' - lap
-        dlap = old.lap._release()
-        np.subtract(s.lap.values, dlap, out=dlap)
-        pair = np.vdot(dlap, s.u.values - old.u.values)
-        del old, dlap
+        s, current, step = accepted
+        # ||grad d||^2 = <-Delta_h d, d> h^3 of the step d = u' - u, which
+        # the history keeps in the last iterate's place
+        d = history.step(s.u.values)
+        pair = np.vdot(neg_laplacian_array(d, spec.grid.h), d)
+        del d
         displacement = math.sqrt(max(float(pair), 0.0) * spec.grid.h ** 3)
         iterations += 1
         trace.append((iterations, current, step, displacement))

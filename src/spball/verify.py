@@ -6,13 +6,15 @@ with g = u - T(u), where T(u) solves the auxiliary problem
 descent holds at its last iterate serves as it is (bit for bit after an
 accepted step; at the initial guess, a multiple of e1 whose potential and
 Laplacian scale phi_e1 and lambda_h e1, to rounding); the descent's
-stop_reason is never read. The state holds -Delta_h u, its L3 norm, the
-energy terms, the potential's minimum and maximum, g, the strong residual
-lap - rhs = -Delta_h g (up to solve rounding) with its L3 norm, and
+stop_reason is never read. The state holds ||-Delta_h u||_3, the energy
+terms, the potential's minimum and maximum, g, the strong residual
+-Delta_h u - rhs = -Delta_h g (up to solve rounding) with its L3 norm, and
 ||rhs(u)||_3, T(u)'s ball norm. So every norm here is a number or a
 pairing with a held array: ||grad u|| and ||grad phi_u|| from the
-terms, and ||grad g||^2 = <lap - rhs, g> h^3 by summation by parts. verify
-runs no solve, no stencil and no gradient pass, and forms no array. The
+terms, and ||grad g||^2 = <-Delta_h u - rhs, g> h^3 by summation by parts.
+verify runs no solve and no gradient pass, and forms no array but on a
+state whose squares leave the normal range, where fixed_point_residual
+rescales u and runs its stencil. The
 candidate is accepted when T(u) coincides with u in the relative H1
 seminorm, the strong residual is small against the forcing, T(u) stays in
 the ball, and the potential is nonnegative and within the ball's gradient
@@ -32,6 +34,7 @@ import numpy as np
 from .ball import BallSpec
 from .energy import FieldState, ProblemSpec
 from .errors import OutsideBallError
+from .grid import neg_laplacian_array
 
 FP_THRESHOLD = 1e-6
 PDE_THRESHOLD = 1e-5
@@ -67,13 +70,14 @@ class VerificationReport:
 def fixed_point_residual(s: FieldState) -> float:
     """Relative H1-seminorm size ||grad g|| / ||grad u|| of g = u - T(u).
 
-    The state's strong residual is -Delta_h g = lap - rhs, so
-    ||grad g||^2 = max(<lap - rhs, g> h^3, 0) by summation by parts, exact
-    up to rounding and with no gradient pass; ||grad u||^2 comes from the
-    terms. The ratio is free of a common scale, so when either square is
+    The state's strong residual is -Delta_h g = -Delta_h u - rhs, so
+    ||grad g||^2 = max(<-Delta_h u - rhs, g> h^3, 0) by summation by parts,
+    exact up to rounding and with no gradient pass; ||grad u||^2 comes from
+    the terms. The ratio is free of a common scale, so when either square is
     not a normal float both are taken again on the arrays over their
-    largest magnitude, as lp_norm does; u = 0 beside g != 0 is inf, and
-    g = 0 is 0.
+    largest magnitude, as lp_norm does, ||grad u||^2 as
+    <-Delta_h v, v> h^3 of v = u / scale with the stencil; u = 0 beside
+    g != 0 is inf, and g = 0 is 0.
     """
     g, residual = s.g.values, s.residual.values
     h3 = s.g.grid.h ** 3
@@ -84,7 +88,8 @@ def fixed_point_residual(s: FieldState) -> float:
         if scale == 0.0:
             return 0.0
         pair = float(np.vdot(residual / scale, g / scale)) * h3
-        grad_sq = float(np.vdot(s.lap.values / scale, s.u.values / scale)) * h3
+        v = s.u.values / scale
+        grad_sq = float(np.vdot(neg_laplacian_array(v, s.u.grid.h), v)) * h3
     if grad_sq <= 0.0:
         return math.inf if pair > 0.0 else 0.0
     return math.sqrt(max(pair, 0.0)) / math.sqrt(grad_sq)

@@ -97,8 +97,8 @@ def equation_rhs(u: ScalarField, spec: ProblemSpec) -> ScalarField:
 
 def directional_derivative(s: FieldState, spec: ProblemSpec, v: ScalarField) -> float:
     """First variation of the energy at s.u in direction v: (grad u, grad v) - (rhs, v),
-    with (grad u, grad v) = <-Delta_h u, v> h^3 from the held lap."""
-    return l2_inner(s.lap, v) - l2_inner(equation_rhs(s.u, spec), v)
+    with (grad u, grad v) = <-Delta_h u, v> h^3 by the stencil."""
+    return l2_inner(apply_laplacian(s.u), v) - l2_inner(equation_rhs(s.u, spec), v)
 
 
 def e1_field_sums(grid: DomainGrid, p: float) -> tuple[float, float, float, float]:

@@ -236,9 +236,10 @@ def test_strong_residual_composition(rng):
 @pytest.mark.parametrize("p", [1.5, 3.0, 7.0])
 @pytest.mark.parametrize("coupling_kind", ["constant", "sine_bump"])
 def test_state_holds_the_laplacian_and_the_energy_terms(n, p, coupling_kind, rng):
-    # the state's stencil and residual are the grid's, bit for bit, with the
-    # right-hand side's L3 norm, the range of the potential is its own, and
-    # its terms agree with the term formulas the state replaced, written inline
+    # the state's residual is the grid's stencil less the right-hand side,
+    # bit for bit, with the right-hand side's L3 norm, its kinetic term pairs
+    # that stencil with u, the range of the potential is its own, and its
+    # terms agree with the term formulas the state replaced, written inline
     g = build_grid(n)
     e1, _ = first_eigenpair(g)
     coupling = ScalarField(g, np.ones(g.shape)) if coupling_kind == "constant" else 1e3 * e1
@@ -249,7 +250,7 @@ def test_state_holds_the_laplacian_and_the_energy_terms(n, p, coupling_kind, rng
     lap = apply_laplacian(u)
     rhs = equation_rhs(u, spec)
     phi = compute_phi(u, spec.coupling)
-    assert np.array_equal(s.lap.values, lap.values)
+    assert s.terms[0] == 0.5 * float(np.vdot(lap.values, u.values)) * g.h**3
     assert np.array_equal(s.residual.values, (lap - rhs).values)
     assert s.rhs_norm == lp_norm(rhs, 3)
     assert s.phi_range == (float(phi.values.min()), float(phi.values.max()))
@@ -312,7 +313,7 @@ def test_every_state_carries_its_gradient(how, rng):
     # L3 norm, and rhs_norm is the ball norm of T(u) = u - g
     s = _built_state(how, rng)
     h = s.u.grid.h
-    scale = float(np.abs(s.lap.values).max() + np.abs(s.residual.values).max())
+    scale = float(np.abs(apply_laplacian(s.u).values).max() + np.abs(s.residual.values).max())
     assert_allclose(neg_laplacian_array(s.g.values, h), s.residual.values,
                     rtol=0, atol=1e-12 * scale)
     assert s.residual_norm == lp_norm(s.residual, 3)

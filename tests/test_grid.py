@@ -93,6 +93,26 @@ def test_field_rejects_non_finite():
         ScalarField(g, vals)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_finiteness_scan_finds_a_non_finite_value_anywhere(bad):
+    # the scan is a minimum and a maximum, not a mask: a NaN or an infinity
+    # of either sign at the first, a middle or the last flat index is
+    # refused by the constructor and by a kernel's _own alike, and so is a
+    # constant field of it
+    g = build_grid(6)
+    size = math.prod(g.shape)
+    for index in (0, size // 2, size - 1):
+        vals = np.zeros(g.shape)
+        vals.reshape(-1)[index] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ScalarField(g, vals)
+        with pytest.raises(ValueError, match="finite"):
+            ScalarField._own(g, vals)
+    with pytest.raises(ValueError, match="finite"):
+        ScalarField.constant(g, bad)
+    assert ScalarField.constant(g, -1e308).values.min() == -1e308
+
+
 def test_field_constructor_copies_its_source():
     # a list, an int array and a float array: the field keeps its own copy
     g = build_grid(4)

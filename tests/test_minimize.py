@@ -19,7 +19,6 @@ from spball import (
     ForcingTooLargeError,
     GridMismatchError,
     ScalarField,
-    apply_laplacian,
     build_grid,
     compute_phi,
     first_eigenpair,
@@ -77,7 +76,7 @@ def test_retract_inside_ball_is_identity(rng):
     u = random_field(spec.grid, rng)
     s, free = evaluate(u, spec, 2.0 * w2n_norm(u)), evaluate(u, spec)
     assert s.u is u
-    for name in ("lap", "g", "residual"):
+    for name in ("g", "residual"):
         assert np.array_equal(getattr(s, name).values, getattr(free, name).values), name
     assert (s.terms, s.phi_range, s.w2n, s.residual_norm, s.rhs_norm) == (
         free.terms, free.phi_range, free.w2n, free.residual_norm, free.rhs_norm)
@@ -176,7 +175,8 @@ def test_initial_guess_polynomial_from_four_numbers(p, n, coupling_kind):
     e = scale * mode.e1
     phi = mode.phi.values * (scale * scale)
     base_lap = mode.lam * e
-    base = _state(e, phi.copy(), base_lap, lp_norm(base_lap, 3), spec)
+    # _state takes over the Laplacian it is handed, so each state gets a copy
+    base = _state(e, phi.copy(), 1.0 * base_lap, lp_norm(base_lap, 3), spec)
     assert _start_terms(spec, ball.radius, mode)[0] == scale
     assert_allclose(_start_terms(spec, ball.radius, mode)[1], base.terms, rtol=1e-13, atol=0)
 
@@ -188,14 +188,14 @@ def test_initial_guess_polynomial_from_four_numbers(p, n, coupling_kind):
         t = float(ts[idx])
         if poly[idx] >= 0.0:
             break
-        lap = t * base.lap
+        lap = t * base_lap
         candidate = _state(t * e, phi * (t * t), lap, lp_norm(lap, 3), spec)
         if candidate.w2n <= ball.radius * (1.0 + BALL_RTOL) and energy(candidate).total < 0.0:
             expected = candidate
             break
     assert expected is not None
     s0 = initial_guess(spec, ball, mode)
-    for name in ("u", "lap", "g", "residual"):
+    for name in ("u", "g", "residual"):
         assert np.array_equal(getattr(s0, name).values, getattr(expected, name).values), name
     for name in ("terms", "phi_range", "w2n", "residual_norm", "rhs_norm"):
         assert getattr(s0, name) == getattr(expected, name), name
@@ -503,9 +503,6 @@ def test_trial_outside_the_ball_is_rescaled_without_a_solve(monkeypatch, solve_c
 
     def recording(u, spec, radius=math.inf):
         out = evaluate_(u, spec, radius)
-        # lap is checked as it is formed: a step's displacement is taken in
-        # the Laplacian of the iterate it drops
-        assert np.array_equal(out.lap.values, apply_laplacian(out.u).values)
         calls.append((u, out))
         return out
 
@@ -567,7 +564,7 @@ def test_verify_from_the_handed_over_state_matches_the_field_alone(monkeypatch, 
     (res, spec, ball), = calls
     s = evaluate(res.minimizer, spec)
     assert res.iterations >= 1
-    for name in ("lap", "g", "residual"):
+    for name in ("u", "g", "residual"):
         assert np.array_equal(getattr(res.state, name).values, getattr(s, name).values), name
     for name in ("terms", "phi_range", "w2n", "residual_norm", "rhs_norm"):
         assert getattr(res.state, name) == getattr(s, name), name
@@ -579,22 +576,23 @@ def test_stop_test_residual_is_the_gradient_pass_norm(monkeypatch, config):
     # at every stop test the state's gradient is gradient_field's, formed
     # from the state's rhs, so the pairing with its strong residual reads the
     # H1 norm a gradient pass over g would. Each state is checked at its
-    # stop test: the next step's displacement is taken in its Laplacian
+    # stop test, against copies of the lap and rhs its gradient was formed
+    # from, which gradient_field takes over
     held, checked = [], 0
     fp = minimize_mod.fixed_point_residual
     gradient_field_ = energy_mod.gradient_field
 
     def recording_gradient(u, lap, rhs):
-        copy = ScalarField(rhs.grid, rhs.values)
-        held.append((gradient_field_(u, lap, rhs), copy))
+        copies = (ScalarField(lap.grid, lap.values), ScalarField(rhs.grid, rhs.values))
+        held.append((gradient_field_(u, lap, rhs), copies))
         return held[-1][0]
 
     def recording(s):
         nonlocal checked
         checked += 1
-        rhs = next(rhs for gradient, rhs in held if gradient[0] is s.g)
+        lap, rhs = next(copies for gradient, copies in held if gradient[0] is s.g)
         assert np.array_equal(s.g.values, (s.u - solve_dirichlet_poisson(rhs).field).values)
-        assert np.array_equal(s.residual.values, (s.lap - rhs).values)
+        assert np.array_equal(s.residual.values, (lap - rhs).values)
         # the two readings differ by stencil and solve rounding of about eps
         # in absolute terms, at most 1.2 eps over these cases, which near the
         # threshold fp ~ 1e-7 is a relative 1e-9; 16 eps keeps a margin
@@ -642,7 +640,8 @@ def test_run_experiment_solve_count(monkeypatch, solve_counter, config):
 ])
 def test_run_experiment_kernel_count(monkeypatch, kernel_counter, config):
     # guards the whole run against re-added stencils and power passes.
-    # Stencils: one per trial state; the ball takes e1's ball norm as
+    # Stencils: one per trial state and one per accepted step, its
+    # displacement <-Delta_h d, d> h^3; the ball takes e1's ball norm as
     # lambda_h ||e1||_3, the initial guess scales lambda_h e1, the Anderson
     # history reads the held strong residuals and verify reads T(u)'s ball
     # norm as ||rhs||_3, so none of them runs one. _signed_power: one per state
@@ -655,8 +654,16 @@ def test_run_experiment_kernel_count(monkeypatch, kernel_counter, config):
     assert report.verification.passed
     assert all(row[2] == 1.0 for row in res.trace[1:])
     assert res.mixed_steps == k - 1
-    assert counts["neg_laplacian_array"] == k
+    assert counts["neg_laplacian_array"] == 2 * k
     assert counts["_signed_power"] == 1 + k
+
+
+def _record(history, grad, u, lap):
+    """What the descent does per iterate: the step to u from the last
+    iterate, once there is one, then the push of u."""
+    if history.last is not None:
+        history.step(u)
+    history.push(grad, u, lap)
 
 
 def test_mixing_history_keeps_the_last_three_steps():
@@ -665,7 +672,7 @@ def test_mixing_history_keeps_the_last_three_steps():
     history = _MixingHistory()
     arrays = [(rng.standard_normal(g.shape), rng.standard_normal(g.shape)) for _ in range(6)]
     for grad, u in arrays:
-        history.push(grad, u, neg_laplacian_array(grad, g.h))
+        _record(history, grad, u, neg_laplacian_array(grad, g.h))
     assert len(history.steps) == 3
     # the Gram matrix is the H1 pairing of the last three gradient changes
     dgs = [ScalarField(g, b[0] - a[0]) for a, b in zip(arrays[2:], arrays[3:])]
@@ -684,9 +691,10 @@ def test_mixing_history_keeps_the_last_three_steps():
 
 def test_mixing_history_push_frees_the_last_iterate_as_it_differences():
     # once the caller has moved on, the window alone holds the last
-    # iterate's g, u and -Delta_h g; push drops each as soon as its
-    # difference is formed, so recording an iterate holds one new field at a
-    # time, not three
+    # iterate's g and -Delta_h g and the step d that took u's place; push
+    # drops each as soon as its difference is formed and forms dT in d's
+    # array, so recording an iterate holds one new field at a time, not
+    # three
     g = build_grid(16)
     rng = np.random.default_rng(3)
     history = _MixingHistory()
@@ -697,6 +705,7 @@ def test_mixing_history_push_frees_the_last_iterate_as_it_differences():
         grad = rng.standard_normal(g.shape)
         u = rng.standard_normal(g.shape)
         lap = neg_laplacian_array(grad, g.h)
+        history.step(u)
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         history.push(grad, u, lap)
@@ -717,8 +726,8 @@ def test_mixing_history_drops_the_oldest_step_once_a_full_window_has_mixed():
     history, twin = _MixingHistory(), _MixingHistory()
     for grad, u in arrays[:4]:
         lap = neg_laplacian_array(grad, g.h)
-        history.push(grad, u, lap)
-        twin.push(grad, u, lap)
+        _record(history, grad, u, lap)
+        _record(twin, grad, u, lap)
     assert len(history.steps) == 3
     oldest = [weakref.ref(a) for a in history.steps[0]]
     assert history.mixed(*arrays[3]) is not None
@@ -726,12 +735,65 @@ def test_mixing_history_drops_the_oldest_step_once_a_full_window_has_mixed():
     assert [ref() for ref in oldest] == [None, None]
     grad, u = arrays[4]
     lap = neg_laplacian_array(grad, g.h)
-    history.push(grad, u, lap)
-    twin.push(grad, u, lap)
+    _record(history, grad, u, lap)
+    _record(twin, grad, u, lap)
     assert len(history.steps) == len(twin.steps) == 3
     for mine, theirs in zip(history.steps, twin.steps):
         assert [a.tobytes() for a in mine] == [b.tobytes() for b in theirs]
     assert history.gram.tobytes() == twin.gram.tobytes()
+
+
+def test_mixture_is_the_bits_of_one_temporary_per_step():
+    # mixed subtracts each coeff dT through one scratch array; the mixture
+    # is, byte for byte, u - g less coeff * dT formed afresh for each of a
+    # full window's three steps
+    g = build_grid(6)
+    rng = np.random.default_rng(11)
+    history = _MixingHistory()
+    arrays = [(rng.standard_normal(g.shape), rng.standard_normal(g.shape)) for _ in range(4)]
+    for grad, u in arrays:
+        _record(history, grad, u, neg_laplacian_array(grad, g.h))
+    assert len(history.steps) == 3
+    grad, u = arrays[-1]
+    rhs = np.array([np.vdot(ldg, grad) for ldg, _ in history.steps])
+    gamma = _mixing_weights(history.gram, rhs)
+    expected = u - grad
+    for coeff, (_, dt) in zip(gamma, history.steps):
+        expected -= coeff * dt
+    assert history.mixed(grad, u).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("case", ["descent-n8", "retracted"])
+def test_displacement_is_the_gradient_norm_of_the_step(monkeypatch, case):
+    # every trace row's displacement is ||grad(u_k - u_{k-1})|| of the
+    # accepted iterates, by zero-padded forward differences; each iterate is
+    # the evaluated state whose energy the row records. "retracted" is the
+    # hand-built ball whose accepted step is pulled back onto the boundary
+    states = []
+    evaluate_, initial_guess_ = minimize_mod.evaluate, minimize_mod.initial_guess
+
+    def recording(u, spec, radius=math.inf):
+        states.append(evaluate_(u, spec, radius))
+        return states[-1]
+
+    def recording_start(*args):
+        states.append(initial_guess_(*args))
+        return states[-1]
+
+    monkeypatch.setattr(minimize_mod, "evaluate", recording)
+    monkeypatch.setattr(minimize_mod, "initial_guess", recording_start)
+    if case == "descent-n8":
+        calls = recorded_minimize(monkeypatch)
+        run_experiment(ExperimentConfig.from_dict(DESCENT_N8))
+        (res, _, _), = calls
+        assert res.iterations >= 3
+    else:
+        res = minimize(*_forcing_sized_ball(), max_iters=50)
+        assert res.on_boundary and res.iterations == 1
+    iterates = [next(s for s in states if energy(s).total == row[1]) for row in res.trace]
+    assert res.trace[0][3] == 0.0
+    for row, before, after in zip(res.trace[1:], iterates, iterates[1:]):
+        assert_allclose(row[3], grad_l2_norm(after.u - before.u), rtol=1e-10, atol=0.0)
 
 
 def test_mixing_weights_match_least_squares():
@@ -762,7 +824,7 @@ def test_singular_gram_clears_the_history():
     grad = rng.standard_normal(g.shape)
     history = _MixingHistory()
     for _ in range(2):
-        history.push(grad, rng.standard_normal(g.shape), neg_laplacian_array(grad, g.h))
+        _record(history, grad, rng.standard_normal(g.shape), neg_laplacian_array(grad, g.h))
     assert history.gram.shape == (1, 1) and history.gram[0, 0] == 0.0
     assert history.mixed(grad, rng.standard_normal(g.shape)) is None
     assert history.steps == [] and history.gram.shape == (0, 0)

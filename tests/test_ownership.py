@@ -4,12 +4,12 @@ A kernel hands its fresh output array to the field it returns instead of
 copying it, so such a field must still be read-only, share no memory with
 the kernel's inputs and pass the finiteness scan. A buffer is reused only
 once no other object holds it: the potential's solve works in the array of
-c u^2, a state forms rhs in the potential's array and its gradient writes
-the residual into that rhs, and the descent takes a step's displacement in
-the dropped iterate's Laplacian. The budgets are tracemalloc peaks in units
-of one field's array, (n-1)^3 float64 values: an extra copy or a hidden
-temporary of field size shows as a whole unit. The finiteness scan's
-boolean mask is an eighth of one.
+c u^2, a state forms rhs in the potential's array, its gradient writes the
+residual into the Laplacian's array and solves in rhs's, and the descent
+forms a step in the dropped iterate's slot of its history. The budgets are
+tracemalloc peaks in units of one field's array, (n-1)^3 float64 values:
+an extra copy or a hidden temporary of field size shows as a whole unit.
+The finiteness scan is a minimum and a maximum and forms no array.
 """
 
 import tracemalloc
@@ -30,6 +30,7 @@ from spball.grid import (
     first_eigenpair,
     lp_norm,
     neg_laplacian_array,
+    _sealed,
 )
 from spball.minimize import initial_guess
 from spball.poisson import compute_phi, solve_dirichlet_poisson
@@ -64,7 +65,6 @@ def test_kernel_fields_are_read_only_and_share_no_memory_with_inputs(rng):
         "zero solve": solve_dirichlet_poisson(ScalarField.zeros(spec.grid)).field,
         "potential": compute_phi(u, spec.coupling),
         "eigenfunction": first_eigenpair(spec.grid)[0],
-        "state lap": s.lap,
         "gradient": s.g,
         "residual": s.residual,
     }
@@ -85,21 +85,29 @@ def test_a_buffer_is_reused_only_once_no_other_object_holds_it(rng, monkeypatch)
     # (the solve that works in its right-hand side's buffer, as compute_phi's
     # does in c u^2's, is tests/test_poisson.py's)
     spec, u = _problem(6, rng)
-    # the state forms rhs in its potential's array, which nobody else holds,
-    # and the gradient writes the residual into that rhs
-    potentials = []
-    compute_phi_ = energy_module.compute_phi
+    # the state forms rhs in its potential's array, which nobody else holds;
+    # the gradient writes the residual into the Laplacian's array and solves
+    # in rhs's, where g is formed
+    made = {"potential": [], "laplacian": []}
+    compute_phi_, apply_laplacian_ = energy_module.compute_phi, energy_module.apply_laplacian
 
-    def recording(v, coupling):
-        potentials.append(compute_phi_(v, coupling))
-        return potentials[-1]
+    def recording_phi(v, coupling):
+        made["potential"].append(compute_phi_(v, coupling))
+        return made["potential"][-1]
 
-    monkeypatch.setattr(energy_module, "compute_phi", recording)
+    def recording_laplacian(v):
+        made["laplacian"].append(apply_laplacian_(v))
+        return made["laplacian"][-1]
+
+    monkeypatch.setattr(energy_module, "compute_phi", recording_phi)
+    monkeypatch.setattr(energy_module, "apply_laplacian", recording_laplacian)
     s = evaluate(u, spec)
-    assert _address(s.residual.values) == _address(potentials[0].values)
-    rhs = equation_rhs(u, spec)
-    g, residual, _, _ = gradient_field(u, s.lap, rhs)
-    assert _address(residual.values) == _address(rhs.values)
+    assert _address(s.g.values) == _address(made["potential"][0].values)
+    assert _address(s.residual.values) == _address(made["laplacian"][0].values)
+    lap, rhs = apply_laplacian(u), equation_rhs(u, spec)
+    g, residual, _, _ = gradient_field(u, lap, rhs)
+    assert _address(residual.values) == _address(lap.values)
+    assert _address(g.values) == _address(rhs.values)
     assert np.array_equal(residual.values, s.residual.values)
     assert np.array_equal(g.values, s.g.values)
     # what the caller holds is never written: the field a trial is made
@@ -139,15 +147,17 @@ def _peak_in_fields(grid, fn, *args) -> float:
     return peak / (8 * (grid.n - 1) ** 3)
 
 
-# kernel -> budget: its output arrays, its buffers and one finiteness mask
+# kernel -> budget: its output arrays and its buffers
 BUDGETS = {
     "solve": 2.25,  # two transform buffers; the field adopts the second
     "compute_phi": 2.25,  # c u^2, which the potential adopts, and one solve buffer
     "scalar product": 1.25,
-    # phi, in which c phi u and then rhs are formed, lap and the power
-    # array, freed before the gradient's solve adds its two buffers, one of
-    # which g adopts
-    "evaluate": 4.25,
+    # phi, in which c phi u and then rhs are formed, lap, in which the
+    # residual is, and the power array, freed before the gradient's solve
+    # adds one buffer to rhs's own, where g is formed
+    "evaluate": 3.25,
+    # a minimum and a maximum, no boolean mask (an eighth of a field)
+    "finiteness scan": 0.0625,
     # the output and a saved face or two of the flat passes, (n-1)^2 values each
     "neg_laplacian_array": 1.25,
     "lp_norm m=2": 0.25,  # no array: the dot product of u with itself
@@ -164,6 +174,7 @@ def test_hot_path_allocation_budget(rng, n, kernel):
         "compute_phi": (compute_phi, u, spec.coupling),
         "scalar product": (ScalarField.__mul__, u, 2.0),
         "evaluate": (evaluate, u, spec),
+        "finiteness scan": (_sealed, spec.grid, u.values),
         "neg_laplacian_array": (neg_laplacian_array, u.values, spec.grid.h),
         "lp_norm m=2": (lp_norm, u, 2.0),
         "lp_norm m=3": (lp_norm, u, 3.0),
@@ -177,14 +188,12 @@ STAGE_BUDGETS = {
     # the signed square behind its L3 norm; the ball's other numbers are
     # sums over one axis
     "estimate_constants": 4.25,
-    # the candidate's u, lap and rhs, formed in phi's array once the power
-    # array is gone, and its gradient solve's two buffers with their
-    # finiteness mask: 5.125 fields, but no state of e; the 401-point t grid
-    # and its polynomial are freed before that solve. Per grid, no more than
-    # the start followed by its gradient took when the descent formed it
-    # (5.23 and 5.14 fields at n=16 and 32); the mask and its reduction
-    # buffers are a sixth of a field at n=16
-    "initial_guess": {16: 5.23, 32: 5.14},
+    # the candidate's u, the residual in lap's array and rhs, formed in
+    # phi's array once the power array is gone, whose buffer its gradient
+    # solve reuses beside one more: 4 fields, but no state of e; the
+    # 401-point t grid and its polynomial are freed before that solve
+    # (4.12 and 4.01 fields at n=16 and 32)
+    "initial_guess": 4.25,
     # no solve and no array: the L3 norms of rhs (aux_in_ball) and of the
     # strong residual (pde) and the range of phi_u come with the state
     "verify": 0.25,
@@ -210,9 +219,7 @@ def test_run_stage_allocation_budget(n, stage):
         "initial_guess": (initial_guess, spec, ball, mode),
         "verify": (verify, s, spec, ball),
     }
-    budget = STAGE_BUDGETS[stage]
-    budget = budget[n] if isinstance(budget, dict) else budget
-    assert _peak_in_fields(spec.grid, *calls[stage]) <= budget
+    assert _peak_in_fields(spec.grid, *calls[stage]) <= STAGE_BUDGETS[stage]
 
 
 @pytest.mark.parametrize("n", [16, 32])
@@ -227,22 +234,23 @@ def test_verify_gates_allocate_one_field(n):
 
 
 # a whole run, in fields, per config: the descent holds the forcing, the
-# sine factors' eigenvalue cube, the iterate's u, lap, g and residual and
-# the trial's state as it is formed, but not e1 or phi_e1 after the initial
-# guess; the peak is the trial's gradient solve, its two buffers beside the
-# trial's u, lap and rhs (formed in the phi array once the power array is
-# gone), with their finiteness mask. The step's displacement, taken while
-# both states are held, forms one difference: lap' - lap goes into the
-# dropped iterate's Laplacian. descent-n32 adds its Anderson history, two
-# arrays per step, but a trial is formed and evaluated with two steps held,
-# not three: the window drops its oldest step once the mixture has read it
+# sine factors' eigenvalue cube, the iterate's u, g and residual and the
+# trial's state as it is formed, but not e1 or phi_e1 after the initial
+# guess. A trial's gradient solve holds the trial's u, the residual in
+# lap's array, rhs (formed in the phi array once the power array is gone),
+# whose buffer the solve reuses, and one more buffer. An accepted step's
+# displacement holds both iterates but for the dropped u, whose slot the
+# step d takes, and the stencil of d, which is the peak by a saved face.
+# descent-n32 adds its Anderson history, two arrays per step, but a trial
+# is formed and evaluated with two steps held, not three: the window drops
+# its oldest step once the mixture has read it
 RUN_CONFIGS = {
     "solve-n32": {"grid_n": 32, "p": 7.0, "coupling": {"constant": 1},
                   "forcing": {"scaled_to_bound": 0.5}},
     "descent-n32": {"grid_n": 32, "p": 3.0, "coupling": {"constant": 1},
                     "forcing": {"scaled_to_bound": 1.0}, "safety": 1.0},
 }
-RUN_BUDGETS = {"solve-n32": 11.25, "descent-n32": 15.25}
+RUN_BUDGETS = {"solve-n32": 9.25, "descent-n32": 13.25}
 
 
 def _run_peak(name: str) -> float:
@@ -312,7 +320,7 @@ def test_constant_coupling_view_gives_the_bits_of_a_full_array(rng, monkeypatch)
     specs = [ProblemSpec(p=3.0, coupling=c, forcing=first_eigenpair(g)[0], grid=g)
              for c in (view, full)]
     a, b = (evaluate(u, spec) for spec in specs)
-    for name in ("lap", "g", "residual"):
+    for name in ("u", "g", "residual"):
         assert np.array_equal(getattr(a, name).values, getattr(b, name).values), name
     assert (a.terms, a.phi_range, a.residual_norm, a.rhs_norm) == (
         b.terms, b.phi_range, b.residual_norm, b.rhs_norm)

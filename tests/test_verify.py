@@ -148,15 +148,15 @@ def test_fixed_point_residual_basics(rng):
 
 @pytest.mark.parametrize("sigma", [1e-170, 1e-60, 1e150])
 def test_fixed_point_residual_is_scale_free(rng, sigma):
-    # u, lap, g, the residual and their norms times sigma, the potential's
-    # range times sigma^2 and each energy term times sigma to its degree: at
+    # u, g, the residual and their norms times sigma, the potential's range
+    # times sigma^2 and each energy term times sigma to its degree: at
     # 1e-170 both squares fall below the normal range and are taken again on
-    # rescaled arrays; at 1e-60 and 1e150 they stay normal and the quotient
-    # alone cancels sigma
+    # rescaled arrays, ||grad u||^2 by the stencil of the rescaled u; at
+    # 1e-60 and 1e150 they stay normal and the quotient alone cancels sigma
     spec, _, _ = standard_problem(n=6, p=3.0)
     s = evaluate(random_field(spec.grid, rng), spec)
     degrees = (2, 4, 4, 1)  # 2, 4, p + 1 and 1 at p = 3
-    scaled = FieldState(sigma * s.u, sigma * s.lap,
+    scaled = FieldState(sigma * s.u,
                         tuple(term * math.prod([sigma] * d) for term, d in zip(s.terms, degrees)),
                         tuple(sigma * sigma * x for x in s.phi_range), sigma * s.w2n,
                         sigma * s.g, sigma * s.residual, sigma * s.residual_norm,
