@@ -33,7 +33,10 @@ BallSpec holds the ball's whole policy. The inequality over r is one
 function, _radius_excess, which admissible_radius bisects and BallSpec
 checks, exactly; every membership test, contains, on_boundary and
 check_forcing, allows the one slack BALL_RTOL relative to its bound, so
-none depends on the scale of the field.
+none depends on the scale of the field. The constants, the radius
+inequality and each membership test are evaluated in floating point, and
+nothing encloses their rounding yet: the inequality holds for the computed
+numbers, not as a bound proved against rounding error.
 """
 
 from __future__ import annotations

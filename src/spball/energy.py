@@ -30,10 +30,9 @@ takes ||rhs||_3, T(u)'s ball norm, and then solves for T(u) in rhs's own
 buffer, where g = u - T(u) is formed. So the solve adds one buffer, not
 two, and a state holds three arrays, u, g and the residual; the residual's
 L3 norm is taken once, for the descent's stop test and verify. Once the
-terms are taken nothing reads lap again: verify's rescaled branch and the
-descent's displacement run their own stencil. ProblemSpec holds ||f||_3
-for the same reason: a stop test re-forms neither the residual nor the
-forcing norm.
+terms are taken nothing reads lap again: verify's rescaled branch runs its
+own stencil. ProblemSpec holds ||f||_3 for the same reason: a stop test
+re-forms neither the residual nor the forcing norm.
 The power sign(u)|u|^p is one array per state: for an integral p from 2
 to 7 it is formed by products, within (p - 1) eps relative of libm pow;
 any other p uses pow.

@@ -12,12 +12,10 @@ clears the history, and the iteration takes the plain step. The
 differences come from gradients already computed, so the trial costs no
 extra solve, and the history's H1 pairings read -Delta_h g, the strong
 residual -Delta_h u - rhs each state holds, so they cost no stencil either.
-The history frees an array at its last read: the last iterate's g and
-residual as each difference is formed, and the oldest of three steps once
-the mixture has read it, so a trial is evaluated beside two steps. The
-last iterate's u is read once, by the step d = u' - u of an accepted trial,
-which takes u's place in the history: the next push forms dT = d - dg in
-its array. The
+The history frees an array at its last read: the last iterate's g, residual
+and u as each difference is formed, with dT = d - dg formed in the array of
+the step d = u' - u, and the oldest of three steps once the mixture has
+read it, so a trial is evaluated beside two steps. The
 starting point is a multiple t e of e = +-(r / ||-Delta_h e1||_3) e1, the
 sign that of <f, e1>, with t minimizing the polynomial t -> E(t e). Its four
 coefficients are numbers the ball constants took from e1 and phi_e1, the
@@ -40,24 +38,24 @@ The one stop test is verify's: the descent stops with stop_reason
 fixed_point when fixed_point_residual and pde_residual of the iterate's
 state pass FP_THRESHOLD and PDE_THRESHOLD, and otherwise when no step
 lowers the energy (no_decrease) or the iteration budget is spent (budget);
-verify alone says whether the result is a solution. An iterate is the
+verify alone says whether the result is a solution. Each stop test records
+its iterate's trace row with the fixed_point_residual it compares, so the
+last row's is verify's fixed_point_rel_residual. An iterate is the
 accepted trial's state: u, g and the strong residual, three arrays, with
 its energy terms and norms. Every H1 norm here is a pairing with a
-Laplacian, so the descent runs no gradient pass: the history's with the
-held residuals, and a step's displacement ||grad d|| with the stencil of d,
-<-Delta_h d, d> h^3, one stencil per accepted step, freed at once.
+Laplacian the states hold, so the descent runs no gradient pass and no
+stencil but its trials'.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ball import BallSpec, FirstMode
 from .energy import FieldState, ProblemSpec, _state, energy, evaluate
-from .grid import ScalarField, lp_norm, neg_laplacian_array
+from .grid import ScalarField, lp_norm
 from .verify import FP_THRESHOLD, PDE_THRESHOLD, fixed_point_residual, pde_residual
 
 _INITIAL_STEP = 1.0
@@ -74,9 +72,10 @@ class MinimizeResult:
 
     state is the minimizer's FieldState, gradient included, from the last
     stop test; verify takes it as it is. trace rows are
-    (iteration, energy, accepted step, H1 displacement); row 0 records the
-    starting point with step and displacement zero, and an accepted mixed
-    trial records step 1, so there are iterations + 1 rows. stop_reason is
+    (iteration, energy, accepted step, fixed_point_residual), one per stop
+    test, so there are iterations + 1 rows; row 0 records the starting point
+    with step zero, and its residual is inf at a zero start with f nonzero,
+    and an accepted mixed trial records step 1. stop_reason is
     one of fixed_point, no_decrease and budget; a fixed_point stop passes
     verify's fixed_point and pde gates, and verify alone says whether the
     minimizer is a solution. mixed_steps counts the accepted mixed trials.
@@ -196,8 +195,7 @@ class _MixingHistory:
     (the forward-difference gradient pairing, by summation by parts; the
     common h^3 cancels in gamma).
     -Delta_h dg is the change of -Delta_h g, which each push is handed.
-    Each array lives until its last read: step replaces the last iterate's
-    u by the step d = u' - u to the next one, push drops each of the last
+    Each array lives until its last read: push drops each of the last
     iterate's arrays as soon as its difference is formed, and mixed, once it
     has formed a mixture from a full window, drops the oldest step, which
     the next push would drop and a rejected mixture would clear. The steps
@@ -207,32 +205,24 @@ class _MixingHistory:
     def __init__(self):
         self.steps: list[tuple[np.ndarray, np.ndarray]] = []  # (-Delta_h dg, dT)
         self.gram = np.zeros((0, 0))
-        # (g, u, -Delta_h g) of the last iterate, with u replaced by the
-        # step d = u' - u once the next iterate u' is accepted
-        self.last: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    def step(self, u: np.ndarray) -> np.ndarray:
-        """The step d = u - u_last from the last iterate to the accepted u,
-        which takes u_last's place: the next push, of u, forms dT = d - dg
-        in d's array, so the caller reads d only until then."""
-        last_g, last_u, last_lap = self.last
-        d = np.subtract(u, last_u)
-        self.last = (last_g, d, last_lap)
-        return d
+        self.last: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None  # (g, u, -Delta_h g)
 
     def push(self, g: np.ndarray, u: np.ndarray, lap_g: np.ndarray) -> None:
         """Record the iterate u with gradient g = u - T(u) and lap_g = -Delta_h g,
         the strong residual -Delta_h u - rhs(u), since -Delta_h T(u) = rhs(u).
-        Past the first iterate, step(u) must have formed the step to u."""
+        Past the first iterate, dT = d - dg is formed in the array of the
+        step d = u - u_last."""
         if self.last is not None:
             if len(self.steps) == _MIXING_DEPTH:
                 self._drop_oldest()
-            last_g, d, last_lap = self.last
+            last_g, last_u, last_lap = self.last
             self.last = None
             dg = g - last_g
             del last_g
             ldg = lap_g - last_lap
             del last_lap
+            d = u - last_u
+            del last_u
             k = len(self.steps)
             gram = np.empty((k + 1, k + 1))
             gram[:k, :k] = self.gram
@@ -315,14 +305,16 @@ def minimize(
     s = initial_guess(spec, ball, mode)
     del mode  # read by the start alone; a caller that keeps no reference frees it here
 
-    current = energy(s).total
-    trace = [(0, current, 0.0, 0.0)]
+    current, step = energy(s).total, 0.0
+    trace = []
     iterations = 0
     mixed_steps = 0
     history = _MixingHistory()
 
     while True:
-        if fixed_point_residual(s) <= FP_THRESHOLD and pde_residual(s, spec) <= PDE_THRESHOLD:
+        fp = fixed_point_residual(s)
+        trace.append((iterations, current, step, fp))
+        if fp <= FP_THRESHOLD and pde_residual(s, spec) <= PDE_THRESHOLD:
             stop_reason = "fixed_point"
             break
         if iterations == max_iters:
@@ -349,14 +341,7 @@ def minimize(
             break
 
         s, current, step = accepted
-        # ||grad d||^2 = <-Delta_h d, d> h^3 of the step d = u' - u, which
-        # the history keeps in the last iterate's place
-        d = history.step(s.u.values)
-        pair = np.vdot(neg_laplacian_array(d, spec.grid.h), d)
-        del d
-        displacement = math.sqrt(max(float(pair), 0.0) * spec.grid.h ** 3)
         iterations += 1
-        trace.append((iterations, current, step, displacement))
 
     return MinimizeResult(
         state=s,

@@ -254,13 +254,12 @@ class SolveReport:
 
 
 _SUMMARY_KEYS = ("iterations", "stop_reason", "mixed_steps", "on_boundary", "final_step",
-                 "final_displacement", "minimizer_w2n", "minimizer_l2")
+                 "minimizer_w2n", "minimizer_l2")
 
 
 def _summarize(result: MinimizeResult) -> dict:
-    last = result.trace[-1]
     values = (result.iterations, result.stop_reason, result.mixed_steps, result.on_boundary,
-              last[2], last[3], result.state.w2n, lp_norm(result.minimizer, 2))
+              result.trace[-1][2], result.state.w2n, lp_norm(result.minimizer, 2))
     return dict(zip(_SUMMARY_KEYS, values, strict=True))
 
 
@@ -322,7 +321,7 @@ def write_run_outputs(report: SolveReport, result: MinimizeResult, out_dir: str 
     (out / "report.json").write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     with (out / "trace.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "energy", "step", "displacement"])
+        writer.writerow(["iteration", "energy", "step", "fixed_point_residual"])
         writer.writerows(result.trace)  # csv writes a float as its repr
     return out
 

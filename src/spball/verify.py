@@ -20,7 +20,10 @@ seminorm, the strong residual is small against the forcing, T(u) stays in
 the ball, and the potential is nonnegative and within the ball's gradient
 bound. minimize stops on fixed_point_residual and pde_residual at
 FP_THRESHOLD and PDE_THRESHOLD, so a run whose stop_reason is fixed_point
-passes those two gates; failed_checks is the verdict on all five.
+passes those two gates; failed_checks is the verdict on all five. Every
+gate compares a floating-point number with its threshold, and nothing
+encloses the rounding yet: a pass holds for the computed numbers, not as a
+bound proved against rounding error.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ from spball.minimize import (
 )
 from spball.runner import ExperimentConfig, run_experiment
 from spball.sampling import smoothed_random_fields
-from spball.verify import FP_THRESHOLD, PDE_THRESHOLD, verify
+from spball.verify import FP_THRESHOLD, PDE_THRESHOLD, fixed_point_residual, verify
 
 from conftest import (
     equation_rhs,
@@ -253,8 +253,10 @@ def test_minimize_standard_run(p):
     # strict monotone descent along the recorded trace, zero slack
     energies = [row[1] for row in res.trace]
     assert all(b < a for a, b in zip(energies, energies[1:]))
-    assert res.trace[0] == (0, energies[0], 0.0, 0.0)
+    assert res.trace[0][:3] == (0, energies[0], 0.0)
+    assert res.trace[0][3] > FP_THRESHOLD  # the start is no fixed point
     assert res.stop_reason == "fixed_point"
+    assert res.trace[-1][3] <= FP_THRESHOLD
     assert 1 <= res.mixed_steps < res.iterations  # the first iteration has no history
 
 
@@ -285,8 +287,8 @@ def test_minimize_stall_is_not_converged(monkeypatch):
     assert res.iterations == 0
 
 
-# n=6, p=7 with a 1e8 sine-bump coupling: the displacement rule once stopped
-# it after 1 iteration, and verification then failed fixed_point
+# n=6, p=7 with a 1e8 sine-bump coupling: a stop on the H1 displacement
+# once ended it after 1 iteration, and verification then failed fixed_point
 # and pde (fp 4.0e-4)
 STIFF_COUPLING_N6 = {
     "grid_n": 6,
@@ -640,8 +642,8 @@ def test_run_experiment_solve_count(monkeypatch, solve_counter, config):
 ])
 def test_run_experiment_kernel_count(monkeypatch, kernel_counter, config):
     # guards the whole run against re-added stencils and power passes.
-    # Stencils: one per trial state and one per accepted step, its
-    # displacement <-Delta_h d, d> h^3; the ball takes e1's ball norm as
+    # Stencils: one per trial state, and none per accepted step, whose trace
+    # row records the stop test's residual; the ball takes e1's ball norm as
     # lambda_h ||e1||_3, the initial guess scales lambda_h e1, the Anderson
     # history reads the held strong residuals and verify reads T(u)'s ball
     # norm as ||rhs||_3, so none of them runs one. _signed_power: one per state
@@ -654,16 +656,8 @@ def test_run_experiment_kernel_count(monkeypatch, kernel_counter, config):
     assert report.verification.passed
     assert all(row[2] == 1.0 for row in res.trace[1:])
     assert res.mixed_steps == k - 1
-    assert counts["neg_laplacian_array"] == 2 * k
+    assert counts["neg_laplacian_array"] == k
     assert counts["_signed_power"] == 1 + k
-
-
-def _record(history, grad, u, lap):
-    """What the descent does per iterate: the step to u from the last
-    iterate, once there is one, then the push of u."""
-    if history.last is not None:
-        history.step(u)
-    history.push(grad, u, lap)
 
 
 def test_mixing_history_keeps_the_last_three_steps():
@@ -672,7 +666,7 @@ def test_mixing_history_keeps_the_last_three_steps():
     history = _MixingHistory()
     arrays = [(rng.standard_normal(g.shape), rng.standard_normal(g.shape)) for _ in range(6)]
     for grad, u in arrays:
-        _record(history, grad, u, neg_laplacian_array(grad, g.h))
+        history.push(grad, u, neg_laplacian_array(grad, g.h))
     assert len(history.steps) == 3
     # the Gram matrix is the H1 pairing of the last three gradient changes
     dgs = [ScalarField(g, b[0] - a[0]) for a, b in zip(arrays[2:], arrays[3:])]
@@ -691,10 +685,9 @@ def test_mixing_history_keeps_the_last_three_steps():
 
 def test_mixing_history_push_frees_the_last_iterate_as_it_differences():
     # once the caller has moved on, the window alone holds the last
-    # iterate's g and -Delta_h g and the step d that took u's place; push
-    # drops each as soon as its difference is formed and forms dT in d's
-    # array, so recording an iterate holds one new field at a time, not
-    # three
+    # iterate's g, u and -Delta_h g; push drops each as soon as its
+    # difference is formed and forms dT in the step's array, so recording an
+    # iterate holds one new field at a time, not three
     g = build_grid(16)
     rng = np.random.default_rng(3)
     history = _MixingHistory()
@@ -705,7 +698,6 @@ def test_mixing_history_push_frees_the_last_iterate_as_it_differences():
         grad = rng.standard_normal(g.shape)
         u = rng.standard_normal(g.shape)
         lap = neg_laplacian_array(grad, g.h)
-        history.step(u)
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         history.push(grad, u, lap)
@@ -726,8 +718,8 @@ def test_mixing_history_drops_the_oldest_step_once_a_full_window_has_mixed():
     history, twin = _MixingHistory(), _MixingHistory()
     for grad, u in arrays[:4]:
         lap = neg_laplacian_array(grad, g.h)
-        _record(history, grad, u, lap)
-        _record(twin, grad, u, lap)
+        history.push(grad, u, lap)
+        twin.push(grad, u, lap)
     assert len(history.steps) == 3
     oldest = [weakref.ref(a) for a in history.steps[0]]
     assert history.mixed(*arrays[3]) is not None
@@ -735,8 +727,8 @@ def test_mixing_history_drops_the_oldest_step_once_a_full_window_has_mixed():
     assert [ref() for ref in oldest] == [None, None]
     grad, u = arrays[4]
     lap = neg_laplacian_array(grad, g.h)
-    _record(history, grad, u, lap)
-    _record(twin, grad, u, lap)
+    history.push(grad, u, lap)
+    twin.push(grad, u, lap)
     assert len(history.steps) == len(twin.steps) == 3
     for mine, theirs in zip(history.steps, twin.steps):
         assert [a.tobytes() for a in mine] == [b.tobytes() for b in theirs]
@@ -752,7 +744,7 @@ def test_mixture_is_the_bits_of_one_temporary_per_step():
     history = _MixingHistory()
     arrays = [(rng.standard_normal(g.shape), rng.standard_normal(g.shape)) for _ in range(4)]
     for grad, u in arrays:
-        _record(history, grad, u, neg_laplacian_array(grad, g.h))
+        history.push(grad, u, neg_laplacian_array(grad, g.h))
     assert len(history.steps) == 3
     grad, u = arrays[-1]
     rhs = np.array([np.vdot(ldg, grad) for ldg, _ in history.steps])
@@ -764,10 +756,10 @@ def test_mixture_is_the_bits_of_one_temporary_per_step():
 
 
 @pytest.mark.parametrize("case", ["descent-n8", "retracted"])
-def test_displacement_is_the_gradient_norm_of_the_step(monkeypatch, case):
-    # every trace row's displacement is ||grad(u_k - u_{k-1})|| of the
-    # accepted iterates, by zero-padded forward differences; each iterate is
-    # the evaluated state whose energy the row records. "retracted" is the
+def test_trace_records_the_stop_tests_fixed_point_residual(monkeypatch, case):
+    # every trace row's fourth value is fixed_point_residual of the
+    # evaluated state whose energy the row records, bit for bit, and the
+    # last row's is verify's fixed_point_rel_residual. "retracted" is the
     # hand-built ball whose accepted step is pulled back onto the boundary
     states = []
     evaluate_, initial_guess_ = minimize_mod.evaluate, minimize_mod.initial_guess
@@ -784,16 +776,20 @@ def test_displacement_is_the_gradient_norm_of_the_step(monkeypatch, case):
     monkeypatch.setattr(minimize_mod, "initial_guess", recording_start)
     if case == "descent-n8":
         calls = recorded_minimize(monkeypatch)
-        run_experiment(ExperimentConfig.from_dict(DESCENT_N8))
+        report = run_experiment(ExperimentConfig.from_dict(DESCENT_N8)).verification
         (res, _, _), = calls
         assert res.iterations >= 3
     else:
-        res = minimize(*_forcing_sized_ball(), max_iters=50)
+        spec, ball, mode = _forcing_sized_ball()
+        res = minimize(spec, ball, mode, max_iters=50)
+        report = verify(res.state, spec, ball)
         assert res.on_boundary and res.iterations == 1
+    assert len(res.trace) == res.iterations + 1
     iterates = [next(s for s in states if energy(s).total == row[1]) for row in res.trace]
-    assert res.trace[0][3] == 0.0
-    for row, before, after in zip(res.trace[1:], iterates, iterates[1:]):
-        assert_allclose(row[3], grad_l2_norm(after.u - before.u), rtol=1e-10, atol=0.0)
+    assert iterates[-1] is res.state
+    for row, s in zip(res.trace, iterates):
+        assert row[3] == fixed_point_residual(s)
+    assert res.trace[-1][3] == report.fixed_point_rel_residual
 
 
 def test_mixing_weights_match_least_squares():
@@ -824,7 +820,7 @@ def test_singular_gram_clears_the_history():
     grad = rng.standard_normal(g.shape)
     history = _MixingHistory()
     for _ in range(2):
-        _record(history, grad, rng.standard_normal(g.shape), neg_laplacian_array(grad, g.h))
+        history.push(grad, rng.standard_normal(g.shape), neg_laplacian_array(grad, g.h))
     assert history.gram.shape == (1, 1) and history.gram[0, 0] == 0.0
     assert history.mixed(grad, rng.standard_normal(g.shape)) is None
     assert history.steps == [] and history.gram.shape == (0, 0)

@@ -238,9 +238,9 @@ def test_verify_gates_allocate_one_field(n):
 # trial's state as it is formed, but not e1 or phi_e1 after the initial
 # guess. A trial's gradient solve holds the trial's u, the residual in
 # lap's array, rhs (formed in the phi array once the power array is gone),
-# whose buffer the solve reuses, and one more buffer. An accepted step's
-# displacement holds both iterates but for the dropped u, whose slot the
-# step d takes, and the stencil of d, which is the peak by a saved face.
+# whose buffer the solve reuses, and one more buffer; with the iterate's
+# arrays beside it, that solve is the peak. The trace records the stop
+# test's residual, so an accepted step runs no stencil of its own.
 # descent-n32 adds its Anderson history, two arrays per step, but a trial
 # is formed and evaluated with two steps held, not three: the window drops
 # its oldest step once the mixture has read it

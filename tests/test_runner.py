@@ -167,7 +167,7 @@ def test_run_experiment_passes_and_writes_outputs(small_run):
     assert (out / "report.json").exists()
     assert (out / "trace.csv").exists()
     trace_lines = (out / "trace.csv").read_text().strip().splitlines()
-    assert trace_lines[0] == "iteration,energy,step,displacement"
+    assert trace_lines[0] == "iteration,energy,step,fixed_point_residual"
     assert len(trace_lines) == report.minimize_summary["iterations"] + 2
 
 
@@ -240,6 +240,15 @@ def test_load_report_rejects_another_versions_format(small_run, tmp_path):
     path.write_text(json.dumps(old, indent=2, sort_keys=True) + "\n")
     with pytest.raises(ConfigError, match="ball has an unexpected key 'forcing_bound'"):
         load_report(path)
+    # a 0.18.0 report, whose summary carried the last step's H1 displacement
+    old = report.to_dict()
+    old["minimize_summary"]["final_displacement"] = 1e-7
+    old["version"] = "0.18.0"
+    path.write_text(json.dumps(old, indent=2, sort_keys=True) + "\n")
+    with pytest.raises(ConfigError, match="minimize_summary has an unexpected key "
+                                          "'final_displacement'") as excinfo:
+        load_report(path)
+    assert str(path) in str(excinfo.value)
     # a report with a section missing names that section
     data = report.to_dict()
     del data["verification"]
