@@ -30,7 +30,6 @@ spec = ProblemSpec(
     p=3.0,
     coupling=ScalarField.constant(grid, 1.0),
     forcing=ScalarField.zeros(grid),
-    grid=grid,
 )
 s = evaluate(u, spec)
 print(f"lp_norm(u, 2)   = {lp_norm(u, 2):.6e}")

@@ -23,7 +23,6 @@ spec = ProblemSpec(
     p=7.0,
     coupling=ScalarField(grid, np.ones(grid.shape)),
     forcing=ScalarField(grid, np.ones(grid.shape)),
-    grid=grid,
 )
 
 # the first eigenfunction e1 = s (x) s (x) s of the coupling's grid sets all

@@ -13,7 +13,6 @@ from .ball import (
     estimate_constants,
 )
 from .energy import (
-    EnergyBreakdown,
     FieldState,
     ProblemSpec,
     evaluate,
@@ -63,7 +62,6 @@ __all__ = [
     "BallSpec",
     "ConfigError",
     "DomainGrid",
-    "EnergyBreakdown",
     "ExperimentConfig",
     "FieldState",
     "FirstMode",

@@ -31,9 +31,9 @@ radius^p + ||f||_3 <= radius.
 
 BallSpec holds the ball's whole policy. The inequality over r is one
 function, _radius_excess, which admissible_radius bisects and BallSpec
-checks, exactly; every membership test, contains, on_boundary and
-check_forcing, allows the one slack BALL_RTOL relative to its bound, so
-none depends on the scale of the field. The constants, the radius
+checks, exactly; both membership tests, contains and check_forcing,
+allow the one slack BALL_RTOL relative to their bound, so neither depends
+on the scale of the field. The constants, the radius
 inequality and each membership test are evaluated in floating point, and
 nothing encloses their rounding yet: the inequality holds for the computed
 numbers, not as a bound proved against rounding error.
@@ -100,9 +100,6 @@ class BallSpec:
     def contains(self, norm: float) -> bool:
         """Whether a ball norm, ||-Delta_h v||_3, lies in the closed ball."""
         return norm <= self.radius * (1.0 + BALL_RTOL)
-
-    def on_boundary(self, norm: float) -> bool:
-        return abs(norm - self.radius) <= BALL_RTOL * self.radius
 
     def check_forcing(self, norm: float) -> None:
         """Raise ForcingTooLargeError when ||f||_3 = norm exceeds the forcing bound."""

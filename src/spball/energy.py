@@ -58,8 +58,9 @@ _PRODUCT_POWER_MAX = 7
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Problem data: exponent, coupling field, forcing field and grid.
+    """Problem data: exponent, coupling field and forcing field.
 
+    The problem's grid is the coupling's, and the forcing must live on it.
     The forcing may take any sign, zero included, as the existence theory
     asks only f in L-infinity. The coupling must be nonnegative: compute_phi
     needs it for the discrete maximum principle that verify's phi_nonneg gate
@@ -69,32 +70,24 @@ class ProblemSpec:
     p: float
     coupling: ScalarField
     forcing: ScalarField
-    grid: DomainGrid
     forcing_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.p) and self.p > 1.0):
             raise AssumptionViolationError(f"power exponent must satisfy p > 1, got {self.p}")
-        if self.coupling.grid != self.grid or self.forcing.grid != self.grid:
-            raise GridMismatchError("coupling/forcing fields must live on the problem grid")
+        if self.forcing.grid != self.grid:
+            raise GridMismatchError("the forcing field must live on the coupling's grid")
         if float(unbroadcast(self.coupling.values).min()) < 0.0:
             raise AssumptionViolationError("coupling field must be nonnegative")
         object.__setattr__(self, "forcing_norm", lp_norm(self.forcing, 3))
 
+    @property
+    def grid(self) -> DomainGrid:
+        return self.coupling.grid
+
     def check_field(self, u: ScalarField) -> None:
         if u.grid != self.grid:
             raise GridMismatchError("field does not live on the problem grid")
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """Energy terms; total = kinetic + coupling - power - forcing."""
-
-    kinetic: float
-    coupling: float
-    power: float
-    forcing: float
-    total: float
 
 
 def _signed_power(values: np.ndarray, p: float) -> np.ndarray:
@@ -204,10 +197,11 @@ def evaluate(u: ScalarField, spec: ProblemSpec, radius: float = math.inf) -> Fie
     return _state(u, phi, lap, w2n, spec)
 
 
-def energy(s: FieldState) -> EnergyBreakdown:
-    """The functional at an evaluated field, from the terms its state holds."""
+def energy(s: FieldState) -> float:
+    """The functional at an evaluated field, kinetic + coupling - power -
+    forcing of the terms its state holds."""
     kinetic, coupling, power, forcing = s.terms
-    return EnergyBreakdown(kinetic, coupling, power, forcing, kinetic + coupling - power - forcing)
+    return kinetic + coupling - power - forcing
 
 
 def gradient_field(u: ScalarField, lap: ScalarField,

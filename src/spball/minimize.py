@@ -68,32 +68,36 @@ MAX_ITERS = 5000  # the default iteration budget
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    """Minimizer, its energy, and the full iteration trace.
+    """Minimizer and the full iteration trace.
 
     state is the minimizer's FieldState, gradient included, from the last
     stop test; verify takes it as it is. trace rows are
     (iteration, energy, accepted step, fixed_point_residual), one per stop
-    test, so there are iterations + 1 rows; row 0 records the starting point
-    with step zero, and its residual is inf at a zero start with f nonzero,
-    and an accepted mixed trial records step 1. stop_reason is
-    one of fixed_point, no_decrease and budget; a fixed_point stop passes
-    verify's fixed_point and pde gates, and verify alone says whether the
-    minimizer is a solution. mixed_steps counts the accepted mixed trials.
-    on_boundary is BallSpec.on_boundary of the minimizer's ball norm,
-    relative to the radius, so it reads the same on a ball of any size.
+    test; row 0 records the starting point with step zero, and its residual
+    is inf at a zero start with f nonzero, and an accepted mixed trial
+    records step 1. The last row is the minimizer's, so energy and
+    iterations are read from it. stop_reason is one of fixed_point,
+    no_decrease and budget; a fixed_point stop passes verify's fixed_point
+    and pde gates, and verify alone says whether the minimizer is a
+    solution. mixed_steps counts the accepted mixed trials.
     """
 
     state: FieldState
-    energy: float
-    iterations: int
     trace: tuple[tuple[int, float, float, float], ...]
-    on_boundary: bool
     stop_reason: str
     mixed_steps: int
 
     @property
     def minimizer(self) -> ScalarField:
         return self.state.u
+
+    @property
+    def energy(self) -> float:
+        return self.trace[-1][1]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace) - 1
 
 
 def _start_terms(
@@ -170,7 +174,7 @@ def initial_guess(spec: ProblemSpec, ball: BallSpec, mode: FirstMode) -> FieldSt
         phi *= t * t
         lap = ScalarField._own(spec.grid, lap)
         candidate = _state(ScalarField._own(spec.grid, u), phi, lap, lp_norm(lap, 3.0), spec)
-        if ball.contains(candidate.w2n) and energy(candidate).total < 0.0:
+        if ball.contains(candidate.w2n) and energy(candidate) < 0.0:
             return candidate
     return evaluate(ScalarField.zeros(spec.grid), spec)
 
@@ -273,7 +277,7 @@ def _backtrack(s: FieldState, current: float, spec: ProblemSpec, ball: BallSpec)
     step = _INITIAL_STEP
     while step >= _MIN_STEP:
         candidate = evaluate(s.u - step * s.g, spec, ball.radius)
-        cand_energy = energy(candidate).total
+        cand_energy = energy(candidate)
         if cand_energy < current:
             return candidate, cand_energy, step
         step *= _BACKTRACK_FACTOR
@@ -305,7 +309,7 @@ def minimize(
     s = initial_guess(spec, ball, mode)
     del mode  # read by the start alone; a caller that keeps no reference frees it here
 
-    current, step = energy(s).total, 0.0
+    current, step = energy(s), 0.0
     trace = []
     iterations = 0
     mixed_steps = 0
@@ -326,7 +330,7 @@ def minimize(
         trial = history.mixed(s.g.values, s.u.values) if history.steps else None
         if trial is not None:
             candidate = evaluate(ScalarField._own(spec.grid, trial), spec, ball.radius)
-            cand_energy = energy(candidate).total
+            cand_energy = energy(candidate)
             if cand_energy < current:
                 accepted = (candidate, cand_energy, 1.0)
                 mixed_steps += 1
@@ -343,12 +347,4 @@ def minimize(
         s, current, step = accepted
         iterations += 1
 
-    return MinimizeResult(
-        state=s,
-        energy=current,
-        iterations=iterations,
-        trace=tuple(trace),
-        on_boundary=ball.on_boundary(s.w2n),
-        stop_reason=stop_reason,
-        mixed_steps=mixed_steps,
-    )
+    return MinimizeResult(s, tuple(trace), stop_reason, mixed_steps)

@@ -73,9 +73,7 @@ def compute_phi(u: ScalarField, coupling: ScalarField) -> ScalarField:
     makes the potential nonnegative and the energy term well behaved. The
     solve works in the array of coupling * u^2, which the potential adopts.
     """
-    if u.grid != coupling.grid:
-        # reuse the field arithmetic check for a consistent error type
-        u._check_same_grid(coupling)
+    u._check_same_grid(coupling)
     if float(unbroadcast(coupling.values).min()) < 0.0:
         raise AssumptionViolationError("coupling field must be nonnegative")
     rhs = np.square(u.values)

@@ -253,13 +253,12 @@ class SolveReport:
         return cls(**data)
 
 
-_SUMMARY_KEYS = ("iterations", "stop_reason", "mixed_steps", "on_boundary", "final_step",
-                 "minimizer_w2n", "minimizer_l2")
+_SUMMARY_KEYS = ("iterations", "stop_reason", "mixed_steps", "minimizer_w2n", "minimizer_l2")
 
 
 def _summarize(result: MinimizeResult) -> dict:
-    values = (result.iterations, result.stop_reason, result.mixed_steps, result.on_boundary,
-              result.trace[-1][2], result.state.w2n, lp_norm(result.minimizer, 2))
+    values = (result.iterations, result.stop_reason, result.mixed_steps, result.state.w2n,
+              lp_norm(result.minimizer, 2))
     return dict(zip(_SUMMARY_KEYS, values, strict=True))
 
 
@@ -289,7 +288,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
         message = f"{exc}; set by config coupling {json.dumps(config.coupling)}"
         raise BallOverflowError(message) from None
     forcing = _build_forcing(grid, config.forcing, ball.forcing_bound, mode)
-    spec = ProblemSpec(p=config.p, coupling=coupling, forcing=forcing, grid=grid)
+    spec = ProblemSpec(p=config.p, coupling=coupling, forcing=forcing)
     timings["constants"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -1,1 +1,1 @@
-__version__ = "0.19.0"
+__version__ = "0.20.0"

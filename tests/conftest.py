@@ -196,7 +196,7 @@ def standard_problem(n=8, p=7.0, fraction=1.0):
     bump, lam = first_eigenpair(g)
     ball, mode = estimate_constants(p, coupling)
     forcing = (fraction * ball.forcing_bound / lp_norm(bump, 3)) * bump
-    spec = ProblemSpec(p=p, coupling=coupling, forcing=forcing, grid=g)
+    spec = ProblemSpec(p=p, coupling=coupling, forcing=forcing)
     return spec, ball, mode
 
 

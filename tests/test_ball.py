@@ -38,7 +38,6 @@ def make_spec(n=6, p=3.0, coupling=1.0, forcing=1.0):
         p=p,
         coupling=ScalarField(g, np.full(g.shape, coupling)),
         forcing=ScalarField(g, np.full(g.shape, forcing)),
-        grid=g,
     )
 
 
@@ -149,7 +148,7 @@ def coupling_spec(n, kind, p=7.0):
         "sine_bump": 1e8 * e1,
         "zero": ScalarField.zeros(g),
     }[kind]
-    return ProblemSpec(p=p, coupling=coupling, forcing=e1, grid=g)
+    return ProblemSpec(p=p, coupling=coupling, forcing=e1)
 
 
 def coupling_ratio(u, spec):
@@ -348,15 +347,13 @@ def test_ball_spec_rejects_a_tiny_radius_that_fails_the_inequality():
 
 @pytest.mark.parametrize("r", [1e-148, 1e-20, 0.5, 1e100])
 def test_ball_membership_is_relative_to_the_radius(r):
-    # every membership test reads the same on a ball of any size: the closed
+    # both membership tests read the same on a ball of any size: the closed
     # ball includes its boundary, up to BALL_RTOL relative, and nothing more
     c = 0.125 / (r * r)  # coupling_constant r^2 = power_constant r^(p-1) = 1/8
     ball = BallSpec(c, c, 1.0, r, 3.0)
     assert ball.contains(0.0) and ball.contains(0.5 * r) and ball.contains(r)
     assert ball.contains(r * (1.0 + 0.5 * BALL_RTOL))
     assert not ball.contains(r * (1.0 + 1e-9))
-    assert ball.on_boundary(r) and ball.on_boundary(r * (1.0 - 0.5 * BALL_RTOL))
-    assert not ball.on_boundary(r * (1.0 - 1e-9))
     ball.check_forcing(0.5 * r)
     with pytest.raises(ForcingTooLargeError):
         ball.check_forcing(0.5 * r * (1.0 + 1e-9))

@@ -21,7 +21,6 @@ from spball import (
     lp_norm,
 )
 from spball.energy import (
-    EnergyBreakdown,
     ProblemSpec,
     _signed_power,
     energy,
@@ -48,7 +47,6 @@ def make_spec(n=4, p=3.0, coupling=1.0, forcing=1.0):
         p=p,
         coupling=ScalarField(g, np.full(g.shape, coupling)),
         forcing=ScalarField(g, np.full(g.shape, forcing)),
-        grid=g,
     )
 
 
@@ -63,7 +61,7 @@ def test_spec_validation():
     g = build_grid(4)
     with pytest.raises(AssumptionViolationError):
         ProblemSpec(p=3.0, coupling=ScalarField.constant(g, -1.0),
-                    forcing=ScalarField.zeros(g), grid=g)
+                    forcing=ScalarField.zeros(g))
     # the forcing may take any sign, zero included
     for value in (0.0, -1.0, 1.0):
         assert np.all(make_spec(forcing=value).forcing.values == value)
@@ -77,8 +75,10 @@ def test_spec_grid_mismatch():
             p=3.0,
             coupling=ScalarField(g5, np.ones(g5.shape)),
             forcing=ScalarField(g, np.ones(g.shape)),
-            grid=g,
         )
+    # the problem's grid is the coupling's
+    coupling = ScalarField(g5, np.ones(g5.shape))
+    assert ProblemSpec(p=3.0, coupling=coupling, forcing=ScalarField.zeros(g5)).grid is g5
     spec = make_spec()
     with pytest.raises(GridMismatchError):
         energy(evaluate(ScalarField.zeros(g5), spec))
@@ -89,8 +89,9 @@ def test_spec_grid_mismatch():
 
 def test_energy_zero_field_is_zero():
     spec = make_spec()
-    b = energy(evaluate(ScalarField.zeros(spec.grid), spec))
-    assert b == EnergyBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
+    s = evaluate(ScalarField.zeros(spec.grid), spec)
+    assert s.terms == (0.0, 0.0, 0.0, 0.0)
+    assert energy(s) == 0.0
 
 
 def test_energy_against_dense_oracle(rng):
@@ -108,26 +109,27 @@ def test_energy_against_dense_oracle(rng):
     power = math.fsum(np.abs(uv) ** (p + 1.0)) * h3 / (p + 1.0)
     forcing = math.fsum(uv) * h3
     expected = kinetic + coupling - power - forcing
-    got = energy(evaluate(u, spec))
-    assert_allclose(got.kinetic, kinetic, rtol=1e-12)
-    assert_allclose(got.coupling, coupling, rtol=1e-10)
-    assert_allclose(got.power, power, rtol=1e-12)
-    assert_allclose(got.forcing, forcing, rtol=1e-12)
-    assert_allclose(got.total, expected, rtol=1e-9, atol=1e-12)
+    s = evaluate(u, spec)
+    assert_allclose(s.terms[0], kinetic, rtol=1e-12)
+    assert_allclose(s.terms[1], coupling, rtol=1e-10)
+    assert_allclose(s.terms[2], power, rtol=1e-12)
+    assert_allclose(s.terms[3], forcing, rtol=1e-12)
+    assert_allclose(energy(s), expected, rtol=1e-9, atol=1e-12)
 
 
 def test_energy_total_is_exact_term_sum(rng):
     spec = make_spec(n=5)
     u = random_field(spec.grid, rng)
-    b = energy(evaluate(u, spec))
-    assert b.total == b.kinetic + b.coupling - b.power - b.forcing
+    s = evaluate(u, spec)
+    kinetic, coupling, power, forcing = s.terms
+    assert energy(s) == kinetic + coupling - power - forcing
 
 
 def test_energy_negative_dip_for_small_positive_fields():
     # along t * e1 the forcing term -t*int(f e1) dominates as t -> 0+
     spec = make_spec(n=6, p=3.0)
     e1, _ = first_eigenpair(spec.grid)
-    assert energy(evaluate(0.05 * e1, spec)).total < 0.0
+    assert energy(evaluate(0.05 * e1, spec)) < 0.0
 
 
 def test_energy_split_identity(rng):
@@ -135,9 +137,10 @@ def test_energy_split_identity(rng):
     # the rest, sign flipped, as the smooth part
     spec = make_spec(n=5, p=7.0)
     u = random_field(spec.grid, rng, scale=0.5)
-    b = energy(evaluate(u, spec))
-    convex, smooth = b.kinetic, -b.coupling + b.power + b.forcing
-    assert_allclose(convex - smooth, b.total, rtol=1e-12, atol=1e-15)
+    s = evaluate(u, spec)
+    kinetic, coupling, power, forcing = s.terms
+    convex, smooth = kinetic, -coupling + power + forcing
+    assert_allclose(convex - smooth, energy(s), rtol=1e-12, atol=1e-15)
     assert convex >= 0.0
 
 
@@ -147,10 +150,10 @@ def test_energy_split_convex_part_is_convex(rng):
     u, v = random_field(spec.grid, rng), random_field(spec.grid, rng)
     for theta in (0.0, 0.25, 0.5, 0.9, 1.0):
         mix = theta * u + (1.0 - theta) * v
-        lhs = energy(evaluate(mix, spec)).kinetic
+        lhs = evaluate(mix, spec).terms[0]
         rhs = (
-            theta * energy(evaluate(u, spec)).kinetic
-            + (1.0 - theta) * energy(evaluate(v, spec)).kinetic
+            theta * evaluate(u, spec).terms[0]
+            + (1.0 - theta) * evaluate(v, spec).terms[0]
         )
         assert lhs <= rhs + 1e-12
 
@@ -175,8 +178,8 @@ def test_directional_derivative_matches_finite_differences(p, rng):
         dd = directional_derivative(evaluate(u, spec), spec, v)
         best = math.inf
         for eps in (1e-4, 1e-5, 1e-6):
-            e_plus = energy(evaluate(u + eps * v, spec)).total
-            e_minus = energy(evaluate(u - eps * v, spec)).total
+            e_plus = energy(evaluate(u + eps * v, spec))
+            e_minus = energy(evaluate(u - eps * v, spec))
             fd = (e_plus - e_minus) / (2 * eps)
             best = min(best, abs(fd - dd) / max(abs(dd), 1e-30))
         assert best <= 1e-6
@@ -244,7 +247,7 @@ def test_state_holds_the_laplacian_and_the_energy_terms(n, p, coupling_kind, rng
     e1, _ = first_eigenpair(g)
     coupling = ScalarField(g, np.ones(g.shape)) if coupling_kind == "constant" else 1e3 * e1
     forcing = ScalarField(g, rng.uniform(0.5, 1.5, g.shape))
-    spec = ProblemSpec(p=p, coupling=coupling, forcing=forcing, grid=g)
+    spec = ProblemSpec(p=p, coupling=coupling, forcing=forcing)
     u = random_field(g, rng, scale=0.7)
     s = evaluate(u, spec)
     lap = apply_laplacian(u)
@@ -277,7 +280,7 @@ def test_a_state_has_one_gradient(rng, monkeypatch):
 
     monkeypatch.setattr(energy_module, "gradient_field", counting)
     spec = ProblemSpec(p=3.0, coupling=ScalarField.constant(build_grid(6), 1.0),
-                       forcing=first_eigenpair(build_grid(6))[0], grid=build_grid(6))
+                       forcing=first_eigenpair(build_grid(6))[0])
     u = random_field(spec.grid, rng)
     s = evaluate(u, spec)
     retracted = evaluate(u, spec, 0.5 * s.w2n)

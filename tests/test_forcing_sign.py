@@ -55,7 +55,7 @@ def _solve(p, shape):
     ball, mode = estimate_constants(p, coupling)
     f = shape(g)
     f = (0.5 * ball.forcing_bound / lp_norm(f, 3)) * f
-    spec = ProblemSpec(p=p, coupling=coupling, forcing=f, grid=g)
+    spec = ProblemSpec(p=p, coupling=coupling, forcing=f)
     res = minimize(spec, ball, mode)
     return res, verify(res.state, spec, ball)
 
@@ -93,7 +93,7 @@ def test_initial_guess_takes_the_sign_of_the_forcing():
     f = (0.5 * ball.forcing_bound / lp_norm(e1, 3)) * e1
 
     def start(forcing):
-        spec = ProblemSpec(p=3.0, coupling=coupling, forcing=forcing, grid=g)
+        spec = ProblemSpec(p=3.0, coupling=coupling, forcing=forcing)
         return initial_guess(spec, ball, mode)
 
     plus, minus = start(f), start(-f)

@@ -44,7 +44,7 @@ def _problem(n, rng):
     g = build_grid(n)
     e1, _ = first_eigenpair(g)
     coupling = ScalarField(g, np.ones(g.shape))
-    spec = ProblemSpec(p=3.0, coupling=coupling, forcing=e1, grid=g)
+    spec = ProblemSpec(p=3.0, coupling=coupling, forcing=e1)
     return spec, random_field(g, rng)
 
 
@@ -206,7 +206,7 @@ def _stage_problem(n):
     coupling = ScalarField.constant(g, 1.0)
     ball, mode = estimate_constants(7.0, coupling)
     forcing = (0.5 * ball.forcing_bound / mode.norm) * mode.e1
-    return ProblemSpec(p=7.0, coupling=coupling, forcing=forcing, grid=g), ball, mode
+    return ProblemSpec(p=7.0, coupling=coupling, forcing=forcing), ball, mode
 
 
 @pytest.mark.parametrize("n", [16, 32])
@@ -317,7 +317,7 @@ def test_constant_coupling_view_gives_the_bits_of_a_full_array(rng, monkeypatch)
     u = random_field(g, rng)
     view, full = ScalarField.constant(g, 3.0), _materialized(g, 3.0)
     assert np.array_equal(compute_phi(u, view).values, compute_phi(u, full).values)
-    specs = [ProblemSpec(p=3.0, coupling=c, forcing=first_eigenpair(g)[0], grid=g)
+    specs = [ProblemSpec(p=3.0, coupling=c, forcing=first_eigenpair(g)[0])
              for c in (view, full)]
     a, b = (evaluate(u, spec) for spec in specs)
     for name in ("u", "g", "residual"):

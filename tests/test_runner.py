@@ -169,6 +169,10 @@ def test_run_experiment_passes_and_writes_outputs(small_run):
     trace_lines = (out / "trace.csv").read_text().strip().splitlines()
     assert trace_lines[0] == "iteration,energy,step,fixed_point_residual"
     assert len(trace_lines) == report.minimize_summary["iterations"] + 2
+    # the report's energy and count are the last row's, bit for bit
+    iteration, energy = trace_lines[-1].split(",")[:2]
+    assert int(iteration) == report.minimize_summary["iterations"]
+    assert float(energy) == report.energy
 
 
 def test_run_experiment_report_contents(small_run):
@@ -181,6 +185,9 @@ def test_run_experiment_report_contents(small_run):
     assert report.version
     assert set(report.wall_time) == {"setup", "constants", "minimize", "verify", "total"}
     assert all(t >= 0.0 for t in report.wall_time.values())
+    assert set(report.minimize_summary) == {
+        "iterations", "stop_reason", "mixed_steps", "minimizer_w2n", "minimizer_l2",
+    }
     assert report.minimize_summary["minimizer_l2"] > 0.0
     assert report.minimize_summary["minimizer_w2n"] <= report.ball.radius * (1 + 1e-12)
 
@@ -247,6 +254,16 @@ def test_load_report_rejects_another_versions_format(small_run, tmp_path):
     path.write_text(json.dumps(old, indent=2, sort_keys=True) + "\n")
     with pytest.raises(ConfigError, match="minimize_summary has an unexpected key "
                                           "'final_displacement'") as excinfo:
+        load_report(path)
+    assert str(path) in str(excinfo.value)
+    # a 0.19.0 report, whose summary restated the ball test of minimizer_w2n
+    # and the last trace row's step
+    old = report.to_dict()
+    old["minimize_summary"].update(on_boundary=True, final_step=1.0)
+    old["version"] = "0.19.0"
+    path.write_text(json.dumps(old, indent=2, sort_keys=True) + "\n")
+    with pytest.raises(ConfigError, match="minimize_summary has unexpected keys "
+                                          "'final_step', 'on_boundary'") as excinfo:
         load_report(path)
     assert str(path) in str(excinfo.value)
     # a report with a section missing names that section

@@ -102,7 +102,6 @@ def test_escaping_auxiliary_image_fails_aux_in_ball():
         p=3.0,
         coupling=ScalarField(g, np.ones(g.shape)),
         forcing=ScalarField(g, np.ones(g.shape)),
-        grid=g,
     )
     tiny = BallSpec(1.0, 1.0, 1.0, 0.01, 3.0)
     with warnings.catch_warnings():
@@ -120,7 +119,7 @@ def test_aux_in_ball_is_relative_to_the_radius():
     g = build_grid(6)
     e1, _ = first_eigenpair(g)
     spec = ProblemSpec(p=3.0, coupling=ScalarField.constant(g, 1.0),
-                       forcing=1e-13 * e1, grid=g)
+                       forcing=1e-13 * e1)
     ball = BallSpec(1e39, 1e39, 1.0, 1e-20, 3.0)
     s = evaluate(ScalarField.zeros(g), spec)
     assert s.rhs_norm > 1e6 * ball.radius
@@ -195,7 +194,7 @@ def test_pde_residual_against_a_zero_forcing(rng):
     # no forcing to compare with: a zero residual reads 0, any other inf
     g = build_grid(5)
     spec = ProblemSpec(p=3.0, coupling=ScalarField.constant(g, 1.0),
-                       forcing=ScalarField.zeros(g), grid=g)
+                       forcing=ScalarField.zeros(g))
     assert pde_residual(evaluate(ScalarField.zeros(g), spec), spec) == 0.0
     assert pde_residual(evaluate(random_field(g, rng), spec), spec) == math.inf
 
@@ -219,7 +218,7 @@ def test_pde_residual_vanishes_on_manufactured_solution():
         - _signed_power(star.values, 3.0)
     )
     assert f_vals.min() > 0.0
-    spec = ProblemSpec(p=3.0, coupling=coupling, forcing=ScalarField(g, f_vals), grid=g)
+    spec = ProblemSpec(p=3.0, coupling=coupling, forcing=ScalarField(g, f_vals))
     assert pde_residual(evaluate(star, spec), spec) <= 1e-12
 
 
@@ -340,7 +339,7 @@ def test_phi_bound_has_no_absolute_floor():
     g = build_grid(6)
     e1, _ = first_eigenpair(g)
     spec = ProblemSpec(p=3.0, coupling=ScalarField.constant(g, 1.0),
-                       forcing=ScalarField.zeros(g), grid=g)
+                       forcing=ScalarField.zeros(g))
     s = evaluate(1e-20 * e1, spec)
     assert 0.0 < 4.0 * s.terms[1] < 1e-60
     assert not phi_property_check(s, BallSpec(1.0, 1.0, 1e-300, 0.1, 3.0))[1]
@@ -353,7 +352,6 @@ def test_phi_property_check_zero_coupling(rng):
         p=3.0,
         coupling=ScalarField.zeros(g),
         forcing=ScalarField(g, np.ones(g.shape)),
-        grid=g,
     )
     ball, _ = estimate_constants(spec.p, spec.coupling)
     assert phi_property_check(evaluate(random_field(g, rng), spec), ball) == (True, True)
@@ -373,7 +371,7 @@ def test_phi_bound_calibrates_on_the_extremal_eigenfunction(n, coupling_kind):
     def ratio(w):
         return grad_l2_norm(compute_phi(w, coupling)) / grad_l2_norm(w) ** 2
 
-    s = evaluate(e1, ProblemSpec(p=3.0, coupling=coupling, forcing=e1, grid=g))
+    s = evaluate(e1, ProblemSpec(p=3.0, coupling=coupling, forcing=e1))
     extremal = np.sqrt(4.0 * s.terms[1]) / s.grad_sq
     potential_constant = estimate_constants(3.0, coupling)[0].potential_constant
     # the ball takes ||grad e1||^2 as a sum over one axis, the state by the stencil
@@ -454,7 +452,7 @@ def test_failed_checks_list_the_five_gates_in_order():
     g = build_grid(6)
     e1, _ = first_eigenpair(g)
     spec = ProblemSpec(p=3.0, coupling=ScalarField.constant(g, 1.0),
-                       forcing=ScalarField(g, np.ones(g.shape)), grid=g)
+                       forcing=ScalarField(g, np.ones(g.shape)))
     ball = BallSpec(1.0, 1.0, 1e-300, 0.1, 3.0)
     s = evaluate((0.05 / w2n_norm(e1)) * e1, spec)
     low, high = s.phi_range
