@@ -21,7 +21,7 @@ from spball import (
 grid = build_grid(12)
 print(f"grid: n={grid.n}, h={grid.h:.4f}, interior nodes={np.prod(grid.shape)}")
 
-c = grid.interior_coordinates()
+c = np.arange(1, grid.n) / grid.n  # the interior nodes i h
 x, y, z = np.meshgrid(c, c, c, indexing="ij")
 u = ScalarField(grid, np.sin(np.pi * x) * y * (1.0 - y) * z * (1.0 - z))
 

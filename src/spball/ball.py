@@ -47,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BallOverflowError, ForcingTooLargeError
-from .grid import ScalarField, _first_sines, first_eigenpair, lp_norm
+from .errors import AssumptionViolationError, BallOverflowError, ForcingTooLargeError
+from .grid import ScalarField, first_eigenpair, lp_norm, unbroadcast
 from .poisson import compute_phi
 
 CONSTANT_FLOOR = 1e-30
@@ -156,14 +156,19 @@ def estimate_constants(
     bound are multiples of 1/||e1||_3. ||grad phi_e1||^2 = <c phi_e1 e1, e1>
     h^3 pairs the product whose L3 norm is the coupling ratio's numerator; a
     coupling so large that this product overflows raises BallOverflowError.
+    A coupling with a negative value raises AssumptionViolationError, the
+    one sign check before the potentials, as in ProblemSpec; compute_phi
+    does not repeat it.
     """
     if not (math.isfinite(p) and p > 1.0):
         raise ValueError(f"p must be a finite number > 1, got {p}")
     if not (math.isfinite(safety) and safety >= 1.0):
         raise ValueError(f"safety must be a finite number >= 1, got {safety}")
+    if float(unbroadcast(coupling.values).min()) < 0.0:
+        raise AssumptionViolationError("coupling field must be nonnegative")
     grid = coupling.grid
     e1, lam = first_eigenpair(grid)
-    sines = _first_sines(grid)
+    sines = grid.sine_table[2 : 2 * grid.n : 2]  # e1's axis factor, as first_eigenpair reads it
     norm = lp_norm(e1, 3)
     w = lam * norm
     grad_e1_sq = lam * (grid.h * float(np.vdot(sines, sines))) ** 3

@@ -7,8 +7,9 @@ first tries the depth-3 Anderson (type-II) mixture of that iteration
 dT, dg of T and g between the last iterates and the coefficients gamma
 minimizing the H1 norm of g - dg gamma, the trial is T(u) - dT gamma.
 gamma solves the normal equations, the at most 3 x 3 Gram system of the dg,
-by one LU solve; a singular Gram matrix or a gamma that is not finite
-clears the history, and the iteration takes the plain step. The
+by Gaussian elimination on Python floats, so a descent calls no np.linalg
+routine; a singular Gram matrix or a gamma that is not finite clears the
+history, and the iteration takes the plain step. The
 differences come from gradients already computed, so the trial costs no
 extra solve, and the history's H1 pairings read -Delta_h g, the strong
 residual -Delta_h u - rhs each state holds, so they cost no stencil either.
@@ -49,6 +50,7 @@ stencil but its trials'.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,15 +181,29 @@ def initial_guess(spec: ProblemSpec, ball: BallSpec, mode: FirstMode) -> FieldSt
     return evaluate(ScalarField.zeros(spec.grid), spec)
 
 
-def _mixing_weights(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+def _mixing_weights(gram: np.ndarray, rhs: list[float]) -> list[float] | None:
     """gamma with gram gamma = rhs, the normal equations of the H1 least-squares
-    problem, by one LU solve of the at most 3 x 3 symmetric positive definite
-    Gram matrix; None when it is singular or gamma is not finite."""
-    try:
-        gamma = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    return gamma if np.isfinite(gamma).all() else None
+    problem, by Gaussian elimination with partial pivoting on Python floats:
+    the symmetric positive definite Gram matrix is at most 3 x 3, too small
+    to be worth a LAPACK call. None on an exactly zero pivot, where LAPACK's
+    dgesv would report the matrix singular, or when gamma is not finite."""
+    k = len(rhs)
+    rows = [row + [float(b)] for row, b in zip(gram.tolist(), rhs)]
+    for col in range(k):
+        top = max(range(col, k), key=lambda r: abs(rows[r][col]))
+        rows[col], rows[top] = rows[top], rows[col]
+        pivot = rows[col]
+        if pivot[col] == 0.0:
+            return None
+        for row in rows[col + 1:]:
+            factor = row[col] / pivot[col]
+            for c in range(col, k + 1):
+                row[c] -= factor * pivot[c]
+    gamma = [0.0] * k
+    for r in reversed(range(k)):
+        row = rows[r]
+        gamma[r] = (row[k] - sum(row[c] * gamma[c] for c in range(r + 1, k))) / row[r]
+    return gamma if all(math.isfinite(x) for x in gamma) else None
 
 
 class _MixingHistory:
@@ -254,7 +270,7 @@ class _MixingHistory:
         product per step. A full window drops its oldest step once the
         mixture is formed.
         """
-        rhs = np.array([np.vdot(ldg_i, g) for ldg_i, _ in self.steps])
+        rhs = [float(np.vdot(ldg_i, g)) for ldg_i, _ in self.steps]
         gamma = _mixing_weights(self.gram, rhs)
         if gamma is None:
             self.clear()

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionViolationError
-from .grid import ScalarField, unbroadcast
+from .grid import ScalarField
 
 
 @dataclass(frozen=True)
@@ -71,11 +70,11 @@ def compute_phi(u: ScalarField, coupling: ScalarField) -> ScalarField:
 
     The coupling field must be nonnegative; that sign condition is what
     makes the potential nonnegative and the energy term well behaved. The
-    solve works in the array of coupling * u^2, which the potential adopts.
+    callers check it once per coupling, ProblemSpec and estimate_constants,
+    not on every potential. The solve works in the array of coupling * u^2,
+    which the potential adopts.
     """
     u._check_same_grid(coupling)
-    if float(unbroadcast(coupling.values).min()) < 0.0:
-        raise AssumptionViolationError("coupling field must be nonnegative")
     rhs = np.square(u.values)
     rhs *= coupling.values
     return solve_dirichlet_poisson(ScalarField._own(u.grid, rhs), overwrite=True).field

@@ -26,7 +26,7 @@ def smoothed_random_fields(grid: DomainGrid, count: int, seed: int) -> list[Scal
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     rng = np.random.default_rng(seed)
-    coords = grid.interior_coordinates()
+    coords = np.arange(1, grid.n) / grid.n
     modes = np.arange(1, _MAX_MODE + 1)
     sines = np.sin(np.pi * np.outer(modes, coords))  # (_MAX_MODE, n-1)
     k2 = (

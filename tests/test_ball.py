@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spball import (
+    AssumptionViolationError,
     ForcingTooLargeError,
     OutsideBallError,
     ScalarField,
@@ -25,7 +26,6 @@ from spball.ball import (
     estimate_constants,
 )
 from spball.energy import ProblemSpec, _signed_power
-from spball.grid import _first_sines
 from spball.poisson import compute_phi
 from spball.sampling import smoothed_random_fields
 
@@ -62,7 +62,7 @@ def test_smoothed_random_fields_match_mode_sum(n):
     fields = smoothed_random_fields(g, 6, seed=13)
     rng = np.random.default_rng(13)
     modes = np.arange(1, 5)
-    sines = np.sin(np.pi * np.outer(modes, g.interior_coordinates()))
+    sines = np.sin(np.pi * np.outer(modes, np.arange(1, n) / n))
     k2 = modes[:, None, None] ** 2 + modes[None, :, None] ** 2 + modes[None, None, :] ** 2
     for i, u in enumerate(fields):
         coeffs = rng.standard_normal((4, 4, 4)) / k2
@@ -110,6 +110,15 @@ def test_estimate_constants_validation():
     for p in (1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="p must"):
             estimate_constants(p, spec.coupling)
+
+
+def test_estimate_constants_requires_nonnegative_coupling():
+    # the sign is checked once, at entry, as ProblemSpec checks it; the
+    # potentials a run solves for read no minimum of the coupling
+    g = build_grid(4)
+    for bad in (ScalarField(g, -np.ones(g.shape)), ScalarField.constant(g, -1.0)):
+        with pytest.raises(AssumptionViolationError, match="nonnegative"):
+            estimate_constants(3.0, bad)
 
 
 def test_estimation_ratios_scale_invariant():
@@ -241,7 +250,7 @@ def test_estimate_constants_hand_on_the_first_mode():
     _, mode = estimate_constants(spec.p, spec.coupling)
     phi = compute_phi(e1, spec.coupling)
     assert np.array_equal(mode.e1.values, e1.values) and mode.lam == lam
-    assert np.array_equal(mode.sines, _first_sines(spec.grid))
+    assert np.array_equal(mode.sines, spec.grid.sine_table[2 : 2 * spec.grid.n : 2])
     assert np.array_equal(mode.phi.values, phi.values)
     assert mode.norm == lp_norm(e1, 3)
     pairing = float(np.vdot(spec.coupling.values * phi.values * e1.values, e1.values))

@@ -62,17 +62,6 @@ def test_build_grid_rejects_non_integer():
         build_grid(4.5)
 
 
-def test_interior_coordinates_exact_spacing():
-    # coordinates are i/n; h*n == 1 must hold exactly in this representation
-    for n in [3, 7, 49, 50]:
-        g = build_grid(n)
-        c = g.interior_coordinates()
-        assert c[0] == 1.0 / n
-        assert len(c) == n - 1
-        # appending the endpoint via the same rule lands exactly on 1.0
-        assert (np.arange(0, n + 1) / n)[-1] == 1.0
-
-
 # ---------------------------------------------------------------- fields
 
 

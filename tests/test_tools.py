@@ -17,7 +17,7 @@ from test_ownership import RUN_BUDGETS
 
 ROOT = Path(__file__).resolve().parents[1]
 KEYS = {"workload", "src", "field_allocations", "tracemalloc_peak_fields", "peak_site",
-        "minflt_median", "minflt_runs"}
+        "minflt_median", "minflt_runs", "rss_before_run_mb", "maxrss_mb"}
 # file:line function of one spball frame
 FRAME = re.compile(r"\w+\.py:\d+ \w+")
 
@@ -39,3 +39,5 @@ def test_field_allocs_reports_a_peak_within_the_run_budget(workload):
     assert 0 < out["tracemalloc_peak_fields"] <= RUN_BUDGETS[workload]
     assert out["field_allocations"] > 0
     assert len(out["minflt_runs"]) == 1 and out["minflt_median"] == out["minflt_runs"][0] > 0
+    # imports and the config come first; the run can only raise the peak
+    assert 0 < out["rss_before_run_mb"] <= out["maxrss_mb"]

@@ -1,4 +1,4 @@
-"""Field-sized allocations, tracemalloc peak and minor page faults of one run.
+"""Field-sized allocations, tracemalloc peak, minor page faults and resident memory of one run.
 
 Usage:
     python tools/field_allocs.py --workload descent-n32 [--src DIR] [--reps 5]
@@ -14,7 +14,12 @@ interpreters that import spball from DIR (default: this checkout's src):
 - peak_site: the spball call chain, outermost first, as file:line function,
   at which the traced run's memory first reached its maximum;
 - minor faults: --reps untraced cold runs, each in its own interpreter,
-  reading getrusage's ru_minflt just before and after run_experiment.
+  reading getrusage's ru_minflt just before and after run_experiment;
+- resident memory, from those same runs: VmRSS just before run_experiment,
+  once spball is imported and the config built, and getrusage's ru_maxrss
+  after it, the figure the benchmark reports as peak_rss_mb. Their gap is
+  what the run adds to what imports left: fields, and code first used by the
+  run.
 
 Prints one JSON object.
 """
@@ -93,9 +98,21 @@ def spball_chain(frame) -> list[str]:
 def count_faults(config) -> dict:
     from spball.runner import run_experiment
 
+    rss_before = resident_mb()
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     run_experiment(config)
-    return {"minflt": resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before}
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return {"minflt": usage.ru_minflt - before, "rss_before_run_mb": rss_before,
+            "maxrss_mb": usage.ru_maxrss / 1024.0}
+
+
+def resident_mb() -> float:
+    """This process's resident set size, VmRSS, in MB (Linux /proc)."""
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) / 1024.0
+    raise RuntimeError("no VmRSS line in /proc/self/status")
 
 
 def child(src: str, workload: str, mode: str) -> None:
@@ -128,8 +145,13 @@ def main() -> None:
         child(args.src, args.workload, args.child)
         return
     result = spawn(args.src, args.workload, "allocs")
-    faults = [spawn(args.src, args.workload, "faults")["minflt"] for _ in range(args.reps)]
-    result.update(minflt_median=statistics.median(faults), minflt_runs=faults)
+    runs = [spawn(args.src, args.workload, "faults") for _ in range(args.reps)]
+    faults = [run["minflt"] for run in runs]
+    result.update(
+        minflt_median=statistics.median(faults), minflt_runs=faults,
+        rss_before_run_mb=statistics.median(run["rss_before_run_mb"] for run in runs),
+        maxrss_mb=statistics.median(run["maxrss_mb"] for run in runs),
+    )
     print(json.dumps({"workload": args.workload, "src": args.src, **result}))
 
 
