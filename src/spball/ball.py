@@ -8,35 +8,20 @@ constraint-ball norm:
 
 with ||.|| the w2n norm, and a third bounds the potential itself,
 ||grad phi_u|| <= potential_constant * ||grad u||^2, for verify's phi_bound
-gate. All three are ratios of the first Dirichlet eigenfunction
-e1 = s (x) s (x) s, s_i = sin(pi i h), which exceed those of every smoothed
-random field tried. They depend on p, the coupling and its grid alone:
-estimate_constants builds e1 itself. Its ball norm is lambda_h ||e1||_3,
-and its gradient norm and power ratio are sums over one axis
-(FirstMode.power_sum), so the one potential solve, phi_e1, is the whole
-field cost; estimate_constants hands e1, phi_e1 and the numbers taken from
-them on as a FirstMode, since the forcing and the descent's start are
-multiples of e1.
-||grad phi_e1||^2 = <c phi_e1 e1, e1> h^3 is a pairing by summation by
-parts, as in the phi_bound gate, with the product whose L3 norm is the
-coupling ratio's numerator, so no gradient pass runs. An overflow of
-c phi_e1 e1 raises BallOverflowError, which names it. The admissible
-radius r then satisfies
+gate. All three are ratios of the first Dirichlet eigenfunction e1, which
+exceed those of every smoothed random field tried (estimate_constants). The
+admissible radius r then satisfies
 
     coupling_constant r^3 + power_constant r^p <= r/2   for all r in (0, radius],
 
 which leaves the forcing the budget forcing_bound = radius / 2, so that on
 the ball ||rhs(u)||_3 <= coupling_constant radius^3 + power_constant
-radius^p + ||f||_3 <= radius.
-
-BallSpec holds the ball's whole policy. The inequality over r is one
-function, _radius_excess, which admissible_radius bisects and BallSpec
-checks, exactly; both membership tests, contains and check_forcing,
-allow the one slack BALL_RTOL relative to their bound, so neither depends
-on the scale of the field. The constants, the radius
-inequality and each membership test are evaluated in floating point, and
-nothing encloses their rounding yet: the inequality holds for the computed
-numbers, not as a bound proved against rounding error.
+radius^p + ||f||_3 <= radius. BallSpec holds the ball and its membership
+tests; FirstMode hands e1 and what the constants computed from it on to the
+forcing and the descent's start. The constants, the radius inequality and
+each membership test are evaluated in floating point, and nothing encloses
+their rounding yet: the inequality holds for the computed numbers, not as a
+bound proved against rounding error.
 """
 
 from __future__ import annotations
@@ -110,23 +95,34 @@ class BallSpec:
 @dataclass(frozen=True, eq=False)
 class FirstMode:
     """The first eigenfunction e1 = s (x) s (x) s with what the ball constants
-    took from it, for the forcing and the descent's start: its axis factor
-    sines = s, lam = lambda_h, norm = ||e1||_3, grad_sq = ||grad e1||^2, its
-    potential phi and phi_grad_sq = ||grad phi_e1||^2 = <c phi_e1 e1, e1> h^3."""
+    computed from fields, for the forcing and the descent's start: norm =
+    ||e1||_3, its potential phi and phi_grad_sq = ||grad phi_e1||^2 =
+    <c phi_e1 e1, e1> h^3. What e1's grid determines, lambda_h, ||grad e1||^2
+    and the axis sums over s = grid.e1_axis, is read from the grid."""
 
     e1: ScalarField
-    sines: np.ndarray
-    lam: float
     norm: float
-    grad_sq: float
     phi: ScalarField
     phi_grad_sq: float
+
+    @property
+    def lam(self) -> float:
+        """lambda_h, e1's eigenvalue."""
+        return self.e1.grid.first_eigenvalue
+
+    @property
+    def grad_sq(self) -> float:
+        """||grad e1||^2 = <-Delta_h e1, e1> h^3 = lambda_h (h sum_i s_i^2)^3."""
+        grid = self.e1.grid
+        s = grid.e1_axis
+        return self.lam * (grid.h * float(np.vdot(s, s))) ** 3
 
     def power_sum(self, d: float, q: float) -> float:
         """h sum_i (s_i / d^(1/3))^q, the cube root of sum (e1/d)^q h^3 over the
         cube, as e1 is a product of three factors; each term is the cube root
         of the field's own, so it underflows and overflows with it."""
-        return self.e1.grid.h * float(np.sum((self.sines / np.cbrt(d)) ** q))
+        grid = self.e1.grid
+        return grid.h * float(np.sum((grid.e1_axis / np.cbrt(d)) ** q))
 
 
 def estimate_constants(
@@ -149,13 +145,13 @@ def estimate_constants(
     coupling field still yields a valid BallSpec.
 
     -Delta_h e1 = lambda_h e1 makes the ball norm w = lambda_h ||e1||_3;
-    ||grad e1||^2 = <-Delta_h e1, e1> h^3 = lambda_h (h sum_i s_i^2)^3 and
-    the power ratio ||(|e1|/w)^p||_3 = power_sum(w, 3p) are sums over one
-    axis. ||e1||_3 is the field's lp_norm, not h sum_i s_i^3, whose other
-    rounding would move every run: the start and a forcing scaled to the
-    bound are multiples of 1/||e1||_3. ||grad phi_e1||^2 = <c phi_e1 e1, e1>
-    h^3 pairs the product whose L3 norm is the coupling ratio's numerator; a
-    coupling so large that this product overflows raises BallOverflowError.
+    ||grad e1||^2 (FirstMode.grad_sq) and the power ratio
+    ||(|e1|/w)^p||_3 = power_sum(w, 3p) are sums over one axis. ||e1||_3 is
+    the field's lp_norm, not h sum_i s_i^3, whose other rounding would move
+    every run: the start and a forcing scaled to the bound are multiples of
+    1/||e1||_3. ||grad phi_e1||^2 = <c phi_e1 e1, e1> h^3 pairs the product
+    whose L3 norm is the coupling ratio's numerator; a coupling so large that
+    this product overflows raises BallOverflowError.
     A coupling with a negative value raises AssumptionViolationError, the
     one sign check before the potentials, as in ProblemSpec; compute_phi
     does not repeat it.
@@ -168,10 +164,8 @@ def estimate_constants(
         raise AssumptionViolationError("coupling field must be nonnegative")
     grid = coupling.grid
     e1, lam = first_eigenpair(grid)
-    sines = grid.sine_table[2 : 2 * grid.n : 2]  # e1's axis factor, as first_eigenpair reads it
     norm = lp_norm(e1, 3)
     w = lam * norm
-    grad_e1_sq = lam * (grid.h * float(np.vdot(sines, sines))) ** 3
     phi = compute_phi(e1, coupling)
     with np.errstate(over="ignore", invalid="ignore"):
         coupled = coupling.values * phi.values
@@ -184,10 +178,10 @@ def estimate_constants(
             f"(coupling up to {float(coupling.values.max()):.6g})"
         )
     num_c = lp_norm(ScalarField._own(grid, coupled), 3)
-    mode = FirstMode(e1, sines, lam, norm, grad_e1_sq, phi, grad_phi_sq)
+    mode = FirstMode(e1, norm, phi, grad_phi_sq)
     c_coupling = max(safety * (num_c / w**3), CONSTANT_FLOOR)
     c_power = max(safety * mode.power_sum(w, 3.0 * p), CONSTANT_FLOOR)
-    c_potential = max(2.0 * (math.sqrt(max(grad_phi_sq, 0.0)) / grad_e1_sq), CONSTANT_FLOOR)
+    c_potential = max(2.0 * (math.sqrt(max(grad_phi_sq, 0.0)) / mode.grad_sq), CONSTANT_FLOOR)
     radius = admissible_radius(c_coupling, c_power, p)
     return BallSpec(c_coupling, c_power, c_potential, radius, p), mode
 

@@ -5,13 +5,14 @@
 
 `run` exits 0 only when verification passed; `study` exits 0 only when every
 grid completed. Configuration or data errors exit 2, as does a run whose
-grid is too large for the memory at hand.
+grid is too large for the memory at hand or whose outputs cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -50,11 +51,21 @@ def _load(args):
     return replace(config, output_path=args.out) if args.out is not None else config
 
 
+@contextmanager
+def _writing_to(out_dir: Path):
+    """An OSError raised while writing outputs becomes a ConfigError naming out_dir."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write outputs to {out_dir}: {exc}") from None
+
+
 def _cmd_run(args) -> int:
     config = _load(args)
     out_dir = Path(config.output_path)
     try:
-        report = run_experiment(config, out_dir)
+        with _writing_to(out_dir):
+            report = run_experiment(config, out_dir)
     except MemoryError:
         raise ConfigError(f"grid_n={config.grid_n} needs more memory than is available") from None
     ver = report.verification
@@ -82,7 +93,8 @@ def _cmd_study(args) -> int:
     grids = _parse_grids(args.grids)
     rows = convergence_study(config, grids)
     out_dir = Path(config.output_path)
-    write_study_csv(rows, out_dir / "study.csv")
+    with _writing_to(out_dir):
+        write_study_csv(rows, out_dir / "study.csv")
     header = f"{'n':>5}  {'poisson_rel_err':>15}  {'order':>7}  {'energy':>14}  {'pde_rel':>10}"
     print(header)
     for row in rows:

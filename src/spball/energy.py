@@ -9,33 +9,15 @@ with c the nonnegative coupling field, f the forcing field of any sign, and
 phi_u the potential from compute_phi. The power exponent p may exceed the
 critical Sobolev range; the ball constraint elsewhere is what restores control.
 
-Everything else is read from one FieldState per field, built by evaluate:
-the field u, the ball norm ||-Delta_h u||_3, the four energy terms, the
-minimum and maximum of phi_u, and the Sobolev gradient g = u - T(u) with
-the strong residual -Delta_h u - rhs, its L3 norm and ||rhs||_3, where
-rhs = -c phi_u u + sign(u)|u|^p + f is the equation's right-hand side and
-T(u) = (-Delta_h)^-1 rhs the auxiliary map. All are written out only in
-_state, the builder evaluate shares with the descent's start, which holds
-phi_u and lap = -Delta_h u already; each term pairs u with an array the
-state forms anyway, so a state costs no gradient pass. _state forms
-c phi u in phi_u's own array and then rhs in the same array, so the state
-keeps no potential and the power array is gone before the gradient's
-solve: the radial retraction onto the ball, which scales phi_u, is decided
-in evaluate before that. evaluate's stencil for lap is its only one, but
-for a field it pulls back onto the ball.
-
-gradient_field, the one place a gradient is formed, takes lap and rhs and
-keeps neither: it writes the strong residual lap - rhs into lap's array,
-takes ||rhs||_3, T(u)'s ball norm, and then solves for T(u) in rhs's own
-buffer, where g = u - T(u) is formed. So the solve adds one buffer, not
-two, and a state holds three arrays, u, g and the residual; the residual's
-L3 norm is taken once, for the descent's stop test and verify. Once the
-terms are taken nothing reads lap again: verify's rescaled branch runs its
-own stencil. ProblemSpec holds ||f||_3 for the same reason: a stop test
-re-forms neither the residual nor the forcing norm.
-The power sign(u)|u|^p is one array per state: for an integral p from 2
-to 7 it is formed by products, within (p - 1) eps relative of libm pow;
-any other p uses pow.
+The equation is -Delta_h u = rhs(u), with the right-hand side
+rhs(u) = -c phi_u u + sign(u)|u|^p + f, and its solutions are the fixed
+points of the auxiliary map T(u) = (-Delta_h)^-1 rhs(u). Everything else is
+read from one FieldState per field, built by evaluate: the ball norm
+||-Delta_h u||_3, the four energy terms, the range of phi_u, and the Sobolev
+gradient g = u - T(u) with the strong residual -Delta_h u - rhs and the
+norms that the descent's stop test and verify compare. The terms and rhs
+are written out only in _state, and the gradient only in gradient_field.
+ProblemSpec holds ||f||_3, taken once.
 """
 
 from __future__ import annotations
@@ -45,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AssumptionViolationError, GridMismatchError
+from .errors import AssumptionViolationError
 from .grid import DomainGrid, ScalarField, apply_laplacian, lp_norm, unbroadcast
 from .poisson import compute_phi, solve_dirichlet_poisson
 
@@ -75,8 +57,7 @@ class ProblemSpec:
     def __post_init__(self):
         if not (math.isfinite(self.p) and self.p > 1.0):
             raise AssumptionViolationError(f"power exponent must satisfy p > 1, got {self.p}")
-        if self.forcing.grid != self.grid:
-            raise GridMismatchError("the forcing field must live on the coupling's grid")
+        self.coupling._check_same_grid(self.forcing)
         if float(unbroadcast(self.coupling.values).min()) < 0.0:
             raise AssumptionViolationError("coupling field must be nonnegative")
         object.__setattr__(self, "forcing_norm", lp_norm(self.forcing, 3))
@@ -84,10 +65,6 @@ class ProblemSpec:
     @property
     def grid(self) -> DomainGrid:
         return self.coupling.grid
-
-    def check_field(self, u: ScalarField) -> None:
-        if u.grid != self.grid:
-            raise GridMismatchError("field does not live on the problem grid")
 
 
 def _signed_power(values: np.ndarray, p: float) -> np.ndarray:
@@ -180,11 +157,11 @@ def evaluate(u: ScalarField, spec: ProblemSpec, radius: float = math.inf) -> Fie
     A u outside the closed ball of the w2n norm with this radius is pulled
     back onto it first, by radial retraction: t u with t = radius /
     ||-Delta_h u||_3, whose potential is t^2 phi_u, so the retraction costs
-    one more stencil and no solve.
+    one more stencil and no solve. A u off the problem's grid raises
+    GridMismatchError from compute_phi, the one grid check.
     """
     if not radius > 0.0:
         raise ValueError(f"ball radius must be positive, got {radius}")
-    spec.check_field(u)
     phi = compute_phi(u, spec.coupling)._release()
     lap = apply_laplacian(u)
     w2n = lp_norm(lap, 3.0)

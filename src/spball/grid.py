@@ -52,16 +52,35 @@ class DomainGrid:
         for the grid's lifetime.
 
         Every spectral quantity of the grid is an entry of it: the DST-I entry
-        sin(pi j k / n) is T[2jk mod 4n], the eigenvalue factor
-        sin^2(pi k / (2n)) is T[k]^2 and e1's axis factor sin(pi i / n) is
-        T[2i]. Reducing the integer 2jk by the period is exact, so no sine is
-        taken of an angle beyond 2 pi. The 4n entries are math.sin calls; a
-        run calls no numpy sine.
+        sin(pi j k / n) is T[2jk mod 4n], the eigenvalue axis (eigen_axis) is
+        T[k]^2 and e1's axis factor (e1_axis) is T[2i]. Reducing the integer
+        2jk by the period is exact, so no sine is taken of an angle beyond
+        2 pi. The 4n entries are math.sin calls; a run calls no numpy sine.
+        Only the grid's own members index it.
         """
         n = self.n
         table = np.array([math.sin(math.pi * i / (2 * n)) for i in range(4 * n)])
         table.setflags(write=False)
         return table
+
+    @cached_property
+    def eigen_axis(self) -> np.ndarray:
+        """sigma_k = T[k]^2 = sin^2(pi k / (2n)), k = 1..n-1, read-only: the
+        stencil's eigenvalues are (4/h^2)(sigma_i + sigma_j + sigma_k)."""
+        axis = self.sine_table[1 : self.n] ** 2
+        axis.setflags(write=False)
+        return axis
+
+    @cached_property
+    def e1_axis(self) -> np.ndarray:
+        """s_i = T[2i] = sin(pi i / n), i = 1..n-1, e1's axis factor: a view
+        of the read-only table."""
+        return self.sine_table[2 : 2 * self.n : 2]
+
+    @property
+    def first_eigenvalue(self) -> float:
+        """lambda_h = 12 sigma_1 / h^2, the stencil's smallest eigenvalue, e1's."""
+        return 12.0 * float(self.eigen_axis[0]) / self.h**2
 
     @cached_property
     def sine_factors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -71,15 +90,15 @@ class DomainGrid:
         S is the DST-I matrix S[j, k] = sin(pi j k / n) = T[2jk mod 4n],
         j, k = 1..n-1, with T the grid's sine_table, and inv the cube
         (2/n)^3 / lambda of the inverse eigenvalues
-        lambda = (4/h^2) sum_i T[k_i]^2, with the (2/n)^3 of the two
-        unnormalized transforms folded in. Taken from the table, S @ S =
-        (n/2) I holds to 1-2.5 ulp of n/2 for every n up to 256.
+        lambda = (4/h^2) sum_i sigma_{k_i} over the eigen_axis, with the
+        (2/n)^3 of the two unnormalized transforms folded in. Taken from the
+        table, S @ S = (n/2) I holds to 1-2.5 ulp of n/2 for every n up to 256.
         """
         n, h = self.n, self.h
         table = self.sine_table
         k = np.arange(1, n)
         sines = table[(2 * np.outer(k, k)) % (4 * n)]
-        s = table[1:n] ** 2
+        s = self.eigen_axis
         # one cube, scaled and inverted in place
         inv = s[:, None, None] + s[None, :, None] + s[None, None, :]
         inv *= 4.0 / (h * h)
@@ -269,12 +288,10 @@ def apply_laplacian(u: ScalarField) -> ScalarField:
 def first_eigenpair(grid: DomainGrid) -> tuple[ScalarField, float]:
     """First discrete Dirichlet eigenfunction and its eigenvalue.
 
-    e1(i,j,k) = s_i s_j s_k with s_i = sin(pi i h) = T[2i], and
-    -Delta_h e1 = lambda_h e1 with lambda_h = 12 T[1]^2 / h^2, where
-    T = grid.sine_table; s is the sine matrix's first column (k = 1), bit
-    for bit.
+    e1(i,j,k) = s_i s_j s_k with s = grid.e1_axis, the sine matrix's first
+    column (k = 1) bit for bit, and -Delta_h e1 = lambda_h e1 with lambda_h =
+    grid.first_eigenvalue.
     """
-    table = grid.sine_table
-    s = table[2 : 2 * grid.n : 2]
+    s = grid.e1_axis
     e1 = s[:, None, None] * s[None, :, None] * s[None, None, :]
-    return ScalarField._own(grid, e1), 12.0 * float(table[1]) ** 2 / grid.h**2
+    return ScalarField._own(grid, e1), grid.first_eigenvalue

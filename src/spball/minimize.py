@@ -3,49 +3,20 @@
 The gradient g = u - T(u) is the Sobolev gradient, so a step of length 1
 is the fixed-point iteration u <- T(u) of the auxiliary map. Each iteration
 first tries the depth-3 Anderson (type-II) mixture of that iteration
-(Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011): with the differences
-dT, dg of T and g between the last iterates and the coefficients gamma
-minimizing the H1 norm of g - dg gamma, the trial is T(u) - dT gamma.
-gamma solves the normal equations, the at most 3 x 3 Gram system of the dg,
-by Gaussian elimination on Python floats, so a descent calls no np.linalg
-routine; a singular Gram matrix or a gamma that is not finite clears the
-history, and the iteration takes the plain step. The
-differences come from gradients already computed, so the trial costs no
-extra solve, and the history's H1 pairings read -Delta_h g, the strong
-residual -Delta_h u - rhs each state holds, so they cost no stencil either.
-The history frees an array at its last read: the last iterate's g, residual
-and u as each difference is formed, with dT = d - dg formed in the array of
-the step d = u' - u, and the oldest of three steps once the mixture has
-read it, so a trial is evaluated beside two steps. The
-starting point is a multiple t e of e = +-(r / ||-Delta_h e1||_3) e1, the
-sign that of <f, e1>, with t minimizing the polynomial t -> E(t e). Its four
-coefficients are numbers the ball constants took from e1 and phi_e1, the
-FirstMode, the power term its power_sum since e1 is a product
-of sines, so no state of e is formed. The potential of t e scales phi_e1,
-the one the ball constants solved, and its Laplacian scales lambda_h e,
-since -Delta_h e1 = lambda_h e1, so the initial guess runs no stencil and
-one solve, its state's gradient, and forms only the state it returns; the
-descent then drops the FirstMode. When <f, e1> is zero, or the best
-multiple has no negative energy, the descent starts at u = 0, from which a
-plain step lowers the energy whenever f is not zero. A trial is evaluated
-once (two solves, the potential's and the gradient's, and one stencil);
-one that leaves the ball is pulled back by radial retraction in evaluate,
-t u with t = r / ||-Delta_h u||_3, whose potential is t^2 phi_u, so the
-retraction costs a stencil and no solve. If the mixed trial does not
-strictly decrease the energy, the history is cleared and the plain step
-u - step g backtracks from 1 by halves until the energy strictly
-decreases; a rejected trial's two solves are spent for nothing.
-The one stop test is verify's: the descent stops with stop_reason
-fixed_point when fixed_point_residual and pde_residual of the iterate's
-state pass FP_THRESHOLD and PDE_THRESHOLD, and otherwise when no step
-lowers the energy (no_decrease) or the iteration budget is spent (budget);
-verify alone says whether the result is a solution. Each stop test records
-its iterate's trace row with the fixed_point_residual it compares, so the
-last row's is verify's fixed_point_rel_residual. An iterate is the
-accepted trial's state: u, g and the strong residual, three arrays, with
-its energy terms and norms. Every H1 norm here is a pairing with a
-Laplacian the states hold, so the descent runs no gradient pass and no
-stencil but its trials'.
+(Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011), built from gradients
+already computed, so the trial costs no extra solve (_MixingHistory). A
+trial that leaves the ball is pulled back onto it by radial retraction
+(evaluate). If the mixed trial does not strictly decrease the energy, the
+history is cleared and the plain step u - step g backtracks from 1 by halves
+until the energy strictly decreases.
+
+The descent starts at the best multiple of e1 on the ball, or at u = 0
+(initial_guess). Its one stop test is verify's: it stops with stop_reason
+fixed_point when fixed_point_residual and pde_residual pass FP_THRESHOLD and
+PDE_THRESHOLD, and otherwise when no step lowers the energy (no_decrease) or
+the iteration budget is spent (budget); verify alone says whether the result
+is a solution. Every H1 norm here is a pairing with a Laplacian the states
+hold, so the descent runs no gradient pass and no stencil but its trials'.
 """
 
 from __future__ import annotations
@@ -152,7 +123,7 @@ def initial_guess(spec: ProblemSpec, ball: BallSpec, mode: FirstMode) -> FieldSt
     -g = (-Delta_h)^-1 f is -<f, (-Delta_h)^-1 f> h^3 < 0, so the descent can
     start there.
     """
-    spec.check_field(mode.e1)
+    spec.coupling._check_same_grid(mode.e1)
     scale, (quad, quart, power, lin) = _start_terms(spec, ball.radius, mode)
     if lin == 0.0:
         return evaluate(ScalarField.zeros(spec.grid), spec)

@@ -2,6 +2,7 @@
 eigenfunction's constants against the best of 64 smoothed random fields,
 and the residual bound audit."""
 
+import dataclasses
 import functools
 import math
 
@@ -22,6 +23,7 @@ from spball.ball import (
     BALL_RTOL,
     BallSpec,
     CONSTANT_FLOOR,
+    FirstMode,
     admissible_radius,
     estimate_constants,
 )
@@ -242,19 +244,39 @@ def test_first_mode_sums_match_the_cube_passes(n, p):
 
 
 def test_estimate_constants_hand_on_the_first_mode():
-    # the FirstMode holds the grid's e1 with its axis factor, its eigenvalue,
-    # its potential and the numbers the start reads: ||e1||_3, ||grad e1||^2
-    # and ||grad phi_e1||^2 = <c phi_e1 e1, e1> h^3
+    # the FirstMode holds the grid's e1, its potential and the numbers the
+    # start reads, ||e1||_3 and ||grad phi_e1||^2 = <c phi_e1 e1, e1> h^3; its
+    # eigenvalue and axis factor are the grid's
     spec = make_spec(n=8, p=7.0)
     e1, lam = first_eigenpair(spec.grid)
     _, mode = estimate_constants(spec.p, spec.coupling)
     phi = compute_phi(e1, spec.coupling)
     assert np.array_equal(mode.e1.values, e1.values) and mode.lam == lam
-    assert np.array_equal(mode.sines, spec.grid.sine_table[2 : 2 * spec.grid.n : 2])
+    assert np.array_equal(mode.e1.grid.e1_axis, spec.grid.sine_table[2 : 2 * spec.grid.n : 2])
     assert np.array_equal(mode.phi.values, phi.values)
     assert mode.norm == lp_norm(e1, 3)
     pairing = float(np.vdot(spec.coupling.values * phi.values * e1.values, e1.values))
     assert_allclose(mode.phi_grad_sq, pairing * spec.grid.h**3, rtol=1e-15, atol=0.0)
+
+
+def test_first_mode_stores_only_what_was_computed_from_fields():
+    assert [f.name for f in dataclasses.fields(FirstMode)] == ["e1", "norm", "phi", "phi_grad_sq"]
+
+
+@pytest.mark.parametrize("n", [3, 4, 8, 32, 64, 128])
+def test_first_mode_grid_values_equal_their_axis_formulas(n):
+    # lambda_h, ||grad e1||^2 and the power sums, each bit for bit against its
+    # expression over e1's axis factor s = T[2i]
+    g = build_grid(n)
+    T, h = g.sine_table, g.h
+    s = T[2 : 2 * n : 2]
+    lam = 12.0 * float(T[1]) ** 2 / h**2
+    e1 = first_eigenpair(g)[0]
+    mode = FirstMode(e1, lp_norm(e1, 3), ScalarField.zeros(g), 0.0)
+    assert mode.lam == lam
+    assert mode.grad_sq == lam * (h * float(np.vdot(s, s))) ** 3
+    for d, q in ((mode.lam * mode.norm, 21.0), (0.37, 4.0), (1e-3, 8.0)):
+        assert mode.power_sum(d, q) == h * float(np.sum((s / np.cbrt(d)) ** q))
 
 
 def test_estimate_constants_solve_count(solve_counter):

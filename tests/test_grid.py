@@ -62,6 +62,29 @@ def test_build_grid_rejects_non_integer():
         build_grid(4.5)
 
 
+@pytest.mark.parametrize("n", [3, 4, 8, 32, 64, 128])
+def test_spectral_members_equal_their_table_formulas(n):
+    # the eigenvalue axis, the inverse eigenvalue cube, lambda_h and e1, each
+    # bit for bit against its expression over the sine table T
+    g = build_grid(n)
+    T, h = g.sine_table, g.h
+    sigma = T[1:n] ** 2
+    assert np.array_equal(g.eigen_axis, sigma)
+    inv = sigma[:, None, None] + sigma[None, :, None] + sigma[None, None, :]
+    inv *= 4.0 / (h * h)
+    np.divide((2.0 / n) ** 3, inv, out=inv)
+    assert np.array_equal(g.sine_factors[1], inv)
+    lam = 12.0 * float(T[1]) ** 2 / h**2
+    s = T[2 : 2 * n : 2]
+    e1, got_lam = first_eigenpair(g)
+    assert got_lam == g.first_eigenvalue == lam
+    assert np.array_equal(e1.values, s[:, None, None] * s[None, :, None] * s[None, None, :])
+    # both axes are built once and read-only
+    for name in ("eigen_axis", "e1_axis"):
+        axis = getattr(g, name)
+        assert axis is getattr(g, name) and not axis.flags.writeable
+
+
 # ---------------------------------------------------------------- fields
 
 

@@ -1,6 +1,7 @@
 """Import hygiene: every name a module imports is used in that module, the
 package imports nothing but the standard library, numpy and itself, and it
-binds no other object over a submodule's name. Run path: every public
+binds no other object over a submodule's name; pyproject.toml and
+spball.version state one version. Run path: every public
 function, method and property of the package is reached by `spball run`,
 `spball study` or load_report.
 
@@ -13,6 +14,7 @@ import ast
 import importlib
 import inspect
 import json
+import re
 import sys
 import types
 from pathlib import Path
@@ -22,6 +24,7 @@ import pytest
 import spball
 from spball.cli import main
 from spball.runner import load_report
+from spball.version import __version__
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(
@@ -116,6 +119,21 @@ def test_package_attribute_is_its_submodule_or_unbound(name):
     bound = getattr(spball, name, None)
     assert bound is None or (isinstance(bound, types.ModuleType)
                              and bound.__name__ == f"spball.{name}")
+
+
+def pyproject_version() -> str:
+    """[project] version of pyproject.toml: tomllib from Python 3.11, else the
+    first `version = "..."` line, which is the [project] table's."""
+    text = (ROOT / "pyproject.toml").read_text()
+    if sys.version_info >= (3, 11):
+        import tomllib
+
+        return tomllib.loads(text)["project"]["version"]
+    return re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE).group(1)
+
+
+def test_version_matches_pyproject():
+    assert pyproject_version() == __version__
 
 
 # ---------------------------------------------------------------- run path

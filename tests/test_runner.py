@@ -448,14 +448,6 @@ def test_load_report_checks_the_verdict(small_run, tmp_path, verdict):
     assert str(path) in str(excinfo.value)
 
 
-def test_version_matches_pyproject():
-    tomllib = pytest.importorskip("tomllib")
-    root = Path(__file__).resolve().parent.parent
-    with (root / "pyproject.toml").open("rb") as fh:
-        project = tomllib.load(fh)["project"]
-    assert project["version"] == __version__
-
-
 def test_run_experiment_deterministic_modulo_wall_time(small_run, tmp_path):
     cfg, report, _ = small_run
     again = run_experiment(cfg, out_dir=tmp_path / "again")
@@ -894,6 +886,23 @@ def test_cli_study(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "study" / "study.csv").exists()
     assert "study written" in captured.out
+
+
+@pytest.mark.parametrize("command", ["run", "study"])
+def test_cli_names_an_output_path_it_cannot_create(tmp_path, capsys, command):
+    # an --out below a regular file (run's NotADirectoryError) or naming one
+    # (study's FileExistsError) is a data error: exit 2 with one line naming
+    # the path, not a traceback after the whole run
+    path = write_config(tmp_path)
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    argv, out = {"run": (["run"], blocker / "sub"),
+                 "study": (["study", "--grids", "6"], blocker)}[command]
+    code = main([*argv, "--config", str(path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: cannot write outputs to {out}: ")
+    assert err.count("\n") == 1
 
 
 def test_cli_study_bad_grids(tmp_path, capsys):
