@@ -91,9 +91,10 @@ def _cmd_run(args) -> int:
 def _cmd_study(args) -> int:
     config = _load(args)
     grids = _parse_grids(args.grids)
-    rows = convergence_study(config, grids)
     out_dir = Path(config.output_path)
     with _writing_to(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)  # before the first grid runs
+        rows = convergence_study(config, grids)
         write_study_csv(rows, out_dir / "study.csv")
     header = f"{'n':>5}  {'poisson_rel_err':>15}  {'order':>7}  {'energy':>14}  {'pde_rel':>10}"
     print(header)

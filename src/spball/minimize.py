@@ -36,7 +36,7 @@ _BACKTRACK_FACTOR = 0.5
 _MIN_STEP = 1e-12
 _INITIAL_T_GRID = 400
 _MIXING_DEPTH = 3  # Anderson history length m
-MAX_ITERS = 5000  # the default iteration budget
+MAX_ITERS = 5000  # the iteration budget
 
 
 @dataclass(frozen=True)
@@ -271,26 +271,19 @@ def _backtrack(s: FieldState, current: float, spec: ProblemSpec, ball: BallSpec)
     return None
 
 
-def minimize(
-    spec: ProblemSpec,
-    ball: BallSpec,
-    mode: FirstMode,
-    max_iters: int = MAX_ITERS,
-) -> MinimizeResult:
+def minimize(spec: ProblemSpec, ball: BallSpec, mode: FirstMode) -> MinimizeResult:
     """Minimize the energy over the constraint ball by Anderson-mixed retracted descent.
 
     mode is the FirstMode that estimate_constants returns with the ball; the
     initial guess scales its e1 and phi_e1, and the descent drops it after
     that.
     Requires the forcing, of any sign, to respect the admissible bound, and
-    stops with stop_reason budget after max_iters iterations.
+    stops with stop_reason budget after MAX_ITERS iterations.
     A zero forcing starts and ends at the zero field with zero energy.
     Every iterate stays in the ball; recorded energies are strictly
     decreasing. The accepted trial's state, gradient included, is the next
     iterate.
     """
-    if type(max_iters) is not int or max_iters < 1:  # a bool is no budget
-        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
     ball.check_forcing(spec.forcing_norm)
 
     s = initial_guess(spec, ball, mode)
@@ -308,7 +301,7 @@ def minimize(
         if fp <= FP_THRESHOLD and pde_residual(s, spec) <= PDE_THRESHOLD:
             stop_reason = "fixed_point"
             break
-        if iterations == max_iters:
+        if iterations == MAX_ITERS:
             stop_reason = "budget"
             break
         history.push(s.g.values, s.u.values, s.residual.values)

@@ -21,8 +21,7 @@ from .grid import ScalarField
 
 @dataclass(frozen=True)
 class PoissonSolution:
-    """Solution field and solve count: 1 for a transform solve, 0 for a zero
-    right-hand side."""
+    """Solution field and solve count, which is 1 for every solve."""
 
     field: ScalarField
     iterations: int
@@ -50,13 +49,10 @@ def solve_dirichlet_poisson(f: ScalarField, overwrite: bool = False) -> PoissonS
     eigenvalues (DomainGrid.sine_factors), in two buffers; the solution field
     adopts the second. With overwrite, f's own buffer is the second, so the
     solve allocates one array: the caller must have made f and alone hold
-    it, and f is gone afterwards. A zero right-hand side returns the zero
-    field.
+    it, and f is gone afterwards. A zero right-hand side takes the same
+    path, and its solution is exact zeros.
     """
     grid = f.grid
-    if not f.values.any():
-        return PoissonSolution(ScalarField.zeros(grid), 0)
-
     sines, inv_eig = grid.sine_factors
     first = np.empty(grid.shape)
     second = f._release() if overwrite else np.empty(grid.shape)

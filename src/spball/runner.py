@@ -27,7 +27,7 @@ from .grid import (
     first_eigenpair,
     lp_norm,
 )
-from .minimize import MAX_ITERS, MinimizeResult, minimize
+from .minimize import MinimizeResult, minimize
 from .poisson import solve_dirichlet_poisson
 from .verify import VerificationReport, verify
 from .version import __version__
@@ -115,8 +115,7 @@ def _record(obj) -> dict:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description; see README for the JSON schema.
-    Its fields are the config's keys, those without a default required,
-    except that max_iters is written as tolerances.descent.max_iters."""
+    Its fields are the config's keys, those without a default required."""
 
     grid_n: int
     p: float
@@ -127,15 +126,14 @@ class ExperimentConfig:
     # the first eigenfunction alone; both go in schema_version 3
     samples: int = 64
     seed: int = 0
-    max_iters: int = MAX_ITERS  # tolerances.descent.max_iters in JSON
     output_path: str = "out"
     schema_version: int = 2
 
     def __post_init__(self):
         if self.schema_version == 1:
             raise ConfigError(
-                "schema_version 1 is not supported: version 2 removed the tolerances.linear "
-                "section and tolerances.descent.seed; drop them and set schema_version to 2"
+                "schema_version 1 is not supported: drop the tolerances section "
+                "(tolerances.linear and tolerances.descent) and set schema_version to 2"
             )
         if self.schema_version != 2:
             raise ConfigError(f"unsupported schema_version {self.schema_version}")
@@ -155,32 +153,16 @@ class ExperimentConfig:
             raise ConfigError(f"samples must be a positive integer, got {self.samples}")
         if not _is_int(self.seed):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not (_is_int(self.max_iters) and self.max_iters >= 1):
-            raise ConfigError(
-                f"bad tolerances: max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not isinstance(self.output_path, str) or not self.output_path:
             raise ConfigError("output_path must be a nonempty string")
 
     def to_dict(self) -> dict:
-        data = _record(self)
-        data["tolerances"] = {"descent": {"max_iters": data.pop("max_iters")}}
-        return data
+        return _record(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         required = tuple(f.name for f in fields(cls) if f.default is MISSING)
-        keys = ["tolerances" if name == "max_iters" else name for name in _names(cls)]
-        kwargs = dict(_exact_keys("config", data, required, keys))
-        if "tolerances" in kwargs:
-            tolerances = kwargs.pop("tolerances")
-            if isinstance(tolerances, dict) and "linear" in tolerances:
-                raise ConfigError(
-                    "the tolerances.linear section was removed in schema_version 2: "
-                    "the Poisson solve is direct and has no tolerance"
-                )
-            descent = _exact_keys("config.tolerances", tolerances, ("descent",))["descent"]
-            kwargs.update(_exact_keys("config.tolerances.descent", descent, ("max_iters",)))
-        return cls(**kwargs)
+        return cls(**_exact_keys("config", data, required, _names(cls)))
 
 
 def _read_json(path: str | Path, what: str):
@@ -269,10 +251,13 @@ _WALL_TIME_KEYS = ("setup", "constants", "minimize", "verify", "total")
 def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) -> SolveReport:
     """Run the full pipeline; given out_dir, write report.json and trace.csv there.
 
-    Raises ForcingTooLargeError (from minimize), with the computed bound in
-    the message, when an absolute forcing spec lands above the admissible
-    bound.
+    out_dir is created before any stage runs, so a path that cannot be
+    created raises its OSError before the work, not after it. Raises
+    ForcingTooLargeError (from minimize), with the computed bound in the
+    message, when an absolute forcing spec lands above the admissible bound.
     """
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
     t_total = time.perf_counter()
 
@@ -297,7 +282,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     # descent
     handover = [mode]
     del mode
-    result = minimize(spec, ball, handover.pop(), config.max_iters)
+    result = minimize(spec, ball, handover.pop())
     timings["minimize"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -314,9 +299,9 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
 
 
 def write_run_outputs(report: SolveReport, result: MinimizeResult, out_dir: str | Path) -> Path:
-    """Write report.json and trace.csv; returns the output directory."""
+    """Write report.json and trace.csv into the existing directory out_dir,
+    which run_experiment creates before its first stage; returns it."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     with (out / "trace.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -401,9 +386,8 @@ def convergence_study(config: ExperimentConfig, grids: list[int]) -> list[StudyR
 
 
 def write_study_csv(rows: list[StudyRow], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
+    """Write the rows to path, whose directory must exist."""
+    with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         header = _names(StudyRow)
         writer.writerow(header)

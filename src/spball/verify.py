@@ -1,29 +1,14 @@
 """Fixed-point verification that a minimizer is a discrete weak solution.
 
-verify reads the candidate's state s = evaluate(u), gradient included,
-with g = u - T(u), where T(u) solves the auxiliary problem
--Delta_h T(u) = rhs(u). The state is a function of u alone, so the one the
-descent holds at its last iterate serves as it is (bit for bit after an
-accepted step; at the initial guess, a multiple of e1 whose potential and
-Laplacian scale phi_e1 and lambda_h e1, to rounding); the descent's
-stop_reason is never read. The state holds ||-Delta_h u||_3, the energy
-terms, the potential's minimum and maximum, g, the strong residual
--Delta_h u - rhs = -Delta_h g (up to solve rounding) with its L3 norm, and
-||rhs(u)||_3, T(u)'s ball norm. So every norm here is a number or a
-pairing with a held array: ||grad u|| and ||grad phi_u|| from the
-terms, and ||grad g||^2 = <-Delta_h u - rhs, g> h^3 by summation by parts.
-verify runs no solve and no gradient pass, and forms no array but on a
-state whose squares leave the normal range, where fixed_point_residual
-rescales u and runs its stencil. The
-candidate is accepted when T(u) coincides with u in the relative H1
-seminorm, the strong residual is small against the forcing, T(u) stays in
-the ball, and the potential is nonnegative and within the ball's gradient
-bound. minimize stops on fixed_point_residual and pde_residual at
-FP_THRESHOLD and PDE_THRESHOLD, so a run whose stop_reason is fixed_point
-passes those two gates; failed_checks is the verdict on all five. Every
-gate compares a floating-point number with its threshold, and nothing
-encloses the rounding yet: a pass holds for the computed numbers, not as a
-bound proved against rounding error.
+verify reads the candidate's state s = evaluate(u), gradient included, as
+the descent holds it at its last iterate; it runs no solve and never reads
+the descent's stop_reason. failed_checks names the gates that fail, in
+GATES order: the fixed-point residual (fixed_point_residual), the equation
+residual (pde_residual), T(u) in the ball, and the potential's sign and
+gradient bound (phi_property_check). minimize stops on the first two at
+FP_THRESHOLD and PDE_THRESHOLD. Every gate compares a floating-point number
+with its threshold, and nothing encloses the rounding yet: a pass holds for
+the computed numbers, not as a bound proved against rounding error.
 """
 
 from __future__ import annotations
@@ -48,14 +33,13 @@ GATES = ("fixed_point", "pde", "aux_in_ball", "phi_nonneg", "phi_bound")
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of the verification pipeline; failed_checks names the gates
-    that failed, in GATES order, and passed means it is empty, which the
-    report checks on construction. The two residuals are the numbers the
+    that failed, in GATES order, which the report checks on construction,
+    and passed means it is empty. The two residuals are the numbers the
     fixed_point and pde gates compare with FP_THRESHOLD and PDE_THRESHOLD.
     """
 
     fixed_point_rel_residual: float
     pde_rel_residual: float
-    passed: bool
     failed_checks: tuple[str, ...]
 
     def __post_init__(self):
@@ -65,9 +49,11 @@ class VerificationReport:
         if failed != tuple(gate for gate in GATES if gate in failed):
             raise ValueError(f"failed_checks must name gates of {GATES} in that order, "
                              f"got {list(failed)}")
-        if self.passed is not (not failed):
-            raise ValueError(f"passed must be {not failed} beside failed_checks "
-                             f"{list(failed)}, got {self.passed!r}")
+
+    @property
+    def passed(self) -> bool:
+        """The run's one verdict: no gate failed."""
+        return not self.failed_checks
 
 
 def fixed_point_residual(s: FieldState) -> float:
@@ -149,6 +135,5 @@ def verify(s: FieldState, spec: ProblemSpec, ball: BallSpec) -> VerificationRepo
     return VerificationReport(
         fixed_point_rel_residual=fp_res,
         pde_rel_residual=pde_res,
-        passed=not failed,
         failed_checks=failed,
     )

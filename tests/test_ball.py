@@ -57,6 +57,13 @@ def test_smoothed_random_fields_deterministic():
     assert not np.array_equal(a[0].values, c[0].values)
 
 
+def test_smoothed_random_fields_count():
+    g = build_grid(5)
+    assert smoothed_random_fields(g, 0, seed=3) == []
+    with pytest.raises(ValueError, match="count must be nonnegative, got -1"):
+        smoothed_random_fields(g, -1, seed=3)
+
+
 @pytest.mark.parametrize("n", [5, 9])
 def test_smoothed_random_fields_match_mode_sum(n):
     # oracle: the 4-operand mode sum with the same draw order, coeffs then noise

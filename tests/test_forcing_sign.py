@@ -110,8 +110,8 @@ def test_initial_guess_takes_the_sign_of_the_forcing():
 def _recorded_run(monkeypatch, config):
     results = []
 
-    def recording(spec, ball, phi_e1, opts=None):
-        results.append(minimize(spec, ball, phi_e1, opts))
+    def recording(spec, ball, mode):
+        results.append(minimize(spec, ball, mode))
         return results[-1]
 
     monkeypatch.setattr(runner_mod, "minimize", recording)

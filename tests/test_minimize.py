@@ -55,13 +55,10 @@ from conftest import (
 
 def test_options_validation():
     spec, ball, mode = standard_problem(n=4, p=3.0)
-    # the budget is the only option; a float, a bool or a numeric string is no
-    # budget, and it is refused before the start is formed
-    for value in (0, -1, 2.5, True, "5", None):
-        with pytest.raises(ValueError, match="max_iters"):
-            minimize(spec, ball, mode, max_iters=value)
-    # the old stop rule's and line search's knobs are gone
-    for key in ("grad_tol", "energy_tol", "backtrack_factor", "initial_step", "opts"):
+    # the old stop rule's and line search's knobs are gone, and the budget is
+    # the constant MAX_ITERS
+    for key in ("grad_tol", "energy_tol", "backtrack_factor", "initial_step", "opts",
+                "max_iters"):
         with pytest.raises(TypeError, match=key):
             minimize(spec, ball, mode, **{key: 0.5})
 
@@ -235,7 +232,7 @@ def test_minimize_rejects_oversized_forcing():
 def test_minimize_accepts_forcing_at_exact_bound():
     # fraction 1.0 puts the L3 norm on the bound up to float rounding
     spec, ball, mode = standard_problem(fraction=1.0)
-    res = minimize(spec, ball, mode, max_iters=50)
+    res = minimize(spec, ball, mode)
     assert res.energy < 0.0
 
 
@@ -264,9 +261,10 @@ def test_minimize_trace_is_deterministic():
     assert np.array_equal(a.minimizer.values, b.minimizer.values)
 
 
-def test_minimize_iteration_budget_flags_nonconvergence():
+def test_minimize_iteration_budget_flags_nonconvergence(monkeypatch):
+    monkeypatch.setattr(minimize_mod, "MAX_ITERS", 1)
     spec, ball, mode = standard_problem(p=3.0)
-    res = minimize(spec, ball, mode, max_iters=1)
+    res = minimize(spec, ball, mode)
     assert res.iterations == 1
     assert res.stop_reason == "budget"
     assert res.energy == energy(res.state)  # the last row is the minimizer's
@@ -406,7 +404,7 @@ def test_retracted_minimizer_is_on_the_boundary(monkeypatch):
 
     monkeypatch.setattr(minimize_mod, "evaluate", recording)
     spec, ball, mode = _forcing_sized_ball()
-    res = minimize(spec, ball, mode, max_iters=50)
+    res = minimize(spec, ball, mode)
     assert any(res.state is out for out in retracted)
     assert on_sphere(res.state.w2n, ball.radius)
     spec, ball, mode = standard_problem(n=8, p=3.0, fraction=1.0)
@@ -429,7 +427,7 @@ def test_backtracking_stops_at_the_step_floor(monkeypatch):
         return evaluate_(u, spec, radius)
 
     monkeypatch.setattr(minimize_mod, "evaluate", counting)
-    res = minimize(*_forcing_sized_ball(), max_iters=50)
+    res = minimize(*_forcing_sized_ball())
     assert res.stop_reason == "no_decrease"
     assert [row[2] for row in res.trace] == [0.0, 1.0]
     assert res.energy == energy(res.state)
@@ -787,7 +785,7 @@ def test_trace_records_the_stop_tests_fixed_point_residual(monkeypatch, case):
         assert res.iterations >= 3
     else:
         spec, ball, mode = _forcing_sized_ball()
-        res = minimize(spec, ball, mode, max_iters=50)
+        res = minimize(spec, ball, mode)
         report = verify(res.state, spec, ball)
         assert on_sphere(res.state.w2n, ball.radius) and res.iterations == 1
     assert len(res.trace) == res.iterations + 1

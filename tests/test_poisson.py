@@ -19,6 +19,7 @@ from spball import (
     lp_norm,
 )
 from spball import grid as grid_module
+from spball import poisson as poisson_module
 from spball.grid import DomainGrid
 from spball.poisson import _dst1, compute_phi, solve_dirichlet_poisson
 from spball.runner import ExperimentConfig, run_experiment
@@ -26,11 +27,21 @@ from spball.runner import ExperimentConfig, run_experiment
 from conftest import dense_neg_laplacian, grad_l2_norm, random_field
 
 
-def test_zero_rhs_returns_zero_without_iterating():
+def test_zero_rhs_solves_to_zero_through_the_transforms(monkeypatch):
+    # a zero right-hand side takes the one path: both transforms run, and the
+    # solution is exact zeros
     g = build_grid(6)
+    transforms = []
+
+    def counting(*args):
+        transforms.append(args[0])
+        return _dst1(*args)
+
+    monkeypatch.setattr(poisson_module, "_dst1", counting)
     sol = solve_dirichlet_poisson(ScalarField.zeros(g))
-    assert sol.iterations == 0
-    assert np.all(sol.field.values == 0.0)
+    assert sol.iterations == 1
+    assert len(transforms) == 2
+    assert np.array_equal(sol.field.values, np.zeros(g.shape))
 
 
 def test_eigenfunction_inversion():

@@ -100,28 +100,29 @@ def test_config_rejects_a_grid_no_array_can_hold(n, accepted):
 
 
 def test_config_bad_tolerances():
-    data = small_config().to_dict()
-    data["tolerances"]["descent"]["max_iters"] = 0
-    with pytest.raises(ConfigError, match="bad tolerances"):
-        ExperimentConfig.from_dict(data)
-    data = small_config().to_dict()
-    data["tolerances"]["mystery"] = {}
-    with pytest.raises(ConfigError, match="config.tolerances has an unexpected key 'mystery'"):
-        ExperimentConfig.from_dict(data)
-    data = small_config().to_dict()
-    data["tolerances"]["descent"]["seed"] = 0
-    with pytest.raises(ConfigError,
-                       match="config.tolerances.descent has an unexpected key 'seed'"):
-        ExperimentConfig.from_dict(data)
-    # schema_version 2 removed the linear-solver section; both v1 shapes name it
-    data = small_config().to_dict()
-    data["tolerances"]["linear"] = {}
-    with pytest.raises(ConfigError, match="tolerances.linear"):
-        ExperimentConfig.from_dict(data)
+    # 0.22.0 made the iteration budget a constant, and every key the
+    # tolerances section held is gone, so the section is rejected by name
+    for tolerances in ({"descent": {"max_iters": 5000}}, {"linear": {}}, {}):
+        data = {**small_config().to_dict(), "tolerances": tolerances}
+        with pytest.raises(ConfigError, match="^config has an unexpected key 'tolerances'$"):
+            ExperimentConfig.from_dict(data)
+    with pytest.raises(ConfigError, match="config has an unexpected key 'max_iters'"):
+        ExperimentConfig.from_dict({**small_config().to_dict(), "max_iters": 5000})
+    # a version 1 config is told to drop the section
     data = small_config().to_dict()
     data["schema_version"] = 1
-    with pytest.raises(ConfigError, match="tolerances.linear"):
+    with pytest.raises(ConfigError, match="drop the tolerances section"):
         ExperimentConfig.from_dict(data)
+
+
+def test_config_rejects_another_schema_version():
+    with pytest.raises(ConfigError, match="^unsupported schema_version 3$"):
+        small_config(schema_version=3)
+
+
+def test_config_rejects_an_empty_output_path():
+    with pytest.raises(ConfigError, match="^output_path must be a nonempty string$"):
+        small_config(output_path="")
 
 
 def test_config_stores_p_and_safety_as_floats():
@@ -311,6 +312,25 @@ def test_load_report_checks_the_minimize_summary_keys(small_run, tmp_path):
     assert load_report(out / "report.json").minimize_summary == report.minimize_summary
 
 
+@pytest.mark.parametrize("block, key, value", [
+    ("config", "tolerances", {"descent": {"max_iters": 5000}}),
+    ("verification", "passed", True),
+])
+def test_load_report_rejects_a_0_21_report(small_run, tmp_path, block, key, value):
+    # 0.21.0 echoed the iteration budget as config.tolerances and stored
+    # verification.passed beside failed_checks; each is named
+    cfg, report, out = small_run
+    old = report.to_dict()
+    assert key not in old[block]
+    old[block][key] = value
+    old["version"] = "0.21.0"
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(old, indent=2, sort_keys=True) + "\n")
+    with pytest.raises(ConfigError, match=f"{block} has an unexpected key '{key}'") as excinfo:
+        load_report(path)
+    assert str(path) in str(excinfo.value)
+
+
 def test_load_report_rejects_a_ball_that_ball_spec_rejects(small_run, tmp_path):
     cfg, report, out = small_run
     data = report.to_dict()
@@ -318,6 +338,18 @@ def test_load_report_rejects_a_ball_that_ball_spec_rejects(small_run, tmp_path):
     path = tmp_path / "report.json"
     path.write_text(json.dumps(data))
     with pytest.raises(ConfigError, match="radius must be positive") as excinfo:
+        load_report(path)
+    assert str(path) in str(excinfo.value)
+
+
+def test_load_report_rejects_a_ball_with_p_at_most_one(small_run, tmp_path):
+    # BallSpec's own check, which no run reaches: a run's p passed the config's
+    cfg, report, out = small_run
+    data = report.to_dict()
+    data["ball"]["p"] = 1.0
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match="p must exceed 1, got 1.0") as excinfo:
         load_report(path)
     assert str(path) in str(excinfo.value)
 
@@ -350,10 +382,8 @@ def test_load_report_rejects_an_unknown_top_level_key(small_run, tmp_path):
 REPORT_BLOCKS = {
     "report": ((), "energy", "converged"),
     "config": (("config",), "grid_n", "extra"),
-    "config.tolerances": (("config", "tolerances"), "descent", "mystery"),
-    "config.tolerances.descent": (("config", "tolerances", "descent"), "max_iters", "seed"),
     "ball": (("ball",), "radius", "sample_count"),
-    "verification": (("verification",), "passed", "phi_scaling_ok"),
+    "verification": (("verification",), "failed_checks", "phi_scaling_ok"),
     "minimize_summary": (("minimize_summary",), "iterations", "converged"),
     "wall_time": (("wall_time",), "total", "write"),
 }
@@ -432,20 +462,22 @@ def test_load_report_checks_the_energy_is_a_number(small_run, tmp_path, energy):
 
 
 @pytest.mark.parametrize("verdict", [
-    {"passed": True, "failed_checks": ["pde"]},
-    {"passed": False, "failed_checks": []},
-    {"passed": False, "failed_checks": ["bogus"]},
+    {"failed_checks": ["bogus"]},
+    {"failed_checks": ["pde", "fixed_point"]},
+    {"failed_checks": ["pde", "pde"]},
 ])
 def test_load_report_checks_the_verdict(small_run, tmp_path, verdict):
-    # perfbench/run.py counts a repetition as verified on passed alone
+    # perfbench/run.py counts a repetition as verified on passed, which is
+    # read from failed_checks: its names must be gates, in gate order
     cfg, report, out = small_run
     data = report.to_dict()
     data["verification"].update(verdict)
     path = tmp_path / "report.json"
     path.write_text(json.dumps(data))
-    with pytest.raises(ConfigError, match="passed must be|failed_checks must name") as excinfo:
+    with pytest.raises(ConfigError, match="failed_checks must name") as excinfo:
         load_report(path)
     assert str(path) in str(excinfo.value)
+
 
 
 def test_run_experiment_deterministic_modulo_wall_time(small_run, tmp_path):
@@ -658,17 +690,20 @@ def test_cli_run_failure_exit_codes(tmp_path, capsys):
         assert code == 2
         (kind,) = spec
         assert f"{key}.{kind} must be a number" in capsys.readouterr().err
-    # the old stop rule's and line search's descent keys are rejected by name,
-    # and the budget must be an integer >= 1
+    # the old stop rule's and line search's descent keys and the budget are
+    # rejected by name, at the top level and in the tolerances section
     for key, value in (("grad_tol", 1e-8), ("energy_tol", 1e-12), ("backtrack_factor", 0.5),
-                       ("initial_step", 1.0), ("max_iters", "5"), ("max_iters", 2.5),
-                       ("max_iters", True)):
-        data = json.loads(write_config(tmp_path).read_text())
-        data["tolerances"]["descent"][key] = value
-        path.write_text(json.dumps(data))
-        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
-        assert code == 2
-        assert key in capsys.readouterr().err
+                       ("initial_step", 1.0), ("max_iters", 5000)):
+        for place, named in ((None, key), ("tolerances", "tolerances")):
+            data = json.loads(write_config(tmp_path).read_text())
+            if place is None:
+                data[key] = value
+            else:
+                data[place] = {"descent": {key: value}}
+            path.write_text(json.dumps(data))
+            code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+            assert code == 2
+            assert f"config has an unexpected key {named!r}" in capsys.readouterr().err
     # an infinite safety (json reads Infinity) is rejected under its own name
     data = json.loads(write_config(tmp_path).read_text())
     data["safety"] = math.inf
@@ -889,10 +924,22 @@ def test_cli_study(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "study"])
-def test_cli_names_an_output_path_it_cannot_create(tmp_path, capsys, command):
+def test_cli_names_an_output_path_it_cannot_create(tmp_path, capsys, monkeypatch, command):
     # an --out below a regular file (run's NotADirectoryError) or naming one
     # (study's FileExistsError) is a data error: exit 2 with one line naming
-    # the path, not a traceback after the whole run
+    # the path, not a traceback, and before any stage of the run or study
+    stages = []
+
+    def recorded(name):
+        stage = getattr(runner_mod, name)
+
+        def recording(*args):
+            stages.append(name)
+            return stage(*args)
+        return recording
+
+    for name in ("estimate_constants", "manufactured_poisson_error"):
+        monkeypatch.setattr(runner_mod, name, recorded(name))
     path = write_config(tmp_path)
     blocker = tmp_path / "F"
     blocker.write_text("")
@@ -903,6 +950,46 @@ def test_cli_names_an_output_path_it_cannot_create(tmp_path, capsys, command):
     assert code == 2
     assert err.startswith(f"error: cannot write outputs to {out}: ")
     assert err.count("\n") == 1
+    assert stages == []
+    # the same command with a path it can create runs every stage
+    code = main([*argv, "--config", str(path), "--out", str(tmp_path / "ok")])
+    assert code == 0, capsys.readouterr()
+    assert set(stages) == {"run": {"estimate_constants"},
+                           "study": {"estimate_constants", "manufactured_poisson_error"}}[command]
+
+
+def test_cli_run_rejects_the_tolerances_section(tmp_path, capsys):
+    # the iteration budget is a constant since 0.22.0: a config that still
+    # sets tolerances.descent.max_iters exits 2 with one line naming the section
+    data = json.loads(write_config(tmp_path).read_text())
+    data["tolerances"] = {"descent": {"max_iters": 50}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: config has an unexpected key 'tolerances'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_study_prints_a_failed_row_and_exits_1(tmp_path, capsys, monkeypatch):
+    real = runner_mod.manufactured_poisson_error
+
+    def flaky(n):
+        if n == 8:
+            raise RuntimeError("synthetic failure")
+        return real(n)
+
+    monkeypatch.setattr(runner_mod, "manufactured_poisson_error", flaky)
+    path = write_config(tmp_path, samples=4)
+    code = main(["study", "--config", str(path), "--grids", "6,8",
+                 "--out", str(tmp_path / "study")])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert f"{8:>5}  failed: synthetic failure" in lines
+    rows = (tmp_path / "study" / "study.csv").read_text().splitlines()
+    assert rows[2] == "8,,,,,synthetic failure"
 
 
 def test_cli_study_bad_grids(tmp_path, capsys):
