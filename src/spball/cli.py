@@ -3,9 +3,10 @@
     spball run --config cfg.json [--out DIR]
     spball study --config cfg.json --grids 8,16,32 [--out DIR]
 
-`run` exits 0 only when verification passed; `study` exits 0 only when every
-grid completed. Configuration or data errors exit 2, as does a run whose
-grid is too large for the memory at hand or whose outputs cannot be written.
+`--out` names the output directory, `out` by default. `run` exits 0 only
+when verification passed; `study` exits 0 only when every grid completed.
+Configuration or data errors exit 2, as does a run whose grid is too large
+for the memory at hand or whose outputs cannot be written.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from dataclasses import replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -36,19 +36,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="solve and verify one configuration")
     run.add_argument("--config", required=True, help="path to a JSON experiment config")
-    run.add_argument("--out", default=None, help="override the output directory")
+    run.add_argument("--out", default="out", help="output directory (default: out)")
 
     study = sub.add_parser("study", help="convergence study over a grid sequence")
     study.add_argument("--config", required=True, help="path to a JSON experiment config")
     study.add_argument("--grids", required=True, help="comma-separated grid sizes, e.g. 8,16,32")
-    study.add_argument("--out", default=None, help="override the output directory")
+    study.add_argument("--out", default="out", help="output directory (default: out)")
     return parser
-
-
-def _load(args):
-    """The config at --config, with --out as its output_path when given."""
-    config = load_config(args.config)
-    return replace(config, output_path=args.out) if args.out is not None else config
 
 
 @contextmanager
@@ -61,8 +55,8 @@ def _writing_to(out_dir: Path):
 
 
 def _cmd_run(args) -> int:
-    config = _load(args)
-    out_dir = Path(config.output_path)
+    config = load_config(args.config)
+    out_dir = Path(args.out)
     try:
         with _writing_to(out_dir):
             report = run_experiment(config, out_dir)
@@ -89,9 +83,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    config = _load(args)
+    config = load_config(args.config)
     grids = _parse_grids(args.grids)
-    out_dir = Path(config.output_path)
+    out_dir = Path(args.out)
     with _writing_to(out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)  # before the first grid runs
         rows = convergence_study(config, grids)
@@ -114,10 +108,12 @@ def _cmd_study(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if not args.out:
+            raise ConfigError("--out must be a nonempty path")
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_study(args)
-    except (ConfigError, ValueError, RuntimeError) as exc:
+    except ValueError as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,9 @@
 """Experiment pipeline: config -> constants -> radius -> descent -> verification.
 
 Configs are plain JSON with a strict schema; reports serialize losslessly
-(identical runs differ only in wall_time). The convergence study replays a
-manufactured Poisson problem and the full pipeline over a grid sequence.
+(identical runs differ only in wall_time). The convergence study measures
+the first eigenvalue's discretization error and runs the full pipeline over
+a grid sequence.
 """
 
 from __future__ import annotations
@@ -126,7 +127,6 @@ class ExperimentConfig:
     # the first eigenfunction alone; both go in schema_version 3
     samples: int = 64
     seed: int = 0
-    output_path: str = "out"
     schema_version: int = 2
 
     def __post_init__(self):
@@ -153,8 +153,6 @@ class ExperimentConfig:
             raise ConfigError(f"samples must be a positive integer, got {self.samples}")
         if not _is_int(self.seed):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not isinstance(self.output_path, str) or not self.output_path:
-            raise ConfigError("output_path must be a nonempty string")
 
     def to_dict(self) -> dict:
         return _record(self)
@@ -298,16 +296,15 @@ def run_experiment(config: ExperimentConfig, out_dir: str | Path | None = None) 
     return report
 
 
-def write_run_outputs(report: SolveReport, result: MinimizeResult, out_dir: str | Path) -> Path:
+def write_run_outputs(report: SolveReport, result: MinimizeResult, out_dir: str | Path) -> None:
     """Write report.json and trace.csv into the existing directory out_dir,
-    which run_experiment creates before its first stage; returns it."""
+    which run_experiment creates before its first stage."""
     out = Path(out_dir)
     (out / "report.json").write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     with (out / "trace.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "energy", "step", "fixed_point_residual"])
         writer.writerows(result.trace)  # csv writes a float as its repr
-    return out
 
 
 def load_report(path: str | Path) -> SolveReport:
@@ -339,11 +336,13 @@ class StudyRow:
 
 
 def manufactured_poisson_error(n: int) -> float:
-    """Relative L2 error of the solver against a known smooth solution.
+    """Relative L2 error of the discrete solve of -Delta_h w = 3 pi^2 e1
+    against e1 = sin(pi x) sin(pi y) sin(pi z), the continuum solution.
 
-    The forcing 3 pi^2 sin(pi x) sin(pi y) sin(pi z) has the continuum
-    solution sin(pi x) sin(pi y) sin(pi z); the discrete error is second
-    order in h.
+    e1 is an exact eigenvector of the 7-point operator, with eigenvalue
+    lambda_h, so the solve returns (3 pi^2 / lambda_h) e1 and the error is
+    |3 pi^2 / lambda_h - 1|: the first eigenvalue's discretization error,
+    second order in h. It checks the solve on that one mode only.
     """
     grid = build_grid(n)
     star = first_eigenpair(grid)[0]

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import spball.cli as cli_mod
 import spball.runner as runner_mod
 import spball.verify as verify_mod
 from spball import ConfigError, ForcingTooLargeError
@@ -39,7 +40,6 @@ def small_config(**overrides):
         "forcing": {"scaled_to_bound": 1.0},
         "samples": 8,
         "seed": 7,
-        "output_path": "out",
     }
     base.update(overrides)
     return ExperimentConfig.from_dict(base)
@@ -118,11 +118,6 @@ def test_config_bad_tolerances():
 def test_config_rejects_another_schema_version():
     with pytest.raises(ConfigError, match="^unsupported schema_version 3$"):
         small_config(schema_version=3)
-
-
-def test_config_rejects_an_empty_output_path():
-    with pytest.raises(ConfigError, match="^output_path must be a nonempty string$"):
-        small_config(output_path="")
 
 
 def test_config_stores_p_and_safety_as_floats():
@@ -310,6 +305,20 @@ def test_load_report_checks_the_minimize_summary_keys(small_run, tmp_path):
         load_report(path)
     # the summary stays a plain dict, read by key
     assert load_report(out / "report.json").minimize_summary == report.minimize_summary
+
+
+def test_load_report_rejects_a_0_22_report(small_run, tmp_path):
+    # 0.22.0 echoed the output directory as config.output_path, which is named
+    cfg, report, out = small_run
+    old = report.to_dict()
+    assert "output_path" not in old["config"]
+    old["config"]["output_path"] = str(out)
+    old["version"] = "0.22.0"
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(old, indent=2, sort_keys=True) + "\n")
+    with pytest.raises(ConfigError, match="config has an unexpected key 'output_path'") as excinfo:
+        load_report(path)
+    assert str(path) in str(excinfo.value)
 
 
 @pytest.mark.parametrize("block, key, value", [
@@ -520,8 +529,8 @@ def test_forcing_budget_is_half_the_radius(small_run):
 
 
 def test_a_run_without_out_dir_writes_nothing(tmp_path, monkeypatch):
-    # out_dir alone decides whether outputs are written: the config's
-    # output_path is the CLI's default, not the library's
+    # out_dir alone decides whether outputs are written: the default
+    # directory `out` is the CLI's, not the library's
     monkeypatch.chdir(tmp_path)
     report = run_experiment(small_config())
     assert report.verification.passed
@@ -652,9 +661,9 @@ def test_cli_has_no_seed_option(tmp_path, capsys):
     out = tmp_path / "b"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "grid n=6  p=3.0"
-    # --out is the config's output_path, echoed in the report it names
+    # the report echoes the config as written, seed included
     report = load_report(out / "report.json")
-    assert report.config.output_path == str(out)
+    assert report.config == load_config(path)
     assert report.config.seed == 7
 
 
@@ -971,6 +980,66 @@ def test_cli_run_rejects_the_tolerances_section(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "error: config has an unexpected key 'tolerances'\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_rejects_an_output_path_key(tmp_path, capsys):
+    # --out alone says where a run writes since 0.23.0: a config that still
+    # has output_path exits 2 with one line naming the key
+    data = json.loads(write_config(tmp_path).read_text())
+    data["output_path"] = str(tmp_path / "elsewhere")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: config has an unexpected key 'output_path'\n"
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "elsewhere").exists()
+
+
+def test_cli_rejects_an_empty_out(tmp_path, capsys):
+    # an empty --out names no directory: exit 2 with one error line, on
+    # either command, before anything is written
+    path = write_config(tmp_path)
+    for argv in (["run"], ["study", "--grids", "6"]):
+        code = main([*argv, "--config", str(path), "--out", ""])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --out must be a nonempty path\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_cli_run_writes_the_same_report_to_any_out(tmp_path, monkeypatch):
+    # where a run writes is not part of what it reports: the default `out`
+    # and another --out hold equal reports, wall time aside, and
+    # byte-identical traces
+    path = write_config(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", str(path)]) == 0
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "b")]) == 0
+    reports, traces = [], []
+    for out in (tmp_path / "out", tmp_path / "b"):
+        report = json.loads((out / "report.json").read_text())
+        del report["wall_time"]
+        reports.append(report)
+        traces.append((out / "trace.csv").read_bytes())
+    assert reports[0] == reports[1]
+    assert traces[0] == traces[1]
+
+
+def test_cli_lets_an_internal_fault_propagate(tmp_path, capsys, monkeypatch):
+    # exit 2 means bad input; a fault of the program, here a RuntimeError,
+    # is not reported as one
+    def faulty(config, out_dir=None):
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setattr(cli_mod, "run_experiment", faulty)
+    path = write_config(tmp_path)
+    with pytest.raises(RuntimeError, match="^internal fault$"):
+        main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_study_prints_a_failed_row_and_exits_1(tmp_path, capsys, monkeypatch):
