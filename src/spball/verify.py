@@ -33,9 +33,12 @@ GATES = ("fixed_point", "pde", "aux_in_ball", "phi_nonneg", "phi_bound")
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of the verification pipeline; failed_checks names the gates
-    that failed, in GATES order, which the report checks on construction,
-    and passed means it is empty. The two residuals are the numbers the
-    fixed_point and pde gates compare with FP_THRESHOLD and PDE_THRESHOLD.
+    that failed, in GATES order, and passed means it is empty. The two
+    residuals are the numbers the fixed_point and pde gates compare with
+    FP_THRESHOLD and PDE_THRESHOLD. Construction checks all three: each
+    residual is a number >= 0, inf included (a run that ends at u = 0 with
+    f != 0), and failed_checks names those two gates exactly when their
+    residuals fail.
     """
 
     fixed_point_rel_residual: float
@@ -49,11 +52,28 @@ class VerificationReport:
         if failed != tuple(gate for gate in GATES if gate in failed):
             raise ValueError(f"failed_checks must name gates of {GATES} in that order, "
                              f"got {list(failed)}")
+        keys = ("fixed_point_rel_residual", "pde_rel_residual")
+        for key in keys:
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not value >= 0:
+                raise ValueError(f"{key} must be a number >= 0, got {value!r}")
+        oks = _residual_gates(self.fixed_point_rel_residual, self.pde_rel_residual)
+        for key, gate, ok in zip(keys, GATES, oks):
+            if ok == (gate in failed):
+                raise ValueError(f"{key} {getattr(self, key)!r} {'passes' if ok else 'fails'} "
+                                 f"its gate, but failed_checks {'names' if ok else 'omits'} "
+                                 f"{gate}: {list(failed)}")
 
     @property
     def passed(self) -> bool:
         """The run's one verdict: no gate failed."""
         return not self.failed_checks
+
+
+def _residual_gates(fp_res: float, pde_res: float) -> tuple[bool, bool]:
+    """Whether the fixed_point and pde gates pass on these residuals; the
+    thresholds are read at the call."""
+    return fp_res <= FP_THRESHOLD, pde_res <= PDE_THRESHOLD
 
 
 def fixed_point_residual(s: FieldState) -> float:
@@ -129,8 +149,7 @@ def verify(s: FieldState, spec: ProblemSpec, ball: BallSpec) -> VerificationRepo
     fp_res = fixed_point_residual(s)
     pde_res = pde_residual(s, spec)
     nonneg_ok, bound_ok = phi_property_check(s, ball)
-    oks = (fp_res <= FP_THRESHOLD, pde_res <= PDE_THRESHOLD, ball.contains(s.rhs_norm),
-           nonneg_ok, bound_ok)
+    oks = (*_residual_gates(fp_res, pde_res), ball.contains(s.rhs_norm), nonneg_ok, bound_ok)
     failed = tuple(gate for gate, ok in zip(GATES, oks, strict=True) if not ok)
     return VerificationReport(
         fixed_point_rel_residual=fp_res,

@@ -24,7 +24,7 @@ from spball.grid import DomainGrid
 from spball.poisson import _dst1, compute_phi, solve_dirichlet_poisson
 from spball.runner import ExperimentConfig, run_experiment
 
-from conftest import dense_neg_laplacian, grad_l2_norm, random_field
+from conftest import dense_neg_laplacian, grad_l2_norm, random_field, sample_function
 
 
 def test_zero_rhs_solves_to_zero_through_the_transforms(monkeypatch):
@@ -210,6 +210,46 @@ def test_manufactured_convergence_is_second_order():
         errs[n] = lp_norm(w - star, 2) / lp_norm(star, 2)
     ratio = errs[8] / errs[16]
     assert 3.5 <= ratio <= 4.5
+
+
+def _quad(t):
+    return t * (1.0 - t)
+
+
+def _manufactured_error(n: int, star, neg_laplacian) -> float:
+    """Relative L2 error of the solve of -Delta_h w = -Delta u* against u*,
+    both sampled on the interior nodes of grid n."""
+    g = build_grid(n)
+    star_h = sample_function(g, star)
+    w = solve_dirichlet_poisson(sample_function(g, neg_laplacian)).field
+    return lp_norm(w - star_h, 2) / lp_norm(star_h, 2)
+
+
+@pytest.mark.parametrize("n", [8, 32, 64])
+def test_manufactured_quadratic_product_is_solved_exactly(n):
+    # u* = x(1-x) y(1-y) z(1-z) lies off the sine basis, in every mode of odd
+    # index; the 7-point stencil is exact on a quadratic in each variable, so
+    # the discrete solution is u* up to rounding
+    err = _manufactured_error(
+        n,
+        lambda x, y, z: _quad(x) * _quad(y) * _quad(z),
+        lambda x, y, z: 2.0 * (_quad(y) * _quad(z) + _quad(x) * _quad(z) + _quad(x) * _quad(y)),
+    )
+    assert err <= 1e-14
+
+
+def test_manufactured_quartic_converges_at_second_order():
+    # u* = [x(1-x)]^2 y(1-y) z(1-z): on the quartic factor the stencil's
+    # error is (h^2 / 12) times its fourth derivative 24, so 2 h^2, and the
+    # observed order is 2
+    def neg_laplacian(x, y, z):
+        d2 = 2.0 * ((1.0 - 2.0 * x) ** 2 - 2.0 * _quad(x))  # second derivative of x^2 (1-x)^2
+        return -d2 * _quad(y) * _quad(z) + 2.0 * _quad(x) ** 2 * (_quad(y) + _quad(z))
+
+    errs = [_manufactured_error(n, lambda x, y, z: _quad(x) ** 2 * _quad(y) * _quad(z),
+                                neg_laplacian) for n in (8, 16, 32)]
+    for coarse, fine in zip(errs, errs[1:]):
+        assert np.log2(coarse / fine) == pytest.approx(2.0, abs=0.1)
 
 
 # ---------------------------------------------------------------- potential

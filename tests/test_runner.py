@@ -2,6 +2,7 @@
 round-trips, determinism modulo wall time, the convergence study, and the
 command-line interface including exit codes."""
 
+import ast
 import json
 import math
 import os
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import spball.cli as cli_mod
 import spball.runner as runner_mod
+import spball.schema as schema_mod
 import spball.verify as verify_mod
 from spball import ConfigError, ForcingTooLargeError
 from spball.cli import main
@@ -487,6 +489,87 @@ def test_load_report_checks_the_verdict(small_run, tmp_path, verdict):
         load_report(path)
     assert str(path) in str(excinfo.value)
 
+
+@pytest.mark.parametrize("change, message", [
+    ({"fixed_point_rel_residual": "tiny"}, "fixed_point_rel_residual must be a number >= 0"),
+    ({"fixed_point_rel_residual": None}, "fixed_point_rel_residual must be a number >= 0"),
+    ({"fixed_point_rel_residual": True}, "fixed_point_rel_residual must be a number >= 0"),
+    ({"fixed_point_rel_residual": float("nan")}, "fixed_point_rel_residual must be a number"),
+    ({"pde_rel_residual": -1e-9}, "pde_rel_residual must be a number >= 0"),
+    ({"pde_rel_residual": [0.0]}, "pde_rel_residual must be a number >= 0"),
+    ({"fixed_point_rel_residual": 1.0}, "fixed_point_rel_residual 1.0 fails its gate, "
+                                        "but failed_checks omits fixed_point"),
+    ({"pde_rel_residual": float("inf")}, "pde_rel_residual inf fails its gate"),
+    ({"failed_checks": ["fixed_point"]}, "passes its gate, but failed_checks names fixed_point"),
+    ({"failed_checks": ["pde", "phi_bound"]}, "pde_rel_residual .* passes its gate"),
+])
+def test_load_report_checks_the_residuals_and_their_verdict(small_run, tmp_path, change, message):
+    # each edit once loaded as a passed run: a residual is a number >= 0,
+    # and the fixed_point and pde gates fail exactly when their residuals do
+    cfg, report, out = small_run
+    assert report.verification.passed
+    data = report.to_dict()
+    data["verification"].update(change)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match=message) as excinfo:
+        load_report(path)
+    assert str(path) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"iterations": "many"}, "minimize_summary.iterations must be an integer >= 0"),
+    ({"iterations": -1}, "minimize_summary.iterations must be an integer >= 0"),
+    ({"iterations": 2.0}, "minimize_summary.iterations must be an integer >= 0"),
+    ({"mixed_steps": True}, "minimize_summary.mixed_steps must be an integer >= 0"),
+    ({"mixed_steps": 10**6}, "minimize_summary.mixed_steps 1000000 exceeds iterations"),
+    ({"stop_reason": "gave_up"}, "minimize_summary.stop_reason must be one of"),
+    ({"stop_reason": None}, "minimize_summary.stop_reason must be one of"),
+    ({"minimizer_w2n": float("inf")}, "minimize_summary.minimizer_w2n must be a finite number"),
+    ({"minimizer_w2n": "1.0"}, "minimize_summary.minimizer_w2n must be a number"),
+    ({"minimizer_l2": -1.0}, "minimize_summary.minimizer_l2 must be >= 0"),
+])
+def test_load_report_checks_the_minimize_summary_values(small_run, tmp_path, change, message):
+    cfg, report, out = small_run
+    data = report.to_dict()
+    data["minimize_summary"].update(change)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError, match=message) as excinfo:
+        load_report(path)
+    assert str(path) in str(excinfo.value)
+
+
+def test_load_report_reads_an_infinite_residual(tmp_path):
+    # the forcing is too small to move the start u = 0, so the run ends
+    # there and its fixed-point residual, ||grad g|| / ||grad u||, is inf
+    cfg = ExperimentConfig.from_dict({"grid_n": 8, "p": 7, "coupling": {"constant": 1},
+                                      "forcing": {"constant": 1e-200}})
+    report = run_experiment(cfg, out_dir=tmp_path)
+    assert "Infinity" in (tmp_path / "report.json").read_text()
+    loaded = load_report(tmp_path / "report.json")
+    assert loaded == report
+    assert loaded.verification.fixed_point_rel_residual == math.inf
+    assert "fixed_point" in loaded.verification.failed_checks
+
+
+def test_the_records_keep_the_benchmark_entry_points():
+    # perfbench/worker.py, perfbench/run.py and the tracer reach these
+    # through spball.runner; the tracer wraps only functions defined there
+    for name in ("ExperimentConfig", "SolveReport", "load_config", "load_report",
+                 "run_experiment", "write_run_outputs"):
+        assert hasattr(runner_mod, name), name
+    for fn in (runner_mod.run_experiment, runner_mod.write_run_outputs):
+        assert fn.__module__ == "spball.runner"
+    tree = ast.parse(Path(schema_mod.__file__).read_text())
+    # every module path and name an import statement spells, as in
+    # "from .runner import x", "from . import runner" or "import spball.runner"
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update(alias.name for alias in node.names)
+            imported.add(getattr(node, "module", None) or "")
+    assert not any(name.split(".")[-1] == "runner" for name in imported), imported
 
 
 def test_run_experiment_deterministic_modulo_wall_time(small_run, tmp_path):

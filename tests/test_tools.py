@@ -5,6 +5,7 @@ prints one JSON object; its tracemalloc peak is the figure the run budgets
 of tests/test_ownership.py bound, so the tool must agree with them.
 """
 
+import importlib.util
 import json
 import re
 import subprocess
@@ -41,3 +42,18 @@ def test_field_allocs_reports_a_peak_within_the_run_budget(workload):
     assert len(out["minflt_runs"]) == 1 and out["minflt_median"] == out["minflt_runs"][0] > 0
     # imports and the config come first; the run can only raise the peak
     assert 0 < out["rss_before_run_mb"] <= out["maxrss_mb"]
+
+
+def test_peak_site_names_function_frames_only():
+    # a peak reached inside a generator expression names the function that
+    # holds it, not a <genexpr> frame, which FRAME would reject
+    spec = importlib.util.spec_from_file_location("field_allocs", ROOT / "tools" / "field_allocs.py")
+    field_allocs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(field_allocs)
+    # the chain is taken while the generator runs, as the trace hook takes it
+    source = "def held():\n    return next(chain(sys._getframe()) for _ in [0])\n"
+    namespace = {"sys": sys, "chain": field_allocs.spball_chain}
+    exec(compile(source, str(ROOT / "src" / "spball" / "held.py"), "exec"), namespace)
+    chain = namespace["held"]()
+    assert chain == ["held.py:2 held"]
+    assert all(FRAME.fullmatch(site) for site in chain)

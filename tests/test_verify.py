@@ -451,8 +451,10 @@ def test_passed_is_read_from_failed_checks(solved_problem):
     assert [f.name for f in fields(VerificationReport)] == [
         "fixed_point_rel_residual", "pde_rel_residual", "failed_checks"]
     assert report.passed is True and report.failed_checks == ()
-    failed = replace(report, failed_checks=["pde"])  # JSON carries a list
-    assert failed.passed is False and failed.failed_checks == ("pde",)
+    # JSON carries a list; a residual gate must agree with its residual, so
+    # the failure named is a gate that reads no stored number
+    failed = replace(report, failed_checks=["aux_in_ball"])
+    assert failed.passed is False and failed.failed_checks == ("aux_in_ball",)
     with pytest.raises(TypeError, match="passed"):
         replace(report, passed=False)
 

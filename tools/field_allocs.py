@@ -11,8 +11,9 @@ interpreters that import spball from DIR (default: this checkout's src):
   per-opcode trace hook; each bytecode instruction whose traced memory rose
   by k field sizes ((n-1)^3 float64 values) above its start counts k
   allocations, and the run's tracemalloc peak is given in fields too;
-- peak_site: the spball call chain, outermost first, as file:line function,
-  at which the traced run's memory first reached its maximum;
+- peak_site: the spball call chain, outermost first, as file:line function
+  of each named function's frame, at which the traced run's memory first
+  reached its maximum;
 - minor faults: --reps untraced cold runs, each in its own interpreter,
   reading getrusage's ru_minflt just before and after run_experiment;
 - resident memory, from those same runs: VmRSS just before run_experiment,
@@ -85,11 +86,13 @@ def count_allocations(config, field_bytes: int) -> dict:
 
 
 def spball_chain(frame) -> list[str]:
-    """file:line function of each spball frame from the outermost to frame."""
+    """file:line function of each spball function frame from the outermost to
+    frame; a comprehension's or generator expression's frame (<genexpr>) is
+    left out, its line being inside the function that holds it."""
     chain = []
     while frame is not None:
         code = frame.f_code
-        if f"{os.sep}spball{os.sep}" in code.co_filename:
+        if f"{os.sep}spball{os.sep}" in code.co_filename and not code.co_name.startswith("<"):
             chain.append(f"{Path(code.co_filename).name}:{frame.f_lineno} {code.co_name}")
         frame = frame.f_back
     return chain[::-1]
