@@ -83,29 +83,52 @@ class DomainGrid:
         return 12.0 * float(self.eigen_axis[0]) / self.h**2
 
     @cached_property
-    def sine_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(S, inv): the factors of the stencil's diagonalization, built on
-        first use and kept, read-only, for the grid's lifetime.
+    def sine_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(S, P, Q): the factors of the stencil's diagonalization, built on
+        first use and kept, read-only, for the grid's lifetime; none has
+        (n-1)^3 entries.
 
         S is the DST-I matrix S[j, k] = sin(pi j k / n) = T[2jk mod 4n],
-        j, k = 1..n-1, with T the grid's sine_table, and inv the cube
-        (2/n)^3 / lambda of the inverse eigenvalues
-        lambda = (4/h^2) sum_i sigma_{k_i} over the eigen_axis, with the
-        (2/n)^3 of the two unnormalized transforms folded in. Taken from the
-        table, S @ S = (n/2) I holds to 1-2.5 ulp of n/2 for every n up to 256.
+        j, k = 1..n-1, with T the grid's sine_table. Taken from the table,
+        S @ S = (n/2) I holds to 1-2.5 ulp of n/2 for every n up to 256.
+        P, (n-1)^2 x 2, holds the pair sums sigma_i + sigma_j of the
+        eigen_axis beside a column of ones, and Q, 2 x (n-1), a row of ones
+        above the axis: the product P @ Q is the eigenvalue sum
+        (sigma_i + sigma_j) + sigma_k, each of its two products being exact,
+        which inverse_eigenvalues forms into a caller's cube.
         """
-        n, h = self.n, self.h
+        n = self.n
         table = self.sine_table
         k = np.arange(1, n)
         sines = table[(2 * np.outer(k, k)) % (4 * n)]
         s = self.eigen_axis
-        # one cube, scaled and inverted in place
-        inv = s[:, None, None] + s[None, :, None] + s[None, None, :]
-        inv *= 4.0 / (h * h)
-        np.divide((2.0 / n) ** 3, inv, out=inv)
-        sines.setflags(write=False)
-        inv.setflags(write=False)
-        return sines, inv
+        pairs = np.ones(((n - 1) ** 2, 2))
+        pairs[:, 0] = (s[:, None] + s[None, :]).reshape(-1)
+        axis = np.ones((2, n - 1))
+        axis[1] = s
+        for factor in (sines, pairs, axis):
+            factor.setflags(write=False)
+        return sines, pairs, axis
+
+    def inverse_eigenvalues(self, out: np.ndarray) -> np.ndarray:
+        """The scaled inverse eigenvalues (2/n)^3 / lambda, written into the
+        C-ordered cube out, which is returned: lambda = (4/h^2) sum_i
+        sigma_{k_i} over the eigen_axis, with the (2/n)^3 of the two
+        unnormalized transforms folded in.
+
+        The sum is one product of sine_factors' P and Q into out, scaled and
+        inverted in place: the formation allocates nothing, and the grid
+        keeps no cube of them. An out that is not C-ordered is a ValueError:
+        the product would fill a reshaped copy of it, not out itself.
+        """
+        if not out.flags.c_contiguous:
+            raise ValueError("inverse_eigenvalues needs a C-ordered output array")
+        m = self.n - 1
+        _, pairs, axis = self.sine_factors
+        np.matmul(pairs, axis, out=out.reshape(m * m, m))
+        out *= 4.0 / (self.h * self.h)
+        np.divide((2.0 / self.n) ** 3, out, out=out)
+        return out
 
 
 def build_grid(n: int) -> DomainGrid:

@@ -12,10 +12,10 @@ until the energy strictly decreases.
 
 The descent starts at the best multiple of e1 on the ball, or at u = 0
 (initial_guess). Its one stop test is verify's: it stops with stop_reason
-fixed_point when fixed_point_residual and pde_residual pass FP_THRESHOLD and
-PDE_THRESHOLD, and otherwise when no step lowers the energy (no_decrease) or
-the iteration budget is spent (budget); verify alone says whether the result
-is a solution. Every H1 norm here is a pairing with a Laplacian the states
+fixed_point when fixed_point_residual and pde_residual pass verify's two
+residual gates, whose thresholds are read at each test, and otherwise when
+no step lowers the energy (no_decrease) or the iteration budget is spent
+(budget); verify alone says whether the result is a solution. Every H1 norm here is a pairing with a Laplacian the states
 hold, so the descent runs no gradient pass and no stencil but its trials'.
 """
 
@@ -29,7 +29,7 @@ import numpy as np
 from .ball import BallSpec, FirstMode
 from .energy import FieldState, ProblemSpec, _state, energy, evaluate
 from .grid import ScalarField, lp_norm
-from .verify import FP_THRESHOLD, PDE_THRESHOLD, fixed_point_residual, pde_residual
+from .verify import _residual_gates, fixed_point_residual, pde_residual
 
 _INITIAL_STEP = 1.0
 _BACKTRACK_FACTOR = 0.5
@@ -298,7 +298,7 @@ def minimize(spec: ProblemSpec, ball: BallSpec, mode: FirstMode) -> MinimizeResu
     while True:
         fp = fixed_point_residual(s)
         trace.append((iterations, current, step, fp))
-        if fp <= FP_THRESHOLD and pde_residual(s, spec) <= PDE_THRESHOLD:
+        if all(_residual_gates(fp, pde_residual(s, spec))):
             stop_reason = "fixed_point"
             break
         if iterations == MAX_ITERS:

@@ -4,10 +4,12 @@ On the uniform cube the type-I discrete sine transform diagonalizes the
 stencil exactly (fast diagonalization: Lynch, Rice & Thomas 1964; Buzbee,
 Golub & Nielson 1970), so a solve is one forward transform, a product with
 the scaled inverse eigenvalues and one inverse transform, exact up to
-rounding. The sine matrix and that eigenvalue cube are the grid's
-sine_factors, built once per DomainGrid. A transform is one product per
-axis with the dense sine matrix: O(n^4) flops against an FFT's
-O(n^3 log n), yet faster for every n <= 128 (see README).
+rounding. The sine matrix is the grid's, built once per DomainGrid; the
+inverse eigenvalues are formed on every solve, from the grid's O(n^2)
+factors, in the buffer the forward transform leaves dead, so no cube of
+them outlives a solve. A transform is one product per axis with the dense
+sine matrix: O(n^4) flops against an FFT's O(n^3 log n), yet faster for
+every n <= 128 (see README).
 """
 
 from __future__ import annotations
@@ -45,19 +47,21 @@ def _dst1(values: np.ndarray, sines: np.ndarray, out: np.ndarray, work: np.ndarr
 def solve_dirichlet_poisson(f: ScalarField, overwrite: bool = False) -> PoissonSolution:
     """Solve -Delta_h w = f with zero Dirichlet boundary by sine transforms.
 
-    Two transforms and one product with the grid's scaled inverse
-    eigenvalues (DomainGrid.sine_factors), in two buffers; the solution field
-    adopts the second. With overwrite, f's own buffer is the second, so the
-    solve allocates one array: the caller must have made f and alone hold
-    it, and f is gone afterwards. A zero right-hand side takes the same
+    Two transforms and one product with the scaled inverse eigenvalues, in
+    two buffers: the forward transform ends in the first, and the grid forms
+    the eigenvalues (DomainGrid.inverse_eigenvalues) in the second, whose
+    intermediate is dead by then. The solution field adopts the second.
+    With overwrite, f's own buffer is the second, so the solve allocates
+    one array: the caller must have made f and alone hold it, and f is gone
+    afterwards. A zero right-hand side takes the same
     path, and its solution is exact zeros.
     """
     grid = f.grid
-    sines, inv_eig = grid.sine_factors
+    sines = grid.sine_factors[0]
     first = np.empty(grid.shape)
     second = f._release() if overwrite else np.empty(grid.shape)
     coeffs = _dst1(f.values, sines, first, second)
-    coeffs *= inv_eig
+    coeffs *= grid.inverse_eigenvalues(second)
     return PoissonSolution(ScalarField._own(grid, _dst1(coeffs, sines, second, first)), 1)
 
 

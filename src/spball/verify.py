@@ -6,9 +6,10 @@ the descent's stop_reason. failed_checks names the gates that fail, in
 GATES order: the fixed-point residual (fixed_point_residual), the equation
 residual (pde_residual), T(u) in the ball, and the potential's sign and
 gradient bound (phi_property_check). minimize stops on the first two at
-FP_THRESHOLD and PDE_THRESHOLD. Every gate compares a floating-point number
-with its threshold, and nothing encloses the rounding yet: a pass holds for
-the computed numbers, not as a bound proved against rounding error.
+FP_THRESHOLD and PDE_THRESHOLD, through the same _residual_gates. Every
+gate compares a floating-point number with its threshold, and nothing
+encloses the rounding yet: a pass holds for the computed numbers, not as a
+bound proved against rounding error.
 """
 
 from __future__ import annotations

@@ -64,7 +64,7 @@ def test_build_grid_rejects_non_integer():
 
 @pytest.mark.parametrize("n", [3, 4, 8, 32, 64, 128])
 def test_spectral_members_equal_their_table_formulas(n):
-    # the eigenvalue axis, the inverse eigenvalue cube, lambda_h and e1, each
+    # the eigenvalue axis, the inverse eigenvalues, lambda_h and e1, each
     # bit for bit against its expression over the sine table T
     g = build_grid(n)
     T, h = g.sine_table, g.h
@@ -73,7 +73,13 @@ def test_spectral_members_equal_their_table_formulas(n):
     inv = sigma[:, None, None] + sigma[None, :, None] + sigma[None, None, :]
     inv *= 4.0 / (h * h)
     np.divide((2.0 / n) ** 3, inv, out=inv)
-    assert np.array_equal(g.sine_factors[1], inv)
+    out = np.full(g.shape, np.nan)
+    assert g.inverse_eigenvalues(out) is out
+    assert np.array_equal(out, inv)
+    # the product writes through a reshaped view, which a Fortran-ordered
+    # buffer would turn into a copy, leaving out unwritten
+    with pytest.raises(ValueError, match="C-ordered"):
+        g.inverse_eigenvalues(np.empty(g.shape, order="F"))
     lam = 12.0 * float(T[1]) ** 2 / h**2
     s = T[2 : 2 * n : 2]
     e1, got_lam = first_eigenpair(g)

@@ -15,6 +15,7 @@ from numpy.testing import assert_allclose
 import spball.energy as energy_mod
 import spball.minimize as minimize_mod
 import spball.runner as runner_mod
+import spball.verify as verify_mod
 from spball import (
     ForcingTooLargeError,
     GridMismatchError,
@@ -300,6 +301,33 @@ def test_stiff_coupling_converges_only_when_verified():
     report = run_experiment(ExperimentConfig.from_dict(STIFF_COUPLING_N6))
     assert report.minimize_summary["stop_reason"] == "fixed_point"
     assert report.verification.passed
+
+
+THRESHOLD_CASE = {"grid_n": 8, "p": 3.0, "coupling": {"constant": 1},
+                  "forcing": {"scaled_to_bound": 1.0}, "safety": 1.0}
+
+
+def test_descent_stops_on_the_thresholds_its_verdict_reads(monkeypatch):
+    # the stop test reads verify's thresholds at the call, as the gates do:
+    # a tighter fixed-point threshold keeps the descent going until the
+    # verdict it stops on holds. The default run stops at 6.0e-7 after 4
+    # iterations; under 1e-9 the same run takes 6, to 1.1e-10
+    default = run_experiment(ExperimentConfig.from_dict(THRESHOLD_CASE))
+    assert default.minimize_summary["iterations"] == 4
+    assert 1e-9 < default.verification.fixed_point_rel_residual <= FP_THRESHOLD
+    monkeypatch.setattr(verify_mod, "FP_THRESHOLD", 1e-9)
+    report = run_experiment(ExperimentConfig.from_dict(THRESHOLD_CASE))
+    assert report.minimize_summary["stop_reason"] == "fixed_point"
+    assert report.minimize_summary["iterations"] > 4
+    assert report.verification.fixed_point_rel_residual <= 1e-9
+    assert report.verification.passed
+
+
+def test_minimize_holds_no_threshold_of_its_own():
+    # the thresholds live in verify alone; a copy bound in minimize would
+    # keep its value when verify's is changed
+    for name in ("FP_THRESHOLD", "PDE_THRESHOLD"):
+        assert not hasattr(minimize_mod, name), name
 
 
 @pytest.mark.parametrize("n", [6, 8, 12])

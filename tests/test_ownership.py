@@ -150,6 +150,9 @@ def _peak_in_fields(grid, fn, *args) -> float:
 # kernel -> budget: its output arrays and its buffers
 BUDGETS = {
     "solve": 2.25,  # two transform buffers; the field adopts the second
+    # the solve's inverse eigenvalues, formed in a caller's buffer: one
+    # product of the grid's O(n^2) factors, no iterator buffer
+    "inverse_eigenvalues": 0.0625,
     "compute_phi": 2.25,  # c u^2, which the potential adopts, and one solve buffer
     "scalar product": 1.25,
     # phi, in which c phi u and then rhs are formed, lap, in which the
@@ -171,6 +174,7 @@ def test_hot_path_allocation_budget(rng, n, kernel):
     spec, u = _problem(n, rng)
     calls = {
         "solve": (solve_dirichlet_poisson, u),
+        "inverse_eigenvalues": (spec.grid.inverse_eigenvalues, np.empty(spec.grid.shape)),
         "compute_phi": (compute_phi, u, spec.coupling),
         "scalar product": (ScalarField.__mul__, u, 2.0),
         "evaluate": (evaluate, u, spec),
@@ -234,12 +238,13 @@ def test_verify_gates_allocate_one_field(n):
 
 
 # a whole run, in fields, per config: the descent holds the forcing, the
-# sine factors' eigenvalue cube, the iterate's u, g and residual and the
-# trial's state as it is formed, but not e1 or phi_e1 after the initial
-# guess. A trial's gradient solve holds the trial's u, the residual in
-# lap's array, rhs (formed in the phi array once the power array is gone),
-# whose buffer the solve reuses, and one more buffer; with the iterate's
-# arrays beside it, that solve is the peak. The trace records the stop
+# iterate's u, g and residual and the trial's state as it is formed, but
+# not e1 or phi_e1 after the initial guess, and the grid keeps no cube of
+# inverse eigenvalues: a solve forms them in a transform buffer. A trial's
+# gradient solve holds the trial's u, the residual in lap's array, rhs
+# (formed in the phi array once the power array is gone), whose buffer the
+# solve reuses, and one more buffer; with the iterate's arrays beside it,
+# that solve is the peak. The trace records the stop
 # test's residual, so an accepted step runs no stencil of its own.
 # descent-n32 adds its Anderson history, two arrays per step, but a trial
 # is formed and evaluated with two steps held, not three: the window drops
@@ -250,7 +255,7 @@ RUN_CONFIGS = {
     "descent-n32": {"grid_n": 32, "p": 3.0, "coupling": {"constant": 1},
                     "forcing": {"scaled_to_bound": 1.0}, "safety": 1.0},
 }
-RUN_BUDGETS = {"solve-n32": 9.25, "descent-n32": 13.25}
+RUN_BUDGETS = {"solve-n32": 8.25, "descent-n32": 12.25}
 
 
 def _run_peak(name: str) -> float:

@@ -21,7 +21,7 @@ from spball import (
 from spball import grid as grid_module
 from spball import poisson as poisson_module
 from spball.grid import DomainGrid
-from spball.poisson import _dst1, compute_phi, solve_dirichlet_poisson
+from spball.poisson import PoissonSolution, _dst1, compute_phi, solve_dirichlet_poisson
 from spball.runner import ExperimentConfig, run_experiment
 
 from conftest import dense_neg_laplacian, grad_l2_norm, random_field, sample_function
@@ -120,6 +120,7 @@ def test_solves_on_distinct_grid_instances_are_equal(rng):
     assert "sine_factors" in vars(a) and "sine_factors" not in vars(b)
     wb = solve_dirichlet_poisson(ScalarField(b, f)).field.values
     assert np.array_equal(wa, wb)
+    assert len(a.sine_factors) == 3
     for fa, fb in zip(a.sine_factors, b.sine_factors):
         assert fa is not fb and np.array_equal(fa, fb)
         assert not fa.flags.writeable
@@ -146,6 +147,35 @@ def test_a_run_builds_the_transform_factors_once(monkeypatch, solve_counter):
     assert report.verification.passed
     assert solves >= 4
     assert built == [8]
+
+
+def test_a_run_leaves_no_cube_cached_on_its_grid(monkeypatch):
+    # the inverse eigenvalues are formed on every solve in a transform
+    # buffer: after a run's solves the grid holds its sine table, the axes
+    # and the sine factors, none of them with (n-1)^3 entries
+    grids = []
+    init = PoissonSolution.__init__
+
+    def recording_init(self, field, iterations):
+        grids.append(field.grid)
+        init(self, field, iterations)
+
+    monkeypatch.setattr(PoissonSolution, "__init__", recording_init)
+    config = ExperimentConfig.from_dict({
+        "grid_n": 8, "p": 3.0, "coupling": {"constant": 1},
+        "forcing": {"scaled_to_bound": 1.0}, "safety": 1.0,
+    })
+    assert run_experiment(config).verification.passed
+    assert len(grids) >= 4
+    cached = {}
+    for grid in {id(g): g for g in grids}.values():
+        assert "sine_factors" in vars(grid)
+        for name, value in vars(grid).items():
+            arrays = value if isinstance(value, tuple) else (value,)
+            cached.update({f"{name}[{i}]": a for i, a in enumerate(arrays)
+                           if isinstance(a, np.ndarray)})
+    assert cached and all(a.size < (config.grid_n - 1) ** 3 for a in cached.values()), {
+        name: a.shape for name, a in cached.items()}
 
 
 def test_a_run_builds_the_first_eigenfunction_once(monkeypatch):

@@ -941,8 +941,9 @@ def test_cli_run_ends_every_config_in_a_named_outcome(tmp_path, capsys, config):
 
 
 def test_cli_run_names_the_failed_checks(tmp_path, capsys, monkeypatch):
-    # an unreachable fixed-point threshold fails exactly that gate; verify reads
-    # it at call time, and the descent keeps its own imported threshold
+    # an unreachable fixed-point threshold fails exactly that gate; verify and
+    # the descent's stop test read it at call time, so the descent never
+    # stops on fixed_point
     monkeypatch.setattr(verify_mod, "FP_THRESHOLD", 1e-30)
     path = write_config(tmp_path)
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])

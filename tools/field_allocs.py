@@ -14,6 +14,10 @@ interpreters that import spball from DIR (default: this checkout's src):
 - peak_site: the spball call chain, outermost first, as file:line function
   of each named function's frame, at which the traced run's memory first
   reached its maximum;
+- transforms and stencils: the traced run's calls of the sine transform
+  (spball.poisson._dst1, two per Poisson solve) and of the 7-point stencil
+  (spball.grid.neg_laplacian_array), the work that a change of memory
+  alone leaves as it was;
 - minor faults: --reps untraced cold runs, each in its own interpreter,
   reading getrusage's ru_minflt just before and after run_experiment;
 - resident memory, from those same runs: VmRSS just before run_experiment,
@@ -48,17 +52,22 @@ def workload_config(name: str) -> dict:
 
 
 def count_allocations(config, field_bytes: int) -> dict:
+    from spball import grid, poisson
     from spball.runner import run_experiment
 
     run_experiment(config)  # sine factors and imports, as a warm run
     allocations = 0
     start = 0
     top, site = 0, []
+    counted = {poisson._dst1.__code__: "transforms", grid.neg_laplacian_array.__code__: "stencils"}
+    calls = dict.fromkeys(counted.values(), 0)
 
     def hook(frame, event, arg):
         nonlocal allocations, start, top, site
         frame.f_trace_opcodes = True
-        if event in ("opcode", "line", "return"):
+        if event == "call" and frame.f_code in counted:
+            calls[counted[frame.f_code]] += 1
+        elif event in ("opcode", "line", "return"):
             current, peak = tracemalloc.get_traced_memory()
             allocations += max(0, round((peak - start) / field_bytes - 0.25))
             if peak > top:  # the instruction just run reached a new maximum
@@ -82,6 +91,7 @@ def count_allocations(config, field_bytes: int) -> dict:
         "field_allocations": allocations,
         "tracemalloc_peak_fields": peak / field_bytes,
         "peak_site": " -> ".join(site),
+        **calls,
     }
 
 
