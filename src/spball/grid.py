@@ -55,11 +55,18 @@ class DomainGrid:
         sin(pi j k / n) is T[2jk mod 4n], the eigenvalue axis (eigen_axis) is
         T[k]^2 and e1's axis factor (e1_axis) is T[2i]. Reducing the integer
         2jk by the period is exact, so no sine is taken of an angle beyond
-        2 pi. The 4n entries are math.sin calls; a run calls no numpy sine.
-        Only the grid's own members index it.
+        2 pi. Only the quarter wave T[0..n] is taken, by n + 1 math.sin
+        calls; the rest follows exactly by T[2n - i] = T[i] and
+        T[2n + i] = -T[i], so T[2n] is 0 and every mirror identity of the
+        sine holds bit for bit: e1 equals its reflection about each
+        midplane, and S[n - j, k] = S[j, k] for every odd k, which the
+        Poisson solve's fold reads. A run calls no numpy sine. Only the
+        grid's own members index it.
         """
         n = self.n
-        table = np.array([math.sin(math.pi * i / (2 * n)) for i in range(4 * n)])
+        quarter = [math.sin(math.pi * i / (2 * n)) for i in range(n + 1)]
+        half = quarter + quarter[-2::-1]  # T[0..2n]
+        table = np.array(half + [-t for t in half[1:-1]])
         table.setflags(write=False)
         return table
 
@@ -82,53 +89,91 @@ class DomainGrid:
         """lambda_h = 12 sigma_1 / h^2, the stencil's smallest eigenvalue, e1's."""
         return 12.0 * float(self.eigen_axis[0]) / self.h**2
 
-    @cached_property
-    def sine_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(S, P, Q): the factors of the stencil's diagonalization, built on
-        first use and kept, read-only, for the grid's lifetime; none has
-        (n-1)^3 entries.
+    def sine_factors(self, even: bool) -> tuple:
+        """(forward, inverse, P, Q): the factors of the stencil's
+        diagonalization on the full cube, or, when even, on the sector of a
+        mirror-even cube, the first n // 2 nodes per axis. Each set is
+        built on first use and kept, read-only, for the grid's lifetime;
+        none has (n-1)^3 entries, and a run whose every solve folds builds
+        only the sector's.
 
-        S is the DST-I matrix S[j, k] = sin(pi j k / n) = T[2jk mod 4n],
-        j, k = 1..n-1, with T the grid's sine_table. Taken from the table,
-        S @ S = (n/2) I holds to 1-2.5 ulp of n/2 for every n up to 256.
-        P, (n-1)^2 x 2, holds the pair sums sigma_i + sigma_j of the
-        eigen_axis beside a column of ones, and Q, 2 x (n-1), a row of ones
-        above the axis: the product P @ Q is the eigenvalue sum
-        (sigma_i + sigma_j) + sigma_k, each of its two products being exact,
-        which inverse_eigenvalues forms into a caller's cube.
+        forward and inverse are each a transform's matrix beside its
+        transpose, as the Poisson solve's _dst1 takes them. On the full
+        cube both are the DST-I matrix S[j, k] = sin(pi j k / n) =
+        T[2jk mod 4n], j, k = 1..n-1, with T the grid's sine_table. S is
+        symmetric, and taken from the table S @ S = (n/2) I holds to
+        1-2.5 ulp of n/2 for every n up to 256. A mirror-even cube holds
+        only the odd modes k, for which S[n - j, k] = S[j, k] bit for bit,
+        so the sector's set folds S: its forward matrix is w_j S[j, k] over
+        the sector's nodes j and the odd k, where w_j = 2 counts a node and
+        its mirror image and the centre node of an even n has w_j = 1, and
+        its inverse matrix is S[k, j].
+
+        P, a^2 x 2 for the a modes of a set, holds the pair sums
+        sigma_i + sigma_j of their eigen_axis entries beside a column of
+        ones, and Q, 2 x a, a row of ones above those entries: the product
+        P @ Q is the eigenvalue sum (sigma_i + sigma_j) + sigma_k, each of
+        its two products being exact, which inverse_eigenvalues forms into
+        a caller's cube. The odd modes' sums are the full set's at odd k,
+        bit for bit.
         """
+        return self._sector_factors if even else self._full_factors
+
+    @cached_property
+    def _full_factors(self) -> tuple:
+        k = np.arange(1, self.n)
+        sines = self._sines(k, k)
+        return _sealed_factors((sines, sines), (sines, sines), self.eigen_axis)
+
+    @cached_property
+    def _sector_factors(self) -> tuple:
         n = self.n
-        table = self.sine_table
-        k = np.arange(1, n)
-        sines = table[(2 * np.outer(k, k)) % (4 * n)]
-        s = self.eigen_axis
-        pairs = np.ones(((n - 1) ** 2, 2))
-        pairs[:, 0] = (s[:, None] + s[None, :]).reshape(-1)
-        axis = np.ones((2, n - 1))
-        axis[1] = s
-        for factor in (sines, pairs, axis):
-            factor.setflags(write=False)
-        return sines, pairs, axis
+        folded = self._sines(np.arange(1, n // 2 + 1), np.arange(1, n, 2))
+        weights = np.full((n // 2, 1), 2.0)
+        if n % 2 == 0:
+            weights[-1] = 1.0  # the centre node is its own mirror image
+        forward = folded * weights
+        return _sealed_factors((forward, forward.T.copy()), (folded.T.copy(), folded),
+                               self.eigen_axis[::2])
+
+    def _sines(self, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """S[j, k] = sin(pi j k / n) = T[2jk mod 4n] for the nodes j and modes k."""
+        return self.sine_table[(2 * np.outer(j, k)) % (4 * self.n)]
 
     def inverse_eigenvalues(self, out: np.ndarray) -> np.ndarray:
         """The scaled inverse eigenvalues (2/n)^3 / lambda, written into the
         C-ordered cube out, which is returned: lambda = (4/h^2) sum_i
         sigma_{k_i} over the eigen_axis, with the (2/n)^3 of the two
-        unnormalized transforms folded in.
+        unnormalized transforms folded in. A cube of (n-1)^3 entries takes
+        every mode, and a cube of (n // 2)^3, the mirror-even sector, the
+        odd modes alone.
 
-        The sum is one product of sine_factors' P and Q into out, scaled and
-        inverted in place: the formation allocates nothing, and the grid
-        keeps no cube of them. An out that is not C-ordered is a ValueError:
-        the product would fill a reshaped copy of it, not out itself.
+        The sum is one product of the matching sine_factors' P and Q into
+        out, scaled and inverted in place: the formation allocates nothing,
+        and the grid keeps no cube of them. An out that is not
+        C-ordered is a ValueError: the product would fill a reshaped copy of
+        it, not out itself.
         """
         if not out.flags.c_contiguous:
             raise ValueError("inverse_eigenvalues needs a C-ordered output array")
-        m = self.n - 1
-        _, pairs, axis = self.sine_factors
-        np.matmul(pairs, axis, out=out.reshape(m * m, m))
+        _, _, pairs, axis = self.sine_factors(len(out) < self.n - 1)
+        a = axis.shape[1]
+        np.matmul(pairs, axis, out=out.reshape(a * a, a))
         out *= 4.0 / (self.h * self.h)
         np.divide((2.0 / self.n) ** 3, out, out=out)
         return out
+
+
+def _sealed_factors(forward, inverse, sigma: np.ndarray) -> tuple:
+    """(forward, inverse, P, Q) with P = [sigma_i + sigma_j, 1] and
+    Q = [1; sigma_k] over the entries of sigma, every array read-only."""
+    pairs = np.ones((len(sigma) ** 2, 2))
+    pairs[:, 0] = (sigma[:, None] + sigma[None, :]).reshape(-1)
+    axis = np.ones((2, len(sigma)))
+    axis[1] = sigma
+    for factor in (*forward, *inverse, pairs, axis):
+        factor.setflags(write=False)
+    return forward, inverse, pairs, axis
 
 
 def build_grid(n: int) -> DomainGrid:

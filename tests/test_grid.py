@@ -76,6 +76,10 @@ def test_spectral_members_equal_their_table_formulas(n):
     out = np.full(g.shape, np.nan)
     assert g.inverse_eigenvalues(out) is out
     assert np.array_equal(out, inv)
+    # a sector cube takes the odd modes k = 1, 3, ..., the same bits
+    sector = np.full((n // 2,) * 3, np.nan)
+    assert g.inverse_eigenvalues(sector) is sector
+    assert np.array_equal(sector, inv[::2, ::2, ::2])
     # the product writes through a reshaped view, which a Fortran-ordered
     # buffer would turn into a copy, leaving out unwritten
     with pytest.raises(ValueError, match="C-ordered"):
@@ -89,6 +93,37 @@ def test_spectral_members_equal_their_table_formulas(n):
     for name in ("eigen_axis", "e1_axis"):
         axis = getattr(g, name)
         assert axis is getattr(g, name) and not axis.flags.writeable
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 11, 32, 64, 128])
+def test_sine_table_is_the_quarter_wave_reflected(monkeypatch, n):
+    # n + 1 sines, T[0..n]; the rest by T[2n - i] = T[i] and T[2n + i] =
+    # -T[i], exactly, so T[2n] is +0 and the mirror identities hold bit for
+    # bit. np.sin's angles pi i / (2n) carry a rounding of up to 2 pi eps,
+    # hence the oracle's tolerance
+    calls = []
+    sin = math.sin
+
+    def counting(x):
+        calls.append(x)
+        return sin(x)
+
+    monkeypatch.setattr(math, "sin", counting)
+    g = build_grid(n)
+    T = g.sine_table
+    assert len(calls) == n + 1 and len(T) == 4 * n
+    i = np.arange(4 * n)
+    exact = np.sin(np.pi * i / (2 * n))
+    assert np.abs(T - exact).max() <= 8 * np.spacing(1.0)
+    assert T[0] == T[2 * n] == 0.0 and not np.signbit(T[2 * n]) and T[n] == 1.0
+    assert np.array_equal(T[2 * n : 0 : -1], T[: 2 * n])
+    assert np.array_equal(T[2 * n + 1 :], -T[1 : 2 * n])
+    # e1's axis factor is its own reverse; the sine matrix's odd-mode columns
+    # are even in the node j -> n - j, and its even-mode columns odd
+    assert np.array_equal(g.e1_axis, g.e1_axis[::-1])
+    s = g.sine_factors(False)[0][0]
+    assert np.array_equal(s[::-1, ::2], s[:, ::2])
+    assert np.array_equal(s[::-1, 1::2], -s[:, 1::2])
 
 
 # ---------------------------------------------------------------- fields

@@ -4,6 +4,7 @@ convergence, and the potential's structural properties (sign, scaling,
 quadratic bound)."""
 
 import functools
+import json
 import sys
 
 import numpy as np
@@ -20,11 +21,16 @@ from spball import (
 )
 from spball import grid as grid_module
 from spball import poisson as poisson_module
+from spball import runner as runner_module
+from spball.ball import estimate_constants
 from spball.grid import DomainGrid
 from spball.poisson import PoissonSolution, _dst1, compute_phi, solve_dirichlet_poisson
 from spball.runner import ExperimentConfig, run_experiment
 
 from conftest import dense_neg_laplacian, grad_l2_norm, random_field, sample_function
+from test_hygiene import RUN_CONFIGS
+from test_ownership import _peak_in_fields
+from test_sweep import CONFIGS as SWEEP_CONFIGS
 
 
 def test_zero_rhs_solves_to_zero_through_the_transforms(monkeypatch):
@@ -82,7 +88,8 @@ def test_sine_matrix_squares_to_scaled_identity(n):
     # where np.sin of the angles pi j k / n missed by 8, 21 and 25 ulp at
     # n = 32, 64 and 128
     g = build_grid(n)
-    s = g.sine_factors[0]
+    (s, s_t), inverse, _, _ = g.sine_factors(False)
+    assert s_t is s and inverse[0] is s and inverse[1] is s
     assert np.array_equal(s, s.T)
     eps = np.finfo(float).eps
     assert np.abs(s @ s - 0.5 * n * np.eye(n - 1)).max() <= 3.0 * eps * 0.5 * n
@@ -100,7 +107,7 @@ def test_dst1_is_the_sine_sum_along_every_axis(rng, n):
     s = np.sin(np.pi * np.outer(idx, idx) / n)
     expected = np.einsum("abc,ai,bj,ck->ijk", x, s, s, s)
     out, work = np.empty_like(x), np.empty_like(x)
-    sines = build_grid(n).sine_factors[0]
+    sines = build_grid(n).sine_factors(False)[0]
     got = _dst1(x, sines, out, work)
     assert got is out
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
@@ -111,19 +118,32 @@ def test_dst1_is_the_sine_sum_along_every_axis(rng, n):
 
 def test_solves_on_distinct_grid_instances_are_equal(rng):
     # the transform factors belong to a grid instance and are built on its
-    # first solve; equal grids build equal, read-only factors
+    # first solve of each parity; equal grids build equal, read-only factors
     a, b = build_grid(7), build_grid(7)
     assert a == b and a is not b
-    assert "sine_factors" not in vars(a)
+    assert "_full_factors" not in vars(a)
     f = rng.standard_normal(a.shape)
     wa = solve_dirichlet_poisson(ScalarField(a, f)).field.values
-    assert "sine_factors" in vars(a) and "sine_factors" not in vars(b)
+    assert "_full_factors" in vars(a) and "_full_factors" not in vars(b)
+    assert "_sector_factors" not in vars(a)
     wb = solve_dirichlet_poisson(ScalarField(b, f)).field.values
     assert np.array_equal(wa, wb)
-    assert len(a.sine_factors) == 3
-    for fa, fb in zip(a.sine_factors, b.sine_factors):
-        assert fa is not fb and np.array_equal(fa, fb)
-        assert not fa.flags.writeable
+    for even in (False, True):
+        # (forward, inverse, P, Q), each transform a matrix beside its transpose
+        set_a, set_b = a.sine_factors(even), b.sine_factors(even)
+        assert set_a is a.sine_factors(even)
+        for fa, fb in zip(factor_arrays(set_a), factor_arrays(set_b)):
+            assert fa is not fb and np.array_equal(fa, fb)
+            assert not fa.flags.writeable
+        (forward, forward_t), (inverse, inverse_t), _, _ = set_a
+        assert np.array_equal(forward.T, forward_t) and np.array_equal(inverse.T, inverse_t)
+
+
+def factor_arrays(value) -> list:
+    """The arrays in a value cached on a grid, through nested tuples."""
+    if isinstance(value, tuple):
+        return [a for item in value for a in factor_arrays(item)]
+    return [value] if isinstance(value, np.ndarray) else []
 
 
 def test_a_run_builds_the_transform_factors_once(monkeypatch, solve_counter):
@@ -152,7 +172,7 @@ def test_a_run_builds_the_transform_factors_once(monkeypatch, solve_counter):
 def test_a_run_leaves_no_cube_cached_on_its_grid(monkeypatch):
     # the inverse eigenvalues are formed on every solve in a transform
     # buffer: after a run's solves the grid holds its sine table, the axes
-    # and the sine factors, none of them with (n-1)^3 entries
+    # and the sector's sine factors, none of them with (n-1)^3 entries
     grids = []
     init = PoissonSolution.__init__
 
@@ -169,11 +189,9 @@ def test_a_run_leaves_no_cube_cached_on_its_grid(monkeypatch):
     assert len(grids) >= 4
     cached = {}
     for grid in {id(g): g for g in grids}.values():
-        assert "sine_factors" in vars(grid)
+        assert "_sector_factors" in vars(grid)
         for name, value in vars(grid).items():
-            arrays = value if isinstance(value, tuple) else (value,)
-            cached.update({f"{name}[{i}]": a for i, a in enumerate(arrays)
-                           if isinstance(a, np.ndarray)})
+            cached.update({f"{name}[{i}]": a for i, a in enumerate(factor_arrays(value))})
     assert cached and all(a.size < (config.grid_n - 1) ** 3 for a in cached.values()), {
         name: a.shape for name, a in cached.items()}
 
@@ -202,6 +220,140 @@ def test_a_run_builds_the_first_eigenfunction_once(monkeypatch):
         })
         assert run_experiment(config).verification.passed
         assert built == builds
+
+
+def mirror_even_values(rng, g) -> np.ndarray:
+    """A random cube equal to its mirror image about each midplane, exactly:
+    x + flip(x) adds the same two numbers at a node and at its image, and a
+    sum of two even cubes is even."""
+    x = rng.standard_normal(g.shape)
+    for axis in range(3):
+        x = x + np.flip(x, axis)
+    return x
+
+
+def is_mirror_even(values: np.ndarray) -> bool:
+    return all(np.array_equal(values, np.flip(values, axis)) for axis in range(3))
+
+
+def full_path(f: ScalarField) -> np.ndarray:
+    """The solve of f through the full cube's factors, whatever f's parity."""
+    g = f.grid
+    forward, inverse, _, _ = g.sine_factors(False)
+    first, second = np.empty(g.shape), np.empty(g.shape)
+    coeffs = _dst1(f.values, forward, first, second)
+    coeffs *= g.inverse_eigenvalues(second)
+    return _dst1(coeffs, inverse, second, first)
+
+
+@pytest.fixture
+def transform_sizes(monkeypatch):
+    """The edge of every cube a solve's _dst1 writes, in call order."""
+    sizes = []
+
+    def recording(values, matrix, out, work):
+        sizes.append(len(out))
+        return _dst1(values, matrix, out, work)
+
+    monkeypatch.setattr(poisson_module, "_dst1", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_a_mirror_even_rhs_is_solved_on_its_sector(rng, transform_sizes, n):
+    # both transforms run on the (n // 2)^3 sector, odd n and even n alike,
+    # and the mirrored solution is the full path's and the dense solve's
+    g = build_grid(n)
+    x = mirror_even_values(rng, g)
+    full = full_path(ScalarField(g, x))
+    scale = np.abs(full).max()
+    w = solve_dirichlet_poisson(ScalarField(g, x)).field.values
+    assert transform_sizes == [n // 2] * 2
+    assert np.abs(w - full).max() <= 1e-14 * scale
+    assert is_mirror_even(w)
+    if n <= 8:
+        dense = np.linalg.solve(dense_neg_laplacian(n), x.ravel()).reshape(g.shape)
+        assert np.abs(w - dense).max() <= 1e-14 * scale
+    # under overwrite the fold mirrors into f's own buffer, with the same bits
+    f = ScalarField(g, x)
+    address = f.values.__array_interface__["data"][0]
+    solved = solve_dirichlet_poisson(f, overwrite=True).field.values
+    assert solved.__array_interface__["data"][0] == address
+    assert np.array_equal(solved, w)
+    # a node off its mirror image along one axis by one ulp, and still even
+    # along the other two, takes the full path, whichever the axis
+    for axis in range(3):
+        transform_sizes.clear()
+        y = x.copy()
+        images = [slice(None, None, n - 2)] * 3  # the first node and the last
+        images[axis] = 0
+        y[tuple(images)] = np.nextafter(y[tuple(images)], np.inf)
+        nudged = ScalarField(g, y)
+        w = solve_dirichlet_poisson(nudged).field.values
+        assert transform_sizes == [n - 1] * 2
+        assert np.array_equal(w, full_path(nudged))
+        assert np.abs(w - full).max() <= 1e-14 * scale
+
+
+# every config kind of a small run: the run-path configs of the hygiene
+# test and the sweep's configs up to n = 16
+SMALL_RUNS = {**{f"hygiene-{i}": data for i, data in enumerate(RUN_CONFIGS)},
+              **{key: data for key, data in SWEEP_CONFIGS.items() if data["grid_n"] <= 16}}
+
+
+@pytest.mark.parametrize("key", sorted(SMALL_RUNS))
+def test_every_solve_of_a_run_folds(tmp_path, transform_sizes, key):
+    # each right-hand side a run solves is mirror-even, exactly, so every
+    # transform runs on the sector; a repeat run writes the same bytes
+    config = ExperimentConfig.from_dict(SMALL_RUNS[key])
+    outputs = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert run_experiment(config, out_dir=out).verification.passed
+        report = json.loads((out / "report.json").read_text())
+        del report["wall_time"]
+        outputs.append((json.dumps(report), (out / "trace.csv").read_bytes()))
+    assert len(transform_sizes) >= 8
+    assert set(transform_sizes) == {config.grid_n // 2}
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 11, 12, 32, 64])
+def test_the_first_eigenfunction_and_every_field_kind_are_mirror_even(n):
+    # the fields every right-hand side is made of, nodewise, are exactly
+    # even: e1 through the quarter-wave sine table, each coupling and
+    # forcing kind as a multiple of e1 or a constant
+    g = build_grid(n)
+    assert is_mirror_even(first_eigenpair(g)[0].values)
+    for coupling in ({"constant": 1}, {"sine_bump": 1e3}):
+        c = runner_module._build_coupling(g, coupling)
+        assert is_mirror_even(c.values)
+        ball, mode = estimate_constants(7.0, c)
+        for forcing in ({"constant": -1}, {"sine_bump": -0.1}, {"scaled_to_bound": 0.5}):
+            f = runner_module._build_forcing(g, forcing, ball.forcing_bound, mode)
+            assert is_mirror_even(f.values)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_a_folded_solve_holds_its_output_and_one_sector_cube(n):
+    # the evenness test and the mirror copy make no float temporaries, and
+    # the second transform buffer lies in the output: a folded solve peaks
+    # at its output beside one (n // 2)^3 buffer, and compute_phi, whose
+    # solve overwrites c u^2, at that array beside it, where a full solve
+    # or potential holds two fields (test_ownership.py)
+    g = build_grid(n)
+    e1 = first_eigenpair(g)[0]
+    budget = 1.0 + ((n // 2) / (n - 1)) ** 3 + 1.0 / 64
+    assert _peak_in_fields(g, solve_dirichlet_poisson, e1) <= budget
+    assert _peak_in_fields(g, compute_phi, e1, ScalarField.constant(g, 1.0)) <= budget
+
+
+def test_dst1_rejects_an_output_it_cannot_write_through():
+    # the last product writes through out.reshape, which for a Fortran-ordered
+    # out is a copy: the result would be lost, so it is a ValueError
+    g = build_grid(8)
+    sines = g.sine_factors(False)[0]
+    with pytest.raises(ValueError, match="C-ordered"):
+        _dst1(np.ones(g.shape), sines, np.empty(g.shape, order="F"), np.empty(g.shape))
 
 
 def test_overwrite_solves_in_the_given_buffer(rng):

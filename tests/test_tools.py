@@ -18,10 +18,12 @@ from test_ownership import RUN_BUDGETS
 
 ROOT = Path(__file__).resolve().parents[1]
 KEYS = {"workload", "src", "field_allocations", "tracemalloc_peak_fields", "peak_site",
-        "transforms", "stencils", "minflt_median", "minflt_runs", "rss_before_run_mb",
-        "maxrss_mb"}
-# workload -> (sine transforms, stencils) of one run: two transforms per solve
-WORK = {"solve-n32": (8, 1), "descent-n32": (20, 4)}
+        "sector_transforms", "full_transforms", "stencils", "minflt_median", "minflt_runs",
+        "rss_before_run_mb", "maxrss_mb"}
+# workload -> (sine transforms on the mirror-even sector, on the full cube,
+# stencils) of one run: two transforms per solve, and every solve of a run
+# has a mirror-even right-hand side
+WORK = {"solve-n32": (8, 0, 1), "descent-n32": (20, 0, 4)}
 # file:line function of one spball frame
 FRAME = re.compile(r"\w+\.py:\d+ \w+")
 
@@ -42,7 +44,7 @@ def test_field_allocs_reports_a_peak_within_the_run_budget(workload):
     assert frames[0].startswith("runner.py:") and frames[0].endswith(" run_experiment")
     assert 0 < out["tracemalloc_peak_fields"] <= RUN_BUDGETS[workload]
     assert out["field_allocations"] > 0
-    assert (out["transforms"], out["stencils"]) == WORK[workload]
+    assert (out["sector_transforms"], out["full_transforms"], out["stencils"]) == WORK[workload]
     assert len(out["minflt_runs"]) == 1 and out["minflt_median"] == out["minflt_runs"][0] > 0
     # imports and the config come first; the run can only raise the peak
     assert 0 < out["rss_before_run_mb"] <= out["maxrss_mb"]

@@ -14,10 +14,12 @@ interpreters that import spball from DIR (default: this checkout's src):
 - peak_site: the spball call chain, outermost first, as file:line function
   of each named function's frame, at which the traced run's memory first
   reached its maximum;
-- transforms and stencils: the traced run's calls of the sine transform
-  (spball.poisson._dst1, two per Poisson solve) and of the 7-point stencil
-  (spball.grid.neg_laplacian_array), the work that a change of memory
-  alone leaves as it was;
+- sector_transforms, full_transforms and stencils: the traced run's calls
+  of the sine transform (spball.poisson._dst1, two per Poisson solve) on
+  the mirror-even sector of (n // 2)^3 nodes and on the full (n-1)^3 cube,
+  told apart by the size of the transform's output buffer, and of the
+  7-point stencil (spball.grid.neg_laplacian_array): the work that a change
+  of memory alone leaves as it was;
 - minor faults: --reps untraced cold runs, each in its own interpreter,
   reading getrusage's ru_minflt just before and after run_experiment;
 - resident memory, from those same runs: VmRSS just before run_experiment,
@@ -59,14 +61,17 @@ def count_allocations(config, field_bytes: int) -> dict:
     allocations = 0
     start = 0
     top, site = 0, []
-    counted = {poisson._dst1.__code__: "transforms", grid.neg_laplacian_array.__code__: "stencils"}
-    calls = dict.fromkeys(counted.values(), 0)
+    transform, stencil = poisson._dst1.__code__, grid.neg_laplacian_array.__code__
+    calls = dict.fromkeys(("sector_transforms", "full_transforms", "stencils"), 0)
 
     def hook(frame, event, arg):
         nonlocal allocations, start, top, site
         frame.f_trace_opcodes = True
-        if event == "call" and frame.f_code in counted:
-            calls[counted[frame.f_code]] += 1
+        if event == "call" and frame.f_code is transform:
+            full = len(frame.f_locals["out"]) == config.grid_n - 1
+            calls["full_transforms" if full else "sector_transforms"] += 1
+        elif event == "call" and frame.f_code is stencil:
+            calls["stencils"] += 1
         elif event in ("opcode", "line", "return"):
             current, peak = tracemalloc.get_traced_memory()
             allocations += max(0, round((peak - start) / field_bytes - 0.25))
